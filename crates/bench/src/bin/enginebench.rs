@@ -1,12 +1,9 @@
-//! `enginebench` — live-cluster benchmarks for the connection engines.
+//! `enginebench` — live-cluster A/B benchmarks for the connection engine.
 //!
-//! Seven scenarios:
+//! Six scenarios:
 //!
 //! ```text
-//! enginebench [--scenario engine] [--engine reactor|threaded|both] [--nodes 3]
-//!             [--hold 1000] [--workers 32] [--requests 2000]
-//!             [--out results/engine.csv]
-//! enginebench --scenario zerocopy [--size 1500000] [--workers 16]
+//! enginebench [--scenario zerocopy] [--size 1500000] [--workers 16]
 //!             [--requests 600] [--out results/zerocopy.csv]
 //! enginebench --scenario shards [--workers 16] [--requests 2000]
 //!             [--out results/shard_scaling.csv]
@@ -19,37 +16,15 @@
 //! enginebench --scenario overload [--workers 96] [--out results/overload.csv]
 //! ```
 //!
-//! **engine** (the default): for each engine the harness starts an
-//! `n`-node cluster, opens `hold` idle connections (spread across nodes)
-//! that stay open for the whole run — the "many slow clients" population
-//! thread-per-connection servers pay one thread each for — then drives
-//! `requests` scheduled fetches through `workers` concurrent
-//! redirect-following clients, recording per-request latency. One CSV row
-//! per engine lands in `--out`:
+//! The reactor-vs-thread-per-connection scenario and the `copy` transmit
+//! leg are gone with the code they measured; their last results stay in
+//! `BENCH_engine.json` / `results/engine.csv` and in the `copy` row of
+//! `BENCH_zerocopy.json` / `results/zerocopy.csv` (see EXPERIMENTS.md).
 //!
-//! ```text
-//! engine,nodes,held_conns,workers,requests,errors,duration_s,rps,p50_ms,p99_ms,threads
-//! ```
-//!
-//! `threads` is this process's peak `/proc/self/status` thread count while
-//! the held connections are open — the cluster runs in-process, so the
-//! reactor's bounded pool versus one-thread-per-held-connection shows up
-//! directly in that column.
-//!
-//! The engine scenario also drains every node's cost-model feedback ring
-//! (§3.2's predicted `t_redirection + t_data + t_cpu` versus measured
-//! fulfilment wall time) into `prediction_error.csv` beside the latency
-//! CSV, one row per locally served request:
-//!
-//! ```text
-//! scenario,engine,node,predicted_us,measured_us,error_pct
-//! ```
-//!
-//! **zerocopy**: a single reactor node serving one `--size`-byte document,
-//! measured three ways — `copy` (the contiguous `to_bytes` baseline: every
-//! response allocates and memcpys the body), `writev` (cached body shared
-//! as `Bytes`, gathered at the socket), and `sendfile` (cache disabled so
-//! the document streams from its fd). One CSV row per mode:
+//! **zerocopy** (the default): a single reactor node serving one
+//! `--size`-byte document, measured two ways — `writev` (cached body
+//! shared as `Bytes`, gathered at the socket) and `sendfile` (cache
+//! disabled so the document streams from its fd). One CSV row per mode:
 //!
 //! ```text
 //! mode,size_bytes,requests,workers,errors,duration_s,rps,mb_per_s,p50_ms,p99_ms
@@ -81,9 +56,8 @@
 //! mode,nodes,requests,workers,zipf_alpha,errors,duration_s,rps,p50_ms,p99_ms,client_redirects,peer_fetches,pushes
 //! ```
 //!
-//! **uring**: the I/O backend A/B — three legs (epoll, io_uring, and
-//! io_uring with `SWEB_URING_SQPOLL=1`), each a fleet of
-//! `ceil(hold / helper_cap)` re-exec'd single-node server processes
+//! **uring**: the I/O backend A/B — two legs (epoll and io_uring), each
+//! a fleet of `ceil(hold / helper_cap)` re-exec'd single-node server processes
 //! paired with hold-helper client processes. Both ends of every held
 //! keep-alive connection live in helper processes with their own
 //! `RLIMIT_NOFILE` (sources spread over `127.0.0.x` so ephemeral ports
@@ -142,14 +116,12 @@ use std::time::{Duration, Instant};
 
 use sweb_metrics::Histogram;
 use sweb_server::{
-    client, ClusterConfig, DynamicRegistry, Engine, ForkCgiHandler, LiveCluster, ServerOptions,
-    TransmitMode,
+    client, ClusterConfig, DynamicRegistry, ForkCgiHandler, LiveCluster, ServerOptions,
 };
 use sweb_telemetry::PredictionSample;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Scenario {
-    Engine,
     ZeroCopy,
     Shards,
     Forward,
@@ -160,8 +132,6 @@ enum Scenario {
 
 struct Args {
     scenario: Scenario,
-    engines: Vec<Engine>,
-    nodes: usize,
     hold: Option<usize>,
     workers: Option<usize>,
     requests: Option<u64>,
@@ -180,9 +150,8 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: enginebench [--scenario engine|zerocopy|shards|forward|uring|dynamic|overload] \
-         [--engine reactor|threaded|both] \
-         [--nodes N] [--hold N] [--workers N] [--requests N] [--size BYTES] \
+        "usage: enginebench [--scenario zerocopy|shards|forward|uring|dynamic|overload] \
+         [--hold N] [--workers N] [--requests N] [--size BYTES] \
          [--repeats N] [--warmup N] [--helper-cap N] [--out FILE]"
     );
     std::process::exit(2);
@@ -190,9 +159,7 @@ fn usage() -> ! {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        scenario: Scenario::Engine,
-        engines: vec![Engine::Reactor, Engine::ThreadPerConn],
-        nodes: 3,
+        scenario: Scenario::ZeroCopy,
         hold: None,
         workers: None,
         requests: None,
@@ -208,7 +175,6 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--scenario" => {
                 args.scenario = match value().as_str() {
-                    "engine" => Scenario::Engine,
                     "zerocopy" => Scenario::ZeroCopy,
                     "shards" => Scenario::Shards,
                     "forward" => Scenario::Forward,
@@ -218,14 +184,6 @@ fn parse_args() -> Args {
                     _ => usage(),
                 };
             }
-            "--engine" => {
-                let v = value();
-                args.engines = match v.as_str() {
-                    "both" => vec![Engine::Reactor, Engine::ThreadPerConn],
-                    s => vec![s.parse().unwrap_or_else(|_| usage())],
-                };
-            }
-            "--nodes" => args.nodes = value().parse().unwrap_or_else(|_| usage()),
             "--hold" => args.hold = Some(value().parse().unwrap_or_else(|_| usage())),
             "--workers" => args.workers = Some(value().parse().unwrap_or_else(|_| usage())),
             "--requests" => args.requests = Some(value().parse().unwrap_or_else(|_| usage())),
@@ -249,19 +207,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-/// Current thread count of this process (Linux; 0 elsewhere).
-fn process_threads() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("Threads:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0)
 }
 
 /// Per-repeat samples of one metric; summarised as mean/stddev/min/max
@@ -395,148 +340,17 @@ fn make_docroot() -> std::path::PathBuf {
     dir
 }
 
-struct RunResult {
-    errors: u64,
-    duration: Duration,
-    hist: Histogram,
-    peak_threads: u64,
-    /// Cost-model feedback drained from every node before shutdown:
-    /// `(node, predicted vs measured)` for each locally fulfilled request.
-    predictions: Vec<(usize, PredictionSample)>,
-}
-
-impl BenchLeg for RunResult {
-    fn hist(&self) -> &Histogram {
-        &self.hist
-    }
-    fn duration(&self) -> Duration {
-        self.duration
-    }
-    fn absorb(&mut self, other: Self) {
-        self.errors += other.errors;
-        self.duration += other.duration;
-        self.hist.merge(&other.hist);
-        self.peak_threads = self.peak_threads.max(other.peak_threads);
-        self.predictions.extend(other.predictions);
-    }
-}
-
-fn run_engine(
-    engine: Engine,
-    args: &Args,
-    hold: usize,
-    workers: usize,
-    requests: u64,
-    docroot: &std::path::Path,
-) -> RunResult {
-    let cfg = ClusterConfig {
-        engine,
-        // Room for the held population plus the active workers.
-        max_conns: hold + workers + 64,
-        // The engine comparison isolates the event-loop design; intra-node
-        // scaling has its own scenario (`--scenario shards`).
-        shards: 1,
-        ..ClusterConfig::default()
-    };
-    let cluster = LiveCluster::start(args.nodes, docroot.to_path_buf(), cfg)
-        .expect("start cluster");
-    if !cluster.await_loadd_mesh(Duration::from_secs(10)) {
-        eprintln!("enginebench: warning: loadd mesh did not converge");
-    }
-
-    // The held population: idle keep-alive connections, round-robin over
-    // the nodes, open for the entire measured window.
-    let mut held = Vec::with_capacity(hold);
-    for i in 0..hold {
-        let base = cluster.base_url(i % args.nodes);
-        let addr = base.strip_prefix("http://").unwrap();
-        match std::net::TcpStream::connect(addr) {
-            Ok(s) => held.push(s),
-            Err(e) => {
-                eprintln!("enginebench: could only hold {i} connections: {e}");
-                break;
-            }
-        }
-    }
-    // Give the servers a beat to admit them all, then sample threads.
-    std::thread::sleep(Duration::from_millis(200));
-    let peak_threads = process_threads();
-
-    let urls: Vec<String> = (0..args.nodes).map(|i| cluster.base_url(i).to_string()).collect();
-    let remaining = Arc::new(AtomicU64::new(requests));
-    let errors = Arc::new(AtomicU64::new(0));
-    let hist = Arc::new(Mutex::new(Histogram::new()));
-
-    let t0 = Instant::now();
-    let mut handles = Vec::new();
-    for w in 0..workers {
-        let urls = urls.clone();
-        let remaining = Arc::clone(&remaining);
-        let errors = Arc::clone(&errors);
-        let hist = Arc::clone(&hist);
-        handles.push(std::thread::spawn(move || {
-            let mut local = Histogram::new();
-            let mut r = w;
-            loop {
-                if remaining.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-                    .is_err()
-                {
-                    break;
-                }
-                let url = format!("{}/doc{}.txt", urls[r % urls.len()], r % 16);
-                r += 1;
-                let t = Instant::now();
-                match client::get_with_timeout(&url, Duration::from_secs(30)) {
-                    Ok(resp) if resp.status == 200 => {
-                        local.record(t.elapsed().as_micros() as u64);
-                    }
-                    _ => {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            hist.lock().unwrap().merge(&local);
-        }));
-    }
-    for h in handles {
-        let _ = h.join();
-    }
-    let duration = t0.elapsed();
-    drop(held);
-    // Drain the cost-model feedback rings before the nodes go away.
-    let mut predictions = Vec::new();
-    for node in 0..args.nodes {
-        for sample in cluster.node(node).stats.feedback.samples() {
-            predictions.push((node, sample));
-        }
-    }
-    cluster.shutdown();
-
-    let hist = Arc::try_unwrap(hist).expect("workers joined").into_inner().unwrap();
-    RunResult {
-        errors: errors.load(Ordering::Relaxed),
-        duration,
-        hist,
-        peak_threads,
-        predictions,
-    }
-}
-
 /// One zero-copy transmit measurement: a single reactor node serving one
-/// `size`-byte document in the given transmit shape. `cache_bytes: 0`
-/// disables the cache, which (for documents past the streaming threshold)
-/// forces the sendfile path.
+/// `size`-byte document. `cache_bytes: 0` disables the cache, which (for
+/// documents past the streaming threshold) forces the sendfile path.
 fn run_transmit_mode(
-    transmit: TransmitMode,
     cache_bytes: u64,
     workers: usize,
     requests: u64,
     docroot: &std::path::Path,
 ) -> BasicOutcome {
     let cfg = ClusterConfig {
-        engine: Engine::Reactor,
         policy: sweb_core::Policy::RoundRobin, // one node; never redirect
-        transmit,
         file_cache_bytes: cache_bytes,
         max_conns: workers + 64,
         shards: 1, // compare transmit paths, not loop counts
@@ -616,122 +430,7 @@ fn open_csv(path: &std::path::Path, header: &str) -> std::fs::File {
     out
 }
 
-fn main_engine(args: &Args) {
-    let hold = args.hold.unwrap_or(1000);
-    let workers = args.workers.unwrap_or(32);
-    let requests = args.requests.unwrap_or(2000);
-    let out_path =
-        args.out.clone().unwrap_or_else(|| std::path::PathBuf::from("results/engine.csv"));
-    let docroot = make_docroot();
-    let mut out = open_csv(
-        &out_path,
-        "engine,nodes,held_conns,workers,requests,errors,duration_s,rps,p50_ms,p99_ms,threads",
-    );
-    // Cost-model accuracy lands next to the latency CSV: one row per
-    // locally fulfilled request, predicted vs measured service time.
-    let pred_path = out_path
-        .parent()
-        .unwrap_or_else(|| std::path::Path::new("."))
-        .join("prediction_error.csv");
-    let mut pred_out =
-        open_csv(&pred_path, "scenario,engine,node,predicted_us,measured_us,error_pct");
-
-    let mut json_rows = Vec::new();
-    for &engine in &args.engines {
-        eprintln!(
-            "enginebench: engine={} nodes={} hold={} workers={} requests={}",
-            engine.name(),
-            args.nodes,
-            hold,
-            workers,
-            requests
-        );
-        let rep = run_repeated(args.warmup, args.repeats, || {
-            run_engine(engine, args, hold, workers, requests, &docroot)
-        });
-        let r = rep.merged;
-        let served = r.hist.count();
-        let rps = served as f64 / r.duration.as_secs_f64().max(1e-9);
-        let p50 = r.hist.quantile(0.50) as f64 / 1000.0;
-        let p99 = r.hist.quantile(0.99) as f64 / 1000.0;
-        let row = format!(
-            "{},{},{},{},{},{},{:.3},{rps:.1},{p50:.3},{p99:.3},{}",
-            engine.name(),
-            args.nodes,
-            hold,
-            workers,
-            requests,
-            r.errors,
-            r.duration.as_secs_f64(),
-            r.peak_threads,
-        );
-        writeln!(out, "{row}").unwrap();
-        eprintln!("enginebench: {row}");
-        json_rows.push(format!(
-            "    {{\"engine\": \"{}\", \"errors\": {}, \"duration_s\": {:.3}, \
-             \"rps\": {rps:.1}, \"p50_ms\": {p50:.3}, \"p99_ms\": {p99:.3}, \"threads\": {}, \
-             \"rps_stats\": {}, \"p99_ms_stats\": {}}}",
-            engine.name(),
-            r.errors,
-            r.duration.as_secs_f64(),
-            r.peak_threads,
-            rep.rps.json(),
-            rep.p99_ms.json(),
-        ));
-
-        let mut error_pcts: Vec<u64> = Vec::with_capacity(r.predictions.len());
-        for (node, s) in &r.predictions {
-            let err_pct = if s.predicted_us == 0 {
-                100.0
-            } else {
-                (s.measured_us as f64 - s.predicted_us as f64).abs() / s.predicted_us as f64
-                    * 100.0
-            };
-            error_pcts.push(err_pct as u64);
-            writeln!(
-                pred_out,
-                "engine,{},{node},{},{},{err_pct:.1}",
-                engine.name(),
-                s.predicted_us,
-                s.measured_us,
-            )
-            .unwrap();
-        }
-        error_pcts.sort_unstable();
-        let q = |f: f64| {
-            error_pcts
-                .get(((error_pcts.len().saturating_sub(1)) as f64 * f) as usize)
-                .copied()
-                .unwrap_or(0)
-        };
-        eprintln!(
-            "enginebench: cost model ({}): {} samples, |error| p50={}% p99={}%",
-            engine.name(),
-            error_pcts.len(),
-            q(0.50),
-            q(0.99),
-        );
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"engine\",\n  \"schema_version\": 1,\n  \"nodes\": {},\n  \
-         \"held_conns\": {hold},\n  \"requests\": {requests},\n  \"workers\": {workers},\n  \
-         \"warmup\": {},\n  \"repeats\": {},\n  \
-         \"engines\": [\n{}\n  ]\n}}\n",
-        args.nodes,
-        args.warmup,
-        args.repeats,
-        json_rows.join(",\n")
-    );
-    std::fs::write("BENCH_engine.json", json).expect("write BENCH_engine.json");
-    println!("enginebench: wrote {}", out_path.display());
-    println!("enginebench: wrote {}", pred_path.display());
-    println!("enginebench: wrote BENCH_engine.json");
-}
-
 fn main_zerocopy(args: &Args) {
-    // Enough client concurrency that the copy baseline's per-request
-    // allocate+memcpy contends for memory bandwidth, as a loaded server's
-    // would; at trivial concurrency the loopback write cost masks it.
     let workers = args.workers.unwrap_or(16);
     let requests = args.requests.unwrap_or(600);
     let out_path =
@@ -757,19 +456,14 @@ fn main_zerocopy(args: &Args) {
     // The cache is lock-striped: a document must fit its *segment's*
     // share of the capacity, so scale the headroom by the segment count.
     let cache = (args.size + (64 << 10)) * sweb_server::file_cache::DEFAULT_SEGMENTS as u64;
-    let modes: [(&str, TransmitMode, u64); 3] = [
-        ("copy", TransmitMode::Copy, cache),
-        ("writev", TransmitMode::ZeroCopy, cache),
-        ("sendfile", TransmitMode::ZeroCopy, 0),
-    ];
     let mut json_rows = Vec::new();
-    for (name, transmit, cache_bytes) in modes {
+    for (name, cache_bytes) in [("writev", cache), ("sendfile", 0)] {
         eprintln!(
             "enginebench: zerocopy mode={name} size={} workers={workers} requests={requests}",
             args.size
         );
         let rep = run_repeated(args.warmup, args.repeats, || {
-            run_transmit_mode(transmit, cache_bytes, workers, requests, &dir)
+            run_transmit_mode(cache_bytes, workers, requests, &dir)
         });
         let (errors, duration, hist) = (rep.merged.errors, rep.merged.duration, &rep.merged.hist);
         let served = hist.count();
@@ -817,7 +511,6 @@ fn run_shards(
     docroot: &std::path::Path,
 ) -> BasicOutcome {
     let cfg = ClusterConfig {
-        engine: Engine::Reactor,
         policy: sweb_core::Policy::RoundRobin, // one node; never redirect
         shards,
         // Generous node-wide cap: under SO_REUSEPORT the kernel hashes
@@ -990,7 +683,6 @@ fn run_forward(
     cdf: &[f64],
 ) -> ForwardOutcome {
     let mut cfg = ClusterConfig {
-        engine: Engine::Reactor,
         policy: sweb_core::Policy::FileLocality,
         shards: 1,
         max_conns: workers * 2 + 64,
@@ -1266,7 +958,6 @@ struct ServeHelper {
 fn spawn_serve_helper(
     exe: &std::path::Path,
     backend: &str,
-    sqpoll: bool,
     docroot: &std::path::Path,
     max_conns: usize,
 ) -> ServeHelper {
@@ -1278,15 +969,12 @@ fn spawn_serve_helper(
         .arg(max_conns.to_string())
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped());
-    if sqpoll {
-        cmd.env("SWEB_URING_SQPOLL", "1");
-    }
     let mut child = cmd.spawn().expect("spawn serve helper");
     let stdin = child.stdin.take().expect("serve helper stdin");
     let mut stdout = std::io::BufReader::new(child.stdout.take().expect("serve helper stdout"));
     let mut line = String::new();
     stdout.read_line(&mut line).expect("serve helper READY");
-    let mut parts = line.trim().split_whitespace();
+    let mut parts = line.split_whitespace();
     assert_eq!(parts.next(), Some("READY"), "serve helper said {line:?}");
     let addr = parts.next().expect("serve helper addr").parse().expect("serve helper addr");
     let chosen = parts.next().unwrap_or("unknown").to_string();
@@ -1302,7 +990,7 @@ impl ServeHelper {
         let mut line = String::new();
         self.stdout.read_line(&mut line).expect("serve helper stats");
         let mut vals =
-            line.trim().split_whitespace().map(|t| t.parse::<u64>().expect("stats field"));
+            line.split_whitespace().map(|t| t.parse::<u64>().expect("stats field"));
         let mut next = || vals.next().expect("nine stats fields");
         sweb_reactor::IoStats {
             syscalls: next(),
@@ -1333,7 +1021,6 @@ impl ServeHelper {
 /// here) — 100k held connections is 7 server/holder pairs.
 fn run_uring_leg(
     backend: &str,
-    sqpoll: bool,
     hold: usize,
     helper_cap: usize,
     workers: usize,
@@ -1346,7 +1033,7 @@ fn run_uring_leg(
     let exe = std::env::current_exe().expect("own executable path");
 
     let mut serve: Vec<ServeHelper> = (0..servers)
-        .map(|_| spawn_serve_helper(&exe, backend, sqpoll, docroot, per + workers + 256))
+        .map(|_| spawn_serve_helper(&exe, backend, docroot, per + workers + 256))
         .collect();
     let chosen = serve[0].chosen.clone();
 
@@ -1486,7 +1173,6 @@ fn serve_helper(backend_arg: &str, docroot_arg: &str, max_conns_arg: &str) {
     let max_conns: usize = max_conns_arg.parse().expect("serve helper max-conns");
     raise_nofile(max_conns as u64 + 4096);
     let cfg = ClusterConfig {
-        engine: Engine::Reactor,
         policy: sweb_core::Policy::RoundRobin, // one node; never redirect
         io_backend: backend,
         shards: 1, // one loop: the syscall columns compare like for like
@@ -1607,30 +1293,14 @@ fn main_uring(args: &Args) {
          io_syscalls,sqe_submitted,cqe_completed,syscalls_saved,write_fixed,buf_pool_exhausted,\
          send_zc,zc_copies_avoided,sqe_backlogged",
     );
-    // The third leg re-runs uring with the kernel-side submission thread
-    // (`SWEB_URING_SQPOLL=1` in the helper's environment). Its held count
-    // is capped: one busy-polling kernel thread per helper pair
-    // oversubscribes small boxes so badly that merely *establishing* a
-    // six-figure held crowd takes hours — the crawl is the finding, and
-    // the leg's own `held_conns` field reports the cap honestly.
-    const SQPOLL_HOLD_CAP: usize = 10_000;
-    let legs: [(&str, &str, bool); 3] =
-        [("epoll", "epoll", false), ("uring", "uring", false), ("uring_sqpoll", "uring", true)];
     let mut json_rows = Vec::new();
-    for (leg, backend, sqpoll) in legs {
-        let leg_hold = if sqpoll { hold.min(SQPOLL_HOLD_CAP) } else { hold };
-        if leg_hold < hold {
-            eprintln!(
-                "enginebench: leg={leg} capped at {leg_hold} held (SQPOLL busy-poll threads \
-                 oversubscribe this box at {hold})"
-            );
-        }
+    for leg in ["epoll", "uring"] {
         eprintln!(
-            "enginebench: leg={leg} hold={leg_hold} servers={servers} workers={workers} \
+            "enginebench: leg={leg} hold={hold} servers={servers} workers={workers} \
              requests={requests}"
         );
         let rep = run_repeated(args.warmup, args.repeats, || {
-            run_uring_leg(backend, sqpoll, leg_hold, helper_cap, workers, requests, &docroot)
+            run_uring_leg(leg, hold, helper_cap, workers, requests, &docroot)
         });
         let r = &rep.merged;
         let served = r.hist.count();
@@ -1768,7 +1438,6 @@ fn run_dynamic_mode(mode: &DynMode, workers: usize, requests: u64, docroot: &std
     }
     let cluster = ServerOptions::new()
         .policy(sweb_core::Policy::RoundRobin) // one node; never redirect
-        .engine(Engine::Reactor)
         .shards(1)
         .max_conns(workers * 2 + 64)
         .handlers(handlers)
@@ -1849,7 +1518,6 @@ fn run_dynamic_convergence(
 ) -> (Vec<(PredictionSample, u64)>, u64, u64) {
     let cluster = ServerOptions::new()
         .policy(sweb_core::Policy::RoundRobin)
-        .engine(Engine::Reactor)
         .shards(1)
         .start(1, docroot.to_path_buf())
         .expect("start cluster");
@@ -2059,7 +1727,6 @@ fn run_overload_leg(
 ) -> OverloadOutcome {
     let cluster = ServerOptions::new()
         .policy(sweb_core::Policy::RoundRobin) // one node; never redirect
-        .engine(Engine::Reactor)
         .shards(1)
         .max_conns(4096)
         .handlers(DynamicRegistry::demo())
@@ -2158,7 +1825,6 @@ fn run_overload_leg(
 fn run_overload_calibration(burn_ms: u64, docroot: &std::path::Path) -> f64 {
     let cluster = ServerOptions::new()
         .policy(sweb_core::Policy::RoundRobin)
-        .engine(Engine::Reactor)
         .shards(1)
         .max_conns(4096)
         .handlers(DynamicRegistry::demo())
@@ -2320,7 +1986,6 @@ fn main() {
     }
     let args = parse_args();
     match args.scenario {
-        Scenario::Engine => main_engine(&args),
         Scenario::ZeroCopy => main_zerocopy(&args),
         Scenario::Shards => main_shards(&args),
         Scenario::Forward => main_forward(&args),

@@ -431,8 +431,10 @@ pub struct PeerPool {
     /// Called with the peer index before the stale-connection retry;
     /// `false` vetoes it (e.g. a drained retry budget). `None` = always
     /// retry, the pre-gate behavior.
-    retry_gate: Mutex<Option<Box<dyn Fn(usize) -> bool + Send + Sync>>>,
+    retry_gate: Mutex<Option<RetryGate>>,
 }
+
+type RetryGate = Box<dyn Fn(usize) -> bool + Send + Sync>;
 
 impl std::fmt::Debug for PeerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

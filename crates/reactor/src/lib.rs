@@ -21,7 +21,7 @@
 //! ```
 //!
 //! * **Events** come from [`sys::Poller`] — epoll readiness on Linux,
-//!   poll(2) everywhere (force with `SWEB_REACTOR_POLL=1`), or
+//!   poll(2) everywhere (force with `SWEB_IO_BACKEND=poll`), or
 //!   completion-based io_uring ([`sys::uring`], select with
 //!   `SWEB_IO_BACKEND=uring` / [`ReactorConfig::io_backend`]): multishot
 //!   accept delivers already-accepted fds, buffered responses drain as
@@ -193,18 +193,6 @@ pub trait App: Send + Sync + 'static {
     }
 }
 
-/// How the reactor turns a [`Response`] into wire bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransmitMode {
-    /// Baseline: one contiguous buffer per response — the body is copied
-    /// after serialization (what `to_bytes` always did). Kept for
-    /// benchmark comparison.
-    Copy,
-    /// Head buffer + shared `Bytes` body handle, gathered at the socket
-    /// (`writev`), so cached bodies transmit with zero per-request copies.
-    ZeroCopy,
-}
-
 /// Tuning knobs for one reactor instance.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
@@ -229,11 +217,6 @@ pub struct ReactorConfig {
     pub timer_slots: usize,
     /// Timer wheel tick, ms (eviction resolution).
     pub timer_tick_ms: u64,
-    /// Body serialization shape (zero-copy vs contiguous baseline).
-    pub transmit: TransmitMode,
-    /// Gather head+body with `writev(2)`; when false, the portable
-    /// sequential two-write fallback is used (still zero-copy).
-    pub use_writev: bool,
     /// Stream [`FileBody`] payloads with `sendfile(2)` on the loop
     /// thread; when false (or on platforms without it), file payloads are
     /// materialized on a worker thread instead.
@@ -245,15 +228,14 @@ pub struct ReactorConfig {
     /// instead of hanging its client.
     pub request_budget: Duration,
     /// Force [`spawn_sharded`]'s single-acceptor hand-off path even where
-    /// `SO_REUSEPORT` is available (also forced by the
-    /// `SWEB_REACTOR_NO_REUSEPORT=1` environment variable). Exists so
-    /// tests exercise the portable fallback deterministically; ignored by
-    /// single-shard reactors.
+    /// `SO_REUSEPORT` is available. Exists so tests exercise the
+    /// portable fallback deterministically; ignored by single-shard
+    /// reactors.
     pub force_handoff_accept: bool,
     /// Which event backend each shard's [`sys::Poller`] should use.
-    /// Defaults to [`IoBackend::from_env`] (`SWEB_IO_BACKEND`, then the
-    /// legacy `SWEB_REACTOR_POLL=1`, then epoll). `Uring` and `Auto` fall
-    /// back to epoll when the kernel lacks io_uring support.
+    /// Defaults to [`IoBackend::from_env`] (`SWEB_IO_BACKEND`, else
+    /// epoll). `Uring` and `Auto` fall back to epoll when the kernel
+    /// lacks io_uring support.
     pub io_backend: IoBackend,
     /// Registered-buffer staging pool budget per shard, bytes (io_uring
     /// only; 0 disables registration). Servers size this off the file
@@ -288,8 +270,6 @@ impl Default for ReactorConfig {
             keepalive_limit: 64,
             timer_slots: 256,
             timer_tick_ms: 20,
-            transmit: TransmitMode::ZeroCopy,
-            use_writev: true,
             use_sendfile: true,
             request_budget: Duration::from_secs(10),
             force_handoff_accept: false,
@@ -310,7 +290,7 @@ fn default_uring_buf_pool() -> usize {
     0
 }
 
-/// Largest accepted POST body (mirrors the threaded engine).
+/// Largest accepted POST body.
 const MAX_BODY_BYTES: u64 = 1 << 20;
 
 /// Largest file body the loop will materialize for a `SEND_ZC` transmit
@@ -448,8 +428,8 @@ impl ShardedHandle {
 /// its own `SO_REUSEPORT` listener on the shared port and the kernel
 /// distributes accepts — `listener` itself must have been bound with
 /// [`sys::bind_reuseport`] so later group members can join. Where that
-/// isn't possible (non-Linux, `SWEB_REACTOR_NO_REUSEPORT=1`, or
-/// [`ReactorConfig::force_handoff_accept`]), a single acceptor thread
+/// isn't possible (non-Linux, or [`ReactorConfig::force_handoff_accept`]
+/// in tests), a single acceptor thread
 /// owns the listener and hands accepted streams round-robin to per-shard
 /// queues, ringing each shard's doorbell socket.
 pub fn spawn_sharded(
@@ -481,14 +461,11 @@ pub fn spawn_sharded(
         });
     }
 
-    let force_handoff = shard_cfg.force_handoff_accept
-        || std::env::var_os("SWEB_REACTOR_NO_REUSEPORT").is_some_and(|v| v == "1");
-
     // Happy path: one SO_REUSEPORT listener per shard, kernel-distributed
     // accepts. Any bind failure (non-Linux; `listener` not itself bound
     // with the flag) abandons the group and falls back to hand-off.
     let mut extra: Vec<TcpListener> = Vec::new();
-    if !force_handoff {
+    if !shard_cfg.force_handoff_accept {
         for _ in 1..n {
             match sys::bind_reuseport(addr) {
                 Ok(l) => extra.push(l),
@@ -1182,7 +1159,6 @@ impl Loop {
         let wakeup = Arc::clone(&self.wakeup_tx);
         let peer = self.conns.get_mut(idx).map(|c| c.peer.clone()).unwrap_or_default();
         let token = idx;
-        let transmit = self.cfg.transmit;
         let sendfile_ok = self.cfg.use_sendfile && sys::HAS_SENDFILE;
         // When the backend can SEND_ZC, moderate files are worth
         // materializing: the body then rides the ring as one zero-copy
@@ -1196,8 +1172,7 @@ impl Loop {
             app.on_queue_sojourn(enqueued.elapsed().as_micros() as u64);
             // Budget checks bracket fulfillment: skip the work entirely if
             // the fetch checkpoint already passed (queueing delay), and
-            // replace a too-late response with a definite 503 — under
-            // injected slow-disk both engines then fail identically.
+            // replace a too-late response with a definite 503.
             let mut overrun = deadline.overrun(Phase::Fetch);
             let reply = if overrun {
                 Reply::from(overloaded_response(app.retry_after_secs()))
@@ -1245,11 +1220,8 @@ impl Loop {
                     }
                 }
             }
-            let (head, wire_body) = match transmit {
-                TransmitMode::ZeroCopy => resp.to_wire_parts(head_only),
-                TransmitMode::Copy => (resp.to_bytes(head_only), Bytes::new()),
-            };
-            let done = Completion { token, gen, head, body: wire_body, file: file_tx, keep_alive };
+            let (head, body) = resp.to_wire_parts(head_only);
+            let done = Completion { token, gen, head, body, file: file_tx, keep_alive };
             match completions.lock() {
                 Ok(mut q) => q.push(done),
                 Err(poisoned) => poisoned.into_inner().push(done),
@@ -1440,12 +1412,7 @@ impl Loop {
                     } else {
                         (&[], &conn.out_body[conn.out_pos - head_len..])
                     };
-                    let res = if self.cfg.use_writev {
-                        sys::write_two(fd, a, b)
-                    } else {
-                        sys::write_two_seq(fd, a, b)
-                    };
-                    match res {
+                    match sys::write_two(fd, a, b) {
                         Ok(0) => Step::Fail,
                         Ok(n) => {
                             conn.out_pos += n;

@@ -9,8 +9,8 @@
 //!   startup probe falling back to epoll on unsupporting kernels;
 //! * **epoll** (Linux): O(1) readiness delivery, the default backend;
 //! * **poll(2)** (portable POSIX): linear scan over the fd set, used on
-//!   non-Linux targets and force-selectable via `SWEB_REACTOR_POLL=1` so
-//!   tests exercise both code paths on one machine.
+//!   non-Linux targets and force-selectable via `SWEB_IO_BACKEND=poll`
+//!   so tests exercise both code paths on one machine.
 //!
 //! All are used level-triggered: the loop re-arms interest explicitly
 //! when a connection changes state, which keeps the state machine simple
@@ -62,16 +62,12 @@ impl IoBackend {
     }
 
     /// Backend from the environment: `SWEB_IO_BACKEND` if set (unknown
-    /// values fall back to the default), else the legacy
-    /// `SWEB_REACTOR_POLL=1` switch, else epoll.
+    /// values fall back to the default), else epoll.
     pub fn from_env() -> IoBackend {
         if let Some(v) = std::env::var_os("SWEB_IO_BACKEND") {
             if let Some(b) = v.to_str().and_then(IoBackend::parse) {
                 return b;
             }
-        }
-        if std::env::var_os("SWEB_REACTOR_POLL").is_some_and(|v| v == "1") {
-            return IoBackend::Poll;
         }
         IoBackend::Epoll
     }
@@ -329,11 +325,11 @@ impl Poller {
     }
 
     /// True when [`Poller::queue_writev`] can take buffered responses
-    /// (io_uring with queued writes enabled).
+    /// (the io_uring backend).
     pub fn supports_queued_write(&self) -> bool {
         match self {
             #[cfg(target_os = "linux")]
-            Poller::Uring(p) => p.supports_queued_write(),
+            Poller::Uring(_) => true,
             _ => false,
         }
     }
@@ -449,7 +445,6 @@ struct IoVec {
 
 extern "C" {
     fn writev(fd: i32, iov: *const IoVec, iovcnt: i32) -> isize;
-    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
 }
 
 /// Transmit up to two slices with a single `writev(2)`: the serialized
@@ -474,33 +469,6 @@ pub fn write_two(fd: RawFd, a: &[u8], b: &[u8]) -> io::Result<usize> {
         return Err(io::Error::last_os_error());
     }
     Ok(rc as usize)
-}
-
-/// Portable two-write fallback for [`write_two`]: sequential `write(2)`
-/// per slice. Same contract (combined byte count, short writes allowed);
-/// one extra syscall when both slices are non-empty.
-pub fn write_two_seq(fd: RawFd, a: &[u8], b: &[u8]) -> io::Result<usize> {
-    let mut total = 0;
-    for s in [a, b] {
-        if s.is_empty() {
-            continue;
-        }
-        let rc = unsafe { write(fd, s.as_ptr(), s.len()) };
-        if rc < 0 {
-            let err = io::Error::last_os_error();
-            // Progress already made counts as success; the error (likely
-            // EAGAIN) resurfaces on the caller's next attempt.
-            if total > 0 {
-                return Ok(total);
-            }
-            return Err(err);
-        }
-        total += rc as usize;
-        if (rc as usize) < s.len() {
-            break; // short write: the socket buffer is full
-        }
-    }
-    Ok(total)
 }
 
 /// Stream up to `count` bytes of `in_fd` (a regular file) to `out_fd` (a
@@ -1091,7 +1059,8 @@ mod tests {
         buf
     }
 
-    fn two_slice_roundtrip(gather: fn(RawFd, &[u8], &[u8]) -> io::Result<usize>) {
+    #[test]
+    fn write_two_gathers_both_slices() {
         let (tx, mut rx) = stream_pair();
         let head = b"HTTP/1.0 200 OK\r\n\r\n".to_vec();
         let body = vec![b'x'; 4096];
@@ -1103,22 +1072,12 @@ mod tests {
             } else {
                 (&[], &body[sent - head.len()..])
             };
-            sent += gather(tx.as_raw_fd(), a, b).unwrap();
+            sent += write_two(tx.as_raw_fd(), a, b).unwrap();
         }
         drop(tx);
         let got = read_exact_n(&mut rx, total);
         assert_eq!(&got[..head.len()], &head[..]);
         assert_eq!(&got[head.len()..], &body[..]);
-    }
-
-    #[test]
-    fn write_two_gathers_both_slices() {
-        two_slice_roundtrip(write_two);
-    }
-
-    #[test]
-    fn write_two_seq_matches_writev_contract() {
-        two_slice_roundtrip(write_two_seq);
     }
 
     #[test]

@@ -29,10 +29,7 @@
 //!   the sendfile path: the kernel transmits straight from the shared
 //!   body pages (no copy into socket buffers), completion arrives as a
 //!   result CQE plus a buffer-release notification CQE, and the op's
-//!   buffers stay alive until the notification lands;
-//! * **SQPOLL** (opt-in via `SWEB_URING_SQPOLL=1`) — a kernel-side
-//!   submission thread consumes SQEs without `io_uring_enter`; useful
-//!   only with spare cores, so it stays off by default.
+//!   buffers stay alive until the notification lands.
 //!
 //! Everything is raw FFI (syscalls 425/426/427 + `mmap`), matching the
 //! crate's no-dependency policy. The [`super::Poller`] seam keeps the
@@ -67,7 +64,6 @@ const IORING_OP_ASYNC_CANCEL: u8 = 14;
 const IORING_OP_FILES_UPDATE: u8 = 20;
 const IORING_OP_SEND_ZC: u8 = 47;
 
-const IORING_SETUP_SQPOLL: u32 = 1 << 1;
 const IORING_SETUP_CQSIZE: u32 = 1 << 3;
 const IORING_SETUP_CLAMP: u32 = 1 << 4;
 
@@ -91,10 +87,8 @@ const IORING_CQE_F_NOTIF: u32 = 1 << 3;
 const SOCK_CLOEXEC: u32 = 0o2000000;
 
 const IORING_ENTER_GETEVENTS: u32 = 1 << 0;
-const IORING_ENTER_SQ_WAKEUP: u32 = 1 << 1;
 const IORING_ENTER_EXT_ARG: u32 = 1 << 3;
 
-const IORING_SQ_NEED_WAKEUP: u32 = 1 << 0;
 const IORING_SQ_CQ_OVERFLOW: u32 = 1 << 1;
 
 const IORING_REGISTER_BUFFERS: u32 = 0;
@@ -142,8 +136,6 @@ pub(crate) const DEFAULT_BUF_POOL: usize = 2 << 20;
 /// `WRITEV`: below it, the page-pinning setup costs more than the copy
 /// it avoids.
 const ZC_MIN_BODY: usize = 64 * 1024;
-/// Idle milliseconds before an SQPOLL kernel thread parks itself.
-const SQPOLL_IDLE_MS: u32 = 50;
 
 const PROT_READ: i32 = 1;
 const PROT_WRITE: i32 = 2;
@@ -347,7 +339,6 @@ pub struct UringPoller {
     local_tail: u32,
     multishot_poll: bool,
     multishot_accept: bool,
-    queued_writes: bool,
     /// Whether a fixed-file table is registered with the kernel (and
     /// must be explicitly unregistered during [`UringPoller::shutdown`]).
     fixed_table: bool,
@@ -361,8 +352,6 @@ pub struct UringPoller {
     buf_registered: bool,
     /// Kernel supports `IORING_OP_SEND_ZC` (probed at setup).
     send_zc_ok: bool,
-    /// Ring was set up with `IORING_SETUP_SQPOLL`.
-    sqpoll: bool,
     regs: Slab<Reg>,
     by_fd: HashMap<RawFd, usize>,
     writes: Slab<WriteOp>,
@@ -424,17 +413,12 @@ impl UringPoller {
     /// Set up the ring, or fail with `Unsupported` (caller falls back to
     /// epoll) when the kernel lacks io_uring or the features we need.
     ///
-    /// Debug escape hatches: `SWEB_URING_DISABLE=1` refuses outright
-    /// (exercises the fallback path on capable kernels),
-    /// `SWEB_URING_ONESHOT=1` disables multishot poll/accept,
-    /// `SWEB_URING_NO_FIXED=1` skips the registered-file table,
-    /// `SWEB_URING_NO_QWRITE=1` disables queued writes (the loop then
-    /// drains responses through the classic readiness path),
+    /// Switches that force a fallback on capable kernels (conformance
+    /// tests and CI use them): `SWEB_URING_DISABLE=1` refuses outright,
     /// `SWEB_URING_NO_BUFS=1` skips the registered-buffer pool (every
-    /// queued write goes out as plain `WRITEV`), `SWEB_URING_NO_ZC=1`
+    /// queued write goes out as plain `WRITEV`), and `SWEB_URING_NO_ZC=1`
     /// disables `SEND_ZC` (large bodies fall back to `WRITEV` /
-    /// sendfile), and `SWEB_URING_SQPOLL=1` opts into a kernel
-    /// submission-poll thread.
+    /// sendfile).
     pub fn new() -> io::Result<UringPoller> {
         UringPoller::with_pool_bytes(DEFAULT_BUF_POOL)
     }
@@ -448,31 +432,14 @@ impl UringPoller {
         if env_flag("SWEB_URING_DISABLE") {
             return Err(unsupported("io_uring disabled by SWEB_URING_DISABLE"));
         }
-        let want_sqpoll = env_flag("SWEB_URING_SQPOLL");
-        let mut p = IoUringParams::default();
-        let mut sqpoll = false;
-        let mut rc = -1i64;
-        for try_sqpoll in [want_sqpoll, false] {
-            p = IoUringParams {
-                cq_entries: CQ_ENTRIES,
-                flags: IORING_SETUP_CQSIZE
-                    | IORING_SETUP_CLAMP
-                    | if try_sqpoll { IORING_SETUP_SQPOLL } else { 0 },
-                sq_thread_idle: if try_sqpoll { SQPOLL_IDLE_MS } else { 0 },
-                ..IoUringParams::default()
-            };
-            rc = unsafe {
-                syscall(SYS_IO_URING_SETUP, SQ_ENTRIES as usize, &mut p as *mut IoUringParams)
-            };
-            if rc >= 0 {
-                sqpoll = try_sqpoll;
-                break;
-            }
-            if !try_sqpoll {
-                break;
-            }
-            // SQPOLL refused (old kernel / missing privilege): retry plain.
-        }
+        let mut p = IoUringParams {
+            cq_entries: CQ_ENTRIES,
+            flags: IORING_SETUP_CQSIZE | IORING_SETUP_CLAMP,
+            ..IoUringParams::default()
+        };
+        let rc = unsafe {
+            syscall(SYS_IO_URING_SETUP, SQ_ENTRIES as usize, &mut p as *mut IoUringParams)
+        };
         if rc < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -528,22 +495,18 @@ impl UringPoller {
         let cq_mask = unsafe { *(ring.add(p.cq_off.ring_mask as usize) as *const u32) };
         // Sparse fixed-file table: all -1, filled per-connection with
         // FILES_UPDATE SQEs. Optional — older kernels reject sparse sets.
-        let mut fixed_free = Vec::new();
-        if !env_flag("SWEB_URING_NO_FIXED") {
-            let fds = vec![-1i32; FIXED_TABLE as usize];
-            let rc = unsafe {
-                syscall(
-                    SYS_IO_URING_REGISTER,
-                    ring_fd as usize,
-                    IORING_REGISTER_FILES as usize,
-                    fds.as_ptr() as usize,
-                    FIXED_TABLE as usize,
-                )
-            };
-            if rc == 0 {
-                fixed_free = (0..FIXED_TABLE).rev().collect();
-            }
-        }
+        let fds = vec![-1i32; FIXED_TABLE as usize];
+        let rc = unsafe {
+            syscall(
+                SYS_IO_URING_REGISTER,
+                ring_fd as usize,
+                IORING_REGISTER_FILES as usize,
+                fds.as_ptr() as usize,
+                FIXED_TABLE as usize,
+            )
+        };
+        let fixed_free: Vec<u32> =
+            if rc == 0 { (0..FIXED_TABLE).rev().collect() } else { Vec::new() };
         // Registered-buffer pool: one contiguous allocation carved into
         // BUF_SLOT-sized staging slots, registered as one iovec per slot
         // (WRITE_FIXED's buf_index selects an iovec). Registration pins
@@ -581,7 +544,6 @@ impl UringPoller {
         // Probe the opcode table once: SEND_ZC (5.19+) gets a positive
         // capability check instead of a per-op EINVAL dance.
         let send_zc_ok = !env_flag("SWEB_URING_NO_ZC") && probe_opcode(ring_fd, IORING_OP_SEND_ZC);
-        let oneshot = env_flag("SWEB_URING_ONESHOT");
         Ok(UringPoller {
             ring_fd,
             ring,
@@ -598,9 +560,8 @@ impl UringPoller {
             cq_mask,
             cqes: unsafe { ring.add(p.cq_off.cqes as usize) } as *const Cqe,
             local_tail: 0,
-            multishot_poll: !oneshot,
-            multishot_accept: !oneshot,
-            queued_writes: !env_flag("SWEB_URING_NO_QWRITE"),
+            multishot_poll: true,
+            multishot_accept: true,
             fixed_table: !fixed_free.is_empty(),
             fixed_free,
             buf_pool,
@@ -608,7 +569,6 @@ impl UringPoller {
             buf_free,
             buf_registered,
             send_zc_ok,
-            sqpoll,
             regs: Slab::new(),
             by_fd: HashMap::new(),
             writes: Slab::new(),
@@ -635,13 +595,6 @@ impl UringPoller {
     fn cq_overflowed(&self) -> bool {
         let flags = unsafe { (*self.sq_kflags).load(Ordering::Acquire) };
         flags & IORING_SQ_CQ_OVERFLOW != 0
-    }
-
-    /// With SQPOLL, whether the kernel submission thread has parked and
-    /// needs an `io_uring_enter(SQ_WAKEUP)` to resume consuming SQEs.
-    fn sq_need_wakeup(&self) -> bool {
-        let flags = unsafe { (*self.sq_kflags).load(Ordering::Acquire) };
-        flags & IORING_SQ_NEED_WAKEUP != 0
     }
 
     fn try_ring_push(&mut self, sqe: &Sqe) -> bool {
@@ -704,11 +657,6 @@ impl UringPoller {
         ts: Option<&Timespec>,
     ) -> io::Result<()> {
         self.stats.syscalls += 1;
-        let flags = if self.sqpoll && self.sq_need_wakeup() {
-            flags | IORING_ENTER_SQ_WAKEUP
-        } else {
-            flags
-        };
         let rc = match ts {
             Some(t) => {
                 let arg = GeteventsArg {
@@ -963,17 +911,11 @@ impl UringPoller {
         Ok(())
     }
 
-    /// Whether [`Self::queue_writev`] is available (it is, unless
-    /// disabled via `SWEB_URING_NO_QWRITE=1`).
-    pub fn supports_queued_write(&self) -> bool {
-        self.queued_writes
-    }
-
     /// Whether `SEND_ZC` is available (probed at setup; disabled via
     /// `SWEB_URING_NO_ZC=1`). The reactor uses this to route large
     /// bodies through the queued-write path instead of sendfile.
     pub fn supports_send_zc(&self) -> bool {
-        self.send_zc_ok && self.queued_writes
+        self.send_zc_ok
     }
 
     /// Number of registered staging slots (0 when registration failed
@@ -1015,7 +957,7 @@ impl UringPoller {
         link_read: bool,
     ) -> bool {
         let total = head.len() + body.len();
-        if !self.queued_writes || total == 0 {
+        if total == 0 {
             return false;
         }
         let Some(&ridx) = self.by_fd.get(&fd) else { return false };
@@ -1243,15 +1185,7 @@ impl UringPoller {
         let before = events.len();
         if !out.is_empty() || timeout_ms == 0 {
             let pending = self.sq_pending();
-            // Under SQPOLL the kernel thread consumes SQEs on its own;
-            // an enter is only needed to wake a parked thread or drain a
-            // CQ overflow.
-            let need_enter = if self.sqpoll {
-                (pending > 0 && self.sq_need_wakeup()) || self.cq_overflowed()
-            } else {
-                pending > 0 || self.cq_overflowed()
-            };
-            if need_enter {
+            if pending > 0 || self.cq_overflowed() {
                 if let Err(e) = self.enter(pending, 0, IORING_ENTER_GETEVENTS, None) {
                     self.scratch = out;
                     return Err(e);

@@ -329,23 +329,6 @@ fn large_cached_body_resumes_across_partial_writes() {
 }
 
 #[test]
-fn sequential_write_fallback_serves_identical_bytes() {
-    // use_writev: false exercises the portable two-write fallback; the
-    // bytes on the wire must be indistinguishable.
-    let cfg = ReactorConfig { use_writev: false, ..ReactorConfig::default() };
-    let srv = TestServer::start(cfg);
-    let body = payload(4 << 20);
-    *srv.app.big.lock().unwrap() = Some(Bytes::from(body.clone()));
-
-    let mut s = srv.connect();
-    s.write_all(b"GET /big HTTP/1.0\r\n\r\n").unwrap();
-    let (head, got) = slow_read_response(&mut s, 256 << 10, Duration::from_millis(5));
-    assert!(head.starts_with("HTTP/1.0 200"), "{head}");
-    assert_eq!(got, body);
-    assert_eq!(srv.app.zero_copy.load(Ordering::SeqCst), 1);
-}
-
-#[test]
 fn file_body_streams_intact_with_a_slow_reader() {
     let dir = std::env::temp_dir().join(format!("sweb-reactor-sf-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -500,23 +483,4 @@ fn handoff_fallback_round_robins_accepts_across_shards() {
 
     shutdown.store(true, Ordering::Relaxed);
     handle.join().unwrap();
-}
-
-#[test]
-fn copy_mode_still_serves_correct_bytes() {
-    // The benchmark baseline: contiguous serialization, no zero-copy hook.
-    let cfg = ReactorConfig {
-        transmit: sweb_reactor::TransmitMode::Copy,
-        ..ReactorConfig::default()
-    };
-    let srv = TestServer::start(cfg);
-    let body = payload(1 << 20);
-    *srv.app.big.lock().unwrap() = Some(Bytes::from(body.clone()));
-
-    let mut s = srv.connect();
-    s.write_all(b"GET /big HTTP/1.0\r\n\r\n").unwrap();
-    let (head, got) = slow_read_response(&mut s, 256 << 10, Duration::from_millis(2));
-    assert!(head.starts_with("HTTP/1.0 200"), "{head}");
-    assert_eq!(got, body);
-    assert_eq!(srv.app.zero_copy.load(Ordering::SeqCst), 0, "copy mode must not zero-copy");
 }

@@ -11,20 +11,19 @@
 //!
 //! Configuration resolves through [`sweb_server::ServerOptions`]:
 //! **CLI flags > environment > defaults.** The env-overridable knobs are
-//! `SWEB_ENGINE`, `SWEB_SHARDS`, `SWEB_IO_BACKEND`, `SWEB_PEER_TRANSFER`,
+//! `SWEB_SHARDS`, `SWEB_IO_BACKEND`, `SWEB_PEER_TRANSFER`,
 //! `SWEB_REPLICATE_HOT` and `SWEB_OVERLOAD`; their flags always win when
 //! given.
 
 use std::time::Duration;
 
 use sweb_core::Policy;
-use sweb_server::{Engine, LiveCluster, ServerOptions};
+use sweb_server::{LiveCluster, ServerOptions};
 
 struct Args {
     nodes: usize,
     docroot: std::path::PathBuf,
     policy: Policy,
-    engine: Option<Engine>,
     port_base: Option<u16>,
     loadd_ms: u64,
     access_log: Option<std::path::PathBuf>,
@@ -40,10 +39,10 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: swebd [--nodes N] [--docroot DIR] [--policy sweb|rr|locality|cpu] \
-         [--engine reactor|threaded] [--io-backend uring|epoll|auto|poll] [--shards N] \
+         [--io-backend uring|epoll|auto|poll] [--shards N] \
          [--port-base P] [--loadd-ms MS] [--access-log FILE] [--oracle FILE] \
          [--fault-plan FILE] [--peer-transfer] [--replicate-hot] [--overload on|off]\n\
-         env: SWEB_ENGINE, SWEB_SHARDS, SWEB_IO_BACKEND, SWEB_PEER_TRANSFER, \
+         env: SWEB_SHARDS, SWEB_IO_BACKEND, SWEB_PEER_TRANSFER, \
          SWEB_REPLICATE_HOT, SWEB_OVERLOAD (flags win over env)"
     );
     std::process::exit(2);
@@ -54,7 +53,6 @@ fn parse_args() -> Args {
         nodes: 3,
         docroot: std::path::PathBuf::from("."),
         policy: Policy::Sweb,
-        engine: None,
         port_base: None,
         loadd_ms: 2500,
         access_log: None,
@@ -81,7 +79,6 @@ fn parse_args() -> Args {
                     _ => usage(),
                 }
             }
-            "--engine" => args.engine = Some(value().parse().unwrap_or_else(|_| usage())),
             "--io-backend" => {
                 args.io_backend =
                     Some(sweb_reactor::IoBackend::parse(&value()).unwrap_or_else(|| usage()))
@@ -117,9 +114,6 @@ fn main() {
     // CLI tier: only flags the user actually passed become explicit
     // settings, so the environment keeps its say over everything else.
     let mut opts = ServerOptions::new().policy(args.policy).loadd_ms(args.loadd_ms);
-    if let Some(engine) = args.engine {
-        opts = opts.engine(engine);
-    }
     if let Some(shards) = args.shards {
         opts = opts.shards(shards);
     }
@@ -182,7 +176,6 @@ fn main() {
     }
 
     let cfg = opts.build();
-    let engine_name = cfg.engine.name();
     let shards_desc = match cfg.shards {
         0 => "auto".to_string(),
         n => n.to_string(),
@@ -195,11 +188,9 @@ fn main() {
         }
     };
     println!(
-        "swebd: {}-node SWEB cluster, policy {:?}, engine {}, io-backend {}, shards {}, \
-         docroot {:?}",
+        "swebd: {}-node SWEB cluster, policy {:?}, io-backend {}, shards {}, docroot {:?}",
         cluster.len(),
         args.policy,
-        engine_name,
         cluster.node(0).io_backend.name(),
         shards_desc,
         args.docroot

@@ -10,11 +10,9 @@
 //! * [`ForkCgiHandler`], the fork-per-request path demoted to *one
 //!   handler implementation* behind the same trait — kept for untrusted
 //!   external programs and as the A/B baseline `enginebench --scenario
-//!   dynamic` measures against. It honors the per-request
-//!   [`RequestDeadline`](sweb_telemetry::RequestDeadline): a child
-//!   still running at the fetch-phase
-//!   cutoff is killed *and reaped*, and the request fails definitively
-//!   with 503 + `Retry-After` instead of outliving its budget.
+//!   dynamic` measures against. A child still running after
+//!   `DEFAULT_FORK_BUDGET` is killed *and reaped*, and the request
+//!   fails definitively with 503 + `Retry-After` instead of hanging.
 
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -23,22 +21,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sweb_http::{Request, Response, StatusCode};
-use sweb_telemetry::Phase;
 
 use crate::dynamic::{DynamicHandler, HandlerCtx};
 
 /// A CGI program: request (and POST body, empty for GET) in, response out.
 pub type CgiProgram = Arc<dyn Fn(&Request, &[u8]) -> Response + Send + Sync>;
 
-/// Backwards-compatible name for the handler registry: the closure-keyed
-/// `CgiRegistry` grew into [`crate::dynamic::DynamicRegistry`]; the old
-/// name remains for callers registering legacy closures via
-/// [`crate::dynamic::DynamicRegistry::register_fn`].
-pub type CgiRegistry = crate::dynamic::DynamicRegistry;
-
-/// Budget for a forked child when the engine runs no request deadline
-/// (the threaded engine outside chaos configs): generous, but bounded —
-/// no child outlives the server's patience.
+/// Budget for every forked child: generous, but bounded — no child
+/// outlives the server's patience. (The reactor separately answers 503
+/// for a request whose own budget ran out while the child was running.)
 const DEFAULT_FORK_BUDGET: Duration = Duration::from_secs(2);
 
 /// How a forked child's run ended.
@@ -151,14 +142,7 @@ impl DynamicHandler for ForkCgiHandler {
     }
 
     fn handle(&self, ctx: &HandlerCtx<'_>, req: &Request, body: &[u8]) -> Response {
-        // The child must finish inside the request's *fetch-phase* cutoff
-        // (fulfillment may take 80% of the budget; the write needs the
-        // rest), or the default bound when no deadline is active.
-        let budget = ctx
-            .deadline
-            .map(|d| d.phase_deadline(Phase::Fetch).saturating_duration_since(Instant::now()))
-            .unwrap_or(DEFAULT_FORK_BUDGET);
-        match self.run(req, body, budget) {
+        match self.run(req, body, DEFAULT_FORK_BUDGET) {
             ForkOutcome::Done(resp) => resp,
             ForkOutcome::TimedOut => {
                 ctx.shared.stats.deadline_overruns.inc();

@@ -24,63 +24,20 @@ const PEER_RETRY_CAP: u64 = 10;
 /// Retry tokens for local filesystem fetches (EINTR, EMFILE, flaky NFS).
 const FETCH_RETRY_CAP: u64 = 32;
 
-/// Which connection engine a node runs.
-///
-/// Both engines sit on the same Broker/LoadTable/loadd stack and answer
-/// identical HTTP; they differ only in how connections map to threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Event-driven engine ([`sweb_reactor`]): one poller thread per node
-    /// multiplexes every connection, a small bounded pool runs blocking
-    /// fulfilment, and admission control sheds excess load with 503.
-    #[default]
-    Reactor,
-    /// The classic NCSA-style engine: one OS thread per connection
-    /// (threads being the modern stand-in for fork-per-request).
-    ThreadPerConn,
-}
-
-impl Engine {
-    /// Short name used in status pages and benchmark CSV.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Reactor => "reactor",
-            Engine::ThreadPerConn => "threaded",
-        }
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = ();
-    fn from_str(s: &str) -> Result<Engine, ()> {
-        match s {
-            "reactor" | "event" => Ok(Engine::Reactor),
-            "threaded" | "thread" | "thread-per-conn" => Ok(Engine::ThreadPerConn),
-            _ => Err(()),
-        }
-    }
-}
-
 /// Configuration for a live cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Scheduling strategy each node runs.
     pub policy: Policy,
-    /// Connection engine each node runs (default: [`Engine::Reactor`]).
-    pub engine: Engine,
-    /// Per-node admission cap (both engines): connections beyond this
-    /// are answered `503` and counted in `NodeStats::shed`.
+    /// Per-node admission cap: connections beyond this are answered
+    /// `503` and counted in `NodeStats::shed`.
     pub max_conns: usize,
     /// Reactor shards per node: per-core event loops sharing the node's
     /// port via `SO_REUSEPORT`. `0` (the default) means auto — one shard
-    /// per available core. Ignored by [`Engine::ThreadPerConn`]. The
-    /// default can also be set with the `SWEB_SHARDS` environment
-    /// variable (an explicit non-zero value here wins).
+    /// per available core. The default can also be set with the
+    /// `SWEB_SHARDS` environment variable (an explicit non-zero value
+    /// here wins).
     pub shards: usize,
-    /// Response transmit shape (reactor engine): zero-copy writev/sendfile
-    /// (the default) or the contiguous-copy baseline, kept selectable so
-    /// benchmarks can measure what the copy costs.
-    pub transmit: sweb_reactor::TransmitMode,
     /// I/O backend for the reactor shards (`--io-backend` /
     /// `SWEB_IO_BACKEND`): completion-based io_uring, readiness-based
     /// epoll (the default), or `Auto` (uring where the kernel supports
@@ -137,13 +94,11 @@ impl Default for ClusterConfig {
         };
         ClusterConfig {
             policy: Policy::Sweb,
-            engine: Engine::default(),
             max_conns: 4096,
             shards: std::env::var("SWEB_SHARDS")
                 .ok()
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(0),
-            transmit: sweb_reactor::TransmitMode::ZeroCopy,
             io_backend: sweb_reactor::IoBackend::from_env(),
             sweb,
             handlers: crate::dynamic::DynamicRegistry::demo(),
@@ -161,14 +116,10 @@ impl Default for ClusterConfig {
 }
 
 /// Resolve the configured shard count to the one the cluster will run:
-/// the threaded engine is always a single logical shard; the reactor
-/// defaults (`shards == 0`) to one shard per available core, capped at
+/// `shards == 0` means one shard per available core, capped at
 /// [`sweb_telemetry::MAX_SHARD_CELLS`] so every shard gets its own
 /// metric cell.
 fn resolve_shards(cfg: &ClusterConfig) -> usize {
-    if cfg.engine == Engine::ThreadPerConn {
-        return 1;
-    }
     let n = if cfg.shards == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     } else {
@@ -261,11 +212,9 @@ impl LiveCluster {
                 Arc::new((0..n).map(|_| RetryBudget::new(PEER_RETRY_CAP)).collect());
             let shared = Arc::new(NodeShared {
                 id: NodeId(i as u32),
-                engine: cfg.engine,
                 shards,
                 shard_live: (0..shards).map(|_| AtomicBool::new(false)).collect(),
                 max_conns: cfg.max_conns,
-                transmit: cfg.transmit,
                 io_backend: cfg.io_backend,
                 shard_io_backend: (0..shards).map(|_| RwLock::new("none")).collect(),
                 cluster: cluster_spec.clone(),
@@ -376,8 +325,7 @@ impl LiveCluster {
     /// its sockets, with no drain and no leaving packet — the process
     /// equivalent of yanking power. Peers only find out through silence
     /// (Suspect after two silent loadd periods, Dead after the staleness
-    /// timeout). Idempotent; in-flight threaded connections finish on
-    /// their own.
+    /// timeout). Idempotent.
     pub fn kill(&self, i: usize) {
         let handle = {
             let mut slot = match self.slots[i].handle.lock() {

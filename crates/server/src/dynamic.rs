@@ -3,9 +3,8 @@
 //! NCSA httpd forked a process per `/cgi-bin/` request — the exact
 //! bottleneck a scalable server must remove. Here dynamic content is
 //! produced by registered in-process implementations of
-//! [`DynamicHandler`], dispatched on the engines' existing worker pools
-//! (the reactor's bounded pool, or the connection thread under the
-//! threaded engine). The legacy fork-per-request path survives as one
+//! [`DynamicHandler`], dispatched on the reactor's bounded worker
+//! pool. The legacy fork-per-request path survives as one
 //! handler implementation behind the same trait
 //! ([`crate::cgi::ForkCgiHandler`]), so the A/B between the two is a
 //! registration choice, not a code path.
@@ -29,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sweb_http::{Request, Response};
-use sweb_telemetry::{AtomicHistogram, Counter, Registry, RequestDeadline};
+use sweb_telemetry::{AtomicHistogram, Counter, Registry};
 
 use crate::cgi::CgiProgram;
 
@@ -41,18 +40,14 @@ pub const DEFAULT_TTL: Duration = Duration::from_secs(2);
 pub const DEFAULT_MAX_ENTRIES: usize = 1024;
 
 /// Context a handler runs with: the serving node's shared state (for
-/// introspection-style handlers) and the request's deadline, when the
-/// engine enforces one (handlers that shell out, like the fork-CGI
-/// fallback, must honor it).
+/// introspection-style handlers).
 pub struct HandlerCtx<'a> {
     /// The node executing the handler.
     pub shared: &'a crate::node::NodeShared,
-    /// Remaining request budget, when a deadline is active.
-    pub deadline: Option<&'a RequestDeadline>,
 }
 
 /// An in-process dynamic-content handler. Implementations are registered
-/// under `/cgi-bin/<name>` and invoked on the engine's worker pool; the
+/// under `/cgi-bin/<name>` and invoked on the reactor's worker pool; the
 /// `class` name keys both the response cache and the oracle's measured
 /// `t_cpu` table.
 pub trait DynamicHandler: Send + Sync {
@@ -84,7 +79,8 @@ pub trait DynamicHandler: Send + Sync {
     }
 
     /// Produce the response. Runs on a worker-pool thread; blocking is
-    /// acceptable but must respect `ctx.deadline` when present.
+    /// acceptable, but the reactor answers 503 in the handler's place
+    /// once the request budget's fetch checkpoint has passed.
     fn handle(&self, ctx: &HandlerCtx<'_>, req: &Request, body: &[u8]) -> Response;
 }
 
@@ -340,10 +336,9 @@ impl DynamicHandler for IntrospectHandler {
     fn handle(&self, ctx: &HandlerCtx<'_>, _req: &Request, _body: &[u8]) -> Response {
         let shared = ctx.shared;
         let body = format!(
-            "{{\"node\":{},\"engine\":\"{}\",\"policy\":\"{}\",\
+            "{{\"node\":{},\"policy\":\"{}\",\
              \"served\":{},\"accepted\":{},\"handlers\":{}}}\n",
             shared.id.0,
-            shared.engine.name(),
             shared.broker.policy(),
             shared.stats.served.get(),
             shared.stats.accepted.get(),

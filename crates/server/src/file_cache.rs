@@ -6,9 +6,9 @@
 //! with no duplication. Entries are validated against the file's mtime on
 //! every hit: an edited document is re-read, never served stale. Each
 //! entry also records the canonical request path it was cached under —
-//! [`FileId`]s are 64-bit FNV-1a hashes, and on the (rare) collision the
-//! path check makes the cache serve the *correct* bytes from disk instead
-//! of another document's body.
+//! [`FileId`]s are 64-bit FNV-style hashes ([`key_of`]), and on the
+//! (rare) collision the path check makes the cache serve the *correct*
+//! bytes from disk instead of another document's body.
 //!
 //! The cache is **lock-striped** for the sharded reactor: the capacity is
 //! split across [`DEFAULT_SEGMENTS`] independent segments, each with its
@@ -80,8 +80,12 @@ pub struct SegmentStats {
     pub capacity: u64,
 }
 
-/// FNV-1a over the canonical request path — the cache's [`FileId`]
-/// namespace, shared with the scheduler's home placement and digests.
+/// An FNV-1a-shaped hash (xor a byte, multiply) over the canonical
+/// request path — the cache's [`FileId`] namespace, shared with the
+/// scheduler's home placement and digests. The multiplier is
+/// 2³² + 0x1b3, not the 64-bit FNV prime (2⁴⁰ + 0x1b3), so the values
+/// differ from standard FNV-1a; it stays as is because changing it
+/// would re-home every document.
 pub fn key_of(path: &str) -> FileId {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in path.as_bytes() {

@@ -1,227 +1,27 @@
-//! Connection handling: parse, schedule (serve or 302), fulfill.
+//! Request handling: schedule (serve or 302) and fulfill a parsed request.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sweb_cluster::{NodeId, Placement};
 use sweb_core::{AdmitClass, RequestClass, RequestInfo};
-use sweb_http::{
-    mime_for_path, parse_request, Method, ParseError, Request, Response, StatusCode,
-};
-use sweb_telemetry::{Phase, RequestDeadline};
+use sweb_http::{mime_for_path, Method, Request, Response, StatusCode};
+use sweb_telemetry::Phase;
 
 use crate::node::NodeShared;
-
-/// How long we wait for a complete request head.
-const READ_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Maximum requests served over one keep-alive connection.
-const KEEPALIVE_LIMIT: u32 = 64;
 
 /// Smallest document worth streaming via `sendfile` instead of buffering:
 /// below this the fd bookkeeping costs more than the copy it saves.
 const SENDFILE_MIN: u64 = 256 << 10;
 
-/// Wall-clock bound on one peer pull when the request carries no
-/// deadline of its own (thread engine without a budget, tests).
+/// Wall-clock bound on one peer pull.
 const FORWARD_BUDGET: Duration = Duration::from_secs(2);
 
 /// The document's "home" node. Every node shares one document root (the
 /// NFS crossmount); homes are assigned by hashing the path — the same
-/// FNV-1a the file cache keys on, so home placement, cache digests and
+/// hash the file cache keys on, so home placement, cache digests and
 /// residency checks all live in one `FileId` namespace.
 pub fn home_of(path: &str, nodes: usize) -> NodeId {
     Placement::Hashed.home(crate::file_cache::key_of(path), nodes)
-}
-
-/// Serve one connection. HTTP/1.0 closes after each response; as a
-/// labelled *extension* the server honors `Connection: Keep-Alive`
-/// (responses always carry `Content-Length`, so framing is unambiguous).
-pub fn handle_connection(shared: Arc<NodeShared>, mut stream: TcpStream, accepted_at: Instant) {
-    shared.stats.active.inc();
-    let accept_us = accepted_at.elapsed().as_micros() as u64;
-    shared.stats.phases.record(Phase::Accept, accept_us);
-    // The threaded engine's queue-sojourn signal: how long the accepted
-    // connection waited for a handler thread to start. (The reactor feeds
-    // its worker-queue wait through the same controller.)
-    if shared.overload_control {
-        let inflated = if shared.chaos.is_active() {
-            accept_us + shared.chaos.overload_sojourn(shared.id.0).unwrap_or(0)
-        } else {
-            accept_us
-        };
-        shared.admission.observe(inflated);
-    }
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let _ = stream.set_nodelay(true);
-    let peer_host = stream
-        .peer_addr()
-        .map(|a| a.ip().to_string())
-        .unwrap_or_else(|_| "-".to_string());
-    let mut carry: Vec<u8> = Vec::new();
-    for _round in 0..KEEPALIVE_LIMIT {
-        let (mut response, head_only, keep_alive, logged) =
-            match read_request(&shared, &mut stream, &mut carry) {
-                Ok((req, parse_started)) => {
-                    let head_only = req.method == Method::Head;
-                    let keep = req
-                        .headers
-                        .get("connection")
-                        .map(|v| v.eq_ignore_ascii_case("keep-alive"))
-                        .unwrap_or(false);
-                    let method = method_str(req.method);
-                    let body = match read_body(&mut stream, &mut carry, &req) {
-                        Ok(body) => body,
-                        Err(()) => {
-                            shared.stats.bad_requests.inc();
-                            let resp = Response::error(StatusCode::BadRequest);
-                            let _ = stream.write_all(&resp.to_bytes(false));
-                            break;
-                        }
-                    };
-                    shared
-                        .stats
-                        .phases
-                        .record(Phase::Parse, parse_started.elapsed().as_micros() as u64);
-                    let deadline = RequestDeadline::new(parse_started, shared.request_budget);
-                    let resp = if deadline.overrun(Phase::Parse) {
-                        shared.stats.deadline_overruns.inc();
-                        overloaded(&shared)
-                    } else {
-                        respond(&shared, &req, &body, Some(&deadline))
-                    };
-                    (resp, head_only, keep, Some((method, req.target.clone())))
-                }
-                Err(ParseError::Incomplete) => break, // client closed / idle
-                Err(_) => {
-                    shared.stats.bad_requests.inc();
-                    (Response::error(StatusCode::BadRequest), false, false, None)
-                }
-            };
-        if let (Some(log), Some((method, target))) = (&shared.access_log, &logged) {
-            let trace = response.headers.get("x-sweb-trace");
-            log.log(&peer_host, method, target, response.status.code(), response.body.len() as u64, trace);
-        }
-        // A response that asked for `Connection: close` (deadline overrun,
-        // overload shedding) overrides the client's keep-alive wish.
-        let keep_alive = keep_alive
-            && !response
-                .headers
-                .get("connection")
-                .map(|v| v.eq_ignore_ascii_case("close"))
-                .unwrap_or(false);
-        if keep_alive {
-            response.headers.set("Connection", "Keep-Alive");
-        }
-        let wire = response.to_bytes(head_only);
-        shared.stats.bytes_in_flight.add(wire.len() as i64);
-        let write_started = Instant::now();
-        let write_ok = stream.write_all(&wire).is_ok() && stream.flush().is_ok();
-        shared.stats.bytes_in_flight.sub(wire.len() as i64);
-        if write_ok {
-            shared
-                .stats
-                .phases
-                .record(Phase::Write, write_started.elapsed().as_micros() as u64);
-        }
-        if !write_ok || !keep_alive {
-            break;
-        }
-    }
-    shared.stats.active.dec();
-}
-
-/// Read one request head from the stream. `carry` holds bytes already read
-/// beyond the previous request (keep-alive pipelining). The returned
-/// instant is when the request's first byte became available (parse-phase
-/// start), so keep-alive idle time is not charged to parsing.
-///
-/// Slowloris guard: once the first byte of a request arrives, the whole
-/// head must complete within an *absolute* deadline (a quarter of the
-/// request budget, capped at [`READ_TIMEOUT`]). The deadline is fixed at
-/// first byte and never extended — a client dribbling one header byte
-/// per read keeps the socket warm but cannot keep the head open, because
-/// each successful read shrinks the remaining window instead of
-/// resetting the 10 s idle timeout. Expiry counts as an eviction and
-/// closes the connection.
-fn read_request(
-    shared: &NodeShared,
-    stream: &mut TcpStream,
-    carry: &mut Vec<u8>,
-) -> Result<(Request, Instant), ParseError> {
-    let head_budget = (shared.request_budget / 4)
-        .min(READ_TIMEOUT)
-        .max(Duration::from_millis(1));
-    // Waiting for a request to *start* gets the full idle timeout (the
-    // keep-alive case); the tighter head deadline arms at first byte.
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let mut chunk = [0u8; 1024];
-    let mut first_byte: Option<Instant> = (!carry.is_empty()).then(Instant::now);
-    loop {
-        match parse_request(carry) {
-            Ok((req, used)) => {
-                carry.drain(..used);
-                return Ok((req, first_byte.unwrap_or_else(Instant::now)));
-            }
-            Err(ParseError::Incomplete) => {}
-            Err(e) => return Err(e),
-        }
-        if let Some(started) = first_byte {
-            let elapsed = started.elapsed();
-            if elapsed >= head_budget {
-                shared.stats.evicted.inc();
-                return Err(ParseError::Incomplete);
-            }
-            let _ = stream.set_read_timeout(Some(head_budget - elapsed));
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(ParseError::Incomplete),
-            Ok(n) => {
-                first_byte.get_or_insert_with(Instant::now);
-                carry.extend_from_slice(&chunk[..n]);
-            }
-            Err(_) => {
-                if first_byte.is_some() {
-                    // Mid-head stall past the deadline: evicted, not idle.
-                    shared.stats.evicted.inc();
-                }
-                return Err(ParseError::Incomplete);
-            }
-        }
-    }
-}
-
-/// Largest accepted POST body.
-const MAX_BODY_BYTES: u64 = 1 << 20;
-
-/// Read the request body (`Content-Length` bytes) for methods that carry
-/// one. `carry` may already hold a prefix of it from head reads.
-fn read_body(
-    stream: &mut TcpStream,
-    carry: &mut Vec<u8>,
-    req: &Request,
-) -> Result<Vec<u8>, ()> {
-    if req.method != Method::Post {
-        return Ok(Vec::new());
-    }
-    let len = req.headers.content_length().ok_or(())?;
-    if len > MAX_BODY_BYTES {
-        return Err(());
-    }
-    let len = len as usize;
-    let mut chunk = [0u8; 4096];
-    while carry.len() < len {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(()),
-            Ok(n) => carry.extend_from_slice(&chunk[..n]),
-            Err(_) => return Err(()),
-        }
-    }
-    let body = carry[..len].to_vec();
-    carry.drain(..len);
-    Ok(body)
 }
 
 /// CLF method tag for a parsed request.
@@ -254,30 +54,10 @@ pub(crate) fn overloaded(shared: &NodeShared) -> Response {
     resp
 }
 
-/// §3.2 steps 1–4 over a real request, materialized: any streamable file
-/// body is read into memory. The thread-per-conn engine (whose write path
-/// is a single contiguous buffer) funnels requests through here.
-pub(crate) fn respond(
-    shared: &NodeShared,
-    req: &Request,
-    body: &[u8],
-    deadline: Option<&RequestDeadline>,
-) -> Response {
-    let (mut resp, file) = respond_parts_deadlined(shared, req, body, deadline);
-    if let Some((mut f, len)) = file {
-        let mut buf = Vec::with_capacity(len as usize);
-        match Read::by_ref(&mut f).take(len).read_to_end(&mut buf) {
-            Ok(n) if n as u64 == len => resp.body = buf.into(),
-            _ => return Response::error(StatusCode::InternalServerError),
-        }
-    }
-    resp
-}
-
 /// §3.2 steps 1–4 over a real request, zero-copy form: large uncacheable
 /// documents come back as `(head-only response, Some((open fd, length)))`
 /// for the caller to stream (`sendfile`), everything else inline. The
-/// reactor engine consumes this shape directly.
+/// reactor consumes this shape directly.
 ///
 /// Every response carries an `X-SWEB-Trace` header: the id the request
 /// arrived with (carried through a 302 hop as a `sweb-trace` query
@@ -288,22 +68,10 @@ pub(crate) fn respond_parts(
     req: &Request,
     body: &[u8],
 ) -> (Response, Option<(std::fs::File, u64)>) {
-    respond_parts_deadlined(shared, req, body, None)
-}
-
-/// [`respond_parts`] with an optional per-request deadline. Phase budgets
-/// are checked before scheduling and after fulfillment; an overrun yields
-/// the [`overloaded`] refusal instead of the (possibly half-built) answer.
-pub(crate) fn respond_parts_deadlined(
-    shared: &NodeShared,
-    req: &Request,
-    body: &[u8],
-    deadline: Option<&RequestDeadline>,
-) -> (Response, Option<(std::fs::File, u64)>) {
     let trace = sweb_http::trace_of(&req.target)
         .map(str::to_owned)
         .unwrap_or_else(|| shared.stats.new_trace_id(shared.id));
-    let (mut resp, file) = respond_routed(shared, req, body, &trace, deadline);
+    let (mut resp, file) = respond_routed(shared, req, body, &trace);
     resp.headers.set("X-SWEB-Trace", trace);
     (resp, file)
 }
@@ -316,7 +84,6 @@ fn respond_routed(
     req: &Request,
     body: &[u8],
     trace: &str,
-    deadline: Option<&RequestDeadline>,
 ) -> (Response, Option<(std::fs::File, u64)>) {
     // Step 1: preprocess — method check, path completion, existence.
     if !req.method.is_supported() {
@@ -341,10 +108,10 @@ fn respond_routed(
     if rel.is_empty() {
         return (Response::error(StatusCode::NotFound), None);
     }
-    // Adaptive admission (both engines funnel through here): classify the
-    // request by what it would cost us and shed the expensive classes
-    // first as the controller's level rises. Admin endpoints never reach
-    // this point — an operator must be able to see an overloaded node.
+    // Adaptive admission: classify the request by what it would cost us
+    // and shed the expensive classes first as the controller's level
+    // rises. Admin endpoints never reach this point — an operator must be
+    // able to see an overloaded node.
     if shared.overload_control {
         let class = if is_dynamic {
             AdmitClass::Dynamic
@@ -461,13 +228,6 @@ fn respond_routed(
         return (resp, None);
     }
 
-    // A request that used most of its budget before fetching even starts
-    // will not finish in time — refuse now, before paying for the I/O.
-    if deadline.is_some_and(|d| d.overrun(Phase::Decide)) {
-        shared.stats.deadline_overruns.inc();
-        return (overloaded(shared), None);
-    }
-
     // Step 3½: peer pull — the comparison picked a peer that holds the
     // document in RAM, close enough to a tie that bouncing the client
     // (302) would cost more than it saves. Pull the body over the
@@ -478,14 +238,15 @@ fn respond_routed(
     // doesn't propose it, and a Bloom false positive on a handler path
     // must not turn into a FETCH for a file that isn't one.
     if let (Some(source), false) = (decision.peer_source(), is_dynamic) {
-        let budget = deadline
-            .map(|d| d.remaining())
-            .filter(|d| !d.is_zero())
-            .unwrap_or(FORWARD_BUDGET)
-            .min(FORWARD_BUDGET);
         let forward_started = Instant::now();
-        match crate::peer_transfer::fetch_via_peer(shared, source, info.file, &path, trace, budget)
-        {
+        match crate::peer_transfer::fetch_via_peer(
+            shared,
+            source,
+            info.file,
+            &path,
+            trace,
+            FORWARD_BUDGET,
+        ) {
             Ok(doc) => {
                 let forward_us = forward_started.elapsed().as_micros() as u64;
                 shared.stats.phases.record(Phase::Forward, forward_us);
@@ -495,10 +256,6 @@ fn respond_routed(
                 shared.file_cache.insert(&path, body.clone(), doc.mtime);
                 let cost = decision.cost;
                 shared.stats.feedback.record(cost.t_redirection, cost.t_data, cost.t_cpu, forward_us);
-                if deadline.is_some_and(|d| d.overrun(Phase::Forward)) {
-                    shared.stats.deadline_overruns.inc();
-                    return (overloaded(shared), None);
-                }
                 shared.stats.served.inc();
                 let mut resp = Response::ok(body, mime_for_path(&path));
                 if let Ok(secs) = doc.mtime.duration_since(std::time::UNIX_EPOCH) {
@@ -536,15 +293,11 @@ fn respond_routed(
         // counts feed loadd's hot-list piggyback and the replicator.
         shared.popularity.record(info.file, &path);
     }
-    let result = fulfill(shared, req, body, &path, class, &full, size, deadline);
+    let result = fulfill(shared, req, body, &path, class, &full, size);
     let fetch_us = fetch_started.elapsed().as_micros() as u64;
     shared.stats.phases.record(Phase::Fetch, fetch_us);
     let cost = decision.cost;
     shared.stats.feedback.record(cost.t_redirection, cost.t_data, cost.t_cpu, fetch_us);
-    if deadline.is_some_and(|d| d.overrun(Phase::Fetch)) {
-        shared.stats.deadline_overruns.inc();
-        return (overloaded(shared), None);
-    }
     result
 }
 
@@ -588,7 +341,6 @@ fn read_with_retry<T>(
 }
 
 /// Local fulfillment: invoke the dynamic handler or read the document.
-#[allow(clippy::too_many_arguments)]
 fn fulfill(
     shared: &NodeShared,
     req: &Request,
@@ -597,19 +349,18 @@ fn fulfill(
     class: Option<&'static str>,
     full: &std::path::Path,
     size: u64,
-    deadline: Option<&RequestDeadline>,
 ) -> (Response, Option<(std::fs::File, u64)>) {
     // Fault injection: a browned-out node serves *everything* late —
     // dynamic and static alike — unlike SlowDisk, which models one slow
-    // device. The stall sits in the fetch phase, where the deadline
-    // check after fulfillment sees it.
+    // device. The stall sits in the fetch phase, where the reactor's
+    // deadline check after `respond` sees it.
     if shared.chaos.is_active() {
         if let Some(extra) = shared.chaos.brownout_delay(shared.id.0) {
             std::thread::sleep(extra);
         }
     }
     if class.is_some() {
-        return (fulfill_dynamic(shared, req, body, path, deadline), None);
+        return (fulfill_dynamic(shared, req, body, path), None);
     }
     // A degraded disk/NFS mount serves reads late, not wrong.
     if shared.chaos.is_active() {
@@ -667,7 +418,6 @@ fn fulfill_dynamic(
     req: &Request,
     body: &[u8],
     path: &str,
-    deadline: Option<&RequestDeadline>,
 ) -> Response {
     let handler = shared.dynamic.registry().lookup(path).expect("existence checked above");
     let class = handler.class();
@@ -684,7 +434,7 @@ fn fulfill_dynamic(
             return resp;
         }
     }
-    let ctx = crate::dynamic::HandlerCtx { shared, deadline };
+    let ctx = crate::dynamic::HandlerCtx { shared };
     let invoke_started = Instant::now();
     let mut resp = handler.handle(&ctx, req, body);
     let invoke_us = invoke_started.elapsed().as_micros() as u64;

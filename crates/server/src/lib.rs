@@ -5,12 +5,10 @@
 //! localhost TCP port, running the same scheduler stack ([`sweb_core`])
 //! the simulator uses:
 //!
-//! * an **httpd** in one of two interchangeable connection engines
-//!   (selected by [`ClusterConfig::engine`]): the default event-driven
-//!   reactor (`sweb-reactor`: one poller thread multiplexing every
-//!   connection, bounded workers for blocking fulfilment, 503 admission
-//!   control) or the classic thread-per-connection loop (NCSA httpd
-//!   forked per request; threads are the modern equivalent);
+//! * an **httpd** on the event-driven reactor (`sweb-reactor`: per-core
+//!   poller threads multiplexing every connection, bounded workers for
+//!   blocking fulfilment, 503 admission control). NCSA httpd forked per
+//!   request; that baseline survives only as [`ForkCgiHandler`];
 //! * the **broker** consults the node's live [`sweb_core::LoadTable`] and
 //!   answers `302 Found` with a `Location` on a peer when another node
 //!   would finish the request sooner — marked with the redirect-once query
@@ -53,12 +51,11 @@ pub mod status;
 
 pub use access_log::AccessLog;
 pub use file_cache::FileCache;
-pub use cgi::{CgiProgram, CgiRegistry, ForkCgiHandler};
-pub use cluster::{ClusterConfig, Engine, LiveCluster};
+pub use cgi::{CgiProgram, ForkCgiHandler};
+pub use cluster::{ClusterConfig, LiveCluster};
 pub use dynamic::{DynamicHandler, DynamicRegistry, FnHandler, HandlerCtx};
 pub use handler::home_of;
 pub use options::ServerOptions;
 pub use sweb_chaos::{Fault, FaultPlan, Injector, ScriptedOp, Window};
-pub use sweb_reactor::TransmitMode;
 pub use node::{NodeHandle, NodeShared, NodeStats};
 pub use status::{StatusReport, METRICS_PATH, STATUS_PATH, STATUS_SCHEMA_VERSION};

@@ -1,4 +1,4 @@
-//! Per-node state and the connection engines (accept loop / reactor).
+//! Per-node state and its adapter onto the reactor connection engine.
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -18,11 +18,10 @@ use sweb_telemetry::{
     CostFeedback, Counter, Gauge, Phase, PhaseTimes, Registry, ShardedCounter, ShardedGauge,
 };
 
-use crate::cluster::Engine;
 use crate::handler;
 
-/// A node's telemetry surface: every counter, gauge, and histogram both
-/// engines increment, all registered on one [`Registry`] so the status
+/// A node's telemetry surface: every counter, gauge, and histogram the
+/// server increments, all registered on one [`Registry`] so the status
 /// page, the JSON report, and the `/metrics` exposition are three views of
 /// the same atomics.
 pub struct NodeStats {
@@ -125,7 +124,7 @@ impl NodeStats {
     /// the number of per-shard cells behind the hot counters (accept /
     /// serve / shed / in-flight): each reactor shard increments its own
     /// cacheline, and scrapes sum the cells, so totals stay exact without
-    /// cross-core ping-pong. Single-engine nodes pass 1.
+    /// cross-core ping-pong.
     pub fn new(shards: usize) -> NodeStats {
         let registry = Arc::new(Registry::new());
         let c = |name: &str, help: &str| registry.counter(name, &[], help);
@@ -304,23 +303,18 @@ impl Default for NodeStats {
 pub struct NodeShared {
     /// This node's id.
     pub id: NodeId,
-    /// Connection engine this node runs.
-    pub engine: Engine,
-    /// Reactor shards this node runs (1 for the threaded engine).
+    /// Reactor shards this node runs.
     pub shards: usize,
     /// Liveness of each shard's event loop, set/cleared by the loop
-    /// thread itself; the threaded engine marks slot 0 live at spawn.
+    /// thread itself.
     pub shard_live: Vec<AtomicBool>,
     /// Node-wide admission cap (divided across shards by the reactor).
     pub max_conns: usize,
-    /// Transmit shape for the reactor engine (zero-copy vs copy baseline).
-    pub transmit: sweb_reactor::TransmitMode,
     /// Requested I/O backend for the reactor shards (`Uring`/`Auto` fall
     /// back to epoll when the kernel lacks support).
     pub io_backend: sweb_reactor::IoBackend,
     /// The backend each shard's loop actually runs on, reported by the
-    /// loop thread itself (`"none"` until it starts; always `"none"` for
-    /// the threaded engine).
+    /// loop thread itself (`"none"` until it starts).
     pub shard_io_backend: Vec<RwLock<&'static str>>,
     /// Synthetic hardware description used by the cost model.
     pub cluster: ClusterSpec,
@@ -395,13 +389,12 @@ impl NodeShared {
     }
 }
 
-/// Adapter exposing a node to the event-driven engine: `respond` runs the
-/// same §3.2 pipeline the threaded engine uses, and the reactor's hooks
-/// feed the node's live load gauges — so loadd advertises the same load
-/// vector no matter which engine produced it. One `ReactorApp` exists per
-/// shard; loop-thread hooks attribute to this shard's metric cell
-/// explicitly, and `respond` pins the worker thread's shard hint so
-/// handler-path increments attribute the same way.
+/// Adapter exposing a node to the reactor: `respond` runs the §3.2
+/// pipeline, and the reactor's hooks feed the node's live load gauges
+/// that loadd advertises. One `ReactorApp` exists per shard; loop-thread
+/// hooks attribute to this shard's metric cell explicitly, and `respond`
+/// pins the worker thread's shard hint so handler-path increments
+/// attribute the same way.
 struct ReactorApp {
     shared: Arc<NodeShared>,
     shard: usize,
@@ -538,15 +531,15 @@ impl sweb_reactor::App for ReactorApp {
 
 /// A running node: its shared state plus joinable service threads.
 pub struct NodeHandle {
-    /// Shared state (also held by connection threads).
+    /// Shared state (also held by the reactor's apps and workers).
     pub shared: Arc<NodeShared>,
     /// HTTP address the node listens on.
     pub http_addr: SocketAddr,
     threads: Vec<std::thread::JoinHandle<()>>,
-    /// The event loops, when this node runs [`Engine::Reactor`].
-    reactor: Option<sweb_reactor::ShardedHandle>,
+    /// The event loops.
+    reactor: sweb_reactor::ShardedHandle,
     /// The reactor's own stop flag (it checks this every timer tick).
-    reactor_shutdown: Option<Arc<AtomicBool>>,
+    reactor_shutdown: Arc<AtomicBool>,
 }
 
 impl NodeHandle {
@@ -561,46 +554,26 @@ impl NodeHandle {
     ) -> std::io::Result<NodeHandle> {
         let http_addr = listener.local_addr()?;
         let mut threads = Vec::new();
-        let mut reactor = None;
-        let mut reactor_shutdown = None;
 
-        match shared.engine {
-            Engine::Reactor => {
-                let stop = Arc::new(AtomicBool::new(false));
-                let apps: Vec<Arc<dyn sweb_reactor::App>> = (0..shared.shards.max(1))
-                    .map(|shard| {
-                        Arc::new(ReactorApp { shared: Arc::clone(&shared), shard })
-                            as Arc<dyn sweb_reactor::App>
-                    })
-                    .collect();
-                let cfg = sweb_reactor::ReactorConfig {
-                    max_conns: shared.max_conns,
-                    transmit: shared.transmit,
-                    request_budget: shared.request_budget,
-                    io_backend: shared.io_backend,
-                    // Size each shard's registered staging pool off one
-                    // cache stripe's budget: the pool stages what the hot
-                    // segment serves, without pinning the cache itself.
-                    uring_buf_pool_bytes: shared.file_cache.segment_share() as usize,
-                    ..sweb_reactor::ReactorConfig::default()
-                };
-                reactor = Some(sweb_reactor::spawn_sharded(listener, apps, cfg, Arc::clone(&stop))?);
-                reactor_shutdown = Some(stop);
-            }
-            Engine::ThreadPerConn => {
-                listener.set_nonblocking(true)?;
-                // One logical "shard": the accept loop itself.
-                if let Some(live) = shared.shard_live.first() {
-                    live.store(true, Ordering::Relaxed);
-                }
-                // Accept loop: NCSA httpd forked a worker per connection; we
-                // spawn a thread per connection.
-                let accept_shared = Arc::clone(&shared);
-                threads.push(std::thread::spawn(move || {
-                    accept_loop(accept_shared, listener)
-                }));
-            }
-        }
+        let reactor_shutdown = Arc::new(AtomicBool::new(false));
+        let apps: Vec<Arc<dyn sweb_reactor::App>> = (0..shared.shards.max(1))
+            .map(|shard| {
+                Arc::new(ReactorApp { shared: Arc::clone(&shared), shard })
+                    as Arc<dyn sweb_reactor::App>
+            })
+            .collect();
+        let cfg = sweb_reactor::ReactorConfig {
+            max_conns: shared.max_conns,
+            request_budget: shared.request_budget,
+            io_backend: shared.io_backend,
+            // Size each shard's registered staging pool off one cache
+            // stripe's budget: the pool stages what the hot segment
+            // serves, without pinning the cache itself.
+            uring_buf_pool_bytes: shared.file_cache.segment_share() as usize,
+            ..sweb_reactor::ReactorConfig::default()
+        };
+        let reactor =
+            sweb_reactor::spawn_sharded(listener, apps, cfg, Arc::clone(&reactor_shutdown))?;
 
         // loadd: broadcaster + receiver.
         threads.extend(crate::loadd::spawn(Arc::clone(&shared), udp));
@@ -616,93 +589,19 @@ impl NodeHandle {
         Ok(NodeHandle { shared, http_addr, threads, reactor, reactor_shutdown })
     }
 
-    /// Signal shutdown and join the service threads. In-flight connection
-    /// threads finish on their own (they hold `Arc<NodeShared>`); reactor
-    /// connections are closed by the loop on its way out.
+    /// Signal shutdown and join the service threads; open connections
+    /// are closed by the reactor loops on their way out.
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        if let Some(stop) = &self.reactor_shutdown {
-            stop.store(true, Ordering::Relaxed);
-        }
-        if let Some(handle) = self.reactor {
-            let _ = handle.join();
-        }
+        self.reactor_shutdown.store(true, Ordering::Relaxed);
+        let _ = self.reactor.join();
         for t in self.threads {
             let _ = t.join();
         }
-        // Reactor shards clear their own flags on the way out; the
-        // threaded engine's logical shard goes down with its accept loop.
+        // Shards clear their own flags on the way out; a loop that
+        // panicked never got to.
         for live in self.shared.shard_live.iter() {
             live.store(false, Ordering::Relaxed);
         }
     }
-}
-
-/// The thread-per-connection accept loop. Transient `accept(2)` failures
-/// (EMFILE, ECONNABORTED, ...) are counted and retried under exponential
-/// backoff — 5 ms doubling to a 1 s cap, reset by the next success — so a
-/// storm of failures can't spin the CPU and one failure can't kill the
-/// node, which is what the old `break`-on-error path did.
-///
-/// Admission control matches the reactor: beyond `max_conns` in-flight
-/// requests, a connection is accepted, answered `503` + `Retry-After`,
-/// and counted as *shed* — never as served — so both engines' overload
-/// behavior reads identically in `/metrics`.
-fn accept_loop(shared: Arc<NodeShared>, listener: TcpListener) {
-    let mut error_streak: u32 = 0;
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        if shared.chaos.is_active() && shared.chaos.accept_paused(shared.id.0) {
-            // Injected pause: hold the backlog without touching the socket.
-            std::thread::sleep(Duration::from_millis(5));
-            continue;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                error_streak = 0;
-                shared.stats.accepted.inc();
-                if shared.chaos.is_active() && shared.chaos.fd_pressure(shared.id.0) {
-                    // Injected fd exhaustion: the accept "succeeded" but the
-                    // process can't service it — count and drop, as a real
-                    // EMFILE-looping server effectively does.
-                    shared.stats.accept_errors.inc();
-                    drop(stream);
-                    continue;
-                }
-                if shared.stats.active.get() >= shared.max_conns as i64 {
-                    shed(&shared, stream);
-                    continue;
-                }
-                let accepted_at = Instant::now();
-                let conn_shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    handler::handle_connection(conn_shared, stream, accepted_at)
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                shared.stats.accept_errors.inc();
-                let backoff = 5u64.saturating_mul(1 << error_streak.min(8)).min(1000);
-                error_streak = error_streak.saturating_add(1);
-                std::thread::sleep(Duration::from_millis(backoff));
-            }
-        }
-    }
-}
-
-/// Refuse an accepted-but-over-cap connection: best-effort 503 with
-/// `Retry-After`, counted as shed (the same wire shape the reactor's
-/// admission path writes).
-fn shed(shared: &NodeShared, stream: std::net::TcpStream) {
-    shared.stats.shed.inc();
-    let mut resp = sweb_http::Response::error(sweb_http::StatusCode::ServiceUnavailable);
-    resp.headers.set("Retry-After", shared.admission.retry_after_secs().to_string());
-    resp.headers.set("Connection", "close");
-    let wire = resp.to_bytes(false);
-    let _ = stream.set_nonblocking(true);
-    let mut s = stream;
-    use std::io::Write as _;
-    let _ = s.write(&wire); // small; fits the socket buffer or is lost
 }

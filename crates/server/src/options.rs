@@ -1,10 +1,10 @@
 //! `ServerOptions`: one typed builder behind every server toggle.
 //!
-//! The server grew a sprawl of per-feature switches — `--engine`,
-//! `--shards`, `--io-backend`, `--peer-transfer`, `--replicate-hot`,
-//! `--fault-plan`, plus environment overrides (`SWEB_ENGINE`,
-//! `SWEB_SHARDS`, `SWEB_IO_BACKEND`, `SWEB_PEER_TRANSFER`,
-//! `SWEB_REPLICATE_HOT`). This module consolidates them into one builder
+//! The server grew a sprawl of per-feature switches — `--shards`,
+//! `--io-backend`, `--peer-transfer`, `--replicate-hot`, `--overload`,
+//! `--fault-plan`, plus environment overrides (`SWEB_SHARDS`,
+//! `SWEB_IO_BACKEND`, `SWEB_PEER_TRANSFER`, `SWEB_REPLICATE_HOT`,
+//! `SWEB_OVERLOAD`). This module consolidates them into one builder
 //! with a single documented precedence rule:
 //!
 //! > **CLI > environment > config.**
@@ -25,7 +25,7 @@ use sweb_chaos::FaultPlan;
 use sweb_core::{Oracle, Policy, SwebConfig};
 use sweb_reactor::IoBackend;
 
-use crate::cluster::{ClusterConfig, Engine, LiveCluster};
+use crate::cluster::{ClusterConfig, LiveCluster};
 use crate::dynamic::DynamicRegistry;
 
 /// Typed builder for a cluster's full configuration. See the module docs
@@ -36,7 +36,6 @@ pub struct ServerOptions {
     /// here directly.
     base: ClusterConfig,
     // The CLI tier: explicit settings for every env-overridable toggle.
-    engine: Option<Engine>,
     shards: Option<usize>,
     io_backend: Option<IoBackend>,
     peer_transfer: Option<bool>,
@@ -70,7 +69,6 @@ impl ServerOptions {
     pub fn from_config(base: ClusterConfig) -> Self {
         ServerOptions {
             base,
-            engine: None,
             shards: None,
             io_backend: None,
             peer_transfer: None,
@@ -80,12 +78,6 @@ impl ServerOptions {
     }
 
     // ---- CLI tier: explicit settings that beat the environment ----
-
-    /// Connection engine (`--engine`; env `SWEB_ENGINE`).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = Some(engine);
-        self
-    }
 
     /// Reactor shards per node, 0 = one per core (`--shards`; env
     /// `SWEB_SHARDS`).
@@ -134,12 +126,6 @@ impl ServerOptions {
     /// Per-node admission cap.
     pub fn max_conns(mut self, n: usize) -> Self {
         self.base.max_conns = n;
-        self
-    }
-
-    /// Transmit shape (zero-copy vs contiguous-copy baseline).
-    pub fn transmit(mut self, mode: sweb_reactor::TransmitMode) -> Self {
-        self.base.transmit = mode;
         self
     }
 
@@ -232,9 +218,6 @@ impl ServerOptions {
     pub fn resolve_with(self, env: impl Fn(&str) -> Option<String>) -> ClusterConfig {
         let mut cfg = self.base;
         // Environment tier over config...
-        if let Some(e) = env("SWEB_ENGINE").and_then(|v| v.parse().ok()) {
-            cfg.engine = e;
-        }
         if let Some(n) = env("SWEB_SHARDS").and_then(|v| v.parse().ok()) {
             cfg.shards = n;
         }
@@ -251,9 +234,6 @@ impl ServerOptions {
             cfg.overload_control = on;
         }
         // ...and the CLI tier over everything.
-        if let Some(e) = self.engine {
-            cfg.engine = e;
-        }
         if let Some(n) = self.shards {
             cfg.shards = n;
         }
@@ -300,7 +280,6 @@ mod tests {
     #[test]
     fn config_tier_is_the_default() {
         let cfg = ServerOptions::new().resolve_with(no_env);
-        assert_eq!(cfg.engine, Engine::Reactor);
         assert_eq!(cfg.shards, 0);
         assert_eq!(cfg.io_backend, IoBackend::Epoll);
         assert!(!cfg.sweb.peer_transfer);
@@ -311,7 +290,6 @@ mod tests {
     #[test]
     fn env_beats_config() {
         let env = |key: &str| match key {
-            "SWEB_ENGINE" => Some("threaded".to_string()),
             "SWEB_SHARDS" => Some("3".to_string()),
             "SWEB_IO_BACKEND" => Some("poll".to_string()),
             "SWEB_PEER_TRANSFER" => Some("yes".to_string()),
@@ -320,7 +298,6 @@ mod tests {
             _ => None,
         };
         let cfg = ServerOptions::new().resolve_with(env);
-        assert_eq!(cfg.engine, Engine::ThreadPerConn);
         assert_eq!(cfg.shards, 3);
         assert_eq!(cfg.io_backend, IoBackend::Poll);
         assert!(cfg.sweb.peer_transfer);
@@ -331,7 +308,6 @@ mod tests {
     #[test]
     fn cli_beats_env() {
         let env = |key: &str| match key {
-            "SWEB_ENGINE" => Some("threaded".to_string()),
             "SWEB_SHARDS" => Some("3".to_string()),
             "SWEB_IO_BACKEND" => Some("poll".to_string()),
             "SWEB_PEER_TRANSFER" => Some("1".to_string()),
@@ -339,13 +315,11 @@ mod tests {
             _ => None,
         };
         let cfg = ServerOptions::new()
-            .engine(Engine::Reactor)
             .shards(2)
             .io_backend(IoBackend::Epoll)
             .peer_transfer(false)
             .overload_control(false)
             .resolve_with(env);
-        assert_eq!(cfg.engine, Engine::Reactor);
         assert_eq!(cfg.shards, 2);
         assert_eq!(cfg.io_backend, IoBackend::Epoll);
         assert!(!cfg.sweb.peer_transfer);
@@ -355,14 +329,12 @@ mod tests {
     #[test]
     fn garbage_env_is_ignored() {
         let env = |key: &str| match key {
-            "SWEB_ENGINE" => Some("hovercraft".to_string()),
             "SWEB_SHARDS" => Some("many".to_string()),
             "SWEB_IO_BACKEND" => Some("carrier-pigeon".to_string()),
             "SWEB_PEER_TRANSFER" => Some("maybe".to_string()),
             _ => None,
         };
         let cfg = ServerOptions::new().resolve_with(env);
-        assert_eq!(cfg.engine, Engine::Reactor);
         assert_eq!(cfg.shards, 0);
         assert_eq!(cfg.io_backend, IoBackend::Epoll);
         assert!(!cfg.sweb.peer_transfer);

@@ -33,7 +33,7 @@ pub const METRICS_PATH: &str = "/metrics";
 /// `peer_delays`) in the faults block.
 /// v5 added `io_backend` to each shard row: the poller backend the
 /// shard's loop actually runs (`"uring"`, `"epoll"`, `"poll"`, or
-/// `"none"` for the threaded engine / a not-yet-started loop).
+/// `"none"` for a not-yet-started loop).
 /// v6 added the `handlers` array (one row per dynamic handler class:
 /// invocations, cache hits, measured t_cpu p50/p99, and the oracle's
 /// current per-class estimate) and the `dynamic_cache` block. The
@@ -54,7 +54,9 @@ pub const METRICS_PATH: &str = "/metrics";
 /// SQ-pressure signal `sqe_backlogged`. Previously these lived only in
 /// `/metrics`; the status document now carries them so bench tooling
 /// can diff one JSON fetch.
-pub const STATUS_SCHEMA_VERSION: u64 = 8;
+/// v9 removed the top-level `engine` string: the reactor is the only
+/// connection engine, so the field could only ever say `"reactor"`.
+pub const STATUS_SCHEMA_VERSION: u64 = 9;
 
 /// One node's full introspection snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,16 +67,13 @@ pub struct StatusReport {
     pub node: u32,
     /// Scheduling policy the node runs.
     pub policy: String,
-    /// Connection engine the node runs.
-    pub engine: String,
     /// Whether this node is draining (leaving the scheduling pool).
     pub draining: bool,
     /// The node's view of every peer's load.
     pub load: Vec<LoadRow>,
     /// Lifetime request counters (sums across shards).
     pub counters: CounterSnapshot,
-    /// Per-shard breakdown of the hot counters (one row for the threaded
-    /// engine's single logical shard).
+    /// Per-shard breakdown of the hot counters.
     pub shards: Vec<ShardRow>,
     /// Per-class dynamic handler accounting, sorted by class name.
     pub handlers: Vec<HandlerRow>,
@@ -91,8 +90,8 @@ pub struct StatusReport {
 }
 
 /// The connection engine's kernel-crossing counters (schema v8), summed
-/// across shards. All zero for the threaded engine; the SQE/CQE and
-/// zero-copy counters are zero on the readiness backends too.
+/// across shards. The SQE/CQE and zero-copy counters are zero on the
+/// readiness backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IoSnapshot {
     /// Kernel entries the pollers made.
@@ -150,7 +149,7 @@ pub struct ShardRow {
     /// Whether this shard's event loop is currently running.
     pub live: bool,
     /// I/O backend the shard's loop runs (`"uring"`, `"epoll"`,
-    /// `"poll"`; `"none"` for the threaded engine or before start).
+    /// `"poll"`; `"none"` before start).
     pub io_backend: String,
     /// Connections this shard accepted.
     pub accepted: u64,
@@ -300,7 +299,6 @@ impl StatusReport {
             schema_version: STATUS_SCHEMA_VERSION,
             node: shared.id.0,
             policy: shared.broker.policy().to_string(),
-            engine: shared.engine.name().to_string(),
             draining: shared.draining.load(std::sync::atomic::Ordering::Relaxed),
             load,
             counters: CounterSnapshot {
@@ -409,10 +407,9 @@ impl StatusReport {
     pub fn to_text(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str(&format!(
-            "SWEB node n{} — policy {} — engine {}{}\n\nload table (this node's view):\n",
+            "SWEB node n{} — policy {}{}\n\nload table (this node's view):\n",
             self.node,
             self.policy,
-            self.engine,
             if self.draining { " — DRAINING" } else { "" },
         ));
         out.push_str("node   cpu     disk    net     health   age(ms)\n");
@@ -564,7 +561,6 @@ impl StatusReport {
             ("schema_version", Json::Num(self.schema_version as f64)),
             ("node", Json::Num(self.node as f64)),
             ("policy", Json::Str(self.policy.clone())),
-            ("engine", Json::Str(self.engine.clone())),
             ("draining", Json::Bool(self.draining)),
             (
                 "load",
@@ -903,7 +899,6 @@ impl StatusReport {
             schema_version,
             node: num_u64(v, "node")? as u32,
             policy: field(v, "policy")?.as_str().ok_or("policy is not a string")?.to_string(),
-            engine: field(v, "engine")?.as_str().ok_or("engine is not a string")?.to_string(),
             draining: field(v, "draining")?.as_bool().ok_or("draining is not a bool")?,
             load,
             counters,
@@ -983,7 +978,6 @@ mod tests {
             schema_version: STATUS_SCHEMA_VERSION,
             node: 2,
             policy: "sweb".to_string(),
-            engine: "reactor".to_string(),
             draining: true,
             load: vec![
                 LoadRow {
@@ -1126,17 +1120,21 @@ mod tests {
         let parsed = Json::parse(&text).expect("our own JSON must parse");
         let back = StatusReport::from_json(&parsed).expect("schema round trip");
         assert_eq!(back, report);
+        assert!(!text.contains("\"engine\""), "v9 dropped the engine key: {text}");
     }
 
     #[test]
     fn from_json_rejects_wrong_schema_version() {
         let report = sample_report();
-        let mut v = report.to_json();
-        if let Json::Obj(members) = &mut v {
-            members[0].1 = Json::Num(99.0);
+        // A future version, and the previous one (v8 still carried `engine`).
+        for version in [99.0, 8.0] {
+            let mut v = report.to_json();
+            if let Json::Obj(members) = &mut v {
+                members[0].1 = Json::Num(version);
+            }
+            let err = StatusReport::from_json(&v).unwrap_err();
+            assert!(err.contains("schema_version"), "{err}");
         }
-        let err = StatusReport::from_json(&v).unwrap_err();
-        assert!(err.contains("schema_version"), "{err}");
     }
 
     #[test]
@@ -1154,7 +1152,7 @@ mod tests {
         let report = sample_report();
         let text = report.to_text();
         assert!(
-            text.contains("SWEB node n2 — policy sweb — engine reactor — DRAINING"),
+            text.contains("SWEB node n2 — policy sweb — DRAINING"),
             "{text}"
         );
         assert!(text.contains("zero-copy         42"), "{text}");

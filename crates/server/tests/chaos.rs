@@ -1,11 +1,11 @@
 //! Chaos suite: deterministic fault injection against the live cluster.
 //!
-//! Every scenario runs on both connection engines. The invariant under
-//! test is always the same: **no request may hang** — whatever faults are
-//! active, a client with a sane timeout gets a definite outcome (a 2xx/
-//! 3xx/5xx response, a refused connection, or a clean close), and the
-//! cluster's failure-domain machinery (Suspect/Dead marking, drain
-//! eviction, deadline shedding) reacts within its documented windows.
+//! The invariant under test is always the same: **no request may hang**
+//! — whatever faults are active, a client with a sane timeout gets a
+//! definite outcome (a 2xx/3xx/5xx response, a refused connection, or a
+//! clean close), and the cluster's failure-domain machinery
+//! (Suspect/Dead marking, drain eviction, deadline shedding) reacts
+//! within its documented windows.
 //!
 //! Each test writes its `FaultPlan` to `target/chaos/` before running, so
 //! a CI failure leaves a replayable artifact (`swebd --fault-plan FILE`).
@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use sweb_cluster::NodeId;
 use sweb_core::{PeerHealth, Policy};
 use sweb_server::{
-    client, AccessLog, ClusterConfig, Engine, Fault, FaultPlan, LiveCluster, ServerOptions,
+    client, AccessLog, ClusterConfig, Fault, FaultPlan, LiveCluster, ServerOptions,
     StatusReport, Window,
 };
 
@@ -42,11 +42,11 @@ fn plan_seed() -> u64 {
 
 /// Persist the plan where CI can pick it up on failure (`target/chaos/`),
 /// and prove the on-disk artifact round-trips to the plan we are running.
-fn save_plan(name: &str, engine: Engine, plan: &FaultPlan) {
+fn save_plan(name: &str, plan: &FaultPlan) {
     let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "../../target".to_string());
     let dir = std::path::Path::new(&target).join("chaos");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{name}-{}.plan", engine.name()));
+    let path = dir.join(format!("{name}.plan"));
     std::fs::write(&path, plan.to_text()).unwrap();
     let back = FaultPlan::from_text(&std::fs::read_to_string(&path).unwrap()).unwrap();
     assert_eq!(&back, plan, "saved plan must replay identically");
@@ -54,10 +54,9 @@ fn save_plan(name: &str, engine: Engine, plan: &FaultPlan) {
 
 /// Short gossip windows so failure detection fits in a test run: Suspect
 /// after 100 ms of silence, Dead after 500 ms.
-fn chaos_config(engine: Engine, plan: FaultPlan) -> ClusterConfig {
+fn chaos_config(plan: FaultPlan) -> ClusterConfig {
     ServerOptions::new()
         .policy(Policy::Sweb)
-        .engine(engine)
         .loadd_timing(100, 500)
         .fault_plan(Some(plan))
         .build()
@@ -81,38 +80,18 @@ fn health_seen(cluster: &LiveCluster, observer: usize, peer: usize) -> PeerHealt
     cluster.node(observer).loads.read().health(NodeId(peer as u32))
 }
 
-macro_rules! engine_tests {
-    ($($name:ident),* $(,)?) => {
-        mod reactor {
-            $(#[test] fn $name() { super::$name(super::Engine::Reactor); })*
-        }
-        mod threaded {
-            $(#[test] fn $name() { super::$name(super::Engine::ThreadPerConn); })*
-        }
-    };
-}
-
-engine_tests!(
-    hard_kill_mid_workload_never_hangs,
-    partition_marks_suspect_then_dead_then_heals,
-    graceful_stop_evicts_within_one_loadd_period,
-    slow_disk_blows_deadline_and_sheds_503,
-    fd_pressure_and_pause_give_definite_outcomes,
-    garbled_loadd_packets_counted_never_fatal,
-    blackholed_peer_channel_degrades_pull_to_redirect,
-);
-
 /// Kill a node under live traffic, revive it, and require every single
 /// request to reach a definite outcome — a response or a refused
 /// connection, never a socket timeout (the client-visible face of a
 /// hang). After revival the victim must rejoin the scheduling pool.
-fn hard_kill_mid_workload_never_hangs(engine: Engine) {
+#[test]
+fn hard_kill_mid_workload_never_hangs() {
     let plan = FaultPlan::seeded(plan_seed())
         .with(Fault::Crash { node: 2, at_ms: 400 })
         .with(Fault::Revive { node: 2, at_ms: 1_400 });
-    save_plan("hard-kill", engine, &plan);
-    let dir = docroot(&format!("kill-{}", engine.name()));
-    let cluster = LiveCluster::start(3, dir, chaos_config(engine, plan)).unwrap();
+    save_plan("hard-kill", &plan);
+    let dir = docroot("kill");
+    let cluster = LiveCluster::start(3, dir, chaos_config(plan)).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(10)), "mesh must converge first");
 
     let mut outcomes = 0u32;
@@ -172,16 +151,17 @@ fn hard_kill_mid_workload_never_hangs(engine: Engine) {
 /// Alive → Suspect → Dead on pure silence, emits the membership counters
 /// and log lines, and — once the partition heals — revives the peer from
 /// its first fresh packet. The status API must report the whole story.
-fn partition_marks_suspect_then_dead_then_heals(engine: Engine) {
+#[test]
+fn partition_marks_suspect_then_dead_then_heals() {
     // The cut opens at 500 ms: late enough that the mesh has converged
     // (peers never heard from get boot grace and would not be marked),
     // early enough to keep the test short.
     let plan = FaultPlan::seeded(plan_seed())
         .with(Fault::Partition { a: 0, b: 1, window: Window::between(500, 2_500) });
-    save_plan("partition", engine, &plan);
-    let dir = docroot(&format!("part-{}", engine.name()));
+    save_plan("partition", &plan);
+    let dir = docroot("part");
     let log_path = dir.join("access.log");
-    let mut cfg = chaos_config(engine, plan);
+    let mut cfg = chaos_config(plan);
     cfg.access_log = Some(AccessLog::to_file(&log_path).unwrap());
     let cluster = LiveCluster::start(2, dir.clone(), cfg).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_millis(450)), "mesh must converge pre-cut");
@@ -237,11 +217,11 @@ fn partition_marks_suspect_then_dead_then_heals(engine: Engine) {
 /// Graceful shutdown: drain, final `leaving` packet, stop. Peers must
 /// evict the leaver *immediately* on the announcement — well inside one
 /// loadd period — instead of waiting out the staleness timeout.
-fn graceful_stop_evicts_within_one_loadd_period(engine: Engine) {
-    let dir = docroot(&format!("drain-{}", engine.name()));
+#[test]
+fn graceful_stop_evicts_within_one_loadd_period() {
+    let dir = docroot("drain");
     let cluster = ServerOptions::new()
         .policy(Policy::Sweb)
-        .engine(engine)
         .loadd_timing(200, 5_000) // silence alone is far too slow
         .start(3, dir)
         .unwrap();
@@ -279,12 +259,13 @@ fn graceful_stop_evicts_within_one_loadd_period(engine: Engine) {
 /// A disk serving reads 800 ms late against a 250 ms request budget: the
 /// node must answer `503` + `Retry-After` (and close the connection)
 /// rather than let the client wait out a read that cannot finish in time.
-fn slow_disk_blows_deadline_and_sheds_503(engine: Engine) {
+#[test]
+fn slow_disk_blows_deadline_and_sheds_503() {
     let plan = FaultPlan::seeded(plan_seed())
         .with(Fault::SlowDisk { node: 0, extra_ms: 800, window: Window::ALWAYS });
-    save_plan("slow-disk", engine, &plan);
-    let dir = docroot(&format!("slow-{}", engine.name()));
-    let mut cfg = chaos_config(engine, plan);
+    save_plan("slow-disk", &plan);
+    let dir = docroot("slow");
+    let mut cfg = chaos_config(plan);
     cfg.request_budget = Duration::from_millis(250);
     let cluster = LiveCluster::start(1, dir, cfg).unwrap();
 
@@ -304,13 +285,14 @@ fn slow_disk_blows_deadline_and_sheds_503(engine: Engine) {
 /// Synthetic fd exhaustion, then an accept pause: during either fault a
 /// client gets a definite outcome (an error or a delayed success once the
 /// backlog drains) and afterwards the node serves normally again.
-fn fd_pressure_and_pause_give_definite_outcomes(engine: Engine) {
+#[test]
+fn fd_pressure_and_pause_give_definite_outcomes() {
     let plan = FaultPlan::seeded(plan_seed())
         .with(Fault::FdPressure { node: 0, window: Window::between(0, 400) })
         .with(Fault::Pause { node: 0, window: Window::between(600, 900) });
-    save_plan("fd-pause", engine, &plan);
-    let dir = docroot(&format!("fd-{}", engine.name()));
-    let cluster = LiveCluster::start(1, dir, chaos_config(engine, plan)).unwrap();
+    save_plan("fd-pause", &plan);
+    let dir = docroot("fd");
+    let cluster = LiveCluster::start(1, dir, chaos_config(plan)).unwrap();
     let url = format!("{}/ok.txt", cluster.base_url(0));
 
     // Phase 1: fd pressure. Accepted-then-slammed or queued-then-served —
@@ -346,12 +328,13 @@ fn fd_pressure_and_pause_give_definite_outcomes(engine: Engine) {
 /// pull the broker schedules fails the injected loss check, and every
 /// failure degrades to the classic 302 — correct bytes, zero hangs, and
 /// the degradation visible in both the node counters and the injector's.
-fn blackholed_peer_channel_degrades_pull_to_redirect(engine: Engine) {
+#[test]
+fn blackholed_peer_channel_degrades_pull_to_redirect() {
     let plan = FaultPlan::seeded(plan_seed())
         .with(Fault::PeerLoss { from: 1, to: 0, rate_ppm: 1_000_000, window: Window::ALWAYS });
-    save_plan("peer-loss", engine, &plan);
-    let dir = docroot(&format!("peer-loss-{}", engine.name()));
-    let mut cfg = chaos_config(engine, plan);
+    save_plan("peer-loss", &plan);
+    let dir = docroot("peer-loss");
+    let mut cfg = chaos_config(plan);
     cfg.policy = Policy::FileLocality; // deterministic pull targets: the home
     cfg.sweb.peer_transfer = true;
     let cluster = LiveCluster::start(2, dir.clone(), cfg).unwrap();
@@ -379,9 +362,10 @@ fn blackholed_peer_channel_degrades_pull_to_redirect(engine: Engine) {
 
 /// Garbage on the loadd port: every undecodable packet increments the
 /// decode-error counter, corrupts no load table, and kills nothing.
-fn garbled_loadd_packets_counted_never_fatal(engine: Engine) {
-    let dir = docroot(&format!("garble-{}", engine.name()));
-    let cluster = LiveCluster::start(2, dir, chaos_config(engine, FaultPlan::seeded(0))).unwrap();
+#[test]
+fn garbled_loadd_packets_counted_never_fatal() {
+    let dir = docroot("garble");
+    let cluster = LiveCluster::start(2, dir, chaos_config(FaultPlan::seeded(0))).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(10)));
 
     let victim = cluster.node(0).peer_udp[0];
@@ -423,7 +407,7 @@ fn fault_plans_replay_deterministically() {
         .with(Fault::Partition { a: 1, b: 2, window: Window::between(100, 900) })
         .with(Fault::Crash { node: 2, at_ms: 500 })
         .with(Fault::Revive { node: 2, at_ms: 1_500 });
-    save_plan("replay", Engine::Reactor, &plan);
+    save_plan("replay", &plan);
     let text = plan.to_text();
     let back = FaultPlan::from_text(&text).unwrap();
     assert_eq!(back, plan);

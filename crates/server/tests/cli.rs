@@ -152,12 +152,55 @@ fn swebd_accepts_shipped_example_oracle() {
 
 #[test]
 fn swebd_usage_on_bad_flags() {
-    let out = Command::new(env!("CARGO_BIN_EXE_swebd"))
-        .args(["--bogus"])
-        .output()
-        .expect("run swebd");
-    assert!(!out.status.success());
-    let mut err = String::new();
-    let _ = out.stderr.as_slice().read_to_string(&mut err);
-    assert!(err.contains("usage:"), "{err}");
+    // `--engine` was a flag while a second connection engine existed.
+    for args in [&["--bogus"][..], &["--engine", "reactor"][..]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_swebd")).args(args).output().expect("run swebd");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let mut err = String::new();
+        let _ = out.stderr.as_slice().read_to_string(&mut err);
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
+}
+
+/// The start-up contract `benchmark/src/swebd.rs` parses: spawned as
+/// `swebd --nodes 3 --docroot DIR` with every `SWEB_*` variable removed,
+/// stdout yields one `  node i: http://127.0.0.1:<port>` line per node,
+/// then a line starting `loadd mesh converged`, and never `warning:`.
+#[test]
+fn swebd_default_startup_prints_node_urls_then_converges() {
+    use std::io::BufRead;
+    let dir = docroot("contract");
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_swebd"));
+    cmd.args(["--nodes", "3", "--docroot", dir.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null());
+    for (key, _) in std::env::vars_os() {
+        if key.to_string_lossy().starts_with("SWEB_") {
+            cmd.env_remove(key);
+        }
+    }
+    let mut daemon = Daemon(cmd.spawn().expect("spawn swebd"));
+    let stdout = std::io::BufReader::new(daemon.0.stdout.take().unwrap());
+    let mut ports = Vec::new();
+    let mut converged = false;
+    // swebd prints the convergence line (or a warning) within 10 s.
+    for line in stdout.lines() {
+        let line = line.unwrap();
+        assert!(!line.starts_with("warning:"), "{line}");
+        if let Some(rest) = line.strip_prefix(&format!("  node {}: http://127.0.0.1:", ports.len())) {
+            let port: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            ports.push(port.parse::<u16>().expect("port after the node URL"));
+        }
+        if line.starts_with("loadd mesh converged") {
+            converged = true;
+            break;
+        }
+    }
+    assert_eq!(ports.len(), 3, "one URL line per node, in node order: {ports:?}");
+    assert!(converged, "no `loadd mesh converged` line after the node URLs");
+    let resp =
+        sweb_server::client::get(&format!("http://127.0.0.1:{}/index.html", ports[0])).unwrap();
+    assert_eq!(resp.status, 200);
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use sweb_core::Policy;
 use sweb_http::Response;
 use sweb_server::{
-    client, DynamicRegistry, Engine, Fault, FaultPlan, ForkCgiHandler, LiveCluster, ServerOptions,
+    client, DynamicRegistry, Fault, FaultPlan, ForkCgiHandler, LiveCluster, ServerOptions,
     Window,
 };
 
@@ -35,34 +35,17 @@ fn counting_registry(counter: Arc<AtomicU64>) -> DynamicRegistry {
     reg
 }
 
-macro_rules! engine_tests {
-    ($($name:ident),* $(,)?) => {
-        mod reactor {
-            $(#[test] fn $name() { super::$name(super::Engine::Reactor); })*
-        }
-        mod threaded {
-            $(#[test] fn $name() { super::$name(super::Engine::ThreadPerConn); })*
-        }
-    };
-}
-
-engine_tests!(
-    response_cache_serves_repeats_and_expires_on_ttl,
-    cache_keys_isolate_handlers_and_canonicalize_args,
-    fork_cgi_child_overrunning_deadline_gets_503,
-);
-
 /// Same handler, same args: the second request must be answered from the
 /// response cache (identical body, no new invocation); after the TTL the
 /// handler must actually run again.
-fn response_cache_serves_repeats_and_expires_on_ttl(engine: Engine) {
+#[test]
+fn response_cache_serves_repeats_and_expires_on_ttl() {
     let counter = Arc::new(AtomicU64::new(0));
     let cluster = ServerOptions::new()
         .policy(Policy::RoundRobin)
-        .engine(engine)
         .handlers(counting_registry(Arc::clone(&counter)))
         .dynamic_cache(64, Duration::from_millis(150))
-        .start(1, docroot(&format!("ttl-{}", engine.name())))
+        .start(1, docroot("ttl"))
         .unwrap();
     let url = format!("{}/cgi-bin/count?run=1", cluster.base_url(0));
 
@@ -91,14 +74,14 @@ fn response_cache_serves_repeats_and_expires_on_ttl(engine: Engine) {
 /// The cache key is `(handler class, canonicalized args)`: reordered
 /// query parameters hit the same entry, different args or a different
 /// handler never collide.
-fn cache_keys_isolate_handlers_and_canonicalize_args(engine: Engine) {
+#[test]
+fn cache_keys_isolate_handlers_and_canonicalize_args() {
     let counter = Arc::new(AtomicU64::new(0));
     let cluster = ServerOptions::new()
         .policy(Policy::RoundRobin)
-        .engine(engine)
         .handlers(counting_registry(Arc::clone(&counter)))
         .dynamic_cache(64, Duration::from_secs(30))
-        .start(1, docroot(&format!("keys-{}", engine.name())))
+        .start(1, docroot("keys"))
         .unwrap();
     let base = cluster.base_url(0);
 
@@ -123,8 +106,9 @@ fn cache_keys_isolate_handlers_and_canonicalize_args(engine: Engine) {
 /// A forked CGI child that outruns the request deadline is killed and
 /// reaped, and the client gets a definitive 503 + `Retry-After` — never a
 /// hang for the child's full sleep.
-fn fork_cgi_child_overrunning_deadline_gets_503(engine: Engine) {
-    let dir = docroot(&format!("fork-{}", engine.name()));
+#[test]
+fn fork_cgi_child_overrunning_deadline_gets_503() {
+    let dir = docroot("fork");
     let script = dir.join("hang.sh");
     std::fs::write(&script, "#!/bin/sh\nsleep 30\n").unwrap();
     #[cfg(unix)]
@@ -136,7 +120,6 @@ fn fork_cgi_child_overrunning_deadline_gets_503(engine: Engine) {
     reg.register("hang", Arc::new(ForkCgiHandler::new(&script)));
     let cluster = ServerOptions::new()
         .policy(Policy::RoundRobin)
-        .engine(engine)
         .handlers(reg)
         .request_budget(Duration::from_millis(500))
         .start(1, dir)
@@ -169,7 +152,6 @@ fn dynamic_handlers_survive_slow_disk_chaos() {
     let dir = docroot("chaos");
     let cluster = ServerOptions::new()
         .policy(Policy::RoundRobin)
-        .engine(Engine::Reactor)
         .fault_plan(Some(plan))
         .request_budget(Duration::from_millis(400))
         .start(1, dir)
@@ -209,7 +191,6 @@ fn dynamic_handlers_survive_slow_disk_chaos() {
 fn oracle_learns_burn_cost_from_measurements() {
     let cluster = ServerOptions::new()
         .policy(Policy::RoundRobin)
-        .engine(Engine::Reactor)
         .start(1, docroot("oracle"))
         .unwrap();
     let base = cluster.base_url(0);
@@ -249,7 +230,6 @@ fn dynamic_requests_work_across_a_locality_cluster() {
     let dir = docroot("cluster");
     let cluster = ServerOptions::new()
         .policy(Policy::FileLocality)
-        .engine(Engine::Reactor)
         .peer_transfer(true)
         .start(2, dir)
         .unwrap();

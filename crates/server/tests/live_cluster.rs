@@ -5,7 +5,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use sweb_core::Policy;
-use sweb_server::{client, AccessLog, Engine, LiveCluster, ServerOptions};
+use sweb_server::{client, AccessLog, LiveCluster, ServerOptions};
 
 mod support;
 
@@ -22,61 +22,16 @@ fn docroot(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn start(
-    tag: &str,
-    n: usize,
-    policy: Policy,
-    engine: Engine,
-) -> (LiveCluster, std::path::PathBuf) {
-    let dir = docroot(&format!("{tag}-{}", engine.name()));
+fn start(tag: &str, n: usize, policy: Policy) -> (LiveCluster, std::path::PathBuf) {
+    let dir = docroot(tag);
     let cluster =
-        ServerOptions::new().policy(policy).engine(engine).start(n, dir.clone()).unwrap();
+        ServerOptions::new().policy(policy).start(n, dir.clone()).unwrap();
     (cluster, dir)
 }
 
-/// Instantiate every listed scenario once per connection engine: the two
-/// engines must be observably interchangeable to clients and to the
-/// scheduler, so the whole suite runs against both.
-macro_rules! engine_tests {
-    ($($name:ident),* $(,)?) => {
-        mod reactor {
-            $(#[test] fn $name() { super::$name(super::Engine::Reactor); })*
-        }
-        mod threaded {
-            $(#[test] fn $name() { super::$name(super::Engine::ThreadPerConn); })*
-        }
-    };
-}
-
-engine_tests!(
-    serves_documents_with_correct_body_and_mime,
-    missing_documents_get_404_and_traversal_gets_403,
-    unsupported_methods_get_501_and_garbage_gets_400,
-    head_returns_headers_without_body,
-    loadd_mesh_converges,
-    file_locality_redirects_to_home_and_client_follows,
-    redirect_once_rule_is_enforced_end_to_end,
-    round_robin_policy_never_redirects,
-    concurrent_clients_all_succeed,
-    file_cache_serves_repeats_from_memory,
-    pipelined_requests_on_one_connection_all_answered,
-    pipelined_keepalive_requests_answered_in_order,
-    admission_cap_sheds_excess_connections_with_503,
-    graceful_drain_removes_node_from_scheduling_but_keeps_it_serving,
-    post_runs_cgi_and_pins_local,
-    conditional_get_returns_304_for_fresh_copies,
-    keepalive_session_reuses_one_connection,
-    non_keepalive_clients_still_close_per_request,
-    status_endpoint_reports_cluster_view,
-    cgi_programs_run_and_echo,
-    cgi_requests_participate_in_scheduling,
-    sweb_policy_serves_under_load_spread,
-    peer_transfer_serves_remote_files_with_zero_redirects,
-    hot_files_replicate_to_peers_ahead_of_demand,
-);
-
-fn serves_documents_with_correct_body_and_mime(engine: Engine) {
-    let (cluster, dir) = start("basic", 2, Policy::RoundRobin, engine);
+#[test]
+fn serves_documents_with_correct_body_and_mime() {
+    let (cluster, dir) = start("basic", 2, Policy::RoundRobin);
     let resp = client::get(&format!("{}/index.html", cluster.base_url(0))).unwrap();
     assert_eq!(resp.status, 200);
     assert_eq!(resp.headers.get("content-type"), Some("text/html"));
@@ -88,8 +43,9 @@ fn serves_documents_with_correct_body_and_mime(engine: Engine) {
     cluster.shutdown();
 }
 
-fn missing_documents_get_404_and_traversal_gets_403(engine: Engine) {
-    let (cluster, _dir) = start("errors", 1, Policy::RoundRobin, engine);
+#[test]
+fn missing_documents_get_404_and_traversal_gets_403() {
+    let (cluster, _dir) = start("errors", 1, Policy::RoundRobin);
     let resp = client::get(&format!("{}/nope.html", cluster.base_url(0))).unwrap();
     assert_eq!(resp.status, 404);
     let resp = client::get(&format!("{}/../etc/passwd", cluster.base_url(0))).unwrap();
@@ -97,8 +53,9 @@ fn missing_documents_get_404_and_traversal_gets_403(engine: Engine) {
     cluster.shutdown();
 }
 
-fn unsupported_methods_get_501_and_garbage_gets_400(engine: Engine) {
-    let (cluster, _dir) = start("methods", 1, Policy::RoundRobin, engine);
+#[test]
+fn unsupported_methods_get_501_and_garbage_gets_400() {
+    let (cluster, _dir) = start("methods", 1, Policy::RoundRobin);
     let addr = cluster.base_url(0).strip_prefix("http://").unwrap().to_string();
 
     let mut stream = TcpStream::connect(&addr).unwrap();
@@ -122,8 +79,9 @@ fn unsupported_methods_get_501_and_garbage_gets_400(engine: Engine) {
     cluster.shutdown();
 }
 
-fn head_returns_headers_without_body(engine: Engine) {
-    let (cluster, _dir) = start("head", 1, Policy::RoundRobin, engine);
+#[test]
+fn head_returns_headers_without_body() {
+    let (cluster, _dir) = start("head", 1, Policy::RoundRobin);
     let addr = cluster.base_url(0).strip_prefix("http://").unwrap().to_string();
     let mut stream = TcpStream::connect(&addr).unwrap();
     stream.write_all(b"HEAD /index.html HTTP/1.0\r\n\r\n").unwrap();
@@ -136,8 +94,9 @@ fn head_returns_headers_without_body(engine: Engine) {
     cluster.shutdown();
 }
 
-fn loadd_mesh_converges(engine: Engine) {
-    let (cluster, _dir) = start("loadd", 3, Policy::Sweb, engine);
+#[test]
+fn loadd_mesh_converges() {
+    let (cluster, _dir) = start("loadd", 3, Policy::Sweb);
     assert!(
         cluster.await_loadd_mesh(Duration::from_secs(5)),
         "every node should hear from every node within 5s"
@@ -145,8 +104,9 @@ fn loadd_mesh_converges(engine: Engine) {
     cluster.shutdown();
 }
 
-fn file_locality_redirects_to_home_and_client_follows(engine: Engine) {
-    let (cluster, _dir) = start("locality", 3, Policy::FileLocality, engine);
+#[test]
+fn file_locality_redirects_to_home_and_client_follows() {
+    let (cluster, _dir) = start("locality", 3, Policy::FileLocality);
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
     // Find a path whose home is NOT node 0, then fetch it from node 0.
     let mut found = false;
@@ -170,8 +130,9 @@ fn file_locality_redirects_to_home_and_client_follows(engine: Engine) {
     cluster.shutdown();
 }
 
-fn redirect_once_rule_is_enforced_end_to_end(engine: Engine) {
-    let (cluster, _dir) = start("once", 3, Policy::FileLocality, engine);
+#[test]
+fn redirect_once_rule_is_enforced_end_to_end() {
+    let (cluster, _dir) = start("once", 3, Policy::FileLocality);
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
     // Send a marked request for every doc to the "wrong" node: it must be
     // served locally (no second 302) regardless of where its home is.
@@ -185,8 +146,9 @@ fn redirect_once_rule_is_enforced_end_to_end(engine: Engine) {
     cluster.shutdown();
 }
 
-fn round_robin_policy_never_redirects(engine: Engine) {
-    let (cluster, _dir) = start("rr", 3, Policy::RoundRobin, engine);
+#[test]
+fn round_robin_policy_never_redirects() {
+    let (cluster, _dir) = start("rr", 3, Policy::RoundRobin);
     for i in 0..8 {
         let resp = client::get(&format!("{}/doc{i}.txt", cluster.base_url(i % 3))).unwrap();
         assert_eq!(resp.status, 200);
@@ -198,8 +160,9 @@ fn round_robin_policy_never_redirects(engine: Engine) {
     cluster.shutdown();
 }
 
-fn concurrent_clients_all_succeed(engine: Engine) {
-    let (cluster, _dir) = start("concurrent", 3, Policy::Sweb, engine);
+#[test]
+fn concurrent_clients_all_succeed() {
+    let (cluster, _dir) = start("concurrent", 3, Policy::Sweb);
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
     let urls: Vec<String> =
         (0..3).map(|i| cluster.base_url(i).to_string()).collect();
@@ -226,8 +189,9 @@ fn concurrent_clients_all_succeed(engine: Engine) {
     cluster.shutdown();
 }
 
-fn file_cache_serves_repeats_from_memory(engine: Engine) {
-    let (cluster, dir) = start("filecache", 1, Policy::RoundRobin, engine);
+#[test]
+fn file_cache_serves_repeats_from_memory() {
+    let (cluster, dir) = start("filecache", 1, Policy::RoundRobin);
     let url = format!("{}/maps/goleta.gif", cluster.base_url(0));
     for _ in 0..4 {
         let resp = client::get(&url).unwrap();
@@ -248,8 +212,9 @@ fn file_cache_serves_repeats_from_memory(engine: Engine) {
     cluster.shutdown();
 }
 
-fn pipelined_requests_on_one_connection_all_answered(engine: Engine) {
-    let (cluster, _dir) = start("pipeline", 1, Policy::RoundRobin, engine);
+#[test]
+fn pipelined_requests_on_one_connection_all_answered() {
+    let (cluster, _dir) = start("pipeline", 1, Policy::RoundRobin);
     let addr = cluster.base_url(0).strip_prefix("http://").unwrap().to_string();
     let mut stream = TcpStream::connect(&addr).unwrap();
     // Two requests written back-to-back before reading anything.
@@ -273,11 +238,12 @@ fn pipelined_requests_on_one_connection_all_answered(engine: Engine) {
     cluster.shutdown();
 }
 
-fn pipelined_keepalive_requests_answered_in_order(engine: Engine) {
+#[test]
+fn pipelined_keepalive_requests_answered_in_order() {
     // Both requests keep the connection alive, so the server must answer
     // them *in order* on the same socket — the client tells them apart
     // only by position.
-    let (cluster, _dir) = start("pipeorder", 1, Policy::RoundRobin, engine);
+    let (cluster, _dir) = start("pipeorder", 1, Policy::RoundRobin);
     let addr = cluster.base_url(0).strip_prefix("http://").unwrap().to_string();
     let mut stream = TcpStream::connect(&addr).unwrap();
     stream
@@ -331,14 +297,13 @@ fn pipelined_keepalive_requests_answered_in_order(engine: Engine) {
     cluster.shutdown();
 }
 
-fn admission_cap_sheds_excess_connections_with_503(engine: Engine) {
-    // Over-cap connections are refused with a counted 503 on BOTH
-    // engines — the scheduler reads `shed` as a node-pressure signal, so
-    // the engines must agree on what it means.
-    let dir = docroot(&format!("shedcap-{}", engine.name()));
+#[test]
+fn admission_cap_sheds_excess_connections_with_503() {
+    // Over-cap connections are refused with a counted 503 — the
+    // scheduler reads `shed` as a node-pressure signal.
+    let dir = docroot("shedcap");
     let cluster = ServerOptions::new()
         .policy(Policy::RoundRobin)
-        .engine(engine)
         .max_conns(4)
         .shards(1) // the cap is divided across shards; pin for determinism
         .start(1, dir)
@@ -366,8 +331,9 @@ fn admission_cap_sheds_excess_connections_with_503(engine: Engine) {
     cluster.shutdown();
 }
 
-fn graceful_drain_removes_node_from_scheduling_but_keeps_it_serving(engine: Engine) {
-    let (cluster, _dir) = start("drain", 3, Policy::FileLocality, engine);
+#[test]
+fn graceful_drain_removes_node_from_scheduling_but_keeps_it_serving() {
+    let (cluster, _dir) = start("drain", 3, Policy::FileLocality);
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
     // Find a doc homed on node 1 (fetching from node 0 must redirect there).
     let homed_on_1: Vec<String> = (0..8)
@@ -415,10 +381,11 @@ fn graceful_drain_removes_node_from_scheduling_but_keeps_it_serving(engine: Engi
     cluster.shutdown();
 }
 
-fn post_runs_cgi_and_pins_local(engine: Engine) {
+#[test]
+fn post_runs_cgi_and_pins_local() {
     // FileLocality would redirect a GET whose hashed home is elsewhere;
     // POST must always be served where it lands.
-    let (cluster, _dir) = start("post", 3, Policy::FileLocality, engine);
+    let (cluster, _dir) = start("post", 3, Policy::FileLocality);
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
     for i in 0..4 {
         let url = format!("{}/cgi-bin/echo?try={i}", cluster.base_url(0));
@@ -440,8 +407,9 @@ fn post_runs_cgi_and_pins_local(engine: Engine) {
     cluster.shutdown();
 }
 
-fn conditional_get_returns_304_for_fresh_copies(engine: Engine) {
-    let (cluster, _dir) = start("conditional", 1, Policy::RoundRobin, engine);
+#[test]
+fn conditional_get_returns_304_for_fresh_copies() {
+    let (cluster, _dir) = start("conditional", 1, Policy::RoundRobin);
     let url = format!("{}/index.html", cluster.base_url(0));
     let first = client::get(&url).unwrap();
     assert_eq!(first.status, 200);
@@ -478,8 +446,9 @@ fn conditional_get_returns_304_for_fresh_copies(engine: Engine) {
     cluster.shutdown();
 }
 
-fn keepalive_session_reuses_one_connection(engine: Engine) {
-    let (cluster, _dir) = start("keepalive", 1, Policy::RoundRobin, engine);
+#[test]
+fn keepalive_session_reuses_one_connection() {
+    let (cluster, _dir) = start("keepalive", 1, Policy::RoundRobin);
     let mut session = client::Session::connect(cluster.base_url(0)).unwrap();
     for i in 0..6 {
         let resp = session.get(&format!("/doc{}.txt", i % 8)).unwrap();
@@ -496,8 +465,9 @@ fn keepalive_session_reuses_one_connection(engine: Engine) {
     cluster.shutdown();
 }
 
-fn non_keepalive_clients_still_close_per_request(engine: Engine) {
-    let (cluster, _dir) = start("closing", 1, Policy::RoundRobin, engine);
+#[test]
+fn non_keepalive_clients_still_close_per_request() {
+    let (cluster, _dir) = start("closing", 1, Policy::RoundRobin);
     for i in 0..3 {
         let resp = client::get(&format!("{}/doc{i}.txt", cluster.base_url(0))).unwrap();
         assert_eq!(resp.status, 200);
@@ -510,8 +480,9 @@ fn non_keepalive_clients_still_close_per_request(engine: Engine) {
     cluster.shutdown();
 }
 
-fn status_endpoint_reports_cluster_view(engine: Engine) {
-    let (cluster, _dir) = start("status", 3, Policy::Sweb, engine);
+#[test]
+fn status_endpoint_reports_cluster_view() {
+    let (cluster, _dir) = start("status", 3, Policy::Sweb);
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
     let resp = client::get(&format!("{}/sweb-status", cluster.base_url(1))).unwrap();
     assert_eq!(resp.status, 200);
@@ -522,8 +493,9 @@ fn status_endpoint_reports_cluster_view(engine: Engine) {
     assert!(text.contains("counters:"), "{text}");
 }
 
-fn cgi_programs_run_and_echo(engine: Engine) {
-    let (cluster, _dir) = start("cgi", 2, Policy::RoundRobin, engine);
+#[test]
+fn cgi_programs_run_and_echo() {
+    let (cluster, _dir) = start("cgi", 2, Policy::RoundRobin);
     let resp =
         client::get(&format!("{}/cgi-bin/echo?zoom=3&layer=roads", cluster.base_url(0))).unwrap();
     assert_eq!(resp.status, 200);
@@ -537,8 +509,9 @@ fn cgi_programs_run_and_echo(engine: Engine) {
     cluster.shutdown();
 }
 
-fn cgi_requests_participate_in_scheduling(engine: Engine) {
-    let (cluster, _dir) = start("cgisched", 3, Policy::FileLocality, engine);
+#[test]
+fn cgi_requests_participate_in_scheduling() {
+    let (cluster, _dir) = start("cgisched", 3, Policy::FileLocality);
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
     // Under FileLocality, CGI paths have hashed homes too; at least one of
     // several program paths should redirect away from node 0.
@@ -564,7 +537,6 @@ fn sharded_reactor_reports_every_shard_live_and_exact() {
     let dir = docroot("shards4");
     let cluster = ServerOptions::new()
         .policy(Policy::RoundRobin)
-        .engine(Engine::Reactor)
         .shards(4)
         .start(1, dir.clone())
         .unwrap();
@@ -596,12 +568,12 @@ fn sharded_reactor_reports_every_shard_live_and_exact() {
 /// channel. The client path must be 302-free, the body byte-identical to
 /// disk, the pull cache-seeding (repeats stay local), and one logical
 /// request joinable across both nodes' access logs by its trace id.
-fn peer_transfer_serves_remote_files_with_zero_redirects(engine: Engine) {
-    let dir = docroot(&format!("peer-pull-{}", engine.name()));
+#[test]
+fn peer_transfer_serves_remote_files_with_zero_redirects() {
+    let dir = docroot("peer-pull");
     let log_path = dir.join("access.log");
     let cluster = ServerOptions::new()
         .policy(Policy::FileLocality)
-        .engine(engine)
         .peer_transfer(true)
         .access_log(AccessLog::to_file(&log_path).unwrap())
         .start(2, dir.clone())
@@ -660,11 +632,11 @@ fn peer_transfer_serves_remote_files_with_zero_redirects(engine: Engine) {
 /// Digest-driven replication: hammer one document on node 0 until the
 /// popularity counter marks it hot, then watch the replicator PUSH it to
 /// node 1 (whose digest lacks it) ahead of any request arriving there.
-fn hot_files_replicate_to_peers_ahead_of_demand(engine: Engine) {
-    let dir = docroot(&format!("replicate-{}", engine.name()));
+#[test]
+fn hot_files_replicate_to_peers_ahead_of_demand() {
+    let dir = docroot("replicate");
     let cluster = ServerOptions::new()
         .policy(Policy::Sweb)
-        .engine(engine)
         .peer_transfer(true)
         .replicate_hot(true)
         // Short loadd period: the replicator sweeps every two periods.
@@ -711,10 +683,11 @@ fn hot_files_replicate_to_peers_ahead_of_demand(engine: Engine) {
     cluster.shutdown();
 }
 
-fn sweb_policy_serves_under_load_spread(engine: Engine) {
+#[test]
+fn sweb_policy_serves_under_load_spread() {
     // Drive enough traffic at one node that redirect decisions fire, then
     // verify every response still arrives intact.
-    let (cluster, _dir) = start("spread", 3, Policy::Sweb, engine);
+    let (cluster, _dir) = start("spread", 3, Policy::Sweb);
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
     for round in 0..30 {
         let resp =

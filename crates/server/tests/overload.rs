@@ -5,8 +5,8 @@
 //! request may hang": under overload every *shed* response must carry a
 //! load-derived `Retry-After`, a blackholed peer must stop costing
 //! forwards their full deadline once its breaker opens, and a client
-//! dribbling header bytes must be evicted on the parse clock — on both
-//! connection engines, and (where the kernel allows) on io_uring.
+//! dribbling header bytes must be evicted on the parse clock — on
+//! epoll and (where the kernel allows) on io_uring.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use sweb_cluster::NodeId;
 use sweb_core::{BreakerState, Policy};
 use sweb_server::{
-    client, ClusterConfig, Engine, Fault, FaultPlan, LiveCluster, ServerOptions, StatusReport,
+    client, ClusterConfig, Fault, FaultPlan, LiveCluster, ServerOptions, StatusReport,
     Window,
 };
 
@@ -39,10 +39,9 @@ fn plan_seed() -> u64 {
 }
 
 /// Fast failure detection so breaker force-opens fit in a test run.
-fn overload_config(engine: Engine, plan: FaultPlan) -> ClusterConfig {
+fn overload_config(plan: FaultPlan) -> ClusterConfig {
     ServerOptions::new()
         .policy(Policy::Sweb)
-        .engine(engine)
         .loadd_timing(100, 500)
         .fault_plan(Some(plan))
         .build()
@@ -71,34 +70,16 @@ fn status(cluster: &LiveCluster, i: usize) -> StatusReport {
     report
 }
 
-macro_rules! engine_tests {
-    ($($name:ident),* $(,)?) => {
-        mod reactor {
-            $(#[test] fn $name() { super::$name(super::Engine::Reactor); })*
-        }
-        mod threaded {
-            $(#[test] fn $name() { super::$name(super::Engine::ThreadPerConn); })*
-        }
-    };
-}
-
-engine_tests!(
-    injected_overload_sheds_with_retry_after,
-    controller_off_is_the_static_baseline,
-    slowloris_dribble_is_evicted_on_the_parse_clock,
-    open_breaker_stops_paying_the_peer_deadline,
-    crash_under_overload_keeps_every_outcome_definite,
-);
-
 /// A synthetic standing queue (the `overload` fault inflates every
 /// sojourn sample by 500 ms against the 5 ms CoDel target) must drive
 /// the controller to shedding within a few 100 ms windows — and every
 /// shed response must carry a load-derived `Retry-After`.
-fn injected_overload_sheds_with_retry_after(engine: Engine) {
+#[test]
+fn injected_overload_sheds_with_retry_after() {
     let plan = FaultPlan::seeded(plan_seed())
         .with(Fault::Overload { node: 0, sojourn_us: 500_000, window: Window::ALWAYS });
-    let dir = docroot(&format!("shed-{}", engine.name()));
-    let cluster = LiveCluster::start(1, dir, overload_config(engine, plan)).unwrap();
+    let dir = docroot("shed");
+    let cluster = LiveCluster::start(1, dir, overload_config(plan)).unwrap();
     let url = format!("{}/ok.txt", cluster.base_url(0));
 
     let mut shed = None;
@@ -141,11 +122,12 @@ fn injected_overload_sheds_with_retry_after(engine: Engine) {
 /// The A/B baseline: the same injected overload with `--overload off`
 /// never sheds by admission — the static path (`max_conns`) is all
 /// that's left, and these sequential requests never hit it.
-fn controller_off_is_the_static_baseline(engine: Engine) {
+#[test]
+fn controller_off_is_the_static_baseline() {
     let plan = FaultPlan::seeded(plan_seed())
         .with(Fault::Overload { node: 0, sojourn_us: 500_000, window: Window::ALWAYS });
-    let dir = docroot(&format!("baseline-{}", engine.name()));
-    let cfg = ServerOptions::from_config(overload_config(engine, plan))
+    let dir = docroot("baseline");
+    let cfg = ServerOptions::from_config(overload_config(plan))
         .overload_control(false)
         .build();
     let cluster = LiveCluster::start(1, dir, cfg).unwrap();
@@ -166,11 +148,11 @@ fn controller_off_is_the_static_baseline(engine: Engine) {
 /// A slowloris client dribbling one header byte at a time must be
 /// evicted on the absolute parse deadline (budget/4), not kept alive by
 /// its own trickle until the full read timeout.
-fn slowloris_dribble_is_evicted_on_the_parse_clock(engine: Engine) {
-    let dir = docroot(&format!("loris-{}", engine.name()));
+#[test]
+fn slowloris_dribble_is_evicted_on_the_parse_clock() {
+    let dir = docroot("loris");
     let cluster = ServerOptions::new()
         .policy(Policy::RoundRobin)
-        .engine(engine)
         .request_budget(Duration::from_secs(1)) // parse budget: 250 ms
         .start(1, dir)
         .unwrap();
@@ -229,11 +211,12 @@ fn slowloris_dribble_is_evicted_on_the_parse_clock(engine: Engine) {
 /// breaker opens. After that, requests to the same documents must come
 /// back fast: the broker reprices the peer out and `fetch_via_peer`
 /// refuses up front instead of sleeping into the injected delay.
-fn open_breaker_stops_paying_the_peer_deadline(engine: Engine) {
+#[test]
+fn open_breaker_stops_paying_the_peer_deadline() {
     let plan = FaultPlan::seeded(plan_seed())
         .with(Fault::PeerDelay { from: 1, to: 0, delay_ms: 1_500, window: Window::ALWAYS });
-    let dir = docroot(&format!("breaker-{}", engine.name()));
-    let mut cfg = overload_config(engine, plan);
+    let dir = docroot("breaker");
+    let mut cfg = overload_config(plan);
     cfg.policy = Policy::FileLocality; // deterministic pull targets: the home
     cfg.sweb.peer_transfer = true;
     cfg.request_budget = Duration::from_millis(500);
@@ -284,13 +267,14 @@ fn open_breaker_stops_paying_the_peer_deadline(engine: Engine) {
 /// once. Every request reaches a definite outcome, every shed carries
 /// `Retry-After`, and the dead peer's breaker is forced open by failure
 /// detection (no forward has to pay to find out).
-fn crash_under_overload_keeps_every_outcome_definite(engine: Engine) {
+#[test]
+fn crash_under_overload_keeps_every_outcome_definite() {
     let plan = FaultPlan::seeded(plan_seed())
         .with(Fault::Overload { node: 0, sojourn_us: 100_000, window: Window::between(600, 2_000) })
         .with(Fault::Crash { node: 1, at_ms: 300 })
         .with(Fault::Revive { node: 1, at_ms: 2_500 });
-    let dir = docroot(&format!("crash-{}", engine.name()));
-    let cluster = LiveCluster::start(2, dir, overload_config(engine, plan)).unwrap();
+    let dir = docroot("crash");
+    let cluster = LiveCluster::start(2, dir, overload_config(plan)).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(10)));
 
     let mut sheds_with_header = 0u32;
@@ -349,7 +333,7 @@ fn uring_injected_overload_sheds_with_retry_after() {
     let plan = FaultPlan::seeded(plan_seed())
         .with(Fault::Overload { node: 0, sojourn_us: 500_000, window: Window::ALWAYS });
     let dir = docroot("shed-uring");
-    let mut cfg = overload_config(Engine::Reactor, plan);
+    let mut cfg = overload_config(plan);
     cfg.io_backend = sweb_reactor::IoBackend::Uring;
     cfg.shards = 1;
     let cluster = LiveCluster::start(1, dir, cfg).unwrap();

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use sweb_core::Policy;
 use sweb_peer::{fetch_err, read_frame, write_frame, Frame, PeerPool};
 use sweb_server::file_cache::key_of;
-use sweb_server::{client, Engine, LiveCluster, ServerOptions};
+use sweb_server::{client, LiveCluster, ServerOptions};
 
 fn docroot(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sweb-peerproto-{tag}-{}", std::process::id()));
@@ -26,7 +26,6 @@ fn start(tag: &str, n: usize) -> (LiveCluster, std::path::PathBuf) {
     let dir = docroot(tag);
     let cluster = ServerOptions::new()
         .policy(Policy::RoundRobin)
-        .engine(Engine::Reactor)
         .peer_transfer(true)
         .start(n, dir.clone())
         .unwrap();
@@ -173,7 +172,6 @@ fn dead_peer_is_excluded_from_forward_targets() {
     let dir = docroot("deadpeer");
     let cluster = ServerOptions::new()
         .policy(Policy::FileLocality)
-        .engine(Engine::Reactor)
         .peer_transfer(true)
         .loadd_timing(100, 500)
         .start(2, dir.clone())

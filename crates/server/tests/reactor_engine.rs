@@ -1,4 +1,4 @@
-//! Cluster-level tests of behavior only the reactor engine provides:
+//! Cluster-level tests of the reactor's connection handling:
 //! admission control, eviction counters on the status page, and a bounded
 //! thread count under high connection concurrency.
 
@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use sweb_core::Policy;
-use sweb_server::{client, Engine, ServerOptions};
+use sweb_server::{client, ServerOptions};
 
 fn docroot(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sweb-rtest-{tag}-{}", std::process::id()));
@@ -31,7 +31,6 @@ fn process_threads() -> Option<usize> {
 fn admission_control_sheds_with_503_and_counts_it() {
     let cluster = ServerOptions::new()
         .policy(Policy::RoundRobin)
-        .engine(Engine::Reactor)
         .max_conns(4)
         .shards(1) // the cap is divided across shards; pin for determinism
         .start(1, docroot("shed"))
@@ -64,7 +63,6 @@ fn admission_control_sheds_with_503_and_counts_it() {
     }
     let status = client::get(&format!("{}/sweb-status", cluster.base_url(0))).unwrap();
     let text = String::from_utf8(status.body).unwrap();
-    assert!(text.contains("engine reactor"), "{text}");
     assert!(text.contains("shed-503"), "{text}");
     assert!(text.contains("accept-errors"), "{text}");
     assert!(text.contains("evicted"), "{text}");
@@ -76,7 +74,6 @@ fn many_concurrent_connections_with_bounded_threads() {
     const CONNS: usize = 256;
     let cluster = ServerOptions::new()
         .policy(Policy::RoundRobin)
-        .engine(Engine::Reactor)
         .start(1, docroot("many"))
         .unwrap();
     let addr = cluster.base_url(0).strip_prefix("http://").unwrap().to_string();
@@ -141,7 +138,6 @@ fn large_cached_file_served_intact_with_zero_copy() {
     std::fs::write(dir.join("big.bin"), &body).unwrap();
     let cluster = ServerOptions::new()
         .policy(Policy::RoundRobin)
-        .engine(Engine::Reactor)
         .start(1, dir)
         .unwrap();
     for pass in 0..2 {
@@ -167,7 +163,6 @@ fn oversized_file_streams_intact() {
     std::fs::write(dir.join("huge.bin"), &body).unwrap();
     let cluster = ServerOptions::new()
         .policy(Policy::RoundRobin)
-        .engine(Engine::Reactor)
         .file_cache_bytes(256 << 10)
         .start(1, dir)
         .unwrap();
@@ -194,7 +189,6 @@ fn loadd_gossips_cache_digests_across_the_mesh() {
     std::fs::write(dir.join("hot.html"), "cached and gossiped").unwrap();
     let cluster = ServerOptions::new()
         .policy(Policy::RoundRobin) // never redirects: the fetch pins residency
-        .engine(Engine::Reactor)
         .start(2, dir)
         .unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
@@ -231,7 +225,6 @@ fn reactor_cluster_follows_redirects_under_locality() {
     }
     let cluster = ServerOptions::new()
         .policy(Policy::FileLocality)
-        .engine(Engine::Reactor)
         .start(3, dir)
         .unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use sweb_core::Policy;
-use sweb_server::{client, AccessLog, Engine, ServerOptions, StatusReport};
+use sweb_server::{client, AccessLog, ServerOptions, StatusReport};
 use sweb_telemetry::{line_is_well_formed, Json};
 
 mod support;
@@ -38,32 +38,15 @@ fn docroot(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-macro_rules! engine_tests {
-    ($($name:ident),* $(,)?) => {
-        mod reactor {
-            $(#[test] fn $name() { super::$name(super::Engine::Reactor); })*
-        }
-        mod threaded {
-            $(#[test] fn $name() { super::$name(super::Engine::ThreadPerConn); })*
-        }
-    };
-}
-
-engine_tests!(
-    trace_id_joins_access_logs_across_a_redirect_hop,
-    metrics_exposition_is_well_formed_and_rich,
-    status_json_round_trips_through_the_typed_report,
-);
-
 /// A redirected request must carry one trace id end to end: the origin's
 /// `302` log line and the home node's `200` log line cite the same token,
 /// and the client sees it in the `X-SWEB-Trace` response header.
-fn trace_id_joins_access_logs_across_a_redirect_hop(engine: Engine) {
+#[test]
+fn trace_id_joins_access_logs_across_a_redirect_hop() {
     let buf = Arc::new(Mutex::new(Vec::new()));
-    let dir = docroot(&format!("trace-{}", engine.name()));
+    let dir = docroot("trace");
     let cluster = ServerOptions::new()
         .policy(Policy::FileLocality)
-        .engine(engine)
         .access_log(AccessLog::new(Box::new(VecSink(Arc::clone(&buf)))))
         .start(2, dir)
         .unwrap();
@@ -105,10 +88,11 @@ fn trace_id_joins_access_logs_across_a_redirect_hop(engine: Engine) {
 /// Golden-shape test for the Prometheus exposition: after a little traffic
 /// every line must match the text format, and the node must export a
 /// non-trivial number of distinct series.
-fn metrics_exposition_is_well_formed_and_rich(engine: Engine) {
-    let dir = docroot(&format!("metrics-{}", engine.name()));
+#[test]
+fn metrics_exposition_is_well_formed_and_rich() {
+    let dir = docroot("metrics");
     let cluster =
-        ServerOptions::new().policy(Policy::RoundRobin).engine(engine).start(1, dir).unwrap();
+        ServerOptions::new().policy(Policy::RoundRobin).start(1, dir).unwrap();
 
     // Touch several code paths so counters and histograms have samples.
     for i in 0..4 {
@@ -139,10 +123,11 @@ fn metrics_exposition_is_well_formed_and_rich(engine: Engine) {
 
 /// `/sweb-status?format=json` must parse back into the same typed
 /// [`StatusReport`] the text view renders from.
-fn status_json_round_trips_through_the_typed_report(engine: Engine) {
-    let dir = docroot(&format!("json-{}", engine.name()));
+#[test]
+fn status_json_round_trips_through_the_typed_report() {
+    let dir = docroot("json");
     let cluster =
-        ServerOptions::new().policy(Policy::Sweb).engine(engine).start(2, dir).unwrap();
+        ServerOptions::new().policy(Policy::Sweb).start(2, dir).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
     let _ = client::get(&format!("{}/index.html", cluster.base_url(1))).unwrap();
 
@@ -153,7 +138,6 @@ fn status_json_round_trips_through_the_typed_report(engine: Engine) {
     let report = StatusReport::from_json(&value).unwrap();
     support::assert_current_schema(&report);
     assert_eq!(report.node, 1);
-    assert_eq!(report.engine, engine.name());
     assert_eq!(report.load.len(), 2, "load table must list every node");
     assert!(report.counters.served >= 1);
 
@@ -161,6 +145,6 @@ fn status_json_round_trips_through_the_typed_report(engine: Engine) {
     let text_resp = client::get(&format!("{}/sweb-status", cluster.base_url(1))).unwrap();
     let text = String::from_utf8(text_resp.body).unwrap();
     assert!(text.contains("SWEB node n1"), "{text}");
-    assert!(text.contains(&format!("engine {}", report.engine)), "{text}");
+    assert!(text.contains(&format!("policy {}", report.policy)), "{text}");
     cluster.shutdown();
 }

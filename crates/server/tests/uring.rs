@@ -22,7 +22,7 @@ use sweb_core::Policy;
 use sweb_reactor::sys::Poller;
 use sweb_reactor::IoBackend;
 use sweb_server::{
-    client, ClusterConfig, Engine, Fault, FaultPlan, LiveCluster, ServerOptions, Window,
+    client, ClusterConfig, Fault, FaultPlan, LiveCluster, ServerOptions, Window,
 };
 
 mod support;
@@ -62,7 +62,6 @@ fn docroot(tag: &str) -> std::path::PathBuf {
 fn config(io_backend: IoBackend) -> ClusterConfig {
     ServerOptions::new()
         .policy(Policy::RoundRobin)
-        .engine(Engine::Reactor)
         .io_backend(io_backend)
         .shards(1)
         .build()

@@ -3,9 +3,9 @@
 //!
 //! A request that cannot finish inside its budget must fail *definitively*
 //! (503 + `Retry-After`) instead of hanging a client on a socket — the
-//! chaos suite's core invariant. Both connection engines derive their
-//! parse/fetch/write cutoffs from this one type so their timeout behavior
-//! is identical and testable in isolation.
+//! chaos suite's core invariant. The reactor derives its
+//! parse/fetch/write cutoffs from this one type so its timeout behavior
+//! is testable in isolation.
 
 use std::time::{Duration, Instant};
 

@@ -2,8 +2,7 @@
 //!
 //! The paper's scheduler (§3.2) is only as good as the load and cost
 //! information it acts on, yet the original system never *checked* its own
-//! predictions. This crate is the measurement layer both live connection
-//! engines share:
+//! predictions. This crate is the measurement layer of the live server:
 //!
 //! * a **lock-free metric registry** ([`Registry`]) of atomic
 //!   [`Counter`]s, [`Gauge`]s and fixed-bucket log-scale
@@ -14,8 +13,7 @@
 //!   multi-core reactor shards never contend on one cacheline — summed on
 //!   scrape, exact, and broken down per shard by `/sweb-status`;
 //! * **per-request phase timing** ([`PhaseTimes`]): accept → parse →
-//!   decide → fetch → write, recorded identically by the reactor and the
-//!   thread-per-connection engine;
+//!   decide → fetch → write;
 //! * **cost-model feedback** ([`CostFeedback`]): every locally-served
 //!   decision records the broker's predicted `t_redirection`/`t_data`/
 //!   `t_cpu` against the measured fulfillment wall time, making

@@ -2,8 +2,7 @@
 //!
 //! The paper's §4.3 breaks service time into analysis / scheduling /
 //! redirection phases inside the simulator; this is the live-server
-//! equivalent, recorded identically by both connection engines so their
-//! latency shapes are directly comparable on one dashboard.
+//! equivalent.
 
 use std::sync::Arc;
 

@@ -10,7 +10,8 @@
 //! * [`workload`] — request/file/client generators
 //! * [`metrics`] — histograms, run statistics, table rendering
 //! * [`sim`] — the full cluster simulator and paper experiments
-//! * [`server`] — a real multi-threaded TCP implementation on localhost
+//! * [`server`] — the live cluster: event-driven HTTP/1.0 nodes on
+//!   localhost TCP ports (one reactor shard per core)
 
 pub use sweb_cluster as cluster;
 pub use sweb_core as core;

@@ -68,7 +68,8 @@ fn live_server_redirects_match_broker_decisions() {
 }
 
 /// Reimplementation of the server's hash-placement (exercised against it
-/// through the public redirect behaviour above).
+/// through the public redirect behaviour above). FNV-1a in shape, but the
+/// multiplier is the server's 2³² + 0x1b3, not the 64-bit FNV prime.
 fn sweb_server_home(path: &str, nodes: usize) -> u32 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in path.as_bytes() {
