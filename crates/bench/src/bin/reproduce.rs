@@ -141,9 +141,9 @@ fn main() {
     }
     if want("forwarding") {
         let (_, table) = experiments::forwarding_comparison(scale);
-        // `forwarding.csv` belongs to the live-cluster A/B
-        // (`enginebench --scenario forward`); the simulator's model-level
-        // comparison lands beside it as `forwarding_model.csv`.
+        // `forwarding.csv` is the live-cluster A/B kept as history
+        // (EXPERIMENTS.md); the simulator's model-level comparison lands
+        // beside it as `forwarding_model.csv`.
         reporter.emit("forwarding_model", &table);
     }
     if want("coopcache") {

@@ -1,12 +1,12 @@
-//! # sweb-bench — benchmark harness for the SWEB reproduction
+//! # sweb-bench — the simulator's command-line drivers
 //!
-//! Two entry points:
+//! Two binaries:
 //!
-//! * the **`reproduce` binary** — regenerates every table and figure of
-//!   the paper's §4 at full scale and prints them in the paper's layout
+//! * **`reproduce`** — regenerates every table and figure of the paper's
+//!   §4 at full scale and prints them in the paper's layout
 //!   (`cargo run --release -p sweb-bench --bin reproduce [-- <table>]`);
-//! * the **criterion benches** — `tables` times scaled-down versions of
-//!   each experiment; `micro` times the hot building blocks (event queue,
-//!   fair-share resource, HTTP parser, broker decision, LRU cache).
+//! * **`swebsim`** — runs one simulated scenario from the command line.
+//!
+//! The live server is measured by the standalone package in `benchmark/`.
 
 pub use sweb_sim::experiments;

@@ -341,7 +341,7 @@ impl PeerBreakers {
     /// [`PeerBreakers::allow`] at an explicit time. `Closed` always
     /// admits; `Open` admits nothing until the cool-down elapses (then
     /// becomes `HalfOpen`); `HalfOpen` admits one probe per
-    /// [`BREAKER_PROBE_MS`].
+    /// `BREAKER_PROBE_MS`.
     pub fn allow_at(&self, peer: NodeId, now_ms: u64) -> bool {
         let b = &self.peers[peer.index()];
         match b.state.load(Ordering::Relaxed) {
@@ -388,7 +388,7 @@ impl PeerBreakers {
     }
 
     /// [`PeerBreakers::record_success`] at an explicit time. A *slow*
-    /// success (past [`BREAKER_SLOW_US`]) is failure evidence — the peer
+    /// success (past `BREAKER_SLOW_US`) is failure evidence — the peer
     /// answered, but not at a price worth routing for.
     pub fn record_success_at(&self, peer: NodeId, latency_us: u64, now_ms: u64) {
         if latency_us > BREAKER_SLOW_US {
@@ -412,7 +412,7 @@ impl PeerBreakers {
     }
 
     /// [`PeerBreakers::record_failure`] at an explicit time. While
-    /// `Closed`, [`BREAKER_TRIP_AFTER`] consecutive failures trip the
+    /// `Closed`, `BREAKER_TRIP_AFTER` consecutive failures trip the
     /// breaker; a `HalfOpen` probe failure re-opens immediately.
     pub fn record_failure_at(&self, peer: NodeId, now_ms: u64) {
         let b = &self.peers[peer.index()];

@@ -292,7 +292,13 @@ fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Frame, FrameError> {
             path: c.str()?,
             body: c.rest(),
         },
-        OP_PUSH_OK => Frame::PushOk { accepted: c.u8()? != 0 },
+        OP_PUSH_OK => Frame::PushOk {
+            accepted: match c.u8()? {
+                0 => false,
+                1 => true,
+                _ => return Err(FrameError::Malformed("push ack is neither 0 nor 1")),
+            },
+        },
         other => return Err(FrameError::BadOpcode(other)),
     };
     if c.pos != payload.len() {

@@ -201,7 +201,7 @@ pub struct ReactorConfig {
     pub max_conns: usize,
     /// Worker threads for blocking fulfilment. Defaults to
     /// [`default_workers`] (the machine's `available_parallelism()`
-    /// clamped to `[4, 32]`; override with `SWEB_REACTOR_WORKERS`).
+    /// clamped to `[4, 32]`).
     /// [`spawn_sharded`] divides this node-wide total evenly per shard.
     pub workers: usize,
     /// Bounded depth of the worker submission queue (divided per shard by
@@ -243,19 +243,10 @@ pub struct ReactorConfig {
     pub uring_buf_pool_bytes: usize,
 }
 
-/// Default worker-pool size: `SWEB_REACTOR_WORKERS` when set to a
-/// positive integer, otherwise [`std::thread::available_parallelism`]
-/// clamped to `[4, 32]` — the old fixed constant (4) is the floor, so
-/// small machines behave exactly as before, while larger ones stop
-/// serializing blocking fulfilment behind four threads.
+/// Default worker-pool size: [`std::thread::available_parallelism`]
+/// clamped to `[4, 32]` — small machines keep four workers, larger ones
+/// stop serializing blocking fulfilment behind four threads.
 pub fn default_workers() -> usize {
-    if let Some(n) =
-        std::env::var("SWEB_REACTOR_WORKERS").ok().and_then(|v| v.parse::<usize>().ok())
-    {
-        if n > 0 {
-            return n;
-        }
-    }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).clamp(4, 32)
 }
 

@@ -582,78 +582,6 @@ fn bind_with(addr: std::net::SocketAddr, reuseport: bool) -> io::Result<std::net
     Ok(unsafe { std::net::TcpListener::from_raw_fd(fd) })
 }
 
-/// Connect to `dest` from a specific source address (port 0 =
-/// ephemeral), with `SO_REUSEADDR` set on the client socket. Load
-/// generators use this for client-side sharding: binding each opener
-/// thread to its own `127.0.0.x` source widens the 4-tuple space past
-/// the ~28k-ephemeral-ports-per-source ceiling, which is what makes
-/// 10k+ (toward C10M) held connections from one box possible, and
-/// spreads the server's `SO_REUSEPORT` hash across shards.
-#[cfg(target_os = "linux")]
-pub fn connect_from(
-    dest: std::net::SocketAddr,
-    source: std::net::Ipv4Addr,
-) -> io::Result<std::net::TcpStream> {
-    use std::os::fd::FromRawFd;
-
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
-        fn bind(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
-        fn connect(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-    const AF_INET: i32 = 2;
-    const SOCK_STREAM: i32 = 1;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-
-    let std::net::SocketAddr::V4(v4) = dest else {
-        return Err(io::Error::new(io::ErrorKind::Unsupported, "IPv4 addresses only"));
-    };
-    let fd = unsafe { socket(AF_INET, SOCK_STREAM, 0) };
-    if fd < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    let fail = |fd: i32| {
-        let err = io::Error::last_os_error();
-        unsafe { close(fd) };
-        Err(err)
-    };
-    let one: i32 = 1;
-    if unsafe { setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, 4) } < 0 {
-        return fail(fd);
-    }
-    let src = SockAddrIn {
-        family: AF_INET as u16,
-        port_be: 0,
-        addr_be: u32::from(source).to_be(),
-        zero: [0; 8],
-    };
-    if unsafe { bind(fd, &src, std::mem::size_of::<SockAddrIn>() as u32) } < 0 {
-        return fail(fd);
-    }
-    let dst = SockAddrIn {
-        family: AF_INET as u16,
-        port_be: v4.port().to_be(),
-        addr_be: u32::from(*v4.ip()).to_be(),
-        zero: [0; 8],
-    };
-    if unsafe { connect(fd, &dst, std::mem::size_of::<SockAddrIn>() as u32) } < 0 {
-        return fail(fd);
-    }
-    Ok(unsafe { std::net::TcpStream::from_raw_fd(fd) })
-}
-
-/// Portable fallback: ignores the requested source address.
-#[cfg(not(target_os = "linux"))]
-pub fn connect_from(
-    dest: std::net::SocketAddr,
-    _source: std::net::Ipv4Addr,
-) -> io::Result<std::net::TcpStream> {
-    std::net::TcpStream::connect(dest)
-}
-
 /// Portable fallback: a plain bind (no `SO_REUSEADDR`), so revival may
 /// fail with `EADDRINUSE` until `TIME_WAIT` sockets clear.
 #[cfg(not(target_os = "linux"))]
@@ -1028,20 +956,6 @@ mod tests {
         assert_eq!(IoBackend::parse("poll"), Some(IoBackend::Poll));
         assert_eq!(IoBackend::parse("kqueue"), None);
         assert_eq!(IoBackend::default().name(), "epoll");
-    }
-
-    #[test]
-    fn connect_from_binds_requested_source() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let src: std::net::Ipv4Addr = "127.0.0.5".parse().unwrap();
-        let client = connect_from(addr, src).unwrap();
-        #[cfg(target_os = "linux")]
-        assert_eq!(client.local_addr().unwrap().ip(), std::net::IpAddr::V4(src));
-        let (server, peer) = listener.accept().unwrap();
-        #[cfg(target_os = "linux")]
-        assert_eq!(peer.ip(), std::net::IpAddr::V4(src));
-        drop((client, server));
     }
 
     /// A connected blocking stream pair over loopback.

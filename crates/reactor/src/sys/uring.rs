@@ -424,7 +424,7 @@ impl UringPoller {
     }
 
     /// [`UringPoller::new`] with an explicit registered-buffer pool
-    /// budget in bytes (rounded down to whole [`BUF_SLOT`] slots; 0
+    /// budget in bytes (rounded down to whole `BUF_SLOT` slots; 0
     /// disables the pool). The reactor wires the file cache's
     /// per-segment share through here so staging capacity tracks the
     /// hot-document working set.

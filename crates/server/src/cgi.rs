@@ -9,8 +9,8 @@
 //!   [`crate::dynamic::DynamicRegistry::register_fn`];
 //! * [`ForkCgiHandler`], the fork-per-request path demoted to *one
 //!   handler implementation* behind the same trait — kept for untrusted
-//!   external programs and as the A/B baseline `enginebench --scenario
-//!   dynamic` measures against. A child still running after
+//!   external programs and as the paper's NCSA baseline (the fork vs
+//!   in-process A/B is in EXPERIMENTS.md). A child still running after
 //!   `DEFAULT_FORK_BUDGET` is killed *and reaped*, and the request
 //!   fails definitively with 503 + `Retry-After` instead of hanging.
 

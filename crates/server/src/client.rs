@@ -212,15 +212,23 @@ impl Session {
 
 /// Read exactly one response off a keep-alive connection: head, then a
 /// `Content-Length`-delimited body.
-fn read_one_response(stream: &mut TcpStream) -> Result<Vec<u8>, ClientError> {
+fn read_one_response(mut stream: impl Read) -> Result<Vec<u8>, ClientError> {
     let mut raw = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
+    // A signal landing on this thread mid-read is not a failed response
+    // (`read_to_end`, used by the one-shot paths, retries it inside std).
+    let mut read = |chunk: &mut [u8]| loop {
+        match stream.read(chunk) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            other => return other,
+        }
+    };
     // Read until the head terminator is present.
     let head_end = loop {
         if let Some(end) = find_head_terminator(&raw) {
             break end;
         }
-        let n = stream.read(&mut chunk)?;
+        let n = read(&mut chunk)?;
         if n == 0 {
             return Err(ClientError::BadResponse("connection closed mid-head"));
         }
@@ -238,7 +246,7 @@ fn read_one_response(stream: &mut TcpStream) -> Result<Vec<u8>, ClientError> {
         .ok_or(ClientError::BadResponse("keep-alive response without Content-Length"))?;
     let total = head_end + content_length;
     while raw.len() < total {
-        let n = stream.read(&mut chunk)?;
+        let n = read(&mut chunk)?;
         if n == 0 {
             return Err(ClientError::BadResponse("connection closed mid-body"));
         }
@@ -273,6 +281,43 @@ mod tests {
         assert_eq!(split_url("http://127.0.0.1:80/a/b").unwrap(), ("127.0.0.1:80", "/a/b"));
         assert_eq!(split_url("http://h:1").unwrap(), ("h:1", "/"));
         assert!(split_url("ftp://x").is_err());
+    }
+
+    /// Hands out `chunk`-sized pieces, failing with `Interrupted` before
+    /// each one.
+    struct Interrupting<'a> {
+        rest: &'a [u8],
+        chunk: usize,
+        interrupted: bool,
+    }
+
+    impl Read for Interrupting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.interrupted = !self.interrupted;
+            if self.interrupted {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let n = self.chunk.min(buf.len()).min(self.rest.len());
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn one_response_survives_interrupted_reads() {
+        let first = b"HTTP/1.0 200 OK\r\nContent-Length: 11\r\n\r\nhello world";
+        let mut wire = first.to_vec();
+        wire.extend_from_slice(b"HTTP/1.0 200 OK\r\n");
+        // Chunk sizes that split the head, the terminator and the body.
+        for chunk in [1, 7, 19, 4096] {
+            let reader = Interrupting { rest: &wire, chunk, interrupted: false };
+            let raw = read_one_response(reader).expect("Interrupted must be retried");
+            assert_eq!(raw, first, "chunk {chunk}");
+        }
+        // A real error still surfaces.
+        let eof = Interrupting { rest: &first[..30], chunk: 7, interrupted: false };
+        assert!(matches!(read_one_response(eof), Err(ClientError::BadResponse(_))));
     }
 
     #[test]

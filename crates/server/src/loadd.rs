@@ -479,4 +479,59 @@ mod tests {
         assert_eq!(r.node, NodeId(2));
         assert_eq!(r.load.disk, 2.0);
     }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Every codec version returns what it was given; v1 carries no
+        /// digest, v1 and v2 no hot list, v3 the first `MAX_HOT` ids.
+        #[test]
+        fn every_version_round_trips(
+            // A v1 packet starts with the bare id, so an id whose low
+            // bytes spell "SW" reads as versioned framing; the smallest
+            // is 22,355, beyond any cluster's table.
+            node in 0u32..20_000,
+            load in (any::<f64>(), any::<f64>(), any::<f64>()),
+            leaving in any::<bool>(),
+            digest in proptest::collection::vec(any::<u8>(), DIGEST_BYTES),
+            hot in proptest::collection::vec(any::<u64>(), 0..20),
+        ) {
+            let node = NodeId(node);
+            let load = LoadVector::new(load.0, load.1, load.2);
+            let digest = CacheDigest::from_bytes(&digest).expect("DIGEST_BYTES bytes");
+            let hot: Vec<FileId> = hot.into_iter().map(FileId).collect();
+            let mut want = LoadReport { node, load, leaving, digest: None, hot: Vec::new() };
+            prop_assert_eq!(decode(&encode(node, &load, leaving)), Some(want.clone()));
+            want.digest = Some(digest);
+            prop_assert_eq!(decode(&encode_v2(node, &load, leaving, &digest)), Some(want.clone()));
+            want.hot = hot[..hot.len().min(MAX_HOT)].to_vec();
+            let v3 = encode_v3(node, &load, leaving, &digest, &hot);
+            prop_assert!(v3.len() <= PACKET_V3_MAX);
+            prop_assert_eq!(decode(&v3), Some(want));
+        }
+
+        /// Arbitrary datagrams never panic the decoder, and one it
+        /// accepts holds only finite loads and a bounded hot list.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in proptest::collection::vec(any::<u8>(), 0..2 * PACKET_V3_MAX),
+            versioned in any::<bool>(),
+            version in any::<u8>(),
+        ) {
+            let mut bytes = bytes;
+            if versioned && bytes.len() >= 3 {
+                // Get past the magic so the versioned branches are reached.
+                bytes[..2].copy_from_slice(&MAGIC);
+                bytes[2] = version % 6;
+            }
+            let decoded = decode(&bytes);
+            if let Some(r) = &decoded {
+                prop_assert!(r.load.cpu.is_finite() && r.load.disk.is_finite());
+                prop_assert!(r.load.net.is_finite() && r.hot.len() <= MAX_HOT);
+            }
+            if versioned && bytes.len() >= 3 && !matches!(bytes[2], VERSION_V2 | VERSION) {
+                prop_assert_eq!(decoded, None, "version {} is not ours", bytes[2]);
+            }
+        }
+    }
 }

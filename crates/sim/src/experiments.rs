@@ -2,10 +2,10 @@
 //!
 //! Each function returns structured rows plus a rendered
 //! [`sweb_metrics::TextTable`], so the same code feeds the `reproduce`
-//! binary, the criterion benches, and the integration tests. Corpus sizes
-//! are chosen per experiment and documented inline (the paper does not
-//! state its document population; we pick working sets that put each test
-//! in the regime the paper describes — see EXPERIMENTS.md).
+//! binary and the integration tests. Corpus sizes are chosen per
+//! experiment and documented inline (the paper does not state its
+//! document population; we pick working sets that put each test in the
+//! regime the paper describes — see EXPERIMENTS.md).
 
 use sweb_cluster::{presets, ClusterSpec, NodeId, Placement};
 use sweb_core::{analytic, Policy};
@@ -17,12 +17,12 @@ use crate::config::SimConfig;
 use crate::driver::ClusterSim;
 
 /// Experiment fidelity: `Full` matches the paper's durations; `Quick` is a
-/// scaled-down variant for tests and criterion benches.
+/// scaled-down variant for tests and CI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Paper-scale durations (30 s bursts, 120 s sustained).
     Full,
-    /// Short durations for CI and benches.
+    /// Short durations for tests and CI.
     Quick,
 }
 

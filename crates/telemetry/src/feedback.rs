@@ -9,36 +9,17 @@
 //! exactly the §6 "dynamic parameter adjustment" future work made
 //! observable.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::hist::AtomicHistogram;
 use crate::registry::{Counter, Registry};
 
-/// Sample slots retained for offline analysis (`enginebench` drains these
-/// into `results/prediction_error.csv`). A ring: newest overwrite oldest.
-const RING_SLOTS: usize = 1024;
-
-/// Sentinel marking an unwritten ring slot.
-const EMPTY: u64 = u64::MAX;
-
-/// One retained prediction/measurement pair, microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PredictionSample {
-    /// The broker's predicted completion time for the chosen candidate.
-    pub predicted_us: u64,
-    /// Measured local fulfillment wall time.
-    pub measured_us: u64,
-}
-
-impl PredictionSample {
-    /// Unsigned prediction error as a percentage of the prediction
-    /// (capped at 10 000 % to keep one wild outlier chartable).
-    pub fn error_pct(&self) -> u64 {
-        let p = self.predicted_us.max(1) as f64;
-        let e = (self.measured_us as f64 - p).abs() / p * 100.0;
-        e.min(10_000.0) as u64
-    }
+/// Unsigned prediction error as a percentage of the prediction (capped
+/// at 10 000 % to keep one wild outlier chartable).
+fn error_pct(predicted_us: u64, measured_us: u64) -> u64 {
+    let p = predicted_us.max(1) as f64;
+    let e = (measured_us as f64 - p).abs() / p * 100.0;
+    e.min(10_000.0) as u64
 }
 
 /// Lock-free feedback recorder for one node.
@@ -49,8 +30,6 @@ pub struct CostFeedback {
     error_pct: Arc<AtomicHistogram>,
     term_us: [Arc<Counter>; 3],
     decisions: Arc<Counter>,
-    ring: Box<[(AtomicU64, AtomicU64)]>,
-    next: AtomicUsize,
 }
 
 impl CostFeedback {
@@ -83,18 +62,7 @@ impl CostFeedback {
             &[],
             "Decisions with both a prediction and a measurement recorded",
         );
-        let ring = (0..RING_SLOTS)
-            .map(|_| (AtomicU64::new(EMPTY), AtomicU64::new(EMPTY)))
-            .collect();
-        CostFeedback {
-            predicted,
-            measured,
-            error_pct,
-            term_us,
-            decisions,
-            ring,
-            next: AtomicUsize::new(0),
-        }
+        CostFeedback { predicted, measured, error_pct, term_us, decisions }
     }
 
     /// Record one decision: the chosen candidate's predicted per-term
@@ -115,38 +83,13 @@ impl CostFeedback {
         self.term_us[2].add(cpu);
         self.predicted.record(predicted_us);
         self.measured.record(measured_us);
-        let sample = PredictionSample { predicted_us, measured_us };
-        self.error_pct.record(sample.error_pct());
+        self.error_pct.record(error_pct(predicted_us, measured_us));
         self.decisions.inc();
-        let slot = self.next.fetch_add(1, Ordering::Relaxed) % RING_SLOTS;
-        self.ring[slot].0.store(predicted_us, Ordering::Relaxed);
-        self.ring[slot].1.store(measured_us, Ordering::Relaxed);
     }
 
     /// Decisions recorded so far.
     pub fn decisions(&self) -> u64 {
         self.decisions.get()
-    }
-
-    /// Approximate `q`-quantile of the prediction-error distribution, in
-    /// percent (log-bucket resolution).
-    pub fn error_pct_quantile(&self, q: f64) -> u64 {
-        self.error_pct.quantile(q)
-    }
-
-    /// Drain a snapshot of the retained (predicted, measured) pairs,
-    /// newest-last up to the ring capacity. Torn pairs under concurrent
-    /// writes are possible and harmless — this feeds offline CSVs, not
-    /// scheduling.
-    pub fn samples(&self) -> Vec<PredictionSample> {
-        self.ring
-            .iter()
-            .filter_map(|(p, m)| {
-                let (p, m) = (p.load(Ordering::Relaxed), m.load(Ordering::Relaxed));
-                (p != EMPTY && m != EMPTY)
-                    .then_some(PredictionSample { predicted_us: p, measured_us: m })
-            })
-            .collect()
     }
 }
 
@@ -155,39 +98,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_terms_and_samples() {
+    fn records_terms_and_error() {
         let reg = Registry::new();
         let fb = CostFeedback::register(&reg);
         // Predict 1 ms redirection + 2 ms data + 3 ms cpu; measure 9 ms.
         fb.record(0.001, 0.002, 0.003, 9_000);
         assert_eq!(fb.decisions(), 1);
-        let s = fb.samples();
-        assert_eq!(s, vec![PredictionSample { predicted_us: 6_000, measured_us: 9_000 }]);
-        assert_eq!(s[0].error_pct(), 50);
         let text = reg.render_prometheus();
+        assert!(text.contains("sweb_cost_predicted_us_sum 6000"), "{text}");
+        assert!(text.contains("sweb_cost_error_pct_sum 50"), "{text}");
         assert!(text.contains("sweb_cost_predicted_term_us_total{term=\"data\"} 2000"));
         assert!(text.contains("sweb_cost_feedback_total 1"));
     }
 
     #[test]
-    fn ring_keeps_the_newest_samples() {
-        let reg = Registry::new();
-        let fb = CostFeedback::register(&reg);
-        for i in 0..(RING_SLOTS + 10) {
-            fb.record(0.0, 0.0, i as f64 * 1e-6, i as u64);
-        }
-        let samples = fb.samples();
-        assert_eq!(samples.len(), RING_SLOTS);
-        assert_eq!(fb.decisions(), (RING_SLOTS + 10) as u64);
-        // The overwritten slots now hold the wrap-around values.
-        assert!(samples.iter().any(|s| s.measured_us == RING_SLOTS as u64 + 9));
-    }
-
-    #[test]
     fn error_pct_guards_division_and_caps() {
-        let zero_pred = PredictionSample { predicted_us: 0, measured_us: 1_000_000 };
-        assert_eq!(zero_pred.error_pct(), 10_000, "capped, not infinite");
-        let exact = PredictionSample { predicted_us: 500, measured_us: 500 };
-        assert_eq!(exact.error_pct(), 0);
+        assert_eq!(error_pct(0, 1_000_000), 10_000, "capped, not infinite");
+        assert_eq!(error_pct(500, 500), 0);
     }
 }

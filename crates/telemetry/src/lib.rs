@@ -37,7 +37,7 @@ mod registry;
 mod sharded;
 
 pub use deadline::RequestDeadline;
-pub use feedback::{CostFeedback, PredictionSample};
+pub use feedback::CostFeedback;
 pub use hist::AtomicHistogram;
 pub use json::Json;
 pub use phases::{Phase, PhaseTimes};
