@@ -14,10 +14,16 @@
 //!        accept ──▶ [admission: cap or 503] ──▶ Reading ──▶ ReadingBody
 //!                                                  │ parse (incremental)
 //!                                                  ▼
-//!        workers ◀── dispatch ────────────── Dispatched
-//!           │  respond() (blocking file I/O off the loop)
-//!           ▼
-//!        completion queue ──wakeup──▶ Writing ──▶ close | keep-alive ↺
+//!                                    dispatch: first_look() on the loop
+//!                          Done │                          │ Blocking / None
+//!                               │                          ▼
+//!                               │       workers ◀──── Dispatched
+//!                               │          │  continuation or respond()
+//!                               ▼          ▼  (blocking work off the loop)
+//!                            Writing ◀──wakeup── completion queue
+//!                               │
+//!                               ▼
+//!                        close | keep-alive ↺
 //! ```
 //!
 //! * **Events** come from [`sys::Poller`] — epoll readiness on Linux,
@@ -31,11 +37,17 @@
 //!   buffer and [`sweb_http::try_parse_request`] distinguishes "need more
 //!   bytes" from "can never parse" without re-scanning cost blowups.
 //! * **Timeouts** ride a hashed [`timer::TimerWheel`] with lazy
-//!   cancellation: slow or idle clients are evicted without per-timer
-//!   bookkeeping and without ever blocking healthy connections.
-//! * **Blocking work** (file reads, CGI) runs on a bounded
-//!   [`workers::WorkerPool`]; a full queue sheds (503) instead of
-//!   queueing unboundedly.
+//!   cancellation and lazy re-arming: slow or idle clients are evicted
+//!   without per-timer bookkeeping and without ever blocking healthy
+//!   connections, and a connection whose deadline only moves later (the
+//!   next phase, the next keep-alive request) keeps the one wheel entry
+//!   it was admitted with.
+//! * **What cannot block is answered where it was parsed**:
+//!   [`App::first_look`] runs on the loop thread and may finish the
+//!   request ([`FirstLook::Done`] goes straight to the socket, no thread
+//!   hop). **Blocking work** (file reads, CGI, peer fetches) runs on a
+//!   bounded [`workers::WorkerPool`]; a full queue sheds (503) instead
+//!   of queueing unboundedly.
 //! * **Transmit is zero-copy**: responses drain as head bytes plus a
 //!   shared [`Bytes`] body gathered by `writev(2)` (no per-request body
 //!   copy), and large [`FileBody`] payloads stream in-kernel via
@@ -68,7 +80,7 @@ use sweb_telemetry::{Phase, RequestDeadline};
 
 use slab::Slab;
 use sys::{Event, Interest, Poller};
-use timer::{TimerEntry, TimerWheel};
+use timer::{EvictClock, Fired, TimerEntry, TimerWheel};
 use workers::WorkerPool;
 
 pub use sys::{IoBackend, IoStats};
@@ -102,6 +114,24 @@ impl From<Response> for Reply {
     }
 }
 
+/// What [`App::first_look`] concluded about one parsed request, on the
+/// loop thread.
+pub enum FirstLook {
+    /// The reply, finished without blocking: written from the loop
+    /// thread, no worker involved. A [`FileBody`] belongs in a
+    /// continuation: opening it blocks, and where `sendfile` cannot
+    /// stream it the reactor reads it into memory on whichever thread
+    /// produced the reply.
+    Done(Reply),
+    /// The rest of the request can sleep: this continuation runs on a
+    /// worker thread, given the same `(peer, request, body)` the first
+    /// look saw, and [`App::respond`] is not called.
+    Blocking(Continuation),
+}
+
+/// The blocking remainder of a request whose first look ran on the loop.
+pub type Continuation = Box<dyn FnOnce(&str, &Request, &[u8]) -> Reply + Send>;
+
 /// Verdict from [`App::accept_gate`], consulted before each accept burst.
 /// Lets the application (or a fault injector riding inside it) throttle
 /// the listener without owning the loop.
@@ -117,12 +147,36 @@ pub enum AcceptGate {
     FailFd,
 }
 
-/// What the reactor serves. `respond` runs on a **worker thread** (it may
-/// block on disk); every hook runs on the event-loop thread and must be
-/// cheap and non-blocking (counter bumps).
+/// What the reactor serves.
+///
+/// Which method runs where: [`App::respond`], a [`FirstLook::Blocking`]
+/// continuation and [`App::on_queue_sojourn`] run on a **worker thread**
+/// and may block; [`App::first_look`] and every other hook run on the
+/// **event-loop thread**, where anything that sleeps stalls every
+/// connection of the shard.
 pub trait App: Send + Sync + 'static {
-    /// Produce the response for one parsed request.
+    /// Produce the response for one parsed request, on a worker thread.
+    /// Called for every request [`App::first_look`] declined (`None`).
     fn respond(&self, peer: &str, req: &Request, body: &[u8]) -> Reply;
+
+    /// A non-blocking first look at a parsed request, on the loop thread,
+    /// before anything is handed to the worker pool. `None` (the default)
+    /// sends the request to [`App::respond`] as if this method did not
+    /// exist.
+    ///
+    /// Budget: compute, short uncontended locks, and at most one
+    /// `stat(2)` — no reads, no opens, no sleeps, no lock a worker holds
+    /// across I/O. Nothing enforces it; [`App::on_inline`] reports what
+    /// each inline answer cost, so a first look that does block (a
+    /// docroot on a slow NFS mount makes even the `stat` slow) shows
+    /// there.
+    fn first_look(&self, _peer: &str, _req: &Request, _body: &[u8]) -> Option<FirstLook> {
+        None
+    }
+    /// A request was answered by [`FirstLook::Done`]: `micros` from
+    /// parsed request to the start of the response write, all of it on
+    /// the loop thread.
+    fn on_inline(&self, _micros: u64) {}
 
     /// Consulted before each accept burst; see [`AcceptGate`].
     fn accept_gate(&self) -> AcceptGate {
@@ -161,7 +215,7 @@ pub trait App: Send + Sync + 'static {
     /// One request phase finished on this engine: accept (admission
     /// hand-off), parse (first byte to dispatched request), or write
     /// (response queued to socket drained). The decide/fetch phases are
-    /// measured inside [`App::respond`] by the application itself.
+    /// measured by the application itself, on whichever thread ran them.
     fn on_phase(&self, _phase: Phase, _micros: u64) {}
     /// This app's event loop is about to start polling (called on the
     /// loop thread). With [`spawn_sharded`], each shard's app hears its
@@ -181,9 +235,11 @@ pub trait App: Send + Sync + 'static {
     fn on_io_stats(&self, _stats: IoStats) {}
     /// How long one request sat in the worker submission queue before a
     /// worker picked it up (called on the worker thread, just before
-    /// `respond`). This is the *sojourn time* an adaptive admission
-    /// controller feeds on: a standing queue here means the node is past
-    /// capacity no matter what the connection count says.
+    /// `respond` or the continuation). This is the *sojourn time* an
+    /// adaptive admission controller feeds on: a standing queue here
+    /// means the node is past capacity no matter what the connection
+    /// count says. Requests answered inline never queue and report
+    /// nothing — a zero per cache hit would hide a standing queue.
     fn on_queue_sojourn(&self, _micros: u64) {}
     /// `Retry-After` seconds for every 503 this reactor emits (admission
     /// cap, full worker queue, missed deadline). Applications derive it
@@ -211,7 +267,10 @@ pub struct ReactorConfig {
     pub read_timeout: Duration,
     /// Evict a connection that accepts no response bytes for this long.
     pub write_timeout: Duration,
-    /// Maximum requests served over one keep-alive connection.
+    /// Maximum requests served over one keep-alive connection. Also the
+    /// bound on how deep the loop thread's stack nests when a client
+    /// pipelines requests that are all answered inline (each answer's
+    /// write completion dispatches the next).
     pub keepalive_limit: u32,
     /// Timer wheel ring size (slots).
     pub timer_slots: usize,
@@ -595,8 +654,9 @@ enum ConnState {
     Reading,
     /// Head parsed; accumulating `need` bytes of POST body.
     ReadingBody { req: Box<Request>, need: usize },
-    /// A worker owns the request; the loop ignores the socket (except
-    /// errors) until the completion arrives.
+    /// The request is parsed and being answered. Inline, this state
+    /// lasts one call; otherwise a worker owns the request and the loop
+    /// ignores the socket (except errors) until the completion arrives.
     Dispatched,
     /// Draining the serialized response.
     Writing,
@@ -631,9 +691,9 @@ struct Conn {
     keep_alive: bool,
     /// Close after the in-progress write (protocol errors, shed).
     rounds: u32,
-    /// Current eviction deadline (reactor ms); timer entries must match
-    /// this exactly to act — anything else is a stale wheel entry.
-    deadline_ms: u64,
+    /// Eviction deadline (reactor ms) and the wheel entry that enforces
+    /// it; moved through [`Loop::set_deadline`] only.
+    clock: EvictClock,
     interest: Interest,
     /// When the first byte of the in-progress request arrived (parse
     /// phase start); `None` between requests.
@@ -655,14 +715,91 @@ struct Conn {
     pending_read: bool,
 }
 
-/// A finished `respond` call coming back from the worker pool.
-struct Completion {
-    token: usize,
-    gen: u64,
+/// A reply in the shape `start_write` takes.
+struct Wire {
     head: Vec<u8>,
     body: Bytes,
     file: Option<FileTx>,
     keep_alive: bool,
+}
+
+impl Wire {
+    /// A reply the reactor produces itself (400, 503): no payload file,
+    /// and the connection closes after it.
+    fn closing(resp: Response) -> Wire {
+        let (head, body) = resp.to_wire_parts(false);
+        Wire { head, body, file: None, keep_alive: false }
+    }
+}
+
+/// A finished worker job coming back from the pool.
+struct Completion {
+    token: usize,
+    gen: u64,
+    wire: Wire,
+}
+
+/// Everything between an [`App`]'s reply and the wire, decided at
+/// dispatch and applied where the reply is produced: by the worker job,
+/// or on the loop thread for a [`FirstLook::Done`].
+struct Seal {
+    deadline: RequestDeadline,
+    keep_alive: bool,
+    head_only: bool,
+    sendfile_ok: bool,
+    /// When the backend can SEND_ZC, moderate files are worth
+    /// materializing: the body then rides the ring as one zero-copy
+    /// op instead of a per-chunk sendfile loop on the loop thread.
+    zc_file_ok: bool,
+}
+
+impl Seal {
+    /// `reply` is `None` when the fetch checkpoint had already passed
+    /// and the work was skipped. A reply that arrives past the
+    /// checkpoint is replaced by the same definite 503.
+    fn finish(self, app: &dyn App, reply: Option<Reply>) -> Wire {
+        let reply = reply.filter(|_| !self.deadline.overrun(Phase::Fetch));
+        let overrun = reply.is_none();
+        let reply = reply.unwrap_or_else(|| {
+            app.on_deadline_overrun();
+            Reply::from(overloaded_response(app.retry_after_secs()))
+        });
+        let mut resp = reply.response;
+        let mut keep_alive = self.keep_alive && !overrun;
+        if keep_alive {
+            resp.headers.set("Connection", "Keep-Alive");
+        }
+        let mut file_tx: Option<FileTx> = None;
+        if let Some(fb) = reply.file {
+            resp.headers.set("Content-Length", fb.len.to_string());
+            if self.head_only {
+                // Header describes the file; nothing follows.
+            } else if self.sendfile_ok && !(self.zc_file_ok && fb.len <= ZC_FILE_MAX) {
+                file_tx = Some(FileTx { file: fb.file, offset: 0, end: fb.len });
+            } else {
+                // Materialize here, where the reply was produced (a
+                // worker thread: file bodies are blocking work), so the
+                // read stays off the loop: either the platform lacks
+                // sendfile, or SEND_ZC is available and a bounded
+                // in-memory body rides the ring as one zero-copy op
+                // instead of a sendfile loop.
+                let mut buf = Vec::with_capacity(fb.len as usize);
+                let mut f = fb.file;
+                match Read::by_ref(&mut f).take(fb.len).read_to_end(&mut buf) {
+                    Ok(n) if n as u64 == fb.len => resp.body = buf.into(),
+                    _ => {
+                        // Short read (truncated underneath us) or I/O
+                        // error: better a clean 500 than a wrong body.
+                        resp = Response::error(StatusCode::InternalServerError);
+                        resp.headers.set("Connection", "close");
+                        keep_alive = false;
+                    }
+                }
+            }
+        }
+        let (head, body) = resp.to_wire_parts(self.head_only);
+        Wire { head, body, file: file_tx, keep_alive }
+    }
 }
 
 struct Loop {
@@ -759,7 +896,7 @@ impl Loop {
             let timeout = self.wheel.ms_to_next_tick(now).clamp(1, 50) as i32;
             self.poller.wait(&mut events, timeout)?;
 
-            for ev in events.clone() {
+            for &ev in &events {
                 match ev.token {
                     TOKEN_LISTENER => match ev.accepted {
                         Some(fd) => self.accept_incoming(fd),
@@ -936,7 +1073,7 @@ impl Loop {
             out_planned: 0,
             keep_alive: false,
             rounds: 0,
-            deadline_ms,
+            clock: EvictClock::new(deadline_ms),
             interest: Interest::READ,
             req_started: None,
             write_started: None,
@@ -1011,11 +1148,13 @@ impl Loop {
                         conn.req_started = Some(Instant::now());
                     }
                     conn.carry.extend_from_slice(&chunk[..n]);
-                    if first_byte {
-                        self.arm_parse_deadline(idx);
-                    }
                     if !self.progress(idx) {
                         return; // state advanced away from reading
+                    }
+                    // Only a request its first read left incomplete
+                    // needs the parse clock.
+                    if first_byte {
+                        self.arm_parse_deadline(idx);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -1028,24 +1167,34 @@ impl Loop {
         }
     }
 
-    /// A request's first byte arrived: from here the whole head must
-    /// parse within the parse budget (the deadline ladder's 25% cutoff,
-    /// never looser than the read timeout). The deadline is *absolute* —
-    /// later trickled bytes never push it out — so a slowloris client
-    /// dribbling one header byte per tick is evicted on schedule instead
-    /// of resetting the clock with every byte.
+    /// A request's first bytes arrived and did not complete it: from
+    /// here the whole head must parse within the parse budget (the
+    /// deadline ladder's 25% cutoff, never looser than the read timeout).
+    /// The deadline is *absolute* — later trickled bytes never push it
+    /// out — so a slowloris client dribbling one header byte per tick is
+    /// evicted on schedule instead of resetting the clock with every
+    /// byte.
     fn arm_parse_deadline(&mut self, idx: usize) {
-        let Some(gen) = self.conns.gen_of(idx) else { return };
         let parse_ms = (self.cfg.request_budget.as_millis() as u64 / 4)
             .min(self.cfg.read_timeout.as_millis() as u64)
             .max(1);
         let deadline_ms = self.now_ms() + parse_ms;
         let Some(conn) = self.conns.get_mut(idx) else { return };
-        if deadline_ms >= conn.deadline_ms {
+        if deadline_ms >= conn.clock.deadline_ms() {
             return; // the idle-read deadline is already at least as tight
         }
-        conn.deadline_ms = deadline_ms;
-        self.wheel.schedule(TimerEntry { token: idx, gen, deadline_ms });
+        self.set_deadline(idx, deadline_ms);
+    }
+
+    /// Move a connection's eviction deadline. The wheel hears of it only
+    /// when the deadline moved earlier than the entry already pending;
+    /// see [`EvictClock`].
+    fn set_deadline(&mut self, idx: usize, deadline_ms: u64) {
+        let Some(gen) = self.conns.gen_of(idx) else { return };
+        let Some(conn) = self.conns.get_mut(idx) else { return };
+        if let Some(deadline_ms) = conn.clock.set(deadline_ms) {
+            self.wheel.schedule(TimerEntry { token: idx, gen, deadline_ms });
+        }
     }
 
     /// Try to advance a Reading/ReadingBody connection using buffered
@@ -1102,6 +1251,7 @@ impl Loop {
 
     fn dispatch(&mut self, idx: usize, req: Request, body: Vec<u8>) {
         let Some(gen) = self.conns.gen_of(idx) else { return };
+        let dispatched = Instant::now();
         let loop_now_ms = self.now_ms();
         let Some(conn) = self.conns.get_mut(idx) else { return };
         // Pipelined requests whose bytes were already buffered (dispatch
@@ -1109,52 +1259,65 @@ impl Loop {
         let started = conn.req_started.take();
         let parse_us = started.map(|t| t.elapsed().as_micros() as u64).unwrap_or(0);
         let deadline =
-            RequestDeadline::new(started.unwrap_or_else(Instant::now), self.cfg.request_budget);
+            RequestDeadline::new(started.unwrap_or(dispatched), self.cfg.request_budget);
         conn.rounds += 1;
         let client_keep = req
             .headers
             .get("connection")
             .map(|v| v.eq_ignore_ascii_case("keep-alive"))
             .unwrap_or(false);
-        let keep_alive = client_keep && conn.rounds < self.cfg.keepalive_limit;
-        let head_only = req.method == Method::Head;
         conn.state = ConnState::Dispatched;
         // Clamp this request's eviction to its budget: whatever else
         // happens, the connection is resolved by the budget's end.
         conn.budget_deadline_ms =
             Some(loop_now_ms + deadline.remaining().as_millis() as u64);
+        let seal = Seal {
+            deadline,
+            keep_alive: client_keep && conn.rounds < self.cfg.keepalive_limit,
+            head_only: req.method == Method::Head,
+            sendfile_ok: self.cfg.use_sendfile && sys::HAS_SENDFILE,
+            zc_file_ok: self.poller.supports_send_zc(),
+        };
         // The head parsed: the slowloris parse deadline has done its job.
         // Push eviction back out so a slow *fulfillment* (worker queue,
-        // stalled disk) isn't evicted on the parse clock; queue_write
-        // re-arms the write deadline when the response is ready.
+        // stalled disk) isn't evicted on the parse clock; start_write
+        // sets the write deadline when the response is ready.
         let evict_ms = loop_now_ms + self.cfg.read_timeout.as_millis() as u64;
-        if conn.deadline_ms < evict_ms {
-            conn.deadline_ms = evict_ms;
-            self.wheel.schedule(TimerEntry { token: idx, gen, deadline_ms: evict_ms });
+        if conn.clock.deadline_ms() < evict_ms {
+            self.set_deadline(idx, evict_ms);
         }
-        self.set_interest(idx, Interest::NONE);
         self.app.on_phase(Phase::Parse, parse_us);
         if deadline.overrun(Phase::Parse) {
             // A trickled head already ate most of the budget: refuse the
             // work before paying for fulfillment.
             self.app.on_deadline_overrun();
             let resp = overloaded_response(self.app.retry_after_secs());
-            let (head, body) = resp.to_wire_parts(false);
-            self.start_write(idx, head, body, None, false);
+            self.start_write(idx, Wire::closing(resp));
             return;
         }
+        // First look, on this thread: a request that cannot block is
+        // answered here and never meets the pool. The socket's interest
+        // is left alone — it changes only if the write blocks.
+        let Some(conn) = self.conns.get_mut(idx) else { return };
+        let continuation = match self.app.first_look(&conn.peer, &req, &body) {
+            Some(FirstLook::Done(reply)) => {
+                let wire = seal.finish(&*self.app, Some(reply));
+                self.app.on_inline(dispatched.elapsed().as_micros() as u64);
+                // A pipelined client re-enters dispatch from this write's
+                // write_done; `keepalive_limit` bounds that recursion.
+                self.start_write(idx, wire);
+                return;
+            }
+            Some(FirstLook::Blocking(continuation)) => Some(continuation),
+            None => None,
+        };
+        let peer = conn.peer.clone();
+        self.set_interest(idx, Interest::NONE);
         // The worker may outlive this request's relevance (evicted client);
         // the generation check on completion makes that harmless.
         let app = Arc::clone(&self.app);
         let completions = Arc::clone(&self.completions);
         let wakeup = Arc::clone(&self.wakeup_tx);
-        let peer = self.conns.get_mut(idx).map(|c| c.peer.clone()).unwrap_or_default();
-        let token = idx;
-        let sendfile_ok = self.cfg.use_sendfile && sys::HAS_SENDFILE;
-        // When the backend can SEND_ZC, moderate files are worth
-        // materializing: the body then rides the ring as one zero-copy
-        // op instead of a per-chunk sendfile loop on the loop thread.
-        let zc_file_ok = self.poller.supports_send_zc();
         let enqueued = Instant::now();
         let job = Box::new(move || {
             // Queue wait is the admission controller's signal: the time
@@ -1163,56 +1326,12 @@ impl Loop {
             app.on_queue_sojourn(enqueued.elapsed().as_micros() as u64);
             // Budget checks bracket fulfillment: skip the work entirely if
             // the fetch checkpoint already passed (queueing delay), and
-            // replace a too-late response with a definite 503.
-            let mut overrun = deadline.overrun(Phase::Fetch);
-            let reply = if overrun {
-                Reply::from(overloaded_response(app.retry_after_secs()))
-            } else {
-                let r = app.respond(&peer, &req, &body);
-                overrun = deadline.overrun(Phase::Fetch);
-                if overrun {
-                    Reply::from(overloaded_response(app.retry_after_secs()))
-                } else {
-                    r
-                }
-            };
-            if overrun {
-                app.on_deadline_overrun();
-            }
-            let mut resp = reply.response;
-            let mut keep_alive = keep_alive && !overrun;
-            if keep_alive {
-                resp.headers.set("Connection", "Keep-Alive");
-            }
-            let mut file_tx: Option<FileTx> = None;
-            if let Some(fb) = reply.file {
-                resp.headers.set("Content-Length", fb.len.to_string());
-                if head_only {
-                    // Header describes the file; nothing follows.
-                } else if sendfile_ok && !(zc_file_ok && fb.len <= ZC_FILE_MAX) {
-                    file_tx = Some(FileTx { file: fb.file, offset: 0, end: fb.len });
-                } else {
-                    // Materialize here, on the worker thread, so the
-                    // blocking read stays off the loop: either the
-                    // platform lacks sendfile, or SEND_ZC is available
-                    // and a bounded in-memory body rides the ring as
-                    // one zero-copy op instead of a sendfile loop.
-                    let mut buf = Vec::with_capacity(fb.len as usize);
-                    let mut f = fb.file;
-                    match Read::by_ref(&mut f).take(fb.len).read_to_end(&mut buf) {
-                        Ok(n) if n as u64 == fb.len => resp.body = buf.into(),
-                        _ => {
-                            // Short read (truncated underneath us) or I/O
-                            // error: better a clean 500 than a wrong body.
-                            resp = Response::error(StatusCode::InternalServerError);
-                            resp.headers.set("Connection", "close");
-                            keep_alive = false;
-                        }
-                    }
-                }
-            }
-            let (head, body) = resp.to_wire_parts(head_only);
-            let done = Completion { token, gen, head, body, file: file_tx, keep_alive };
+            // `finish` replaces a too-late response with a definite 503.
+            let reply = (!seal.deadline.overrun(Phase::Fetch)).then(|| match continuation {
+                Some(continuation) => continuation(&peer, &req, &body),
+                None => app.respond(&peer, &req, &body),
+            });
+            let done = Completion { token: idx, gen, wire: seal.finish(&*app, reply) };
             match completions.lock() {
                 Ok(mut q) => q.push(done),
                 Err(poisoned) => poisoned.into_inner().push(done),
@@ -1224,16 +1343,13 @@ impl Loop {
             // level rather than queue unboundedly.
             self.app.on_shed();
             let resp = overloaded_response(self.app.retry_after_secs());
-            let (head, body) = resp.to_wire_parts(false);
-            self.start_write(idx, head, body, None, false);
+            self.start_write(idx, Wire::closing(resp));
         }
     }
 
     fn bad_request(&mut self, idx: usize) {
         self.app.on_bad_request();
-        let resp = Response::error(StatusCode::BadRequest);
-        let (head, body) = resp.to_wire_parts(false);
-        self.start_write(idx, head, body, None, false);
+        self.start_write(idx, Wire::closing(Response::error(StatusCode::BadRequest)));
     }
 
     fn drain_wakeup(&mut self) {
@@ -1294,27 +1410,20 @@ impl Loop {
             if !matches!(conn.state, ConnState::Dispatched) {
                 continue;
             }
-            self.start_write(c.token, c.head, c.body, c.file, c.keep_alive);
+            self.start_write(c.token, c.wire);
         }
     }
 
-    fn start_write(
-        &mut self,
-        idx: usize,
-        head: Vec<u8>,
-        body: Bytes,
-        file: Option<FileTx>,
-        keep_alive: bool,
-    ) {
-        let Some(gen) = self.conns.gen_of(idx) else { return };
+    fn start_write(&mut self, idx: usize, wire: Wire) {
+        let Wire { head, body, file, keep_alive } = wire;
         let mut deadline_ms = self.now_ms() + self.cfg.write_timeout.as_millis() as u64;
-        if let Some(budget) = self.conns.get_mut(idx).and_then(|c| c.budget_deadline_ms) {
-            deadline_ms = deadline_ms.min(budget);
-        }
         let file_len = file.as_ref().map(|f| (f.end - f.offset) as usize).unwrap_or(0);
         let planned = head.len() + body.len() + file_len;
         {
             let Some(conn) = self.conns.get_mut(idx) else { return };
+            if let Some(budget) = conn.budget_deadline_ms {
+                deadline_ms = deadline_ms.min(budget);
+            }
             self.app.on_write_start(planned);
             if !body.is_empty() {
                 self.app.on_zero_copy(body.len());
@@ -1329,30 +1438,34 @@ impl Loop {
             conn.out_planned = planned;
             conn.keep_alive = keep_alive;
             conn.state = ConnState::Writing;
-            conn.deadline_ms = deadline_ms;
             conn.write_started = Some(Instant::now());
             conn.uring_write = false;
             conn.pending_read = false;
         }
-        self.wheel.schedule(TimerEntry { token: idx, gen, deadline_ms });
+        self.set_deadline(idx, deadline_ms);
 
         // Completion-based fast path: hand the whole buffered response to
         // the ring as a queued WRITEV, with the next-request read-poll
         // linked behind it on keep-alive connections — the kernel chains
         // both without the loop re-entering in between. File payloads keep
-        // the classic sendfile path. On refusal (fd not registered, poll
-        // still armed) the buffers are left in place and the readiness
-        // path below takes over.
-        if self.poller.supports_queued_write() {
+        // the classic sendfile path. On refusal (fd not registered) the
+        // buffers are left in place and the readiness path below takes
+        // over.
+        if self.poller.supports_queued_write()
+            && self.conns.get(idx).is_some_and(|c| c.out_file.is_none() && c.out_planned > 0)
+        {
+            // The ring refuses a write while this request's read-poll is
+            // still armed (the linked poll would double it). A reply that
+            // came back from the pool parked it at dispatch; one answered
+            // inline parks it here — a cancel SQE, not a syscall.
+            self.set_interest(idx, Interest::NONE);
             let Some(conn) = self.conns.get_mut(idx) else { return };
-            if conn.out_file.is_none() && conn.out_planned > 0 {
-                let fd = conn.stream.as_raw_fd();
-                let keep = conn.keep_alive;
-                let (head, body) = (&mut conn.out_head, &mut conn.out_body);
-                if self.poller.queue_writev(fd, TOKEN_BASE + idx, head, body, keep) {
-                    conn.uring_write = true;
-                    return;
-                }
+            let fd = conn.stream.as_raw_fd();
+            let keep = conn.keep_alive;
+            let (head, body) = (&mut conn.out_head, &mut conn.out_body);
+            if self.poller.queue_writev(fd, TOKEN_BASE + idx, head, body, keep) {
+                conn.uring_write = true;
+                return;
             }
         }
 
@@ -1462,27 +1575,20 @@ impl Loop {
         }
     }
 
-    /// Re-arm the write deadline after transmit progress. The old wheel
-    /// entry goes stale (deadline mismatch) and is ignored on expiry.
+    /// Push the write deadline out after transmit progress.
     fn refresh_write_deadline(&mut self, idx: usize) {
-        let Some(gen) = self.conns.gen_of(idx) else { return };
         let mut deadline_ms = self.now_ms() + self.cfg.write_timeout.as_millis() as u64;
         let Some(conn) = self.conns.get_mut(idx) else { return };
         if let Some(budget) = conn.budget_deadline_ms {
             // Progress keeps the client alive, but never past the budget.
             deadline_ms = deadline_ms.min(budget);
         }
-        if conn.deadline_ms == deadline_ms {
-            return;
-        }
-        conn.deadline_ms = deadline_ms;
-        self.wheel.schedule(TimerEntry { token: idx, gen, deadline_ms });
+        self.set_deadline(idx, deadline_ms);
     }
 
     /// A write finished (fully, or by error). Account it, then either
     /// recycle the connection for keep-alive or close it.
     fn write_done(&mut self, idx: usize, ok: bool) {
-        let Some(gen) = self.conns.gen_of(idx) else { return };
         let (keep, written, write_us, pending_read) = {
             let Some(conn) = self.conns.get_mut(idx) else { return };
             let written = conn.out_planned;
@@ -1513,9 +1619,8 @@ impl Loop {
         {
             let Some(conn) = self.conns.get_mut(idx) else { return };
             conn.state = ConnState::Reading;
-            conn.deadline_ms = deadline_ms;
         }
-        self.wheel.schedule(TimerEntry { token: idx, gen, deadline_ms });
+        self.set_deadline(idx, deadline_ms);
         self.set_interest(idx, Interest::READ);
         // Pipelined bytes may already complete the next request; under a
         // queued write, a readable edge consumed mid-write (the linked
@@ -1541,14 +1646,18 @@ impl Loop {
     }
 
     fn expire(&mut self, e: TimerEntry) {
+        let now_ms = self.now_ms();
         let Some(conn) = self.conns.get_mut_checked(e.token, e.gen) else {
             return; // stale: connection already gone or recycled
         };
-        if conn.deadline_ms != e.deadline_ms {
-            return; // stale: the deadline moved since this was scheduled
+        match conn.clock.fired(e.deadline_ms, now_ms) {
+            Fired::Stale => {}
+            Fired::Rearm(deadline_ms) => self.wheel.schedule(TimerEntry { deadline_ms, ..e }),
+            Fired::Evict => {
+                self.app.on_evict();
+                self.close(e.token);
+            }
         }
-        self.app.on_evict();
-        self.close(e.token);
     }
 
     fn close(&mut self, idx: usize) {

@@ -1,13 +1,17 @@
-//! A hashed timer wheel with lazy cancellation.
+//! A hashed timer wheel with lazy cancellation and lazy re-arming.
 //!
 //! Deadlines are bucketed into `tick_ms` slots over a fixed ring. The
-//! reactor never cancels an entry explicitly: when a connection's
-//! deadline moves (new request, write progress) it simply schedules a new
-//! entry, and expired entries are validated against the connection's
-//! *current* generation and deadline before acting. A stale entry is a
-//! few bytes of garbage that disappears when its slot next drains —
-//! exactly the trade the classic hashed-wheel design makes to keep
-//! schedule/advance O(1) amortized.
+//! reactor never cancels an entry explicitly, and an entry lives in its
+//! slot until its deadline — so what a connection schedules is what the
+//! wheel's memory is made of. Each connection therefore keeps an
+//! `EvictClock`: a deadline that only moves *later* (the usual case:
+//! the next phase of a request, write progress, the next keep-alive
+//! request) schedules nothing, and the one entry already pending
+//! re-schedules itself at the current deadline when it fires. Only a
+//! deadline that moves *earlier* than the pending entry (the slowloris
+//! parse clock) pushes a new one; the superseded entry goes stale and is
+//! dropped when its slot drains. Expired entries are validated against
+//! the connection's generation and clock before acting.
 
 /// One scheduled expiry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,6 +22,64 @@ pub struct TimerEntry {
     pub gen: u64,
     /// Absolute deadline in reactor-clock milliseconds.
     pub deadline_ms: u64,
+}
+
+/// One connection's eviction clock: its current deadline, and the
+/// deadline of the wheel entry that will wake it. Invariant:
+/// `timer_ms <= deadline_ms`, so the pending entry never fires late.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EvictClock {
+    deadline_ms: u64,
+    timer_ms: u64,
+}
+
+/// What a fired wheel entry means for the connection it names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fired {
+    /// Superseded by an earlier entry: ignore.
+    Stale,
+    /// The deadline moved later since the entry was scheduled: schedule
+    /// a new entry at this deadline.
+    Rearm(u64),
+    /// The deadline has passed: evict.
+    Evict,
+}
+
+impl EvictClock {
+    /// A clock whose first entry the caller schedules at `deadline_ms`.
+    pub(crate) fn new(deadline_ms: u64) -> EvictClock {
+        EvictClock { deadline_ms, timer_ms: deadline_ms }
+    }
+
+    /// The current eviction deadline.
+    pub(crate) fn deadline_ms(&self) -> u64 {
+        self.deadline_ms
+    }
+
+    /// Move the deadline. Returns the deadline to schedule a wheel entry
+    /// for, which is only needed when it moved earlier than the entry
+    /// already pending.
+    #[must_use]
+    pub(crate) fn set(&mut self, deadline_ms: u64) -> Option<u64> {
+        self.deadline_ms = deadline_ms;
+        if deadline_ms >= self.timer_ms {
+            return None;
+        }
+        self.timer_ms = deadline_ms;
+        Some(deadline_ms)
+    }
+
+    /// The wheel entry scheduled for `entry_ms` fired at `now_ms`.
+    pub(crate) fn fired(&mut self, entry_ms: u64, now_ms: u64) -> Fired {
+        if entry_ms != self.timer_ms {
+            Fired::Stale
+        } else if self.deadline_ms <= now_ms {
+            Fired::Evict
+        } else {
+            self.timer_ms = self.deadline_ms;
+            Fired::Rearm(self.deadline_ms)
+        }
+    }
 }
 
 /// The wheel.
@@ -172,6 +234,73 @@ mod tests {
         let fired = expired_at(&mut w, 61);
         assert_eq!(fired.len(), 1, "entry missed its slot: would fire a revolution late");
         assert_eq!(fired[0].token, 7);
+    }
+
+    /// Drive one connection's clock against a real wheel through
+    /// `moves` (`(at_ms, new deadline)`), scheduling every entry the
+    /// clock asks for. Returns (entries pushed by deadline moves and the
+    /// initial arm, entries pushed by re-arming, eviction time).
+    fn run_clock(mut clock: EvictClock, moves: &[(u64, u64)]) -> (usize, usize, Option<u64>) {
+        let mut w = TimerWheel::new(64, 10);
+        let entry = |deadline_ms| TimerEntry { token: 0, gen: 0, deadline_ms };
+        w.schedule(entry(clock.deadline_ms()));
+        let (mut pushes, mut rearms) = (1, 0);
+        let mut moves = moves.iter().peekable();
+        for now in (0..=5000).step_by(10) {
+            while let Some(&(_, deadline)) = moves.next_if(|&&(at, _)| at <= now) {
+                if let Some(d) = clock.set(deadline) {
+                    w.schedule(entry(d));
+                    pushes += 1;
+                }
+            }
+            for e in expired_at(&mut w, now) {
+                match clock.fired(e.deadline_ms, now) {
+                    Fired::Stale => {}
+                    Fired::Rearm(d) => {
+                        w.schedule(entry(d));
+                        rearms += 1;
+                    }
+                    Fired::Evict => return (pushes, rearms, Some(now)),
+                }
+            }
+            assert!(w.pending() <= 2, "a connection holds at most its entry and a superseded one");
+        }
+        (pushes, rearms, None)
+    }
+
+    #[test]
+    fn a_request_that_completes_in_its_first_read_pushes_once() {
+        // Admitted at 0 with a 1 s idle deadline; the request arrives
+        // whole at 100 ms, so dispatch, the write and three keep-alive
+        // rounds only ever move the deadline later: the admit entry is
+        // the only push (four per request before lazy re-arming). The
+        // entry re-arms when it fires — at 1,000 ms for 1,510, then for
+        // 2,300: once per timeout period, not per request — and the idle
+        // connection is evicted one read timeout after its last
+        // response, as before.
+        let moves =
+            [(100, 1100), (100, 1100), (110, 1110), (500, 1500), (510, 1510), (1300, 2300)];
+        let (pushes, rearms, evicted) = run_clock(EvictClock::new(1000), &moves);
+        assert_eq!(pushes, 1, "deadlines that only move later must not reach the wheel");
+        assert_eq!(rearms, 2);
+        assert_eq!(evicted, Some(2300));
+    }
+
+    #[test]
+    fn a_deadline_that_moves_earlier_pushes_and_still_evicts_on_time() {
+        // The slowloris case: the first byte at 100 ms arms a 250 ms
+        // parse deadline under the 1 s idle one. That is the one extra
+        // push, and eviction lands on the parse deadline's tick.
+        let (pushes, rearms, evicted) = run_clock(EvictClock::new(1000), &[(100, 350)]);
+        assert_eq!((pushes, rearms), (2, 0));
+        assert_eq!(evicted, Some(350));
+        // If the head then completes at 200 ms the deadline moves back
+        // out without a push; the 350 ms entry re-arms itself and the
+        // superseded 1,000 ms entry is ignored when it fires.
+        let (pushes, rearms, evicted) =
+            run_clock(EvictClock::new(1000), &[(100, 350), (200, 1200)]);
+        assert_eq!((pushes, rearms), (2, 1));
+        assert_eq!(evicted, Some(1200));
     }
 
     #[test]

@@ -10,7 +10,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use sweb_http::{Request, Response};
-use sweb_reactor::{App, FileBody, ReactorConfig, ReactorHandle, Reply};
+use sweb_reactor::sys::Poller;
+use sweb_reactor::{App, FileBody, FirstLook, IoBackend, ReactorConfig, ReactorHandle, Reply};
 
 /// Minimal app: answers with the request target, counts every hook.
 /// `/big` serves the configured in-memory body (the cached-file shape);
@@ -80,8 +81,8 @@ impl App for EchoApp {
     }
 }
 
-struct TestServer {
-    app: Arc<EchoApp>,
+struct TestServer<A: App = EchoApp> {
+    app: Arc<A>,
     handle: Option<ReactorHandle>,
     shutdown: Arc<AtomicBool>,
     addr: std::net::SocketAddr,
@@ -89,8 +90,14 @@ struct TestServer {
 
 impl TestServer {
     fn start(cfg: ReactorConfig) -> TestServer {
+        TestServer::start_app(EchoApp::default(), cfg)
+    }
+}
+
+impl<A: App> TestServer<A> {
+    fn start_app(app: A, cfg: ReactorConfig) -> TestServer<A> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let app = Arc::new(EchoApp::default());
+        let app = Arc::new(app);
         let shutdown = Arc::new(AtomicBool::new(false));
         let handle = sweb_reactor::spawn(
             listener,
@@ -119,7 +126,7 @@ impl TestServer {
     }
 }
 
-impl Drop for TestServer {
+impl<A: App> Drop for TestServer<A> {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
@@ -483,4 +490,300 @@ fn handoff_fallback_round_robins_accepts_across_shards() {
 
     shutdown.store(true, Ordering::Relaxed);
     handle.join().unwrap();
+}
+
+// -------------------------------------------------------------- first look
+
+/// Which of the three ways through `dispatch` a [`LookApp`] takes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Mode {
+    /// No first look: every request goes to `respond` on a worker.
+    Respond,
+    /// The first look finishes the reply on the loop thread.
+    Inline,
+    /// The first look hands back a continuation for the pool.
+    Blocking,
+}
+
+/// Answers every request the same way in every [`Mode`], and records
+/// which thread produced each answer.
+struct LookApp {
+    mode: Mode,
+    /// Served at `/big` (the resident-document shape).
+    big: Bytes,
+    /// Names of the threads `respond` ran on.
+    responded_on: Mutex<Vec<String>>,
+    /// Names of the threads `first_look` ran on.
+    looked_on: Mutex<Vec<String>>,
+    /// Names of the threads continuations ran on.
+    continued_on: Arc<Mutex<Vec<String>>>,
+    inline: AtomicUsize,
+    evicted: AtomicUsize,
+}
+
+impl LookApp {
+    fn new(mode: Mode) -> LookApp {
+        LookApp {
+            mode,
+            big: Bytes::new(),
+            responded_on: Mutex::default(),
+            looked_on: Mutex::default(),
+            continued_on: Arc::default(),
+            inline: AtomicUsize::new(0),
+            evicted: AtomicUsize::new(0),
+        }
+    }
+}
+
+fn here() -> String {
+    std::thread::current().name().unwrap_or("?").to_string()
+}
+
+fn answer(big: &Bytes, req: &Request, body: &[u8]) -> Reply {
+    if req.target == "/big" {
+        return Response::ok(big.clone(), "application/octet-stream").into();
+    }
+    Response::ok(format!("target={} body={}", req.target, body.len()), "text/plain").into()
+}
+
+impl App for LookApp {
+    fn respond(&self, _peer: &str, req: &Request, body: &[u8]) -> Reply {
+        self.responded_on.lock().unwrap().push(here());
+        answer(&self.big, req, body)
+    }
+    fn first_look(&self, _peer: &str, req: &Request, body: &[u8]) -> Option<FirstLook> {
+        self.looked_on.lock().unwrap().push(here());
+        match self.mode {
+            Mode::Respond => None,
+            Mode::Inline => Some(FirstLook::Done(answer(&self.big, req, body))),
+            Mode::Blocking => {
+                let (big, continued_on) = (self.big.clone(), Arc::clone(&self.continued_on));
+                Some(FirstLook::Blocking(Box::new(move |_peer, req, body| {
+                    continued_on.lock().unwrap().push(here());
+                    answer(&big, req, body)
+                })))
+            }
+        }
+    }
+    fn on_inline(&self, _micros: u64) {
+        self.inline.fetch_add(1, Ordering::SeqCst);
+    }
+    fn on_evict(&self) {
+        self.evicted.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Backends this kernel can open (`strict`: a missing one is a reported
+/// skip, never a silent downgrade to another).
+fn backends() -> Vec<IoBackend> {
+    let all = if cfg!(target_os = "linux") {
+        vec![IoBackend::Poll, IoBackend::Epoll, IoBackend::Uring]
+    } else {
+        vec![IoBackend::Poll]
+    };
+    let open: Vec<IoBackend> = all
+        .into_iter()
+        .filter(|&b| match Poller::strict(b) {
+            Ok(_) => true,
+            Err(e) => {
+                eprintln!("first-look tests: skipping {}: {e}", b.name());
+                false
+            }
+        })
+        .collect();
+    assert!(!open.is_empty(), "no backend available at all");
+    open
+}
+
+/// One `read`, retried when a signal interrupts it.
+fn read_some(s: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<usize> {
+    loop {
+        match s.read(buf) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            other => return other,
+        }
+    }
+}
+
+/// The script every mode must answer byte for byte the same: a GET, a
+/// HEAD, a POST, two keep-alive requests written one after the other's
+/// reply, and 64 keep-alive requests pipelined in one segment (the
+/// default `keepalive_limit`, so the server closes after the last).
+fn run_script(addr: std::net::SocketAddr) -> Vec<String> {
+    let mut out = vec![
+        exchange_at(addr, b"GET /one HTTP/1.0\r\n\r\n"),
+        exchange_at(addr, b"HEAD /head HTTP/1.0\r\n\r\n"),
+        exchange_at(addr, b"POST /post HTTP/1.0\r\nContent-Length: 5\r\n\r\nhello"),
+    ];
+    // Keep-alive, request by request: the second is only written once
+    // the first reply has been read.
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    s.write_all(b"GET /ka1 HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").unwrap();
+    let mut first = Vec::new();
+    let mut buf = [0u8; 512];
+    while !first.ends_with(b"target=/ka1 body=0") {
+        let n = read_some(&mut s, &mut buf).unwrap();
+        assert!(n > 0, "connection closed under keep-alive: {:?}", String::from_utf8_lossy(&first));
+        first.extend_from_slice(&buf[..n]);
+    }
+    s.write_all(b"GET /ka2 HTTP/1.0\r\n\r\n").unwrap();
+    let _ = s.read_to_end(&mut first);
+    out.push(String::from_utf8(first).unwrap());
+    let pipelined: String =
+        (0..64).map(|i| format!("GET /p{i} HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n")).collect();
+    out.push(exchange_at(addr, pipelined.as_bytes()));
+    out
+}
+
+#[test]
+fn inline_first_look_is_byte_identical_to_respond_on_every_backend() {
+    for backend in backends() {
+        let cfg = ReactorConfig { io_backend: backend, ..ReactorConfig::default() };
+        let pooled = TestServer::start_app(LookApp::new(Mode::Respond), cfg.clone());
+        let inline = TestServer::start_app(LookApp::new(Mode::Inline), cfg);
+        let (want, got) = (run_script(pooled.addr), run_script(inline.addr));
+        for (i, (want, got)) in want.iter().zip(&got).enumerate() {
+            assert_eq!(got, want, "{}: exchange {i} differs from respond's", backend.name());
+        }
+        // The script itself: 64 pipelined replies, in request order.
+        let pipelined = &got[4];
+        let order: Vec<usize> = pipelined
+            .match_indices("target=/p")
+            .map(|(at, _)| {
+                let digits = &pipelined[at + "target=/p".len()..];
+                digits[..digits.find(' ').unwrap()].parse().unwrap()
+            })
+            .collect();
+        assert_eq!(order, (0..64).collect::<Vec<_>>(), "{}: {pipelined}", backend.name());
+        assert!(got[1].ends_with("\r\n\r\n"), "HEAD carried a body");
+        // 3 + 2 + 64 requests: all answered on the loop thread, none by
+        // `respond`; the other server never answered inline.
+        let loop_thread = format!("sweb-reactor-{}-s0", inline.addr.port());
+        let looked = inline.app.looked_on.lock().unwrap();
+        assert_eq!(looked.len(), 69, "{}", backend.name());
+        assert!(looked.iter().all(|t| *t == loop_thread), "{}: {looked:?}", backend.name());
+        assert_eq!(inline.app.inline.load(Ordering::SeqCst), 69);
+        assert!(inline.app.responded_on.lock().unwrap().is_empty());
+        assert_eq!(pooled.app.responded_on.lock().unwrap().len(), 69);
+        assert_eq!(pooled.app.inline.load(Ordering::SeqCst), 0);
+    }
+}
+
+#[test]
+fn blocking_continuation_runs_once_on_a_worker_and_respond_never() {
+    for backend in backends() {
+        let cfg = ReactorConfig { io_backend: backend, ..ReactorConfig::default() };
+        let pooled = TestServer::start_app(LookApp::new(Mode::Respond), cfg.clone());
+        let srv = TestServer::start_app(LookApp::new(Mode::Blocking), cfg);
+        assert_eq!(run_script(srv.addr), run_script(pooled.addr), "{}", backend.name());
+        let continued = srv.app.continued_on.lock().unwrap();
+        assert_eq!(continued.len(), 69, "{}: one continuation per request", backend.name());
+        assert!(
+            continued.iter().all(|t| t.starts_with("sweb-worker-")),
+            "{}: continuation off the pool: {continued:?}",
+            backend.name()
+        );
+        assert!(srv.app.responded_on.lock().unwrap().is_empty(), "respond ran as well");
+        assert_eq!(srv.app.inline.load(Ordering::SeqCst), 0);
+    }
+}
+
+#[test]
+fn large_inline_body_resumes_across_partial_writes() {
+    // The inline path leaves the socket's interest alone until a write
+    // blocks; an 8 MiB body blocks many times, and the write timeout is
+    // shorter than the transfer, so this also proves the lazily re-armed
+    // deadline keeps moving with progress.
+    for backend in backends() {
+        let cfg = ReactorConfig {
+            io_backend: backend,
+            write_timeout: Duration::from_millis(400),
+            timer_tick_ms: 10,
+            ..ReactorConfig::default()
+        };
+        let body = payload(8 << 20);
+        let app = LookApp { big: Bytes::from(body.clone()), ..LookApp::new(Mode::Inline) };
+        let srv = TestServer::start_app(app, cfg);
+        let mut s = srv.connect();
+        s.write_all(b"GET /big HTTP/1.0\r\n\r\n").unwrap();
+        let (head, got) = slow_read_response(&mut s, 256 << 10, Duration::from_millis(20));
+        assert!(head.starts_with("HTTP/1.0 200"), "{head}");
+        assert_eq!(got.len(), body.len(), "{}: body truncated", backend.name());
+        assert!(got == body, "{}: body corrupted in transit", backend.name());
+        assert_eq!(srv.app.evicted.load(Ordering::SeqCst), 0, "live reader was evicted");
+        assert_eq!(srv.app.inline.load(Ordering::SeqCst), 1);
+    }
+}
+
+/// Milliseconds from `since` until the server closes `s` (EOF, or a
+/// reset when it closed over bytes it had not read yet).
+fn ms_to_close(s: &mut TcpStream, since: Instant) -> u128 {
+    let mut buf = [0u8; 256];
+    while !matches!(read_some(s, &mut buf), Ok(0) | Err(_)) {}
+    since.elapsed().as_millis()
+}
+
+#[test]
+fn evictions_land_on_the_same_deadlines_with_lazy_rearm() {
+    // Lazy re-arming changes which wheel entries exist, not when a
+    // connection is evicted. Parse deadline: a quarter of the budget
+    // after the first byte, however the head is dribbled. Idle deadline:
+    // one read timeout after the last response — here reached by an
+    // entry that was scheduled at admit and re-armed itself.
+    const TICK: u128 = 10;
+    // Scheduling slack on a shared box; both bounds stay well inside the
+    // next-looser deadline (600 ms idle, 1 s budget).
+    const SLACK: u128 = 150;
+    for backend in backends() {
+        for mode in [Mode::Respond, Mode::Inline] {
+            let cfg = ReactorConfig {
+                io_backend: backend,
+                read_timeout: Duration::from_millis(600),
+                request_budget: Duration::from_millis(1000),
+                timer_tick_ms: TICK as u64,
+                ..ReactorConfig::default()
+            };
+            let srv = TestServer::start_app(LookApp::new(mode), cfg);
+            let tag = format!("{} {mode:?}", backend.name());
+
+            // Slowloris: a byte every 40 ms never completes the head.
+            let mut slow = srv.connect();
+            slow.write_all(b"GET /never").unwrap();
+            let first_byte = Instant::now();
+            let dribbler = {
+                let mut w = slow.try_clone().unwrap();
+                std::thread::spawn(move || {
+                    while w.write_all(b"x").is_ok() {
+                        std::thread::sleep(Duration::from_millis(40));
+                    }
+                })
+            };
+            let took = ms_to_close(&mut slow, first_byte);
+            assert!(
+                (250 - TICK..=250 + TICK + SLACK).contains(&took),
+                "{tag}: slowloris evicted after {took} ms, parse deadline is 250"
+            );
+            dribbler.join().unwrap();
+
+            // Idle keep-alive: connect, wait, one request, then silence.
+            let mut idle = srv.connect();
+            std::thread::sleep(Duration::from_millis(200));
+            idle.write_all(b"GET /ka HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").unwrap();
+            let mut reply = Vec::new();
+            let mut buf = [0u8; 512];
+            while !reply.ends_with(b"target=/ka body=0") {
+                let n = read_some(&mut idle, &mut buf).unwrap();
+                assert!(n > 0, "{tag}: closed before answering");
+                reply.extend_from_slice(&buf[..n]);
+            }
+            let answered = Instant::now();
+            let took = ms_to_close(&mut idle, answered);
+            assert!(
+                (600 - TICK..=600 + TICK + SLACK).contains(&took),
+                "{tag}: idle connection evicted {took} ms after its reply, read timeout is 600"
+            );
+            assert_eq!(srv.app.evicted.load(Ordering::SeqCst), 2, "{tag}");
+        }
+    }
 }

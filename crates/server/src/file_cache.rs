@@ -197,9 +197,34 @@ impl FileCache {
 
     /// Whether `path`'s body is resident right now (no I/O, no LRU touch).
     pub fn resident(&self, path: &str) -> bool {
-        let key = key_of(path);
+        self.peek(key_of(path), path).is_some()
+    }
+
+    /// The request path's one lookup: the resident body for `path` and
+    /// the mtime it was cached with — no stat, no LRU touch, no counter.
+    /// The caller holds the file's `stat`: a body whose mtime matches it
+    /// may be served (then [`FileCache::touch`] accounts the hit), one
+    /// that does not is stale and goes through [`FileCache::read`].
+    pub(crate) fn peek(&self, key: FileId, path: &str) -> Option<(Bytes, SystemTime)> {
         let inner = self.segment_of(key).inner.lock();
-        inner.lru.contains(key) && inner.bodies.get(&key).is_some_and(|e| e.path == path)
+        if !inner.lru.contains(key) {
+            return None;
+        }
+        let entry = inner.bodies.get(&key).filter(|e| e.path == path)?;
+        Some((entry.body.clone(), entry.mtime))
+    }
+
+    /// A body from [`FileCache::peek`] was served: count the hit and
+    /// touch the LRU, exactly what a hit in [`FileCache::read`] does.
+    pub(crate) fn touch(&self, key: FileId, len: u64) {
+        let seg = self.segment_of(key);
+        let mut inner = seg.inner.lock();
+        // Evicted since the peek: the body in hand is still good, but
+        // there is no entry left to refresh.
+        if inner.lru.contains(key) {
+            inner.lru.access(key, len);
+        }
+        seg.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Bloom digest of currently-resident [`FileId`]s, for loadd
@@ -381,6 +406,25 @@ mod tests {
         let (b, _) = cache.read("/mod", &f).unwrap();
         assert_eq!(&b[..], b"version two!");
         assert_eq!(cache.misses(), 2, "stale entry must re-read");
+        let _ = std::fs::remove_file(&f);
+    }
+
+    #[test]
+    fn peek_then_touch_accounts_like_a_read_hit() {
+        let f = tmpfile("peek", b"peek at me");
+        let cache = FileCache::new(1 << 20);
+        let key = key_of("/peek");
+        assert!(cache.peek(key, "/peek").is_none());
+        let (body, mtime) = cache.read("/peek", &f).unwrap();
+        // The lookup itself moves no counter: the request may yet be
+        // redirected, and only a served body is a hit.
+        let (peeked, cached_mtime) = cache.peek(key, "/peek").unwrap();
+        assert_eq!((peeked.clone(), cached_mtime), (body, mtime));
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        cache.touch(key, peeked.len() as u64);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        // Same key, another path: a collision is never a resident body.
+        assert!(cache.peek(key, "/other").is_none());
         let _ = std::fs::remove_file(&f);
     }
 

@@ -1,12 +1,26 @@
 //! Request handling: schedule (serve or 302) and fulfill a parsed request.
+//!
+//! The §3.2 pipeline is one pipeline, split where it can first block.
+//! [`first_look`] is everything that cannot: steps 1–3 and the
+//! fulfillments that are memory only. It ends in a reply, or in a
+//! [`Continuation`] carrying what it computed into the part that can
+//! sleep (disk reads, handler invocations, fork-CGI, peer fetches,
+//! status renders). A reactor loop thread runs the first look on the
+//! shard that parsed the request and sends only continuations to the
+//! worker pool; a worker that is handed a whole request
+//! ([`respond_parts`]) runs the same two stages back to back.
 
-use std::time::{Duration, Instant};
+use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::{Duration, Instant, SystemTime};
 
-use sweb_cluster::{NodeId, Placement};
-use sweb_core::{AdmitClass, RequestClass, RequestInfo};
+use bytes::Bytes;
+use sweb_cluster::{FileId, NodeId, Placement};
+use sweb_core::{AdmitClass, Decision, RequestClass, RequestInfo};
 use sweb_http::{mime_for_path, Method, Request, Response, StatusCode};
 use sweb_telemetry::Phase;
 
+use crate::dynamic::DynamicHandler;
 use crate::node::NodeShared;
 
 /// Smallest document worth streaming via `sendfile` instead of buffering:
@@ -54,60 +68,127 @@ pub(crate) fn overloaded(shared: &NodeShared) -> Response {
     resp
 }
 
-/// §3.2 steps 1–4 over a real request, zero-copy form: large uncacheable
-/// documents come back as `(head-only response, Some((open fd, length)))`
-/// for the caller to stream (`sendfile`), everything else inline. The
-/// reactor consumes this shape directly.
+/// A response plus, for a document streamed from its fd (`sendfile`),
+/// the open file and its length; the reactor consumes this shape
+/// directly.
+pub(crate) type Parts = (Response, Option<(std::fs::File, u64)>);
+
+/// What the first look at a request concluded.
+pub(crate) enum Look {
+    /// The finished reply.
+    Done(Response),
+    /// Everything that cannot block is done and decided; what is left
+    /// can sleep.
+    Blocking(Continuation),
+}
+
+/// The rest of a request whose first look is done, carrying what the
+/// first look computed so that nothing is computed — or decided — twice.
+pub(crate) struct Continuation {
+    trace: String,
+    work: Work,
+}
+
+enum Work {
+    /// `/sweb-status`: a 0.2–0.7 ms render, too long for a loop thread.
+    Status,
+    /// `/metrics`: likewise.
+    Metrics,
+    /// The admission controller shed this class at the level the first
+    /// look read. The 503 itself is produced by a worker, never on the
+    /// loop: the controller's level moves only on worker-queue samples,
+    /// and a refusal that skipped the queue would starve it of the very
+    /// samples that let the level come back down.
+    Refuse(AdmitClass),
+    /// Scheduled onto this node: pull from a peer or fulfill locally.
+    Serve(Serve),
+}
+
+/// A request the broker placed on this node, after steps 1–3.
+struct Serve {
+    path: String,
+    file: FileId,
+    size: u64,
+    redirected: bool,
+    decision: Decision,
+    target: Target,
+    /// [`Serve::try_memory`] ran. Its lookups count cache hits and
+    /// misses, so they run once per request.
+    probed: bool,
+}
+
+enum Target {
+    /// A document under the docroot. `hit` is the resident body the
+    /// request's one cache lookup found, if its mtime matched the stat.
+    Document { full: PathBuf, hit: Option<(Bytes, SystemTime)> },
+    /// A registered handler. `key` is its response-cache key, once
+    /// [`Serve::try_memory`] has asked for it.
+    Handler { handler: Arc<dyn DynamicHandler>, key: Option<String> },
+}
+
+/// §3.2 steps 1–4 over a real request on one thread: the first look,
+/// then whatever it left, back to back. This is the worker path; the
+/// reactor's loop threads call [`first_look`] themselves and send only a
+/// [`Continuation`] to the pool.
+pub(crate) fn respond_parts(shared: &NodeShared, req: &Request, body: &[u8]) -> Parts {
+    match first_look(shared, req, body) {
+        Look::Done(resp) => (resp, None),
+        Look::Blocking(rest) => rest.run(shared, req, body),
+    }
+}
+
+/// The part of the pipeline that cannot block: preprocess, analyze,
+/// schedule (steps 1–3), then the fulfillments that are memory only — a
+/// resident document, a dynamic-cache hit. Its budget is one `stat`,
+/// short locks and computation, so a reactor loop thread can run it
+/// between two socket events.
 ///
 /// Every response carries an `X-SWEB-Trace` header: the id the request
 /// arrived with (carried through a 302 hop as a `sweb-trace` query
 /// parameter) or a freshly minted one, so one logical request is joinable
 /// across nodes in the access logs.
-pub(crate) fn respond_parts(
-    shared: &NodeShared,
-    req: &Request,
-    body: &[u8],
-) -> (Response, Option<(std::fs::File, u64)>) {
+pub(crate) fn first_look(shared: &NodeShared, req: &Request, body: &[u8]) -> Look {
     let trace = sweb_http::trace_of(&req.target)
         .map(str::to_owned)
         .unwrap_or_else(|| shared.stats.new_trace_id(shared.id));
-    let (mut resp, file) = respond_routed(shared, req, body, &trace);
-    resp.headers.set("X-SWEB-Trace", trace);
-    (resp, file)
+    let mut look = look(shared, req, body, &trace);
+    if let Look::Done(resp) = &mut look {
+        resp.headers.set("X-SWEB-Trace", trace);
+    }
+    look
 }
 
-/// The routed pipeline behind [`respond_parts`]: preprocess, analyze,
-/// schedule, and either redirect (carrying `trace` in the Location URL)
-/// or fulfill locally.
-fn respond_routed(
-    shared: &NodeShared,
-    req: &Request,
-    body: &[u8],
-    trace: &str,
-) -> (Response, Option<(std::fs::File, u64)>) {
+/// The pipeline behind [`first_look`]; a finished reply leaves here
+/// without its trace header.
+fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
+    let rest = |work| Look::Blocking(Continuation { trace: trace.to_owned(), work });
     // Step 1: preprocess — method check, path completion, existence.
     if !req.method.is_supported() {
-        return (Response::error(StatusCode::NotImplemented), None);
+        return Look::Done(Response::error(StatusCode::NotImplemented));
     }
     let Some(path) = req.path() else {
-        return (Response::error(StatusCode::Forbidden), None); // traversal attempt
+        return Look::Done(Response::error(StatusCode::Forbidden)); // traversal attempt
     };
     // Administrative endpoints: always answered by the node they reached.
     if path == crate::status::STATUS_PATH {
-        return (crate::status::render(shared, req.query()), None);
+        return rest(Work::Status);
     }
     if path == crate::status::METRICS_PATH {
-        return (crate::status::render_metrics(shared), None);
+        return rest(Work::Metrics);
     }
     let is_dynamic = req.is_cgi();
     if req.method == Method::Post && !is_dynamic {
         // POST targets programs, not documents.
-        return (Response::error(StatusCode::MethodNotAllowed), None);
+        return Look::Done(Response::error(StatusCode::MethodNotAllowed));
     }
     let rel = path.trim_start_matches('/');
     if rel.is_empty() {
-        return (Response::error(StatusCode::NotFound), None);
+        return Look::Done(Response::error(StatusCode::NotFound));
     }
+    // The request's one cache lookup: admission class, the scheduler's
+    // residency term and the body served all come from it.
+    let file = crate::file_cache::key_of(&path);
+    let resident = if is_dynamic { None } else { shared.file_cache.peek(file, &path) };
     // Adaptive admission: classify the request by what it would cost us
     // and shed the expensive classes first as the controller's level
     // rises. Admin endpoints never reach this point — an operator must be
@@ -115,44 +196,42 @@ fn respond_routed(
     if shared.overload_control {
         let class = if is_dynamic {
             AdmitClass::Dynamic
-        } else if shared.file_cache.resident(&path) {
+        } else if resident.is_some() {
             AdmitClass::StaticHit
         } else {
             AdmitClass::StaticMiss
         };
         if !shared.admission.admit(class) {
-            shared.admission.shed();
-            shared.stats.shed.inc();
-            shared.stats.admission_shed_counter(class).inc();
-            return (overloaded(shared), None);
+            return rest(Work::Refuse(class));
         }
     }
     // Existence + size: a filesystem stat for documents, a registry lookup
     // (with the handler's own size hint) for dynamic requests. The
     // handler class rides into the scheduler so the oracle prices the
     // class, not just "CGI".
-    let (full, size, class) = if is_dynamic {
+    let (size, target) = if is_dynamic {
         match shared.dynamic.registry().lookup(&path) {
-            Some(handler) => (shared.docroot.clone(), handler.size_hint(), Some(handler.class())),
+            Some(handler) => {
+                (handler.size_hint(), Target::Handler { handler: Arc::clone(handler), key: None })
+            }
             None => {
                 shared.stats.served.inc();
-                return (Response::error(StatusCode::NotFound), None);
+                return Look::Done(Response::error(StatusCode::NotFound));
             }
         }
     } else {
         let full = shared.docroot.join(rel);
         let Ok(meta) = std::fs::metadata(&full) else {
             shared.stats.served.inc();
-            return (Response::error(StatusCode::NotFound), None);
+            return Look::Done(Response::error(StatusCode::NotFound));
         };
         if !meta.is_file() {
-            return (Response::error(StatusCode::Forbidden), None);
+            return Look::Done(Response::error(StatusCode::Forbidden));
         }
+        let modified = meta.modified().ok();
         // Conditional GET: a fresh client copy costs us only the stat —
         // answer 304 here, before any scheduling.
-        let mtime = meta
-            .modified()
-            .ok()
+        let mtime = modified
             .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
             .map(|d| d.as_secs());
         if let (Some(mtime), Some(ims)) = (
@@ -168,10 +247,17 @@ fn respond_routed(
                 };
                 resp.headers.set("Last-Modified", sweb_http::format_http_date(mtime));
                 resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-                return (resp, None);
+                return Look::Done(resp);
             }
         }
-        (full, meta.len(), None)
+        // An edited document is never served stale: a resident body
+        // counts only while its mtime is the file's.
+        let hit = resident.filter(|(_, cached)| modified == Some(*cached));
+        (meta.len(), Target::Document { full, hit })
+    };
+    let class = match &target {
+        Target::Handler { handler, .. } => Some(handler.class()),
+        Target::Document { .. } => None,
     };
 
     // Step 2: analyze — build the scheduler's view of the request.
@@ -180,7 +266,6 @@ fn respond_routed(
     if redirected {
         shared.stats.received_redirects.inc();
     }
-    let file = crate::file_cache::key_of(&path);
     let info = RequestInfo {
         // Real identity: the same FileId the cache digests advertise, so
         // the broker can match this request against peers' digests.
@@ -199,20 +284,19 @@ fn respond_routed(
         pinned_local: !req.method.is_redirectable(),
         // Residency feeds both the cache-aware cost terms and the
         // peer-transfer pull gate (a resident document is never pulled).
-        cached_at_origin: !is_dynamic
-            && (shared.sweb.cache_aware_cost || shared.sweb.peer_transfer)
-            && shared.file_cache.resident(&path),
+        cached_at_origin: (shared.sweb.cache_aware_cost || shared.sweb.peer_transfer)
+            && matches!(&target, Target::Document { hit: Some(_), .. }),
         class: class.map_or(RequestClass::Static, RequestClass::Dynamic),
     };
     let decide_started = Instant::now();
-    // Refresh our own entry so local load is never stale.
-    {
-        let mut loads = shared.loads.write();
-        let now = shared.now();
-        loads.update(shared.id, crate::loadd::sample_load(shared), now);
-    }
+    let own_load = crate::loadd::sample_load(shared);
     let decision = {
+        // One guard for both: refresh our own entry so local load is
+        // never stale, then choose (which Δ-bumps the chosen entry).
+        // Loop threads decide now, so this is the lock the shards and
+        // loadd's receiver meet on.
         let mut loads = shared.loads.write();
+        loads.update(shared.id, own_load, shared.now());
         shared.broker.choose(&info, shared.id, &shared.cluster, &mut loads)
     };
     shared.stats.phases.record(Phase::Decide, decide_started.elapsed().as_micros() as u64);
@@ -220,85 +304,220 @@ fn respond_routed(
     // Step 3: redirection — the trace id rides the Location URL, because
     // clients do not forward response headers across a 302.
     if let Some(target) = decision.redirect_target() {
-        shared.stats.redirected.inc();
-        let base = &shared.peer_http[target.index()];
-        let marked = sweb_http::mark_trace(&req.target, trace);
-        let mut resp = Response::redirect_to_peer(base, &marked);
-        resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-        return (resp, None);
+        return Look::Done(redirect(shared, req, target, trace));
     }
 
-    // Step 3½: peer pull — the comparison picked a peer that holds the
-    // document in RAM, close enough to a tie that bouncing the client
-    // (302) would cost more than it saves. Pull the body over the
-    // cluster-internal peer channel instead: the client is answered by
-    // the node it reached (no extra round trip, no Location chase), and
-    // the pulled body seeds the local striped cache so repeats become
-    // plain local hits. Dynamic requests never forward — the broker
-    // doesn't propose it, and a Bloom false positive on a handler path
-    // must not turn into a FETCH for a file that isn't one.
-    if let (Some(source), false) = (decision.peer_source(), is_dynamic) {
-        let forward_started = Instant::now();
-        match crate::peer_transfer::fetch_via_peer(
-            shared,
-            source,
-            info.file,
-            &path,
-            trace,
-            FORWARD_BUDGET,
-        ) {
-            Ok(doc) => {
-                let forward_us = forward_started.elapsed().as_micros() as u64;
-                shared.stats.phases.record(Phase::Forward, forward_us);
-                shared.stats.peer_fetches.inc();
-                shared.popularity.record(info.file, &path);
-                let body = bytes::Bytes::from(doc.body);
-                shared.file_cache.insert(&path, body.clone(), doc.mtime);
-                let cost = decision.cost;
-                shared.stats.feedback.record(cost.t_redirection, cost.t_data, cost.t_cpu, forward_us);
-                shared.stats.served.inc();
-                let mut resp = Response::ok(body, mime_for_path(&path));
-                if let Ok(secs) = doc.mtime.duration_since(std::time::UNIX_EPOCH) {
-                    resp.headers
-                        .set("Last-Modified", sweb_http::format_http_date(secs.as_secs()));
-                }
-                resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-                return (resp, None);
+    // Step 4, the part of it that is memory only. A peer pull is not. And
+    // while a fault plan is active nothing is served from here: injected
+    // brownouts and slow disks sleep in `fulfill`, ahead of every read.
+    let mut serve = Serve { path, file, size, redirected, decision, target, probed: false };
+    if decision.peer_source().is_none() && !shared.chaos.is_active() {
+        let fetch_started = Instant::now();
+        if let Some(resp) = serve.try_memory(shared, req, body) {
+            serve.fetched(shared, fetch_started);
+            return Look::Done(resp);
+        }
+    }
+    rest(Work::Serve(serve))
+}
+
+/// The 302 that sends `req` to `target`, counted.
+fn redirect(shared: &NodeShared, req: &Request, target: NodeId, trace: &str) -> Response {
+    shared.stats.redirected.inc();
+    let base = &shared.peer_http[target.index()];
+    let marked = sweb_http::mark_trace(&req.target, trace);
+    let mut resp = Response::redirect_to_peer(base, &marked);
+    resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
+    resp
+}
+
+/// `200` carrying a document body, counted as served.
+fn document(shared: &NodeShared, path: &str, body: Bytes, mtime: SystemTime) -> Response {
+    shared.stats.served.inc();
+    let mut resp = Response::ok(body, mime_for_path(path));
+    if let Ok(secs) = mtime.duration_since(std::time::UNIX_EPOCH) {
+        resp.headers.set("Last-Modified", sweb_http::format_http_date(secs.as_secs()));
+    }
+    resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
+    resp
+}
+
+impl Continuation {
+    /// Finish the request. May block: call from a worker thread.
+    pub(crate) fn run(self, shared: &NodeShared, req: &Request, body: &[u8]) -> Parts {
+        let (mut resp, file) = match self.work {
+            Work::Status => (crate::status::render(shared, req.query()), None),
+            Work::Metrics => (crate::status::render_metrics(shared), None),
+            Work::Refuse(class) => {
+                shared.admission.shed();
+                shared.stats.shed.inc();
+                shared.stats.admission_shed_counter(class).inc();
+                (overloaded(shared), None)
             }
-            Err(_) => {
-                // Degrade, never hang: bounce the client to the source
-                // with a classic 302 when it can still be bounced (not
-                // already redirected, source not known dead); otherwise
-                // fall through and serve from the shared docroot.
-                shared.stats.forward_failures.inc();
-                let source_up = shared.loads.read().is_alive(source);
-                if !redirected && source_up {
-                    shared.stats.redirected.inc();
-                    let base = &shared.peer_http[source.index()];
-                    let marked = sweb_http::mark_trace(&req.target, trace);
-                    let mut resp = Response::redirect_to_peer(base, &marked);
-                    resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-                    return (resp, None);
+            Work::Serve(serve) => serve.run(shared, req, body, &self.trace),
+        };
+        resp.headers.set("X-SWEB-Trace", self.trace);
+        (resp, file)
+    }
+}
+
+impl Serve {
+    /// Memory-only fulfillment: the resident body the request's lookup
+    /// found, or a dynamic-cache hit.
+    fn try_memory(&mut self, shared: &NodeShared, req: &Request, body: &[u8]) -> Option<Response> {
+        self.probed = true;
+        match &mut self.target {
+            Target::Document { hit, .. } => {
+                let (bytes, mtime) = hit.take()?;
+                shared.file_cache.touch(self.file, bytes.len() as u64);
+                Some(document(shared, &self.path, bytes, mtime))
+            }
+            Target::Handler { handler, key } => {
+                *key = handler.cache_key(req, body);
+                let class = handler.class();
+                let mut resp = shared.dynamic.cache.get(class, key.as_deref()?)?;
+                if let Some(s) = shared.dynamic.class_stats(class) {
+                    s.cache_hits.inc();
                 }
+                shared.stats.served.inc();
+                resp.headers.set("X-SWEB-Dynamic-Cache", "hit");
+                resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
+                Some(resp)
             }
         }
     }
 
-    // Step 4: fulfillment, timed against the broker's prediction: the
-    // chosen candidate's per-term estimate is what this very fetch was
-    // scheduled on, so the pair feeds the prediction-error histograms.
-    let fetch_started = Instant::now();
-    if !is_dynamic {
-        // Count the serve toward this node's popularity table: these
-        // counts feed loadd's hot-list piggyback and the replicator.
-        shared.popularity.record(info.file, &path);
+    /// Step 4's accounting, once per request fulfilled here, timed against
+    /// the broker's prediction: the chosen candidate's per-term estimate
+    /// is what this very fetch was scheduled on, so the pair feeds the
+    /// prediction-error histograms.
+    fn fetched(&self, shared: &NodeShared, started: Instant) {
+        if matches!(self.target, Target::Document { .. }) {
+            // Count the serve toward this node's popularity table: these
+            // counts feed loadd's hot-list piggyback and the replicator.
+            shared.popularity.record(self.file, &self.path);
+        }
+        let fetch_us = started.elapsed().as_micros() as u64;
+        shared.stats.phases.record(Phase::Fetch, fetch_us);
+        let cost = self.decision.cost;
+        shared.stats.feedback.record(cost.t_redirection, cost.t_data, cost.t_cpu, fetch_us);
     }
-    let result = fulfill(shared, req, body, &path, class, &full, size);
-    let fetch_us = fetch_started.elapsed().as_micros() as u64;
-    shared.stats.phases.record(Phase::Fetch, fetch_us);
-    let cost = decision.cost;
-    shared.stats.feedback.record(cost.t_redirection, cost.t_data, cost.t_cpu, fetch_us);
-    result
+
+    fn run(mut self, shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Parts {
+        // Step 3½: peer pull — the comparison picked a peer that holds the
+        // document in RAM, close enough to a tie that bouncing the client
+        // (302) would cost more than it saves. Pull the body over the
+        // cluster-internal peer channel instead: the client is answered by
+        // the node it reached (no extra round trip, no Location chase), and
+        // the pulled body seeds the local striped cache so repeats become
+        // plain local hits. Dynamic requests never forward — the broker
+        // doesn't propose it, and a Bloom false positive on a handler path
+        // must not turn into a FETCH for a file that isn't one.
+        if let (Some(source), Target::Document { .. }) = (self.decision.peer_source(), &self.target)
+        {
+            let forward_started = Instant::now();
+            match crate::peer_transfer::fetch_via_peer(
+                shared,
+                source,
+                self.file,
+                &self.path,
+                trace,
+                FORWARD_BUDGET,
+            ) {
+                Ok(doc) => {
+                    let forward_us = forward_started.elapsed().as_micros() as u64;
+                    shared.stats.phases.record(Phase::Forward, forward_us);
+                    shared.stats.peer_fetches.inc();
+                    shared.popularity.record(self.file, &self.path);
+                    let body = Bytes::from(doc.body);
+                    shared.file_cache.insert(&self.path, body.clone(), doc.mtime);
+                    let cost = self.decision.cost;
+                    shared.stats.feedback.record(
+                        cost.t_redirection,
+                        cost.t_data,
+                        cost.t_cpu,
+                        forward_us,
+                    );
+                    return (document(shared, &self.path, body, doc.mtime), None);
+                }
+                Err(_) => {
+                    // Degrade, never hang: bounce the client to the source
+                    // with a classic 302 when it can still be bounced (not
+                    // already redirected, source not known dead); otherwise
+                    // fall through and serve from the shared docroot.
+                    shared.stats.forward_failures.inc();
+                    let source_up = shared.loads.read().is_alive(source);
+                    if !self.redirected && source_up {
+                        return (redirect(shared, req, source, trace), None);
+                    }
+                }
+            }
+        }
+
+        // Step 4: fulfillment.
+        let fetch_started = Instant::now();
+        let result = self.fulfill(shared, req, body);
+        self.fetched(shared, fetch_started);
+        result
+    }
+
+    /// Local fulfillment: invoke the dynamic handler or read the document.
+    fn fulfill(&mut self, shared: &NodeShared, req: &Request, body: &[u8]) -> Parts {
+        // Fault injection: a browned-out node serves *everything* late —
+        // dynamic and static alike — unlike SlowDisk, which models one slow
+        // device. The stall sits in the fetch phase, where the reactor's
+        // deadline check after the reply sees it.
+        if shared.chaos.is_active() {
+            if let Some(extra) = shared.chaos.brownout_delay(shared.id.0) {
+                std::thread::sleep(extra);
+            }
+            // A degraded disk/NFS mount serves reads late, not wrong.
+            if matches!(self.target, Target::Document { .. }) {
+                if let Some(extra) = shared.chaos.disk_delay(shared.id.0) {
+                    std::thread::sleep(extra);
+                }
+            }
+        }
+        if !self.probed {
+            if let Some(resp) = self.try_memory(shared, req, body) {
+                return (resp, None);
+            }
+        }
+        let full = match &self.target {
+            Target::Handler { handler, key } => {
+                return (invoke(shared, handler.as_ref(), key.as_deref(), req, body), None);
+            }
+            Target::Document { full, .. } => full,
+        };
+        // Documents too big to ever fit the cache stream straight from the fd
+        // (`sendfile`): buffering them would evict the whole hot set for one
+        // request and still pay a copy. Everything cacheable goes through the
+        // FileCache so repeat requests share one in-memory body.
+        if self.size >= SENDFILE_MIN && self.size > shared.file_cache.capacity() {
+            match read_with_retry(shared, || std::fs::File::open(full)) {
+                Ok(f) => {
+                    shared.stats.served.inc();
+                    let mut resp = Response::ok("", mime_for_path(&self.path));
+                    if let Some(secs) = f
+                        .metadata()
+                        .ok()
+                        .and_then(|m| m.modified().ok())
+                        .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
+                    {
+                        resp.headers
+                            .set("Last-Modified", sweb_http::format_http_date(secs.as_secs()));
+                    }
+                    resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
+                    return (resp, Some((f, self.size)));
+                }
+                Err(_) => return (Response::error(StatusCode::InternalServerError), None),
+            }
+        }
+        match read_with_retry(shared, || shared.file_cache.read(&self.path, full)) {
+            Ok((body, mtime)) => (document(shared, &self.path, body, mtime), None),
+            Err(_) => (Response::error(StatusCode::InternalServerError), None),
+        }
+    }
 }
 
 /// Run a filesystem read, retrying transient failures with bounded
@@ -340,105 +559,26 @@ fn read_with_retry<T>(
     unreachable!("loop returns on attempt == 2")
 }
 
-/// Local fulfillment: invoke the dynamic handler or read the document.
-fn fulfill(
+/// Invoke a dynamic handler on the worker-pool thread the engine
+/// dispatched us to (its response cache, keyed by `key`, has already
+/// missed), timed — the measurement feeds the per-class `t_cpu` histogram
+/// *and* the oracle's tuned table (converted to ops at this node's
+/// clock), closing the predicted-vs-measured loop per handler class. Only
+/// real invocations feed the oracle: a cache hit measures the cache, not
+/// the handler.
+fn invoke(
     shared: &NodeShared,
+    handler: &dyn DynamicHandler,
+    key: Option<&str>,
     req: &Request,
     body: &[u8],
-    path: &str,
-    class: Option<&'static str>,
-    full: &std::path::Path,
-    size: u64,
-) -> (Response, Option<(std::fs::File, u64)>) {
-    // Fault injection: a browned-out node serves *everything* late —
-    // dynamic and static alike — unlike SlowDisk, which models one slow
-    // device. The stall sits in the fetch phase, where the reactor's
-    // deadline check after `respond` sees it.
-    if shared.chaos.is_active() {
-        if let Some(extra) = shared.chaos.brownout_delay(shared.id.0) {
-            std::thread::sleep(extra);
-        }
-    }
-    if class.is_some() {
-        return (fulfill_dynamic(shared, req, body, path), None);
-    }
-    // A degraded disk/NFS mount serves reads late, not wrong.
-    if shared.chaos.is_active() {
-        if let Some(extra) = shared.chaos.disk_delay(shared.id.0) {
-            std::thread::sleep(extra);
-        }
-    }
-    // Documents too big to ever fit the cache stream straight from the fd
-    // (`sendfile`): buffering them would evict the whole hot set for one
-    // request and still pay a copy. Everything cacheable goes through the
-    // FileCache so repeat requests share one in-memory body.
-    if size >= SENDFILE_MIN && size > shared.file_cache.capacity() {
-        match read_with_retry(shared, || std::fs::File::open(full)) {
-            Ok(f) => {
-                shared.stats.served.inc();
-                let mut resp = Response::ok("", mime_for_path(path));
-                if let Some(secs) = f
-                    .metadata()
-                    .ok()
-                    .and_then(|m| m.modified().ok())
-                    .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-                {
-                    resp.headers
-                        .set("Last-Modified", sweb_http::format_http_date(secs.as_secs()));
-                }
-                resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-                return (resp, Some((f, size)));
-            }
-            Err(_) => return (Response::error(StatusCode::InternalServerError), None),
-        }
-    }
-    match read_with_retry(shared, || shared.file_cache.read(path, full)) {
-        Ok((body, mtime)) => {
-            shared.stats.served.inc();
-            let mut resp = Response::ok(body, mime_for_path(path));
-            if let Ok(secs) = mtime.duration_since(std::time::UNIX_EPOCH) {
-                resp.headers
-                    .set("Last-Modified", sweb_http::format_http_date(secs.as_secs()));
-            }
-            resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-            (resp, None)
-        }
-        Err(_) => (Response::error(StatusCode::InternalServerError), None),
-    }
-}
-
-/// Dynamic fulfillment on the worker-pool thread the engine dispatched
-/// us to: response-cache lookup, then handler invocation, timed — the
-/// measurement feeds the per-class `t_cpu` histogram *and* the oracle's
-/// tuned table (converted to ops at this node's clock), closing the
-/// predicted-vs-measured loop per handler class. Only real invocations
-/// feed the oracle: a cache hit measures the cache, not the handler.
-fn fulfill_dynamic(
-    shared: &NodeShared,
-    req: &Request,
-    body: &[u8],
-    path: &str,
 ) -> Response {
-    let handler = shared.dynamic.registry().lookup(path).expect("existence checked above");
     let class = handler.class();
-    let class_stats = shared.dynamic.class_stats(class);
-    let key = handler.cache_key(req, body);
-    if let Some(k) = key.as_deref() {
-        if let Some(mut resp) = shared.dynamic.cache.get(class, k) {
-            if let Some(s) = class_stats {
-                s.cache_hits.inc();
-            }
-            shared.stats.served.inc();
-            resp.headers.set("X-SWEB-Dynamic-Cache", "hit");
-            resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-            return resp;
-        }
-    }
     let ctx = crate::dynamic::HandlerCtx { shared };
     let invoke_started = Instant::now();
     let mut resp = handler.handle(&ctx, req, body);
     let invoke_us = invoke_started.elapsed().as_micros() as u64;
-    if let Some(s) = class_stats {
+    if let Some(s) = shared.dynamic.class_stats(class) {
         s.invocations.inc();
         s.tcpu_us.record(invoke_us);
     }
@@ -452,7 +592,7 @@ fn fulfill_dynamic(
     let effective = ops_per_sec / (1.0 + cpu_load);
     shared.oracle.observe(class, invoke_us as f64 * 1e-6 * effective);
     if resp.status == StatusCode::Ok {
-        if let Some(k) = key.as_deref() {
+        if let Some(k) = key {
             // Cache the reply *before* the per-request headers go on: a
             // future hit stamps its own node and cache markers.
             shared.dynamic.cache.insert(class, k, resp.clone(), handler.ttl());

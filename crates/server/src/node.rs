@@ -15,7 +15,8 @@ use sweb_core::{
 use sweb_des::SimTime;
 use sweb_http::Request;
 use sweb_telemetry::{
-    CostFeedback, Counter, Gauge, Phase, PhaseTimes, Registry, ShardedCounter, ShardedGauge,
+    AtomicHistogram, CostFeedback, Counter, Gauge, Phase, PhaseTimes, Registry, ShardedCounter,
+    ShardedGauge,
 };
 
 use crate::handler;
@@ -111,6 +112,15 @@ pub struct NodeStats {
     io_backends: [Arc<Gauge>; 3],
     /// Per-request phase latency (accept → parse → decide → fetch → write).
     pub phases: PhaseTimes,
+    /// Requests answered on the loop thread that parsed them, without a
+    /// worker (shard-local cells).
+    pub inline: Arc<ShardedCounter>,
+    /// Loop-thread time per inline answer, parsed request to first write
+    /// (`sweb_inline_us`). This is what the first look costs a shard: it
+    /// holds the decide and fetch time of those requests plus reply
+    /// serialization, so it is deliberately not a [`Phase`] — the phase
+    /// family partitions a request's time and is summed as such.
+    pub inline_us: Arc<AtomicHistogram>,
     /// Cost-model feedback: predicted `t_s` terms vs measured wall time.
     pub feedback: CostFeedback,
     /// Trace-id epoch (wall-clock salt, so ids don't repeat across runs).
@@ -258,6 +268,15 @@ impl NodeStats {
                 shards,
             ),
             phases: PhaseTimes::register(&registry),
+            inline: sc(
+                "sweb_requests_inline_total",
+                "Requests answered on the loop thread that parsed them, without a worker",
+            ),
+            inline_us: registry.histogram(
+                "sweb_inline_us",
+                &[],
+                "Loop-thread time per inline answer, parsed request to first write (us)",
+            ),
             feedback: CostFeedback::register(&registry),
             trace_epoch: epoch,
             trace_seq: AtomicU64::new(0),
@@ -389,21 +408,23 @@ impl NodeShared {
     }
 }
 
-/// Adapter exposing a node to the reactor: `respond` runs the §3.2
-/// pipeline, and the reactor's hooks feed the node's live load gauges
-/// that loadd advertises. One `ReactorApp` exists per shard; loop-thread
-/// hooks attribute to this shard's metric cell explicitly, and `respond`
-/// pins the worker thread's shard hint so handler-path increments
-/// attribute the same way.
+/// Adapter exposing a node to the reactor: `first_look` and `respond`
+/// run the §3.2 pipeline, and the reactor's hooks feed the node's live
+/// load gauges that loadd advertises. One `ReactorApp` exists per shard;
+/// loop-thread hooks attribute to this shard's metric cell explicitly,
+/// and worker-side entry points pin the worker thread's shard hint so
+/// handler-path increments attribute the same way.
+#[derive(Clone)]
 struct ReactorApp {
     shared: Arc<NodeShared>,
     shard: usize,
 }
 
-impl sweb_reactor::App for ReactorApp {
-    fn respond(&self, peer: &str, req: &Request, body: &[u8]) -> sweb_reactor::Reply {
-        sweb_telemetry::set_shard(self.shard);
-        let (resp, file) = handler::respond_parts(&self.shared, req, body);
+impl ReactorApp {
+    /// Log a finished reply where it was produced and hand it to the
+    /// reactor.
+    fn reply(&self, peer: &str, req: &Request, parts: handler::Parts) -> sweb_reactor::Reply {
+        let (resp, file) = parts;
         if let Some(log) = &self.shared.access_log {
             let body_len = file.as_ref().map(|(_, len)| *len).unwrap_or(resp.body.len() as u64);
             let trace = resp.headers.get("x-sweb-trace");
@@ -420,6 +441,43 @@ impl sweb_reactor::App for ReactorApp {
             response: resp,
             file: file.map(|(file, len)| sweb_reactor::FileBody { file, len }),
         }
+    }
+}
+
+impl sweb_reactor::App for ReactorApp {
+    fn respond(&self, peer: &str, req: &Request, body: &[u8]) -> sweb_reactor::Reply {
+        sweb_telemetry::set_shard(self.shard);
+        self.reply(peer, req, handler::respond_parts(&self.shared, req, body))
+    }
+    fn first_look(
+        &self,
+        peer: &str,
+        req: &Request,
+        body: &[u8],
+    ) -> Option<sweb_reactor::FirstLook> {
+        // While a fault plan is active every request takes the worker
+        // path whole: injected brownouts and slow disks sleep ahead of
+        // every fulfillment, cache hits included, and the sojourn they
+        // build up is what the chaos and overload suites measure.
+        if self.shared.chaos.is_active() {
+            return None;
+        }
+        Some(match handler::first_look(&self.shared, req, body) {
+            handler::Look::Done(resp) => {
+                sweb_reactor::FirstLook::Done(self.reply(peer, req, (resp, None)))
+            }
+            handler::Look::Blocking(rest) => {
+                let app = self.clone();
+                sweb_reactor::FirstLook::Blocking(Box::new(move |peer, req, body| {
+                    sweb_telemetry::set_shard(app.shard);
+                    app.reply(peer, req, rest.run(&app.shared, req, body))
+                }))
+            }
+        })
+    }
+    fn on_inline(&self, micros: u64) {
+        self.shared.stats.inline.inc_at(self.shard);
+        self.shared.stats.inline_us.record(micros);
     }
     fn accept_gate(&self) -> sweb_reactor::AcceptGate {
         let chaos = &self.shared.chaos;

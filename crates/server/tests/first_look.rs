@@ -1,0 +1,391 @@
+//! The inline first look against the worker path, end to end.
+//!
+//! A reactor loop thread answers whatever cannot block — resident
+//! documents, dynamic-cache hits, 302s, 304s, 4xx — without a worker;
+//! everything else, and *every* request while a fault plan is active,
+//! takes the pool. The two paths run one pipeline, so they must agree:
+//! byte for byte on the wire, count for count in the metrics, bump for
+//! bump in the load table — and the admission controller, which only
+//! hears from the pool, must still recover while inline traffic flows.
+
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use sweb_cluster::NodeId;
+use sweb_core::Policy;
+use sweb_server::{home_of, Fault, FaultPlan, LiveCluster, NodeShared, ServerOptions, Window};
+use sweb_telemetry::Phase;
+
+/// A plan that is active (`Injector::is_active`) and never fires: its one
+/// fault opens an hour after start. An active plan keeps every request on
+/// the worker pool, so this is the switch-free way to run the pool path.
+fn pool_only() -> FaultPlan {
+    let hour = 3_600_000;
+    FaultPlan::seeded(7).with(Fault::Brownout {
+        node: 0,
+        delay_ms: 1,
+        window: Window::between(hour, hour + 1),
+    })
+}
+
+fn options(plan: Option<FaultPlan>) -> ServerOptions {
+    ServerOptions::new().shards(1).fault_plan(plan)
+}
+
+fn fresh_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("sweb-firstlook-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// One raw HTTP/1.0 exchange (no redirect following): write, then read
+/// to EOF — or, when the server keeps the connection open, to the end
+/// of the body `Content-Length` announces.
+fn raw(base_url: &str, request: &str) -> String {
+    let addr = base_url.strip_prefix("http://").unwrap();
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(request.as_bytes()).unwrap();
+    let mut out = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        let text = String::from_utf8_lossy(&out);
+        if let Some((head, body)) = text.split_once("\r\n\r\n") {
+            let length = head
+                .split("\r\n")
+                .find_map(|l| l.strip_prefix("Content-Length: "))
+                .and_then(|v| v.parse::<usize>().ok());
+            if head.contains("Connection: Keep-Alive") && length == Some(body.len()) {
+                break;
+            }
+        }
+        match s.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => out.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => panic!("reading the reply to {request:?}: {e}"),
+        }
+    }
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+fn get(base_url: &str, path: &str) -> String {
+    raw(base_url, &format!("GET {path} HTTP/1.0\r\n\r\n"))
+}
+
+fn status_of(reply: &str) -> u16 {
+    reply.split(' ').nth(1).and_then(|s| s.parse().ok()).unwrap_or_else(|| panic!("{reply:?}"))
+}
+
+fn body_of(reply: &str) -> &str {
+    reply.split_once("\r\n\r\n").map(|(_, body)| body).unwrap_or("")
+}
+
+/// `reply` with what legitimately differs between two runs taken out:
+/// the trace id (header, and the copy a 302 carries in its `Location`),
+/// a `Date` header, and the clusters' port numbers.
+fn normalized(reply: &str, cluster: &LiveCluster) -> String {
+    let (head, body) = reply.split_once("\r\n\r\n").unwrap_or((reply, ""));
+    let mut lines: Vec<String> = Vec::new();
+    for line in head.split("\r\n") {
+        if line.starts_with("X-SWEB-Trace:") || line.starts_with("Date:") {
+            continue;
+        }
+        let mut line = line.to_string();
+        for i in 0..cluster.len() {
+            line = line.replace(cluster.base_url(i), &format!("http://node{i}"));
+        }
+        if let Some(at) = line.find("sweb-trace=") {
+            let end = line[at..].find('&').map_or(line.len(), |e| at + e);
+            line.replace_range(at..end, "sweb-trace=T");
+        }
+        lines.push(line);
+    }
+    format!("{}\r\n\r\n{body}", lines.join("\r\n"))
+}
+
+/// The counters both paths must move identically (read on a cluster that
+/// has served nothing but the script, so totals are the script's).
+#[derive(Debug, PartialEq)]
+struct Counts {
+    served: u64,
+    redirected: u64,
+    received_redirects: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    dynamic_hits: u64,
+    dynamic_misses: u64,
+    decides: u64,
+    fetches: u64,
+    feedback: u64,
+}
+
+fn counts(node: &NodeShared) -> Counts {
+    let dynamic = node.dynamic.cache.stats();
+    Counts {
+        served: node.stats.served.get(),
+        redirected: node.stats.redirected.get(),
+        received_redirects: node.stats.received_redirects.get(),
+        cache_hits: node.file_cache.hits(),
+        cache_misses: node.file_cache.misses(),
+        dynamic_hits: dynamic.hits,
+        dynamic_misses: dynamic.misses,
+        decides: node.stats.phases.histogram(Phase::Decide).count(),
+        fetches: node.stats.phases.histogram(Phase::Fetch).count(),
+        feedback: node.stats.feedback.decisions(),
+    }
+}
+
+/// Twenty requests at node 0 of a 3-node file-locality cluster, covering
+/// every way the first look can end. `local` documents are homed on node
+/// 0, `remote` on another node.
+fn script(local: &[String], remote: &str) -> Vec<String> {
+    let (a, b, c) = (&local[0], &local[1], &local[2]);
+    let get = |path: &str| format!("GET {path} HTTP/1.0\r\n\r\n");
+    vec![
+        get(a),                                                             // miss
+        get(a),                                                             // hit
+        format!("HEAD {a} HTTP/1.0\r\n\r\n"),                               // HEAD of a hit
+        format!("GET {a} HTTP/1.0\r\nIf-Modified-Since: Fri, 01 Jan 2100 00:00:00 GMT\r\n\r\n"),
+        get("/missing.txt"),                                                // 404 from the stat
+        get("/../etc/passwd"),                                              // 403 traversal
+        format!("POST {a} HTTP/1.0\r\nContent-Length: 2\r\n\r\nhi"),        // 405
+        format!("BREW {a} HTTP/1.0\r\n\r\n"),                               // 501
+        get("/cgi-bin/search?q=maps&cost=100"),                             // dynamic miss
+        get("/cgi-bin/search?cost=100&q=maps"),                             // dynamic hit
+        "POST /cgi-bin/echo?x=1 HTTP/1.0\r\nContent-Length: 5\r\n\r\nhello".to_string(),
+        get(remote),                                                        // 302
+        get("/"),                                                           // 404, no document
+        get("/cgi-bin/nope"),                                               // 404 from the registry
+        get("/sub"),                                                        // 403, a directory
+        get(b),                                                             // miss
+        get(b),                                                             // hit
+        format!("HEAD {c} HTTP/1.0\r\n\r\n"),                               // HEAD of a miss
+        get(&format!("{remote}?sweb-redirect=1")),                          // arrives redirected
+        format!("GET {b} HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"),      // hit, kept open
+    ]
+}
+
+/// Run `requests` at node 0 of a freshly started cluster and return
+/// (normalized replies, counters, inline answers).
+fn run_script(cluster: &LiveCluster, requests: &[String]) -> (Vec<String>, Counts, u64) {
+    let node = cluster.node(0);
+    let replies =
+        requests.iter().map(|r| normalized(&raw(cluster.base_url(0), r), cluster)).collect();
+    (replies, counts(node), node.stats.inline.get())
+}
+
+/// Documents homed on node 0 of a 3-node cluster, and one that is not.
+fn placed_docs(dir: &std::path::Path) -> (Vec<String>, String) {
+    std::fs::create_dir_all(dir.join("sub")).unwrap();
+    let (mut local, mut remote) = (Vec::new(), None);
+    for i in 0..64 {
+        let path = format!("/doc{i}.txt");
+        if home_of(&path, 3) == NodeId(0) {
+            local.push(path.clone());
+        } else if remote.is_none() {
+            remote = Some(path.clone());
+        }
+        std::fs::write(dir.join(&path[1..]), format!("document {i} ").repeat(50 + i)).unwrap();
+    }
+    assert!(local.len() >= 3, "hash placement left node 0 without documents");
+    (local, remote.expect("some document is homed off node 0"))
+}
+
+#[test]
+fn inline_and_pool_paths_agree_on_bytes_and_counts() {
+    let dir = fresh_dir("script");
+    let (local, remote) = placed_docs(&dir);
+    let requests = script(&local, &remote);
+    assert_eq!(requests.len(), 20);
+    let run = |plan: Option<FaultPlan>| {
+        let cluster =
+            options(plan).policy(Policy::FileLocality).start(3, dir.clone()).unwrap();
+        assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
+        let out = run_script(&cluster, &requests);
+        cluster.shutdown();
+        out
+    };
+    let (inline_replies, inline_counts, inline_answers) = run(None);
+    let (pool_replies, pool_counts, pool_answers) = run(Some(pool_only()));
+
+    let statuses: Vec<u16> = inline_replies.iter().map(|r| status_of(r)).collect();
+    assert_eq!(
+        statuses,
+        [
+            200, 200, 200, 304, 404, 403, 405, 501, 200, 200, 200, 302, 404, 404, 403, 200, 200,
+            200, 200, 200
+        ]
+    );
+    for (i, (inline, pool)) in inline_replies.iter().zip(&pool_replies).enumerate() {
+        assert_eq!(inline, pool, "request {i} ({:?}) differs between the paths", requests[i]);
+    }
+    assert!(inline_replies[9].contains("X-SWEB-Dynamic-Cache: hit"), "{}", inline_replies[9]);
+    assert!(inline_replies[11].contains("Location: http://node"), "{}", inline_replies[11]);
+    assert_eq!(inline_counts, pool_counts, "the two paths moved the counters differently");
+    assert_eq!(inline_counts.decides, 12, "one decision per scheduled request");
+    assert_eq!((inline_counts.cache_hits, inline_counts.cache_misses), (4, 4));
+    assert_eq!((inline_counts.dynamic_hits, inline_counts.dynamic_misses), (1, 2));
+    assert_eq!((inline_counts.redirected, inline_counts.received_redirects), (1, 1));
+    // Inline: both hits and the HEAD and keep-alive ones, the 304, five
+    // 4xx/501, the dynamic hit and the 302. To the pool: four document
+    // misses, two handler invocations.
+    assert_eq!(inline_answers, 14, "requests answered without a worker");
+    assert_eq!(pool_answers, 0, "an active fault plan must keep the loop out of it");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_redirect_bumps_the_chosen_peer_once_on_both_paths() {
+    let dir = fresh_dir("bump");
+    let (_, remote) = placed_docs(&dir);
+    let target = home_of(&remote, 3);
+    for plan in [None, Some(pool_only())] {
+        let pooled = plan.is_some();
+        let cluster =
+            options(plan).policy(Policy::FileLocality).start(3, dir.clone()).unwrap();
+        assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
+        let node = cluster.node(0);
+        let view = || {
+            let loads = node.loads.read();
+            (loads.load(target).cpu, loads.updated_at(target))
+        };
+        // A loadd packet from the peer overwrites its entry (that is how
+        // the bump decays): measure between two packets.
+        let bump = (0..50)
+            .find_map(|_| {
+                let (before, heard_before) = view();
+                let reply = get(cluster.base_url(0), &remote);
+                assert_eq!(status_of(&reply), 302, "{reply}");
+                let (after, heard_after) = view();
+                (heard_before == heard_after).then_some(after - before)
+            })
+            .expect("no redirect fit between two loadd packets");
+        assert!(
+            (bump - node.sweb.delta).abs() < 1e-9,
+            "pooled={pooled}: one redirect moved the peer's load by {bump}, Δ is {}",
+            node.sweb.delta
+        );
+        cluster.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn rewritten_file_is_served_fresh_by_the_inline_path() {
+    let dir = fresh_dir("fresh");
+    std::fs::write(dir.join("page.html"), "version one").unwrap();
+    let cluster = options(None).start(1, dir.clone()).unwrap();
+    let node = cluster.node(0);
+    let fetch = || {
+        let reply = get(cluster.base_url(0), "/page.html");
+        assert_eq!(status_of(&reply), 200, "{reply}");
+        body_of(&reply).to_string()
+    };
+    assert_eq!(fetch(), "version one");
+    assert_eq!(fetch(), "version one");
+    assert_eq!(node.stats.inline.get(), 1, "the resident copy is served inline");
+    // Rewrite with a strictly newer mtime.
+    std::thread::sleep(Duration::from_millis(20));
+    std::fs::write(dir.join("page.html"), "version two, longer").unwrap();
+    assert_eq!(fetch(), "version two, longer", "stale body served");
+    assert_eq!(node.stats.inline.get(), 1, "a stale entry is a miss: re-read on the pool");
+    assert_eq!(fetch(), "version two, longer");
+    assert_eq!(node.stats.inline.get(), 2);
+    assert_eq!((node.file_cache.hits(), node.file_cache.misses()), (2, 2));
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The admission controller's level moves only when a worker dequeues a
+/// job. Inline answers never queue, so they must neither move the level
+/// nor — by producing refusals the controller never hears of — pin it.
+#[test]
+fn admission_level_recovers_with_inline_traffic_in_between() {
+    let dir = fresh_dir("control");
+    std::fs::write(dir.join("hot.txt"), "resident and cheap").unwrap();
+    let cluster = options(None).start(1, dir.clone()).unwrap();
+    let base = cluster.base_url(0).to_string();
+    let node = cluster.node(0);
+    assert_eq!(status_of(&get(&base, "/hot.txt")), 200);
+    assert_eq!(status_of(&get(&base, "/hot.txt")), 200);
+
+    // A real standing queue: more sleeping handlers than workers, every
+    // request unique so the response cache cannot absorb them. Stop as
+    // soon as the level reads 2.
+    let unique = Arc::new(AtomicU64::new(0));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while node.admission.level() < 2 {
+        assert!(Instant::now() < deadline, "a standing queue never raised the shed level to 2");
+        let stop = Arc::new(AtomicBool::new(false));
+        let burners: Vec<_> = (0..8)
+            .map(|_| {
+                let (base, stop, unique) = (base.clone(), Arc::clone(&stop), Arc::clone(&unique));
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::SeqCst) {
+                        let u = unique.fetch_add(1, Ordering::SeqCst);
+                        let reply = get(&base, &format!("/cgi-bin/burn?ms=300&cost=1&u={u}"));
+                        assert!(matches!(status_of(&reply), 200 | 503), "{reply}");
+                    }
+                })
+            })
+            .collect();
+        let attempt = Instant::now();
+        while node.admission.level() < 2 && attempt.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        stop.store(true, Ordering::SeqCst);
+        for b in burners {
+            b.join().unwrap();
+        }
+    }
+    // The queue's last samples may have carried the level to 3, where
+    // even resident documents are refused — through the pool, so those
+    // refusals are themselves the samples that bring it back to 2.
+    while node.admission.level() > 2 {
+        assert!(Instant::now() < deadline, "level 3 never relaxed");
+        assert!(matches!(status_of(&get(&base, "/hot.txt")), 200 | 503));
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // (The level is read from the controller, not `/sweb-status`: a status
+    // request is a pool job, and the first sample after a quiet window is
+    // exactly what moves the level.)
+
+    // Resident hits only, for half a second: all served, all inline, and
+    // the level does not move because nothing observes a queue.
+    let (inline_before, shed_before) = (node.stats.inline.get(), node.admission.shed_count());
+    let started = Instant::now();
+    let mut hits = 0u64;
+    while started.elapsed() < Duration::from_millis(500) {
+        let reply = get(&base, "/hot.txt");
+        assert_eq!(status_of(&reply), 200, "a resident hit was refused below level 3: {reply}");
+        hits += 1;
+    }
+    assert_eq!(node.stats.inline.get() - inline_before, hits, "hits must be answered inline");
+    assert_eq!(node.admission.level(), 2, "inline traffic moved the shed level");
+    assert_eq!(node.admission.shed_count(), shed_before);
+
+    // Dynamic requests, one per observation window: each refusal goes
+    // through the pool, is a sample of an empty queue, and takes the level
+    // down a step — so at most two are refused before one succeeds.
+    let mut refused = 0;
+    loop {
+        let u = unique.fetch_add(1, Ordering::SeqCst);
+        let reply = get(&base, &format!("/cgi-bin/search?q=recover&cost=10&u={u}"));
+        match status_of(&reply) {
+            200 => break,
+            503 => refused += 1,
+            other => panic!("unexpected status {other}: {reply}"),
+        }
+        assert!(refused <= 2, "level 2 has two steps, {refused} requests were refused");
+        std::thread::sleep(Duration::from_millis(120));
+    }
+    assert!(refused >= 1, "level 2 must refuse dynamic work at least once");
+    assert_eq!(node.admission.level(), 0, "the control loop did not close");
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -9,7 +9,11 @@ use std::sync::Arc;
 use crate::hist::AtomicHistogram;
 use crate::registry::Registry;
 
-/// One stage of a request's life on a node.
+/// One stage of a request's life on a node. The phases partition a
+/// request's time, and readers sum the family as such; a cost that
+/// overlaps them — the loop-thread time of a request answered inline,
+/// which contains its decide and fetch — is its own series
+/// (`sweb_inline_us`), not a variant here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Kernel accept to admission (engine hand-off latency).

@@ -67,6 +67,40 @@ fn live_server_redirects_match_broker_decisions() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The reactor's loop threads answer what cannot block without a worker:
+/// a resident document, a 302 and a 404 each count as an inline answer,
+/// and the inline hit carries the bytes the worker path read from disk.
+#[test]
+fn loop_threads_answer_hits_redirects_and_404s_inline() {
+    let dir = std::env::temp_dir().join(format!("sweb-xstack-inline-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let n = 3;
+    let paths: Vec<String> = (0..16).map(|i| format!("/y{i}.txt")).collect();
+    for (i, path) in paths.iter().enumerate() {
+        std::fs::write(dir.join(&path[1..]), format!("inline {i} ").repeat(100)).unwrap();
+    }
+    let local = paths.iter().find(|p| sweb_server_home(p, n) == 0).expect("a document on node 0");
+    let remote = paths.iter().find(|p| sweb_server_home(p, n) != 0).expect("one off node 0");
+    let cfg = ClusterConfig { policy: Policy::FileLocality, ..Default::default() };
+    let cluster = LiveCluster::start(n, dir.clone(), cfg).unwrap();
+    assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
+    let inline = || cluster.node(0).stats.inline.get();
+    let url = |path: &str| format!("{}{path}", cluster.base_url(0));
+
+    let cold = client::get(&url(local)).unwrap();
+    assert_eq!((cold.status, inline()), (200, 0), "a cache miss reads the disk on a worker");
+    let warm = client::get(&url(local)).unwrap();
+    assert_eq!((warm.status, inline()), (200, 1), "a resident document is answered inline");
+    assert_eq!(warm.body, cold.body);
+    let bounced = client::get(&url(remote)).unwrap();
+    assert_eq!((bounced.status, bounced.redirects), (200, 1));
+    assert_eq!(inline(), 2, "the 302 is answered inline");
+    let missing = client::get(&url("/nope.txt")).unwrap();
+    assert_eq!((missing.status, inline()), (404, 3), "a 404 is answered inline");
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Reimplementation of the server's hash-placement (exercised against it
 /// through the public redirect behaviour above). FNV-1a in shape, but the
 /// multiplier is the server's 2³² + 0x1b3, not the 64-bit FNV prime.
