@@ -12,7 +12,7 @@
 //!
 //! ```text
 //!        accept ──▶ [admission: cap or 503] ──▶ Reading ──▶ ReadingBody
-//!                                                  │ parse (incremental)
+//!          (read at once, in the same call)        │ parse (incremental)
 //!                                                  ▼
 //!                                    dispatch: first_look() on the loop
 //!                          Done │                          │ Blocking / None
@@ -24,6 +24,10 @@
 //!                               │
 //!                               ▼
 //!                        close | keep-alive ↺
+//!
+//!   ┄ a connection enters the poller, and its deadline the timer wheel,
+//!     only on its first wait: a read or write that would block, a
+//!     worker holding its request, or (io_uring) a queued write
 //! ```
 //!
 //! * **Linux only.** Events come from [`sys::Poller`] — epoll
@@ -40,12 +44,19 @@
 //! * **Parsing is incremental**: partial reads accumulate in a carry
 //!   buffer and [`sweb_http::try_parse_request`] distinguishes "need more
 //!   bytes" from "can never parse" without re-scanning cost blowups.
+//! * **A connection that never waits costs no registration**: it is
+//!   read straight after `accept`, and an HTTP/1.0 request answered
+//!   inline costs `accept`, `read`, `writev` and `close` plus its share
+//!   of one poller wake-up — no `epoll_ctl` either side, nothing in the
+//!   timer wheel. The socket is registered the first time something
+//!   would block.
 //! * **Timeouts** ride a hashed [`timer::TimerWheel`] with lazy
 //!   cancellation and lazy re-arming: slow or idle clients are evicted
 //!   without per-timer bookkeeping and without ever blocking healthy
-//!   connections, and a connection whose deadline only moves later (the
-//!   next phase, the next keep-alive request) keeps the one wheel entry
-//!   it was admitted with.
+//!   connections. A connection's deadline reaches the wheel when it is
+//!   registered (one entry, pushed then), and a deadline that only moves
+//!   later (the next phase, the next keep-alive request) keeps that one
+//!   entry.
 //! * **What cannot block is answered where it was parsed**:
 //!   [`App::first_look`] runs on the loop thread and may finish the
 //!   request ([`FirstLook::Done`] goes straight to the socket, no thread
@@ -340,6 +351,13 @@ const MAX_BODY_BYTES: u64 = 1 << 20;
 /// response cannot balloon the heap.
 const ZC_FILE_MAX: u64 = 4 << 20;
 
+/// Connections one readable listener event accepts before the loop
+/// polls again (the listener is level-triggered, so the rest wait one
+/// tick). Each is read, and often answered, on the spot: an unbounded
+/// burst would let a steady stream of connects starve the timers, the
+/// workers' completions and every established connection.
+const ACCEPT_BURST: usize = 16;
+
 /// Reserved poller tokens.
 const TOKEN_LISTENER: usize = 0;
 const TOKEN_WAKEUP: usize = 1;
@@ -527,8 +545,14 @@ struct Conn {
     /// Close after the in-progress write (protocol errors, shed).
     rounds: u32,
     /// Eviction deadline (reactor ms) and the wheel entry that enforces
-    /// it; moved through [`Loop::set_deadline`] only.
+    /// it; moved through [`Loop::set_deadline`] only, armed together
+    /// with the registration.
     clock: EvictClock,
+    /// The socket is in the poller. False until the connection first
+    /// waits for something (see [`Loop::set_interest`]); a connection
+    /// answered in the call that accepted it never is.
+    registered: bool,
+    /// What the poller watches for; meaningless until `registered`.
     interest: Interest,
     /// When the first byte of the in-progress request arrived (parse
     /// phase start); `None` between requests.
@@ -697,7 +721,9 @@ impl Loop {
 
         // Drain: close every connection, then join the workers.
         for (_, conn) in self.conns.drain_all() {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
+            if conn.registered {
+                let _ = self.poller.deregister(conn.stream.as_raw_fd());
+            }
             self.app.on_conn_close();
         }
         // Quiesce the poller (a no-op under epoll) so the
@@ -777,7 +803,7 @@ impl Loop {
                 return;
             }
         }
-        loop {
+        for _ in 0..ACCEPT_BURST {
             match self.listener.accept() {
                 Ok((stream, peer)) => {
                     self.accept_errors = 0;
@@ -829,7 +855,8 @@ impl Loop {
         self.park_listener(5u64.saturating_mul(1 << self.accept_errors.min(8)).min(1000));
     }
 
-    /// One accepted connection: counted, then shed at the cap or admitted.
+    /// One accepted connection: counted, then shed at the cap or admitted
+    /// and read at once.
     fn take(&mut self, stream: TcpStream, peer: SocketAddr) {
         self.app.on_accept();
         if self.conns.len() >= self.cfg.max_conns {
@@ -837,12 +864,15 @@ impl Loop {
             return;
         }
         let t0 = Instant::now();
-        if self.admit(stream, peer).is_err() {
-            // Couldn't make it nonblocking / register: drop it.
-            self.app.on_conn_close();
-        } else {
-            self.app.on_phase(Phase::Accept, t0.elapsed().as_micros() as u64);
-        }
+        let Ok(idx) = self.admit(stream, peer) else {
+            return; // couldn't make it nonblocking: dropped unopened
+        };
+        self.app.on_phase(Phase::Accept, t0.elapsed().as_micros() as u64);
+        // The request is almost always in the socket by the time accept
+        // returns: read it now. The poller and the wheel hear of this
+        // connection only if that read (or the answer's write) would
+        // block, or a worker takes the request.
+        self.on_readable(idx);
     }
 
     /// Refuse a connection with 503 (best effort) and drop it.
@@ -857,7 +887,9 @@ impl Loop {
         let _ = s.write(&wire); // small; fits the socket buffer or is lost
     }
 
-    fn admit(&mut self, stream: TcpStream, peer: SocketAddr) -> io::Result<()> {
+    /// Track a connection; returns its slab index. Nothing reaches the
+    /// poller or the wheel here.
+    fn admit(&mut self, stream: TcpStream, peer: SocketAddr) -> io::Result<usize> {
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
         let deadline_ms = self.now_ms() + self.cfg.read_timeout.as_millis() as u64;
@@ -874,22 +906,17 @@ impl Loop {
             keep_alive: false,
             rounds: 0,
             clock: EvictClock::new(deadline_ms),
-            interest: Interest::READ,
+            registered: false,
+            interest: Interest::NONE,
             req_started: None,
             write_started: None,
             budget_deadline_ms: None,
             uring_write: false,
             pending_read: false,
         };
-        let (idx, gen) = self.conns.insert(conn);
-        let fd = self.conns.get_mut(idx).unwrap().stream.as_raw_fd();
-        if let Err(e) = self.poller.register(fd, TOKEN_BASE + idx, Interest::READ) {
-            self.conns.remove(idx);
-            return Err(e);
-        }
-        self.wheel.schedule(TimerEntry { token: idx, gen, deadline_ms });
+        let (idx, _) = self.conns.insert(conn);
         self.app.on_conn_open();
-        Ok(())
+        Ok(idx)
     }
 
     // -------------------------------------------------------- I/O events
@@ -924,9 +951,12 @@ impl Loop {
                 }
             }
             ConnState::Dispatched => {
-                // Interest is NONE; only errors/hangups arrive. The worker
+                // Interest is NONE, so only a reset arrives; the worker
                 // holds a generation-checked key, so closing now is safe.
-                if ev.error || ev.readable {
+                // A readable edge here predates the dispatch (or is a
+                // half-close, whose client still wants the answer); a
+                // client that hung up with a FIN is found by the write.
+                if ev.error {
                     self.close(idx);
                 }
             }
@@ -957,7 +987,11 @@ impl Loop {
                         self.arm_parse_deadline(idx);
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    // Registers the socket the first time round.
+                    self.set_interest(idx, Interest::READ);
+                    return;
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.close(idx);
@@ -1112,6 +1146,9 @@ impl Loop {
             None => None,
         };
         let peer = conn.peer.clone();
+        // The request waits on a worker: the socket goes quiet in the
+        // poller (registered now, if this is its first wait, so a reset
+        // still reaches it) and the wheel enforces the budget.
         self.set_interest(idx, Interest::NONE);
         // The worker may outlive this request's relevance (evicted client);
         // the generation check on completion makes that harmless.
@@ -1221,10 +1258,12 @@ impl Loop {
         if self.poller.supports_queued_write()
             && self.conns.get(idx).is_some_and(|c| c.out_file.is_none() && c.out_planned > 0)
         {
-            // The ring refuses a write while this request's read-poll is
-            // still armed (the linked poll would double it). A reply that
-            // came back from the pool parked it at dispatch; one answered
-            // inline parks it here — a cancel SQE, not a syscall.
+            // The ring refuses a write on an fd it does not know, or
+            // while this request's read-poll is still armed (the linked
+            // poll would double it). A reply that came back from the pool
+            // parked it at dispatch; one answered inline parks it here,
+            // and a connection answered straight after accept registers
+            // here — an SQE either way, not a syscall.
             self.set_interest(idx, Interest::NONE);
             let Some(conn) = self.conns.get_mut(idx) else { return };
             let fd = conn.stream.as_raw_fd();
@@ -1383,31 +1422,52 @@ impl Loop {
             return;
         }
         let deadline_ms = self.now_ms() + self.cfg.read_timeout.as_millis() as u64;
-        {
+        let registered = {
             let Some(conn) = self.conns.get_mut(idx) else { return };
             conn.state = ConnState::Reading;
-        }
+            conn.registered
+        };
         self.set_deadline(idx, deadline_ms);
-        self.set_interest(idx, Interest::READ);
-        // Pipelined bytes may already complete the next request; under a
-        // queued write, a readable edge consumed mid-write (the linked
-        // poll completing early) must also be serviced now — its event is
-        // spent and won't be re-delivered.
-        if self.progress(idx) && pending_read {
+        if registered {
+            self.set_interest(idx, Interest::READ);
+        }
+        // Pipelined bytes may already complete the next request. If not,
+        // a connection that has never waited reads on (registering only
+        // if that would block); under a queued write, a readable edge
+        // consumed mid-write (the linked poll completing early) must also
+        // be serviced now — its event is spent and won't be re-delivered.
+        if self.progress(idx) && (pending_read || !registered) {
             self.on_readable(idx);
         }
     }
 
     // ------------------------------------------------------------ plumbing
 
+    /// Set what the poller watches `idx` for. The first call registers
+    /// the socket and arms the connection's eviction clock, pushing its
+    /// one wheel entry: a connection is watched, by the poller and by the
+    /// wheel, from the first time something would block.
     fn set_interest(&mut self, idx: usize, interest: Interest) {
+        let Some(gen) = self.conns.gen_of(idx) else { return };
         let Some(conn) = self.conns.get_mut(idx) else { return };
-        if conn.interest == interest {
+        if conn.registered && conn.interest == interest {
             return;
         }
         conn.interest = interest;
-        let fd = conn.stream.as_raw_fd();
-        if self.poller.modify(fd, TOKEN_BASE + idx, interest).is_err() {
+        let (fd, token) = (conn.stream.as_raw_fd(), TOKEN_BASE + idx);
+        let result = if conn.registered {
+            self.poller.modify(fd, token, interest)
+        } else {
+            let result = self.poller.register(fd, token, interest);
+            if result.is_ok() {
+                conn.registered = true;
+                if let Some(deadline_ms) = conn.clock.arm() {
+                    self.wheel.schedule(TimerEntry { token: idx, gen, deadline_ms });
+                }
+            }
+            result
+        };
+        if result.is_err() {
             self.close(idx);
         }
     }
@@ -1429,7 +1489,12 @@ impl Loop {
 
     fn close(&mut self, idx: usize) {
         if let Some(conn) = self.conns.remove(idx) {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
+            // Deregistered explicitly, not left to close(2): a fork-CGI
+            // child can hold a copy of the fd between fork and exec, which
+            // would keep a stale registration alive on a recycled token.
+            if conn.registered {
+                let _ = self.poller.deregister(conn.stream.as_raw_fd());
+            }
             self.app.on_conn_close();
             // conn.stream drops here, closing the fd.
         }

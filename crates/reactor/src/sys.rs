@@ -534,10 +534,14 @@ pub mod epoll {
         fn close(fd: i32) -> i32;
     }
 
+    /// `EPOLLERR`/`EPOLLHUP` are always reported. `EPOLLRDHUP` rides
+    /// with read interest only: a half-closed peer is level-triggered
+    /// readable, which a socket parked or draining a write must not hear
+    /// on every wait.
     fn mask_of(interest: Interest) -> u32 {
-        let mut m = EPOLLRDHUP;
+        let mut m = 0;
         if interest.readable {
-            m |= EPOLLIN;
+            m |= EPOLLIN | EPOLLRDHUP;
         }
         if interest.writable {
             m |= EPOLLOUT;

@@ -354,6 +354,10 @@ pub struct UringPoller {
     send_zc_ok: bool,
     regs: Slab<Reg>,
     by_fd: HashMap<RawFd, usize>,
+    /// Multishot accepts of deregistered (parked) listeners whose final
+    /// CQE has not landed: `(user_data, token)`. Connections the kernel
+    /// accepted before the cancel took effect still go to the loop.
+    retired_accepts: Vec<(u64, usize)>,
     writes: Slab<WriteOp>,
     updates: Slab<UpdateOp>,
     backlog: VecDeque<Sqe>,
@@ -571,6 +575,7 @@ impl UringPoller {
             send_zc_ok,
             regs: Slab::new(),
             by_fd: HashMap::new(),
+            retired_accepts: Vec::new(),
             writes: Slab::new(),
             updates: Slab::new(),
             backlog: VecDeque::new(),
@@ -888,6 +893,9 @@ impl UringPoller {
         };
         self.stats.syscalls_saved += 1; // the epoll_ctl(DEL) this replaces
         let rgen = self.regs.gen_of(ridx).unwrap_or(0);
+        if let Some(reg) = self.regs.get(ridx).filter(|r| r.armed && r.kind == KIND_ACCEPT) {
+            self.retired_accepts.push((pack(KIND_ACCEPT, ridx, reg.seq), reg.token));
+        }
         self.cancel_current(ridx);
         let Some(reg) = self.regs.remove(ridx) else {
             return Ok(());
@@ -1118,6 +1126,9 @@ impl UringPoller {
         for fd in fds {
             let _ = self.deregister(fd);
         }
+        // Nobody will admit another connection: from here an accept CQE
+        // closes its fd.
+        self.retired_accepts.clear();
         // Cancellation CQEs carry no countable state, so the fence is
         // two consecutive quiet waits with every write/update op freed.
         // Bounded: a wedged kernel must not hang shard teardown.
@@ -1317,22 +1328,10 @@ impl UringPoller {
     }
 
     fn on_accept_cqe(&mut self, ridx: usize, seq: u32, cqe: Cqe, out: &mut Vec<Event>) {
-        let token = {
-            let Some(reg) = self.regs.get_mut(ridx) else {
-                // Listener gone (parked/shutdown): the kernel already
-                // accepted this connection — close it, never leak it.
-                if cqe.res >= 0 {
-                    unsafe { close(cqe.res) };
-                }
-                return;
-            };
-            if reg.seq != seq || reg.kind != KIND_ACCEPT {
-                if cqe.res >= 0 {
-                    unsafe { close(cqe.res) };
-                }
-                return;
-            }
-            reg.token
+        let live = self.regs.get(ridx).filter(|reg| reg.seq == seq && reg.kind == KIND_ACCEPT);
+        let Some(token) = live.map(|reg| reg.token) else {
+            self.on_retired_accept_cqe(cqe, out);
+            return;
         };
         if cqe.res < 0 {
             let err = -cqe.res;
@@ -1381,6 +1380,38 @@ impl UringPoller {
         });
         if !more {
             self.arm_accept(ridx);
+        }
+    }
+
+    /// An accept CQE from a multishot accept no longer armed under its
+    /// seq. If its listener was parked, the kernel accepted this
+    /// connection before the cancel took effect: it goes to the loop like
+    /// any other, since closing it would reset a client whose connect
+    /// already succeeded. Otherwise (shutdown) it is closed, never leaked.
+    fn on_retired_accept_cqe(&mut self, cqe: Cqe, out: &mut Vec<Event>) {
+        let retired = self.retired_accepts.iter().position(|&(ud, _)| ud == cqe.user_data);
+        let token = retired.map(|i| self.retired_accepts[i].1);
+        if let Some(i) = retired.filter(|_| cqe.flags & IORING_CQE_F_MORE == 0) {
+            self.retired_accepts.swap_remove(i); // the accept's last CQE
+        }
+        if cqe.res < 0 {
+            return;
+        }
+        match token {
+            Some(token) => out.push(Event {
+                token,
+                readable: true,
+                writable: false,
+                error: false,
+                accepted: Some(cqe.res),
+                wrote: None,
+            }),
+            // SAFETY: `cqe.res` is a connection the kernel accepted for
+            // this ring; no `TcpStream` was made of it, so this is its
+            // only close.
+            None => unsafe {
+                close(cqe.res);
+            },
         }
     }
 

@@ -3,15 +3,20 @@
 //! Deadlines are bucketed into `tick_ms` slots over a fixed ring. The
 //! reactor never cancels an entry explicitly, and an entry lives in its
 //! slot until its deadline — so what a connection schedules is what the
-//! wheel's memory is made of. Each connection therefore keeps an
-//! `EvictClock`: a deadline that only moves *later* (the usual case:
-//! the next phase of a request, write progress, the next keep-alive
-//! request) schedules nothing, and the one entry already pending
-//! re-schedules itself at the current deadline when it fires. Only a
-//! deadline that moves *earlier* than the pending entry (the slowloris
-//! parse clock) pushes a new one; the superseded entry goes stale and is
-//! dropped when its slot drains. Expired entries are validated against
-//! the connection's generation and clock before acting.
+//! wheel's memory is made of, and it is made only of connections that
+//! *waited*. Each connection keeps an `EvictClock` whose deadline moves
+//! freely and reaches the wheel only once the connection is armed: the
+//! first time a read or write would block, or a worker takes its
+//! request. A connection answered in the loop call that accepted it
+//! never schedules anything. Once armed, a deadline that only moves
+//! *later* (the usual case: the next phase of a request, write progress,
+//! the next keep-alive request) schedules nothing, and the one entry
+//! already pending re-schedules itself at the current deadline when it
+//! fires. Only a deadline that moves *earlier* than the pending entry
+//! (the slowloris parse clock) pushes a new one; the superseded entry
+//! goes stale and is dropped when its slot drains. Expired entries are
+//! validated against the connection's generation and clock before
+//! acting.
 
 /// One scheduled expiry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,12 +30,13 @@ pub struct TimerEntry {
 }
 
 /// One connection's eviction clock: its current deadline, and the
-/// deadline of the wheel entry that will wake it. Invariant:
-/// `timer_ms <= deadline_ms`, so the pending entry never fires late.
+/// deadline of the wheel entry that will wake it (`None` until
+/// [`EvictClock::arm`]). Invariant once armed: `timer_ms <=
+/// deadline_ms`, so the pending entry never fires late.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EvictClock {
     deadline_ms: u64,
-    timer_ms: u64,
+    timer_ms: Option<u64>,
 }
 
 /// What a fired wheel entry means for the connection it names.
@@ -46,9 +52,9 @@ pub(crate) enum Fired {
 }
 
 impl EvictClock {
-    /// A clock whose first entry the caller schedules at `deadline_ms`.
+    /// An unarmed clock at `deadline_ms`: nothing is in the wheel yet.
     pub(crate) fn new(deadline_ms: u64) -> EvictClock {
-        EvictClock { deadline_ms, timer_ms: deadline_ms }
+        EvictClock { deadline_ms, timer_ms: None }
     }
 
     /// The current eviction deadline.
@@ -56,27 +62,40 @@ impl EvictClock {
         self.deadline_ms
     }
 
+    /// Start enforcing the deadline. Returns the deadline of the clock's
+    /// first wheel entry; `None` if it was already armed.
+    #[must_use]
+    pub(crate) fn arm(&mut self) -> Option<u64> {
+        if self.timer_ms.is_some() {
+            return None;
+        }
+        self.timer_ms = Some(self.deadline_ms);
+        self.timer_ms
+    }
+
     /// Move the deadline. Returns the deadline to schedule a wheel entry
-    /// for, which is only needed when it moved earlier than the entry
-    /// already pending.
+    /// for, which is only needed when the clock is armed and the
+    /// deadline moved earlier than the entry already pending.
     #[must_use]
     pub(crate) fn set(&mut self, deadline_ms: u64) -> Option<u64> {
         self.deadline_ms = deadline_ms;
-        if deadline_ms >= self.timer_ms {
-            return None;
+        match self.timer_ms {
+            Some(timer_ms) if deadline_ms < timer_ms => {
+                self.timer_ms = Some(deadline_ms);
+                self.timer_ms
+            }
+            _ => None,
         }
-        self.timer_ms = deadline_ms;
-        Some(deadline_ms)
     }
 
     /// The wheel entry scheduled for `entry_ms` fired at `now_ms`.
     pub(crate) fn fired(&mut self, entry_ms: u64, now_ms: u64) -> Fired {
-        if entry_ms != self.timer_ms {
+        if self.timer_ms != Some(entry_ms) {
             Fired::Stale
         } else if self.deadline_ms <= now_ms {
             Fired::Evict
         } else {
-            self.timer_ms = self.deadline_ms;
+            self.timer_ms = Some(self.deadline_ms);
             Fired::Rearm(self.deadline_ms)
         }
     }
@@ -237,18 +256,28 @@ mod tests {
     }
 
     /// Drive one connection's clock against a real wheel through
-    /// `moves` (`(at_ms, new deadline)`), scheduling every entry the
-    /// clock asks for. Returns (entries pushed by deadline moves and the
-    /// initial arm, entries pushed by re-arming, eviction time).
-    fn run_clock(mut clock: EvictClock, moves: &[(u64, u64)]) -> (usize, usize, Option<u64>) {
+    /// `moves` (`(at_ms, new deadline)`), arming it at `arm_at_ms`
+    /// (`None`: the connection never waits) and scheduling every entry
+    /// the clock asks for. Returns (entries pushed by arming and by
+    /// deadline moves, entries pushed by re-arming, eviction time).
+    fn run_clock(
+        mut clock: EvictClock,
+        arm_at_ms: Option<u64>,
+        moves: &[(u64, u64)],
+    ) -> (usize, usize, Option<u64>) {
         let mut w = TimerWheel::new(64, 10);
         let entry = |deadline_ms| TimerEntry { token: 0, gen: 0, deadline_ms };
-        w.schedule(entry(clock.deadline_ms()));
-        let (mut pushes, mut rearms) = (1, 0);
+        let (mut pushes, mut rearms) = (0, 0);
         let mut moves = moves.iter().peekable();
         for now in (0..=5000).step_by(10) {
             while let Some(&(_, deadline)) = moves.next_if(|&&(at, _)| at <= now) {
                 if let Some(d) = clock.set(deadline) {
+                    w.schedule(entry(d));
+                    pushes += 1;
+                }
+            }
+            if arm_at_ms.is_some_and(|at| at <= now) {
+                if let Some(d) = clock.arm() {
                     w.schedule(entry(d));
                     pushes += 1;
                 }
@@ -269,18 +298,36 @@ mod tests {
     }
 
     #[test]
+    fn a_connection_that_never_waits_never_reaches_the_wheel() {
+        // Accepted at 0 and answered inside the same loop call: parse,
+        // dispatch and the write all move the deadline, but nothing ever
+        // blocked, so the clock was never armed and the wheel stays
+        // empty after the connection is gone.
+        let moves = [(0, 250), (0, 1000), (0, 1000)];
+        assert_eq!(run_clock(EvictClock::new(1000), None, &moves), (0, 0, None));
+    }
+
+    #[test]
+    fn arming_schedules_the_deadline_current_at_that_moment() {
+        // The first read left the head incomplete (parse deadline 250)
+        // and the next one would block at 10 ms: the one entry goes in
+        // then, at 250, and evicts on time.
+        let (pushes, rearms, evicted) = run_clock(EvictClock::new(1000), Some(10), &[(0, 250)]);
+        assert_eq!((pushes, rearms, evicted), (1, 0, Some(250)));
+    }
+
+    #[test]
     fn a_request_that_completes_in_its_first_read_pushes_once() {
-        // Admitted at 0 with a 1 s idle deadline; the request arrives
+        // Armed at 0 with a 1 s idle deadline; the request arrives
         // whole at 100 ms, so dispatch, the write and three keep-alive
-        // rounds only ever move the deadline later: the admit entry is
+        // rounds only ever move the deadline later: the arming entry is
         // the only push (four per request before lazy re-arming). The
         // entry re-arms when it fires — at 1,000 ms for 1,510, then for
         // 2,300: once per timeout period, not per request — and the idle
         // connection is evicted one read timeout after its last
         // response, as before.
-        let moves =
-            [(100, 1100), (100, 1100), (110, 1110), (500, 1500), (510, 1510), (1300, 2300)];
-        let (pushes, rearms, evicted) = run_clock(EvictClock::new(1000), &moves);
+        let moves = [(100, 1100), (100, 1100), (110, 1110), (500, 1500), (510, 1510), (1300, 2300)];
+        let (pushes, rearms, evicted) = run_clock(EvictClock::new(1000), Some(0), &moves);
         assert_eq!(pushes, 1, "deadlines that only move later must not reach the wheel");
         assert_eq!(rearms, 2);
         assert_eq!(evicted, Some(2300));
@@ -291,14 +338,14 @@ mod tests {
         // The slowloris case: the first byte at 100 ms arms a 250 ms
         // parse deadline under the 1 s idle one. That is the one extra
         // push, and eviction lands on the parse deadline's tick.
-        let (pushes, rearms, evicted) = run_clock(EvictClock::new(1000), &[(100, 350)]);
+        let (pushes, rearms, evicted) = run_clock(EvictClock::new(1000), Some(0), &[(100, 350)]);
         assert_eq!((pushes, rearms), (2, 0));
         assert_eq!(evicted, Some(350));
         // If the head then completes at 200 ms the deadline moves back
         // out without a push; the 350 ms entry re-arms itself and the
         // superseded 1,000 ms entry is ignored when it fires.
         let (pushes, rearms, evicted) =
-            run_clock(EvictClock::new(1000), &[(100, 350), (200, 1200)]);
+            run_clock(EvictClock::new(1000), Some(0), &[(100, 350), (200, 1200)]);
         assert_eq!((pushes, rearms), (2, 1));
         assert_eq!(evicted, Some(1200));
     }

@@ -2,15 +2,20 @@
 //!
 //! Everything here runs the *full* server stack — live cluster, HTTP/1.0
 //! handler, sharded reactor — with `ClusterConfig::io_backend` pinned to
-//! [`IoBackend::Uring`], and checks the three promises the backend makes:
+//! [`IoBackend::Uring`], and checks the two promises the backend makes:
 //!
 //! 1. **Byte identity**: every response body served under io_uring is
-//!    byte-for-byte what epoll serves for the same document.
+//!    byte-for-byte what epoll serves for the same document, on every
+//!    fallback of its transmit ladder, under an accept-pause fault and
+//!    through linked keep-alive chains.
 //! 2. **Observability**: `/sweb-status` reports `"uring"` for every live
 //!    shard (schema v6), and the `sweb_io_*` telemetry counters move.
-//! 3. **Fewer syscalls**: for the same request batch, the uring shard
-//!    issues measurably fewer poller syscalls than the epoll shard — the
-//!    whole point of batched submission.
+//!
+//! It does not promise fewer poller syscalls than epoll: epoll pays no
+//! `epoll_ctl` for a connection that never waits, so for HTTP/1.0
+//! traffic it does not. What each backend pays per inline request is
+//! counted by `sweb-reactor`'s
+//! `inline_http10_gets_reach_the_poller_about_once_each`.
 //!
 //! On kernels without io_uring the suite skips (with a note) rather than
 //! failing: the production path for those kernels is the epoll fallback,
@@ -88,6 +93,14 @@ fn uring_serves_byte_identical_responses() {
         assert_eq!(a.status, b.status, "{path}: status diverged");
         assert_eq!(a.body, b.body, "{path}: body diverged between uring and epoll");
     }
+    // Let each shard finish its tick so the last stats drain lands.
+    std::thread::sleep(Duration::from_millis(50));
+    let (u, e) = (&uring.node(0).stats, &epoll.node(0).stats);
+    assert!(u.io_sqe_submitted.get() > 0, "uring submitted no SQEs");
+    assert!(u.io_cqe_completed.get() > 0, "uring completed no CQEs");
+    assert!(u.io_syscalls_saved.get() > 0, "uring reported no syscalls saved");
+    // A readiness backend has no submission queue and saves nothing.
+    assert_eq!((e.io_sqe_submitted.get(), e.io_syscalls_saved.get()), (0, 0));
     uring.shutdown();
     epoll.shutdown();
 }
@@ -121,53 +134,6 @@ fn status_reports_uring_backend_per_shard() {
         assert_eq!(row.io_backend, "uring", "shard {} not on uring", row.shard);
     }
     cluster.shutdown();
-}
-
-/// Run an identical request batch against a single-shard uring node and
-/// a single-shard epoll node, and compare the poller-syscall counters.
-/// epoll pays `epoll_wait` plus several `epoll_ctl` per connection
-/// (register, interest changes, deregister); uring batches all of that
-/// into roughly one `io_uring_enter` per loop tick, so its total must
-/// come in strictly lower — and its saved/sqe/cqe counters must move.
-#[test]
-fn uring_uses_fewer_syscalls_for_the_same_batch() {
-    if !uring_available() {
-        return;
-    }
-    let run = |backend: IoBackend, tag: &str| {
-        let cluster = LiveCluster::start(1, docroot(tag), config(backend)).unwrap();
-        for _ in 0..60 {
-            for path in ["/doc0.txt", "/doc1.txt", "/index.html"] {
-                let resp = client::get(&format!("{}{path}", cluster.base_url(0))).unwrap();
-                assert_eq!(resp.status, 200);
-            }
-        }
-        // Let the shard finish its tick so the final stats drain lands.
-        std::thread::sleep(Duration::from_millis(50));
-        let stats = &cluster.node(0).stats;
-        let out = (
-            stats.io_syscalls.get(),
-            stats.io_sqe_submitted.get(),
-            stats.io_cqe_completed.get(),
-            stats.io_syscalls_saved.get(),
-        );
-        cluster.shutdown();
-        out
-    };
-    let (u_sys, u_sqe, u_cqe, u_saved) = run(IoBackend::Uring, "sys-u");
-    let (e_sys, e_sqe, _e_cqe, e_saved) = run(IoBackend::Epoll, "sys-e");
-    // 180 connections x (register + interest changes + deregister) on
-    // epoll vs batched enters on uring: the gap is structural, not noise.
-    assert!(
-        u_sys < e_sys,
-        "uring used {u_sys} poller syscalls vs epoll's {e_sys} for the same batch"
-    );
-    assert!(u_sqe > 0, "uring submitted no SQEs");
-    assert!(u_cqe > 0, "uring completed no CQEs");
-    assert!(u_saved > 0, "uring reported no syscalls saved");
-    // Readiness backends have no submission queue and save nothing.
-    assert_eq!(e_sqe, 0, "epoll reported SQEs");
-    assert_eq!(e_saved, 0, "epoll reported saved syscalls");
 }
 
 /// Serializes the env-flag tests below: `SWEB_URING_*` variables are

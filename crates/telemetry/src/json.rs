@@ -25,6 +25,11 @@ pub enum Json {
 }
 
 impl Json {
+    /// Deepest nesting of arrays and objects [`Json::parse`] accepts;
+    /// deeper input is an `Err`, not a stack overflow. What this crate
+    /// renders nests a handful of levels.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Member of an object by key (`None` for non-objects/missing keys).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -130,8 +135,10 @@ impl Json {
     }
 
     /// Parse JSON text. Errors carry a byte offset and a short reason.
+    /// Linear in the input; nesting deeper than [`Json::MAX_DEPTH`] is
+    /// refused.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -161,6 +168,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -185,11 +194,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
+    }
+
+    /// One array or object, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == Json::MAX_DEPTH {
+            return Err(format!("nested deeper than {} at {}", Json::MAX_DEPTH, self.pos));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -221,6 +241,15 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, escape or control byte
+            // in one piece. Both ends are ASCII and the input is a `&str`,
+            // so the run is valid UTF-8 on its own.
+            let rest = &self.bytes[self.pos..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+            let run = run.unwrap_or(rest.len());
+            let plain = std::str::from_utf8(&rest[..run]).map_err(|_| "invalid utf-8")?;
+            out.push_str(plain);
+            self.pos += run;
             match self.bytes.get(self.pos) {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
@@ -239,9 +268,12 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign.
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| format!("bad \\u escape at {}", self.pos))?;
@@ -252,14 +284,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Copy a full UTF-8 scalar (input is &str, so valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(format!("unescaped control character at {}", self.pos)),
             }
         }
     }
@@ -363,6 +388,11 @@ mod tests {
     #[test]
     fn parser_rejects_garbage() {
         for bad in ["", "{", "[1,", "tru", "{\"a\" 1}", "1 2", "\"\\q\"", "nan"] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+        // A raw newline must be escaped; `\u` takes four hex digits and
+        // no sign (`\u+041` once parsed as `A`).
+        for bad in ["\"a\nb\"", "\"\\u+041\"", "\"\\u004\""] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
     }
