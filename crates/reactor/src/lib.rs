@@ -26,17 +26,12 @@
 //!                        close | keep-alive ↺
 //!
 //!   ┄ a connection enters the poller, and its deadline the timer wheel,
-//!     only on its first wait: a read or write that would block, a
-//!     worker holding its request, or (io_uring) a queued write
+//!     only on its first wait: a read or write that would block, or a
+//!     worker holding its request
 //! ```
 //!
-//! * **Linux only.** Events come from [`sys::Poller`] — epoll
-//!   readiness (the default), or completion-based io_uring
-//!   ([`sys::uring`], select with `SWEB_IO_BACKEND=uring` /
-//!   [`ReactorConfig::io_backend`]): multishot accept delivers
-//!   already-accepted fds, buffered responses drain as queued `WRITEV`
-//!   completions with the next-request poll linked behind them, and a
-//!   whole loop tick costs at most one syscall.
+//! * **Linux only.** Events come from [`sys::Poller`], one epoll
+//!   instance per loop, used level-triggered.
 //! * **Accepts are the kernel's to distribute**: every shard of
 //!   [`spawn_sharded`] owns its own `SO_REUSEPORT` listener on the
 //!   shared port, the way each SWEB node's httpd accepts its own
@@ -100,13 +95,9 @@ use sys::{Event, Interest, Poller};
 use timer::{EvictClock, Fired, TimerEntry, TimerWheel};
 use workers::WorkerPool;
 
-pub use sys::{IoBackend, IoStats};
-
 /// A file payload to stream instead of an in-memory body: the open fd
 /// travels through the connection state machine and is drained with
-/// `sendfile(2)` (or, with [`ReactorConfig::use_sendfile`] off or a
-/// `SEND_ZC`-capable ring, materialized on a worker thread). The
-/// reactor sets `Content-Length` from `len`.
+/// `sendfile(2)`. The reactor sets `Content-Length` from `len`.
 #[derive(Debug)]
 pub struct FileBody {
     /// Open file positioned at the start of the payload.
@@ -137,9 +128,7 @@ impl From<Response> for Reply {
 pub enum FirstLook {
     /// The reply, finished without blocking: written from the loop
     /// thread, no worker involved. A [`FileBody`] belongs in a
-    /// continuation: opening it blocks, and where `sendfile` cannot
-    /// stream it the reactor reads it into memory on whichever thread
-    /// produced the reply.
+    /// continuation: opening it blocks.
     Done(Reply),
     /// The rest of the request can sleep: this continuation runs on a
     /// worker thread, given the same `(peer, request, body)` the first
@@ -242,15 +231,10 @@ pub trait App: Send + Sync + 'static {
     /// The matching end of [`App::on_shard_start`]: the loop has drained
     /// its connections and is exiting (shutdown or loop error).
     fn on_shard_stop(&self) {}
-    /// Reports which I/O backend this shard's loop actually runs on
-    /// (`"uring"` or `"epoll"`) — after any startup fallback.
-    /// Called once on the loop thread, before [`App::on_shard_start`]'s
-    /// loop begins polling.
-    fn on_io_backend(&self, _backend: &'static str) {}
-    /// Periodic flush of the poller's syscall accounting ([`IoStats`]),
-    /// called on the loop thread whenever a tick did I/O work. Deltas,
-    /// not totals: sum them into counters.
-    fn on_io_stats(&self, _stats: IoStats) {}
+    /// Periodic flush of the poller's syscall count (`epoll_wait` and
+    /// `epoll_ctl` calls), on the loop thread, once per tick that made
+    /// any. Deltas, not totals: sum them into a counter.
+    fn on_poller_syscalls(&self, _count: u64) {}
     /// How long one request sat in the worker submission queue before a
     /// worker picked it up (called on the worker thread, just before
     /// `respond` or the continuation). This is the *sojourn time* an
@@ -294,25 +278,12 @@ pub struct ReactorConfig {
     pub timer_slots: usize,
     /// Timer wheel tick, ms (eviction resolution).
     pub timer_tick_ms: u64,
-    /// Stream [`FileBody`] payloads with `sendfile(2)` on the loop
-    /// thread; when false, file payloads are materialized on a worker
-    /// thread instead (the branch io_uring's `SEND_ZC` path also takes).
-    pub use_sendfile: bool,
     /// Wall-clock budget for one request (first byte to response
     /// drained). Phase checkpoints are derived from it via
     /// [`RequestDeadline`]; a request
     /// missing one is answered 503 + `Retry-After` (or evicted mid-write)
     /// instead of hanging its client.
     pub request_budget: Duration,
-    /// Which event backend each shard's [`sys::Poller`] should use.
-    /// Defaults to [`IoBackend::from_env`] (`SWEB_IO_BACKEND`, else
-    /// epoll). `Uring` and `Auto` fall back to epoll when the kernel
-    /// lacks io_uring support.
-    pub io_backend: IoBackend,
-    /// Registered-buffer staging pool budget per shard, bytes (io_uring
-    /// only; 0 disables registration). Servers size this off the file
-    /// cache's per-segment share so the pool tracks the hot working set.
-    pub uring_buf_pool_bytes: usize,
 }
 
 /// Default worker-pool size: [`std::thread::available_parallelism`]
@@ -333,23 +304,13 @@ impl Default for ReactorConfig {
             keepalive_limit: 64,
             timer_slots: 256,
             timer_tick_ms: 20,
-            use_sendfile: true,
             request_budget: Duration::from_secs(10),
-            io_backend: IoBackend::from_env(),
-            uring_buf_pool_bytes: sys::uring::DEFAULT_BUF_POOL,
         }
     }
 }
 
 /// Largest accepted POST body.
 const MAX_BODY_BYTES: u64 = 1 << 20;
-
-/// Largest file body the loop will materialize for a `SEND_ZC` transmit
-/// instead of streaming with `sendfile(2)`. The zero-copy send rides
-/// the ring (no per-chunk syscall + readiness round trip), but the
-/// worker pays one read into memory — bounded here so a multi-GiB
-/// response cannot balloon the heap.
-const ZC_FILE_MAX: u64 = 4 << 20;
 
 /// Connections one readable listener event accepts before the loop
 /// polls again (the listener is level-triggered, so the rest wait one
@@ -368,8 +329,6 @@ pub struct ReactorHandle {
     thread: Option<std::thread::JoinHandle<io::Result<()>>>,
     /// Address the reactor is listening on.
     pub addr: SocketAddr,
-    /// I/O backend in use (`"uring"` or `"epoll"`).
-    pub backend: &'static str,
 }
 
 impl ReactorHandle {
@@ -406,8 +365,7 @@ fn spawn_shard(
     shard: usize,
 ) -> io::Result<ReactorHandle> {
     listener.set_nonblocking(true)?;
-    let poller = Poller::with_backend_and_pool(cfg.io_backend, cfg.uring_buf_pool_bytes)?;
-    let backend = poller.backend();
+    let poller = Poller::new()?;
 
     // Self-addressed UDP socket: the workers' doorbell into the loop.
     let wakeup_rx = UdpSocket::bind("127.0.0.1:0")?;
@@ -421,7 +379,7 @@ fn spawn_shard(
             Loop::new(listener, app, cfg, shutdown, poller, wakeup_rx, wakeup_tx).run()
         })?;
 
-    Ok(ReactorHandle { thread: Some(thread), addr, backend })
+    Ok(ReactorHandle { thread: Some(thread), addr })
 }
 
 /// A running sharded reactor: one loop handle per shard.
@@ -429,8 +387,6 @@ pub struct ShardedHandle {
     shards: Vec<ReactorHandle>,
     /// Address the shard group is listening on.
     pub addr: SocketAddr,
-    /// I/O backend in use (`"uring"` or `"epoll"`).
-    pub backend: &'static str,
 }
 
 impl ShardedHandle {
@@ -497,8 +453,7 @@ pub fn spawn_sharded(
     for (shard, (l, app)) in listeners.into_iter().zip(apps).enumerate() {
         shards.push(spawn_shard(l, app, shard_cfg.clone(), Arc::clone(&shutdown), addr, shard)?);
     }
-    let backend = shards[0].backend;
-    Ok(ShardedHandle { shards, addr, backend })
+    Ok(ShardedHandle { shards, addr })
 }
 
 /// Per-connection protocol position.
@@ -564,14 +519,6 @@ struct Conn {
     /// response that can't drain inside the budget is evicted at the
     /// budget, not at the rolling write timeout.
     budget_deadline_ms: Option<u64>,
-    /// The in-progress response was handed to the uring backend as a
-    /// queued `WRITEV`; progress arrives as completion events
-    /// ([`Event::wrote`]) instead of writable readiness.
-    uring_write: bool,
-    /// A readable edge arrived while a queued write was still draining
-    /// (the linked read-poll completing early): service it right after
-    /// the write finishes instead of waiting for another poll cycle.
-    pending_read: bool,
 }
 
 /// A reply in the shape `start_write` takes.
@@ -605,11 +552,6 @@ struct Seal {
     deadline: RequestDeadline,
     keep_alive: bool,
     head_only: bool,
-    sendfile_ok: bool,
-    /// When the backend can SEND_ZC, moderate files are worth
-    /// materializing: the body then rides the ring as one zero-copy
-    /// op instead of a per-chunk sendfile loop on the loop thread.
-    zc_file_ok: bool,
 }
 
 impl Seal {
@@ -624,36 +566,16 @@ impl Seal {
             Reply::from(overloaded_response(app.retry_after_secs()))
         });
         let mut resp = reply.response;
-        let mut keep_alive = self.keep_alive && !overrun;
+        let keep_alive = self.keep_alive && !overrun;
         if keep_alive {
             resp.headers.set("Connection", "Keep-Alive");
         }
         let mut file_tx: Option<FileTx> = None;
         if let Some(fb) = reply.file {
             resp.headers.set("Content-Length", fb.len.to_string());
-            if self.head_only {
-                // Header describes the file; nothing follows.
-            } else if self.sendfile_ok && !(self.zc_file_ok && fb.len <= ZC_FILE_MAX) {
+            // A HEAD's header describes the file; nothing follows.
+            if !self.head_only {
                 file_tx = Some(FileTx { file: fb.file, offset: 0, end: fb.len });
-            } else {
-                // Materialize here, where the reply was produced (a
-                // worker thread: file bodies are blocking work), so the
-                // read stays off the loop: either sendfile is switched
-                // off, or SEND_ZC is available and a bounded
-                // in-memory body rides the ring as one zero-copy op
-                // instead of a sendfile loop.
-                let mut buf = Vec::with_capacity(fb.len as usize);
-                let mut f = fb.file;
-                match Read::by_ref(&mut f).take(fb.len).read_to_end(&mut buf) {
-                    Ok(n) if n as u64 == fb.len => resp.body = buf.into(),
-                    _ => {
-                        // Short read (truncated underneath us) or I/O
-                        // error: better a clean 500 than a wrong body.
-                        resp = Response::error(StatusCode::InternalServerError);
-                        resp.headers.set("Connection", "close");
-                        keep_alive = false;
-                    }
-                }
             }
         }
         let (head, body) = resp.to_wire_parts(self.head_only);
@@ -715,7 +637,6 @@ impl Loop {
     }
 
     fn run(mut self) -> io::Result<()> {
-        self.app.on_io_backend(self.poller.backend());
         self.app.on_shard_start();
         let result = self.run_inner();
 
@@ -726,20 +647,13 @@ impl Loop {
             }
             self.app.on_conn_close();
         }
-        // Quiesce the poller (a no-op under epoll) so the
-        // listener port is genuinely free the moment this shard exits —
-        // io_uring would otherwise release its kernel-held file
-        // references asynchronously, racing an immediate rebind.
-        self.poller.shutdown();
         self.pool.shutdown();
         self.app.on_shard_stop();
         result
     }
 
     fn run_inner(&mut self) -> io::Result<()> {
-        // Under uring this arms a multishot accept: completions carry
-        // already-accepted fds and no accept(2) is ever issued.
-        self.poller.register_accept(self.listener.as_raw_fd(), TOKEN_LISTENER)?;
+        self.poller.register(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         self.poller.register(self.wakeup_rx.as_raw_fd(), TOKEN_WAKEUP, Interest::READ)?;
 
         let mut events: Vec<Event> = Vec::with_capacity(256);
@@ -751,10 +665,7 @@ impl Loop {
 
             for &ev in &events {
                 match ev.token {
-                    TOKEN_LISTENER => match ev.accepted {
-                        Some(fd) => self.accept_incoming(fd),
-                        None => self.accept_ready(),
-                    },
+                    TOKEN_LISTENER => self.accept_ready(),
                     TOKEN_WAKEUP => self.drain_wakeup(),
                     t => self.conn_event(t - TOKEN_BASE, ev),
                 }
@@ -773,13 +684,14 @@ impl Loop {
             if let Some(until) = self.listener_parked_until {
                 if now >= until {
                     self.listener_parked_until = None;
-                    self.poller.register_accept(self.listener.as_raw_fd(), TOKEN_LISTENER)?;
+                    let fd = self.listener.as_raw_fd();
+                    self.poller.register(fd, TOKEN_LISTENER, Interest::READ)?;
                 }
             }
 
-            let stats = self.poller.take_stats();
-            if !stats.is_zero() {
-                self.app.on_io_stats(stats);
+            let syscalls = self.poller.take_syscalls();
+            if syscalls > 0 {
+                self.app.on_poller_syscalls(syscalls);
             }
         }
         Ok(())
@@ -817,28 +729,6 @@ impl Loop {
                 }
             }
         }
-    }
-
-    /// One connection delivered by a multishot-accept completion: the
-    /// kernel already accepted it, so the fd is in hand before the gate
-    /// runs. Gate semantics mirror [`Loop::accept_ready`] for everything
-    /// *after* this connection — `Pause` parks the listener but still
-    /// admits the stream we hold (its bytes are already ours), `FailFd`
-    /// drops it and backs off exactly like a real `EMFILE`.
-    fn accept_incoming(&mut self, fd: std::os::fd::RawFd) {
-        use std::os::fd::FromRawFd;
-        let stream = unsafe { TcpStream::from_raw_fd(fd) };
-        match self.app.accept_gate() {
-            AcceptGate::Proceed => self.accept_errors = 0,
-            AcceptGate::Pause => self.park_listener(20),
-            AcceptGate::FailFd => {
-                self.accept_failed(&io::Error::from_raw_os_error(24));
-                return; // stream drops: refused, as an fd-starved accept would
-            }
-        }
-        let peer =
-            stream.peer_addr().unwrap_or_else(|_| SocketAddr::from(([0, 0, 0, 0], 0)));
-        self.take(stream, peer);
     }
 
     /// Take the listener out of the poller for `ms`; the loop re-arms it.
@@ -911,8 +801,6 @@ impl Loop {
             req_started: None,
             write_started: None,
             budget_deadline_ms: None,
-            uring_write: false,
-            pending_read: false,
         };
         let (idx, _) = self.conns.insert(conn);
         self.app.on_conn_open();
@@ -934,16 +822,6 @@ impl Loop {
             ConnState::Writing => {
                 if ev.error {
                     self.close(idx);
-                } else if let Some(n) = ev.wrote {
-                    // Completion from a queued uring WRITEV.
-                    self.uring_wrote(idx, n);
-                } else if conn.uring_write {
-                    // The linked read-poll fired while the write is still
-                    // in flight (pipelined client): remember the edge, the
-                    // write completion will service it.
-                    if ev.readable {
-                        conn.pending_read = true;
-                    }
                 } else if ev.writable || ev.readable {
                     // `readable` here is HUP leaking through: the write
                     // will surface the broken pipe.
@@ -1109,8 +987,6 @@ impl Loop {
             deadline,
             keep_alive: client_keep && conn.rounds < self.cfg.keepalive_limit,
             head_only: req.method == Method::Head,
-            sendfile_ok: self.cfg.use_sendfile,
-            zc_file_ok: self.poller.supports_send_zc(),
         };
         // The head parsed: the slowloris parse deadline has done its job.
         // Push eviction back out so a slow *fulfillment* (worker queue,
@@ -1243,61 +1119,12 @@ impl Loop {
             conn.keep_alive = keep_alive;
             conn.state = ConnState::Writing;
             conn.write_started = Some(Instant::now());
-            conn.uring_write = false;
-            conn.pending_read = false;
         }
         self.set_deadline(idx, deadline_ms);
-
-        // Completion-based fast path: hand the whole buffered response to
-        // the ring as a queued WRITEV, with the next-request read-poll
-        // linked behind it on keep-alive connections — the kernel chains
-        // both without the loop re-entering in between. File payloads keep
-        // the classic sendfile path. On refusal (fd not registered) the
-        // buffers are left in place and the readiness path below takes
-        // over.
-        if self.poller.supports_queued_write()
-            && self.conns.get(idx).is_some_and(|c| c.out_file.is_none() && c.out_planned > 0)
-        {
-            // The ring refuses a write on an fd it does not know, or
-            // while this request's read-poll is still armed (the linked
-            // poll would double it). A reply that came back from the pool
-            // parked it at dispatch; one answered inline parks it here,
-            // and a connection answered straight after accept registers
-            // here — an SQE either way, not a syscall.
-            self.set_interest(idx, Interest::NONE);
-            let Some(conn) = self.conns.get_mut(idx) else { return };
-            let fd = conn.stream.as_raw_fd();
-            let keep = conn.keep_alive;
-            let (head, body) = (&mut conn.out_head, &mut conn.out_body);
-            if self.poller.queue_writev(fd, TOKEN_BASE + idx, head, body, keep) {
-                conn.uring_write = true;
-                return;
-            }
-        }
 
         // Optimistic write: most responses fit the socket buffer, saving a
         // poll round-trip. Falls back to WRITE interest if it blocks.
         self.on_writable(idx);
-    }
-
-    /// Progress report from a queued uring write: `n` bytes hit the wire
-    /// (or a negative errno). The poller resubmits partial writes itself;
-    /// this just advances accounting and finishes when the plan is met.
-    fn uring_wrote(&mut self, idx: usize, n: i32) {
-        if n <= 0 {
-            self.write_done(idx, false);
-            return;
-        }
-        let done = {
-            let Some(conn) = self.conns.get_mut(idx) else { return };
-            conn.out_pos += n as usize;
-            conn.out_pos >= conn.out_planned
-        };
-        if done {
-            self.write_done(idx, true);
-        } else {
-            self.refresh_write_deadline(idx);
-        }
     }
 
     fn on_writable(&mut self, idx: usize) {
@@ -1395,7 +1222,7 @@ impl Loop {
     /// A write finished (fully, or by error). Account it, then either
     /// recycle the connection for keep-alive or close it.
     fn write_done(&mut self, idx: usize, ok: bool) {
-        let (keep, written, write_us, pending_read) = {
+        let (keep, written, write_us) = {
             let Some(conn) = self.conns.get_mut(idx) else { return };
             let written = conn.out_planned;
             conn.out_head = Vec::new();
@@ -1404,14 +1231,12 @@ impl Loop {
             conn.out_file = None;
             conn.out_planned = 0;
             conn.budget_deadline_ms = None;
-            conn.uring_write = false;
-            let pending_read = std::mem::take(&mut conn.pending_read);
             let write_us = conn
                 .write_started
                 .take()
                 .map(|t| t.elapsed().as_micros() as u64)
                 .unwrap_or(0);
-            (conn.keep_alive, written, write_us, pending_read)
+            (conn.keep_alive, written, write_us)
         };
         self.app.on_write_end(written);
         if ok {
@@ -1433,10 +1258,8 @@ impl Loop {
         }
         // Pipelined bytes may already complete the next request. If not,
         // a connection that has never waited reads on (registering only
-        // if that would block); under a queued write, a readable edge
-        // consumed mid-write (the linked poll completing early) must also
-        // be serviced now — its event is spent and won't be re-delivered.
-        if self.progress(idx) && (pending_read || !registered) {
+        // if that would block); a registered one hears from the poller.
+        if self.progress(idx) && !registered {
             self.on_readable(idx);
         }
     }

@@ -10,13 +10,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use sweb_http::{Request, Response};
-use sweb_reactor::{
-    AcceptGate, App, FileBody, FirstLook, IoBackend, IoStats, ReactorConfig, ReactorHandle, Reply,
-};
+use sweb_reactor::{AcceptGate, App, FileBody, FirstLook, ReactorConfig, ReactorHandle, Reply};
 use sweb_telemetry::Phase;
-
-mod support;
-use support::backends;
 
 /// Minimal app: answers with the request target, counts every hook.
 /// `/big` serves the configured in-memory body (the cached-file shape);
@@ -372,30 +367,6 @@ fn file_body_streams_intact_with_a_slow_reader() {
 }
 
 #[test]
-fn file_body_worker_fallback_when_sendfile_disabled() {
-    let dir = std::env::temp_dir().join(format!("sweb-reactor-nosf-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("large.bin");
-    let body = payload(2 << 20);
-    std::fs::write(&path, &body).unwrap();
-
-    let cfg = ReactorConfig { use_sendfile: false, ..ReactorConfig::default() };
-    let srv = TestServer::start(cfg);
-    *srv.app.file_path.lock().unwrap() = Some(path);
-
-    let mut s = srv.connect();
-    s.write_all(b"GET /file HTTP/1.0\r\n\r\n").unwrap();
-    let (head, got) = slow_read_response(&mut s, 256 << 10, Duration::from_millis(2));
-    assert!(head.starts_with("HTTP/1.0 200"), "{head}");
-    assert_eq!(got, body, "worker-materialized file body corrupted");
-    assert_eq!(srv.app.sendfile.load(Ordering::SeqCst), 0, "sendfile must be disabled");
-    let _ = std::fs::remove_dir_all(std::env::temp_dir().join(format!(
-        "sweb-reactor-nosf-{}",
-        std::process::id()
-    )));
-}
-
-#[test]
 fn head_on_file_body_reports_length_without_body() {
     let dir = std::env::temp_dir().join(format!("sweb-reactor-head-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -525,7 +496,7 @@ struct LookApp {
     gate_calls: AtomicUsize,
     /// Every `Phase::Accept` sample, µs.
     accept_us: Mutex<Vec<u64>>,
-    /// Poller syscalls, summed from `on_io_stats`.
+    /// Poller syscalls, summed from `on_poller_syscalls`.
     poller_syscalls: AtomicU64,
 }
 
@@ -611,8 +582,8 @@ impl App for LookApp {
             self.accept_us.lock().unwrap().push(micros);
         }
     }
-    fn on_io_stats(&self, stats: IoStats) {
-        self.poller_syscalls.fetch_add(stats.syscalls, Ordering::SeqCst);
+    fn on_poller_syscalls(&self, count: u64) {
+        self.poller_syscalls.fetch_add(count, Ordering::SeqCst);
     }
 }
 
@@ -658,56 +629,51 @@ fn run_script(addr: std::net::SocketAddr) -> Vec<String> {
 }
 
 #[test]
-fn inline_first_look_is_byte_identical_to_respond_on_every_backend() {
-    for backend in backends() {
-        let cfg = ReactorConfig { io_backend: backend, ..ReactorConfig::default() };
-        let pooled = TestServer::start_app(LookApp::new(Mode::Respond), cfg.clone());
-        let inline = TestServer::start_app(LookApp::new(Mode::Inline), cfg);
-        let (want, got) = (run_script(pooled.addr), run_script(inline.addr));
-        for (i, (want, got)) in want.iter().zip(&got).enumerate() {
-            assert_eq!(got, want, "{}: exchange {i} differs from respond's", backend.name());
-        }
-        // The script itself: 64 pipelined replies, in request order.
-        let pipelined = &got[4];
-        let order: Vec<usize> = pipelined
-            .match_indices("target=/p")
-            .map(|(at, _)| {
-                let digits = &pipelined[at + "target=/p".len()..];
-                digits[..digits.find(' ').unwrap()].parse().unwrap()
-            })
-            .collect();
-        assert_eq!(order, (0..64).collect::<Vec<_>>(), "{}: {pipelined}", backend.name());
-        assert!(got[1].ends_with("\r\n\r\n"), "HEAD carried a body");
-        // 3 + 2 + 64 requests: all answered on the loop thread, none by
-        // `respond`; the other server never answered inline.
-        let loop_thread = format!("sweb-reactor-{}-s0", inline.addr.port());
-        let looked = inline.app.looked_on.lock().unwrap();
-        assert_eq!(looked.len(), 69, "{}", backend.name());
-        assert!(looked.iter().all(|t| *t == loop_thread), "{}: {looked:?}", backend.name());
-        assert_eq!(inline.app.inline.load(Ordering::SeqCst), 69);
-        assert!(inline.app.responded_on.lock().unwrap().is_empty());
-        assert_eq!(pooled.app.responded_on.lock().unwrap().len(), 69);
-        assert_eq!(pooled.app.inline.load(Ordering::SeqCst), 0);
+fn inline_first_look_is_byte_identical_to_respond() {
+    let cfg = ReactorConfig::default();
+    let pooled = TestServer::start_app(LookApp::new(Mode::Respond), cfg.clone());
+    let inline = TestServer::start_app(LookApp::new(Mode::Inline), cfg);
+    let (want, got) = (run_script(pooled.addr), run_script(inline.addr));
+    for (i, (want, got)) in want.iter().zip(&got).enumerate() {
+        assert_eq!(got, want, "exchange {i} differs from respond's");
     }
+    // The script itself: 64 pipelined replies, in request order.
+    let pipelined = &got[4];
+    let order: Vec<usize> = pipelined
+        .match_indices("target=/p")
+        .map(|(at, _)| {
+            let digits = &pipelined[at + "target=/p".len()..];
+            digits[..digits.find(' ').unwrap()].parse().unwrap()
+        })
+        .collect();
+    assert_eq!(order, (0..64).collect::<Vec<_>>(), "{pipelined}");
+    assert!(got[1].ends_with("\r\n\r\n"), "HEAD carried a body");
+    // 3 + 2 + 64 requests: all answered on the loop thread, none by
+    // `respond`; the other server never answered inline.
+    let loop_thread = format!("sweb-reactor-{}-s0", inline.addr.port());
+    let looked = inline.app.looked_on.lock().unwrap();
+    assert_eq!(looked.len(), 69);
+    assert!(looked.iter().all(|t| *t == loop_thread), "{looked:?}");
+    assert_eq!(inline.app.inline.load(Ordering::SeqCst), 69);
+    assert!(inline.app.responded_on.lock().unwrap().is_empty());
+    assert_eq!(pooled.app.responded_on.lock().unwrap().len(), 69);
+    assert_eq!(pooled.app.inline.load(Ordering::SeqCst), 0);
 }
 
 #[test]
 fn blocking_continuation_runs_once_on_a_worker_and_respond_never() {
-    for backend in backends() {
-        let cfg = ReactorConfig { io_backend: backend, ..ReactorConfig::default() };
-        let pooled = TestServer::start_app(LookApp::new(Mode::Respond), cfg.clone());
-        let srv = TestServer::start_app(LookApp::new(Mode::Blocking), cfg);
-        assert_eq!(run_script(srv.addr), run_script(pooled.addr), "{}", backend.name());
-        let continued = srv.app.continued_on.lock().unwrap();
-        assert_eq!(continued.len(), 69, "{}: one continuation per request", backend.name());
-        assert!(
-            continued.iter().all(|t| t.starts_with("sweb-worker-")),
-            "{}: continuation off the pool: {continued:?}",
-            backend.name()
-        );
-        assert!(srv.app.responded_on.lock().unwrap().is_empty(), "respond ran as well");
-        assert_eq!(srv.app.inline.load(Ordering::SeqCst), 0);
-    }
+    let cfg = ReactorConfig::default();
+    let pooled = TestServer::start_app(LookApp::new(Mode::Respond), cfg.clone());
+    let srv = TestServer::start_app(LookApp::new(Mode::Blocking), cfg);
+    assert_eq!(run_script(srv.addr), run_script(pooled.addr));
+    let continued = srv.app.continued_on.lock().unwrap();
+    assert_eq!(continued.len(), 69, "one continuation per request");
+    assert!(
+        continued.iter().all(|t| t.starts_with("sweb-worker-")),
+        "continuation off the pool: {continued:?}"
+    );
+    assert!(srv.app.responded_on.lock().unwrap().is_empty(), "respond ran as well");
+    assert_eq!(srv.app.inline.load(Ordering::SeqCst), 0);
 }
 
 #[test]
@@ -716,25 +682,22 @@ fn large_inline_body_resumes_across_partial_writes() {
     // blocks; an 8 MiB body blocks many times, and the write timeout is
     // shorter than the transfer, so this also proves the lazily re-armed
     // deadline keeps moving with progress.
-    for backend in backends() {
-        let cfg = ReactorConfig {
-            io_backend: backend,
-            write_timeout: Duration::from_millis(400),
-            timer_tick_ms: 10,
-            ..ReactorConfig::default()
-        };
-        let body = payload(8 << 20);
-        let app = LookApp { big: Bytes::from(body.clone()), ..LookApp::new(Mode::Inline) };
-        let srv = TestServer::start_app(app, cfg);
-        let mut s = srv.connect();
-        s.write_all(b"GET /big HTTP/1.0\r\n\r\n").unwrap();
-        let (head, got) = slow_read_response(&mut s, 256 << 10, Duration::from_millis(20));
-        assert!(head.starts_with("HTTP/1.0 200"), "{head}");
-        assert_eq!(got.len(), body.len(), "{}: body truncated", backend.name());
-        assert!(got == body, "{}: body corrupted in transit", backend.name());
-        assert_eq!(srv.app.evicted.load(Ordering::SeqCst), 0, "live reader was evicted");
-        assert_eq!(srv.app.inline.load(Ordering::SeqCst), 1);
-    }
+    let cfg = ReactorConfig {
+        write_timeout: Duration::from_millis(400),
+        timer_tick_ms: 10,
+        ..ReactorConfig::default()
+    };
+    let body = payload(8 << 20);
+    let app = LookApp { big: Bytes::from(body.clone()), ..LookApp::new(Mode::Inline) };
+    let srv = TestServer::start_app(app, cfg);
+    let mut s = srv.connect();
+    s.write_all(b"GET /big HTTP/1.0\r\n\r\n").unwrap();
+    let (head, got) = slow_read_response(&mut s, 256 << 10, Duration::from_millis(20));
+    assert!(head.starts_with("HTTP/1.0 200"), "{head}");
+    assert_eq!(got.len(), body.len(), "body truncated");
+    assert!(got == body, "body corrupted in transit");
+    assert_eq!(srv.app.evicted.load(Ordering::SeqCst), 0, "live reader was evicted");
+    assert_eq!(srv.app.inline.load(Ordering::SeqCst), 1);
 }
 
 /// Milliseconds from `since` until the server closes `s` (EOF, or a
@@ -756,56 +719,53 @@ fn evictions_land_on_the_same_deadlines_with_lazy_rearm() {
     // Scheduling slack on a shared box; both bounds stay well inside the
     // next-looser deadline (600 ms idle, 1 s budget).
     const SLACK: u128 = 150;
-    for backend in backends() {
-        for mode in [Mode::Respond, Mode::Inline] {
-            let cfg = ReactorConfig {
-                io_backend: backend,
-                read_timeout: Duration::from_millis(600),
-                request_budget: Duration::from_millis(1000),
-                timer_tick_ms: TICK as u64,
-                ..ReactorConfig::default()
-            };
-            let srv = TestServer::start_app(LookApp::new(mode), cfg);
-            let tag = format!("{} {mode:?}", backend.name());
+    for mode in [Mode::Respond, Mode::Inline] {
+        let cfg = ReactorConfig {
+            read_timeout: Duration::from_millis(600),
+            request_budget: Duration::from_millis(1000),
+            timer_tick_ms: TICK as u64,
+            ..ReactorConfig::default()
+        };
+        let srv = TestServer::start_app(LookApp::new(mode), cfg);
+        let tag = format!("{mode:?}");
 
-            // Slowloris: a byte every 40 ms never completes the head.
-            let mut slow = srv.connect();
-            slow.write_all(b"GET /never").unwrap();
-            let first_byte = Instant::now();
-            let dribbler = {
-                let mut w = slow.try_clone().unwrap();
-                std::thread::spawn(move || {
-                    while w.write_all(b"x").is_ok() {
-                        std::thread::sleep(Duration::from_millis(40));
-                    }
-                })
-            };
-            let took = ms_to_close(&mut slow, first_byte);
-            assert!(
-                (250 - TICK..=250 + TICK + SLACK).contains(&took),
-                "{tag}: slowloris evicted after {took} ms, parse deadline is 250"
-            );
-            dribbler.join().unwrap();
+        // Slowloris: a byte every 40 ms never completes the head.
+        let mut slow = srv.connect();
+        slow.write_all(b"GET /never").unwrap();
+        let first_byte = Instant::now();
+        let dribbler = {
+            let mut w = slow.try_clone().unwrap();
+            std::thread::spawn(move || {
+                while w.write_all(b"x").is_ok() {
+                    std::thread::sleep(Duration::from_millis(40));
+                }
+            })
+        };
+        let took = ms_to_close(&mut slow, first_byte);
+        assert!(
+            (250 - TICK..=250 + TICK + SLACK).contains(&took),
+            "{tag}: slowloris evicted after {took} ms, parse deadline is 250"
+        );
+        dribbler.join().unwrap();
 
-            // Idle keep-alive: connect, wait, one request, then silence.
-            let mut idle = srv.connect();
-            std::thread::sleep(Duration::from_millis(200));
-            idle.write_all(b"GET /ka HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").unwrap();
-            let mut reply = Vec::new();
-            let mut buf = [0u8; 512];
-            while !reply.ends_with(b"target=/ka body=0") {
-                let n = read_some(&mut idle, &mut buf).unwrap();
-                assert!(n > 0, "{tag}: closed before answering");
-                reply.extend_from_slice(&buf[..n]);
-            }
-            let answered = Instant::now();
-            let took = ms_to_close(&mut idle, answered);
-            assert!(
-                (600 - TICK..=600 + TICK + SLACK).contains(&took),
-                "{tag}: idle connection evicted {took} ms after its reply, read timeout is 600"
-            );
-            assert_eq!(srv.app.evicted.load(Ordering::SeqCst), 2, "{tag}");
+        // Idle keep-alive: connect, wait, one request, then silence.
+        let mut idle = srv.connect();
+        std::thread::sleep(Duration::from_millis(200));
+        idle.write_all(b"GET /ka HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").unwrap();
+        let mut reply = Vec::new();
+        let mut buf = [0u8; 512];
+        while !reply.ends_with(b"target=/ka body=0") {
+            let n = read_some(&mut idle, &mut buf).unwrap();
+            assert!(n > 0, "{tag}: closed before answering");
+            reply.extend_from_slice(&buf[..n]);
         }
+        let answered = Instant::now();
+        let took = ms_to_close(&mut idle, answered);
+        assert!(
+            (600 - TICK..=600 + TICK + SLACK).contains(&took),
+            "{tag}: idle connection evicted {took} ms after its reply, read timeout is 600"
+        );
+        assert_eq!(srv.app.evicted.load(Ordering::SeqCst), 2, "{tag}");
     }
 }
 
@@ -813,7 +773,7 @@ fn evictions_land_on_the_same_deadlines_with_lazy_rearm() {
 //
 // A connection is read straight after accept and reaches the poller and
 // the timer wheel only once something would block. These pin what that
-// must not change, on every backend.
+// must not change.
 
 #[test]
 fn a_silent_connection_is_evicted_at_the_read_timeout() {
@@ -821,90 +781,75 @@ fn a_silent_connection_is_evicted_at_the_read_timeout() {
     // its deadline then, one read timeout after admission.
     const TICK: u128 = 10;
     const SLACK: u128 = 150;
-    for backend in backends() {
-        let cfg = ReactorConfig {
-            io_backend: backend,
-            read_timeout: Duration::from_millis(300),
-            timer_tick_ms: TICK as u64,
-            ..ReactorConfig::default()
-        };
-        let srv = TestServer::start_app(LookApp::new(Mode::Inline), cfg);
-        let mut silent = srv.connect();
-        let took = ms_to_close(&mut silent, Instant::now());
-        assert!(
-            (300 - TICK..=300 + TICK + SLACK).contains(&took),
-            "{}: silent connection evicted after {took} ms, read timeout is 300",
-            backend.name()
-        );
-        assert_eq!(srv.app.evicted.load(Ordering::SeqCst), 1, "{}", backend.name());
-    }
+    let cfg = ReactorConfig {
+        read_timeout: Duration::from_millis(300),
+        timer_tick_ms: TICK as u64,
+        ..ReactorConfig::default()
+    };
+    let srv = TestServer::start_app(LookApp::new(Mode::Inline), cfg);
+    let mut silent = srv.connect();
+    let took = ms_to_close(&mut silent, Instant::now());
+    assert!(
+        (300 - TICK..=300 + TICK + SLACK).contains(&took),
+        "silent connection evicted after {took} ms, read timeout is 300"
+    );
+    assert_eq!(srv.app.evicted.load(Ordering::SeqCst), 1);
 }
 
 #[test]
 fn a_head_split_across_two_writes_is_served() {
-    for backend in backends() {
-        for mode in [Mode::Respond, Mode::Inline] {
-            let cfg = ReactorConfig { io_backend: backend, ..ReactorConfig::default() };
-            let srv = TestServer::start_app(LookApp::new(mode), cfg);
-            let mut s = srv.connect();
-            s.write_all(b"GET /split HTTP/1.0\r\nX-Half: 1\r\n").unwrap();
-            std::thread::sleep(Duration::from_millis(50));
-            s.write_all(b"\r\n").unwrap();
-            let mut reply = String::new();
-            let _ = s.read_to_string(&mut reply);
-            assert!(reply.starts_with("HTTP/1.0 200"), "{} {mode:?}: {reply}", backend.name());
-            assert!(
-                reply.ends_with("target=/split body=0"),
-                "{} {mode:?}: {reply}",
-                backend.name()
-            );
-        }
+    for mode in [Mode::Respond, Mode::Inline] {
+        let cfg = ReactorConfig::default();
+        let srv = TestServer::start_app(LookApp::new(mode), cfg);
+        let mut s = srv.connect();
+        s.write_all(b"GET /split HTTP/1.0\r\nX-Half: 1\r\n").unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        s.write_all(b"\r\n").unwrap();
+        let mut reply = String::new();
+        let _ = s.read_to_string(&mut reply);
+        assert!(reply.starts_with("HTTP/1.0 200"), "{mode:?}: {reply}");
+        assert!(reply.ends_with("target=/split body=0"), "{mode:?}: {reply}");
     }
 }
 
 #[test]
 fn a_request_followed_by_a_write_shutdown_is_answered() {
     // A half-closed client still wants its answer, however it is made.
-    for backend in backends() {
-        for mode in [Mode::Respond, Mode::Inline, Mode::Blocking] {
-            let cfg = ReactorConfig { io_backend: backend, ..ReactorConfig::default() };
-            let srv = TestServer::start_app(LookApp::new(mode), cfg);
-            let mut s = srv.connect();
-            s.write_all(b"POST /half HTTP/1.0\r\nContent-Length: 3\r\n\r\nabc").unwrap();
-            s.shutdown(Shutdown::Write).unwrap();
-            let mut reply = String::new();
-            let _ = s.read_to_string(&mut reply);
-            assert!(reply.starts_with("HTTP/1.0 200"), "{} {mode:?}: {reply:?}", backend.name());
-            assert!(reply.ends_with("target=/half body=3"), "{} {mode:?}: {reply}", backend.name());
-        }
+    for mode in [Mode::Respond, Mode::Inline, Mode::Blocking] {
+        let cfg = ReactorConfig::default();
+        let srv = TestServer::start_app(LookApp::new(mode), cfg);
+        let mut s = srv.connect();
+        s.write_all(b"POST /half HTTP/1.0\r\nContent-Length: 3\r\n\r\nabc").unwrap();
+        s.shutdown(Shutdown::Write).unwrap();
+        let mut reply = String::new();
+        let _ = s.read_to_string(&mut reply);
+        assert!(reply.starts_with("HTTP/1.0 200"), "{mode:?}: {reply:?}");
+        assert!(reply.ends_with("target=/half body=3"), "{mode:?}: {reply}");
     }
 }
 
 #[test]
 fn a_client_that_hangs_up_on_a_worker_is_closed_exactly_once() {
-    for backend in backends() {
-        let cfg = ReactorConfig { io_backend: backend, ..ReactorConfig::default() };
-        let app = LookApp { delay: Duration::from_millis(200), ..LookApp::new(Mode::Respond) };
-        let srv = TestServer::start_app(app, cfg);
-        let mut s = srv.connect();
-        s.write_all(b"GET /gone HTTP/1.0\r\n\r\n").unwrap();
-        assert!(
-            wait_until(Duration::from_secs(2), || !srv.app.responded_on.lock().unwrap().is_empty()),
-            "{}: the worker never took the request",
-            backend.name()
-        );
-        drop(s);
-        // The worker finishes, its answer meets a closed peer, and the
-        // slot is freed once.
-        let closed = || srv.app.closed.load(Ordering::SeqCst);
-        assert!(wait_until(Duration::from_secs(2), || closed() == 1), "{}", backend.name());
-        std::thread::sleep(Duration::from_millis(300));
-        assert_eq!(closed(), 1, "{}: closed twice", backend.name());
-        assert_eq!(srv.app.opened.load(Ordering::SeqCst), 1, "{}", backend.name());
-        // And the loop still serves.
-        let reply = exchange_at(srv.addr, b"GET /after HTTP/1.0\r\n\r\n");
-        assert!(reply.ends_with("target=/after body=0"), "{}: {reply}", backend.name());
-    }
+    let cfg = ReactorConfig::default();
+    let app = LookApp { delay: Duration::from_millis(200), ..LookApp::new(Mode::Respond) };
+    let srv = TestServer::start_app(app, cfg);
+    let mut s = srv.connect();
+    s.write_all(b"GET /gone HTTP/1.0\r\n\r\n").unwrap();
+    assert!(
+        wait_until(Duration::from_secs(2), || !srv.app.responded_on.lock().unwrap().is_empty()),
+        "the worker never took the request"
+    );
+    drop(s);
+    // The worker finishes, its answer meets a closed peer, and the
+    // slot is freed once.
+    let closed = || srv.app.closed.load(Ordering::SeqCst);
+    assert!(wait_until(Duration::from_secs(2), || closed() == 1));
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(closed(), 1, "closed twice");
+    assert_eq!(srv.app.opened.load(Ordering::SeqCst), 1);
+    // And the loop still serves.
+    let reply = exchange_at(srv.addr, b"GET /after HTTP/1.0\r\n\r\n");
+    assert!(reply.ends_with("target=/after body=0"), "{reply}");
 }
 
 #[test]
@@ -914,27 +859,25 @@ fn pipelined_requests_on_a_fresh_connection_match_a_registered_one() {
     // registered the idle socket: the same bytes either way, in order.
     let pipelined: String =
         (0..64).map(|i| format!("GET /p{i} HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n")).collect();
-    for backend in backends() {
-        for mode in [Mode::Respond, Mode::Inline] {
-            let cfg = ReactorConfig { io_backend: backend, ..ReactorConfig::default() };
-            let srv = TestServer::start_app(LookApp::new(mode), cfg);
-            let fresh = exchange_at(srv.addr, pipelined.as_bytes());
-            let mut s = srv.connect();
-            std::thread::sleep(Duration::from_millis(50));
-            s.write_all(pipelined.as_bytes()).unwrap();
-            let mut registered = String::new();
-            let _ = s.read_to_string(&mut registered);
-            let tag = format!("{} {mode:?}", backend.name());
-            assert_eq!(fresh, registered, "{tag}");
-            let order: Vec<usize> = fresh
-                .match_indices("target=/p")
-                .map(|(at, _)| {
-                    let digits = &fresh[at + "target=/p".len()..];
-                    digits[..digits.find(' ').unwrap()].parse().unwrap()
-                })
-                .collect();
-            assert_eq!(order, (0..64).collect::<Vec<_>>(), "{tag}");
-        }
+    for mode in [Mode::Respond, Mode::Inline] {
+        let cfg = ReactorConfig::default();
+        let srv = TestServer::start_app(LookApp::new(mode), cfg);
+        let fresh = exchange_at(srv.addr, pipelined.as_bytes());
+        let mut s = srv.connect();
+        std::thread::sleep(Duration::from_millis(50));
+        s.write_all(pipelined.as_bytes()).unwrap();
+        let mut registered = String::new();
+        let _ = s.read_to_string(&mut registered);
+        let tag = format!("{mode:?}");
+        assert_eq!(fresh, registered, "{tag}");
+        let order: Vec<usize> = fresh
+            .match_indices("target=/p")
+            .map(|(at, _)| {
+                let digits = &fresh[at + "target=/p".len()..];
+                digits[..digits.find(' ').unwrap()].parse().unwrap()
+            })
+            .collect();
+        assert_eq!(order, (0..64).collect::<Vec<_>>(), "{tag}");
     }
 }
 
@@ -942,24 +885,21 @@ fn pipelined_requests_on_a_fresh_connection_match_a_registered_one() {
 fn accept_phase_times_admission_not_the_answer_behind_it() {
     // The first look takes 30 ms and runs in the same loop call as the
     // accept; `Phase::Accept` must still stop at admission.
-    for backend in backends() {
-        let cfg = ReactorConfig { io_backend: backend, ..ReactorConfig::default() };
-        let app = LookApp { delay: Duration::from_millis(30), ..LookApp::new(Mode::Inline) };
-        let srv = TestServer::start_app(app, cfg);
-        for i in 0..3 {
-            let t0 = Instant::now();
-            let reply = exchange_at(srv.addr, format!("GET /a{i} HTTP/1.0\r\n\r\n").as_bytes());
-            assert!(reply.starts_with("HTTP/1.0 200"), "{reply}");
-            assert!(t0.elapsed() >= Duration::from_millis(30));
-        }
-        let accept_us = srv.app.accept_us.lock().unwrap().clone();
-        assert_eq!(accept_us.len(), 3, "{}", backend.name());
-        assert!(
-            accept_us.iter().all(|&us| us < 15_000),
-            "{}: accept phase took the answer's time: {accept_us:?} µs",
-            backend.name()
-        );
+    let cfg = ReactorConfig::default();
+    let app = LookApp { delay: Duration::from_millis(30), ..LookApp::new(Mode::Inline) };
+    let srv = TestServer::start_app(app, cfg);
+    for i in 0..3 {
+        let t0 = Instant::now();
+        let reply = exchange_at(srv.addr, format!("GET /a{i} HTTP/1.0\r\n\r\n").as_bytes());
+        assert!(reply.starts_with("HTTP/1.0 200"), "{reply}");
+        assert!(t0.elapsed() >= Duration::from_millis(30));
     }
+    let accept_us = srv.app.accept_us.lock().unwrap().clone();
+    assert_eq!(accept_us.len(), 3);
+    assert!(
+        accept_us.iter().all(|&us| us < 15_000),
+        "accept phase took the answer's time: {accept_us:?} µs"
+    );
 }
 
 #[test]
@@ -968,36 +908,95 @@ fn inline_http10_gets_reach_the_poller_about_once_each() {
     // poller when its request is already in the socket: epoll pays the
     // `epoll_wait` wake-up for the accept and nothing else (no
     // `epoll_ctl` ADD or DEL), so N requests stay within 1.2 N poller
-    // syscalls. io_uring's count is printed: a data point for the
-    // backend trial, not a bound.
+    // syscalls.
     const N: usize = 200;
-    for backend in backends() {
-        let cfg = ReactorConfig {
-            io_backend: backend,
-            // Idle waits time out at the 50 ms cap, not every 20 ms tick.
-            timer_tick_ms: 1000,
-            ..ReactorConfig::default()
-        };
-        let app = LookApp { accept_delay: Duration::from_millis(2), ..LookApp::new(Mode::Inline) };
-        let srv = TestServer::start_app(app, cfg);
-        let get = |target: String| {
-            let reply = exchange_at(srv.addr, format!("GET {target} HTTP/1.0\r\n\r\n").as_bytes());
-            assert!(reply.ends_with(&format!("target={target} body=0")), "{reply}");
-        };
-        let syscalls = || srv.app.poller_syscalls.load(Ordering::SeqCst);
-        get("/warm".into());
-        std::thread::sleep(Duration::from_millis(20));
-        let before = syscalls();
-        for i in 0..N {
-            get(format!("/s{i}"));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        let spent = syscalls() - before;
-        println!("{}: {spent} poller syscalls for {N} inline HTTP/1.0 GETs", backend.name());
-        if backend == IoBackend::Epoll {
-            assert!(spent * 10 <= N as u64 * 12, "epoll: {spent} poller syscalls for {N} requests");
-        }
+    let cfg = ReactorConfig {
+        // Idle waits time out at the 50 ms cap, not every 20 ms tick.
+        timer_tick_ms: 1000,
+        ..ReactorConfig::default()
+    };
+    let app = LookApp { accept_delay: Duration::from_millis(2), ..LookApp::new(Mode::Inline) };
+    let srv = TestServer::start_app(app, cfg);
+    let get = |target: String| {
+        let reply = exchange_at(srv.addr, format!("GET {target} HTTP/1.0\r\n\r\n").as_bytes());
+        assert!(reply.ends_with(&format!("target={target} body=0")), "{reply}");
+    };
+    let syscalls = || srv.app.poller_syscalls.load(Ordering::SeqCst);
+    get("/warm".into());
+    std::thread::sleep(Duration::from_millis(20));
+    let before = syscalls();
+    for i in 0..N {
+        get(format!("/s{i}"));
     }
+    std::thread::sleep(Duration::from_millis(20));
+    let spent = syscalls() - before;
+    assert!(spent * 10 <= N as u64 * 12, "{spent} poller syscalls for {N} requests");
+}
+
+/// Read one keep-alive reply of a [`LookApp`] to `target` off `s`.
+fn read_reply(s: &mut TcpStream, target: &str) {
+    let want = format!("target={target} body=0");
+    let mut reply = Vec::new();
+    let mut buf = [0u8; 512];
+    while !reply.ends_with(want.as_bytes()) {
+        let n = read_some(s, &mut buf).unwrap();
+        assert!(n > 0, "closed before answering {target}: {:?}", String::from_utf8_lossy(&reply));
+        reply.extend_from_slice(&buf[..n]);
+    }
+}
+
+#[test]
+fn held_keepalive_connections_cost_the_poller_nothing_while_idle() {
+    // 1,000 keep-alive connections on one shard, each answered once and
+    // then left idle. A held connection is registered and sits in the
+    // wheel, but the poller is not asked about it until it has bytes: a
+    // 500 ms idle window costs the loop's own timeout wake-ups (at most
+    // one per 50 ms), whatever the number of connections held. One more
+    // request on each then costs a share of an `epoll_wait` — no
+    // `epoll_ctl`, since the interest is already READ.
+    const CONNS: usize = 1000;
+    let cfg = ReactorConfig {
+        // Idle waits time out at the 50 ms cap, not every 20 ms tick.
+        timer_tick_ms: 1000,
+        ..ReactorConfig::default()
+    };
+    let srv = TestServer::start_app(LookApp::new(Mode::Inline), cfg);
+    let ask = |s: &mut TcpStream, target: &str| {
+        let req = format!("GET {target} HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n");
+        s.write_all(req.as_bytes()).unwrap();
+    };
+    let mut conns: Vec<TcpStream> = (0..CONNS)
+        .map(|i| {
+            let mut s = srv.connect();
+            ask(&mut s, &format!("/c{i}"));
+            read_reply(&mut s, &format!("/c{i}"));
+            s
+        })
+        .collect();
+    assert_eq!(srv.app.opened.load(Ordering::SeqCst), CONNS);
+    let syscalls = || srv.app.poller_syscalls.load(Ordering::SeqCst);
+
+    std::thread::sleep(Duration::from_millis(100));
+    let before = syscalls();
+    std::thread::sleep(Duration::from_millis(500));
+    let idle = syscalls() - before;
+    assert!(idle <= 20, "{idle} poller syscalls in 500 ms with {CONNS} idle connections");
+
+    let before = syscalls();
+    for (i, s) in conns.iter_mut().enumerate() {
+        ask(s, &format!("/again{i}"));
+    }
+    for (i, s) in conns.iter_mut().enumerate() {
+        read_reply(s, &format!("/again{i}"));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    let spent = syscalls() - before;
+    assert!(
+        spent * 10 <= CONNS as u64 * 12,
+        "{spent} poller syscalls for one request on each of {CONNS} held connections"
+    );
+    assert_eq!(srv.app.opened.load(Ordering::SeqCst), CONNS, "a held connection was replaced");
+    assert_eq!(srv.app.closed.load(Ordering::SeqCst), 0, "a held connection was closed");
 }
 
 #[test]
@@ -1007,83 +1006,74 @@ fn a_stream_of_connects_does_not_starve_the_loop() {
     // to its timers: a silent connection is evicted on time.
     const TICK: u128 = 10;
     const SLACK: u128 = 150;
-    for backend in backends() {
-        let cfg = ReactorConfig {
-            io_backend: backend,
-            read_timeout: Duration::from_millis(200),
-            timer_tick_ms: TICK as u64,
-            ..ReactorConfig::default()
-        };
-        let app = LookApp { delay: Duration::from_millis(1), ..LookApp::new(Mode::Inline) };
-        let srv = TestServer::start_app(app, cfg);
-        let (addr, stop) = (srv.addr, Arc::new(AtomicBool::new(false)));
-        let hammers: Vec<_> = (0..6)
-            .map(|_| {
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        exchange_at(addr, b"GET /busy HTTP/1.0\r\n\r\n");
-                    }
-                })
+    let cfg = ReactorConfig {
+        read_timeout: Duration::from_millis(200),
+        timer_tick_ms: TICK as u64,
+        ..ReactorConfig::default()
+    };
+    let app = LookApp { delay: Duration::from_millis(1), ..LookApp::new(Mode::Inline) };
+    let srv = TestServer::start_app(app, cfg);
+    let (addr, stop) = (srv.addr, Arc::new(AtomicBool::new(false)));
+    let hammers: Vec<_> = (0..6)
+        .map(|_| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    exchange_at(addr, b"GET /busy HTTP/1.0\r\n\r\n");
+                }
             })
-            .collect();
-        std::thread::sleep(Duration::from_millis(50));
-        let mut silent = srv.connect();
-        let took = ms_to_close(&mut silent, Instant::now());
-        stop.store(true, Ordering::Relaxed);
-        for h in hammers {
-            h.join().unwrap();
-        }
-        assert!(
-            took <= 200 + TICK + SLACK,
-            "{}: silent connection evicted after {took} ms under a connect storm, read timeout \
-             is 200",
-            backend.name()
-        );
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(50));
+    let mut silent = srv.connect();
+    let took = ms_to_close(&mut silent, Instant::now());
+    stop.store(true, Ordering::Relaxed);
+    for h in hammers {
+        h.join().unwrap();
     }
+    assert!(
+        took <= 200 + TICK + SLACK,
+        "silent connection evicted after {took} ms under a connect storm, read timeout \
+         is 200"
+    );
 }
 
 #[test]
 fn a_parked_listener_loses_no_connection_in_flight() {
     // The gate pauses every other accept while eight clients connect,
     // each answer taking 2 ms of loop time: parking and re-arming the
-    // listener with connects in flight must lose none of them. Under
-    // io_uring the multishot accept keeps completing connections until
-    // its cancel is submitted; those are served, not reset.
+    // listener with connects in flight must lose none of them.
     const CLIENTS: usize = 8;
     const EACH: usize = 25;
-    for backend in backends() {
-        let cfg = ReactorConfig { io_backend: backend, ..ReactorConfig::default() };
-        let app = LookApp {
-            pause_every: 2,
-            delay: Duration::from_millis(2),
-            ..LookApp::new(Mode::Inline)
-        };
-        let srv = TestServer::start_app(app, cfg);
-        let addr = srv.addr;
-        let clients: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                std::thread::spawn(move || {
-                    for i in 0..EACH {
-                        // Staggered, so connects land while the loop is
-                        // busy with someone else's answer.
-                        std::thread::sleep(Duration::from_millis(((c + i) % 4) as u64));
-                        let target = format!("/c{c}r{i}");
-                        let reply =
-                            exchange_at(addr, format!("GET {target} HTTP/1.0\r\n\r\n").as_bytes());
-                        assert!(
-                            reply.ends_with(&format!("target={target} body=0")),
-                            "{}: {target}: {reply:?}",
-                            backend.name()
-                        );
-                    }
-                })
+    let cfg = ReactorConfig::default();
+    let app = LookApp {
+        pause_every: 2,
+        delay: Duration::from_millis(2),
+        ..LookApp::new(Mode::Inline)
+    };
+    let srv = TestServer::start_app(app, cfg);
+    let addr = srv.addr;
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            std::thread::spawn(move || {
+                for i in 0..EACH {
+                    // Staggered, so connects land while the loop is
+                    // busy with someone else's answer.
+                    std::thread::sleep(Duration::from_millis(((c + i) % 4) as u64));
+                    let target = format!("/c{c}r{i}");
+                    let reply =
+                        exchange_at(addr, format!("GET {target} HTTP/1.0\r\n\r\n").as_bytes());
+                    assert!(
+                        reply.ends_with(&format!("target={target} body=0")),
+                        "{target}: {reply:?}"
+                    );
+                }
             })
-            .collect();
-        for c in clients {
-            c.join().unwrap_or_else(|_| panic!("{}: a request was lost", backend.name()));
-        }
-        assert_eq!(srv.app.inline.load(Ordering::SeqCst), CLIENTS * EACH, "{}", backend.name());
-        assert!(srv.app.gate_calls.load(Ordering::SeqCst) >= 3, "{}", backend.name());
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("a request was lost");
     }
+    assert_eq!(srv.app.inline.load(Ordering::SeqCst), CLIENTS * EACH);
+    assert!(srv.app.gate_calls.load(Ordering::SeqCst) >= 3);
 }

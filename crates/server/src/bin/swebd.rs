@@ -11,9 +11,9 @@
 //!
 //! Configuration resolves through [`sweb_server::ServerOptions`]:
 //! **CLI flags > environment > defaults.** The env-overridable knobs are
-//! `SWEB_SHARDS`, `SWEB_IO_BACKEND`, `SWEB_PEER_TRANSFER`,
-//! `SWEB_REPLICATE_HOT` and `SWEB_OVERLOAD`; their flags always win when
-//! given.
+//! `SWEB_SHARDS`, `SWEB_PEER_TRANSFER`, `SWEB_REPLICATE_HOT` and
+//! `SWEB_OVERLOAD`; their flags always win when given. Each node's
+//! reactor shards poll with epoll; there is no other I/O backend.
 
 use std::time::Duration;
 
@@ -30,7 +30,6 @@ struct Args {
     oracle: Option<std::path::PathBuf>,
     fault_plan: Option<std::path::PathBuf>,
     shards: Option<usize>,
-    io_backend: Option<sweb_reactor::IoBackend>,
     peer_transfer: bool,
     replicate_hot: bool,
     overload: Option<bool>,
@@ -38,12 +37,11 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: swebd [--nodes N] [--docroot DIR] [--policy sweb|rr|locality|cpu] \
-         [--io-backend uring|epoll|auto] [--shards N] \
+        "usage: swebd [--nodes N] [--docroot DIR] [--policy sweb|rr|locality|cpu] [--shards N] \
          [--port-base P] [--loadd-ms MS] [--access-log FILE] [--oracle FILE] \
          [--fault-plan FILE] [--peer-transfer] [--replicate-hot] [--overload on|off]\n\
-         env: SWEB_SHARDS, SWEB_IO_BACKEND, SWEB_PEER_TRANSFER, \
-         SWEB_REPLICATE_HOT, SWEB_OVERLOAD (flags win over env)"
+         env: SWEB_SHARDS, SWEB_PEER_TRANSFER, SWEB_REPLICATE_HOT, SWEB_OVERLOAD \
+         (flags win over env)"
     );
     std::process::exit(2);
 }
@@ -59,7 +57,6 @@ fn parse_args() -> Args {
         oracle: None,
         fault_plan: None,
         shards: None,
-        io_backend: None,
         peer_transfer: false,
         replicate_hot: false,
         overload: None,
@@ -78,10 +75,6 @@ fn parse_args() -> Args {
                     "cpu" => Policy::LeastLoadedCpu,
                     _ => usage(),
                 }
-            }
-            "--io-backend" => {
-                args.io_backend =
-                    Some(sweb_reactor::IoBackend::parse(&value()).unwrap_or_else(|| usage()))
             }
             "--shards" => args.shards = Some(value().parse().unwrap_or_else(|_| usage())),
             "--port-base" => args.port_base = Some(value().parse().unwrap_or_else(|_| usage())),
@@ -116,9 +109,6 @@ fn main() {
     let mut opts = ServerOptions::new().policy(args.policy).loadd_ms(args.loadd_ms);
     if let Some(shards) = args.shards {
         opts = opts.shards(shards);
-    }
-    if let Some(backend) = args.io_backend {
-        opts = opts.io_backend(backend);
     }
     if args.peer_transfer {
         opts = opts.peer_transfer(true);
@@ -188,10 +178,9 @@ fn main() {
         }
     };
     println!(
-        "swebd: {}-node SWEB cluster, policy {:?}, io-backend {}, shards {}, docroot {:?}",
+        "swebd: {}-node SWEB cluster, policy {:?}, shards {}, docroot {:?}",
         cluster.len(),
         args.policy,
-        cluster.node(0).io_backend.name(),
         shards_desc,
         args.docroot
     );

@@ -34,16 +34,9 @@ pub struct ClusterConfig {
     pub max_conns: usize,
     /// Reactor shards per node: per-core event loops sharing the node's
     /// port via `SO_REUSEPORT`. `0` (the default) means auto — one shard
-    /// per available core. The default can also be set with the
-    /// `SWEB_SHARDS` environment variable (an explicit non-zero value
-    /// here wins).
+    /// per available core (`--shards` / `SWEB_SHARDS` through
+    /// [`crate::ServerOptions`]).
     pub shards: usize,
-    /// I/O backend for the reactor shards (`--io-backend` /
-    /// `SWEB_IO_BACKEND`): completion-based io_uring, readiness-based
-    /// epoll (the default), or `Auto` (uring where the kernel supports
-    /// it). `Uring`/`Auto` fall back to epoll on unsupporting kernels;
-    /// each shard reports the backend it actually runs on `/sweb-status`.
-    pub io_backend: sweb_reactor::IoBackend,
     /// Scheduler tunables. The default shortens the loadd period to 200 ms
     /// so tests converge quickly; pass the paper's 2.5 s for realism.
     pub sweb: SwebConfig,
@@ -95,11 +88,7 @@ impl Default for ClusterConfig {
         ClusterConfig {
             policy: Policy::Sweb,
             max_conns: 4096,
-            shards: std::env::var("SWEB_SHARDS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            io_backend: sweb_reactor::IoBackend::from_env(),
+            shards: 0,
             sweb,
             handlers: crate::dynamic::DynamicRegistry::demo(),
             dynamic_cache_entries: crate::dynamic::DEFAULT_MAX_ENTRIES,
@@ -215,8 +204,6 @@ impl LiveCluster {
                 shards,
                 shard_live: (0..shards).map(|_| AtomicBool::new(false)).collect(),
                 max_conns: cfg.max_conns,
-                io_backend: cfg.io_backend,
-                shard_io_backend: (0..shards).map(|_| RwLock::new("none")).collect(),
                 cluster: cluster_spec.clone(),
                 peer_http: peer_http.clone(),
                 peer_udp: peer_udp.clone(),

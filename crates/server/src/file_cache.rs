@@ -169,14 +169,6 @@ impl FileCache {
         self.segments.iter().map(|s| s.inner.lock().lru.capacity()).sum()
     }
 
-    /// One segment's byte budget — the "hot segment" share. The reactor
-    /// sizes each shard's io_uring registered staging pool off this, so
-    /// the pinned pool tracks the per-stripe working set rather than
-    /// the whole cache.
-    pub fn segment_share(&self) -> u64 {
-        self.segments.first().map(|s| s.inner.lock().lru.capacity()).unwrap_or(0)
-    }
-
     /// Per-segment counter snapshot, in stripe order.
     pub fn segment_stats(&self) -> Vec<SegmentStats> {
         self.segments

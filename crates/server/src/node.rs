@@ -15,7 +15,7 @@ use sweb_core::{
 use sweb_des::SimTime;
 use sweb_http::Request;
 use sweb_telemetry::{
-    AtomicHistogram, CostFeedback, Counter, Gauge, Phase, PhaseTimes, Registry, ShardedCounter,
+    AtomicHistogram, CostFeedback, Counter, Phase, PhaseTimes, Registry, ShardedCounter,
     ShardedGauge,
 };
 
@@ -85,31 +85,9 @@ pub struct NodeStats {
     /// Bytes currently being transferred (the live "net load", scaled;
     /// shard-local cells, summed on read).
     pub bytes_in_flight: Arc<ShardedGauge>,
-    /// Kernel entries the connection engine made (`epoll_wait`/`epoll_ctl`
-    /// / `io_uring_enter`; shard-local cells).
+    /// Kernel entries the connection engine's pollers made
+    /// (`epoll_wait` / `epoll_ctl`; shard-local cells).
     pub io_syscalls: Arc<ShardedCounter>,
-    /// Submission-queue entries pushed to io_uring (0 under epoll).
-    pub io_sqe_submitted: Arc<ShardedCounter>,
-    /// Completion-queue entries reaped from io_uring (0 under epoll).
-    pub io_cqe_completed: Arc<ShardedCounter>,
-    /// Syscalls the completion backend absorbed that a readiness backend
-    /// would have paid for (folded registrations, CQE-carried accepts and
-    /// writes, ring-satisfied waits).
-    pub io_syscalls_saved: Arc<ShardedCounter>,
-    /// Responses sent as `WRITE_FIXED` from the registered staging pool.
-    pub io_write_fixed: Arc<ShardedCounter>,
-    /// Staging-pool misses that fell back to plain `WRITEV`.
-    pub io_buf_pool_exhausted: Arc<ShardedCounter>,
-    /// `SEND_ZC` operations submitted for large bodies.
-    pub io_send_zc: Arc<ShardedCounter>,
-    /// Completed zero-copy sends (kernel payload copies avoided).
-    pub io_zc_copies_avoided: Arc<ShardedCounter>,
-    /// SQEs that waited in the userspace backlog (SQ-pressure signal).
-    pub io_sqe_backlogged: Arc<ShardedCounter>,
-    /// `sweb_io_backend{backend=...}` gauges: number of shards running
-    /// each backend (all zero until the loops report in). Order matches
-    /// [`NodeStats::io_backend_gauge`].
-    io_backends: [Arc<Gauge>; 2],
     /// Per-request phase latency (accept → parse → decide → fetch → write).
     pub phases: PhaseTimes,
     /// Requests answered on the loop thread that parsed them, without a
@@ -216,45 +194,6 @@ impl NodeStats {
                 "sweb_io_syscalls_total",
                 "Kernel entries made by the connection engine's poller",
             ),
-            io_sqe_submitted: sc(
-                "sweb_io_sqe_submitted_total",
-                "io_uring submission-queue entries pushed",
-            ),
-            io_cqe_completed: sc(
-                "sweb_io_cqe_completed_total",
-                "io_uring completion-queue entries reaped",
-            ),
-            io_syscalls_saved: sc(
-                "sweb_io_syscalls_saved_total",
-                "Syscalls avoided by the completion-based backend",
-            ),
-            io_write_fixed: sc(
-                "sweb_io_write_fixed_total",
-                "Responses sent as WRITE_FIXED from the registered staging pool",
-            ),
-            io_buf_pool_exhausted: sc(
-                "sweb_io_buf_pool_exhausted_total",
-                "Staging-pool misses that fell back to plain WRITEV",
-            ),
-            io_send_zc: sc(
-                "sweb_io_send_zc_total",
-                "SEND_ZC operations submitted for large bodies",
-            ),
-            io_zc_copies_avoided: sc(
-                "sweb_io_zc_copies_avoided_total",
-                "Completed zero-copy sends (kernel payload copies avoided)",
-            ),
-            io_sqe_backlogged: sc(
-                "sweb_io_sqe_backlogged_total",
-                "io_uring SQEs that waited in the userspace backlog (SQ pressure)",
-            ),
-            io_backends: ["uring", "epoll"].map(|b| {
-                registry.gauge(
-                    "sweb_io_backend",
-                    &[("backend", b)],
-                    "Shards running each I/O backend",
-                )
-            }),
             active: registry.sharded_gauge(
                 "sweb_active_requests",
                 &[],
@@ -281,16 +220,6 @@ impl NodeStats {
             trace_epoch: epoch,
             trace_seq: AtomicU64::new(0),
             registry,
-        }
-    }
-
-    /// The `sweb_io_backend` gauge for `backend` (`"uring"` or
-    /// `"epoll"`); counts the shards running it.
-    pub fn io_backend_gauge(&self, backend: &str) -> Option<&Arc<Gauge>> {
-        match backend {
-            "uring" => Some(&self.io_backends[0]),
-            "epoll" => Some(&self.io_backends[1]),
-            _ => None,
         }
     }
 
@@ -328,12 +257,6 @@ pub struct NodeShared {
     pub shard_live: Vec<AtomicBool>,
     /// Node-wide admission cap (divided across shards by the reactor).
     pub max_conns: usize,
-    /// Requested I/O backend for the reactor shards (`Uring`/`Auto` fall
-    /// back to epoll when the kernel lacks support).
-    pub io_backend: sweb_reactor::IoBackend,
-    /// The backend each shard's loop actually runs on, reported by the
-    /// loop thread itself (`"none"` until it starts).
-    pub shard_io_backend: Vec<RwLock<&'static str>>,
     /// Synthetic hardware description used by the cost model.
     pub cluster: ClusterSpec,
     /// HTTP base URLs of every node (http://127.0.0.1:port).
@@ -554,30 +477,8 @@ impl sweb_reactor::App for ReactorApp {
             live.store(true, Ordering::Relaxed);
         }
     }
-    fn on_io_backend(&self, backend: &'static str) {
-        if let Some(slot) = self.shared.shard_io_backend.get(self.shard) {
-            let mut b = slot.write();
-            // Idempotent across restarts: move this shard's count over.
-            if let Some(g) = self.shared.stats.io_backend_gauge(&b) {
-                g.dec();
-            }
-            if let Some(g) = self.shared.stats.io_backend_gauge(backend) {
-                g.inc();
-            }
-            *b = backend;
-        }
-    }
-    fn on_io_stats(&self, stats: sweb_reactor::IoStats) {
-        let s = &self.shared.stats;
-        s.io_syscalls.add_at(self.shard, stats.syscalls);
-        s.io_sqe_submitted.add_at(self.shard, stats.sqe_submitted);
-        s.io_cqe_completed.add_at(self.shard, stats.cqe_completed);
-        s.io_syscalls_saved.add_at(self.shard, stats.syscalls_saved);
-        s.io_write_fixed.add_at(self.shard, stats.write_fixed);
-        s.io_buf_pool_exhausted.add_at(self.shard, stats.buf_pool_exhausted);
-        s.io_send_zc.add_at(self.shard, stats.send_zc);
-        s.io_zc_copies_avoided.add_at(self.shard, stats.zc_copies_avoided);
-        s.io_sqe_backlogged.add_at(self.shard, stats.sqe_backlogged);
+    fn on_poller_syscalls(&self, count: u64) {
+        self.shared.stats.io_syscalls.add_at(self.shard, count);
     }
     fn on_shard_stop(&self) {
         if let Some(live) = self.shared.shard_live.get(self.shard) {
@@ -622,11 +523,6 @@ impl NodeHandle {
         let cfg = sweb_reactor::ReactorConfig {
             max_conns: shared.max_conns,
             request_budget: shared.request_budget,
-            io_backend: shared.io_backend,
-            // Size each shard's registered staging pool off one cache
-            // stripe's budget: the pool stages what the hot segment
-            // serves, without pinning the cache itself.
-            uring_buf_pool_bytes: shared.file_cache.segment_share() as usize,
             ..sweb_reactor::ReactorConfig::default()
         };
         let reactor =

@@ -1,11 +1,10 @@
 //! `ServerOptions`: one typed builder behind every server toggle.
 //!
 //! The server grew a sprawl of per-feature switches — `--shards`,
-//! `--io-backend`, `--peer-transfer`, `--replicate-hot`, `--overload`,
-//! `--fault-plan`, plus environment overrides (`SWEB_SHARDS`,
-//! `SWEB_IO_BACKEND`, `SWEB_PEER_TRANSFER`, `SWEB_REPLICATE_HOT`,
-//! `SWEB_OVERLOAD`). This module consolidates them into one builder
-//! with a single documented precedence rule:
+//! `--peer-transfer`, `--replicate-hot`, `--overload`, `--fault-plan`,
+//! plus environment overrides (`SWEB_SHARDS`, `SWEB_PEER_TRANSFER`,
+//! `SWEB_REPLICATE_HOT`, `SWEB_OVERLOAD`). This module consolidates them
+//! into one builder with a single documented precedence rule:
 //!
 //! > **CLI > environment > config.**
 //!
@@ -15,15 +14,16 @@
 //! caller-provided one via [`ServerOptions::from_config`]).
 //!
 //! `swebd` and every integration test construct clusters through this
-//! type; [`ServerOptions::resolve_with`] takes an injected environment
-//! so precedence is unit-testable without mutating the process env.
+//! type, and [`ServerOptions::resolve_with`] is the only place the server
+//! reads its environment: [`ClusterConfig::default`] reads none. It takes
+//! the environment injected, so precedence is unit-testable without
+//! mutating the process env.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use sweb_chaos::FaultPlan;
 use sweb_core::{Oracle, Policy, SwebConfig};
-use sweb_reactor::IoBackend;
 
 use crate::cluster::{ClusterConfig, LiveCluster};
 use crate::dynamic::DynamicRegistry;
@@ -37,7 +37,6 @@ pub struct ServerOptions {
     base: ClusterConfig,
     // The CLI tier: explicit settings for every env-overridable toggle.
     shards: Option<usize>,
-    io_backend: Option<IoBackend>,
     peer_transfer: Option<bool>,
     replicate_hot: Option<bool>,
     overload: Option<bool>,
@@ -50,17 +49,9 @@ impl Default for ServerOptions {
 }
 
 impl ServerOptions {
-    /// Options over the default configuration. Unlike
-    /// `ClusterConfig::default()`, the base here is environment-*free*:
-    /// env vars are applied as their own tier in [`ServerOptions::build`],
-    /// so each value has exactly one source.
+    /// Options over the default configuration.
     pub fn new() -> Self {
-        let base = ClusterConfig {
-            shards: 0,
-            io_backend: IoBackend::default(),
-            ..ClusterConfig::default()
-        };
-        ServerOptions::from_config(base)
+        ServerOptions::from_config(ClusterConfig::default())
     }
 
     /// Options over an existing configuration (the config tier) — for
@@ -70,7 +61,6 @@ impl ServerOptions {
         ServerOptions {
             base,
             shards: None,
-            io_backend: None,
             peer_transfer: None,
             replicate_hot: None,
             overload: None,
@@ -83,12 +73,6 @@ impl ServerOptions {
     /// `SWEB_SHARDS`).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
-        self
-    }
-
-    /// Reactor I/O backend (`--io-backend`; env `SWEB_IO_BACKEND`).
-    pub fn io_backend(mut self, backend: IoBackend) -> Self {
-        self.io_backend = Some(backend);
         self
     }
 
@@ -221,9 +205,6 @@ impl ServerOptions {
         if let Some(n) = env("SWEB_SHARDS").and_then(|v| v.parse().ok()) {
             cfg.shards = n;
         }
-        if let Some(b) = env("SWEB_IO_BACKEND").and_then(|v| IoBackend::parse(&v)) {
-            cfg.io_backend = b;
-        }
         if let Some(on) = env("SWEB_PEER_TRANSFER").and_then(|v| parse_bool(&v)) {
             cfg.sweb.peer_transfer = on;
         }
@@ -236,9 +217,6 @@ impl ServerOptions {
         // ...and the CLI tier over everything.
         if let Some(n) = self.shards {
             cfg.shards = n;
-        }
-        if let Some(b) = self.io_backend {
-            cfg.io_backend = b;
         }
         if let Some(on) = self.peer_transfer {
             cfg.sweb.peer_transfer = on;
@@ -281,17 +259,27 @@ mod tests {
     fn config_tier_is_the_default() {
         let cfg = ServerOptions::new().resolve_with(no_env);
         assert_eq!(cfg.shards, 0);
-        assert_eq!(cfg.io_backend, IoBackend::Epoll);
         assert!(!cfg.sweb.peer_transfer);
         assert!(!cfg.sweb.replicate_hot);
         assert!(cfg.overload_control, "overload control defaults on");
     }
 
     #[test]
+    fn the_config_default_reads_no_environment() {
+        // `resolve_with` is the only reader of the environment, so with
+        // an empty one it must agree with the plain default, whatever
+        // this process's own SWEB_* variables say.
+        let resolved = ServerOptions::new().resolve_with(no_env);
+        let plain = ClusterConfig::default();
+        assert_eq!(resolved.shards, plain.shards);
+        assert_eq!(resolved.overload_control, plain.overload_control);
+        assert_eq!(resolved.sweb.peer_transfer, plain.sweb.peer_transfer);
+    }
+
+    #[test]
     fn env_beats_config() {
         let env = |key: &str| match key {
             "SWEB_SHARDS" => Some("3".to_string()),
-            "SWEB_IO_BACKEND" => Some("uring".to_string()),
             "SWEB_PEER_TRANSFER" => Some("yes".to_string()),
             "SWEB_REPLICATE_HOT" => Some("on".to_string()),
             "SWEB_OVERLOAD" => Some("off".to_string()),
@@ -299,7 +287,6 @@ mod tests {
         };
         let cfg = ServerOptions::new().resolve_with(env);
         assert_eq!(cfg.shards, 3);
-        assert_eq!(cfg.io_backend, IoBackend::Uring);
         assert!(cfg.sweb.peer_transfer);
         assert!(cfg.sweb.replicate_hot);
         assert!(!cfg.overload_control);
@@ -309,38 +296,30 @@ mod tests {
     fn cli_beats_env() {
         let env = |key: &str| match key {
             "SWEB_SHARDS" => Some("3".to_string()),
-            "SWEB_IO_BACKEND" => Some("auto".to_string()),
             "SWEB_PEER_TRANSFER" => Some("1".to_string()),
             "SWEB_OVERLOAD" => Some("1".to_string()),
             _ => None,
         };
         let cfg = ServerOptions::new()
             .shards(2)
-            .io_backend(IoBackend::Epoll)
             .peer_transfer(false)
             .overload_control(false)
             .resolve_with(env);
         assert_eq!(cfg.shards, 2);
-        assert_eq!(cfg.io_backend, IoBackend::Epoll);
         assert!(!cfg.sweb.peer_transfer);
         assert!(!cfg.overload_control);
     }
 
     #[test]
     fn garbage_env_is_ignored() {
-        // `poll` named a third backend once; now it is garbage too.
-        for backend in ["carrier-pigeon", "poll"] {
-            let env = |key: &str| match key {
-                "SWEB_SHARDS" => Some("many".to_string()),
-                "SWEB_IO_BACKEND" => Some(backend.to_string()),
-                "SWEB_PEER_TRANSFER" => Some("maybe".to_string()),
-                _ => None,
-            };
-            let cfg = ServerOptions::new().resolve_with(env);
-            assert_eq!(cfg.shards, 0);
-            assert_eq!(cfg.io_backend, IoBackend::Epoll, "{backend}");
-            assert!(!cfg.sweb.peer_transfer);
-        }
+        let env = |key: &str| match key {
+            "SWEB_SHARDS" => Some("many".to_string()),
+            "SWEB_PEER_TRANSFER" => Some("maybe".to_string()),
+            _ => None,
+        };
+        let cfg = ServerOptions::new().resolve_with(env);
+        assert_eq!(cfg.shards, 0);
+        assert!(!cfg.sweb.peer_transfer);
     }
 
     #[test]

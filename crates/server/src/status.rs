@@ -56,7 +56,10 @@ pub const METRICS_PATH: &str = "/metrics";
 /// can diff one JSON fetch.
 /// v9 removed the top-level `engine` string: the reactor is the only
 /// connection engine, so the field could only ever say `"reactor"`.
-pub const STATUS_SCHEMA_VERSION: u64 = 9;
+/// v10 removed what only the io_uring backend filled: the shard rows'
+/// `io_backend` (epoll is the only poller) and the `io` block, whose one
+/// number not pinned at zero moved to `counters.io_syscalls`.
+pub const STATUS_SCHEMA_VERSION: u64 = 10;
 
 /// One node's full introspection snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,37 +84,10 @@ pub struct StatusReport {
     pub dynamic_cache: crate::dynamic::DynamicCacheStats,
     /// File-cache state.
     pub cache: CacheSnapshot,
-    /// Connection-engine I/O counters (schema v8), summed across shards.
-    pub io: IoSnapshot,
     /// Overload-control state: admission, breakers, retry budgets.
     pub overload: OverloadSnapshot,
     /// Faults injected so far by the chaos harness (all zero without one).
     pub faults: FaultCountsSnapshot,
-}
-
-/// The connection engine's kernel-crossing counters (schema v8), summed
-/// across shards. The SQE/CQE and zero-copy counters are zero on the
-/// epoll backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IoSnapshot {
-    /// Kernel entries the pollers made.
-    pub syscalls: u64,
-    /// io_uring submission-queue entries pushed.
-    pub sqe_submitted: u64,
-    /// io_uring completion-queue entries reaped.
-    pub cqe_completed: u64,
-    /// Syscalls the completion backend absorbed.
-    pub syscalls_saved: u64,
-    /// Responses sent as `WRITE_FIXED` from the registered staging pool.
-    pub write_fixed: u64,
-    /// Staging-pool misses that fell back to plain `WRITEV`.
-    pub buf_pool_exhausted: u64,
-    /// `SEND_ZC` operations submitted for large bodies.
-    pub send_zc: u64,
-    /// Completed zero-copy sends (kernel payload copies avoided).
-    pub zc_copies_avoided: u64,
-    /// SQEs that waited in the userspace backlog (SQ pressure).
-    pub sqe_backlogged: u64,
 }
 
 /// The overload-control subsystem's introspection block (schema v7).
@@ -148,9 +124,6 @@ pub struct ShardRow {
     pub shard: u32,
     /// Whether this shard's event loop is currently running.
     pub live: bool,
-    /// I/O backend the shard's loop runs (`"uring"` or `"epoll"`;
-    /// `"none"` before start).
-    pub io_backend: String,
     /// Connections this shard accepted.
     pub accepted: u64,
     /// Requests this shard served.
@@ -253,6 +226,9 @@ pub struct CounterSnapshot {
     pub pushes_sent: u64,
     /// Replication pushes this node accepted into its cache.
     pub pushes_received: u64,
+    /// Kernel entries the shards' pollers made (`epoll_wait` and
+    /// `epoll_ctl`; `sweb_io_syscalls_total`).
+    pub io_syscalls: u64,
 }
 
 /// File-cache state.
@@ -325,6 +301,7 @@ impl StatusReport {
                 peer_frames_bad: s.peer_frames_bad.get(),
                 pushes_sent: s.pushes_sent.get(),
                 pushes_received: s.pushes_received.get(),
+                io_syscalls: s.io_syscalls.get(),
             },
             shards: (0..shared.shards.max(1))
                 .map(|i| ShardRow {
@@ -333,11 +310,6 @@ impl StatusReport {
                         .shard_live
                         .get(i)
                         .is_some_and(|l| l.load(std::sync::atomic::Ordering::Relaxed)),
-                    io_backend: shared
-                        .shard_io_backend
-                        .get(i)
-                        .map(|b| b.read().to_string())
-                        .unwrap_or_else(|| "none".to_string()),
                     accepted: s.accepted.cell_value(i),
                     served: s.served.cell_value(i),
                     shed: s.shed.cell_value(i),
@@ -369,17 +341,6 @@ impl StatusReport {
                 used_bytes: shared.file_cache.used(),
                 capacity_bytes: shared.file_cache.capacity(),
                 digest_bits: shared.file_cache.digest().ones() as u64,
-            },
-            io: IoSnapshot {
-                syscalls: s.io_syscalls.get(),
-                sqe_submitted: s.io_sqe_submitted.get(),
-                cqe_completed: s.io_cqe_completed.get(),
-                syscalls_saved: s.io_syscalls_saved.get(),
-                write_fixed: s.io_write_fixed.get(),
-                buf_pool_exhausted: s.io_buf_pool_exhausted.get(),
-                send_zc: s.io_send_zc.get(),
-                zc_copies_avoided: s.io_zc_copies_avoided.get(),
-                sqe_backlogged: s.io_sqe_backlogged.get(),
             },
             overload: OverloadSnapshot {
                 enabled: shared.overload_control,
@@ -433,7 +394,7 @@ impl StatusReport {
              decode-errors     {}\n  peer-suspect      {}\n  peer-dead         {}\n  \
              peer-revived      {}\n  deadline-overruns {}\n  fetch-retries     {}\n  \
              peer-fetches      {}\n  forward-failures  {}\n  peer-frames-bad   {}\n  \
-             pushes-sent       {}\n  pushes-received   {}\n",
+             pushes-sent       {}\n  pushes-received   {}\n  io-syscalls       {}\n",
             c.accepted,
             c.served,
             c.redirected,
@@ -456,16 +417,16 @@ impl StatusReport {
             c.peer_frames_bad,
             c.pushes_sent,
             c.pushes_received,
+            c.io_syscalls,
         ));
         out.push_str(
-            "\nshards:\nshard  live   backend  accepted  served    shed      active\n",
+            "\nshards:\nshard  live   accepted  served    shed      active\n",
         );
         for row in &self.shards {
             out.push_str(&format!(
-                "{:<6} {:<6} {:<8} {:<9} {:<9} {:<9} {}\n",
+                "{:<6} {:<6} {:<9} {:<9} {:<9} {}\n",
                 format!("s{}", row.shard),
                 if row.live { "yes" } else { "no" },
-                row.io_backend,
                 row.accepted,
                 row.served,
                 row.shed,
@@ -494,21 +455,6 @@ impl StatusReport {
             self.cache.used_bytes,
             self.cache.capacity_bytes,
             self.cache.digest_bits,
-        ));
-        let io = &self.io;
-        out.push_str(&format!(
-            "\nio: {} syscalls, {} sqe, {} cqe, {} saved\n  \
-             zero-copy path: {} write-fixed, {} pool-exhausted, {} send-zc, \
-             {} copies avoided, {} sqe backlogged\n",
-            io.syscalls,
-            io.sqe_submitted,
-            io.cqe_completed,
-            io.syscalls_saved,
-            io.write_fixed,
-            io.buf_pool_exhausted,
-            io.send_zc,
-            io.zc_copies_avoided,
-            io.sqe_backlogged,
         ));
         let o = &self.overload;
         out.push_str(&format!(
@@ -607,6 +553,7 @@ impl StatusReport {
                     ("peer_frames_bad", Json::Num(c.peer_frames_bad as f64)),
                     ("pushes_sent", Json::Num(c.pushes_sent as f64)),
                     ("pushes_received", Json::Num(c.pushes_received as f64)),
+                    ("io_syscalls", Json::Num(c.io_syscalls as f64)),
                 ]),
             ),
             (
@@ -618,7 +565,6 @@ impl StatusReport {
                             obj(vec![
                                 ("shard", Json::Num(row.shard as f64)),
                                 ("live", Json::Bool(row.live)),
-                                ("io_backend", Json::Str(row.io_backend.clone())),
                                 ("accepted", Json::Num(row.accepted as f64)),
                                 ("served", Json::Num(row.served as f64)),
                                 ("shed", Json::Num(row.shed as f64)),
@@ -666,20 +612,6 @@ impl StatusReport {
                     ("used_bytes", Json::Num(self.cache.used_bytes as f64)),
                     ("capacity_bytes", Json::Num(self.cache.capacity_bytes as f64)),
                     ("digest_bits", Json::Num(self.cache.digest_bits as f64)),
-                ]),
-            ),
-            (
-                "io",
-                obj(vec![
-                    ("syscalls", Json::Num(self.io.syscalls as f64)),
-                    ("sqe_submitted", Json::Num(self.io.sqe_submitted as f64)),
-                    ("cqe_completed", Json::Num(self.io.cqe_completed as f64)),
-                    ("syscalls_saved", Json::Num(self.io.syscalls_saved as f64)),
-                    ("write_fixed", Json::Num(self.io.write_fixed as f64)),
-                    ("buf_pool_exhausted", Json::Num(self.io.buf_pool_exhausted as f64)),
-                    ("send_zc", Json::Num(self.io.send_zc as f64)),
-                    ("zc_copies_avoided", Json::Num(self.io.zc_copies_avoided as f64)),
-                    ("sqe_backlogged", Json::Num(self.io.sqe_backlogged as f64)),
                 ]),
             ),
             (
@@ -791,6 +723,7 @@ impl StatusReport {
             peer_frames_bad: num_u64(&c, "peer_frames_bad")?,
             pushes_sent: num_u64(&c, "pushes_sent")?,
             pushes_received: num_u64(&c, "pushes_received")?,
+            io_syscalls: num_u64(&c, "io_syscalls")?,
         };
         let shards = field(v, "shards")?
             .as_arr()
@@ -800,10 +733,6 @@ impl StatusReport {
                 Ok(ShardRow {
                     shard: num_u64(row, "shard")? as u32,
                     live: field(row, "live")?.as_bool().ok_or("live is not a bool")?,
-                    io_backend: field(row, "io_backend")?
-                        .as_str()
-                        .ok_or("io_backend is not a string")?
-                        .to_string(),
                     accepted: num_u64(row, "accepted")?,
                     served: num_u64(row, "served")?,
                     shed: num_u64(row, "shed")?,
@@ -846,18 +775,6 @@ impl StatusReport {
             used_bytes: num_u64(&k, "used_bytes")?,
             capacity_bytes: num_u64(&k, "capacity_bytes")?,
             digest_bits: num_u64(&k, "digest_bits")?,
-        };
-        let i = field(v, "io")?;
-        let io = IoSnapshot {
-            syscalls: num_u64(&i, "syscalls")?,
-            sqe_submitted: num_u64(&i, "sqe_submitted")?,
-            cqe_completed: num_u64(&i, "cqe_completed")?,
-            syscalls_saved: num_u64(&i, "syscalls_saved")?,
-            write_fixed: num_u64(&i, "write_fixed")?,
-            buf_pool_exhausted: num_u64(&i, "buf_pool_exhausted")?,
-            send_zc: num_u64(&i, "send_zc")?,
-            zc_copies_avoided: num_u64(&i, "zc_copies_avoided")?,
-            sqe_backlogged: num_u64(&i, "sqe_backlogged")?,
         };
         let o = field(v, "overload")?;
         let sheds = field(&o, "sheds_by_class")?;
@@ -906,7 +823,6 @@ impl StatusReport {
             handlers,
             dynamic_cache,
             cache,
-            io,
             overload,
             faults,
         })
@@ -1023,12 +939,12 @@ mod tests {
                 peer_frames_bad: 1,
                 pushes_sent: 4,
                 pushes_received: 3,
+                io_syscalls: 1234,
             },
             shards: vec![
                 ShardRow {
                     shard: 0,
                     live: true,
-                    io_backend: "uring".to_string(),
                     accepted: 60,
                     served: 55,
                     shed: 2,
@@ -1037,7 +953,6 @@ mod tests {
                 ShardRow {
                     shard: 1,
                     live: false,
-                    io_backend: "epoll".to_string(),
                     accepted: 40,
                     served: 35,
                     shed: 0,
@@ -1078,17 +993,6 @@ mod tests {
                 capacity_bytes: 16 << 20,
                 digest_bits: 12,
             },
-            io: IoSnapshot {
-                syscalls: 1234,
-                sqe_submitted: 10213,
-                cqe_completed: 16835,
-                syscalls_saved: 15013,
-                write_fixed: 880,
-                buf_pool_exhausted: 12,
-                send_zc: 44,
-                zc_copies_avoided: 41,
-                sqe_backlogged: 7,
-            },
             overload: OverloadSnapshot {
                 enabled: true,
                 shed_level: 2,
@@ -1121,13 +1025,16 @@ mod tests {
         let back = StatusReport::from_json(&parsed).expect("schema round trip");
         assert_eq!(back, report);
         assert!(!text.contains("\"engine\""), "v9 dropped the engine key: {text}");
+        assert!(!text.contains("\"io\""), "v10 dropped the io block: {text}");
+        assert!(!text.contains("io_backend"), "v10 dropped the shard backend: {text}");
     }
 
     #[test]
     fn from_json_rejects_wrong_schema_version() {
         let report = sample_report();
-        // A future version, and the previous one (v8 still carried `engine`).
-        for version in [99.0, 8.0] {
+        // A future version, and the previous one (v9 still carried the
+        // `io` block and each shard's `io_backend`).
+        for version in [99.0, 9.0] {
             let mut v = report.to_json();
             if let Json::Obj(members) = &mut v {
                 members[0].1 = Json::Num(version);
@@ -1160,6 +1067,7 @@ mod tests {
         assert!(text.contains("deadline-overruns 6"), "{text}");
         assert!(text.contains("peer-fetches      11"), "{text}");
         assert!(text.contains("pushes-sent       4"), "{text}");
+        assert!(text.contains("io-syscalls       1234"), "{text}");
         assert!(text.contains("file cache: 50 hits, 40 misses"), "{text}");
         // Two load rows, one per peer, with tri-state health.
         assert!(text.contains("n0") && text.contains("n1"), "{text}");
@@ -1177,11 +1085,10 @@ mod tests {
         assert!(text.contains("sheds: 6 peer-serve, 5 dynamic, 3 static-miss, 0 static-hit"), "{text}");
         assert!(text.contains("breakers: [closed, open, closed] — 2 opens, 9 fast-fails"), "{text}");
         assert!(text.contains("retry budgets: 1 exhausted"), "{text}");
-        // The per-shard breakdown: one row per shard, liveness and
-        // backend included.
+        // The per-shard breakdown: one row per shard, liveness included.
         assert!(text.contains("shards:"), "{text}");
-        assert!(text.contains("s0     yes    uring    60        55        2         3"), "{text}");
-        assert!(text.contains("s1     no     epoll    40        35        0         2"), "{text}");
+        assert!(text.contains("s0     yes    60        55        2         3"), "{text}");
+        assert!(text.contains("s1     no     40        35        0         2"), "{text}");
     }
 
     #[test]
@@ -1229,33 +1136,14 @@ mod tests {
     }
 
     #[test]
-    fn from_json_rejects_missing_io_block() {
-        let report = sample_report();
-        let mut v = report.to_json();
+    fn from_json_rejects_missing_io_syscalls() {
+        let mut v = sample_report().to_json();
         if let Json::Obj(members) = &mut v {
-            members.retain(|(k, _)| k != "io");
-        }
-        assert!(StatusReport::from_json(&v).is_err(), "v8 requires the io block");
-        let mut v = report.to_json();
-        if let Json::Obj(members) = &mut v {
-            if let Some((_, Json::Obj(io))) = members.iter_mut().find(|(k, _)| k == "io") {
-                io.retain(|(k, _)| k != "send_zc");
+            if let Some((_, Json::Obj(c))) = members.iter_mut().find(|(k, _)| k == "counters") {
+                c.retain(|(k, _)| k != "io_syscalls");
             }
         }
-        assert!(StatusReport::from_json(&v).is_err(), "v8 requires the zero-copy counters");
-    }
-
-    #[test]
-    fn text_view_has_the_io_block() {
-        let text = sample_report().to_text();
-        assert!(text.contains("io: 1234 syscalls, 10213 sqe, 16835 cqe, 15013 saved"), "{text}");
-        assert!(
-            text.contains(
-                "zero-copy path: 880 write-fixed, 12 pool-exhausted, 44 send-zc, \
-                 41 copies avoided, 7 sqe backlogged"
-            ),
-            "{text}"
-        );
+        assert!(StatusReport::from_json(&v).is_err(), "v10 carries io_syscalls in counters");
     }
 
     #[test]

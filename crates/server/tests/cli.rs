@@ -140,8 +140,13 @@ fn swebd_accepts_shipped_example_oracle() {
 #[test]
 fn swebd_usage_on_bad_flags() {
     // `--engine` was a flag while a second connection engine existed,
-    // `poll` a backend while a third poller did.
-    for args in [&["--bogus"][..], &["--engine", "reactor"][..], &["--io-backend", "poll"][..]] {
+    // `--io-backend` while a second poller did.
+    for args in [
+        &["--bogus"][..],
+        &["--engine", "reactor"][..],
+        &["--io-backend", "uring"][..],
+        &["--io-backend", "epoll"][..],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_swebd")).args(args).output().expect("run swebd");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let mut err = String::new();

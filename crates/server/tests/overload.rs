@@ -5,8 +5,7 @@
 //! request may hang": under overload every *shed* response must carry a
 //! load-derived `Retry-After`, a blackholed peer must stop costing
 //! forwards their full deadline once its breaker opens, and a client
-//! dribbling header bytes must be evicted on the parse clock — on
-//! epoll and (where the kernel allows) on io_uring.
+//! dribbling header bytes must be evicted on the parse clock.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -315,45 +314,5 @@ fn crash_under_overload_keeps_every_outcome_definite() {
     // The crash was detected and the breaker force-opened without a
     // single forward having to time out against the corpse.
     assert!(cluster.node(0).breakers.opens_total() >= 1, "dead peer's breaker never opened");
-    cluster.shutdown();
-}
-
-/// The uring backend runs the same admission path as epoll: the
-/// controller sheds with `Retry-After` under injected overload. Skips
-/// (with a note) on kernels without io_uring.
-#[test]
-fn uring_injected_overload_sheds_with_retry_after() {
-    match sweb_reactor::sys::Poller::strict(sweb_reactor::IoBackend::Uring) {
-        Ok(_) => {}
-        Err(e) => {
-            eprintln!("overload tests: skipping uring variant, io_uring unavailable: {e}");
-            return;
-        }
-    }
-    let plan = FaultPlan::seeded(plan_seed())
-        .with(Fault::Overload { node: 0, sojourn_us: 500_000, window: Window::ALWAYS });
-    let dir = docroot("shed-uring");
-    let mut cfg = overload_config(plan);
-    cfg.io_backend = sweb_reactor::IoBackend::Uring;
-    cfg.shards = 1;
-    let cluster = LiveCluster::start(1, dir, cfg).unwrap();
-    let url = format!("{}/ok.txt", cluster.base_url(0));
-
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut shed = None;
-    while Instant::now() < deadline {
-        let resp = client::get_with_timeout(&url, Duration::from_secs(5)).unwrap();
-        if resp.status == 503 {
-            shed = Some(resp);
-            break;
-        }
-        assert_eq!(resp.status, 200);
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let shed = shed.expect("uring node never shed under injected overload");
-    assert!(shed.headers.get("retry-after").is_some());
-    let report = status(&cluster, 0);
-    assert!(report.overload.shed_level >= 1);
-    assert_eq!(report.shards[0].io_backend, "uring");
     cluster.shutdown();
 }
