@@ -6,16 +6,39 @@
 //! (503) instead of queueing unboundedly — the same admission philosophy
 //! the paper applies at the connection level.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// A unit of blocking work.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// The submission queue. Its lock is held only to push or pop: an idle
+/// worker waits on `ready` with the lock released, so a submit never
+/// queues behind a sleeping worker and a woken worker finds its job with
+/// one acquisition.
+struct Queue {
+    state: Mutex<State>,
+    ready: Condvar,
+    cap: usize,
+}
+
+struct State {
+    jobs: VecDeque<Job>,
+    open: bool,
+}
+
+impl Queue {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // A job never runs under the lock, so a poisoned guard still
+        // holds a consistent queue.
+        self.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}
+
 /// Fixed-size pool with a bounded submission queue.
 pub struct WorkerPool {
-    tx: Option<SyncSender<Job>>,
+    queue: Arc<Queue>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -23,30 +46,34 @@ impl WorkerPool {
     /// Spawn `workers` threads sharing one queue of capacity `queue_cap`.
     pub fn new(workers: usize, queue_cap: usize, name: &str) -> WorkerPool {
         assert!(workers > 0);
-        let (tx, rx) = sync_channel::<Job>(queue_cap);
-        let rx = Arc::new(Mutex::new(rx));
+        let queue = Arc::new(Queue {
+            state: Mutex::new(State { jobs: VecDeque::with_capacity(queue_cap), open: true }),
+            ready: Condvar::new(),
+            cap: queue_cap,
+        });
         let handles = (0..workers)
             .map(|i| {
-                let rx = Arc::clone(&rx);
+                let queue = Arc::clone(&queue);
                 std::thread::Builder::new()
                     .name(format!("{name}-worker-{i}"))
-                    .spawn(move || worker_loop(rx))
+                    .spawn(move || worker_loop(&queue))
                     .expect("spawn worker thread")
             })
             .collect();
-        WorkerPool { tx: Some(tx), handles }
+        WorkerPool { queue, handles }
     }
 
     /// Submit without blocking. `Err` returns the job when the queue is
     /// full (shed) or the pool is shutting down.
     pub fn try_submit(&self, job: Job) -> Result<(), Job> {
-        match self.tx.as_ref() {
-            Some(tx) => match tx.try_send(job) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Full(j)) | Err(TrySendError::Disconnected(j)) => Err(j),
-            },
-            None => Err(job),
+        let mut state = self.queue.lock();
+        if !state.open || state.jobs.len() >= self.queue.cap {
+            return Err(job);
         }
+        state.jobs.push_back(job);
+        drop(state);
+        self.queue.ready.notify_one();
+        Ok(())
     }
 
     /// Number of worker threads.
@@ -56,7 +83,8 @@ impl WorkerPool {
 
     /// Close the queue and join every worker. Queued jobs still run.
     pub fn shutdown(&mut self) {
-        self.tx = None; // closes the channel; workers drain and exit
+        self.queue.lock().open = false;
+        self.queue.ready.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -69,16 +97,18 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(rx: Arc<Mutex<Receiver<Job>>>) {
+fn worker_loop(queue: &Queue) {
+    let mut state = queue.lock();
     loop {
-        // Hold the lock only while dequeueing, not while running the job.
-        let job = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return,
-        };
-        match job {
-            Ok(job) => job(),
-            Err(_) => return, // channel closed: shutdown
+        if let Some(job) = state.jobs.pop_front() {
+            // Run the job with the lock released.
+            drop(state);
+            job();
+            state = queue.lock();
+        } else if !state.open {
+            return; // closed and drained: shutdown
+        } else {
+            state = queue.ready.wait(state).unwrap_or_else(|poisoned| poisoned.into_inner());
         }
     }
 }

@@ -3,8 +3,11 @@
 //! NCSA httpd forked a process per `/cgi-bin/` request — the exact
 //! bottleneck a scalable server must remove. Here dynamic content is
 //! produced by registered in-process implementations of
-//! [`DynamicHandler`], dispatched on the reactor's bounded worker
-//! pool. The legacy fork-per-request path survives as one
+//! [`DynamicHandler`]. A handler that declares itself non-blocking for a
+//! request ([`DynamicHandler::blocking`]) and whose class has measured
+//! cheap runs on the reactor loop thread that parsed the request; every
+//! other invocation is dispatched on the reactor's bounded worker pool.
+//! The legacy fork-per-request path survives as one
 //! handler implementation behind the same trait
 //! ([`crate::cgi::ForkCgiHandler`]), so the A/B between the two is a
 //! registration choice, not a code path.
@@ -22,7 +25,7 @@
 //!   measurements feed the oracle's tuned table
 //!   ([`sweb_core::Oracle::observe`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -47,7 +50,8 @@ pub struct HandlerCtx<'a> {
 }
 
 /// An in-process dynamic-content handler. Implementations are registered
-/// under `/cgi-bin/<name>` and invoked on the reactor's worker pool; the
+/// under `/cgi-bin/<name>` and invoked on the reactor's worker pool, or on
+/// the loop thread when [`DynamicHandler::blocking`] allows it; the
 /// `class` name keys both the response cache and the oracle's measured
 /// `t_cpu` table.
 pub trait DynamicHandler: Send + Sync {
@@ -78,9 +82,21 @@ pub trait DynamicHandler: Send + Sync {
         4 * 1024
     }
 
-    /// Produce the response. Runs on a worker-pool thread; blocking is
-    /// acceptable, but the reactor answers 503 in the handler's place
-    /// once the request budget's fetch checkpoint has passed.
+    /// Whether this invocation may block or run long. `false` promises
+    /// pure computation bounded by the request itself (no sleep, no I/O,
+    /// no lock held across either), which lets a class measured cheap run
+    /// on the loop thread that parsed the request. The default is `true`:
+    /// a handler nobody vouched for always takes the worker pool.
+    fn blocking(&self, req: &Request, body: &[u8]) -> bool {
+        let _ = (req, body);
+        true
+    }
+
+    /// Produce the response. Runs on a worker-pool thread, or on a loop
+    /// thread when [`DynamicHandler::blocking`] said `false` and the class
+    /// measured cheap. A blocking handler may block, but the reactor
+    /// answers 503 in its place once the request budget's fetch checkpoint
+    /// has passed.
     fn handle(&self, ctx: &HandlerCtx<'_>, req: &Request, body: &[u8]) -> Response;
 }
 
@@ -106,14 +122,22 @@ pub struct FnHandler {
     class: &'static str,
     cacheable: bool,
     program: CgiProgram,
+    blocking: fn(&Request, &[u8]) -> bool,
 }
 
 impl FnHandler {
     /// Wrap `program` as a handler of the given class. `cacheable`
     /// handlers key the response cache on their canonicalized
-    /// query-plus-body.
+    /// query-plus-body. The closure is assumed to block.
     pub fn new(class: &'static str, cacheable: bool, program: CgiProgram) -> Self {
-        FnHandler { class, cacheable, program }
+        FnHandler { class, cacheable, program, blocking: |_, _| true }
+    }
+
+    /// Declare per request whether the closure may block (see
+    /// [`DynamicHandler::blocking`]).
+    pub fn blocking_when(mut self, blocking: fn(&Request, &[u8]) -> bool) -> Self {
+        self.blocking = blocking;
+        self
     }
 }
 
@@ -123,6 +147,9 @@ impl DynamicHandler for FnHandler {
     }
     fn cache_key(&self, req: &Request, body: &[u8]) -> Option<String> {
         self.cacheable.then(|| canonicalize_args(req.query().unwrap_or(""), body))
+    }
+    fn blocking(&self, req: &Request, body: &[u8]) -> bool {
+        (self.blocking)(req, body)
     }
     fn handle(&self, _ctx: &HandlerCtx<'_>, req: &Request, body: &[u8]) -> Response {
         (self.program)(req, body)
@@ -198,8 +225,11 @@ impl DynamicRegistry {
     /// * `/cgi-bin/introspect` — status-like node summary (never cached).
     pub fn demo() -> Self {
         let mut reg = DynamicRegistry::new();
-        reg.register("echo", Arc::new(FnHandler::new("echo", true, echo_program())));
-        reg.register("search", Arc::new(FnHandler::new("search", true, search_program())));
+        let echo = FnHandler::new("echo", true, echo_program()).blocking_when(|_, _| false);
+        reg.register("echo", Arc::new(echo));
+        let search = FnHandler::new("search", true, search_program())
+            .blocking_when(|req, body| search_cost(&search_query(req, body)) > SEARCH_INLINE_MAX_COST);
+        reg.register("search", Arc::new(search));
         reg.register("burn", Arc::new(BurnHandler));
         reg.register("template", Arc::new(TemplateHandler));
         reg.register("introspect", Arc::new(IntrospectHandler));
@@ -228,25 +258,38 @@ fn echo_program() -> CgiProgram {
     })
 }
 
+/// The largest `search` cost that may run on a loop thread: five times
+/// the benchmark's `cost=200000` (~40 µs optimised on a 2-vCPU x86 VM).
+/// Above it a client could park a shard on one request (`lcg_burn`'s
+/// 50 M-iteration cap is ~10 ms optimised, ~250 ms unoptimised), so the
+/// request takes the pool whatever its class measured.
+const SEARCH_INLINE_MAX_COST: u64 = 1_000_000;
+
+/// The search's arguments: POSTed form data takes precedence over the
+/// query string (an HTML search form submits either way).
+fn search_query<'a>(req: &'a Request, body: &'a [u8]) -> std::borrow::Cow<'a, str> {
+    if body.is_empty() {
+        req.query().unwrap_or("").into()
+    } else {
+        String::from_utf8_lossy(body)
+    }
+}
+
+/// The search's `cost` parameter (LCG iterations), 10,000 when absent.
+fn search_cost(query: &str) -> u64 {
+    query
+        .split('&')
+        .find_map(|kv| kv.strip_prefix("cost="))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(10_000)
+}
+
 /// The legacy toy Alexandria search closure: deterministic CPU burn
 /// proportional to the `cost` parameter, HTML result page.
 fn search_program() -> CgiProgram {
     Arc::new(|req: &Request, body: &[u8]| {
-        // POSTed form data takes precedence over the query string (an
-        // HTML search form submits either way).
-        let owned;
-        let query = if body.is_empty() {
-            req.query().unwrap_or("")
-        } else {
-            owned = String::from_utf8_lossy(body).into_owned();
-            owned.as_str()
-        };
-        let cost: u64 = query
-            .split('&')
-            .find_map(|kv| kv.strip_prefix("cost="))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10_000);
-        let acc = lcg_burn(cost);
+        let query = search_query(req, body);
+        let acc = lcg_burn(search_cost(&query));
         let body = format!(
             "<HTML><BODY><H1>Alexandria search</H1>\
              <P>query: {query}</P><P>digest: {acc:016x}</P></BODY></HTML>"
@@ -305,6 +348,9 @@ impl DynamicHandler for TemplateHandler {
     fn cache_key(&self, req: &Request, body: &[u8]) -> Option<String> {
         Some(canonicalize_args(req.query().unwrap_or(""), body))
     }
+    fn blocking(&self, _req: &Request, _body: &[u8]) -> bool {
+        false
+    }
     fn handle(&self, _ctx: &HandlerCtx<'_>, req: &Request, _body: &[u8]) -> Response {
         let q = req.query().unwrap_or("");
         let param = |k: &str, default: &str| {
@@ -333,6 +379,9 @@ impl DynamicHandler for IntrospectHandler {
     fn class(&self) -> &'static str {
         "introspect"
     }
+    fn blocking(&self, _req: &Request, _body: &[u8]) -> bool {
+        false
+    }
     fn handle(&self, ctx: &HandlerCtx<'_>, _req: &Request, _body: &[u8]) -> Response {
         let shared = ctx.shared;
         let body = format!(
@@ -359,18 +408,33 @@ struct CacheEntry {
     args: String,
     resp: Response,
     expires: Instant,
-    /// Insert order within the segment; smallest evicts first (FIFO).
+    /// Insert order within the segment: the `order` slot that still
+    /// names this entry carries the same number.
     seq: u64,
+}
+
+/// A segment's entries and their insertion order. `order` may hold stale
+/// slots — keys that TTL expiry removed or a later insert replaced — and
+/// a slot counts only while its `seq` is the live entry's.
+#[derive(Default)]
+struct SegmentEntries {
+    map: HashMap<u64, CacheEntry>,
+    order: VecDeque<(u64, u64)>,
+    next_seq: u64,
+}
+
+/// Whether the `order` slot `(key, seq)` still names a live entry.
+fn is_live(map: &HashMap<u64, CacheEntry>, (key, seq): (u64, u64)) -> bool {
+    map.get(&key).is_some_and(|e| e.seq == seq)
 }
 
 #[derive(Default)]
 struct Segment {
-    entries: Mutex<HashMap<u64, CacheEntry>>,
+    entries: Mutex<SegmentEntries>,
     hits: AtomicU64,
     misses: AtomicU64,
     expired: AtomicU64,
     evictions: AtomicU64,
-    seq: AtomicU64,
 }
 
 /// Counter snapshot of the dynamic response cache, summed across
@@ -431,9 +495,12 @@ impl DynamicCache {
         h
     }
 
+    fn segment_index(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize % self.segments.len()
+    }
+
     fn segment_of(&self, key: u64) -> &Segment {
-        let idx = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize % self.segments.len();
-        &self.segments[idx]
+        &self.segments[self.segment_index(key)]
     }
 
     /// Cached response for `(class, args)`, if present and unexpired.
@@ -441,10 +508,10 @@ impl DynamicCache {
         let key = Self::key_hash(class, args);
         let seg = self.segment_of(key);
         let mut entries = seg.entries.lock().unwrap();
-        match entries.get(&key) {
+        match entries.map.get(&key) {
             Some(e) if e.class == class && e.args == args => {
                 if e.expires <= Instant::now() {
-                    entries.remove(&key);
+                    entries.map.remove(&key);
                     seg.expired.fetch_add(1, Ordering::Relaxed);
                     seg.misses.fetch_add(1, Ordering::Relaxed);
                     None
@@ -461,32 +528,32 @@ impl DynamicCache {
     }
 
     /// Insert a reply for `(class, args)`; `ttl` of `None` uses the
-    /// cache default. Evicts the segment's oldest entry beyond the
-    /// per-segment bound.
+    /// cache default. Evicts the segment's oldest entries beyond the
+    /// per-segment bound, in insertion order.
     pub fn insert(&self, class: &'static str, args: &str, resp: Response, ttl: Option<Duration>) {
         let key = Self::key_hash(class, args);
         let seg = self.segment_of(key);
-        let mut entries = seg.entries.lock().unwrap();
-        let seq = seg.seq.fetch_add(1, Ordering::Relaxed);
-        entries.insert(
-            key,
-            CacheEntry {
-                class,
-                args: args.to_string(),
-                resp,
-                expires: Instant::now() + ttl.unwrap_or(self.default_ttl),
-                seq,
-            },
-        );
-        while entries.len() > self.per_segment {
-            let oldest = entries.iter().min_by_key(|(_, e)| e.seq).map(|(k, _)| *k);
-            match oldest {
-                Some(k) => {
-                    entries.remove(&k);
-                    seg.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
+        let mut guard = seg.entries.lock().unwrap();
+        let entries = &mut *guard;
+        let seq = entries.next_seq;
+        entries.next_seq += 1;
+        let expires = Instant::now() + ttl.unwrap_or(self.default_ttl);
+        let entry = CacheEntry { class, args: args.to_string(), resp, expires, seq };
+        entries.map.insert(key, entry);
+        entries.order.push_back((key, seq));
+        while entries.map.len() > self.per_segment {
+            let Some(slot) = entries.order.pop_front() else { break };
+            if is_live(&entries.map, slot) {
+                entries.map.remove(&slot.0);
+                seg.evictions.fetch_add(1, Ordering::Relaxed);
             }
+        }
+        // Stale slots pile up behind a live head while nothing evicts
+        // (a hot key expiring and coming back): sweep them once they
+        // outnumber the bound, which keeps the work amortised O(1).
+        if entries.order.len() > 2 * self.per_segment {
+            let map = &entries.map;
+            entries.order.retain(|&slot| is_live(map, slot));
         }
     }
 
@@ -498,7 +565,7 @@ impl DynamicCache {
             s.misses += seg.misses.load(Ordering::Relaxed);
             s.expired += seg.expired.load(Ordering::Relaxed);
             s.evictions += seg.evictions.load(Ordering::Relaxed);
-            s.entries += seg.entries.lock().unwrap().len() as u64;
+            s.entries += seg.entries.lock().unwrap().map.len() as u64;
         }
         s
     }
@@ -597,6 +664,15 @@ mod tests {
         }
     }
 
+    fn post(target: &str) -> Request {
+        Request {
+            method: Method::Post,
+            target: target.into(),
+            version: "HTTP/1.0".into(),
+            headers: Headers::new(),
+        }
+    }
+
     #[test]
     fn canonicalize_sorts_and_appends_body() {
         assert_eq!(canonicalize_args("b=2&a=1", b""), "a=1&b=2");
@@ -676,6 +752,78 @@ mod tests {
         let s = cache.stats();
         assert!(s.entries <= 8, "bound violated: {} entries", s.entries);
         assert!(s.evictions >= 56, "expected evictions, saw {}", s.evictions);
+    }
+
+    #[test]
+    fn demo_handlers_declare_what_can_block() {
+        let reg = DynamicRegistry::demo();
+        let blocking = |target: &str, body: &[u8]| {
+            let r = if body.is_empty() { req(target) } else { post(target) };
+            reg.lookup(target.split('?').next().unwrap()).unwrap().blocking(&r, body)
+        };
+        assert!(!blocking("/cgi-bin/echo?a=1", b""));
+        assert!(!blocking("/cgi-bin/echo", &[b'x'; 2048]));
+        assert!(!blocking("/cgi-bin/template?title=t", b""));
+        assert!(!blocking("/cgi-bin/introspect", b""));
+        assert!(blocking("/cgi-bin/burn?cost=1", b""), "burn sleeps");
+        // search: cheap up to SEARCH_INLINE_MAX_COST, whichever of query
+        // and body the handler reads.
+        assert!(!blocking("/cgi-bin/search?q=maps", b""), "the default cost is 10,000");
+        assert!(!blocking("/cgi-bin/search?q=maps&cost=200000", b""));
+        assert!(!blocking("/cgi-bin/search?cost=1000000", b""));
+        assert!(blocking("/cgi-bin/search?cost=1000001", b""));
+        assert!(blocking("/cgi-bin/search?cost=50000000", b""));
+        assert!(blocking("/cgi-bin/search?cost=10", b"q=x&cost=2000000"), "the body wins");
+        assert!(!blocking("/cgi-bin/search?cost=50000000", b"cost=10"));
+        // Nobody vouched for these: the pool.
+        let closure = FnHandler::new("f", true, echo_program());
+        assert!(closure.blocking(&req("/cgi-bin/f"), b""));
+        let fork = crate::cgi::ForkCgiHandler::new("/bin/true");
+        assert!(fork.blocking(&req("/cgi-bin/fork"), b""));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Against a per-segment FIFO model: the cache holds exactly the
+        /// model's entries after every step, so the bound holds and
+        /// entries leave in insertion order. A re-insert moves a key to
+        /// the back; an entry TTL expiry removed leaves a stale slot that
+        /// eviction must skip, and the slots stay bounded.
+        #[test]
+        fn eviction_is_fifo_per_segment(
+            max_entries in 1usize..40,
+            ops in proptest::collection::vec((0u32..48, any::<bool>()), 0..300),
+        ) {
+            let cache = DynamicCache::new(max_entries, Duration::from_secs(3600));
+            let mut model: Vec<VecDeque<String>> = vec![VecDeque::new(); SEGMENTS];
+            for (k, expire) in ops {
+                let args = format!("k={k}");
+                let idx = cache.segment_index(DynamicCache::key_hash("burn", &args));
+                let ttl = expire.then_some(Duration::ZERO);
+                cache.insert("burn", &args, Response::ok("x", "text/plain"), ttl);
+                let fifo = &mut model[idx];
+                fifo.retain(|a| *a != args);
+                fifo.push_back(args.clone());
+                while fifo.len() > cache.per_segment {
+                    fifo.pop_front();
+                }
+                if expire {
+                    prop_assert!(cache.get("burn", &args).is_none());
+                    fifo.retain(|a| *a != args);
+                }
+                for (seg, fifo) in cache.segments.iter().zip(&model) {
+                    let entries = seg.entries.lock().unwrap();
+                    let mut held: Vec<&str> = entries.map.values().map(|e| e.args.as_str()).collect();
+                    let mut want: Vec<&str> = fifo.iter().map(String::as_str).collect();
+                    held.sort_unstable();
+                    want.sort_unstable();
+                    prop_assert_eq!(held, want);
+                    prop_assert!(entries.order.len() <= 2 * cache.per_segment + 1);
+                }
+            }
+            prop_assert!(cache.stats().entries as usize <= SEGMENTS * cache.per_segment);
+        }
     }
 
     #[test]

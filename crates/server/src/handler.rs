@@ -1,12 +1,13 @@
 //! Request handling: schedule (serve or 302) and fulfill a parsed request.
 //!
 //! The §3.2 pipeline is one pipeline, split where it can first block.
-//! [`first_look`] is everything that cannot: steps 1–3 and the
-//! fulfillments that are memory only. It ends in a reply, or in a
-//! [`Continuation`] carrying what it computed into the part that can
-//! sleep (disk reads, handler invocations, fork-CGI, peer fetches,
-//! status renders). A reactor loop thread runs the first look on the
-//! shard that parsed the request and sends only continuations to the
+//! [`first_look`] is everything that cannot: steps 1–3, the
+//! fulfillments that are memory only, and handlers that declare they
+//! cannot block and whose class has measured cheap. It ends in a reply,
+//! or in a [`Continuation`] carrying what it computed into the part that
+//! can sleep (disk reads, every other handler invocation, fork-CGI, peer
+//! fetches, status renders). A reactor loop thread runs the first look on
+//! the shard that parsed the request and sends only continuations to the
 //! worker pool; a worker that is handed a whole request
 //! ([`respond_parts`]) runs the same two stages back to back.
 
@@ -29,6 +30,14 @@ const SENDFILE_MIN: u64 = 256 << 10;
 
 /// Wall-clock bound on one peer pull.
 const FORWARD_BUDGET: Duration = Duration::from_secs(2);
+
+/// A non-blocking handler runs on the loop thread only while its class's
+/// measured p99 (`sweb_dynamic_tcpu_us`) is at most this. It is a bucket
+/// bound of that power-of-four histogram, and about ten inline answers'
+/// worth of loop time (`sweb_inline_us` reads ≈ 10–30 µs): a class that
+/// costs more than that per call is cheaper to hand to a worker than to
+/// make every other connection on the shard wait behind.
+const INLINE_BUDGET_US: u64 = 256;
 
 /// The document's "home" node. Every node shares one document root (the
 /// NFS crossmount); homes are assigned by hashing the path — the same
@@ -139,9 +148,10 @@ pub(crate) fn respond_parts(shared: &NodeShared, req: &Request, body: &[u8]) -> 
 
 /// The part of the pipeline that cannot block: preprocess, analyze,
 /// schedule (steps 1–3), then the fulfillments that are memory only — a
-/// resident document, a dynamic-cache hit. Its budget is one `stat`,
-/// short locks and computation, so a reactor loop thread can run it
-/// between two socket events.
+/// resident document, a dynamic-cache hit — or a short computation: a
+/// handler that cannot block, of a class measured cheap. Its budget is
+/// one `stat`, short locks and computation, so a reactor loop thread can
+/// run it between two socket events.
 ///
 /// Every response carries an `X-SWEB-Trace` header: the id the request
 /// arrived with (carried through a 302 hop as a `sweb-trace` query
@@ -307,13 +317,15 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
         return Look::Done(redirect(shared, req, target, trace));
     }
 
-    // Step 4, the part of it that is memory only. A peer pull is not. And
+    // Step 4, the part of it that cannot block. A peer pull can. And
     // while a fault plan is active nothing is served from here: injected
     // brownouts and slow disks sleep in `fulfill`, ahead of every read.
     let mut serve = Serve { path, file, size, redirected, decision, target, probed: false };
     if decision.peer_source().is_none() && !shared.chaos.is_active() {
         let fetch_started = Instant::now();
-        if let Some(resp) = serve.try_memory(shared, req, body) {
+        let inline =
+            serve.try_memory(shared, req, body).or_else(|| serve.try_cheap(shared, req, body));
+        if let Some(resp) = inline {
             serve.fetched(shared, fetch_started);
             return Look::Done(resp);
         }
@@ -373,7 +385,12 @@ impl Serve {
                 Some(document(shared, &self.path, bytes, mtime))
             }
             Target::Handler { handler, key } => {
-                *key = handler.cache_key(req, body);
+                // Nobody can reuse a POST's reply: caching it would only
+                // evict replies that somebody can.
+                *key = match req.method {
+                    Method::Post => None,
+                    _ => handler.cache_key(req, body),
+                };
                 let class = handler.class();
                 let mut resp = shared.dynamic.cache.get(class, key.as_deref()?)?;
                 if let Some(s) = shared.dynamic.class_stats(class) {
@@ -385,6 +402,18 @@ impl Serve {
                 Some(resp)
             }
         }
+    }
+
+    /// The handler invoked on this thread, when it cannot block for this
+    /// request and its class has measured cheap. A class with no samples
+    /// yet is not trusted: its first invocation takes the pool and is
+    /// measured there. Called after [`Serve::try_memory`] missed.
+    fn try_cheap(&self, shared: &NodeShared, req: &Request, body: &[u8]) -> Option<Response> {
+        let Target::Handler { handler, key } = &self.target else { return None };
+        let tcpu = &shared.dynamic.class_stats(handler.class())?.tcpu_us;
+        let cheap = tcpu.count() > 0 && tcpu.quantile(0.99) <= INLINE_BUDGET_US;
+        (cheap && !handler.blocking(req, body))
+            .then(|| invoke(shared, handler.as_ref(), key.as_deref(), req, body))
     }
 
     /// Step 4's accounting, once per request fulfilled here, timed against
@@ -559,13 +588,13 @@ fn read_with_retry<T>(
     unreachable!("loop returns on attempt == 2")
 }
 
-/// Invoke a dynamic handler on the worker-pool thread the engine
-/// dispatched us to (its response cache, keyed by `key`, has already
-/// missed), timed — the measurement feeds the per-class `t_cpu` histogram
-/// *and* the oracle's tuned table (converted to ops at this node's
-/// clock), closing the predicted-vs-measured loop per handler class. Only
-/// real invocations feed the oracle: a cache hit measures the cache, not
-/// the handler.
+/// Invoke a dynamic handler whose response cache, keyed by `key`, has
+/// already missed (on a worker, or on the loop thread for a cheap
+/// non-blocking class: [`Serve::try_cheap`]), timed. The measurement
+/// feeds the per-class `t_cpu` histogram *and* the oracle's tuned table
+/// (converted to ops at this node's clock), closing the
+/// predicted-vs-measured loop per handler class. Only real invocations
+/// feed the oracle: a cache hit measures the cache, not the handler.
 fn invoke(
     shared: &NodeShared,
     handler: &dyn DynamicHandler,

@@ -71,6 +71,41 @@ fn response_cache_serves_repeats_and_expires_on_ttl() {
     cluster.shutdown();
 }
 
+/// A POST's reply is never cached: nobody can reuse it (two identical
+/// POSTs are two actions), so an entry would only evict one somebody can.
+/// The handler runs each time, no reply carries the cache marker and the
+/// cache does not grow. A GET with arguments still misses, then hits.
+#[test]
+fn post_replies_are_not_cached_but_get_replies_are() {
+    let cluster = ServerOptions::new()
+        .policy(Policy::RoundRobin)
+        .start(1, docroot("post"))
+        .unwrap();
+    let base = cluster.base_url(0);
+    let node = cluster.node(0);
+    let echo = node.dynamic.class_stats("echo").unwrap();
+    for _ in 0..2 {
+        let r = client::post(&format!("{base}/cgi-bin/echo?x=1"), b"same body", "text/plain")
+            .unwrap();
+        assert_eq!(r.status, 200);
+        assert_eq!(std::str::from_utf8(&r.body).unwrap(), "echo: x=1\nposted: same body\n");
+        assert_eq!(r.headers.get("x-sweb-dynamic-cache"), None, "a POST reply is not cached");
+    }
+    assert_eq!(echo.invocations.get(), 2, "both POSTs ran the handler");
+    let stats = node.dynamic.cache.stats();
+    assert_eq!((stats.entries, stats.hits, stats.misses), (0, 0, 0));
+
+    let url = format!("{base}/cgi-bin/echo?a=1");
+    let miss = client::get(&url).unwrap();
+    assert_eq!(miss.headers.get("x-sweb-dynamic-cache"), Some("miss"));
+    let hit = client::get(&url).unwrap();
+    assert_eq!(hit.headers.get("x-sweb-dynamic-cache"), Some("hit"));
+    assert_eq!(hit.body, miss.body);
+    assert_eq!(echo.invocations.get(), 3);
+    assert_eq!(node.dynamic.cache.stats().entries, 1);
+    cluster.shutdown();
+}
+
 /// The cache key is `(handler class, canonicalized args)`: reordered
 /// query parameters hit the same entry, different args or a different
 /// handler never collide.

@@ -1,7 +1,8 @@
 //! The inline first look against the worker path, end to end.
 //!
 //! A reactor loop thread answers whatever cannot block — resident
-//! documents, dynamic-cache hits, 302s, 304s, 4xx — without a worker;
+//! documents, dynamic-cache hits, 302s, 304s, 4xx, and non-blocking
+//! handlers whose class has measured cheap — without a worker;
 //! everything else, and *every* request while a fault plan is active,
 //! takes the pool. The two paths run one pipeline, so they must agree:
 //! byte for byte on the wire, count for count in the metrics, bump for
@@ -16,8 +17,15 @@ use std::time::{Duration, Instant};
 
 use sweb_cluster::NodeId;
 use sweb_core::Policy;
-use sweb_server::{home_of, Fault, FaultPlan, LiveCluster, NodeShared, ServerOptions, Window};
+use sweb_http::{Request, Response};
+use sweb_server::{
+    home_of, DynamicHandler, DynamicRegistry, Fault, FaultPlan, HandlerCtx, LiveCluster,
+    NodeShared, ServerOptions, Window,
+};
 use sweb_telemetry::Phase;
+
+/// The server's inline budget for a handler class's measured p99 (µs).
+const INLINE_BUDGET_US: u64 = 256;
 
 /// A plan that is active (`Injector::is_active`) and never fires: its one
 /// fault opens an hour after start. An active plan keeps every request on
@@ -229,11 +237,14 @@ fn inline_and_pool_paths_agree_on_bytes_and_counts() {
     assert_eq!(inline_counts, pool_counts, "the two paths moved the counters differently");
     assert_eq!(inline_counts.decides, 12, "one decision per scheduled request");
     assert_eq!((inline_counts.cache_hits, inline_counts.cache_misses), (4, 4));
-    assert_eq!((inline_counts.dynamic_hits, inline_counts.dynamic_misses), (1, 2));
+    // The POST is never looked up: nobody can reuse its reply.
+    assert_eq!((inline_counts.dynamic_hits, inline_counts.dynamic_misses), (1, 1));
     assert_eq!((inline_counts.redirected, inline_counts.received_redirects), (1, 1));
     // Inline: both hits and the HEAD and keep-alive ones, the 304, five
     // 4xx/501, the dynamic hit and the 302. To the pool: four document
-    // misses, two handler invocations.
+    // misses and two handler invocations. The search miss and the POSTed
+    // echo are handlers that cannot block, but each is its class's first
+    // call: an unmeasured class is not trusted on the loop.
     assert_eq!(inline_answers, 14, "requests answered without a worker");
     assert_eq!(pool_answers, 0, "an active fault plan must keep the loop out of it");
     let _ = std::fs::remove_dir_all(&dir);
@@ -386,6 +397,195 @@ fn admission_level_recovers_with_inline_traffic_in_between() {
     }
     assert!(refused >= 1, "level 2 must refuse dynamic work at least once");
     assert_eq!(node.admission.level(), 0, "the control loop did not close");
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Per-class handler state both paths must move identically.
+#[derive(Debug, PartialEq)]
+struct ClassCounts {
+    invocations: u64,
+    cache_hits: u64,
+    tcpu_samples: u64,
+    tuned: bool,
+}
+
+fn class_counts(node: &NodeShared) -> Vec<(&'static str, ClassCounts)> {
+    node.dynamic
+        .class_rows()
+        .into_iter()
+        .map(|(class, s)| {
+            let counts = ClassCounts {
+                invocations: s.invocations.get(),
+                cache_hits: s.cache_hits.get(),
+                tcpu_samples: s.tcpu_us.count(),
+                tuned: node.oracle.tuned_ops(class).is_some(),
+            };
+            (class, counts)
+        })
+        .collect()
+}
+
+/// Whether the class's measured p99 lets a non-blocking call run inline.
+fn measured_cheap(node: &NodeShared, class: &str) -> bool {
+    let tcpu = &node.dynamic.class_stats(class).unwrap().tcpu_us;
+    tcpu.count() > 0 && tcpu.quantile(0.99) <= INLINE_BUDGET_US
+}
+
+#[test]
+fn every_demo_handler_agrees_inline_and_on_the_pool_once_warmed() {
+    let dir = fresh_dir("handlers");
+    std::fs::write(dir.join("doc.txt"), "a document").unwrap();
+    let get = |path: &str| format!("GET {path} HTTP/1.0\r\n\r\n");
+    let post = |path: &str, body: &str| {
+        format!("POST {path} HTTP/1.0\r\nContent-Length: {}\r\n\r\n{body}", body.len())
+    };
+    // (class, warm-up, measured, may run inline): the warm-up is the
+    // class's first call, so the measured request meets a class with one
+    // sample and distinct arguments, a response-cache miss.
+    let cases = [
+        ("echo", get("/cgi-bin/echo?warm=1"), get("/cgi-bin/echo?a=1&b=2"), true),
+        ("echo", get("/cgi-bin/echo?warm=2"), post("/cgi-bin/echo?p=1", "posted body"), true),
+        ("search", get("/cgi-bin/search?q=warm&cost=100"), get("/cgi-bin/search?q=maps&cost=2000"), true),
+        ("template", get("/cgi-bin/template?title=warm"), get("/cgi-bin/template?title=T&name=n"), true),
+        ("introspect", get("/cgi-bin/introspect"), get("/cgi-bin/introspect?again"), true),
+        ("burn", get("/cgi-bin/burn?cost=1000&w=1"), get("/cgi-bin/burn?cost=1000"), false),
+        ("search", get("/cgi-bin/search?q=warm2&cost=100"), get("/cgi-bin/search?q=big&cost=2000000"), false),
+    ];
+    let run = |plan: Option<FaultPlan>| {
+        let pooled = plan.is_some();
+        let cluster = options(plan).start(1, dir.clone()).unwrap();
+        let base = cluster.base_url(0).to_string();
+        let node = cluster.node(0);
+        let mut replies = Vec::new();
+        for (class, warm, measured, may_inline) in &cases {
+            assert_eq!(status_of(&raw(&base, warm)), 200);
+            let expect_inline = !pooled && *may_inline && measured_cheap(node, class);
+            let before = node.stats.inline.get();
+            let reply = raw(&base, measured);
+            assert_eq!(status_of(&reply), 200, "{reply}");
+            // A POST's reply and introspect's are never cached.
+            let cached = !measured.starts_with("POST") && *class != "introspect";
+            assert_eq!(reply.contains("X-SWEB-Dynamic-Cache: miss"), cached, "{reply}");
+            assert_eq!(
+                node.stats.inline.get() - before,
+                u64::from(expect_inline),
+                "pooled={pooled}: {measured:?} inline"
+            );
+            replies.push(normalized(&reply, &cluster));
+        }
+        let out = (replies, counts(node), class_counts(node), node.stats.inline.get());
+        cluster.shutdown();
+        out
+    };
+    let (inline_replies, inline_counts, inline_classes, inline_answers) = run(None);
+    let (pool_replies, pool_counts, pool_classes, pool_answers) = run(Some(pool_only()));
+    for (i, (inline, pool)) in inline_replies.iter().zip(&pool_replies).enumerate() {
+        assert_eq!(inline, pool, "{:?} differs between the paths", cases[i].2);
+    }
+    assert_eq!(inline_counts, pool_counts, "the two paths moved the counters differently");
+    assert_eq!(inline_classes, pool_classes, "the two paths moved the class stats differently");
+    assert_eq!(pool_answers, 0);
+    assert!(inline_answers >= 1, "no handler ran on the loop thread");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A search too expensive for the loop thread (`cost` over the cap) takes
+/// the pool even though its class measured cheap, and the shard keeps
+/// answering: a resident document on the same single-shard node comes
+/// back while the search burns.
+#[test]
+fn an_expensive_search_does_not_park_the_shard() {
+    let dir = fresh_dir("park");
+    std::fs::write(dir.join("hot.txt"), "resident").unwrap();
+    let cluster = options(None).start(1, dir.clone()).unwrap();
+    let base = cluster.base_url(0).to_string();
+    let node = cluster.node(0);
+    assert_eq!(status_of(&get(&base, "/hot.txt")), 200);
+    assert_eq!(status_of(&get(&base, "/hot.txt")), 200);
+    assert_eq!(status_of(&get(&base, "/cgi-bin/search?q=warm&cost=100")), 200);
+    let search = node.dynamic.class_stats("search").unwrap();
+    let inline_before = node.stats.inline.get();
+    let parsed = || node.stats.phases.histogram(Phase::Parse).count();
+    let parsed_before = parsed();
+
+    let slow = {
+        let base = base.clone();
+        std::thread::spawn(move || status_of(&get(&base, "/cgi-bin/search?q=slow&cost=50000000")))
+    };
+    // Wait until the slow request has been dispatched.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while parsed() == parsed_before {
+        assert!(Instant::now() < deadline, "the slow search never arrived");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let started = Instant::now();
+    let reply = get(&base, "/hot.txt");
+    let took = started.elapsed();
+    assert_eq!(status_of(&reply), 200, "{reply}");
+    assert!(took < Duration::from_millis(50), "a resident GET waited {took:?} behind a search");
+    assert!(matches!(slow.join().unwrap(), 200 | 503));
+    assert_eq!(node.stats.inline.get() - inline_before, 1, "only the GET is an inline answer");
+    assert_eq!(search.invocations.get(), 2, "the slow search ran, on the pool");
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A non-blocking handler that turns slow: it spins for 2 ms per call
+/// once `slow` is set.
+struct Turning {
+    slow: Arc<AtomicBool>,
+}
+
+impl DynamicHandler for Turning {
+    fn class(&self) -> &'static str {
+        "turning"
+    }
+    fn blocking(&self, _req: &Request, _body: &[u8]) -> bool {
+        false
+    }
+    fn handle(&self, _ctx: &HandlerCtx<'_>, _req: &Request, _body: &[u8]) -> Response {
+        if self.slow.load(Ordering::SeqCst) {
+            let started = Instant::now();
+            while started.elapsed() < Duration::from_millis(2) {
+                std::hint::spin_loop();
+            }
+        }
+        Response::ok("turned", "text/plain")
+    }
+}
+
+/// The inline decision follows the measurement: once a class's p99 rises
+/// over the budget it goes back to the pool.
+#[test]
+fn a_class_whose_p99_rises_over_budget_goes_back_to_the_pool() {
+    let dir = fresh_dir("turning");
+    let slow = Arc::new(AtomicBool::new(false));
+    let mut handlers = DynamicRegistry::new();
+    handlers.register("turning", Arc::new(Turning { slow: Arc::clone(&slow) }));
+    let cluster = options(None).handlers(handlers).start(1, dir.clone()).unwrap();
+    let base = cluster.base_url(0).to_string();
+    let node = cluster.node(0);
+    let unique = AtomicU64::new(0);
+    let inline = || {
+        let before = node.stats.inline.get();
+        let u = unique.fetch_add(1, Ordering::SeqCst);
+        assert_eq!(status_of(&get(&base, &format!("/cgi-bin/turning?u={u}"))), 200);
+        node.stats.inline.get() - before == 1
+    };
+    assert!(!inline(), "an unmeasured class takes the pool");
+    // A fast class runs inline. (One sample preempted past the budget
+    // holds the p99 up for a hundred more, so allow a few hundred.)
+    assert!((0..300).any(|_| inline()), "a cheap class never ran inline");
+    let tcpu = &node.dynamic.class_stats("turning").unwrap().tcpu_us;
+    assert!(tcpu.quantile(0.99) <= INLINE_BUDGET_US);
+
+    slow.store(true, Ordering::SeqCst);
+    assert!(inline(), "the first slow call still meets a cheap p99");
+    assert!(tcpu.quantile(0.99) > INLINE_BUDGET_US, "a 2 ms sample must lift the p99");
+    for _ in 0..3 {
+        assert!(!inline(), "an expensive class stayed on the loop thread");
+    }
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
