@@ -55,7 +55,9 @@
 //! * **What cannot block is answered where it was parsed**:
 //!   [`App::first_look`] runs on the loop thread and may finish the
 //!   request ([`FirstLook::Done`] goes straight to the socket, no thread
-//!   hop). **Blocking work** (file reads, CGI, peer fetches) runs on a
+//!   hop), a [`FileBody`] whose pages are all in the OS page cache
+//!   included ([`sys::page_cached`] asks the kernel). **Blocking work**
+//!   (file reads, reading a cold file in, CGI, peer fetches) runs on a
 //!   bounded [`workers::WorkerPool`]; a full queue sheds (503) instead
 //!   of queueing unboundedly.
 //! * **Transmit is zero-copy**: responses drain as head bytes plus a
@@ -127,8 +129,10 @@ impl From<Response> for Reply {
 /// loop thread.
 pub enum FirstLook {
     /// The reply, finished without blocking: written from the loop
-    /// thread, no worker involved. A [`FileBody`] belongs in a
-    /// continuation: opening it blocks.
+    /// thread, no worker involved. A [`FileBody`] belongs here only when
+    /// its range is in the OS page cache ([`sys::page_cached`]): the
+    /// loop's `sendfile` then copies memory, while a cold range would
+    /// stall the loop on the disk and belongs in a continuation.
     Done(Reply),
     /// The rest of the request can sleep: this continuation runs on a
     /// worker thread, given the same `(peer, request, body)` the first
@@ -172,11 +176,12 @@ pub trait App: Send + Sync + 'static {
     /// exist.
     ///
     /// Budget: compute, short uncontended locks, and at most one
-    /// `stat(2)` — no reads, no opens, no sleeps, no lock a worker holds
-    /// across I/O. Nothing enforces it; [`App::on_inline`] reports what
-    /// each inline answer cost, so a first look that does block (a
-    /// docroot on a slow NFS mount makes even the `stat` slow) shows
-    /// there.
+    /// `stat(2)` — no reads, no sleeps, no lock a worker holds across
+    /// I/O. A large document resident in the page cache adds one `open`
+    /// and one `cachestat(2)`. Nothing enforces it; [`App::on_inline`]
+    /// reports what each inline answer cost, so a first look that does
+    /// block (a docroot on a slow NFS mount makes even the `stat` slow)
+    /// shows there.
     fn first_look(&self, _peer: &str, _req: &Request, _body: &[u8]) -> Option<FirstLook> {
         None
     }

@@ -1,5 +1,5 @@
-//! Readiness polling, transmit and listener syscalls over raw Linux
-//! interfaces.
+//! Readiness polling, transmit, page-cache residency and listener
+//! syscalls over raw Linux interfaces.
 //!
 //! [`Poller`] is one epoll instance: O(1) readiness delivery, used
 //! level-triggered. The loop re-arms interest explicitly when a
@@ -16,6 +16,7 @@
 
 use std::io;
 use std::os::fd::RawFd;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Which readiness events a registration cares about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -253,6 +254,54 @@ pub fn send_file(out_fd: RawFd, in_fd: RawFd, offset: &mut u64, count: usize) ->
     Ok(rc as usize)
 }
 
+// ------------------------------------------------------------------
+// Page-cache residency.
+// ------------------------------------------------------------------
+
+/// `cachestat(2)` (Linux 6.5) has this number on every architecture.
+const SYS_CACHESTAT: isize = 451;
+const SC_PAGESIZE: i32 = 30;
+
+/// Set once the kernel lacks `cachestat(2)` (`ENOSYS`) or a seccomp
+/// filter refuses it (`EPERM`): later probes fail without a syscall.
+static NO_CACHESTAT: AtomicBool = AtomicBool::new(false);
+
+/// Whether every page of the first `len` bytes of `fd` is in the OS page
+/// cache, so that reading or `sendfile`ing them cannot wait on the disk.
+/// One `cachestat(2)`; `len = 0` is resident without one. Without
+/// `cachestat` (missing or forbidden) it fails `Unsupported`.
+pub fn page_cached(fd: RawFd, len: u64) -> io::Result<bool> {
+    extern "C" {
+        fn sysconf(name: i32) -> isize;
+        fn syscall(num: isize, ...) -> isize;
+    }
+    if len == 0 {
+        return Ok(true);
+    }
+    if NO_CACHESTAT.load(Ordering::Relaxed) {
+        return Err(io::ErrorKind::Unsupported.into());
+    }
+    // `struct cachestat_range { off, len }`, and `struct cachestat`: five
+    // page counts, `nr_cache` first.
+    let range = [0u64, len];
+    let mut stat = [0u64; 5];
+    let (range_ptr, stat_ptr) = (range.as_ptr(), stat.as_mut_ptr());
+    // SAFETY: `sysconf` takes no pointers. The kernel reads `range` and
+    // writes `stat`, both live across the call and laid out as its ABI.
+    let (page, rc) =
+        unsafe { (sysconf(SC_PAGESIZE), syscall(SYS_CACHESTAT, fd, range_ptr, stat_ptr, 0u32)) };
+    if rc < 0 {
+        let err = io::Error::last_os_error();
+        if matches!(err.kind(), io::ErrorKind::Unsupported | io::ErrorKind::PermissionDenied) {
+            NO_CACHESTAT.store(true, Ordering::Relaxed);
+            return Err(io::ErrorKind::Unsupported.into());
+        }
+        return Err(err);
+    }
+    // Were `sysconf` to fail, the range would read as cold: the safe side.
+    Ok(page > 0 && stat[0] >= len.div_ceil(page as u64))
+}
+
 /// Bind a listener with `SO_REUSEADDR`, so a revived node can reclaim
 /// its old address while connections it accepted before dying still sit
 /// in `TIME_WAIT` (a plain `TcpListener::bind` fails with `EADDRINUSE`
@@ -486,5 +535,32 @@ mod tests {
         drop(tx);
         assert_eq!(reader.join().unwrap(), payload);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn page_cached_sees_written_pages_and_holes() {
+        let path = std::env::temp_dir().join(format!("sweb-pagecache-{}", std::process::id()));
+        std::fs::write(&path, vec![7u8; 300_000]).unwrap();
+        let file = std::fs::File::options().write(true).open(&path).unwrap();
+        let probe = |len| page_cached(file.as_raw_fd(), len);
+        if probe(1).is_err_and(|e| e.kind() == io::ErrorKind::Unsupported) {
+            return; // no `cachestat` here
+        }
+        assert!(probe(300_000).unwrap(), "written pages must be resident");
+        assert!(probe(0).unwrap(), "an empty range is resident");
+        // `set_len` extends with a hole: the range exists, no page of it
+        // is in memory. (The state `fsync` + `POSIX_FADV_DONTNEED` leaves
+        // on a disk-backed file, reached without a second FFI.)
+        file.set_len(4 << 20).unwrap();
+        assert!(!probe(4 << 20).unwrap(), "a hole is not resident");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_closed_fd_is_an_error() {
+        // Far above any descriptor limit, so never open: what a closed fd
+        // is to the kernel (`EBADF`), without racing the other tests for a
+        // just-freed number.
+        assert!(page_cached(RawFd::MAX, 4).is_err());
     }
 }

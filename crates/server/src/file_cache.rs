@@ -2,6 +2,10 @@
 //! simulator models, made explicit (extension; NCSA httpd 1.3 relied on
 //! the OS buffer cache and re-`read()` per request).
 //!
+//! The server keeps only documents below 256 KiB here: a larger one
+//! streams from the OS page cache (`sendfile`), so it is in no stripe,
+//! loadd digest or peer pull. [`FileCache::read`] still takes any size.
+//!
 //! Bodies are stored as [`Bytes`], so concurrent responses share one copy
 //! with no duplication. Entries are validated against the file's mtime on
 //! every hit: an edited document is re-read, never served stale. Each

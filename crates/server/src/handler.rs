@@ -2,16 +2,21 @@
 //!
 //! The §3.2 pipeline is one pipeline, split where it can first block.
 //! [`first_look`] is everything that cannot: steps 1–3, the
-//! fulfillments that are memory only, and handlers that declare they
-//! cannot block and whose class has measured cheap. It ends in a reply,
-//! or in a [`Continuation`] carrying what it computed into the part that
-//! can sleep (disk reads, every other handler invocation, fork-CGI, peer
-//! fetches, status renders). A reactor loop thread runs the first look on
-//! the shard that parsed the request and sends only continuations to the
-//! worker pool; a worker that is handed a whole request
-//! ([`respond_parts`]) runs the same two stages back to back.
+//! fulfillments that are memory only, a large document whose pages are
+//! all in the OS page cache (streamed from its fd), and handlers that
+//! declare they cannot block and whose class has measured cheap. It ends
+//! in a reply, or in a [`Continuation`] carrying what it computed into
+//! the part that can sleep (disk reads, every other handler invocation,
+//! fork-CGI, peer fetches, status renders, reading a cold large document
+//! in). A reactor loop thread runs the first look on the shard that
+//! parsed the request and sends only continuations to the worker pool; a
+//! worker that is handed a whole request ([`respond_parts`]) runs the
+//! same two stages back to back.
 
-use std::path::PathBuf;
+use std::fs::File;
+use std::io::{Read, Seek};
+use std::os::fd::AsRawFd;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -24,8 +29,9 @@ use sweb_telemetry::Phase;
 use crate::dynamic::DynamicHandler;
 use crate::node::NodeShared;
 
-/// Smallest document worth streaming via `sendfile` instead of buffering:
-/// below this the fd bookkeeping costs more than the copy it saves.
+/// A document this large is never copied into user space or into the
+/// `FileCache`: it streams from its fd (`sendfile`) out of the OS page
+/// cache. Below it the fd bookkeeping costs more than the copy it saves.
 const SENDFILE_MIN: u64 = 256 << 10;
 
 /// Wall-clock bound on one peer pull.
@@ -80,12 +86,12 @@ pub(crate) fn overloaded(shared: &NodeShared) -> Response {
 /// A response plus, for a document streamed from its fd (`sendfile`),
 /// the open file and its length; the reactor consumes this shape
 /// directly.
-pub(crate) type Parts = (Response, Option<(std::fs::File, u64)>);
+pub(crate) type Parts = (Response, Option<(File, u64)>);
 
 /// What the first look at a request concluded.
 pub(crate) enum Look {
-    /// The finished reply.
-    Done(Response),
+    /// The finished reply; its file, if any, is open and resident.
+    Done(Parts),
     /// Everything that cannot block is done and decided; what is left
     /// can sleep.
     Blocking(Continuation),
@@ -127,9 +133,10 @@ struct Serve {
 }
 
 enum Target {
-    /// A document under the docroot. `hit` is the resident body the
-    /// request's one cache lookup found, if its mtime matched the stat.
-    Document { full: PathBuf, hit: Option<(Bytes, SystemTime)> },
+    /// A document under the docroot, with the mtime its stat read. `hit`
+    /// is the resident body the request's one cache lookup found, if it
+    /// was cached at that mtime.
+    Document { full: PathBuf, modified: Option<SystemTime>, hit: Option<Bytes> },
     /// A registered handler. `key` is its response-cache key, once
     /// [`Serve::try_memory`] has asked for it.
     Handler { handler: Arc<dyn DynamicHandler>, key: Option<String> },
@@ -141,17 +148,19 @@ enum Target {
 /// [`Continuation`] to the pool.
 pub(crate) fn respond_parts(shared: &NodeShared, req: &Request, body: &[u8]) -> Parts {
     match first_look(shared, req, body) {
-        Look::Done(resp) => (resp, None),
+        Look::Done(parts) => parts,
         Look::Blocking(rest) => rest.run(shared, req, body),
     }
 }
 
 /// The part of the pipeline that cannot block: preprocess, analyze,
 /// schedule (steps 1–3), then the fulfillments that are memory only — a
-/// resident document, a dynamic-cache hit — or a short computation: a
-/// handler that cannot block, of a class measured cheap. Its budget is
-/// one `stat`, short locks and computation, so a reactor loop thread can
-/// run it between two socket events.
+/// resident document, a dynamic-cache hit, a large document all in the
+/// OS page cache — or a short computation: a handler that cannot block,
+/// of a class measured cheap. Its budget is one `stat`, short locks and
+/// computation, plus one `open` and one `cachestat` for a large
+/// document, so a reactor loop thread can run it between two socket
+/// events.
 ///
 /// Every response carries an `X-SWEB-Trace` header: the id the request
 /// arrived with (carried through a 302 hop as a `sweb-trace` query
@@ -162,10 +171,15 @@ pub(crate) fn first_look(shared: &NodeShared, req: &Request, body: &[u8]) -> Loo
         .map(str::to_owned)
         .unwrap_or_else(|| shared.stats.new_trace_id(shared.id));
     let mut look = look(shared, req, body, &trace);
-    if let Look::Done(resp) = &mut look {
+    if let Look::Done((resp, _)) = &mut look {
         resp.headers.set("X-SWEB-Trace", trace);
     }
     look
+}
+
+/// A finished reply with no file to stream.
+fn done(resp: Response) -> Look {
+    Look::Done((resp, None))
 }
 
 /// The pipeline behind [`first_look`]; a finished reply leaves here
@@ -174,10 +188,10 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
     let rest = |work| Look::Blocking(Continuation { trace: trace.to_owned(), work });
     // Step 1: preprocess — method check, path completion, existence.
     if !req.method.is_supported() {
-        return Look::Done(Response::error(StatusCode::NotImplemented));
+        return done(Response::error(StatusCode::NotImplemented));
     }
     let Some(path) = req.path() else {
-        return Look::Done(Response::error(StatusCode::Forbidden)); // traversal attempt
+        return done(Response::error(StatusCode::Forbidden)); // traversal attempt
     };
     // Administrative endpoints: always answered by the node they reached.
     if path == crate::status::STATUS_PATH {
@@ -189,11 +203,11 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
     let is_dynamic = req.is_cgi();
     if req.method == Method::Post && !is_dynamic {
         // POST targets programs, not documents.
-        return Look::Done(Response::error(StatusCode::MethodNotAllowed));
+        return done(Response::error(StatusCode::MethodNotAllowed));
     }
     let rel = path.trim_start_matches('/');
     if rel.is_empty() {
-        return Look::Done(Response::error(StatusCode::NotFound));
+        return done(Response::error(StatusCode::NotFound));
     }
     // The request's one cache lookup: admission class, the scheduler's
     // residency term and the body served all come from it.
@@ -226,17 +240,17 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
             }
             None => {
                 shared.stats.served.inc();
-                return Look::Done(Response::error(StatusCode::NotFound));
+                return done(Response::error(StatusCode::NotFound));
             }
         }
     } else {
         let full = shared.docroot.join(rel);
         let Ok(meta) = std::fs::metadata(&full) else {
             shared.stats.served.inc();
-            return Look::Done(Response::error(StatusCode::NotFound));
+            return done(Response::error(StatusCode::NotFound));
         };
         if !meta.is_file() {
-            return Look::Done(Response::error(StatusCode::Forbidden));
+            return done(Response::error(StatusCode::Forbidden));
         }
         let modified = meta.modified().ok();
         // Conditional GET: a fresh client copy costs us only the stat —
@@ -257,13 +271,13 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
                 };
                 resp.headers.set("Last-Modified", sweb_http::format_http_date(mtime));
                 resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-                return Look::Done(resp);
+                return done(resp);
             }
         }
         // An edited document is never served stale: a resident body
         // counts only while its mtime is the file's.
-        let hit = resident.filter(|(_, cached)| modified == Some(*cached));
-        (meta.len(), Target::Document { full, hit })
+        let hit = resident.filter(|(_, cached)| modified == Some(*cached)).map(|(body, _)| body);
+        (meta.len(), Target::Document { full, modified, hit })
     };
     let class = match &target {
         Target::Handler { handler, .. } => Some(handler.class()),
@@ -314,7 +328,7 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
     // Step 3: redirection — the trace id rides the Location URL, because
     // clients do not forward response headers across a 302.
     if let Some(target) = decision.redirect_target() {
-        return Look::Done(redirect(shared, req, target, trace));
+        return done(redirect(shared, req, target, trace));
     }
 
     // Step 4, the part of it that cannot block. A peer pull can. And
@@ -323,11 +337,14 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
     let mut serve = Serve { path, file, size, redirected, decision, target, probed: false };
     if decision.peer_source().is_none() && !shared.chaos.is_active() {
         let fetch_started = Instant::now();
-        let inline =
-            serve.try_memory(shared, req, body).or_else(|| serve.try_cheap(shared, req, body));
-        if let Some(resp) = inline {
+        let inline = serve
+            .try_memory(shared, req, body)
+            .or_else(|| serve.try_cheap(shared, req, body))
+            .map(|resp| (resp, None))
+            .or_else(|| serve.try_stream(shared));
+        if let Some(parts) = inline {
             serve.fetched(shared, fetch_started);
-            return Look::Done(resp);
+            return Look::Done(parts);
         }
     }
     rest(Work::Serve(serve))
@@ -344,10 +361,10 @@ fn redirect(shared: &NodeShared, req: &Request, target: NodeId, trace: &str) -> 
 }
 
 /// `200` carrying a document body, counted as served.
-fn document(shared: &NodeShared, path: &str, body: Bytes, mtime: SystemTime) -> Response {
+fn document(shared: &NodeShared, path: &str, body: Bytes, mtime: Option<SystemTime>) -> Response {
     shared.stats.served.inc();
     let mut resp = Response::ok(body, mime_for_path(path));
-    if let Ok(secs) = mtime.duration_since(std::time::UNIX_EPOCH) {
+    if let Some(secs) = mtime.and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok()) {
         resp.headers.set("Last-Modified", sweb_http::format_http_date(secs.as_secs()));
     }
     resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
@@ -379,10 +396,10 @@ impl Serve {
     fn try_memory(&mut self, shared: &NodeShared, req: &Request, body: &[u8]) -> Option<Response> {
         self.probed = true;
         match &mut self.target {
-            Target::Document { hit, .. } => {
-                let (bytes, mtime) = hit.take()?;
+            Target::Document { modified, hit, .. } => {
+                let bytes = hit.take()?;
                 shared.file_cache.touch(self.file, bytes.len() as u64);
-                Some(document(shared, &self.path, bytes, mtime))
+                Some(document(shared, &self.path, bytes, *modified))
             }
             Target::Handler { handler, key } => {
                 // Nobody can reuse a POST's reply: caching it would only
@@ -414,6 +431,26 @@ impl Serve {
         let cheap = tcpu.count() > 0 && tcpu.quantile(0.99) <= INLINE_BUDGET_US;
         (cheap && !handler.blocking(req, body))
             .then(|| invoke(shared, handler.as_ref(), key.as_deref(), req, body))
+    }
+
+    /// A document of at least [`SENDFILE_MIN`] all in the OS page cache,
+    /// opened for the loop to `sendfile` without waiting on the disk. A
+    /// cold range, or no `cachestat`, leaves the open to a worker.
+    fn try_stream(&self, shared: &NodeShared) -> Option<Parts> {
+        let Target::Document { full, modified, .. } = &self.target else { return None };
+        if self.size < SENDFILE_MIN {
+            return None;
+        }
+        let file = File::open(full).ok()?;
+        sweb_reactor::sys::page_cached(file.as_raw_fd(), self.size)
+            .ok()?
+            .then(|| self.streamed(shared, file, *modified))
+    }
+
+    /// `200` for the document streamed from `file` (`sendfile`): the head
+    /// [`document`] builds, and the file's first `size` bytes as the body.
+    fn streamed(&self, shared: &NodeShared, file: File, mtime: Option<SystemTime>) -> Parts {
+        (document(shared, &self.path, Bytes::new(), mtime), Some((file, self.size)))
     }
 
     /// Step 4's accounting, once per request fulfilled here, timed against
@@ -467,7 +504,7 @@ impl Serve {
                         cost.t_cpu,
                         forward_us,
                     );
-                    return (document(shared, &self.path, body, doc.mtime), None);
+                    return (document(shared, &self.path, body, Some(doc.mtime)), None);
                 }
                 Err(_) => {
                     // Degrade, never hang: bounce the client to the source
@@ -512,41 +549,37 @@ impl Serve {
                 return (resp, None);
             }
         }
-        let full = match &self.target {
+        let (full, modified) = match &self.target {
             Target::Handler { handler, key } => {
                 return (invoke(shared, handler.as_ref(), key.as_deref(), req, body), None);
             }
-            Target::Document { full, .. } => full,
+            Target::Document { full, modified, .. } => (full, *modified),
         };
-        // Documents too big to ever fit the cache stream straight from the fd
-        // (`sendfile`): buffering them would evict the whole hot set for one
-        // request and still pay a copy. Everything cacheable goes through the
-        // FileCache so repeat requests share one in-memory body.
-        if self.size >= SENDFILE_MIN && self.size > shared.file_cache.capacity() {
-            match read_with_retry(shared, || std::fs::File::open(full)) {
-                Ok(f) => {
-                    shared.stats.served.inc();
-                    let mut resp = Response::ok("", mime_for_path(&self.path));
-                    if let Some(secs) = f
-                        .metadata()
-                        .ok()
-                        .and_then(|m| m.modified().ok())
-                        .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-                    {
-                        resp.headers
-                            .set("Last-Modified", sweb_http::format_http_date(secs.as_secs()));
-                    }
-                    resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-                    return (resp, Some((f, self.size)));
-                }
-                Err(_) => return (Response::error(StatusCode::InternalServerError), None),
-            }
+        // One size rule: a large document streams from its fd, and the
+        // FileCache keeps the smaller bodies repeat requests share.
+        if self.size >= SENDFILE_MIN {
+            return match read_with_retry(shared, || open_resident(full, self.size)) {
+                Ok(file) => self.streamed(shared, file, modified),
+                Err(_) => (Response::error(StatusCode::InternalServerError), None),
+            };
         }
         match read_with_retry(shared, || shared.file_cache.read(&self.path, full)) {
-            Ok((body, mtime)) => (document(shared, &self.path, body, mtime), None),
+            Ok((body, mtime)) => (document(shared, &self.path, body, Some(mtime)), None),
             Err(_) => (Response::error(StatusCode::InternalServerError), None),
         }
     }
+}
+
+/// Open `full` with its first `len` bytes in the OS page cache, reading a
+/// cold range through once, into nothing, so the loop's `sendfile` never
+/// waits on the disk for it. Blocks: a worker's job.
+fn open_resident(full: &Path, len: u64) -> std::io::Result<File> {
+    let mut file = File::open(full)?;
+    if let Ok(false) = sweb_reactor::sys::page_cached(file.as_raw_fd(), len) {
+        std::io::copy(&mut (&file).take(len), &mut std::io::sink())?;
+        file.rewind()?;
+    }
+    Ok(file)
 }
 
 /// Run a filesystem read, retrying transient failures with bounded

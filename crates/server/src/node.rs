@@ -385,8 +385,10 @@ impl sweb_reactor::App for ReactorApp {
             return None;
         }
         Some(match handler::first_look(&self.shared, req, body) {
-            handler::Look::Done(resp) => {
-                sweb_reactor::FirstLook::Done(self.reply(peer, req, (resp, None)))
+            // A large resident document arrives with its fd open: the
+            // loop `sendfile`s it straight from the page cache.
+            handler::Look::Done(parts) => {
+                sweb_reactor::FirstLook::Done(self.reply(peer, req, parts))
             }
             handler::Look::Blocking(rest) => {
                 let app = self.clone();

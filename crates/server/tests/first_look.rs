@@ -1,7 +1,8 @@
 //! The inline first look against the worker path, end to end.
 //!
 //! A reactor loop thread answers whatever cannot block — resident
-//! documents, dynamic-cache hits, 302s, 304s, 4xx, and non-blocking
+//! documents, large documents all in the OS page cache (streamed from
+//! their fd), dynamic-cache hits, 302s, 304s, 4xx, and non-blocking
 //! handlers whose class has measured cheap — without a worker;
 //! everything else, and *every* request while a fault plan is active,
 //! takes the pool. The two paths run one pipeline, so they must agree:
@@ -11,6 +12,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -586,6 +588,115 @@ fn a_class_whose_p99_rises_over_budget_goes_back_to_the_pool() {
     for _ in 0..3 {
         assert!(!inline(), "an expensive class stayed on the loop thread");
     }
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An ASCII body of `len` bytes, so replies compare as text.
+fn large_body(len: usize) -> String {
+    (0..len).map(|i| char::from(b'a' + (i % 23) as u8)).collect()
+}
+
+#[test]
+fn a_large_document_agrees_inline_and_on_the_pool() {
+    let dir = fresh_dir("large");
+    std::fs::write(dir.join("big.txt"), large_body(300 << 10)).unwrap();
+    let probe = std::fs::File::open(dir.join("big.txt")).unwrap();
+    let cachestat = sweb_reactor::sys::page_cached(probe.as_raw_fd(), 300 << 10).is_ok();
+    let requests = [
+        "GET /big.txt HTTP/1.0\r\n\r\n",
+        "HEAD /big.txt HTTP/1.0\r\n\r\n",
+        "GET /big.txt HTTP/1.0\r\nIf-Modified-Since: Fri, 01 Jan 2100 00:00:00 GMT\r\n\r\n",
+        "GET /big.txt?sweb-redirect=1 HTTP/1.0\r\n\r\n",
+    ];
+    let run = |plan: Option<FaultPlan>| {
+        let cluster = options(plan).start(1, dir.clone()).unwrap();
+        let requests: Vec<String> = requests.iter().map(|r| r.to_string()).collect();
+        let out = run_script(&cluster, &requests);
+        cluster.shutdown();
+        out
+    };
+    let (inline_replies, inline_counts, inline_answers) = run(None);
+    let (pool_replies, pool_counts, pool_answers) = run(Some(pool_only()));
+    for (i, (inline, pool)) in inline_replies.iter().zip(&pool_replies).enumerate() {
+        assert_eq!(inline, pool, "{:?} differs between the paths", requests[i]);
+    }
+    let statuses: Vec<u16> = inline_replies.iter().map(|r| status_of(r)).collect();
+    assert_eq!(statuses, [200, 200, 304, 200]);
+    for reply in [&inline_replies[0], &inline_replies[3]] {
+        assert_eq!(body_of(reply).len(), 300 << 10, "a GET streams the whole document");
+    }
+    let head = &inline_replies[1];
+    assert!(head.contains("Content-Length: 307200\r\n"), "{head}");
+    assert_eq!(body_of(head), "", "a HEAD carries no body");
+    assert_eq!(inline_counts, pool_counts, "the two paths moved the counters differently");
+    assert_eq!((inline_counts.cache_hits, inline_counts.cache_misses), (0, 0));
+    assert_eq!(inline_counts.received_redirects, 1);
+    // Every one of them on the loop: the GETs and the HEAD stream from
+    // the page cache (a file just written is in it), the 304 is the stat's.
+    // Without `cachestat` only the 304 is.
+    let expected = if cachestat { 4 } else { 1 };
+    assert_eq!(inline_answers, expected, "requests answered without a worker");
+    assert_eq!(pool_answers, 0, "an active fault plan must keep the loop out of it");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+extern "C" {
+    fn posix_fadvise(fd: i32, offset: i64, len: i64, advice: i32) -> i32;
+}
+
+const POSIX_FADV_DONTNEED: i32 = 4;
+
+/// Write `body` to `path`, then `fsync` it and drop its pages from the
+/// OS page cache. Whether they are gone: `None` where the kernel has no
+/// `cachestat`, `Some(false)` where they stayed (tmpfs has no disk to
+/// drop them to).
+fn write_cold(path: &std::path::Path, body: &str) -> Option<bool> {
+    std::fs::write(path, body).unwrap();
+    let file = std::fs::File::open(path).unwrap();
+    file.sync_all().unwrap();
+    // SAFETY: the fd is open for the whole call, which takes no pointers.
+    let rc = unsafe { posix_fadvise(file.as_raw_fd(), 0, 0, POSIX_FADV_DONTNEED) };
+    assert_eq!(rc, 0, "posix_fadvise failed");
+    let resident = sweb_reactor::sys::page_cached(file.as_raw_fd(), body.len() as u64);
+    resident.ok().map(|resident| !resident)
+}
+
+/// A large document whose pages are not in memory is opened and read in
+/// on a worker, so the loop's `sendfile` never waits on the disk; once it
+/// is resident the loop streams it.
+#[test]
+fn a_cold_large_document_is_read_in_on_a_worker_then_streamed_inline() {
+    let dir = fresh_dir("cold");
+    let body = large_body(1 << 20);
+    let cold = write_cold(&dir.join("cold.bin"), &body);
+    let cluster = options(None).start(1, dir.clone()).unwrap();
+    let node = cluster.node(0);
+    let fetch = || {
+        let before = node.stats.inline.get();
+        let reply = get(cluster.base_url(0), "/cold.bin");
+        assert_eq!(status_of(&reply), 200);
+        (body_of(&reply).to_string(), node.stats.inline.get() - before)
+    };
+    // A HEAD streams nothing, so only the worker can have read it in.
+    let head = raw(cluster.base_url(0), "HEAD /cold.bin HTTP/1.0\r\n\r\n");
+    assert_eq!(status_of(&head), 200);
+    if cold == Some(true) {
+        assert_eq!(node.stats.inline.get(), 0, "a cold document must take the pool");
+        let file = std::fs::File::open(dir.join("cold.bin")).unwrap();
+        let resident = sweb_reactor::sys::page_cached(file.as_raw_fd(), body.len() as u64);
+        assert!(resident.unwrap(), "the worker left the document cold");
+    }
+    let cold = write_cold(&dir.join("cold.bin"), &body);
+    let (first, first_inline) = fetch();
+    let (second, second_inline) = fetch();
+    assert!(first == body, "the cold read corrupted or truncated the body");
+    assert!(second == body, "the streamed body differs from the cold read");
+    if cold == Some(true) {
+        assert_eq!(first_inline, 0, "a cold document must take the pool");
+        assert_eq!(second_inline, 1, "the worker read it in: the repeat streams inline");
+    }
+    assert_eq!(node.stats.sendfile.get(), 2);
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
