@@ -69,44 +69,21 @@ pub struct FaultCounts {
     pub brownout_delays: AtomicU64,
 }
 
-/// A point-in-time copy of [`FaultCounts`], cheap to ship in a status
-/// report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultCountsSnapshot {
-    /// loadd packets dropped (loss or partition).
-    pub packets_dropped: u64,
-    /// loadd packets delayed.
-    pub packets_delayed: u64,
-    /// Accept-loop polls answered "paused".
-    pub accepts_paused: u64,
-    /// Connections failed with synthetic fd exhaustion.
-    pub fd_rejections: u64,
-    /// File reads slowed by injected disk latency.
-    pub slow_reads: u64,
-    /// Peer-channel transfers broken (peer-loss).
-    pub peer_drops: u64,
-    /// Peer-channel transfers delayed (peer-delay).
-    pub peer_delays: u64,
-    /// Sojourn samples inflated by a synthetic overload fault.
-    pub overload_samples: u64,
-    /// Requests slowed by an injected brownout.
-    pub brownout_delays: u64,
-}
-
 impl FaultCounts {
-    /// Copy the current values.
-    pub fn snapshot(&self) -> FaultCountsSnapshot {
-        FaultCountsSnapshot {
-            packets_dropped: self.packets_dropped.load(Ordering::Relaxed),
-            packets_delayed: self.packets_delayed.load(Ordering::Relaxed),
-            accepts_paused: self.accepts_paused.load(Ordering::Relaxed),
-            fd_rejections: self.fd_rejections.load(Ordering::Relaxed),
-            slow_reads: self.slow_reads.load(Ordering::Relaxed),
-            peer_drops: self.peer_drops.load(Ordering::Relaxed),
-            peer_delays: self.peer_delays.load(Ordering::Relaxed),
-            overload_samples: self.overload_samples.load(Ordering::Relaxed),
-            brownout_delays: self.brownout_delays.load(Ordering::Relaxed),
-        }
+    /// Every counter with its kind, in declaration order: the labels the
+    /// node's `/metrics` exposes them under.
+    pub fn each(&self) -> [(&'static str, &AtomicU64); 9] {
+        [
+            ("packets_dropped", &self.packets_dropped),
+            ("packets_delayed", &self.packets_delayed),
+            ("accepts_paused", &self.accepts_paused),
+            ("fd_rejections", &self.fd_rejections),
+            ("slow_reads", &self.slow_reads),
+            ("peer_drops", &self.peer_drops),
+            ("peer_delays", &self.peer_delays),
+            ("overload_samples", &self.overload_samples),
+            ("brownout_delays", &self.brownout_delays),
+        ]
     }
 }
 
@@ -459,6 +436,10 @@ mod tests {
     use super::*;
     use crate::plan::{Fault, FaultPlan, Window};
 
+    fn count(c: &AtomicU64) -> u64 {
+        c.load(Ordering::Relaxed)
+    }
+
     #[test]
     fn disabled_injector_never_injects() {
         let inj = Injector::disabled();
@@ -467,7 +448,7 @@ mod tests {
         assert!(!inj.accept_paused_at(0, 500));
         assert!(!inj.fd_pressure_at(0, 500));
         assert_eq!(inj.disk_delay_at(0, 500), None);
-        assert_eq!(inj.counts().snapshot(), FaultCountsSnapshot::default());
+        assert!(inj.counts().each().iter().all(|(_, c)| count(c) == 0));
     }
 
     #[test]
@@ -479,7 +460,7 @@ mod tests {
         assert_eq!(inj.loadd_tx_at(2, 0, 150), TxVerdict::Drop);
         assert_eq!(inj.loadd_tx_at(0, 1, 150), TxVerdict::Deliver, "uninvolved pair unaffected");
         assert_eq!(inj.loadd_tx_at(0, 2, 250), TxVerdict::Deliver, "window over");
-        assert_eq!(inj.counts().snapshot().packets_dropped, 2);
+        assert_eq!(count(&inj.counts().packets_dropped), 2);
     }
 
     #[test]
@@ -517,7 +498,7 @@ mod tests {
             assert_eq!(inj.loadd_tx_at(1, 0, 5), TxVerdict::Drop);
         }
         assert_eq!(inj.loadd_tx_at(2, 0, 5), TxVerdict::Delay(Duration::from_millis(30)));
-        assert_eq!(inj.counts().snapshot().packets_delayed, 1);
+        assert_eq!(count(&inj.counts().packets_delayed), 1);
     }
 
     #[test]
@@ -548,9 +529,9 @@ mod tests {
         assert_eq!(inj.disk_delay_at(1, 50), None);
         assert!(inj.fd_pressure_at(2, 1_000_000));
         assert!(!inj.fd_pressure_at(0, 1_000_000));
-        let snap = inj.counts().snapshot();
+        let c = inj.counts();
         assert_eq!(
-            (snap.accepts_paused, snap.slow_reads, snap.fd_rejections),
+            (count(&c.accepts_paused), count(&c.slow_reads), count(&c.fd_rejections)),
             (1, 1, 1)
         );
     }
@@ -568,9 +549,9 @@ mod tests {
         assert_eq!(inj.peer_tx_at(2, 1, 50), TxVerdict::Delay(Duration::from_millis(40)));
         assert_eq!(inj.peer_tx_at(2, 1, 150), TxVerdict::Deliver, "window over");
         assert_eq!(inj.peer_tx_at(1, 0, 5), TxVerdict::Deliver, "reverse direction unaffected");
-        let snap = inj.counts().snapshot();
-        assert_eq!((snap.peer_drops, snap.peer_delays), (20, 1));
-        assert_eq!(snap.packets_dropped, 0, "peer faults must not count as loadd losses");
+        let c = inj.counts();
+        assert_eq!((count(&c.peer_drops), count(&c.peer_delays)), (20, 1));
+        assert_eq!(count(&c.packets_dropped), 0, "peer faults must not count as loadd losses");
     }
 
     #[test]
@@ -583,7 +564,7 @@ mod tests {
         assert_eq!(inj.overload_sojourn_at(1, 250), Some(80_000), "overlapping faults take the max");
         assert_eq!(inj.overload_sojourn_at(1, 600), None, "window over");
         assert_eq!(inj.overload_sojourn_at(0, 150), None, "other node unaffected");
-        assert_eq!(inj.counts().snapshot().overload_samples, 2);
+        assert_eq!(count(&inj.counts().overload_samples), 2);
     }
 
     #[test]
@@ -594,9 +575,8 @@ mod tests {
         assert_eq!(inj.brownout_delay_at(0, 400), Some(Duration::from_millis(15)));
         assert_eq!(inj.brownout_delay_at(0, 900), None, "window over");
         assert_eq!(inj.brownout_delay_at(2, 400), None, "other node unaffected");
-        let snap = inj.counts().snapshot();
-        assert_eq!(snap.brownout_delays, 1);
-        assert_eq!(snap.slow_reads, 0, "brownout must not count as slow-disk");
+        assert_eq!(count(&inj.counts().brownout_delays), 1);
+        assert_eq!(count(&inj.counts().slow_reads), 0, "brownout must not count as slow-disk");
     }
 
     #[test]
@@ -608,7 +588,7 @@ mod tests {
         assert_eq!(inj.peer_tx_at(2, 0, 150), TxVerdict::Drop);
         assert_eq!(inj.peer_tx_at(0, 1, 150), TxVerdict::Deliver, "uninvolved pair unaffected");
         assert_eq!(inj.peer_tx_at(0, 2, 250), TxVerdict::Deliver, "window over");
-        assert_eq!(inj.counts().snapshot().peer_drops, 2);
+        assert_eq!(count(&inj.counts().peer_drops), 2);
     }
 
     #[test]

@@ -31,5 +31,5 @@
 mod inject;
 mod plan;
 
-pub use inject::{FaultCounts, FaultCountsSnapshot, Injector, ScriptedOp, TxVerdict};
+pub use inject::{FaultCounts, Injector, ScriptedOp, TxVerdict};
 pub use plan::{Fault, FaultPlan, PlanParseError, Window};

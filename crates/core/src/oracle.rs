@@ -194,15 +194,6 @@ impl Oracle {
     pub fn tuned_ops(&self, class: &str) -> Option<f64> {
         self.tuned.read().unwrap().get(class).copied()
     }
-
-    /// Snapshot of the whole tuned table, sorted by class name (for the
-    /// status page).
-    pub fn tuned_snapshot(&self) -> Vec<(String, f64)> {
-        let mut rows: Vec<(String, f64)> =
-            self.tuned.read().unwrap().iter().map(|(k, v)| (k.clone(), *v)).collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows
-    }
 }
 
 #[cfg(test)]
@@ -311,8 +302,6 @@ cgi-default       3.0e6   1.2
         let copy = o.clone();
         o.observe("search", 2.0e6);
         assert_eq!(copy.tuned_ops("search"), Some(2.0e6));
-        let snap = copy.tuned_snapshot();
-        assert_eq!(snap, vec![("search".to_string(), 2.0e6)]);
     }
 
     #[test]

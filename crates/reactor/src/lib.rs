@@ -125,6 +125,18 @@ impl From<Response> for Reply {
     }
 }
 
+/// How the body of a reply [`App::on_reply`] hears about leaves the loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Payload {
+    /// Nothing follows the head: a `HEAD`, a 304, an empty body.
+    None,
+    /// A shared [`Bytes`] body gathered behind the head by `writev(2)`:
+    /// no user-space copy.
+    Bytes,
+    /// A [`FileBody`] streamed by `sendfile(2)`.
+    File,
+}
+
 /// What [`App::first_look`] concluded about one parsed request, on the
 /// loop thread.
 pub enum FirstLook {
@@ -162,9 +174,10 @@ pub enum AcceptGate {
 ///
 /// Which method runs where: [`App::respond`], a [`FirstLook::Blocking`]
 /// continuation and [`App::on_queue_sojourn`] run on a **worker thread**
-/// and may block; [`App::first_look`] and every other hook run on the
-/// **event-loop thread**, where anything that sleeps stalls every
-/// connection of the shard.
+/// and may block; [`App::on_reply`] and [`App::on_deadline_overrun`] run
+/// where the reply was produced (worker or loop); [`App::first_look`] and
+/// every other hook run on the **event-loop thread**, where anything that
+/// sleeps stalls every connection of the shard.
 pub trait App: Send + Sync + 'static {
     /// Produce the response for one parsed request, on a worker thread.
     /// Called for every request [`App::first_look`] declined (`None`).
@@ -218,12 +231,11 @@ pub trait App: Send + Sync + 'static {
     fn on_write_start(&self, _bytes: usize) {}
     /// The matching end of [`App::on_write_start`].
     fn on_write_end(&self, _bytes: usize) {}
-    /// A response body was queued for zero-copy transmit from a shared
-    /// `Bytes` handle (`bytes` = body length; no user-space body copy).
-    fn on_zero_copy(&self, _bytes: usize) {}
-    /// A file payload was queued for `sendfile(2)` streaming (`bytes` =
-    /// file length).
-    fn on_sendfile(&self, _bytes: usize) {}
+    /// A reply the app produced goes to the socket with this status and
+    /// payload. Once per reply, and never for the reactor's own 400s and
+    /// 503s, nor for a reply a missed deadline replaced (that one is an
+    /// [`App::on_deadline_overrun`]).
+    fn on_reply(&self, _status: StatusCode, _payload: Payload) {}
     /// One request phase finished on this engine: accept (admission
     /// hand-off), parse (first byte to dispatched request), or write
     /// (response queued to socket drained). The decide/fetch phases are
@@ -584,6 +596,14 @@ impl Seal {
             }
         }
         let (head, body) = resp.to_wire_parts(self.head_only);
+        if !overrun {
+            let payload = match &file_tx {
+                Some(_) => Payload::File,
+                None if body.is_empty() => Payload::None,
+                None => Payload::Bytes,
+            };
+            app.on_reply(resp.status, payload);
+        }
         Wire { head, body, file: file_tx, keep_alive }
     }
 }
@@ -1110,12 +1130,6 @@ impl Loop {
                 deadline_ms = deadline_ms.min(budget);
             }
             self.app.on_write_start(planned);
-            if !body.is_empty() {
-                self.app.on_zero_copy(body.len());
-            }
-            if file.is_some() {
-                self.app.on_sendfile(file_len);
-            }
             conn.out_head = head;
             conn.out_body = body;
             conn.out_pos = 0;

@@ -9,8 +9,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use sweb_http::{Request, Response};
-use sweb_reactor::{AcceptGate, App, FileBody, FirstLook, ReactorConfig, ReactorHandle, Reply};
+use sweb_http::{Request, Response, StatusCode};
+use sweb_reactor::{
+    AcceptGate, App, FileBody, FirstLook, Payload, ReactorConfig, ReactorHandle, Reply,
+};
 use sweb_telemetry::Phase;
 
 /// Minimal app: answers with the request target, counts every hook.
@@ -67,11 +69,13 @@ impl App for EchoApp {
     fn on_bad_request(&self) {
         self.bad.fetch_add(1, Ordering::SeqCst);
     }
-    fn on_zero_copy(&self, _bytes: usize) {
-        self.zero_copy.fetch_add(1, Ordering::SeqCst);
-    }
-    fn on_sendfile(&self, _bytes: usize) {
-        self.sendfile.fetch_add(1, Ordering::SeqCst);
+    fn on_reply(&self, _status: StatusCode, payload: Payload) {
+        let counter = match payload {
+            Payload::Bytes => &self.zero_copy,
+            Payload::File => &self.sendfile,
+            Payload::None => return,
+        };
+        counter.fetch_add(1, Ordering::SeqCst);
     }
     fn on_shard_start(&self) {
         self.shard_starts.fetch_add(1, Ordering::SeqCst);
@@ -164,6 +168,9 @@ fn serves_post_bodies_and_rejects_missing_length() {
     let reply = srv.exchange(b"POST /cgi HTTP/1.0\r\n\r\n");
     assert!(reply.starts_with("HTTP/1.0 400"), "{reply}");
     assert_eq!(srv.app.bad.load(Ordering::SeqCst), 1);
+    // Only the app's own reply reaches `on_reply`; the reactor's 400 is
+    // counted by `on_bad_request` alone.
+    assert_eq!(srv.app.zero_copy.load(Ordering::SeqCst), 1);
 }
 
 #[test]

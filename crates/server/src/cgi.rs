@@ -141,11 +141,10 @@ impl DynamicHandler for ForkCgiHandler {
         "fork"
     }
 
-    fn handle(&self, ctx: &HandlerCtx<'_>, req: &Request, body: &[u8]) -> Response {
+    fn handle(&self, _ctx: &HandlerCtx<'_>, req: &Request, body: &[u8]) -> Response {
         match self.run(req, body, DEFAULT_FORK_BUDGET) {
             ForkOutcome::Done(resp) => resp,
             ForkOutcome::TimedOut => {
-                ctx.shared.stats.deadline_overruns.inc();
                 let mut resp = Response::error(StatusCode::ServiceUnavailable);
                 resp.headers.set("Retry-After", "1");
                 resp.headers.set("Connection", "close");

@@ -199,6 +199,8 @@ impl LiveCluster {
             let breakers = Arc::new(PeerBreakers::new(n));
             let peer_retry_budgets: Arc<Vec<RetryBudget>> =
                 Arc::new((0..n).map(|_| RetryBudget::new(PEER_RETRY_CAP)).collect());
+            let file_cache = Arc::new(crate::file_cache::FileCache::new(cfg.file_cache_bytes));
+            stats.read_from(&file_cache, &admission, &breakers, &chaos);
             let shared = Arc::new(NodeShared {
                 id: NodeId(i as u32),
                 shards,
@@ -219,7 +221,7 @@ impl LiveCluster {
                 docroot: docroot.clone(),
                 dynamic,
                 access_log: cfg.access_log.clone(),
-                file_cache: crate::file_cache::FileCache::new(cfg.file_cache_bytes),
+                file_cache,
                 draining: AtomicBool::new(false),
                 shutdown: AtomicBool::new(false),
                 start,

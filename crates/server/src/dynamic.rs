@@ -437,24 +437,6 @@ struct Segment {
     evictions: AtomicU64,
 }
 
-/// Counter snapshot of the dynamic response cache, summed across
-/// segments (for the status page).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DynamicCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that found nothing (or only an expired entry).
-    pub misses: u64,
-    /// Entries dropped because their TTL had passed.
-    pub expired: u64,
-    /// Entries evicted to hold the max-entries bound.
-    pub evictions: u64,
-    /// Live entries right now.
-    pub entries: u64,
-    /// Configured total-entry bound.
-    pub max_entries: u64,
-}
-
 /// Lock-striped response cache for dynamic replies, keyed on
 /// `(handler class, canonicalized args)` with TTL and a max-entries
 /// bound — the same segment design as the striped
@@ -557,17 +539,38 @@ impl DynamicCache {
         }
     }
 
-    /// Summed counters across segments.
-    pub fn stats(&self) -> DynamicCacheStats {
-        let mut s = DynamicCacheStats { max_entries: self.max_entries as u64, ..Default::default() };
-        for seg in self.segments.iter() {
-            s.hits += seg.hits.load(Ordering::Relaxed);
-            s.misses += seg.misses.load(Ordering::Relaxed);
-            s.expired += seg.expired.load(Ordering::Relaxed);
-            s.evictions += seg.evictions.load(Ordering::Relaxed);
-            s.entries += seg.entries.lock().unwrap().map.len() as u64;
-        }
-        s
+    /// Lookups answered from the cache, summed across segments.
+    pub fn hits(&self) -> u64 {
+        self.sum(|s| &s.hits)
+    }
+
+    /// Lookups that found nothing, or only an expired entry.
+    pub fn misses(&self) -> u64 {
+        self.sum(|s| &s.misses)
+    }
+
+    /// Entries dropped because their TTL had passed.
+    pub fn expired(&self) -> u64 {
+        self.sum(|s| &s.expired)
+    }
+
+    /// Entries evicted to hold the max-entries bound.
+    pub fn evictions(&self) -> u64 {
+        self.sum(|s| &s.evictions)
+    }
+
+    /// Live entries right now.
+    pub fn entries(&self) -> u64 {
+        self.segments.iter().map(|s| s.entries.lock().unwrap().map.len() as u64).sum()
+    }
+
+    /// The configured total-entry bound.
+    pub fn max_entries(&self) -> u64 {
+        self.max_entries as u64
+    }
+
+    fn sum(&self, counter: impl Fn(&Segment) -> &AtomicU64) -> u64 {
+        self.segments.iter().map(|s| counter(s).load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -587,14 +590,15 @@ pub struct ClassStats {
 /// cache, and per-class stats.
 pub struct DynamicState {
     registry: DynamicRegistry,
-    /// The striped response cache.
-    pub cache: DynamicCache,
+    /// The striped response cache (its counters are read by `metrics`).
+    pub cache: Arc<DynamicCache>,
     stats: HashMap<&'static str, ClassStats>,
 }
 
 impl DynamicState {
     /// Build the node's dynamic state, registering per-class metrics for
-    /// every handler class in `registry` on `metrics`.
+    /// every handler class in `registry` on `metrics`, and readers of the
+    /// response cache's counters.
     pub fn new(
         registry: DynamicRegistry,
         metrics: &Registry,
@@ -628,7 +632,46 @@ impl DynamicState {
                 )
             })
             .collect();
-        DynamicState { registry, cache: DynamicCache::new(max_entries, default_ttl), stats }
+        let cache = Arc::new(DynamicCache::new(max_entries, default_ttl));
+        let read = |number| crate::node::read(&cache, number);
+        let lookups = "Dynamic response-cache lookups, by result";
+        metrics.counter_fn(
+            "sweb_dynamic_cache_lookups_total",
+            &[("result", "hit")],
+            lookups,
+            read(DynamicCache::hits),
+        );
+        metrics.counter_fn(
+            "sweb_dynamic_cache_lookups_total",
+            &[("result", "miss")],
+            lookups,
+            read(DynamicCache::misses),
+        );
+        metrics.counter_fn(
+            "sweb_dynamic_cache_expired_total",
+            &[],
+            "Dynamic response-cache entries dropped at their TTL",
+            read(DynamicCache::expired),
+        );
+        metrics.counter_fn(
+            "sweb_dynamic_cache_evictions_total",
+            &[],
+            "Dynamic response-cache entries evicted to hold the entry bound",
+            read(DynamicCache::evictions),
+        );
+        metrics.gauge_fn(
+            "sweb_dynamic_cache_entries",
+            &[],
+            "Live dynamic response-cache entries",
+            read(DynamicCache::entries),
+        );
+        metrics.gauge_fn(
+            "sweb_dynamic_cache_max_entries",
+            &[],
+            "Configured dynamic response-cache entry bound",
+            read(DynamicCache::max_entries),
+        );
+        DynamicState { registry, cache, stats }
     }
 
     /// The handler registry.
@@ -721,8 +764,7 @@ mod tests {
         assert_eq!(&cache.get("burn", "cost=2").unwrap().body[..], b"two");
         assert_eq!(&cache.get("echo", "cost=1").unwrap().body[..], b"echo");
         assert!(cache.get("burn", "cost=3").is_none());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (3, 1, 3));
+        assert_eq!((cache.hits(), cache.misses(), cache.entries()), (3, 1, 3));
     }
 
     #[test]
@@ -732,9 +774,7 @@ mod tests {
         assert!(cache.get("burn", "k").is_some());
         std::thread::sleep(Duration::from_millis(30));
         assert!(cache.get("burn", "k").is_none(), "entry must expire");
-        let s = cache.stats();
-        assert_eq!(s.expired, 1);
-        assert_eq!(s.entries, 0);
+        assert_eq!((cache.expired(), cache.entries()), (1, 0));
         // Per-handler TTL override beats the default.
         cache.insert("burn", "k2", Response::ok("v", "text/plain"), Some(Duration::from_secs(60)));
         std::thread::sleep(Duration::from_millis(30));
@@ -749,9 +789,8 @@ mod tests {
         for i in 0..64 {
             cache.insert("burn", &format!("cost={i}"), Response::ok("x", "text/plain"), None);
         }
-        let s = cache.stats();
-        assert!(s.entries <= 8, "bound violated: {} entries", s.entries);
-        assert!(s.evictions >= 56, "expected evictions, saw {}", s.evictions);
+        assert!(cache.entries() <= 8, "bound violated: {} entries", cache.entries());
+        assert!(cache.evictions() >= 56, "expected evictions, saw {}", cache.evictions());
     }
 
     #[test]
@@ -822,7 +861,7 @@ mod tests {
                     prop_assert!(entries.order.len() <= 2 * cache.per_segment + 1);
                 }
             }
-            prop_assert!(cache.stats().entries as usize <= SEGMENTS * cache.per_segment);
+            prop_assert!(cache.entries() as usize <= SEGMENTS * cache.per_segment);
         }
     }
 

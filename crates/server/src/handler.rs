@@ -238,15 +238,11 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
             Some(handler) => {
                 (handler.size_hint(), Target::Handler { handler: Arc::clone(handler), key: None })
             }
-            None => {
-                shared.stats.served.inc();
-                return done(Response::error(StatusCode::NotFound));
-            }
+            None => return done(Response::error(StatusCode::NotFound)),
         }
     } else {
         let full = shared.docroot.join(rel);
         let Ok(meta) = std::fs::metadata(&full) else {
-            shared.stats.served.inc();
             return done(Response::error(StatusCode::NotFound));
         };
         if !meta.is_file() {
@@ -263,7 +259,6 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
             req.headers.get("if-modified-since").and_then(sweb_http::parse_http_date),
         ) {
             if mtime <= ims {
-                shared.stats.served.inc();
                 let mut resp = Response {
                     status: StatusCode::NotModified,
                     headers: Default::default(),
@@ -350,9 +345,8 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
     rest(Work::Serve(serve))
 }
 
-/// The 302 that sends `req` to `target`, counted.
+/// The 302 that sends `req` to `target`.
 fn redirect(shared: &NodeShared, req: &Request, target: NodeId, trace: &str) -> Response {
-    shared.stats.redirected.inc();
     let base = &shared.peer_http[target.index()];
     let marked = sweb_http::mark_trace(&req.target, trace);
     let mut resp = Response::redirect_to_peer(base, &marked);
@@ -360,9 +354,8 @@ fn redirect(shared: &NodeShared, req: &Request, target: NodeId, trace: &str) -> 
     resp
 }
 
-/// `200` carrying a document body, counted as served.
+/// `200` carrying a document body.
 fn document(shared: &NodeShared, path: &str, body: Bytes, mtime: Option<SystemTime>) -> Response {
-    shared.stats.served.inc();
     let mut resp = Response::ok(body, mime_for_path(path));
     if let Some(secs) = mtime.and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok()) {
         resp.headers.set("Last-Modified", sweb_http::format_http_date(secs.as_secs()));
@@ -379,7 +372,6 @@ impl Continuation {
             Work::Metrics => (crate::status::render_metrics(shared), None),
             Work::Refuse(class) => {
                 shared.admission.shed();
-                shared.stats.shed.inc();
                 shared.stats.admission_shed_counter(class).inc();
                 (overloaded(shared), None)
             }
@@ -413,7 +405,6 @@ impl Serve {
                 if let Some(s) = shared.dynamic.class_stats(class) {
                     s.cache_hits.inc();
                 }
-                shared.stats.served.inc();
                 resp.headers.set("X-SWEB-Dynamic-Cache", "hit");
                 resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
                 Some(resp)
@@ -661,7 +652,6 @@ fn invoke(
             resp.headers.set("X-SWEB-Dynamic-Cache", "miss");
         }
     }
-    shared.stats.served.inc();
     resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
     resp
 }

@@ -7,32 +7,41 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
+use sweb_chaos::Injector;
 use sweb_cluster::{ClusterSpec, NodeId};
 use sweb_core::{
     AdmissionController, AdmitClass, Broker, LoadTable, Oracle, PeerBreakers, RetryBudget,
     SwebConfig,
 };
 use sweb_des::SimTime;
-use sweb_http::Request;
+use sweb_http::{Request, StatusCode};
+use sweb_reactor::Payload;
 use sweb_telemetry::{
     AtomicHistogram, CostFeedback, Counter, Phase, PhaseTimes, Registry, ShardedCounter,
     ShardedGauge,
 };
 
+use crate::file_cache::FileCache;
 use crate::handler;
 
 /// A node's telemetry surface: every counter, gauge, and histogram the
-/// server increments, all registered on one [`Registry`] so the status
-/// page, the JSON report, and the `/metrics` exposition are three views of
-/// the same atomics.
+/// server increments, all registered on one [`Registry`] — with readers of
+/// the numbers other subsystems keep ([`NodeStats::read_from`]) — so the
+/// status page, the JSON report, and the `/metrics` exposition are three
+/// views of one registry.
+///
+/// Every reply lands in exactly one outcome counter: `served`,
+/// `redirected`, `shed`, `bad_requests` or `deadline_overruns` (DESIGN.md
+/// §10 states the rule).
 pub struct NodeStats {
     /// The metric registry behind every handle below (renders `/metrics`).
     pub registry: Arc<Registry>,
     /// Connections accepted (shard-local cells: hot on every accept).
     pub accepted: Arc<ShardedCounter>,
-    /// Requests fulfilled locally with 200/404/... (shard-local cells).
+    /// Replies the node produced that are neither a 302 nor a 503: every
+    /// document, handler, admin page, 304 and 4xx/5xx (shard-local cells).
     pub served: Arc<ShardedCounter>,
-    /// Requests answered with a 302 to a peer.
+    /// Replies that were a 302 to a peer.
     pub redirected: Arc<Counter>,
     /// Requests that arrived already carrying the redirect marker.
     pub received_redirects: Arc<Counter>,
@@ -40,14 +49,16 @@ pub struct NodeStats {
     pub bad_requests: Arc<Counter>,
     /// `accept(2)` failures (fd exhaustion, aborted handshakes, ...).
     pub accept_errors: Arc<Counter>,
-    /// Connections refused with 503 by admission control (shard-local).
+    /// Replies that were a 503 refusal: the reactor's connection cap or
+    /// full worker queue, the admission controller, a handler out of time
+    /// (shard-local).
     pub shed: Arc<ShardedCounter>,
     /// Connections evicted by the reactor's timeout wheel (shard-local).
     pub evicted: Arc<ShardedCounter>,
-    /// Responses whose body left via the zero-copy transmit path (shared
-    /// `Bytes` gathered at the socket, no per-request body copy).
+    /// `served` replies whose body left via the zero-copy transmit path
+    /// (shared `Bytes` gathered at the socket, no per-request body copy).
     pub zero_copy: Arc<ShardedCounter>,
-    /// Responses streamed from an fd via `sendfile(2)` (shard-local).
+    /// `served` replies streamed from an fd via `sendfile(2)`.
     pub sendfile: Arc<ShardedCounter>,
     /// loadd packets that failed to decode (garbage, short, bad node id).
     pub loadd_decode_errors: Arc<Counter>,
@@ -69,7 +80,7 @@ pub struct NodeStats {
     pub pushes_sent: Arc<Counter>,
     /// Documents peers pushed into this node's cache (accepted).
     pub pushes_received: Arc<Counter>,
-    /// Requests answered 503 (or evicted) for missing a deadline phase.
+    /// Requests answered 503 by the reactor for missing a deadline phase.
     pub deadline_overruns: Arc<Counter>,
     /// Transient file-fetch errors retried under bounded backoff.
     pub fetch_retries: Arc<Counter>,
@@ -123,18 +134,27 @@ impl NodeStats {
             .unwrap_or(0);
         NodeStats {
             accepted: sc("sweb_connections_accepted_total", "Connections accepted"),
-            served: sc("sweb_requests_served_total", "Requests fulfilled locally"),
-            redirected: c("sweb_redirects_issued_total", "Requests answered with a 302 to a peer"),
+            served: sc(
+                "sweb_requests_served_total",
+                "Replies produced here that were neither a 302 nor a 503",
+            ),
+            redirected: c("sweb_redirects_issued_total", "Replies that were a 302 to a peer"),
             received_redirects: c(
                 "sweb_redirects_received_total",
                 "Requests arriving already redirected once",
             ),
             bad_requests: c("sweb_bad_requests_total", "Malformed requests answered 400"),
             accept_errors: c("sweb_accept_errors_total", "accept(2) failures"),
-            shed: sc("sweb_connections_shed_total", "Connections refused 503 by admission control"),
+            shed: sc("sweb_connections_shed_total", "Replies that were a 503 refusal"),
             evicted: sc("sweb_connections_evicted_total", "Connections evicted on timeout"),
-            zero_copy: sc("sweb_zero_copy_responses_total", "Responses sent via zero-copy writev"),
-            sendfile: sc("sweb_sendfile_responses_total", "Responses streamed via sendfile(2)"),
+            zero_copy: sc(
+                "sweb_zero_copy_responses_total",
+                "Served replies whose body left via zero-copy writev",
+            ),
+            sendfile: sc(
+                "sweb_sendfile_responses_total",
+                "Served replies streamed via sendfile(2)",
+            ),
             loadd_decode_errors: c(
                 "sweb_loadd_decode_errors_total",
                 "loadd packets that failed to decode",
@@ -173,7 +193,7 @@ impl NodeStats {
             ),
             deadline_overruns: c(
                 "sweb_deadline_overruns_total",
-                "Requests failed definitively for missing a deadline phase",
+                "Requests answered 503 for missing a deadline phase",
             ),
             fetch_retries: c(
                 "sweb_fetch_retries_total",
@@ -223,6 +243,95 @@ impl NodeStats {
         }
     }
 
+    /// Register readers of the numbers the node's other subsystems keep in
+    /// their own atomics: the file cache, the admission controller, the
+    /// breakers and the (cluster-wide) fault injector.
+    pub fn read_from(
+        &self,
+        file_cache: &Arc<FileCache>,
+        admission: &Arc<AdmissionController>,
+        breakers: &Arc<PeerBreakers>,
+        chaos: &Arc<Injector>,
+    ) {
+        let reg = &self.registry;
+        let cache = |number| read(file_cache, number);
+        reg.counter_fn(
+            "sweb_file_cache_hits_total",
+            &[],
+            "Document cache hits",
+            cache(FileCache::hits),
+        );
+        reg.counter_fn(
+            "sweb_file_cache_misses_total",
+            &[],
+            "Document cache misses",
+            cache(FileCache::misses),
+        );
+        reg.counter_fn(
+            "sweb_file_cache_collisions_total",
+            &[],
+            "Cache key collisions",
+            cache(FileCache::collisions),
+        );
+        reg.gauge_fn(
+            "sweb_file_cache_used_bytes",
+            &[],
+            "Bytes currently cached",
+            cache(FileCache::used),
+        );
+        reg.gauge_fn(
+            "sweb_file_cache_capacity_bytes",
+            &[],
+            "Cache capacity",
+            cache(FileCache::capacity),
+        );
+        reg.gauge_fn(
+            "sweb_file_cache_digest_bits",
+            &[],
+            "Bits set in the advertised Bloom digest",
+            cache(|c| c.digest().ones() as u64),
+        );
+        reg.gauge_fn(
+            "sweb_admission_shed_level",
+            &[],
+            "Current adaptive-admission shed level (0-3)",
+            read(admission, |a| a.level() as u64),
+        );
+        reg.gauge_fn(
+            "sweb_admission_retry_after_seconds",
+            &[],
+            "Retry-After seconds a 503 would carry now",
+            read(admission, AdmissionController::retry_after_secs),
+        );
+        reg.gauge_fn(
+            "sweb_breaker_open",
+            &[],
+            "Peer circuit breakers currently open",
+            read(breakers, |b| b.open_count() as u64),
+        );
+        reg.counter_fn(
+            "sweb_breaker_opens_total",
+            &[],
+            "Closed-to-open breaker transitions",
+            read(breakers, PeerBreakers::opens_total),
+        );
+        reg.counter_fn(
+            "sweb_breaker_fast_fails_total",
+            &[],
+            "Peer operations refused by an open breaker",
+            read(breakers, PeerBreakers::fast_fails_total),
+        );
+        for (i, (kind, _)) in chaos.counts().each().into_iter().enumerate() {
+            let chaos = Arc::clone(chaos);
+            reg.counter_fn(
+                "sweb_faults_injected_total",
+                &[("kind", kind)],
+                "Faults the chaos harness injected, cluster-wide",
+                move || chaos.counts().each()[i].1.load(Ordering::Relaxed),
+            );
+        }
+    }
+
     /// The admission-shed counter for one [`AdmitClass`].
     pub fn admission_shed_counter(&self, class: AdmitClass) -> &Arc<Counter> {
         &self.admission_sheds[match class {
@@ -238,6 +347,15 @@ impl NodeStats {
         let seq = self.trace_seq.fetch_add(1, Ordering::Relaxed);
         format!("n{}-{:x}-{:x}", node.0, self.trace_epoch, seq)
     }
+}
+
+/// A scrape-time reader of one number `of` keeps.
+pub(crate) fn read<T: Send + Sync + 'static>(
+    of: &Arc<T>,
+    number: fn(&T) -> u64,
+) -> impl Fn() -> u64 + Send + Sync + 'static {
+    let of = Arc::clone(of);
+    move || number(&of)
 }
 
 impl Default for NodeStats {
@@ -290,7 +408,7 @@ pub struct NodeShared {
     /// Optional CLF access log (shared across nodes, like an NFS logfile).
     pub access_log: Option<crate::access_log::AccessLog>,
     /// In-memory document cache (extension; mtime-validated).
-    pub file_cache: crate::file_cache::FileCache,
+    pub file_cache: Arc<FileCache>,
     /// Graceful-drain flag: while set, loadd announces "leaving" and peers
     /// stop choosing this node; it keeps serving what it receives.
     pub draining: AtomicBool,
@@ -464,11 +582,20 @@ impl sweb_reactor::App for ReactorApp {
     fn on_write_end(&self, bytes: usize) {
         self.shared.stats.bytes_in_flight.sub_at(self.shard, bytes as i64);
     }
-    fn on_zero_copy(&self, _bytes: usize) {
-        self.shared.stats.zero_copy.inc_at(self.shard);
-    }
-    fn on_sendfile(&self, _bytes: usize) {
-        self.shared.stats.sendfile.inc_at(self.shard);
+    fn on_reply(&self, status: StatusCode, payload: Payload) {
+        let stats = &self.shared.stats;
+        match status {
+            StatusCode::Found => stats.redirected.inc(),
+            StatusCode::ServiceUnavailable => stats.shed.inc_at(self.shard),
+            _ => {
+                stats.served.inc_at(self.shard);
+                match payload {
+                    Payload::Bytes => stats.zero_copy.inc_at(self.shard),
+                    Payload::File => stats.sendfile.inc_at(self.shard),
+                    Payload::None => {}
+                }
+            }
+        }
     }
     fn on_phase(&self, phase: Phase, micros: u64) {
         self.shared.stats.phases.record(phase, micros);

@@ -92,8 +92,8 @@ fn post_replies_are_not_cached_but_get_replies_are() {
         assert_eq!(r.headers.get("x-sweb-dynamic-cache"), None, "a POST reply is not cached");
     }
     assert_eq!(echo.invocations.get(), 2, "both POSTs ran the handler");
-    let stats = node.dynamic.cache.stats();
-    assert_eq!((stats.entries, stats.hits, stats.misses), (0, 0, 0));
+    let cache = &node.dynamic.cache;
+    assert_eq!((cache.entries(), cache.hits(), cache.misses()), (0, 0, 0));
 
     let url = format!("{base}/cgi-bin/echo?a=1");
     let miss = client::get(&url).unwrap();
@@ -102,7 +102,7 @@ fn post_replies_are_not_cached_but_get_replies_are() {
     assert_eq!(hit.headers.get("x-sweb-dynamic-cache"), Some("hit"));
     assert_eq!(hit.body, miss.body);
     assert_eq!(echo.invocations.get(), 3);
-    assert_eq!(node.dynamic.cache.stats().entries, 1);
+    assert_eq!(cache.entries(), 1);
     cluster.shutdown();
 }
 
@@ -251,7 +251,7 @@ fn oracle_learns_burn_cost_from_measurements() {
         .iter()
         .find(|r| r.class == "burn")
         .expect("status handler table must list the burn class");
-    assert_eq!(row.invocations, 12);
+    assert_eq!(report.metric("sweb_dynamic_invocations_total{handler=\"burn\"}"), Some(12));
     assert!(row.p50_us > 0);
     assert!((row.oracle_ops - tuned).abs() < tuned * 0.5, "table must show the tuned estimate");
     cluster.shutdown();

@@ -135,15 +135,14 @@ struct Counts {
 }
 
 fn counts(node: &NodeShared) -> Counts {
-    let dynamic = node.dynamic.cache.stats();
     Counts {
         served: node.stats.served.get(),
         redirected: node.stats.redirected.get(),
         received_redirects: node.stats.received_redirects.get(),
         cache_hits: node.file_cache.hits(),
         cache_misses: node.file_cache.misses(),
-        dynamic_hits: dynamic.hits,
-        dynamic_misses: dynamic.misses,
+        dynamic_hits: node.dynamic.cache.hits(),
+        dynamic_misses: node.dynamic.cache.misses(),
         decides: node.stats.phases.histogram(Phase::Decide).count(),
         fetches: node.stats.phases.histogram(Phase::Fetch).count(),
         feedback: node.stats.feedback.decisions(),

@@ -208,7 +208,9 @@ fn file_cache_serves_repeats_from_memory() {
     assert_eq!(resp.body.len(), 1000, "stale cache entry must be invalidated");
     // The status page reports the cache counters.
     let status = client::get(&format!("{}/sweb-status", cluster.base_url(0))).unwrap();
-    assert!(String::from_utf8(status.body).unwrap().contains("file cache:"));
+    let text = String::from_utf8(status.body).unwrap();
+    let hits = format!("\n  sweb_file_cache_hits_total {}\n", node.file_cache.hits());
+    assert!(text.contains(&hits), "{text}");
     cluster.shutdown();
 }
 
@@ -490,7 +492,7 @@ fn status_endpoint_reports_cluster_view() {
     let text = String::from_utf8(resp.body).unwrap();
     assert!(text.contains("SWEB node n1"), "{text}");
     assert!(text.contains("n0") && text.contains("n2"), "table must list all peers: {text}");
-    assert!(text.contains("counters:"), "{text}");
+    assert!(text.contains("\n  sweb_connections_accepted_total "), "{text}");
 }
 
 #[test]
@@ -557,7 +559,8 @@ fn sharded_reactor_reports_every_shard_live_and_exact() {
     let served: u64 = report.shards.iter().map(|s| s.served).sum();
     assert!(served >= 12, "per-shard served must cover all requests: {:?}", report.shards);
     assert_eq!(
-        served, report.counters.served,
+        Some(served as i64),
+        report.metric("sweb_requests_served_total"),
         "shard breakdown must sum to the node counter exactly"
     );
     cluster.shutdown();
@@ -679,7 +682,8 @@ fn hot_files_replicate_to_peers_ahead_of_demand() {
         client::get(&format!("{}/sweb-status?format=json", cluster.base_url(1))).unwrap();
     let json = sweb_telemetry::Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
     let report = sweb_server::StatusReport::from_json(&json).unwrap();
-    assert!(report.counters.pushes_received >= 1, "{:?}", report.counters);
+    let received = report.metric("sweb_pushes_received_total");
+    assert!(received >= Some(1), "{:?}", report.metrics);
     cluster.shutdown();
 }
 

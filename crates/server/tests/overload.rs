@@ -69,6 +69,12 @@ fn status(cluster: &LiveCluster, i: usize) -> StatusReport {
     report
 }
 
+/// Requests the admission controller refused, summed over classes.
+fn admission_sheds(report: &StatusReport) -> i64 {
+    let family = "sweb_admission_sheds_total{";
+    report.metrics.iter().filter(|(k, _)| k.starts_with(family)).map(|(_, v)| v).sum()
+}
+
 /// A synthetic standing queue (the `overload` fault inflates every
 /// sojourn sample by 500 ms against the 5 ms CoDel target) must drive
 /// the controller to shedding within a few 100 ms windows — and every
@@ -106,15 +112,14 @@ fn injected_overload_sheds_with_retry_after() {
     // The admin endpoints are never shed: the status API answers even at
     // level 3, and its v7 overload block shows what just happened.
     let report = status(&cluster, 0);
+    let metric = |series: &str| report.metric(series).unwrap();
     assert!(report.overload.enabled);
-    assert!(report.overload.shed_level >= 2, "level {} after sustained overload", report.overload.shed_level);
-    assert!(
-        report.overload.sheds_by_class.iter().sum::<u64>() >= 1,
-        "sheds_by_class empty: {:?}",
-        report.overload.sheds_by_class
-    );
-    assert!(report.counters.shed >= 1);
-    assert!(report.faults.overload_samples >= 1, "the fault never inflated a sample");
+    let level = metric("sweb_admission_shed_level");
+    assert!(level >= 2, "level {level} after sustained overload");
+    assert!(admission_sheds(&report) >= 1, "no class was shed: {:?}", report.metrics);
+    assert!(metric("sweb_connections_shed_total") >= 1);
+    let inflated = metric("sweb_faults_injected_total{kind=\"overload_samples\"}");
+    assert!(inflated >= 1, "the fault never inflated a sample");
     cluster.shutdown();
 }
 
@@ -139,8 +144,8 @@ fn controller_off_is_the_static_baseline() {
     }
     let report = status(&cluster, 0);
     assert!(!report.overload.enabled);
-    assert_eq!(report.overload.shed_level, 0);
-    assert_eq!(report.overload.sheds_by_class, [0, 0, 0, 0]);
+    assert_eq!(report.metric("sweb_admission_shed_level"), Some(0));
+    assert_eq!(admission_sheds(&report), 0);
     cluster.shutdown();
 }
 
@@ -258,7 +263,7 @@ fn open_breaker_stops_paying_the_peer_deadline() {
     }
     let report = status(&cluster, 0);
     assert_eq!(report.overload.breakers[1], "open");
-    assert!(report.overload.breaker_opens >= 1);
+    assert!(report.metric("sweb_breaker_opens_total") >= Some(1));
     cluster.shutdown();
 }
 

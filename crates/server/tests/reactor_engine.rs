@@ -64,9 +64,9 @@ fn admission_control_sheds_with_503_and_counts_it() {
     }
     let status = client::get(&format!("{}/sweb-status", cluster.base_url(0))).unwrap();
     let text = String::from_utf8(status.body).unwrap();
-    assert!(text.contains("shed-503"), "{text}");
-    assert!(text.contains("accept-errors"), "{text}");
-    assert!(text.contains("evicted"), "{text}");
+    assert!(text.contains("\n  sweb_connections_shed_total 1\n"), "{text}");
+    assert!(text.contains("\n  sweb_accept_errors_total 0\n"), "{text}");
+    assert!(text.contains("\n  sweb_connections_evicted_total "), "{text}");
     cluster.shutdown();
 }
 

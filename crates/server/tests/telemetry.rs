@@ -1,13 +1,16 @@
 //! Telemetry-surface tests: `/metrics` exposition, the JSON status view,
 //! and the `X-SWEB-Trace` id joining one logical request across nodes.
 
-use std::io::Write;
+use std::collections::BTreeMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use sweb_cluster::NodeId;
 use sweb_core::Policy;
-use sweb_server::{client, AccessLog, ServerOptions, StatusReport};
+use sweb_server::{client, home_of, AccessLog, ServerOptions, StatusReport};
 use sweb_telemetry::{line_is_well_formed, Json};
 
 mod support;
@@ -139,12 +142,150 @@ fn status_json_round_trips_through_the_typed_report() {
     support::assert_current_schema(&report);
     assert_eq!(report.node, 1);
     assert_eq!(report.load.len(), 2, "load table must list every node");
-    assert!(report.counters.served >= 1);
+    assert!(report.metric("sweb_requests_served_total") >= Some(1));
 
     // The text endpoint is a *view* of the same report, not a fork.
     let text_resp = client::get(&format!("{}/sweb-status", cluster.base_url(1))).unwrap();
     let text = String::from_utf8(text_resp.body).unwrap();
     assert!(text.contains("SWEB node n1"), "{text}");
     assert!(text.contains(&format!("policy {}", report.policy)), "{text}");
+    assert!(text.contains("\n  sweb_requests_served_total "), "{text}");
+    cluster.shutdown();
+}
+
+/// The scalar series of an exposition, `(series, value)`: every sample
+/// line except a histogram's `_bucket`, `_sum` and `_count`.
+fn scalar_series(exposition: &str) -> BTreeMap<String, i64> {
+    let histograms: Vec<&str> = exposition
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.strip_suffix(" histogram"))
+        .collect();
+    exposition
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' '))
+        .filter(|(series, _)| {
+            let name = series.split('{').next().unwrap();
+            !histograms.iter().any(|h| {
+                name.strip_prefix(h).is_some_and(|s| ["_bucket", "_sum", "_count"].contains(&s))
+            })
+        })
+        .map(|(series, value)| (series.to_string(), value.parse().unwrap()))
+        .collect()
+}
+
+/// The status report's `metrics` and the scalar series of `/metrics` are
+/// one list, read off one registry: the same keys, and the same values
+/// for every series the two fetches cannot move.
+#[test]
+fn status_metrics_are_the_scalar_series_of_the_exposition() {
+    let dir = docroot("same");
+    let cluster = ServerOptions::new().policy(Policy::RoundRobin).start(1, dir).unwrap();
+    let base = cluster.base_url(0);
+    for path in ["/doc0.txt", "/doc0.txt", "/cgi-bin/echo?x=1", "/missing.html"] {
+        client::get(&format!("{base}{path}")).unwrap();
+    }
+    let exposition = String::from_utf8(client::get(&format!("{base}/metrics")).unwrap().body);
+    let exposed = scalar_series(&exposition.unwrap());
+    let resp = client::get(&format!("{base}/sweb-status?format=json")).unwrap();
+    let report =
+        StatusReport::from_json(&Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap())
+            .unwrap();
+    let listed: BTreeMap<String, i64> = report.metrics.iter().cloned().collect();
+    assert_eq!(listed.len(), report.metrics.len(), "a series listed twice");
+    assert_eq!(listed.keys().collect::<Vec<_>>(), exposed.keys().collect::<Vec<_>>());
+    for series in [
+        "sweb_file_cache_hits_total",
+        "sweb_file_cache_misses_total",
+        "sweb_dynamic_invocations_total{handler=\"echo\"}",
+    ] {
+        assert_eq!(listed[series], exposed[series], "{series}");
+    }
+    assert_eq!((listed["sweb_file_cache_hits_total"], listed["sweb_file_cache_misses_total"]), (1, 1));
+    // The `/metrics` reply is itself served, once its body is rendered:
+    // it is the one reply between the two snapshots.
+    let served = "sweb_requests_served_total";
+    assert_eq!(listed[served], exposed[served] + 1);
+    assert_eq!(exposed[served], 4);
+    cluster.shutdown();
+}
+
+/// One raw HTTP/1.0 exchange on a fresh connection, read to EOF (or to a
+/// reset: a server refusing a request may close with it unread).
+fn exchange(base_url: &str, request: &[u8]) -> String {
+    let mut s = TcpStream::connect(base_url.strip_prefix("http://").unwrap()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let _ = s.write_all(request);
+    let mut out = Vec::new();
+    let _ = s.read_to_end(&mut out);
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+/// Every reply lands in exactly one outcome counter, and `zero_copy` and
+/// `sendfile` count the served replies by how their body left (DESIGN.md
+/// §10): one request of each kind, then the sums.
+#[test]
+fn every_reply_lands_in_exactly_one_outcome_counter() {
+    let dir = docroot("outcomes");
+    std::fs::create_dir_all(dir.join("sub")).unwrap();
+    let homed = |node: u32| {
+        (0..64).map(|i| format!("/doc{i}.txt")).find(|p| home_of(p, 2) == NodeId(node)).unwrap()
+    };
+    let (local, remote) = (homed(0), homed(1));
+    std::fs::write(dir.join(&local[1..]), "local document").unwrap();
+    std::fs::write(dir.join(&remote[1..]), "remote document").unwrap();
+    let big = (0..64).map(|i| format!("/big{i}.bin")).find(|p| home_of(p, 2) == NodeId(0));
+    let big = big.unwrap();
+    std::fs::write(dir.join(&big[1..]), vec![b'b'; 300_000]).unwrap();
+    let cluster = ServerOptions::new()
+        .policy(Policy::FileLocality)
+        .shards(1)
+        .max_conns(1)
+        .start(2, dir)
+        .unwrap();
+    assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
+    let base = cluster.base_url(0);
+    let get = |target: &str| format!("GET {target} HTTP/1.0\r\n\r\n");
+    let fresh = "If-Modified-Since: Fri, 01 Jan 2100 00:00:00 GMT";
+    let script = [
+        (get("/metrics"), 200),
+        (get(&local), 200),
+        (format!("HEAD {local} HTTP/1.0\r\n\r\n"), 200),
+        (format!("GET {local} HTTP/1.0\r\n{fresh}\r\n\r\n"), 304),
+        (get(&big), 200),
+        (get("/cgi-bin/echo?x=1&sweb-redirect=1"), 200),
+        (get("/missing.txt"), 404),
+        (get("/"), 404),
+        (get("/cgi-bin/nope"), 404),
+        (get("/../etc/passwd"), 403),
+        (get("/sub"), 403),
+        (format!("POST {local} HTTP/1.0\r\nContent-Length: 2\r\n\r\nhi"), 405),
+        (format!("BREW {local} HTTP/1.0\r\n\r\n"), 501),
+        (get(&remote), 302),
+        ("garbage\r\n\r\n".to_string(), 400),
+    ];
+    for (request, status) in &script {
+        let reply = exchange(base, request.as_bytes());
+        assert!(reply.starts_with(&format!("HTTP/1.0 {status} ")), "{request:?}: {reply}");
+    }
+    // The reactor's own 503: the one connection slot is held idle.
+    let node = cluster.node(0);
+    let idle = TcpStream::connect(base.strip_prefix("http://").unwrap()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while node.stats.active.get() < 1 {
+        assert!(Instant::now() < deadline, "the idle connection was never admitted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(exchange(base, b"GET / HTTP/1.0\r\n\r\n").starts_with("HTTP/1.0 503 "));
+    drop(idle);
+
+    let s = &node.stats;
+    let outcomes =
+        [s.served.get(), s.redirected.get(), s.shed.get(), s.bad_requests.get(), s.deadline_overruns.get()];
+    assert_eq!(outcomes, [13, 1, 1, 1, 0], "served, redirected, shed, 400, overruns");
+    assert_eq!(outcomes.iter().sum::<u64>(), script.len() as u64 + 1, "one counter per reply");
+    // Served replies with a body: all but the HEAD, the 304 and the
+    // streamed document.
+    assert_eq!((s.zero_copy.get(), s.sendfile.get()), (10, 1));
     cluster.shutdown();
 }

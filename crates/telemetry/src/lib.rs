@@ -5,9 +5,10 @@
 //! predictions. This crate is the measurement layer of the live server:
 //!
 //! * a **lock-free metric registry** ([`Registry`]) of atomic
-//!   [`Counter`]s, [`Gauge`]s and fixed-bucket log-scale
-//!   [`AtomicHistogram`]s — registration takes a lock once, every
-//!   increment after that is a single atomic op on an `Arc` handle;
+//!   [`Counter`]s and fixed-bucket log-scale [`AtomicHistogram`]s —
+//!   registration takes a lock once, every increment after that is a
+//!   single atomic op on an `Arc` handle — plus scrape-time readers of
+//!   numbers other subsystems keep in their own atomics;
 //! * **shard-local cells** ([`ShardedCounter`], [`ShardedGauge`]): hot
 //!   per-request counters split into cacheline-padded per-shard cells so
 //!   multi-core reactor shards never contend on one cacheline — summed on
@@ -19,9 +20,10 @@
 //!   `t_cpu` against the measured fulfillment wall time, making
 //!   prediction-error histograms first-class metrics;
 //! * a **Prometheus-style text exposition**
-//!   ([`Registry::render_prometheus`]) and a minimal, dependency-free
-//!   [`Json`] value type (writer *and* parser) for the typed
-//!   `/sweb-status?format=json` API.
+//!   ([`Registry::render_prometheus`]), its counters and gauges as
+//!   `(series, value)` pairs ([`Registry::scalars`]), and a minimal,
+//!   dependency-free [`Json`] value type (writer *and* parser) for the
+//!   typed `/sweb-status?format=json` API.
 //!
 //! Everything here is `std`-only by design: the registry must be usable
 //! from the innermost I/O loops without pulling in a dependency tree.
@@ -41,5 +43,5 @@ pub use feedback::CostFeedback;
 pub use hist::AtomicHistogram;
 pub use json::Json;
 pub use phases::{Phase, PhaseTimes};
-pub use registry::{line_is_well_formed, Counter, Gauge, Registry};
+pub use registry::{line_is_well_formed, Counter, Registry};
 pub use sharded::{set_shard, ShardedCounter, ShardedGauge, MAX_SHARD_CELLS};

@@ -7,7 +7,7 @@
 //! `[a-z_]` only, so every exposition line matches
 //! `^[a-z_]+(\{[^}]*\})? [0-9.eE+-]+$`.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::hist::AtomicHistogram;
@@ -34,40 +34,13 @@ impl Counter {
     }
 }
 
-/// An atomic gauge: a value that goes up and down (in-flight requests,
-/// bytes being transmitted).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
+/// A value read at scrape time, for numbers a subsystem already keeps in
+/// its own atomics (a cache's hit count, a controller's level).
+struct Reader(Box<dyn Fn() -> u64 + Send + Sync>);
 
-impl Gauge {
-    /// Increment by one.
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Decrement by one.
-    pub fn dec(&self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Add `n` (use a negative value to subtract).
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Subtract `n`.
-    pub fn sub(&self, n: i64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Set to an absolute value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
+impl std::fmt::Debug for Reader {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Reader")
     }
 }
 
@@ -75,10 +48,24 @@ impl Gauge {
 #[derive(Debug)]
 enum Handle {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     ShardedCounter(Arc<ShardedCounter>),
     ShardedGauge(Arc<ShardedGauge>),
     Histogram(Arc<AtomicHistogram>),
+    /// A counter (`counter: true`) or gauge whose value a closure reads.
+    Read { counter: bool, read: Reader },
+}
+
+impl Handle {
+    /// The one value of a counter or gauge; `None` for a histogram.
+    fn scalar(&self) -> Option<i64> {
+        Some(match self {
+            Handle::Counter(c) => c.get() as i64,
+            Handle::ShardedCounter(c) => c.get() as i64,
+            Handle::ShardedGauge(g) => g.get(),
+            Handle::Read { read, .. } => (read.0)() as i64,
+            Handle::Histogram(_) => return None,
+        })
+    }
 }
 
 /// One registered metric: name, label pairs, help text, live handle.
@@ -117,13 +104,6 @@ impl Registry {
         let c = Arc::new(Counter::default());
         self.push(name, labels, help, Handle::Counter(Arc::clone(&c)));
         c
-    }
-
-    /// Register a gauge.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Arc<Gauge> {
-        let g = Arc::new(Gauge::default());
-        self.push(name, labels, help, Handle::Gauge(Arc::clone(&g)));
-        g
     }
 
     /// Register a shard-local counter with `cells` per-shard cells. The
@@ -167,6 +147,31 @@ impl Registry {
         h
     }
 
+    /// Register a counter whose value `read` returns at scrape time.
+    pub fn counter_fn(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        help: &str,
+        read: impl Fn() -> u64 + Send + Sync + 'static,
+    ) {
+        let read = Reader(Box::new(read));
+        self.push(name, labels, help, Handle::Read { counter: true, read });
+    }
+
+    /// Register a (non-negative) gauge whose value `read` returns at
+    /// scrape time.
+    pub fn gauge_fn(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        help: &str,
+        read: impl Fn() -> u64 + Send + Sync + 'static,
+    ) {
+        let read = Reader(Box::new(read));
+        self.push(name, labels, help, Handle::Read { counter: false, read });
+    }
+
     fn push(&self, name: &str, labels: &[(&str, &str)], help: &str, handle: Handle) {
         debug_assert!(
             name.bytes().all(|b| b.is_ascii_lowercase() || b == b'_'),
@@ -180,20 +185,15 @@ impl Registry {
         });
     }
 
-    /// Number of exposition series currently registered (histograms count
-    /// their bucket/sum/count series).
-    pub fn series_count(&self) -> usize {
+    /// Every counter and gauge as `(series key, value)`, in registration
+    /// order; histograms are left out. The key is the series as
+    /// [`Registry::render_prometheus`] prints it, `name{k="v",...}`.
+    pub fn scalars(&self) -> Vec<(String, i64)> {
         let entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
         entries
             .iter()
-            .map(|e| match &e.handle {
-                Handle::Counter(_)
-                | Handle::Gauge(_)
-                | Handle::ShardedCounter(_)
-                | Handle::ShardedGauge(_) => 1,
-                Handle::Histogram(h) => h.snapshot().len() + 2,
-            })
-            .sum()
+            .filter_map(|e| Some((series_key(&e.name, &e.labels, None), e.handle.scalar()?)))
+            .collect()
     }
 
     /// Prometheus text exposition (format version 0.0.4): `# HELP` and
@@ -208,25 +208,15 @@ impl Registry {
             if !described.contains(&e.name.as_str()) {
                 described.push(&e.name);
                 let ty = match e.handle {
-                    Handle::Counter(_) | Handle::ShardedCounter(_) => "counter",
-                    Handle::Gauge(_) | Handle::ShardedGauge(_) => "gauge",
+                    Handle::Counter(_)
+                    | Handle::ShardedCounter(_)
+                    | Handle::Read { counter: true, .. } => "counter",
                     Handle::Histogram(_) => "histogram",
+                    _ => "gauge",
                 };
                 out.push_str(&format!("# HELP {} {}\n# TYPE {} {}\n", e.name, e.help, e.name, ty));
             }
             match &e.handle {
-                Handle::Counter(c) => {
-                    out.push_str(&series_line(&e.name, &e.labels, None, &c.get().to_string()));
-                }
-                Handle::Gauge(g) => {
-                    out.push_str(&series_line(&e.name, &e.labels, None, &g.get().to_string()));
-                }
-                Handle::ShardedCounter(c) => {
-                    out.push_str(&series_line(&e.name, &e.labels, None, &c.get().to_string()));
-                }
-                Handle::ShardedGauge(g) => {
-                    out.push_str(&series_line(&e.name, &e.labels, None, &g.get().to_string()));
-                }
                 Handle::Histogram(h) => {
                     let mut cumulative = 0u64;
                     for (bound, count) in h.snapshot() {
@@ -255,30 +245,39 @@ impl Registry {
                         &h.count().to_string(),
                     ));
                 }
+                _ => {
+                    let value = e.handle.scalar().unwrap_or_default();
+                    out.push_str(&series_line(&e.name, &e.labels, None, &value.to_string()));
+                }
             }
         }
         out
     }
 }
 
-/// One exposition line: `name{k="v",...} value\n` (no braces when
-/// label-free).
-fn series_line(
-    name: &str,
-    labels: &[(String, String)],
-    extra: Option<(&str, &str)>,
-    value: &str,
-) -> String {
+/// A series as the exposition names it: `name{k="v",...}`, or the bare
+/// name when label-free.
+fn series_key(name: &str, labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
     let mut pairs: Vec<String> =
         labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
     if let Some((k, v)) = extra {
         pairs.push(format!("{k}=\"{v}\""));
     }
     if pairs.is_empty() {
-        format!("{name} {value}\n")
+        name.to_string()
     } else {
-        format!("{name}{{{}}} {value}\n", pairs.join(","))
+        format!("{name}{{{}}}", pairs.join(","))
     }
+}
+
+/// One exposition line: the series key, a space, the value.
+fn series_line(
+    name: &str,
+    labels: &[(String, String)],
+    extra: Option<(&str, &str)>,
+    value: &str,
+) -> String {
+    format!("{} {value}\n", series_key(name, labels, extra))
 }
 
 /// Whether one exposition line is well-formed: a comment, or
@@ -320,16 +319,12 @@ mod tests {
     fn handles_are_lock_free_after_registration() {
         let reg = Registry::new();
         let c = reg.counter("sweb_test_total", &[], "test");
-        let g = reg.gauge("sweb_test_active", &[], "test");
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let c = Arc::clone(&c);
-                let g = Arc::clone(&g);
                 std::thread::spawn(move || {
                     for _ in 0..1_000 {
                         c.inc();
-                        g.inc();
-                        g.dec();
                     }
                 })
             })
@@ -338,7 +333,6 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(c.get(), 4_000);
-        assert_eq!(g.get(), 0);
     }
 
     /// Golden test: the exposition format is part of the API.
@@ -347,8 +341,7 @@ mod tests {
         let reg = Registry::new();
         let served = reg.counter("sweb_requests_served_total", &[], "Requests fulfilled locally");
         served.add(7);
-        let active = reg.gauge("sweb_active_requests", &[], "Requests in flight");
-        active.set(3);
+        reg.gauge_fn("sweb_active_requests", &[], "Requests in flight", || 3);
         let h = reg.histogram(
             "sweb_request_phase_us",
             &[("phase", "parse")],
@@ -423,15 +416,27 @@ sweb_request_phase_us_count{phase=\"parse\"} 2
         assert!(text.contains("# TYPE sweb_sharded_active gauge"), "{text}");
         assert!(text.contains("sweb_sharded_active 2"), "{text}");
         assert!(text.lines().all(line_is_well_formed), "{text}");
-        assert_eq!(reg.series_count(), 2);
+        assert_eq!(reg.scalars(), [("sweb_sharded_total".into(), 7), ("sweb_sharded_active".into(), 2)]);
     }
 
     #[test]
-    fn series_count_includes_histogram_series() {
+    fn readers_render_and_scalars_list_what_the_exposition_prints() {
         let reg = Registry::new();
-        reg.counter("sweb_a_total", &[], "a");
-        reg.histogram("sweb_b_us", &[], "b");
-        // 1 counter + 13 buckets + sum + count.
-        assert_eq!(reg.series_count(), 1 + 13 + 2);
+        reg.counter("sweb_a_total", &[("k", "v")], "a").add(2);
+        reg.histogram("sweb_b_us", &[], "b").record(5);
+        let level = Arc::new(AtomicU64::new(0));
+        let read = Arc::clone(&level);
+        reg.gauge_fn("sweb_level", &[], "level", move || read.load(Ordering::Relaxed));
+        reg.counter_fn("sweb_read_total", &[], "read", || 9);
+        level.store(4, Ordering::Relaxed);
+        let text = reg.render_prometheus();
+        assert!(text.contains("# TYPE sweb_level gauge\nsweb_level 4\n"), "{text}");
+        assert!(text.contains("# TYPE sweb_read_total counter\nsweb_read_total 9\n"), "{text}");
+        let scalars = reg.scalars();
+        let keys: Vec<&str> = scalars.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["sweb_a_total{k=\"v\"}", "sweb_level", "sweb_read_total"]);
+        for (key, value) in &scalars {
+            assert!(text.lines().any(|l| l == format!("{key} {value}")), "{key}: {text}");
+        }
     }
 }
