@@ -52,6 +52,10 @@
 //!   registered (one entry, pushed then), and a deadline that only moves
 //!   later (the next phase, the next keep-alive request) keeps that one
 //!   entry.
+//! * **An idle loop sleeps**: with the wheel empty, no worker holding a
+//!   request and no listener parked, the loop waits for an fd, its
+//!   doorbell or its [`Service`]'s next deadline, however far off that is.
+//!   Shutdown is an event too: [`ReactorHandle::join`] rings the doorbell.
 //! * **What cannot block is answered where it was parsed**:
 //!   [`App::first_look`] runs on the loop thread and may finish the
 //!   request ([`FirstLook::Done`] goes straight to the socket, no thread
@@ -83,7 +87,7 @@ pub mod workers;
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::os::fd::AsRawFd;
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -154,6 +158,25 @@ pub enum FirstLook {
 
 /// The blocking remainder of a request whose first look ran on the loop.
 pub type Continuation = Box<dyn FnOnce(&str, &Request, &[u8]) -> Reply + Send>;
+
+/// Work that shares a shard's loop with its connections ([`App::service`]):
+/// the loop watches the service's fds for reads beside its own, and wakes
+/// it at the deadline it last asked for. It runs on the loop thread, so,
+/// like [`App::first_look`], it must not block: drain nonblocking fds,
+/// send datagrams, compute. A SWEB node runs its loadd daemon and its
+/// peer-channel listener this way, on shard 0, instead of on threads of
+/// their own.
+pub trait Service: Send {
+    /// The nonblocking fds to watch for reads now. Asked when the loop
+    /// starts and again after every [`Service::run`], so a service can
+    /// stop watching an fd for a while (a listener whose `accept` fails
+    /// with `EMFILE` stays readable) and watch it again later.
+    fn fds(&self) -> Vec<RawFd>;
+    /// `Some(fd)`: that fd is readable; drain it. `None`: the loop just
+    /// started, or the deadline the last call returned has come. Returns
+    /// the next deadline (`None`: wake only for a read).
+    fn run(&mut self, ready: Option<RawFd>) -> Option<Instant>;
+}
 
 /// Verdict from [`App::accept_gate`], consulted before each accept burst.
 /// Lets the application (or a fault injector riding inside it) throttle
@@ -252,6 +275,12 @@ pub trait App: Send + Sync + 'static {
     /// `epoll_ctl` calls), on the loop thread, once per tick that made
     /// any. Deltas, not totals: sum them into a counter.
     fn on_poller_syscalls(&self, _count: u64) {}
+    /// Work that shares this loop with its connections, asked for once as
+    /// the loop starts. `None` (the default): the loop serves connections
+    /// alone. See [`Service`].
+    fn service(&self) -> Option<Box<dyn Service>> {
+        None
+    }
     /// How long one request sat in the worker submission queue before a
     /// worker picked it up (called on the worker thread, just before
     /// `respond` or the continuation). This is the *sojourn time* an
@@ -340,17 +369,25 @@ const ACCEPT_BURST: usize = 16;
 const TOKEN_LISTENER: usize = 0;
 const TOKEN_WAKEUP: usize = 1;
 const TOKEN_BASE: usize = 2;
+/// A [`Service`] fd is watched under `TOKEN_SERVICE + fd`, far above any
+/// connection's token.
+const TOKEN_SERVICE: usize = usize::MAX / 2;
 
 /// A running reactor: join handle plus identity.
 pub struct ReactorHandle {
     thread: Option<std::thread::JoinHandle<io::Result<()>>>,
+    /// The loop's doorbell, rung by [`ReactorHandle::join`].
+    wakeup: Arc<UdpSocket>,
     /// Address the reactor is listening on.
     pub addr: SocketAddr,
 }
 
 impl ReactorHandle {
     /// Wait for the loop thread to exit (after `shutdown` was flagged).
+    /// Rings the loop's doorbell first: an idle loop sleeps until
+    /// something happens, and this is what makes it look at the flag.
     pub fn join(mut self) -> io::Result<()> {
+        let _ = self.wakeup.send(&[1]);
         match self.thread.take() {
             Some(t) => t.join().unwrap_or_else(|_| {
                 Err(io::Error::other("reactor thread panicked"))
@@ -361,7 +398,8 @@ impl ReactorHandle {
 }
 
 /// Spawn a reactor serving `app` on `listener`. The loop runs until
-/// `shutdown` is set (checked at least once per timer tick).
+/// `shutdown` is set: it looks at the flag every time it wakes, and
+/// [`ReactorHandle::join`] wakes it.
 pub fn spawn(
     listener: TcpListener,
     app: Arc<dyn App>,
@@ -389,6 +427,7 @@ fn spawn_shard(
     wakeup_rx.set_nonblocking(true)?;
     wakeup_rx.connect(wakeup_rx.local_addr()?)?;
     let wakeup_tx = Arc::new(wakeup_rx.try_clone()?);
+    let wakeup = Arc::clone(&wakeup_tx);
 
     let thread = std::thread::Builder::new()
         .name(format!("sweb-reactor-{}-s{shard}", addr.port()))
@@ -396,7 +435,7 @@ fn spawn_shard(
             Loop::new(listener, app, cfg, shutdown, poller, wakeup_rx, wakeup_tx).run()
         })?;
 
-    Ok(ReactorHandle { thread: Some(thread), addr })
+    Ok(ReactorHandle { thread: Some(thread), wakeup, addr })
 }
 
 /// A running sharded reactor: one loop handle per shard.
@@ -412,8 +451,9 @@ impl ShardedHandle {
         self.shards.len()
     }
 
-    /// Wait for every shard loop to exit (after `shutdown` was flagged).
-    /// Returns the first shard error, if any.
+    /// Wait for every shard loop to exit (after `shutdown` was flagged),
+    /// ringing each one's doorbell ([`ReactorHandle::join`]). Returns the
+    /// first shard error, if any.
     pub fn join(self) -> io::Result<()> {
         let mut result = Ok(());
         for shard in self.shards {
@@ -625,6 +665,13 @@ struct Loop {
     accept_errors: u32,
     /// When set, the listener is deregistered until this reactor-ms time.
     listener_parked_until: Option<u64>,
+    /// Jobs handed to the pool whose completion has not been drained.
+    in_flight: usize,
+    /// What the app runs beside its connections ([`App::service`]), the
+    /// fds of it the poller watches, and when it next wants to run.
+    service: Option<Box<dyn Service>>,
+    service_fds: Vec<RawFd>,
+    service_due: Option<Instant>,
 }
 
 impl Loop {
@@ -639,6 +686,7 @@ impl Loop {
     ) -> Loop {
         let wheel = TimerWheel::new(cfg.timer_slots, cfg.timer_tick_ms);
         let pool = WorkerPool::new(cfg.workers, cfg.worker_queue, "sweb");
+        let service = app.service();
         Loop {
             listener,
             app,
@@ -654,6 +702,10 @@ impl Loop {
             start: Instant::now(),
             accept_errors: 0,
             listener_parked_until: None,
+            in_flight: 0,
+            service,
+            service_fds: Vec::new(),
+            service_due: None,
         }
     }
 
@@ -680,18 +732,20 @@ impl Loop {
     fn run_inner(&mut self) -> io::Result<()> {
         self.poller.register(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         self.poller.register(self.wakeup_rx.as_raw_fd(), TOKEN_WAKEUP, Interest::READ)?;
+        self.run_service(None)?;
 
         let mut events: Vec<Event> = Vec::with_capacity(256);
         let mut expired: Vec<TimerEntry> = Vec::new();
         while !self.shutdown.load(Ordering::Relaxed) {
-            let now = self.now_ms();
-            let timeout = self.wheel.ms_to_next_tick(now).clamp(1, 50) as i32;
-            self.poller.wait(&mut events, timeout)?;
+            self.poller.wait(&mut events, self.poll_timeout())?;
 
             for &ev in &events {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
                     TOKEN_WAKEUP => self.drain_wakeup(),
+                    t if t >= TOKEN_SERVICE => {
+                        self.run_service(Some((t - TOKEN_SERVICE) as RawFd))?
+                    }
                     t => self.conn_event(t - TOKEN_BASE, ev),
                 }
             }
@@ -714,11 +768,54 @@ impl Loop {
                 }
             }
 
+            if self.service_due.is_some_and(|due| due <= Instant::now()) {
+                self.run_service(None)?;
+            }
+
             let syscalls = self.poller.take_syscalls();
             if syscalls > 0 {
                 self.app.on_poller_syscalls(syscalls);
             }
         }
+        Ok(())
+    }
+
+    /// How long the next poll may sleep, in ms (`-1`: until an event).
+    /// While the wheel holds entries or a worker holds a request, until
+    /// the next tick, so a finished job whose doorbell datagram was lost
+    /// waits one tick at most. Otherwise only a parked listener and the
+    /// service's deadline bound it: an idle loop sleeps until an fd, the
+    /// doorbell or [`ReactorHandle::join`] wakes it.
+    fn poll_timeout(&self) -> i32 {
+        let now = self.now_ms();
+        let ticking = self.in_flight > 0 || self.wheel.pending() > 0;
+        let service_ms = self.service_due.map(|due| {
+            due.saturating_duration_since(Instant::now()).as_micros().div_ceil(1000) as u64
+        });
+        [
+            ticking.then(|| self.wheel.ms_to_next_tick(now)),
+            self.listener_parked_until.map(|until| until.saturating_sub(now)),
+            service_ms,
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        .map_or(-1, |ms| ms.min(i32::MAX as u64) as i32)
+    }
+
+    /// Run the service (`ready`: the fd that woke it), then bring the
+    /// poller in line with the fds it wants watched now.
+    fn run_service(&mut self, ready: Option<RawFd>) -> io::Result<()> {
+        let Some(service) = self.service.as_mut() else { return Ok(()) };
+        self.service_due = service.run(ready);
+        let want = service.fds();
+        for &fd in self.service_fds.iter().filter(|fd| !want.contains(fd)) {
+            let _ = self.poller.deregister(fd);
+        }
+        for &fd in want.iter().filter(|fd| !self.service_fds.contains(fd)) {
+            self.poller.register(fd, TOKEN_SERVICE + fd as usize, Interest::READ)?;
+        }
+        self.service_fds = want;
         Ok(())
     }
 
@@ -1076,12 +1173,15 @@ impl Loop {
             }
             let _ = wakeup.send(&[1]);
         });
-        if let Err(_job) = self.pool.try_submit(job) {
-            // Every worker busy and the queue full: shed at the request
-            // level rather than queue unboundedly.
-            self.app.on_shed();
-            let resp = overloaded_response(self.app.retry_after_secs());
-            self.start_write(idx, Wire::closing(resp));
+        match self.pool.try_submit(job) {
+            Ok(()) => self.in_flight += 1,
+            Err(_job) => {
+                // Every worker busy and the queue full: shed at the
+                // request level rather than queue unboundedly.
+                self.app.on_shed();
+                let resp = overloaded_response(self.app.retry_after_secs());
+                self.start_write(idx, Wire::closing(resp));
+            }
         }
     }
 
@@ -1107,6 +1207,7 @@ impl Loop {
             };
             std::mem::take(&mut *q)
         };
+        self.in_flight = self.in_flight.saturating_sub(done.len());
         for c in done {
             if self.conns.get_mut_checked(c.token, c.gen).is_none() {
                 continue; // connection died while the worker ran

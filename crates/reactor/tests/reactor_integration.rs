@@ -2,7 +2,8 @@
 //! keep-alive, pipelining, slow-client eviction, and 503 shedding.
 
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream, UdpSocket};
+use std::os::fd::{AsRawFd, RawFd};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -11,7 +12,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use sweb_http::{Request, Response, StatusCode};
 use sweb_reactor::{
-    AcceptGate, App, FileBody, FirstLook, Payload, ReactorConfig, ReactorHandle, Reply,
+    AcceptGate, App, FileBody, FirstLook, Payload, ReactorConfig, ReactorHandle, Reply, Service,
 };
 use sweb_telemetry::Phase;
 
@@ -957,13 +958,13 @@ fn held_keepalive_connections_cost_the_poller_nothing_while_idle() {
     // 1,000 keep-alive connections on one shard, each answered once and
     // then left idle. A held connection is registered and sits in the
     // wheel, but the poller is not asked about it until it has bytes: a
-    // 500 ms idle window costs the loop's own timeout wake-ups (at most
-    // one per 50 ms), whatever the number of connections held. One more
+    // 500 ms idle window costs the loop's own tick wake-ups (one per
+    // timer tick), whatever the number of connections held. One more
     // request on each then costs a share of an `epoll_wait` — no
     // `epoll_ctl`, since the interest is already READ.
     const CONNS: usize = 1000;
     let cfg = ReactorConfig {
-        // Idle waits time out at the 50 ms cap, not every 20 ms tick.
+        // Idle waits time out once a second, not every 20 ms.
         timer_tick_ms: 1000,
         ..ReactorConfig::default()
     };
@@ -1083,4 +1084,93 @@ fn a_parked_listener_loses_no_connection_in_flight() {
     }
     assert_eq!(srv.app.inline.load(Ordering::SeqCst), CLIENTS * EACH);
     assert!(srv.app.gate_calls.load(Ordering::SeqCst) >= 3);
+}
+
+/// Joins `handle` on another thread; `None` if that takes over a second.
+fn join_within_a_second(handle: ReactorHandle) -> Option<Duration> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let t0 = Instant::now();
+    std::thread::spawn(move || tx.send(handle.join()).unwrap());
+    let joined = rx.recv_timeout(Duration::from_secs(1)).ok()?;
+    joined.unwrap();
+    Some(t0.elapsed())
+}
+
+#[test]
+fn shutdown_wakes_an_idle_loop() {
+    // No connection, no timer, no job: the loop sleeps until an event,
+    // with no timeout at all. `join` rings its doorbell, which is what
+    // makes it look at the flag; without that this join never returns.
+    let app = Arc::new(EchoApp::default());
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let handle = sweb_reactor::spawn(
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+        Arc::clone(&app) as Arc<dyn App>,
+        ReactorConfig::default(),
+        Arc::clone(&shutdown),
+    )
+    .unwrap();
+    assert!(wait_until(Duration::from_secs(2), || app.shard_starts.load(Ordering::SeqCst) == 1));
+    std::thread::sleep(Duration::from_millis(200)); // well into its sleep
+    shutdown.store(true, Ordering::Relaxed);
+    let took = join_within_a_second(handle).expect("an idle loop did not see the shutdown");
+    eprintln!("an idle loop joined in {took:?}");
+    assert_eq!(app.shard_stops.load(Ordering::SeqCst), 1);
+}
+
+/// A service over one UDP socket: counts the datagrams it drains and the
+/// deadlines that woke it, and asks to be woken every 30 ms.
+struct Ticker {
+    sock: UdpSocket,
+    reads: Arc<AtomicUsize>,
+    deadlines: Arc<AtomicUsize>,
+}
+
+impl Service for Ticker {
+    fn fds(&self) -> Vec<RawFd> {
+        vec![self.sock.as_raw_fd()]
+    }
+    fn run(&mut self, ready: Option<RawFd>) -> Option<Instant> {
+        if ready.is_some() {
+            let mut buf = [0u8; 16];
+            while self.sock.recv(&mut buf).is_ok() {
+                self.reads.fetch_add(1, Ordering::SeqCst);
+            }
+        } else {
+            self.deadlines.fetch_add(1, Ordering::SeqCst);
+        }
+        Some(Instant::now() + Duration::from_millis(30))
+    }
+}
+
+/// Serves nothing but the request target, and hands its loop a [`Ticker`].
+struct TickerApp(Mutex<Option<Ticker>>);
+
+impl App for TickerApp {
+    fn respond(&self, _peer: &str, req: &Request, _body: &[u8]) -> Reply {
+        Response::ok(req.target.clone(), "text/plain").into()
+    }
+    fn service(&self) -> Option<Box<dyn Service>> {
+        let ticker = self.0.lock().unwrap().take()?;
+        Some(Box::new(ticker))
+    }
+}
+
+#[test]
+fn a_service_shares_the_loop_with_its_connections() {
+    let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+    sock.set_nonblocking(true).unwrap();
+    let to = sock.local_addr().unwrap();
+    let (reads, deadlines) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let ticker = Ticker { sock, reads: Arc::clone(&reads), deadlines: Arc::clone(&deadlines) };
+    let srv = TestServer::start_app(TickerApp(Mutex::new(Some(ticker))), ReactorConfig::default());
+    // It runs as the loop starts, then at every deadline it asks for...
+    assert!(wait_until(Duration::from_secs(2), || deadlines.load(Ordering::SeqCst) >= 3));
+    // ...and whenever its fd is readable, beside the connections.
+    let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
+    for _ in 0..3 {
+        sender.send_to(b"ping", to).unwrap();
+    }
+    assert!(wait_until(Duration::from_secs(2), || reads.load(Ordering::SeqCst) == 3));
+    assert!(srv.exchange(b"GET /served HTTP/1.0\r\n\r\n").ends_with("/served"));
 }

@@ -33,8 +33,9 @@ pub struct ClusterConfig {
     /// `503` and counted in `NodeStats::shed`.
     pub max_conns: usize,
     /// Reactor shards per node: per-core event loops sharing the node's
-    /// port via `SO_REUSEPORT`. `0` (the default) means auto — one shard
-    /// per available core (`--shards` / `SWEB_SHARDS` through
+    /// port via `SO_REUSEPORT`. `0` (the default) means auto — the
+    /// available cores divided among the nodes of the cluster, at least
+    /// one shard each (`--shards` / `SWEB_SHARDS` through
     /// [`crate::ServerOptions`]).
     pub shards: usize,
     /// Scheduler tunables. The default shortens the loadd period to 200 ms
@@ -104,13 +105,15 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Resolve the configured shard count to the one the cluster will run:
-/// `shards == 0` means one shard per available core, capped at
+/// Resolve the configured shard count to the one each of `nodes` nodes
+/// will run: `shards == 0` divides the available cores among the nodes
+/// of this process (at least one shard each), capped at
 /// [`sweb_telemetry::MAX_SHARD_CELLS`] so every shard gets its own
-/// metric cell.
-fn resolve_shards(cfg: &ClusterConfig) -> usize {
+/// metric cell. The paper's node is a machine; nodes sharing one should
+/// split it, not each claim all of it.
+fn resolve_shards(cfg: &ClusterConfig, nodes: usize) -> usize {
     let n = if cfg.shards == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) / nodes
     } else {
         cfg.shards
     };
@@ -140,7 +143,7 @@ impl LiveCluster {
     /// standing in for the NFS crossmounted disks).
     pub fn start(n: usize, docroot: PathBuf, cfg: ClusterConfig) -> std::io::Result<LiveCluster> {
         assert!(n >= 1, "at least one node");
-        let shards = resolve_shards(&cfg);
+        let shards = resolve_shards(&cfg, n);
         // Bind everything first so every node knows every address. A
         // multi-shard reactor node binds its port with `SO_REUSEPORT` so
         // the other shards can join the accept group later.
@@ -211,7 +214,7 @@ impl LiveCluster {
                 peer_udp: peer_udp.clone(),
                 peer_tcp: peer_tcp.clone(),
                 peer_pool: sweb_peer::PeerPool::new(peer_tcp.clone()),
-                popularity: crate::peer_transfer::Popularity::new(),
+                popularity: crate::peer_transfer::Popularity::new(cfg.sweb.replicate_hot),
                 peer_hot: RwLock::new(vec![Vec::new(); n]),
                 loads: RwLock::new(LoadTable::new(n)),
                 broker: Broker::new(cfg.policy, model.clone())
@@ -280,6 +283,9 @@ impl LiveCluster {
 
     /// Wait until every node has heard a loadd report from every other
     /// node, or the deadline passes. Returns whether the mesh converged.
+    /// Looks every millisecond: the first reports land within a few, and
+    /// every start-up (`swebd`'s, and the benchmark's `setup_s`) waits
+    /// here.
     pub fn await_loadd_mesh(&self, deadline: std::time::Duration) -> bool {
         let t0 = Instant::now();
         let n = self.slots.len();
@@ -291,7 +297,7 @@ impl LiveCluster {
             if converged {
                 return true;
             }
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
         false
     }
@@ -310,11 +316,12 @@ impl LiveCluster {
         self.slots[i].shared.draining.store(false, Ordering::Relaxed);
     }
 
-    /// Hard-kill node `i`: stop its engine and loadd threads and close
-    /// its sockets, with no drain and no leaving packet — the process
-    /// equivalent of yanking power. Peers only find out through silence
-    /// (Suspect after two silent loadd periods, Dead after the staleness
-    /// timeout). Idempotent.
+    /// Hard-kill node `i`: stop its engine (whose shard 0 runs loadd and
+    /// the peer listener) and close its sockets, with no drain and no
+    /// leaving packet — the process equivalent of yanking power. Joining
+    /// the loops wakes them, so an idle node dies at once. Peers only
+    /// find out through silence (Suspect after two silent loadd periods,
+    /// Dead after the staleness timeout). Idempotent.
     pub fn kill(&self, i: usize) {
         let handle = {
             let mut slot = match self.slots[i].handle.lock() {
@@ -379,9 +386,9 @@ impl LiveCluster {
             std::thread::sleep(Duration::from_millis(5));
         }
         let drained = shared.stats.active.get() <= 0;
-        // Stop the node *before* announcing: kill() joins the broadcaster,
-        // so no straggling normal packet can race behind the leaving one
-        // and resurrect the node in a peer's table.
+        // Stop the node *before* announcing: kill() joins shard 0's loop,
+        // where loadd broadcasts, so no straggling normal packet can race
+        // behind the leaving one and resurrect the node in a peer's table.
         self.kill(i);
         // The final announcement goes out from an ephemeral socket (the
         // node's own loadd is gone); receivers don't check source

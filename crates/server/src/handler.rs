@@ -451,7 +451,8 @@ impl Serve {
     fn fetched(&self, shared: &NodeShared, started: Instant) {
         if matches!(self.target, Target::Document { .. }) {
             // Count the serve toward this node's popularity table: these
-            // counts feed loadd's hot-list piggyback and the replicator.
+            // counts feed the replicator and loadd's hot-list piggyback
+            // (a no-op on a node without the replicator).
             shared.popularity.record(self.file, &self.path);
         }
         let fetch_us = started.elapsed().as_micros() as u64;

@@ -22,6 +22,7 @@
 //! staleness timeout.
 
 use std::net::{SocketAddr, UdpSocket};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -223,129 +224,141 @@ fn sweep_staleness(shared: &NodeShared) {
     }
 }
 
-/// Spawn the broadcaster and receiver threads for one node.
-pub fn spawn(shared: Arc<NodeShared>, udp: UdpSocket) -> Vec<std::thread::JoinHandle<()>> {
-    let period = Duration::from_micros(shared.sweb.loadd_period.as_micros());
-    let recv_socket = udp.try_clone().expect("udp clone");
-    recv_socket
-        .set_read_timeout(Some(Duration::from_millis(20)))
-        .expect("udp read timeout");
-    shared.chaos.arm(shared.start);
+/// One node's loadd, run by its shard 0 loop as part of the node's
+/// [`sweb_reactor::Service`]: the UDP socket it drains when readable, and
+/// the timer it keeps — the next broadcast, which runs the staleness
+/// sweep, and any packet a fault plan delays.
+pub(crate) struct Daemon {
+    shared: Arc<NodeShared>,
+    udp: UdpSocket,
+    period: Duration,
+    next_broadcast: Instant,
+    delayed: Vec<(Instant, SocketAddr, Vec<u8>)>,
+}
 
-    // Broadcaster: send own load to every peer (including self, which
-    // keeps the code uniform), then run the staleness pass. The loop
-    // sleeps in short slices so shutdown latency and injected packet
-    // delays are both ~10 ms, not a whole loadd period.
-    let bcast_shared = Arc::clone(&shared);
-    let broadcaster = std::thread::spawn(move || {
-        let tick = Duration::from_millis(10);
-        let mut next_broadcast = Instant::now();
-        let mut delayed: Vec<(Instant, SocketAddr, Vec<u8>)> = Vec::new();
-        while !bcast_shared.shutdown.load(Ordering::Relaxed) {
-            let now = Instant::now();
-            delayed.retain(|(due, addr, pkt)| {
-                if *due <= now {
-                    let _ = udp.send_to(pkt, addr);
-                    false
-                } else {
-                    true
-                }
-            });
-            if now >= next_broadcast {
-                next_broadcast = now + period;
-                let load = sample_load(&bcast_shared);
-                let leaving = bcast_shared.draining.load(Ordering::Relaxed);
-                let digest = bcast_shared.file_cache.digest();
-                let hot = bcast_shared.popularity.hot_ids(MAX_HOT);
-                let pkt = encode_v3(bcast_shared.id, &load, leaving, &digest, &hot);
-                let me = bcast_shared.id.0;
-                for (peer, addr) in bcast_shared.peer_udp.iter().enumerate() {
-                    // Self-reports bypass injection: a node always knows
-                    // its own load; chaos models the *network* between
-                    // distinct nodes.
-                    let verdict = if peer as u32 == me || !bcast_shared.chaos.is_active() {
-                        TxVerdict::Deliver
-                    } else {
-                        bcast_shared.chaos.loadd_tx(me, peer as u32)
-                    };
-                    match verdict {
-                        TxVerdict::Deliver => {
-                            let _ = udp.send_to(&pkt, addr);
-                        }
-                        TxVerdict::Drop => {}
-                        TxVerdict::Delay(d) => delayed.push((now + d, *addr, pkt.clone())),
-                    }
-                }
-                sweep_staleness(&bcast_shared);
+impl Daemon {
+    /// loadd for `shared`'s node on `udp`. The first broadcast goes out
+    /// the first time it [`Daemon::tick`]s.
+    pub(crate) fn new(shared: Arc<NodeShared>, udp: UdpSocket) -> std::io::Result<Daemon> {
+        udp.set_nonblocking(true)?;
+        let period = Duration::from_micros(shared.sweb.loadd_period.as_micros());
+        Ok(Daemon { shared, udp, period, next_broadcast: Instant::now(), delayed: Vec::new() })
+    }
+
+    /// The socket the loop watches.
+    pub(crate) fn fd(&self) -> RawFd {
+        self.udp.as_raw_fd()
+    }
+
+    /// Send what has come due — delayed packets, and once a period the
+    /// broadcast and the staleness sweep — and say when to come back.
+    pub(crate) fn tick(&mut self) -> Instant {
+        let now = Instant::now();
+        let udp = &self.udp;
+        self.delayed.retain(|(due, addr, pkt)| {
+            if *due > now {
+                return true;
             }
-            std::thread::sleep(tick);
+            let _ = udp.send_to(pkt, addr);
+            false
+        });
+        if now >= self.next_broadcast {
+            self.next_broadcast = now + self.period;
+            self.broadcast(now);
+            sweep_staleness(&self.shared);
         }
-    });
+        self.delayed.iter().map(|(due, _, _)| *due).fold(self.next_broadcast, Instant::min)
+    }
 
-    // Receiver: fold peer reports into the load table. Decode failures —
-    // garbage bytes, short datagrams, node ids beyond the table — are
-    // counted instead of silently dropped, so a partition-era config
-    // mismatch (or a chaos garbling) is visible in telemetry.
-    let recv_shared = shared;
-    let receiver = std::thread::spawn(move || {
+    /// Send this node's load to every peer, itself included (which keeps
+    /// the code uniform).
+    fn broadcast(&mut self, now: Instant) {
+        let shared = &self.shared;
+        let load = sample_load(shared);
+        let leaving = shared.draining.load(Ordering::Relaxed);
+        let digest = shared.file_cache.digest();
+        let hot = shared.popularity.hot_ids(MAX_HOT);
+        let pkt = encode_v3(shared.id, &load, leaving, &digest, &hot);
+        let me = shared.id.0;
+        for (peer, addr) in shared.peer_udp.iter().enumerate() {
+            // Self-reports bypass injection: a node always knows its own
+            // load; chaos models the *network* between distinct nodes.
+            let verdict = if peer as u32 == me || !shared.chaos.is_active() {
+                TxVerdict::Deliver
+            } else {
+                shared.chaos.loadd_tx(me, peer as u32)
+            };
+            match verdict {
+                TxVerdict::Deliver => {
+                    let _ = self.udp.send_to(&pkt, addr);
+                }
+                TxVerdict::Drop => {}
+                TxVerdict::Delay(d) => self.delayed.push((now + d, *addr, pkt.clone())),
+            }
+        }
+    }
+
+    /// Fold every report waiting on the socket into the load table.
+    pub(crate) fn receive(&self) {
         let mut buf = [0u8; PACKET_V3_MAX + 64]; // headroom for trailing junk
-        while !recv_shared.shutdown.load(Ordering::Relaxed) {
-            match recv_socket.recv_from(&mut buf) {
-                Ok((n, _)) => {
-                    let Some(report) = decode(&buf[..n]) else {
-                        recv_shared.stats.loadd_decode_errors.inc();
-                        continue;
-                    };
-                    let LoadReport { node, load, leaving, digest, hot } = report;
-                    if node.index() >= recv_shared.loads.read().len() {
-                        recv_shared.stats.loadd_decode_errors.inc();
-                        continue;
-                    }
-                    let now = recv_shared.now();
-                    let prev = {
-                        let mut loads = recv_shared.loads.write();
-                        if leaving && node != recv_shared.id {
-                            loads.mark_dead(node)
-                        } else {
-                            let prev = loads.update(node, load, now);
-                            if let Some(d) = digest {
-                                loads.set_digest(node, d);
-                            }
-                            prev
-                        }
-                    };
-                    if node != recv_shared.id {
-                        // Remember the peer's advertised hot list (v3);
-                        // pre-v3 packets leave the previous list alone.
-                        if !hot.is_empty() {
-                            recv_shared.peer_hot.write()[node.index()] = hot;
-                        }
-                    }
-                    if node == recv_shared.id {
-                        continue;
-                    }
-                    if leaving {
-                        if prev != PeerHealth::Dead {
-                            recv_shared.stats.peer_dead.inc();
-                            if recv_shared.overload_control {
-                                recv_shared.breakers.force_open(node);
-                            }
-                            log_membership(&recv_shared, node, "dead");
-                        }
-                    } else if prev != PeerHealth::Alive {
-                        recv_shared.stats.peer_revived.inc();
-                        log_membership(&recv_shared, node, "revived");
-                    }
-                }
-                Err(ref e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
-                Err(_) => break,
+        loop {
+            match self.udp.recv_from(&mut buf) {
+                Ok((n, _)) => self.fold(&buf[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return, // drained (`WouldBlock`)
             }
         }
-    });
+    }
 
-    vec![broadcaster, receiver]
+    /// Fold one report into the load table. Decode failures — garbage
+    /// bytes, short datagrams, node ids beyond the table — are counted
+    /// instead of silently dropped, so a partition-era config mismatch
+    /// (or a chaos garbling) is visible in telemetry.
+    fn fold(&self, pkt: &[u8]) {
+        let shared = &self.shared;
+        let Some(report) = decode(pkt) else {
+            shared.stats.loadd_decode_errors.inc();
+            return;
+        };
+        let LoadReport { node, load, leaving, digest, hot } = report;
+        if node.index() >= shared.loads.read().len() {
+            shared.stats.loadd_decode_errors.inc();
+            return;
+        }
+        let now = shared.now();
+        let prev = {
+            let mut loads = shared.loads.write();
+            if leaving && node != shared.id {
+                loads.mark_dead(node)
+            } else {
+                let prev = loads.update(node, load, now);
+                if let Some(d) = digest {
+                    loads.set_digest(node, d);
+                }
+                prev
+            }
+        };
+        if node == shared.id {
+            return;
+        }
+        // Remember the peer's advertised hot list (v3); pre-v3 packets
+        // and nodes without a replicator leave the previous list alone.
+        if !hot.is_empty() {
+            shared.peer_hot.write()[node.index()] = hot;
+        }
+        if leaving {
+            if prev != PeerHealth::Dead {
+                shared.stats.peer_dead.inc();
+                if shared.overload_control {
+                    shared.breakers.force_open(node);
+                }
+                log_membership(shared, node, "dead");
+            }
+        } else if prev != PeerHealth::Alive {
+            shared.stats.peer_revived.inc();
+            log_membership(shared, node, "revived");
+        }
+    }
 }
 
 #[cfg(test)]

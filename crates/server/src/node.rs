@@ -1,12 +1,13 @@
 //! Per-node state and its adapter onto the reactor connection engine.
 
 use std::net::{SocketAddr, TcpListener};
+use std::os::fd::RawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use sweb_chaos::Injector;
 use sweb_cluster::{ClusterSpec, NodeId};
 use sweb_core::{
@@ -454,40 +455,66 @@ impl NodeShared {
 /// loop-thread hooks attribute to this shard's metric cell explicitly,
 /// and worker-side entry points pin the worker thread's shard hint so
 /// handler-path increments attribute the same way.
-#[derive(Clone)]
 struct ReactorApp {
     shared: Arc<NodeShared>,
     shard: usize,
+    /// Shard 0's loop takes the node's loadd daemon and peer listener as
+    /// it starts ([`sweb_reactor::App::service`]); `None` on the others.
+    service: Mutex<Option<NodeService>>,
 }
 
-impl ReactorApp {
-    /// Log a finished reply where it was produced and hand it to the
-    /// reactor.
-    fn reply(&self, peer: &str, req: &Request, parts: handler::Parts) -> sweb_reactor::Reply {
-        let (resp, file) = parts;
-        if let Some(log) = &self.shared.access_log {
-            let body_len = file.as_ref().map(|(_, len)| *len).unwrap_or(resp.body.len() as u64);
-            let trace = resp.headers.get("x-sweb-trace");
-            log.log(
-                peer,
-                handler::method_str(req.method),
-                &req.target,
-                resp.status.code(),
-                body_len,
-                trace,
-            );
+/// What shard 0's loop runs beside its connections: the node's loadd
+/// daemon and its peer-channel listener. Neither has a thread of its own.
+struct NodeService {
+    loadd: crate::loadd::Daemon,
+    peers: crate::peer_transfer::PeerListener,
+}
+
+impl sweb_reactor::Service for NodeService {
+    fn fds(&self) -> Vec<RawFd> {
+        std::iter::once(self.loadd.fd()).chain(self.peers.fd()).collect()
+    }
+    fn run(&mut self, ready: Option<RawFd>) -> Option<Instant> {
+        match ready {
+            Some(fd) if fd == self.loadd.fd() => self.loadd.receive(),
+            Some(_) => self.peers.accept(),
+            None => {}
         }
-        sweb_reactor::Reply {
-            response: resp,
-            file: file.map(|(file, len)| sweb_reactor::FileBody { file, len }),
-        }
+        let due = self.loadd.tick();
+        Some(self.peers.parked_until(Instant::now()).map_or(due, |until| due.min(until)))
+    }
+}
+
+/// Log a finished reply where it was produced and hand it to the reactor.
+fn reply(
+    shared: &NodeShared,
+    peer: &str,
+    req: &Request,
+    parts: handler::Parts,
+) -> sweb_reactor::Reply {
+    let (resp, file) = parts;
+    if let Some(log) = &shared.access_log {
+        let body_len = file.as_ref().map(|(_, len)| *len).unwrap_or(resp.body.len() as u64);
+        let trace = resp.headers.get("x-sweb-trace");
+        log.log(
+            peer,
+            handler::method_str(req.method),
+            &req.target,
+            resp.status.code(),
+            body_len,
+            trace,
+        );
+    }
+    sweb_reactor::Reply {
+        response: resp,
+        file: file.map(|(file, len)| sweb_reactor::FileBody { file, len }),
     }
 }
 
 impl sweb_reactor::App for ReactorApp {
     fn respond(&self, peer: &str, req: &Request, body: &[u8]) -> sweb_reactor::Reply {
         sweb_telemetry::set_shard(self.shard);
-        self.reply(peer, req, handler::respond_parts(&self.shared, req, body))
+        reply(&self.shared, peer, req, handler::respond_parts(&self.shared, req, body))
     }
     fn first_look(
         &self,
@@ -506,16 +533,20 @@ impl sweb_reactor::App for ReactorApp {
             // A large resident document arrives with its fd open: the
             // loop `sendfile`s it straight from the page cache.
             handler::Look::Done(parts) => {
-                sweb_reactor::FirstLook::Done(self.reply(peer, req, parts))
+                sweb_reactor::FirstLook::Done(reply(&self.shared, peer, req, parts))
             }
             handler::Look::Blocking(rest) => {
-                let app = self.clone();
+                let (shared, shard) = (Arc::clone(&self.shared), self.shard);
                 sweb_reactor::FirstLook::Blocking(Box::new(move |peer, req, body| {
-                    sweb_telemetry::set_shard(app.shard);
-                    app.reply(peer, req, rest.run(&app.shared, req, body))
+                    sweb_telemetry::set_shard(shard);
+                    reply(&shared, peer, req, rest.run(&shared, req, body))
                 }))
             }
         })
+    }
+    fn service(&self) -> Option<Box<dyn sweb_reactor::Service>> {
+        let service = self.service.lock().take()?;
+        Some(Box::new(service))
     }
     fn on_inline(&self, micros: u64) {
         self.shared.stats.inline.inc_at(self.shard);
@@ -616,23 +647,26 @@ impl sweb_reactor::App for ReactorApp {
     }
 }
 
-/// A running node: its shared state plus joinable service threads.
+/// A running node: its shared state plus its event loops.
 pub struct NodeHandle {
     /// Shared state (also held by the reactor's apps and workers).
     pub shared: Arc<NodeShared>,
     /// HTTP address the node listens on.
     pub http_addr: SocketAddr,
-    threads: Vec<std::thread::JoinHandle<()>>,
-    /// The event loops.
+    /// The hot-file replicator's thread, when configured.
+    replicator: Option<std::thread::JoinHandle<()>>,
+    /// The event loops; shard 0's also runs loadd and the peer listener.
     reactor: sweb_reactor::ShardedHandle,
-    /// The reactor's own stop flag (it checks this every timer tick).
+    /// The reactor's own stop flag (its loops look at it when woken).
     reactor_shutdown: Arc<AtomicBool>,
 }
 
 impl NodeHandle {
-    /// Spawn the connection engine, loadd, and peer-channel threads for
-    /// a node whose listener, UDP socket, and peer-channel listener are
-    /// already bound.
+    /// Spawn the connection engine for a node whose listener, UDP socket,
+    /// and peer-channel listener are already bound. Shard 0's loop runs
+    /// loadd on the UDP socket and accepts on the peer channel (serving
+    /// FETCH costs nothing when nobody pulls); only the replicator, whose
+    /// pushes block, gets a thread, and only when configured.
     pub fn spawn(
         shared: Arc<NodeShared>,
         listener: TcpListener,
@@ -640,44 +674,46 @@ impl NodeHandle {
         peer_listener: TcpListener,
     ) -> std::io::Result<NodeHandle> {
         let http_addr = listener.local_addr()?;
-        let mut threads = Vec::new();
+        let mut service = Some(NodeService {
+            loadd: crate::loadd::Daemon::new(Arc::clone(&shared), udp)?,
+            peers: crate::peer_transfer::PeerListener::new(Arc::clone(&shared), peer_listener)?,
+        });
 
         let reactor_shutdown = Arc::new(AtomicBool::new(false));
         let apps: Vec<Arc<dyn sweb_reactor::App>> = (0..shared.shards.max(1))
             .map(|shard| {
-                Arc::new(ReactorApp { shared: Arc::clone(&shared), shard })
+                let service = Mutex::new(service.take());
+                Arc::new(ReactorApp { shared: Arc::clone(&shared), shard, service })
                     as Arc<dyn sweb_reactor::App>
             })
             .collect();
+        // Nodes that share this process share its cores (the shard count
+        // divides them the same way): each takes its share of the default
+        // pool, and at least two workers.
+        let nodes = shared.peer_http.len().max(1);
         let cfg = sweb_reactor::ReactorConfig {
             max_conns: shared.max_conns,
+            workers: (sweb_reactor::default_workers() / nodes).max(2),
             request_budget: shared.request_budget,
             ..sweb_reactor::ReactorConfig::default()
         };
         let reactor =
             sweb_reactor::spawn_sharded(listener, apps, cfg, Arc::clone(&reactor_shutdown))?;
+        let replicator = shared
+            .sweb
+            .replicate_hot
+            .then(|| crate::peer_transfer::spawn_replicator(Arc::clone(&shared)));
 
-        // loadd: broadcaster + receiver.
-        threads.extend(crate::loadd::spawn(Arc::clone(&shared), udp));
-
-        // Peer transfer channel: the listener always runs (serving FETCH
-        // costs nothing when nobody pulls); the replicator only when
-        // configured.
-        threads.push(crate::peer_transfer::spawn_listener(Arc::clone(&shared), peer_listener));
-        if shared.sweb.replicate_hot {
-            threads.push(crate::peer_transfer::spawn_replicator(Arc::clone(&shared)));
-        }
-
-        Ok(NodeHandle { shared, http_addr, threads, reactor, reactor_shutdown })
+        Ok(NodeHandle { shared, http_addr, replicator, reactor, reactor_shutdown })
     }
 
-    /// Signal shutdown and join the service threads; open connections
-    /// are closed by the reactor loops on their way out.
+    /// Signal shutdown and join the loops and the replicator; open
+    /// connections are closed by the reactor loops on their way out.
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         self.reactor_shutdown.store(true, Ordering::Relaxed);
         let _ = self.reactor.join();
-        for t in self.threads {
+        if let Some(t) = self.replicator {
             let _ = t.join();
         }
         // Shards clear their own flags on the way out; a loop that

@@ -69,8 +69,8 @@ impl ServerOptions {
 
     // ---- CLI tier: explicit settings that beat the environment ----
 
-    /// Reactor shards per node, 0 = one per core (`--shards`; env
-    /// `SWEB_SHARDS`).
+    /// Reactor shards per node, 0 = the cores divided among the nodes
+    /// (`--shards`; env `SWEB_SHARDS`).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self

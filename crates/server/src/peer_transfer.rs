@@ -13,7 +13,9 @@
 //! the node.
 
 use std::collections::HashMap;
+use std::io;
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -47,29 +49,29 @@ const PUSH_DEADLINE: Duration = Duration::from_millis(500);
 /// the shutdown flag.
 const IDLE_POLL: Duration = Duration::from_millis(100);
 
+/// How long the peer listener goes unwatched after a failed `accept`.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
 /// Per-file request counters, feeding loadd's v3 hot list and the
 /// replicator's push decisions. Counts decay by half each replicator
-/// sweep, so "hot" means *recently* hot.
+/// sweep, so "hot" means *recently* hot. A node whose replicator does not
+/// run keeps no table: nothing would decay it, and nothing but the hot
+/// list would read it, so `record` returns at once and the list is empty.
 pub struct Popularity {
-    inner: Mutex<HashMap<FileId, (u64, String)>>,
-}
-
-impl Default for Popularity {
-    fn default() -> Popularity {
-        Popularity::new()
-    }
+    inner: Option<Mutex<HashMap<FileId, (u64, String)>>>,
 }
 
 impl Popularity {
-    /// An empty table.
-    pub fn new() -> Popularity {
-        Popularity { inner: Mutex::new(HashMap::new()) }
+    /// An empty table; `replicating: false` gives one that records nothing.
+    pub fn new(replicating: bool) -> Popularity {
+        Popularity { inner: replicating.then(|| Mutex::new(HashMap::new())) }
     }
 
     /// Count one request for `path`. When the table is full, a new file
     /// replaces the current coldest entry — a hot file always finds room.
     pub fn record(&self, file: FileId, path: &str) {
-        let mut inner = self.inner.lock();
+        let Some(inner) = &self.inner else { return };
+        let mut inner = inner.lock();
         if let Some(slot) = inner.get_mut(&file) {
             slot.0 += 1;
             return;
@@ -84,7 +86,8 @@ impl Popularity {
 
     /// The `k` hottest files, hottest first, with their paths and counts.
     pub fn hot(&self, k: usize) -> Vec<(FileId, String, u64)> {
-        let inner = self.inner.lock();
+        let Some(inner) = &self.inner else { return Vec::new() };
+        let inner = inner.lock();
         let mut all: Vec<_> =
             inner.iter().map(|(f, (n, p))| (*f, p.clone(), *n)).collect();
         all.sort_by(|a, b| b.2.cmp(&a.2).then(a.0 .0.cmp(&b.0 .0)));
@@ -100,39 +103,61 @@ impl Popularity {
     /// Halve every count (dropping entries that reach zero): the ageing
     /// step between replicator sweeps.
     pub fn decay(&self) {
-        let mut inner = self.inner.lock();
-        inner.retain(|_, (n, _)| {
+        let Some(inner) = &self.inner else { return };
+        inner.lock().retain(|_, (n, _)| {
             *n /= 2;
             *n > 0
         });
     }
 }
 
-/// Spawn the peer-channel listener thread: a nonblocking accept loop
-/// that hands each peer connection to its own service thread (peers are
-/// few and their connections persistent, so thread-per-peer is cheap).
-pub fn spawn_listener(
+/// The peer channel's listener, watched by shard 0's loop. It hands each
+/// peer connection to its own service thread (peers are few and their
+/// connections persistent, so thread-per-peer is cheap).
+pub(crate) struct PeerListener {
     shared: Arc<NodeShared>,
     listener: TcpListener,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        if listener.set_nonblocking(true).is_err() {
-            return;
-        }
-        while !shared.shutdown.load(Ordering::Relaxed) {
-            match listener.accept() {
+    /// Set when `accept` failed for want of something (`EMFILE`): the
+    /// listener stays readable, so it goes unwatched until then.
+    parked_until: Option<Instant>,
+}
+
+impl PeerListener {
+    /// Watch `listener` for `shared`'s node.
+    pub(crate) fn new(shared: Arc<NodeShared>, listener: TcpListener) -> io::Result<PeerListener> {
+        listener.set_nonblocking(true)?;
+        Ok(PeerListener { shared, listener, parked_until: None })
+    }
+
+    /// The fd to watch; `None` while parked.
+    pub(crate) fn fd(&self) -> Option<RawFd> {
+        self.parked_until.is_none().then(|| self.listener.as_raw_fd())
+    }
+
+    /// Accept every pending peer connection.
+    pub(crate) fn accept(&mut self) {
+        loop {
+            match self.listener.accept() {
                 Ok((stream, _)) => {
-                    let conn_shared = Arc::clone(&shared);
-                    std::thread::spawn(move || serve_peer_conn(conn_shared, stream));
+                    let shared = Arc::clone(&self.shared);
+                    std::thread::spawn(move || serve_peer_conn(shared, stream));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(_) => {
+                    self.parked_until = Some(Instant::now() + ACCEPT_BACKOFF);
+                    return;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => std::thread::sleep(Duration::from_millis(50)),
             }
         }
-    })
+    }
+
+    /// When a parked listener is watched again; unparks it once that
+    /// time has come.
+    pub(crate) fn parked_until(&mut self, now: Instant) -> Option<Instant> {
+        self.parked_until = self.parked_until.filter(|until| *until > now);
+        self.parked_until
+    }
 }
 
 /// Serve one peer connection until it closes, the node shuts down, or a
@@ -416,7 +441,7 @@ mod tests {
 
     #[test]
     fn popularity_counts_and_ranks() {
-        let p = Popularity::new();
+        let p = Popularity::new(true);
         for _ in 0..5 {
             p.record(FileId(1), "/a");
         }
@@ -434,7 +459,7 @@ mod tests {
 
     #[test]
     fn popularity_decays_to_nothing() {
-        let p = Popularity::new();
+        let p = Popularity::new(true);
         for _ in 0..4 {
             p.record(FileId(7), "/hot");
         }
@@ -447,7 +472,7 @@ mod tests {
 
     #[test]
     fn popularity_cap_evicts_the_coldest() {
-        let p = Popularity::new();
+        let p = Popularity::new(true);
         for i in 0..POPULARITY_CAP {
             p.record(FileId(i as u64), "/warm");
             p.record(FileId(i as u64), "/warm");
@@ -457,5 +482,34 @@ mod tests {
         let ids = p.hot_ids(POPULARITY_CAP + 1);
         assert_eq!(ids.len(), POPULARITY_CAP);
         assert!(ids.contains(&FileId(999_999)));
+    }
+
+    /// The v3 hot list a node's broadcast would carry after serving
+    /// `/a` three times and `/b` once.
+    fn advertised(replicating: bool) -> Vec<FileId> {
+        use crate::loadd::{decode, encode_v3, MAX_HOT};
+        let p = Popularity::new(replicating);
+        for (file, path) in [(1, "/a"), (1, "/a"), (2, "/b"), (1, "/a")] {
+            p.record(FileId(file), path);
+        }
+        let (load, digest) = (sweb_core::LoadVector::IDLE, sweb_core::CacheDigest::EMPTY);
+        let pkt = encode_v3(NodeId(0), &load, false, &digest, &p.hot_ids(MAX_HOT));
+        decode(&pkt).expect("a v3 packet").hot
+    }
+
+    #[test]
+    fn with_the_replicator_a_node_advertises_what_it_served() {
+        assert_eq!(advertised(true), vec![FileId(1), FileId(2)]);
+    }
+
+    #[test]
+    fn without_the_replicator_a_node_records_nothing_and_advertises_an_empty_list() {
+        // Nothing would decay the counts, so a kept table would advertise
+        // all-time counts; the request path pays no lock for it either.
+        let p = Popularity::new(false);
+        p.record(FileId(1), "/a");
+        p.decay();
+        assert!(p.hot(8).is_empty());
+        assert_eq!(advertised(false), vec![]);
     }
 }

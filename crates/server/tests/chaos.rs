@@ -258,6 +258,37 @@ fn graceful_stop_evicts_within_one_loadd_period() {
     cluster.shutdown();
 }
 
+/// Kill and revive an idle node of a three-node cluster. Its loops sleep
+/// with nothing to do, so the kill must wake them (joining a loop rings
+/// its doorbell) instead of waiting for a tick; the survivors mark it Dead
+/// on silence, and once revived it rejoins every node's table.
+#[test]
+fn an_idle_node_dies_at_once_and_rejoins() {
+    let dir = docroot("idle-kill");
+    let cluster = ServerOptions::new()
+        .policy(Policy::Sweb)
+        .loadd_timing(100, 500)
+        .start(3, dir)
+        .unwrap();
+    assert!(cluster.await_loadd_mesh(Duration::from_secs(10)));
+    std::thread::sleep(Duration::from_millis(50)); // between broadcasts
+    let t0 = Instant::now();
+    cluster.kill(2);
+    let killed_in = t0.elapsed();
+    assert!(!cluster.is_running(2));
+    assert!(killed_in < Duration::from_millis(500), "killing an idle node took {killed_in:?}");
+    await_true(Duration::from_secs(5), "survivors mark the killed node dead", || {
+        (0..2).all(|obs| health_seen(&cluster, obs, 2) == PeerHealth::Dead)
+    });
+    cluster.revive(2).unwrap();
+    let rejoined_in = await_true(Duration::from_secs(5), "the revived node rejoins", || {
+        (0..3).all(|obs| (0..3).all(|peer| health_seen(&cluster, obs, peer) == PeerHealth::Alive))
+    });
+    assert_eq!(client::get(&format!("{}/ok.txt", cluster.base_url(2))).unwrap().status, 200);
+    eprintln!("idle kill took {killed_in:?}; the revived node rejoined in {rejoined_in:?}");
+    cluster.shutdown();
+}
+
 /// A disk serving reads 800 ms late against a 250 ms request budget: the
 /// node must answer `503` + `Retry-After` (and close the connection)
 /// rather than let the client wait out a read that cannot finish in time.
