@@ -35,7 +35,13 @@
 //! * **Accepts are the kernel's to distribute**: every shard of
 //!   [`spawn_sharded`] owns its own `SO_REUSEPORT` listener on the
 //!   shared port, the way each SWEB node's httpd accepts its own
-//!   connections — there is no user-space dispatcher.
+//!   connections — there is no user-space dispatcher. With one CPU per
+//!   shard, each listener takes the connections that arrive on its CPU
+//!   (`SO_INCOMING_CPU`), and its loop runs in the batch scheduling
+//!   class so that it yields to the client it shares that CPU with.
+//!   `accept4` hands over each socket non-blocking and close-on-exec,
+//!   with the listener's `TCP_NODELAY`: no syscall per connection
+//!   beyond the accept itself.
 //! * **Parsing is incremental**: partial reads accumulate in a carry
 //!   buffer and [`sweb_http::try_parse_request`] distinguishes "need more
 //!   bytes" from "can never parse" without re-scanning cost blowups.
@@ -46,12 +52,12 @@
 //!   timer wheel. The socket is registered the first time something
 //!   would block.
 //! * **Timeouts** ride a hashed [`timer::TimerWheel`] with lazy
-//!   cancellation and lazy re-arming: slow or idle clients are evicted
-//!   without per-timer bookkeeping and without ever blocking healthy
-//!   connections. A connection's deadline reaches the wheel when it is
-//!   registered (one entry, pushed then), and a deadline that only moves
-//!   later (the next phase, the next keep-alive request) keeps that one
-//!   entry.
+//!   re-arming: slow or idle clients are evicted without ever blocking
+//!   healthy connections. A connection's deadline reaches the wheel when
+//!   it is registered (one entry, pushed then), a deadline that only
+//!   moves later (the next phase, the next keep-alive request) keeps that
+//!   one entry, and the entry leaves the wheel when the connection
+//!   closes.
 //! * **An idle loop sleeps**: with the wheel empty, no worker holding a
 //!   request and no listener parked, the loop waits for an fd, its
 //!   doorbell or its [`Service`]'s next deadline, however far off that is.
@@ -407,10 +413,11 @@ pub fn spawn(
     shutdown: Arc<AtomicBool>,
 ) -> io::Result<ReactorHandle> {
     let addr = listener.local_addr()?;
-    spawn_shard(listener, app, cfg, shutdown, addr, 0)
+    spawn_shard(listener, app, cfg, shutdown, addr, 0, None)
 }
 
-/// Spawn one shard's loop thread, accepting on its own `listener`.
+/// Spawn one shard's loop thread, accepting on its own `listener`, steered
+/// to `cpu` if given ([`steer_loop`]).
 fn spawn_shard(
     listener: TcpListener,
     app: Arc<dyn App>,
@@ -418,8 +425,11 @@ fn spawn_shard(
     shutdown: Arc<AtomicBool>,
     addr: SocketAddr,
     shard: usize,
+    cpu: Option<usize>,
 ) -> io::Result<ReactorHandle> {
     listener.set_nonblocking(true)?;
+    // Inherited by every accepted socket: no `setsockopt` per connection.
+    sys::set_listener_nodelay(&listener)?;
     let poller = Poller::new()?;
 
     // Self-addressed UDP socket: the workers' doorbell into the loop.
@@ -432,10 +442,38 @@ fn spawn_shard(
     let thread = std::thread::Builder::new()
         .name(format!("sweb-reactor-{}-s{shard}", addr.port()))
         .spawn(move || {
-            Loop::new(listener, app, cfg, shutdown, poller, wakeup_rx, wakeup_tx).run()
+            // The pool's threads are spawned by `new`, before any steering:
+            // only the loop changes class.
+            let lp = Loop::new(listener, app, cfg, shutdown, poller, wakeup_rx, wakeup_tx);
+            if let Some(cpu) = cpu {
+                steer_loop(&lp.listener, cpu, shard);
+            }
+            lp.run()
         })?;
 
     Ok(ReactorHandle { thread: Some(thread), wakeup, addr })
+}
+
+/// Make the calling loop thread the one that serves `cpu`'s connections:
+/// its listener takes the connections whose SYN was processed on `cpu`
+/// ([`sys::steer`]), and the loop joins the batch scheduling class
+/// ([`sys::set_batch`]). Such a loop shares its CPU with the client that
+/// just connected. In the normal class, the finished handshake would wake
+/// it ahead of that client, before the request is written, and the loop
+/// would find nothing to read. As a batch thread it runs once the client
+/// blocks, with the request in the socket. The loop is not pinned: the
+/// scheduler may still move it, and a connection is served either way.
+/// Both settings or neither: if the kernel refuses one, the shard says so
+/// once and keeps the group's hash and the normal class.
+fn steer_loop(listener: &TcpListener, cpu: usize, shard: usize) {
+    let steered = sys::set_batch(true).and_then(|()| {
+        sys::steer(listener, cpu).inspect_err(|_| {
+            let _ = sys::set_batch(false);
+        })
+    });
+    if let Err(e) = steered {
+        eprintln!("sweb-reactor: shard {shard} not steered to CPU {cpu}, hashed instead: {e}");
+    }
 }
 
 /// A running sharded reactor: one loop handle per shard.
@@ -476,6 +514,13 @@ impl ShardedHandle {
 /// have been bound with [`sys::bind_reuseport`] or the group cannot
 /// form: every bind happens before any loop starts, so that mistake is
 /// an `Err` and no shard runs.
+///
+/// With at least two shards and no more than the CPUs this thread may run
+/// on ([`sys::cpus`]), shard `i` serves the connections that arrive on
+/// the `i`-th of those CPUs (see `steer_loop`), so a connection's packets,
+/// its loop and its client share a CPU instead of waking each other
+/// across two. A single shard, or more shards than CPUs, keeps the
+/// group's 4-tuple hash.
 pub fn spawn_sharded(
     listener: TcpListener,
     apps: Vec<Arc<dyn App>>,
@@ -506,9 +551,13 @@ pub fn spawn_sharded(
         listeners.push(joined);
     }
 
+    let cpus = sys::cpus().unwrap_or_default();
+    let steered = (2..=cpus.len()).contains(&n);
     let mut shards = Vec::with_capacity(n);
     for (shard, (l, app)) in listeners.into_iter().zip(apps).enumerate() {
-        shards.push(spawn_shard(l, app, shard_cfg.clone(), Arc::clone(&shutdown), addr, shard)?);
+        let cpu = steered.then(|| cpus[shard]);
+        let shutdown = Arc::clone(&shutdown);
+        shards.push(spawn_shard(l, app, shard_cfg.clone(), shutdown, addr, shard, cpu)?);
     }
     Ok(ShardedHandle { shards, addr })
 }
@@ -730,52 +779,62 @@ impl Loop {
     }
 
     fn run_inner(&mut self) -> io::Result<()> {
-        self.poller.register(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-        self.poller.register(self.wakeup_rx.as_raw_fd(), TOKEN_WAKEUP, Interest::READ)?;
-        self.run_service(None)?;
-
+        self.start_polling()?;
         let mut events: Vec<Event> = Vec::with_capacity(256);
         let mut expired: Vec<TimerEntry> = Vec::new();
         while !self.shutdown.load(Ordering::Relaxed) {
-            self.poller.wait(&mut events, self.poll_timeout())?;
+            self.turn(&mut events, &mut expired)?;
+        }
+        Ok(())
+    }
 
-            for &ev in &events {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKEUP => self.drain_wakeup(),
-                    t if t >= TOKEN_SERVICE => {
-                        self.run_service(Some((t - TOKEN_SERVICE) as RawFd))?
-                    }
-                    t => self.conn_event(t - TOKEN_BASE, ev),
-                }
+    /// Watch the listener, the doorbell and the service's fds.
+    fn start_polling(&mut self) -> io::Result<()> {
+        self.poller.register(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+        self.poller.register(self.wakeup_rx.as_raw_fd(), TOKEN_WAKEUP, Interest::READ)?;
+        self.run_service(None)
+    }
+
+    /// One iteration: wait up to [`Loop::poll_timeout`], handle what woke
+    /// the loop, then completions, expired deadlines, a parked listener
+    /// and the service's deadline.
+    fn turn(&mut self, events: &mut Vec<Event>, expired: &mut Vec<TimerEntry>) -> io::Result<()> {
+        self.poller.wait(events, self.poll_timeout())?;
+
+        for &ev in events.iter() {
+            match ev.token {
+                TOKEN_LISTENER => self.accept_ready(),
+                TOKEN_WAKEUP => self.drain_wakeup(),
+                t if t >= TOKEN_SERVICE => self.run_service(Some((t - TOKEN_SERVICE) as RawFd))?,
+                t => self.conn_event(t - TOKEN_BASE, ev),
             }
+        }
 
-            // Checked every iteration, not only on a doorbell event: a
-            // dropped wakeup datagram must not strand a finished job.
-            self.drain_completions();
+        // Checked every iteration, not only on a doorbell event: a
+        // dropped wakeup datagram must not strand a finished job.
+        self.drain_completions();
 
-            let now = self.now_ms();
-            self.wheel.advance(now, &mut expired);
-            for e in expired.drain(..) {
-                self.expire(e);
+        let now = self.now_ms();
+        self.wheel.advance(now, expired);
+        for e in expired.drain(..) {
+            self.expire(e);
+        }
+
+        if let Some(until) = self.listener_parked_until {
+            if now >= until {
+                self.listener_parked_until = None;
+                let fd = self.listener.as_raw_fd();
+                self.poller.register(fd, TOKEN_LISTENER, Interest::READ)?;
             }
+        }
 
-            if let Some(until) = self.listener_parked_until {
-                if now >= until {
-                    self.listener_parked_until = None;
-                    let fd = self.listener.as_raw_fd();
-                    self.poller.register(fd, TOKEN_LISTENER, Interest::READ)?;
-                }
-            }
+        if self.service_due.is_some_and(|due| due <= Instant::now()) {
+            self.run_service(None)?;
+        }
 
-            if self.service_due.is_some_and(|due| due <= Instant::now()) {
-                self.run_service(None)?;
-            }
-
-            let syscalls = self.poller.take_syscalls();
-            if syscalls > 0 {
-                self.app.on_poller_syscalls(syscalls);
-            }
+        let syscalls = self.poller.take_syscalls();
+        if syscalls > 0 {
+            self.app.on_poller_syscalls(syscalls);
         }
         Ok(())
     }
@@ -838,7 +897,7 @@ impl Loop {
             }
         }
         for _ in 0..ACCEPT_BURST {
-            match self.listener.accept() {
+            match sys::accept(&self.listener) {
                 Ok((stream, peer)) => {
                     self.accept_errors = 0;
                     self.take(stream, peer);
@@ -876,9 +935,7 @@ impl Loop {
             return;
         }
         let t0 = Instant::now();
-        let Ok(idx) = self.admit(stream, peer) else {
-            return; // couldn't make it nonblocking: dropped unopened
-        };
+        let idx = self.admit(stream, peer);
         self.app.on_phase(Phase::Accept, t0.elapsed().as_micros() as u64);
         // The request is almost always in the socket by the time accept
         // returns: read it now. The poller and the wheel hear of this
@@ -894,16 +951,14 @@ impl Loop {
         resp.headers.set("Retry-After", self.app.retry_after_secs().to_string());
         resp.headers.set("Connection", "close");
         let wire = resp.to_bytes(false);
-        let _ = stream.set_nonblocking(true);
         let mut s = stream;
         let _ = s.write(&wire); // small; fits the socket buffer or is lost
     }
 
-    /// Track a connection; returns its slab index. Nothing reaches the
-    /// poller or the wheel here.
-    fn admit(&mut self, stream: TcpStream, peer: SocketAddr) -> io::Result<usize> {
-        stream.set_nonblocking(true)?;
-        let _ = stream.set_nodelay(true);
+    /// Track a connection (accepted non-blocking, with the listener's
+    /// `TCP_NODELAY`); returns its slab index. Nothing reaches the poller
+    /// or the wheel here.
+    fn admit(&mut self, stream: TcpStream, peer: SocketAddr) -> usize {
         let deadline_ms = self.now_ms() + self.cfg.read_timeout.as_millis() as u64;
         let conn = Conn {
             stream,
@@ -926,7 +981,7 @@ impl Loop {
         };
         let (idx, _) = self.conns.insert(conn);
         self.app.on_conn_open();
-        Ok(idx)
+        idx
     }
 
     // -------------------------------------------------------- I/O events
@@ -1021,12 +1076,16 @@ impl Loop {
     }
 
     /// Move a connection's eviction deadline. The wheel hears of it only
-    /// when the deadline moved earlier than the entry already pending;
-    /// see [`EvictClock`].
+    /// when the deadline moved earlier than the entry already pending,
+    /// which the new entry replaces; see [`EvictClock`].
     fn set_deadline(&mut self, idx: usize, deadline_ms: u64) {
         let Some(gen) = self.conns.gen_of(idx) else { return };
         let Some(conn) = self.conns.get_mut(idx) else { return };
+        let superseded = conn.clock.pending();
         if let Some(deadline_ms) = conn.clock.set(deadline_ms) {
+            if let Some(old_ms) = superseded {
+                self.wheel.cancel(TimerEntry { token: idx, gen, deadline_ms: old_ms });
+            }
             self.wheel.schedule(TimerEntry { token: idx, gen, deadline_ms });
         }
     }
@@ -1431,7 +1490,13 @@ impl Loop {
     }
 
     fn close(&mut self, idx: usize) {
+        let Some(gen) = self.conns.gen_of(idx) else { return };
         if let Some(conn) = self.conns.remove(idx) {
+            // Its wheel entry goes with it: a stale entry would keep the
+            // loop ticking until the deadline, long after the connection.
+            if let Some(deadline_ms) = conn.clock.pending() {
+                self.wheel.cancel(TimerEntry { token: idx, gen, deadline_ms });
+            }
             // Deregistered explicitly, not left to close(2): a fork-CGI
             // child can hold a copy of the fd between fork and exec, which
             // would keep a stale registration alive on a recycled token.
@@ -1482,6 +1547,111 @@ mod tests {
         assert_eq!(body_length(&no_len), Err(()));
         let huge = parse(b"POST /cgi HTTP/1.0\r\nContent-Length: 99999999\r\n\r\n");
         assert_eq!(body_length(&huge), Err(()));
+    }
+
+    /// Answers every request on the loop thread, counting opens and
+    /// closes.
+    #[derive(Default)]
+    struct Inline {
+        opened: Arc<std::sync::atomic::AtomicUsize>,
+        closed: std::sync::atomic::AtomicUsize,
+    }
+
+    impl App for Inline {
+        fn respond(&self, _: &str, _: &Request, _: &[u8]) -> Reply {
+            Response::ok("pool", "text/plain").into()
+        }
+        fn first_look(&self, _: &str, _: &Request, _: &[u8]) -> Option<FirstLook> {
+            Some(FirstLook::Done(Response::ok("inline", "text/plain").into()))
+        }
+        fn on_conn_open(&self) {
+            self.opened.fetch_add(1, Ordering::SeqCst);
+        }
+        fn on_conn_close(&self) {
+            self.closed.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Voluntary plus involuntary context switches of the calling thread.
+    fn ctx_switches() -> u64 {
+        let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
+        status
+            .lines()
+            .filter(|l| l.contains("ctxt_switches:"))
+            .map(|l| l.split_whitespace().last().unwrap().parse::<u64>().unwrap())
+            .sum()
+    }
+
+    #[test]
+    fn a_closed_connection_takes_its_timer_with_it() {
+        // The loop runs on this thread, one turn at a time. 50 clients
+        // connect and hold their requests until all 50 are accepted, so
+        // every first read would block: each connection registers and
+        // puts one entry in the wheel. Then each sends its request, is
+        // answered inline and closed.
+        const CLIENTS: usize = 50;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let wakeup_rx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        wakeup_rx.set_nonblocking(true).unwrap();
+        wakeup_rx.connect(wakeup_rx.local_addr().unwrap()).unwrap();
+        let wakeup_tx = Arc::new(wakeup_rx.try_clone().unwrap());
+        let app = Arc::new(Inline::default());
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let cfg = ReactorConfig { workers: 1, ..ReactorConfig::default() };
+        let poller = Poller::new().unwrap();
+        let app_dyn: Arc<dyn App> = app.clone();
+        let mut lp = Loop::new(
+            listener,
+            app_dyn,
+            cfg,
+            Arc::clone(&shutdown),
+            poller,
+            wakeup_rx,
+            Arc::clone(&wakeup_tx),
+        );
+        lp.start_polling().unwrap();
+
+        let opened = Arc::clone(&app.opened);
+        let clients = std::thread::spawn(move || {
+            let mut streams: Vec<TcpStream> =
+                (0..CLIENTS).map(|_| TcpStream::connect(addr).unwrap()).collect();
+            while opened.load(Ordering::SeqCst) < CLIENTS {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            for s in &mut streams {
+                s.write_all(b"GET / HTTP/1.0\r\n\r\n").unwrap();
+                let mut reply = Vec::new();
+                s.read_to_end(&mut reply).unwrap();
+                assert!(reply.starts_with(b"HTTP/1.0 200"), "{}", String::from_utf8_lossy(&reply));
+            }
+        });
+        let (mut events, mut expired) = (Vec::new(), Vec::new());
+        let mut peak = 0;
+        while app.closed.load(Ordering::SeqCst) < CLIENTS {
+            lp.turn(&mut events, &mut expired).unwrap();
+            peak = peak.max(lp.wheel.pending());
+        }
+        clients.join().unwrap();
+        assert_eq!(peak, CLIENTS, "every connection waited once");
+        assert_eq!(lp.wheel.pending(), 0, "closed connections left their entries behind");
+
+        // Nothing left to time: the loop sleeps until the doorbell rings a
+        // second later, instead of ticking every `timer_tick_ms`.
+        let ringer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_secs(1));
+            shutdown.store(true, Ordering::SeqCst);
+            wakeup_tx.send(&[1]).unwrap();
+        });
+        let before = ctx_switches();
+        while !lp.shutdown.load(Ordering::SeqCst) {
+            lp.turn(&mut events, &mut expired).unwrap();
+        }
+        let switches = ctx_switches() - before;
+        ringer.join().unwrap();
+        assert!(switches <= 5, "{switches} context switches in an idle second");
+        lp.pool.shutdown();
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Readiness polling, transmit, page-cache residency and listener
-//! syscalls over raw Linux interfaces.
+//! Readiness polling, transmit, page-cache residency, listener and
+//! scheduling syscalls over raw Linux interfaces.
 //!
 //! [`Poller`] is one epoll instance: O(1) readiness delivery, used
 //! level-triggered. The loop re-arms interest explicitly when a
@@ -15,7 +15,8 @@
 //! same offline environment as the rest of the workspace.
 
 use std::io;
-use std::os::fd::RawFd;
+use std::net::{SocketAddr, SocketAddrV4, SocketAddrV6, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Which readiness events a registration cares about.
@@ -302,21 +303,47 @@ pub fn page_cached(fd: RawFd, len: u64) -> io::Result<bool> {
     Ok(page > 0 && stat[0] >= len.div_ceil(page as u64))
 }
 
+// ------------------------------------------------------------------
+// Listeners: binding, accepting, and steering a reuseport group.
+// ------------------------------------------------------------------
+
+const SOL_SOCKET: i32 = 1;
+const IPPROTO_TCP: i32 = 6;
+const SO_REUSEADDR: i32 = 2;
+const SO_REUSEPORT: i32 = 15;
+const SO_INCOMING_CPU: i32 = 49;
+const TCP_NODELAY: i32 = 1;
+const SOCK_NONBLOCK: i32 = 0o4000;
+const SOCK_CLOEXEC: i32 = 0o2000000;
+
+/// Set one `int`-valued socket option.
+fn set_int_opt(fd: RawFd, level: i32, name: i32, value: i32) -> io::Result<()> {
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+    }
+    // SAFETY: the kernel reads four bytes from `value`, live for the call.
+    if unsafe { setsockopt(fd, level, name, &value, 4) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
+}
+
 /// Bind a listener with `SO_REUSEADDR`, so a revived node can reclaim
 /// its old address while connections it accepted before dying still sit
 /// in `TIME_WAIT` (a plain `TcpListener::bind` fails with `EADDRINUSE`
 /// for the staleness timeout's worth of seconds).
-pub fn bind_reuseaddr(addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
+pub fn bind_reuseaddr(addr: SocketAddr) -> io::Result<TcpListener> {
     bind_with(addr, false)
 }
 
 /// Bind a listener with `SO_REUSEADDR` **and** `SO_REUSEPORT`, so several
 /// listeners — one per reactor shard — share one port and the kernel
-/// distributes incoming connections across them (hashed on the 4-tuple).
+/// distributes incoming connections across them (hashed on the 4-tuple,
+/// unless [`steer`] gives a listener the connections of one CPU).
 /// Every listener on the port must set the flag *before* bind, or the
 /// kernel refuses the group: sharded callers bind their first listener
 /// through here too, never through a plain `TcpListener::bind`.
-pub fn bind_reuseport(addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
+pub fn bind_reuseport(addr: SocketAddr) -> io::Result<TcpListener> {
     bind_with(addr, true)
 }
 
@@ -329,61 +356,152 @@ struct SockAddrIn {
     zero: [u8; 8],
 }
 
-fn bind_with(addr: std::net::SocketAddr, reuseport: bool) -> io::Result<std::net::TcpListener> {
-    use std::os::fd::FromRawFd;
+const AF_INET: u16 = 2;
+const AF_INET6: u16 = 10;
 
+fn bind_with(addr: SocketAddr, reuseport: bool) -> io::Result<TcpListener> {
     extern "C" {
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
         fn bind(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
         fn listen(fd: i32, backlog: i32) -> i32;
     }
-    const AF_INET: i32 = 2;
     const SOCK_STREAM: i32 = 1;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-    const SO_REUSEPORT: i32 = 15;
 
-    let std::net::SocketAddr::V4(v4) = addr else {
+    let SocketAddr::V4(v4) = addr else {
         return Err(io::Error::new(io::ErrorKind::Unsupported, "IPv4 addresses only"));
     };
-    let fd = unsafe { socket(AF_INET, SOCK_STREAM, 0) };
-    if fd < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    let fail = |fd: i32| {
-        let err = io::Error::last_os_error();
-        unsafe { close(fd) };
-        Err(err)
+    // SAFETY: takes no pointers. A non-negative return is a socket just
+    // opened and owned by nothing else; the `OwnedFd` closes it on every
+    // early return below.
+    let fd = unsafe {
+        match socket(AF_INET as i32, SOCK_STREAM | SOCK_CLOEXEC, 0) {
+            fd if fd < 0 => return Err(io::Error::last_os_error()),
+            fd => OwnedFd::from_raw_fd(fd),
+        }
     };
-    let one: i32 = 1;
-    if unsafe { setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, 4) } < 0 {
-        return fail(fd);
-    }
-    if reuseport && unsafe { setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, 4) } < 0 {
-        return fail(fd);
+    let raw = fd.as_raw_fd();
+    set_int_opt(raw, SOL_SOCKET, SO_REUSEADDR, 1)?;
+    if reuseport {
+        set_int_opt(raw, SOL_SOCKET, SO_REUSEPORT, 1)?;
     }
     let sa = SockAddrIn {
-        family: AF_INET as u16,
+        family: AF_INET,
         port_be: v4.port().to_be(),
         addr_be: u32::from(*v4.ip()).to_be(),
         zero: [0; 8],
     };
-    if unsafe { bind(fd, &sa, std::mem::size_of::<SockAddrIn>() as u32) } < 0 {
-        return fail(fd);
+    // SAFETY: the kernel reads `size_of::<SockAddrIn>()` bytes from `sa`,
+    // laid out as its `struct sockaddr_in`; `listen` takes no pointers.
+    if unsafe {
+        bind(raw, &sa, std::mem::size_of::<SockAddrIn>() as u32) < 0 || listen(raw, 128) < 0
+    } {
+        return Err(io::Error::last_os_error());
     }
-    if unsafe { listen(fd, 128) } < 0 {
-        return fail(fd);
+    Ok(TcpListener::from(fd))
+}
+
+/// Set `TCP_NODELAY` on a listener. Every socket it accepts inherits the
+/// option (the kernel clones the listener's TCP state into the child), so
+/// one call per listener replaces one per connection.
+pub fn set_listener_nodelay(listener: &TcpListener) -> io::Result<()> {
+    set_int_opt(listener.as_raw_fd(), IPPROTO_TCP, TCP_NODELAY, 1)
+}
+
+/// The kernel's `struct sockaddr_storage`: room for any address family.
+#[repr(C, align(8))]
+struct SockAddrStorage([u8; 128]);
+
+/// Accept one connection with `accept4(SOCK_NONBLOCK | SOCK_CLOEXEC)`:
+/// the socket arrives non-blocking and close-on-exec in the one syscall,
+/// where `TcpListener::accept` plus `set_nonblocking` take two. A
+/// listener with nothing pending fails `WouldBlock` if it is itself
+/// non-blocking.
+pub fn accept(listener: &TcpListener) -> io::Result<(TcpStream, SocketAddr)> {
+    extern "C" {
+        fn accept4(fd: i32, addr: *mut SockAddrStorage, len: *mut u32, flags: i32) -> i32;
     }
-    Ok(unsafe { std::net::TcpListener::from_raw_fd(fd) })
+    let mut sa = SockAddrStorage([0; 128]);
+    let mut len = std::mem::size_of::<SockAddrStorage>() as u32;
+    let flags = SOCK_NONBLOCK | SOCK_CLOEXEC;
+    // SAFETY: the kernel writes at most `len` bytes into `sa` and the
+    // address length into `len`, both live for the call. A non-negative
+    // return is the connection just accepted, owned by nothing else.
+    let stream = unsafe {
+        match accept4(listener.as_raw_fd(), &mut sa, &mut len, flags) {
+            fd if fd < 0 => return Err(io::Error::last_os_error()),
+            fd => TcpStream::from_raw_fd(fd),
+        }
+    };
+    Ok((stream, peer_addr(&sa.0)))
+}
+
+/// Decode the `sockaddr_in` or `sockaddr_in6` `accept4` wrote (ports and
+/// addresses in network order, the family in the host's).
+fn peer_addr(sa: &[u8; 128]) -> SocketAddr {
+    let bytes = |at: usize| -> [u8; 4] { std::array::from_fn(|i| sa[at + i]) };
+    let port = u16::from_be_bytes([sa[2], sa[3]]);
+    if u16::from_ne_bytes([sa[0], sa[1]]) == AF_INET6 {
+        let ip: [u8; 16] = std::array::from_fn(|i| sa[8 + i]);
+        let (flowinfo, scope) = (u32::from_ne_bytes(bytes(4)), u32::from_ne_bytes(bytes(24)));
+        return SocketAddr::V6(SocketAddrV6::new(ip.into(), port, flowinfo, scope));
+    }
+    SocketAddr::V4(SocketAddrV4::new(bytes(4).into(), port))
+}
+
+// ------------------------------------------------------------------
+// Where a shard's connections and its loop run.
+// ------------------------------------------------------------------
+
+/// The CPUs the calling thread may run on (its `sched_getaffinity`
+/// mask), in ascending order.
+pub fn cpus() -> io::Result<Vec<usize>> {
+    extern "C" {
+        fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
+    }
+    // glibc's `cpu_set_t`: 1,024 CPUs.
+    let mut mask = [0u64; 16];
+    // SAFETY: the kernel writes at most `size` bytes into `mask`, which is
+    // that long and live for the call.
+    if unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok((0..mask.len() * 64).filter(|&cpu| mask[cpu / 64] >> (cpu % 64) & 1 == 1).collect())
+}
+
+/// Steer a member of a reuseport group with `SO_INCOMING_CPU`: the kernel
+/// gives it the connections whose SYN was processed on `cpu`, ahead of
+/// the group's 4-tuple hash. A connection from a CPU no member claims is
+/// hashed as before.
+pub fn steer(listener: &TcpListener, cpu: usize) -> io::Result<()> {
+    let cpu = i32::try_from(cpu).map_err(|_| io::ErrorKind::InvalidInput)?;
+    set_int_opt(listener.as_raw_fd(), SOL_SOCKET, SO_INCOMING_CPU, cpu)
+}
+
+/// Move the calling thread into the `SCHED_BATCH` class (`batch`) or back
+/// into `SCHED_OTHER`, at its nice level. The fair scheduler never lets a
+/// waking batch-class thread preempt the one running: it runs when that
+/// one blocks or its slice ends. Needs no privilege.
+pub fn set_batch(batch: bool) -> io::Result<()> {
+    extern "C" {
+        fn sched_setscheduler(pid: i32, policy: i32, param: *const i32) -> i32;
+    }
+    const SCHED_OTHER: i32 = 0;
+    const SCHED_BATCH: i32 = 3;
+    let policy = if batch { SCHED_BATCH } else { SCHED_OTHER };
+    // `struct sched_param` is one `int`, which must be 0 for both classes.
+    let priority = 0i32;
+    // SAFETY: the kernel reads one `int` from `priority`, live for the
+    // call; pid 0 is the calling thread.
+    if unsafe { sched_setscheduler(0, policy, &priority) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
-    use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
+    use std::io::{Read, Write};
 
     #[test]
     fn poller_delivers_events() {
@@ -440,7 +558,6 @@ mod tests {
     }
 
     fn read_exact_n(s: &mut TcpStream, n: usize) -> Vec<u8> {
-        use std::io::Read;
         let mut buf = vec![0u8; n];
         s.read_exact(&mut buf).unwrap();
         buf
@@ -505,9 +622,88 @@ mod tests {
         }
     }
 
+    /// The `flags:` line of `/proc/self/fdinfo/<fd>`: the open file's
+    /// status flags, with `O_CLOEXEC` standing for the fd's `FD_CLOEXEC`.
+    fn fd_flags(fd: RawFd) -> u32 {
+        let info = std::fs::read_to_string(format!("/proc/self/fdinfo/{fd}")).unwrap();
+        let line = info.lines().find_map(|l| l.strip_prefix("flags:")).unwrap();
+        u32::from_str_radix(line.trim(), 8).unwrap()
+    }
+
+    #[test]
+    fn accepted_sockets_arrive_nonblocking_cloexec_and_nodelay() {
+        // What the loop relies on to skip one `ioctl(FIONBIO)` and one
+        // `setsockopt(TCP_NODELAY)` per connection: `accept4`'s flags,
+        // and a listener's `TCP_NODELAY` copied into the sockets it
+        // accepts.
+        const O_NONBLOCK: u32 = 0o4000;
+        const O_CLOEXEC: u32 = 0o2000000;
+        let plain = bind_reuseaddr("127.0.0.1:0".parse().unwrap()).unwrap();
+        let _client = TcpStream::connect(plain.local_addr().unwrap()).unwrap();
+        let (conn, _) = accept(&plain).unwrap();
+        assert!(!conn.nodelay().unwrap(), "TCP_NODELAY is off unless the listener has it");
+        let flags = fd_flags(conn.as_raw_fd());
+        assert_eq!(flags & O_NONBLOCK, O_NONBLOCK, "flags {flags:o}");
+        assert_eq!(flags & O_CLOEXEC, O_CLOEXEC, "flags {flags:o}");
+        assert_eq!(fd_flags(plain.as_raw_fd()) & O_CLOEXEC, O_CLOEXEC, "the listener too");
+        let mut buf = [0u8; 8];
+        assert_eq!((&conn).read(&mut buf).unwrap_err().kind(), io::ErrorKind::WouldBlock);
+
+        let listener = bind_reuseaddr("127.0.0.1:0".parse().unwrap()).unwrap();
+        set_listener_nodelay(&listener).unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (conn, peer) = accept(&listener).unwrap();
+        assert!(conn.nodelay().unwrap(), "the accepted socket inherits TCP_NODELAY");
+        assert_eq!(peer, client.local_addr().unwrap());
+
+        // Nothing pending on a non-blocking listener: `WouldBlock`.
+        listener.set_nonblocking(true).unwrap();
+        assert_eq!(accept(&listener).unwrap_err().kind(), io::ErrorKind::WouldBlock);
+    }
+
+    #[test]
+    fn accept_decodes_an_ipv6_peer() {
+        let Ok(listener) = TcpListener::bind("[::1]:0") else {
+            eprintln!("skipped: no IPv6 loopback here");
+            return;
+        };
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (_conn, peer) = accept(&listener).unwrap();
+        assert_eq!(peer, client.local_addr().unwrap());
+    }
+
+    #[test]
+    fn the_affinity_mask_lists_the_cpus_this_thread_may_use() {
+        // `available_parallelism` is the mask's count, or less under a
+        // cgroup CPU quota.
+        let cpus = cpus().unwrap();
+        let parallelism = std::thread::available_parallelism().unwrap().get();
+        assert!(cpus.len() >= parallelism, "{cpus:?}");
+        assert!(cpus.windows(2).all(|w| w[0] < w[1]), "{cpus:?}");
+    }
+
+    #[test]
+    fn a_thread_enters_and_leaves_the_batch_class() {
+        // On a thread of its own: the class belongs to the calling thread.
+        std::thread::spawn(|| {
+            let policy = || {
+                let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+                let fields: Vec<&str> =
+                    stat.rsplit_once(')').unwrap().1.split_whitespace().collect();
+                // Field 41 of `stat`; fields 1 and 2 precede the `)`.
+                fields[41 - 3].parse::<u32>().unwrap()
+            };
+            set_batch(true).unwrap();
+            assert_eq!(policy(), 3, "SCHED_BATCH");
+            set_batch(false).unwrap();
+            assert_eq!(policy(), 0, "SCHED_OTHER");
+        })
+        .join()
+        .unwrap();
+    }
+
     #[test]
     fn send_file_streams_and_advances_offset() {
-        use std::io::Read;
         let dir = std::env::temp_dir().join(format!("sweb-sendfile-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("payload.bin");

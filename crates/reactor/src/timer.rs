@@ -1,22 +1,29 @@
-//! A hashed timer wheel with lazy cancellation and lazy re-arming.
+//! A hashed timer wheel with lazy re-arming.
 //!
-//! Deadlines are bucketed into `tick_ms` slots over a fixed ring. The
-//! reactor never cancels an entry explicitly, and an entry lives in its
-//! slot until its deadline — so what a connection schedules is what the
-//! wheel's memory is made of, and it is made only of connections that
-//! *waited*. Each connection keeps an `EvictClock` whose deadline moves
-//! freely and reaches the wheel only once the connection is armed: the
-//! first time a read or write would block, or a worker takes its
-//! request. A connection answered in the loop call that accepted it
-//! never schedules anything. Once armed, a deadline that only moves
-//! *later* (the usual case: the next phase of a request, write progress,
-//! the next keep-alive request) schedules nothing, and the one entry
-//! already pending re-schedules itself at the current deadline when it
-//! fires. Only a deadline that moves *earlier* than the pending entry
-//! (the slowloris parse clock) pushes a new one; the superseded entry
-//! goes stale and is dropped when its slot drains. Expired entries are
-//! validated against the connection's generation and clock before
-//! acting.
+//! Deadlines are bucketed into `tick_ms` slots over a fixed ring, and
+//! the wheel's memory is made only of connections that *waited*. Each
+//! connection keeps an `EvictClock` whose deadline moves freely and
+//! reaches the wheel only once the connection is armed: the first time a
+//! read or write would block, or a worker takes its request. A
+//! connection answered in the loop call that accepted it never schedules
+//! anything. Once armed, a deadline that only moves *later* (the usual
+//! case: the next phase of a request, write progress, the next
+//! keep-alive request) schedules nothing, and the one entry already
+//! pending re-schedules itself at the current deadline when it fires.
+//! Only a deadline that moves *earlier* than the pending entry (the
+//! slowloris parse clock) pushes a new one.
+//!
+//! An armed connection has one entry in the wheel, and it leaves with
+//! the connection: closing a connection, or replacing its entry with an
+//! earlier one, [`TimerWheel::cancel`]s the entry, found in the slot its
+//! deadline names. Were entries left to their deadlines instead, every
+//! connection that ever waited would stay in the wheel for a read
+//! timeout after closing, rescanned every revolution, and a loop with
+//! any such entry would keep ticking instead of sleeping. An entry `cancel`
+//! cannot find (its deadline had passed when it was scheduled, so it
+//! sits in the next tick's slot) fires on the next advance instead;
+//! expired entries are validated against the connection's generation
+//! and clock before acting.
 
 /// One scheduled expiry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +67,11 @@ impl EvictClock {
     /// The current eviction deadline.
     pub(crate) fn deadline_ms(&self) -> u64 {
         self.deadline_ms
+    }
+
+    /// The deadline of the clock's entry in the wheel; `None` until armed.
+    pub(crate) fn pending(&self) -> Option<u64> {
+        self.timer_ms
     }
 
     /// Start enforcing the deadline. Returns the deadline of the clock's
@@ -150,6 +162,19 @@ impl TimerWheel {
         let slot = (tick as usize) % self.slots.len();
         self.slots[slot].push(entry);
         self.pending += 1;
+    }
+
+    /// Remove a scheduled entry before it fires, from the slot its
+    /// deadline names. Returns whether it was there: an entry scheduled
+    /// with its deadline already past sits in another slot, and fires
+    /// (to be found stale) on the next [`TimerWheel::advance`] instead.
+    pub fn cancel(&mut self, entry: TimerEntry) -> bool {
+        let slot = (entry.deadline_ms.div_ceil(self.tick_ms) as usize) % self.slots.len();
+        let bucket = &mut self.slots[slot];
+        let Some(i) = bucket.iter().position(|e| *e == entry) else { return false };
+        bucket.swap_remove(i);
+        self.pending -= 1;
+        true
     }
 
     /// Advance the wheel to `now_ms`, appending every entry whose
@@ -348,6 +373,31 @@ mod tests {
             run_clock(EvictClock::new(1000), Some(0), &[(100, 350), (200, 1200)]);
         assert_eq!((pushes, rearms), (2, 1));
         assert_eq!(evicted, Some(1200));
+    }
+
+    #[test]
+    fn cancel_removes_the_entry_its_deadline_names() {
+        let mut w = TimerWheel::new(8, 10);
+        let a = TimerEntry { token: 1, gen: 0, deadline_ms: 55 };
+        // Same slot one revolution later, and a recycled token.
+        let b = TimerEntry { token: 1, gen: 0, deadline_ms: 135 };
+        let c = TimerEntry { token: 1, gen: 1, deadline_ms: 55 };
+        for e in [a, b, c] {
+            w.schedule(e);
+        }
+        assert!(w.cancel(a));
+        assert!(!w.cancel(a), "cancelled twice");
+        assert_eq!(w.pending(), 2);
+        assert_eq!(expired_at(&mut w, 60), vec![c]);
+        assert!(w.cancel(b));
+        assert_eq!(w.pending(), 0);
+        assert!(expired_at(&mut w, 1000).is_empty());
+        // A deadline already past is filed under the next tick, where
+        // cancel does not look: it fires, and the owner finds it stale.
+        let late = TimerEntry { token: 2, gen: 0, deadline_ms: 500 };
+        w.schedule(late);
+        assert!(!w.cancel(late));
+        assert_eq!(expired_at(&mut w, 1010), vec![late]);
     }
 
     #[test]

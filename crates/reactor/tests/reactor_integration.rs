@@ -31,6 +31,8 @@ struct EchoApp {
     sendfile: AtomicUsize,
     shard_starts: AtomicUsize,
     shard_stops: AtomicUsize,
+    /// The loop thread's scheduling policy as it started.
+    loop_policy: Mutex<Option<u32>>,
     big: Mutex<Option<Bytes>>,
     file_path: Mutex<Option<PathBuf>>,
 }
@@ -79,6 +81,7 @@ impl App for EchoApp {
         counter.fetch_add(1, Ordering::SeqCst);
     }
     fn on_shard_start(&self) {
+        *self.loop_policy.lock().unwrap() = Some(sched_policy());
         self.shard_starts.fetch_add(1, Ordering::SeqCst);
     }
     fn on_shard_stop(&self) {
@@ -138,6 +141,15 @@ impl<A: App> Drop for TestServer<A> {
             h.join().unwrap();
         }
     }
+}
+
+/// The calling thread's scheduling policy: field 41 of its `stat` (0 is
+/// `SCHED_OTHER`, 3 `SCHED_BATCH`).
+fn sched_policy() -> u32 {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+    // Fields 1 and 2 (pid, comm) end at the last `)`.
+    let rest: Vec<&str> = stat.rsplit_once(')').unwrap().1.split_whitespace().collect();
+    rest[41 - 3].parse().unwrap()
 }
 
 fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -462,6 +474,91 @@ fn shards_cannot_join_a_listener_bound_without_reuseport() {
         assert_eq!(app.shard_starts.load(Ordering::SeqCst), 0, "a shard loop started");
         assert_eq!(Arc::strong_count(app), 1, "a shard loop still holds its app");
     }
+}
+
+/// Two shards on one port, one [`EchoApp`] each, once both loops run.
+fn start_pair() -> (sweb_reactor::ShardedHandle, Vec<Arc<EchoApp>>, Arc<AtomicBool>) {
+    let listener = sweb_reactor::sys::bind_reuseport("127.0.0.1:0".parse().unwrap()).unwrap();
+    let apps: Vec<Arc<EchoApp>> = (0..2).map(|_| Arc::new(EchoApp::default())).collect();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let handle = sweb_reactor::spawn_sharded(
+        listener,
+        apps.iter().map(|a| Arc::clone(a) as Arc<dyn App>).collect(),
+        ReactorConfig::default(),
+        Arc::clone(&shutdown),
+    )
+    .unwrap();
+    let started = || apps.iter().all(|a| a.shard_starts.load(Ordering::SeqCst) == 1);
+    assert!(wait_until(Duration::from_secs(2), started), "shards never started");
+    (handle, apps, shutdown)
+}
+
+/// The CPUs a two-shard group steers to, or `None` (with the reason
+/// printed) where this process may run on fewer than two.
+fn two_cpus() -> Option<[usize; 2]> {
+    let cpus = sweb_reactor::sys::cpus().unwrap();
+    if cpus.len() < 2 {
+        eprintln!("skipped: this process may run on {cpus:?}; steering needs two CPUs");
+        return None;
+    }
+    Some([cpus[0], cpus[1]])
+}
+
+/// Confine the calling thread to `cpu`.
+fn pin_to(cpu: usize) {
+    extern "C" {
+        fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+    }
+    let mut mask = [0u64; 16];
+    mask[cpu / 64] |= 1 << (cpu % 64);
+    // SAFETY: the kernel reads `size` bytes from `mask`, live for the call.
+    let rc = unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
+    assert_eq!(rc, 0, "sched_setaffinity: {}", std::io::Error::last_os_error());
+}
+
+#[test]
+fn each_shard_serves_the_connections_that_arrive_on_its_cpu() {
+    let Some(cpus) = two_cpus() else { return };
+    let (handle, apps, shutdown) = start_pair();
+    let addr = handle.addr;
+    let opened = || apps.iter().map(|a| a.open.load(Ordering::SeqCst)).collect::<Vec<_>>();
+    for (shard, cpu) in cpus.into_iter().enumerate() {
+        let before = opened();
+        std::thread::spawn(move || {
+            pin_to(cpu);
+            for i in 0..200 {
+                let reply =
+                    exchange_at(addr, format!("GET /c{cpu}/{i} HTTP/1.0\r\n\r\n").as_bytes());
+                assert!(reply.starts_with("HTTP/1.0 200"), "{reply}");
+            }
+        })
+        .join()
+        .unwrap();
+        let took: Vec<usize> = opened().iter().zip(&before).map(|(now, then)| now - then).collect();
+        let mut want = vec![0; 2];
+        want[shard] = 200;
+        assert_eq!(took, want, "a client on CPU {cpu} belongs to shard {shard}");
+    }
+    shutdown.store(true, Ordering::Relaxed);
+    handle.join().unwrap();
+}
+
+#[test]
+fn steered_loops_run_in_the_batch_class_and_a_lone_loop_does_not() {
+    const SCHED_OTHER: u32 = 0;
+    const SCHED_BATCH: u32 = 3;
+    if two_cpus().is_some() {
+        let (handle, apps, shutdown) = start_pair();
+        for app in &apps {
+            assert_eq!(*app.loop_policy.lock().unwrap(), Some(SCHED_BATCH));
+        }
+        shutdown.store(true, Ordering::Relaxed);
+        handle.join().unwrap();
+    }
+    let server = TestServer::start(ReactorConfig::default());
+    let started = || server.app.shard_starts.load(Ordering::SeqCst) == 1;
+    assert!(wait_until(Duration::from_secs(2), started), "the loop never started");
+    assert_eq!(*server.app.loop_policy.lock().unwrap(), Some(SCHED_OTHER));
 }
 
 // -------------------------------------------------------------- first look

@@ -631,20 +631,14 @@ fn invoke(
     let ctx = crate::dynamic::HandlerCtx { shared };
     let invoke_started = Instant::now();
     let mut resp = handler.handle(&ctx, req, body);
-    let invoke_us = invoke_started.elapsed().as_micros() as u64;
+    let elapsed = invoke_started.elapsed();
     if let Some(s) = shared.dynamic.class_stats(class) {
         s.invocations.inc();
-        s.tcpu_us.record(invoke_us);
+        s.tcpu_us.record(elapsed.as_micros() as u64);
     }
-    // Convert wall time to load-independent work: the invocation ran at
-    // the *effective* (load-degraded) rate, so that is the rate that maps
-    // its duration back to operations. The cost model re-divides by the
-    // same `1 + cpu_load` factor at prediction time (§3.2 t_cpu); feeding
-    // the idle rate here would double-count the load.
     let ops_per_sec = shared.cluster.nodes[shared.id.index()].cpu_ops_per_sec;
     let cpu_load = shared.loads.read().load(shared.id).cpu;
-    let effective = ops_per_sec / (1.0 + cpu_load);
-    shared.oracle.observe(class, invoke_us as f64 * 1e-6 * effective);
+    shared.oracle.observe(class, measured_ops(elapsed, ops_per_sec, cpu_load));
     if resp.status == StatusCode::Ok {
         if let Some(k) = key {
             // Cache the reply *before* the per-request headers go on: a
@@ -657,9 +651,36 @@ fn invoke(
     resp
 }
 
+/// One invocation's wall time as load-independent work for the oracle.
+/// The invocation ran at the *effective* (load-degraded) rate, so that is
+/// the rate that maps its duration back to operations. The cost model
+/// re-divides by the same `1 + cpu_load` factor at prediction time (§3.2
+/// t_cpu); feeding the idle rate here would double-count the load.
+///
+/// At nanosecond resolution, and never zero: a handler that returns in
+/// under a microsecond still took time, and the oracle drops a zero.
+fn measured_ops(elapsed: Duration, ops_per_sec: f64, cpu_load: f64) -> f64 {
+    let secs = elapsed.as_nanos().max(1) as f64 * 1e-9;
+    secs * ops_per_sec / (1.0 + cpu_load)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_sub_microsecond_handler_still_seeds_the_oracle() {
+        let oracle = sweb_core::Oracle::ncsa_default();
+        for (class, nanos) in [("quick", 400), ("instant", 0)] {
+            let elapsed = Duration::from_nanos(nanos);
+            assert_eq!(elapsed.as_micros(), 0, "what microsecond timing measured");
+            oracle.observe(class, measured_ops(elapsed, 40e6, 0.5));
+            assert!(oracle.tuned_ops(class).is_some_and(|ops| ops > 0.0), "{class}");
+        }
+        // 400 ns at 40 Mops/s is 16 ops; under a load of 0.5, two thirds of that.
+        let ops = measured_ops(Duration::from_nanos(400), 40e6, 0.5);
+        assert!((ops - 400e-9 * 40e6 / 1.5).abs() < 1e-9, "{ops}");
+    }
 
     #[test]
     fn home_assignment_is_stable_and_in_range() {

@@ -655,8 +655,12 @@ fn hot_files_replicate_to_peers_ahead_of_demand() {
             client::get(&format!("{}/doc0.txt?sweb-redirect=1", cluster.base_url(0))).unwrap();
         assert_eq!(resp.status, 200);
     }
+    // The receiver counts a push before it answers; the sender counts it
+    // once the answer is back. Wait for both sides.
     let t0 = std::time::Instant::now();
-    while cluster.node(1).stats.pushes_received.get() == 0 {
+    while cluster.node(1).stats.pushes_received.get() == 0
+        || cluster.node(0).stats.pushes_sent.get() == 0
+    {
         assert!(
             t0.elapsed() < Duration::from_secs(10),
             "replicator never pushed the hot file (sent={}, received={})",
