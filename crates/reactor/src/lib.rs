@@ -75,7 +75,8 @@
 //!   copy), and large [`FileBody`] payloads stream in-kernel via
 //!   `sendfile(2)` with partial-write resumption — the write deadline
 //!   re-arms on progress so slow-but-live readers of big files survive.
-//! * **Admission control**: beyond `max_conns` the reactor answers 503
+//! * **Admission control**: beyond `max_conns` open connections, counted
+//!   across every loop of a shard group, the reactor answers 503
 //!   immediately. The application observes connection counts through
 //!   [`App`] hooks and feeds them into its advertised load vector, so an
 //!   overloaded node repels the cluster's scheduler as §3.3's `A+d(A+O)`
@@ -94,7 +95,7 @@ pub mod workers;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -306,8 +307,9 @@ pub trait App: Send + Sync + 'static {
 /// Tuning knobs for one reactor instance.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Admission cap: connections beyond this are answered 503.
-    /// [`spawn_sharded`] divides this node-wide total evenly per shard.
+    /// Admission cap: connections beyond this are answered 503. The
+    /// loops of a [`spawn_sharded`] group share it: together they hold at
+    /// most this many, however the connections fall among them.
     pub max_conns: usize,
     /// Worker threads for blocking fulfilment. Defaults to
     /// [`default_workers`] (the machine's `available_parallelism()`
@@ -412,21 +414,22 @@ pub fn spawn(
     cfg: ReactorConfig,
     shutdown: Arc<AtomicBool>,
 ) -> io::Result<ReactorHandle> {
-    let addr = listener.local_addr()?;
-    spawn_shard(listener, app, cfg, shutdown, addr, 0, None)
+    spawn_shard(listener, app, cfg, shutdown, Arc::default(), 0, None)
 }
 
-/// Spawn one shard's loop thread, accepting on its own `listener`, steered
-/// to `cpu` if given ([`steer_loop`]).
+/// Spawn one shard's loop thread, accepting on its own `listener`, with
+/// `open` counting the connections its group holds under the admission
+/// cap, steered to `cpu` if given ([`steer_loop`]).
 fn spawn_shard(
     listener: TcpListener,
     app: Arc<dyn App>,
     cfg: ReactorConfig,
     shutdown: Arc<AtomicBool>,
-    addr: SocketAddr,
+    open: Arc<AtomicUsize>,
     shard: usize,
     cpu: Option<usize>,
 ) -> io::Result<ReactorHandle> {
+    let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     // Inherited by every accepted socket: no `setsockopt` per connection.
     sys::set_listener_nodelay(&listener)?;
@@ -444,7 +447,12 @@ fn spawn_shard(
         .spawn(move || {
             // The pool's threads are spawned by `new`, before any steering:
             // only the loop changes class.
-            let lp = Loop::new(listener, app, cfg, shutdown, poller, wakeup_rx, wakeup_tx);
+            // `Loop::new` counts a lone loop's connections; a shard counts
+            // its group's.
+            let lp = Loop {
+                open,
+                ..Loop::new(listener, app, cfg, shutdown, poller, wakeup_rx, wakeup_tx)
+            };
             if let Some(cpu) = cpu {
                 steer_loop(&lp.listener, cpu, shard);
             }
@@ -504,9 +512,12 @@ impl ShardedHandle {
 }
 
 /// Spawn `apps.len()` reactor shards all serving the same port. `cfg`
-/// describes the node-wide totals: `max_conns`, `workers`, and
-/// `worker_queue` are divided evenly across shards (each at least 1), so
-/// a sharded node has the same aggregate budgets as a single-loop one.
+/// describes the node-wide totals, so a sharded node has the same
+/// aggregate budgets as a single-loop one: `workers` and `worker_queue`
+/// are divided evenly across shards (each at least 1), and `max_conns`
+/// bounds the connections the shards hold together. The cap is not
+/// divided because placement is not even: a steered shard takes every
+/// connection that arrives on its CPU.
 ///
 /// Shard 0 serves `listener`; every other shard binds its own
 /// `SO_REUSEPORT` listener on the same port and the kernel distributes
@@ -531,7 +542,6 @@ pub fn spawn_sharded(
     let n = apps.len();
     let addr = listener.local_addr()?;
     let shard_cfg = ReactorConfig {
-        max_conns: (cfg.max_conns / n).max(1),
         workers: (cfg.workers / n).max(1),
         worker_queue: (cfg.worker_queue / n).max(1),
         ..cfg
@@ -553,11 +563,12 @@ pub fn spawn_sharded(
 
     let cpus = sys::cpus().unwrap_or_default();
     let steered = (2..=cpus.len()).contains(&n);
+    let open = Arc::new(AtomicUsize::new(0));
     let mut shards = Vec::with_capacity(n);
     for (shard, (l, app)) in listeners.into_iter().zip(apps).enumerate() {
         let cpu = steered.then(|| cpus[shard]);
-        let shutdown = Arc::clone(&shutdown);
-        shards.push(spawn_shard(l, app, shard_cfg.clone(), shutdown, addr, shard, cpu)?);
+        let (shutdown, open) = (Arc::clone(&shutdown), Arc::clone(&open));
+        shards.push(spawn_shard(l, app, shard_cfg.clone(), shutdown, open, shard, cpu)?);
     }
     Ok(ShardedHandle { shards, addr })
 }
@@ -584,9 +595,32 @@ struct FileTx {
     end: u64,
 }
 
+/// A connection's place under the admission cap, counted in the `open`
+/// total its shard group shares. It is dropped with the connection,
+/// which gives the place back. The count publishes no other data, so
+/// `Relaxed` suffices: each update is one atomic read-modify-write.
+struct Seat(Arc<AtomicUsize>);
+
+impl Seat {
+    /// A place, if fewer than `cap` are taken.
+    fn take(open: &Arc<AtomicUsize>, cap: usize) -> Option<Seat> {
+        open.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| (n < cap).then_some(n + 1))
+            .ok()
+            .map(|_| Seat(Arc::clone(open)))
+    }
+}
+
+impl Drop for Seat {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// One tracked connection.
 struct Conn {
     stream: TcpStream,
+    /// Its place under the admission cap.
+    _seat: Seat,
     peer: String,
     state: ConnState,
     /// Read accumulator; may hold pipelined bytes beyond one request.
@@ -706,6 +740,9 @@ struct Loop {
     wakeup_rx: UdpSocket,
     wakeup_tx: Arc<UdpSocket>,
     conns: Slab<Conn>,
+    /// Connections open across this loop's shard group; the admission
+    /// cap bounds it ([`Seat`]).
+    open: Arc<AtomicUsize>,
     wheel: TimerWheel,
     pool: WorkerPool,
     completions: Arc<Mutex<Vec<Completion>>>,
@@ -745,6 +782,7 @@ impl Loop {
             wakeup_rx,
             wakeup_tx,
             conns: Slab::new(),
+            open: Arc::default(),
             wheel,
             pool,
             completions: Arc::new(Mutex::new(Vec::new())),
@@ -930,12 +968,12 @@ impl Loop {
     /// and read at once.
     fn take(&mut self, stream: TcpStream, peer: SocketAddr) {
         self.app.on_accept();
-        if self.conns.len() >= self.cfg.max_conns {
+        let Some(seat) = Seat::take(&self.open, self.cfg.max_conns) else {
             self.shed(stream);
             return;
-        }
+        };
         let t0 = Instant::now();
-        let idx = self.admit(stream, peer);
+        let idx = self.admit(stream, seat, peer);
         self.app.on_phase(Phase::Accept, t0.elapsed().as_micros() as u64);
         // The request is almost always in the socket by the time accept
         // returns: read it now. The poller and the wheel hear of this
@@ -958,10 +996,11 @@ impl Loop {
     /// Track a connection (accepted non-blocking, with the listener's
     /// `TCP_NODELAY`); returns its slab index. Nothing reaches the poller
     /// or the wheel here.
-    fn admit(&mut self, stream: TcpStream, peer: SocketAddr) -> usize {
+    fn admit(&mut self, stream: TcpStream, seat: Seat, peer: SocketAddr) -> usize {
         let deadline_ms = self.now_ms() + self.cfg.read_timeout.as_millis() as u64;
         let conn = Conn {
             stream,
+            _seat: seat,
             peer: peer.ip().to_string(),
             state: ConnState::Reading,
             carry: Vec::new(),

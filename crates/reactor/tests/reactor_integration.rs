@@ -477,14 +477,16 @@ fn shards_cannot_join_a_listener_bound_without_reuseport() {
 }
 
 /// Two shards on one port, one [`EchoApp`] each, once both loops run.
-fn start_pair() -> (sweb_reactor::ShardedHandle, Vec<Arc<EchoApp>>, Arc<AtomicBool>) {
+fn start_pair(
+    cfg: ReactorConfig,
+) -> (sweb_reactor::ShardedHandle, Vec<Arc<EchoApp>>, Arc<AtomicBool>) {
     let listener = sweb_reactor::sys::bind_reuseport("127.0.0.1:0".parse().unwrap()).unwrap();
     let apps: Vec<Arc<EchoApp>> = (0..2).map(|_| Arc::new(EchoApp::default())).collect();
     let shutdown = Arc::new(AtomicBool::new(false));
     let handle = sweb_reactor::spawn_sharded(
         listener,
         apps.iter().map(|a| Arc::clone(a) as Arc<dyn App>).collect(),
-        ReactorConfig::default(),
+        cfg,
         Arc::clone(&shutdown),
     )
     .unwrap();
@@ -519,7 +521,7 @@ fn pin_to(cpu: usize) {
 #[test]
 fn each_shard_serves_the_connections_that_arrive_on_its_cpu() {
     let Some(cpus) = two_cpus() else { return };
-    let (handle, apps, shutdown) = start_pair();
+    let (handle, apps, shutdown) = start_pair(ReactorConfig::default());
     let addr = handle.addr;
     let opened = || apps.iter().map(|a| a.open.load(Ordering::SeqCst)).collect::<Vec<_>>();
     for (shard, cpu) in cpus.into_iter().enumerate() {
@@ -543,12 +545,62 @@ fn each_shard_serves_the_connections_that_arrive_on_its_cpu() {
     handle.join().unwrap();
 }
 
+/// A connection opened from a thread confined to `cpu`, so its SYN is
+/// processed there.
+fn connect_from(cpu: usize, addr: std::net::SocketAddr) -> TcpStream {
+    std::thread::spawn(move || {
+        pin_to(cpu);
+        let s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s
+    })
+    .join()
+    .unwrap()
+}
+
+#[test]
+fn a_steered_group_shares_one_admission_cap() {
+    // Steering sends every connection from one CPU to one shard, so that
+    // shard may hold the group's whole cap, and the group no more.
+    let Some(cpus) = two_cpus() else { return };
+    let cfg = ReactorConfig { max_conns: 4, ..ReactorConfig::default() };
+    let (handle, apps, shutdown) = start_pair(cfg);
+    let addr = handle.addr;
+    let opened = || apps.iter().map(|a| a.open.load(Ordering::SeqCst)).collect::<Vec<_>>();
+    let shed = || apps.iter().map(|a| a.shed.load(Ordering::SeqCst)).sum::<usize>();
+
+    let idle: Vec<TcpStream> = (0..4).map(|_| connect_from(cpus[0], addr)).collect();
+    assert!(
+        wait_until(Duration::from_secs(2), || opened() == [4, 0]),
+        "4 connections from CPU {} must all be admitted by shard 0: opened {:?}, shed {}",
+        cpus[0],
+        opened(),
+        shed()
+    );
+    assert_eq!(shed(), 0);
+
+    // The fifth is refused, and so is one from the other CPU, though its
+    // shard holds nothing: the cap is the group's.
+    for (n, cpu) in [cpus[0], cpus[1]].into_iter().enumerate() {
+        let mut extra = connect_from(cpu, addr);
+        let mut out = String::new();
+        let _ = extra.read_to_string(&mut out);
+        assert!(out.starts_with("HTTP/1.0 503"), "CPU {cpu}: expected shed, got {out:?}");
+        assert_eq!(shed(), n + 1);
+    }
+    assert_eq!(opened(), [4, 0]);
+
+    drop(idle);
+    shutdown.store(true, Ordering::Relaxed);
+    handle.join().unwrap();
+}
+
 #[test]
 fn steered_loops_run_in_the_batch_class_and_a_lone_loop_does_not() {
     const SCHED_OTHER: u32 = 0;
     const SCHED_BATCH: u32 = 3;
     if two_cpus().is_some() {
-        let (handle, apps, shutdown) = start_pair();
+        let (handle, apps, shutdown) = start_pair(ReactorConfig::default());
         for app in &apps {
             assert_eq!(*app.loop_policy.lock().unwrap(), Some(SCHED_BATCH));
         }

@@ -33,10 +33,10 @@ pub struct ClusterConfig {
     /// `503` and counted in `NodeStats::shed`.
     pub max_conns: usize,
     /// Reactor shards per node: per-core event loops sharing the node's
-    /// port via `SO_REUSEPORT`. `0` (the default) means auto — the
-    /// available cores divided among the nodes of the cluster, at least
-    /// one shard each (`--shards` / `SWEB_SHARDS` through
-    /// [`crate::ServerOptions`]).
+    /// port via `SO_REUSEPORT`. `0` (the default) means auto — one shard
+    /// per available core for every node, so each node can serve a
+    /// connection on the CPU it arrived on (`--shards` / `SWEB_SHARDS`
+    /// through [`crate::ServerOptions`]).
     pub shards: usize,
     /// Scheduler tunables. The default shortens the loadd period to 200 ms
     /// so tests converge quickly; pass the paper's 2.5 s for realism.
@@ -105,15 +105,17 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Resolve the configured shard count to the one each of `nodes` nodes
-/// will run: `shards == 0` divides the available cores among the nodes
-/// of this process (at least one shard each), capped at
-/// [`sweb_telemetry::MAX_SHARD_CELLS`] so every shard gets its own
-/// metric cell. The paper's node is a machine; nodes sharing one should
-/// split it, not each claim all of it.
-fn resolve_shards(cfg: &ClusterConfig, nodes: usize) -> usize {
+/// Resolve the configured shard count to the one every node will run:
+/// `shards == 0` gives each node one shard per available core, capped
+/// at [`sweb_telemetry::MAX_SHARD_CELLS`] so every shard gets its own
+/// metric cell. Nodes that share a machine still each run a loop per
+/// CPU: a loop can only be handed the connections that arrive on its
+/// CPU if its node has a listener there (`sweb_reactor::spawn_sharded`).
+/// An idle loop sleeps, so the extra loops cost a thread each. What the
+/// nodes split is the worker pool (`NodeHandle::spawn`).
+fn resolve_shards(cfg: &ClusterConfig) -> usize {
     let n = if cfg.shards == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) / nodes
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     } else {
         cfg.shards
     };
@@ -143,7 +145,7 @@ impl LiveCluster {
     /// standing in for the NFS crossmounted disks).
     pub fn start(n: usize, docroot: PathBuf, cfg: ClusterConfig) -> std::io::Result<LiveCluster> {
         assert!(n >= 1, "at least one node");
-        let shards = resolve_shards(&cfg, n);
+        let shards = resolve_shards(&cfg);
         // Bind everything first so every node knows every address. A
         // multi-shard reactor node binds its port with `SO_REUSEPORT` so
         // the other shards can join the accept group later.

@@ -374,7 +374,7 @@ pub struct NodeShared {
     /// Liveness of each shard's event loop, set/cleared by the loop
     /// thread itself.
     pub shard_live: Vec<AtomicBool>,
-    /// Node-wide admission cap (divided across shards by the reactor).
+    /// Node-wide admission cap (its shards share it in the reactor).
     pub max_conns: usize,
     /// Synthetic hardware description used by the cost model.
     pub cluster: ClusterSpec,
@@ -687,9 +687,9 @@ impl NodeHandle {
                     as Arc<dyn sweb_reactor::App>
             })
             .collect();
-        // Nodes that share this process share its cores (the shard count
-        // divides them the same way): each takes its share of the default
-        // pool, and at least two workers.
+        // Nodes that share this process share its cores: each takes its
+        // share of the default pool, and at least two workers. (Loops are
+        // not split: every node runs one per core, see `resolve_shards`.)
         let nodes = shared.peer_http.len().max(1);
         let cfg = sweb_reactor::ReactorConfig {
             max_conns: shared.max_conns,

@@ -69,7 +69,7 @@ impl ServerOptions {
 
     // ---- CLI tier: explicit settings that beat the environment ----
 
-    /// Reactor shards per node, 0 = the cores divided among the nodes
+    /// Reactor shards per node, 0 = one per core for every node
     /// (`--shards`; env `SWEB_SHARDS`).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);

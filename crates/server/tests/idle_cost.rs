@@ -1,7 +1,8 @@
-//! An idle cluster costs nothing: co-located nodes split the machine, and
-//! a node with no requests sleeps. Its own file, so it runs in its own
-//! process, and one test, so every thread it counts beyond the harness's
-//! own belongs to the cluster under test.
+//! An idle cluster costs next to nothing: every node runs one loop per
+//! CPU, co-located nodes split the worker pool, and a node with no
+//! requests sleeps. Its own file, so it runs in its own process, and one
+//! test, so every thread it counts beyond the harness's own belongs to the
+//! cluster under test.
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -14,6 +15,23 @@ fn thread_names() -> Vec<String> {
         .unwrap()
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
         .map(|comm| comm.trim_end().to_string())
+        .collect()
+}
+
+/// The scheduling policy of every thread whose `comm` starts with
+/// `prefix`: field 41 of its `stat` (0 is `SCHED_OTHER`, 3 `SCHED_BATCH`).
+fn policies(prefix: &str) -> Vec<u32> {
+    let tasks = std::fs::read_dir("/proc/self/task").unwrap();
+    tasks
+        .filter_map(|task| {
+            let path = task.ok()?.path();
+            if !std::fs::read_to_string(path.join("comm")).ok()?.starts_with(prefix) {
+                return None;
+            }
+            let stat = std::fs::read_to_string(path.join("stat")).ok()?;
+            // Fields 1 and 2 (pid, comm) end at the last `)`.
+            stat.rsplit_once(')')?.1.split_whitespace().nth(41 - 3)?.parse().ok()
+        })
         .collect()
 }
 
@@ -41,9 +59,10 @@ fn workers_per_node(nodes: usize, shards: usize) -> usize {
 }
 
 /// What `swebd --nodes N` runs, idle: default shards, the 2.5 s loadd
-/// period, converged and every shard live. Checks that its threads are
-/// its loops and workers and nothing else, and that over one second the
-/// whole process switches at most 20 times.
+/// period, converged and every shard live. Checks that every node runs a
+/// loop per CPU, steered and in the batch class when there are two or
+/// more, that its threads are its loops and workers and nothing else, and
+/// that over one second the whole process switches at most 20 times.
 fn idle_swebd(nodes: usize) {
     let harness = thread_names().len();
     let dir = std::env::temp_dir().join(format!("sweb-idle-{nodes}-{}", std::process::id()));
@@ -60,7 +79,7 @@ fn idle_swebd(nodes: usize) {
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let shards = cluster.node(0).shards;
-    assert_eq!(shards, (cores / nodes).max(1), "{nodes} nodes divide {cores} cores");
+    assert_eq!(shards, cores.min(sweb_telemetry::MAX_SHARD_CELLS), "one shard per core");
     let workers = workers_per_node(nodes, shards);
     let names = thread_names();
     let count = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
@@ -71,6 +90,11 @@ fn idle_swebd(nodes: usize) {
         harness + nodes * (shards + workers),
         "a thread beyond the loops and the workers: {names:?}"
     );
+    if shards >= 2 {
+        const SCHED_BATCH: u32 = 3;
+        let loops = policies("sweb-reactor");
+        assert!(loops.iter().all(|&p| p == SCHED_BATCH), "loop policies {loops:?}");
+    }
 
     let before = context_switches();
     std::thread::sleep(Duration::from_secs(1));
@@ -83,9 +107,9 @@ fn idle_swebd(nodes: usize) {
 }
 
 #[test]
-fn idle_nodes_split_the_machine_and_sleep() {
-    // swebd's default: three nodes share the box.
+fn idle_nodes_run_a_loop_per_cpu_and_sleep() {
+    // swebd's default: three nodes share the box and split its pool.
     idle_swebd(3);
-    // A single node still gets a shard per core and the whole pool.
+    // A single node gets the whole pool.
     idle_swebd(1);
 }

@@ -307,7 +307,6 @@ fn admission_cap_sheds_excess_connections_with_503() {
     let cluster = ServerOptions::new()
         .policy(Policy::RoundRobin)
         .max_conns(4)
-        .shards(1) // the cap is divided across shards; pin for determinism
         .start(1, dir)
         .unwrap();
     let addr = cluster.base_url(0).strip_prefix("http://").unwrap().to_string();
@@ -563,6 +562,71 @@ fn sharded_reactor_reports_every_shard_live_and_exact() {
         report.metric("sweb_requests_served_total"),
         "shard breakdown must sum to the node counter exactly"
     );
+    cluster.shutdown();
+}
+
+/// Confine the calling thread to `cpu`.
+fn pin_to(cpu: usize) {
+    extern "C" {
+        fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+    }
+    let mut mask = [0u64; 16];
+    mask[cpu / 64] |= 1 << (cpu % 64);
+    // SAFETY: the kernel reads `size` bytes from `mask`, live for the call.
+    let rc = unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
+    assert_eq!(rc, 0, "sched_setaffinity: {}", std::io::Error::last_os_error());
+}
+
+/// Requests each shard of the node at `base` has served, from its status
+/// page.
+fn served_by_shard(base: &str) -> Vec<u64> {
+    let resp = client::get(&format!("{base}/sweb-status?format=json")).unwrap();
+    let json = sweb_telemetry::Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+    let report = sweb_server::StatusReport::from_json(&json).unwrap();
+    report.shards.iter().map(|s| s.served).collect()
+}
+
+#[test]
+fn co_located_nodes_serve_each_connection_on_the_cpu_it_arrived_on() {
+    // Three nodes in one process, default shards: every node runs one
+    // loop per CPU, so each node steers what arrives on CPU `c` to its
+    // shard `c`.
+    let cpus = sweb_reactor::sys::cpus().unwrap();
+    if cpus.len() < 2 {
+        eprintln!("skipped: this process may run on {cpus:?}; steering needs two CPUs");
+        return;
+    }
+    let (cluster, _dir) = start("colocated", 3, Policy::RoundRobin);
+    let bases: Vec<String> = (0..3).map(|i| cluster.base_url(i).to_string()).collect();
+    for (shard, &cpu) in cpus.iter().enumerate().take(2) {
+        let bases = bases.clone();
+        let took = std::thread::spawn(move || {
+            pin_to(cpu);
+            bases
+                .iter()
+                .map(|base| {
+                    let before = served_by_shard(base);
+                    for i in 0..50 {
+                        let resp = client::get(&format!("{base}/doc{}.txt", i % 8)).unwrap();
+                        assert_eq!(resp.status, 200);
+                    }
+                    let after = served_by_shard(base);
+                    after.iter().zip(&before).map(|(a, b)| a - b).collect::<Vec<u64>>()
+                })
+                .collect::<Vec<_>>()
+        })
+        .join()
+        .unwrap();
+        for (node, took) in took.iter().enumerate() {
+            let shards = cpus.len().min(sweb_telemetry::MAX_SHARD_CELLS);
+            assert_eq!(took.len(), shards, "node {node} runs one shard per CPU");
+            // The first status page counts itself once sent, on that
+            // shard too.
+            let mut want = vec![0; shards];
+            want[shard] = 51;
+            assert_eq!(took, &want, "node {node}: a client on CPU {cpu} belongs to shard {shard}");
+        }
+    }
     cluster.shutdown();
 }
 

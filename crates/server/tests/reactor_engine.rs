@@ -33,7 +33,6 @@ fn admission_control_sheds_with_503_and_counts_it() {
     let cluster = ServerOptions::new()
         .policy(Policy::RoundRobin)
         .max_conns(4)
-        .shards(1) // the cap is divided across shards; pin for determinism
         .start(1, docroot("shed"))
         .unwrap();
     let addr = cluster.base_url(0).strip_prefix("http://").unwrap().to_string();
