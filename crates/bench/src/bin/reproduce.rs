@@ -14,6 +14,30 @@ use std::time::Instant;
 use sweb_metrics::TextTable;
 use sweb_sim::experiments::{self, Scale};
 
+/// Every selector this binary answers to, in output order (`overhead` is
+/// `table5` under its §4.3 name). No selector means all of them; any other
+/// argument besides `quick` and the flags is a usage error.
+const SELECTORS: &[&str] = &[
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "overhead",
+    "skewed",
+    "analytic",
+    "eastcoast",
+    "figure1",
+    "dnsttl",
+    "forwarding",
+    "scaling",
+    "zipf",
+    "failover",
+    "dispatcher",
+    "warmup",
+    "ablations",
+];
+
 struct Reporter {
     t0: Instant,
     csv_dir: Option<PathBuf>,
@@ -85,9 +109,14 @@ fn main() {
             std::process::exit(1);
         }
     }
+    let selectors: Vec<&str> = args.iter().map(String::as_str).filter(|&a| a != "quick").collect();
+    if let Some(unknown) = selectors.iter().find(|a| !SELECTORS.contains(a)) {
+        eprintln!("reproduce: unknown selector {unknown:?}; known: quick {}", SELECTORS.join(" "));
+        std::process::exit(2);
+    }
     let want = |name: &str| {
-        let selectors: Vec<&String> = args.iter().filter(|a| a.as_str() != "quick").collect();
-        selectors.is_empty() || selectors.iter().any(|a| a.as_str() == name)
+        assert!(SELECTORS.contains(&name), "selector {name:?} missing from SELECTORS");
+        selectors.is_empty() || selectors.contains(&name)
     };
 
     let reporter = Reporter {
@@ -146,25 +175,13 @@ fn main() {
         // beside it as `forwarding_model.csv`.
         reporter.emit("forwarding_model", &table);
     }
-    if want("coopcache") {
-        let (_, table) = experiments::coop_cache(scale);
-        reporter.emit("coopcache", &table);
-    }
     if want("scaling") {
         let (_, table) = experiments::scaling_surface(scale);
         reporter.emit("scaling", &table);
     }
-    if want("widearea") {
-        let (_, table) = experiments::wide_area(scale);
-        reporter.emit("widearea", &table);
-    }
     if want("zipf") {
         let (_, table) = experiments::zipf_sweep(scale);
         reporter.emit("zipf", &table);
-    }
-    if want("hierarchy") {
-        let (_, table) = experiments::hierarchy_sweep(scale);
-        reporter.emit("hierarchy", &table);
     }
     if want("failover") {
         let (_, table) = experiments::failover_sweep(scale);

@@ -4,7 +4,7 @@
 //! swebsim --testbed meiko --nodes 6 --policy sweb --rps 16 \
 //!         --duration 30 --file-size 1500000 --files 24
 //! swebsim --testbed now --nodes 4 --policy rr --rps 8 --zipf 1.0
-//! swebsim --testbed geo --nodes 6 --policy locality --coop-cache
+//! swebsim --testbed hetero --nodes 4 --rps 2 --file-size 100000 --cgi 0.5 --compare
 //! ```
 //!
 //! Prints the run summary, per-node breakdown, utilizations, and the
@@ -26,7 +26,6 @@ struct Args {
     files: usize,
     zipf: Option<f64>,
     cgi_fraction: f64,
-    coop_cache: bool,
     seed: u64,
     timeout_s: f64,
     compare: bool,
@@ -34,10 +33,10 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: swebsim [--testbed meiko|now|geo] [--nodes N] \
+        "usage: swebsim [--testbed meiko|now|hetero] [--nodes N] \
          [--policy sweb|rr|locality|cpu] [--rps N] [--duration SECS] \
          [--file-size BYTES] [--files N] [--zipf S] [--cgi FRACTION] \
-         [--coop-cache] [--seed N] [--timeout SECS] [--compare]"
+         [--seed N] [--timeout SECS] [--compare]"
     );
     std::process::exit(2);
 }
@@ -53,7 +52,6 @@ fn parse_args() -> Args {
         files: 24,
         zipf: None,
         cgi_fraction: 0.0,
-        coop_cache: false,
         seed: 0xa11ce,
         timeout_s: 300.0,
         compare: false,
@@ -79,7 +77,6 @@ fn parse_args() -> Args {
             "--files" => a.files = v().parse().unwrap_or_else(|_| usage()),
             "--zipf" => a.zipf = Some(v().parse().unwrap_or_else(|_| usage())),
             "--cgi" => a.cgi_fraction = v().parse().unwrap_or_else(|_| usage()),
-            "--coop-cache" => a.coop_cache = true,
             "--compare" => a.compare = true,
             "--seed" => a.seed = v().parse().unwrap_or_else(|_| usage()),
             "--timeout" => a.timeout_s = v().parse().unwrap_or_else(|_| usage()),
@@ -94,10 +91,6 @@ fn cluster_for(a: &Args) -> ClusterSpec {
     match a.testbed.as_str() {
         "meiko" => presets::meiko(a.nodes),
         "now" => presets::now_lx(a.nodes),
-        "geo" => {
-            let per_site = (a.nodes / 2).max(1);
-            presets::geo_cluster(2, per_site)
-        }
         "hetero" => presets::heterogeneous_now(a.nodes),
         _ => usage(),
     }
@@ -120,7 +113,6 @@ fn run_stats(a: &Args, policy: Policy) -> (usize, sweb_metrics::RunStats) {
     let arrivals = schedule.generate(&corpus);
     let mut cfg = SimConfig::with_policy(policy);
     cfg.cgi_fraction = a.cgi_fraction;
-    cfg.coop_cache = a.coop_cache;
     cfg.seed = a.seed;
     cfg.client.timeout = a.timeout_s;
     (n, ClusterSim::new(cluster, corpus, cfg).run(&arrivals))
@@ -166,9 +158,6 @@ fn main() {
         stats.response_quantile_secs(0.99));
     println!("redirected:   {:.1}%", stats.redirect_rate() * 100.0);
     println!("cache hits:   {:.1}%", stats.cache_hit_ratio() * 100.0);
-    if a.cgi_fraction > 0.0 {
-        println!("cgi cache:    {:.1}% effective", stats.cgi_cache_effectiveness() * 100.0);
-    }
     println!("cpu util:     {:.1}%", stats.mean_cpu_utilization() * 100.0);
     println!("disk util:    {:.1}%", stats.mean_disk_utilization() * 100.0);
     println!();

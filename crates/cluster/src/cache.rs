@@ -139,7 +139,7 @@ impl PageCache {
     }
 
     /// Iterate the cached file ids (arbitrary order, no LRU side effect).
-    /// Used by cooperative-cache digests.
+    /// Used by the live `FileCache` to build its loadd digest.
     pub fn keys(&self) -> impl Iterator<Item = FileId> + '_ {
         self.map.keys().copied()
     }

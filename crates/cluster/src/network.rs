@@ -29,56 +29,14 @@ pub enum NetworkSpec {
         /// One-way latency, seconds.
         latency: f64,
     },
-    /// Extension (the authors' hierarchical-scheduling direction):
-    /// multiple sites, each with fat-tree-like per-node links, joined by
-    /// one shared wide-area pipe. Intra-site remote reads behave like the
-    /// fat tree; cross-site reads additionally squeeze through the WAN.
-    WideArea {
-        /// `site_of[node]` = site index of each node.
-        site_of: Vec<u32>,
-        /// Per-node link bandwidth within a site, bytes/second.
-        intra_bw: f64,
-        /// One-way intra-site latency, seconds.
-        intra_latency: f64,
-        /// Shared WAN pipe bandwidth between sites, bytes/second.
-        wan_bw: f64,
-        /// One-way WAN latency, seconds.
-        wan_latency: f64,
-    },
 }
 
 impl NetworkSpec {
-    /// One-way latency between two *typical* nodes, seconds (intra-site
-    /// for wide-area clusters; use [`NetworkSpec::pair_latency`] for a
-    /// specific pair).
+    /// One-way node-to-node latency, seconds.
     pub fn latency(&self) -> f64 {
         match self {
             NetworkSpec::FatTree { latency, .. } => *latency,
             NetworkSpec::SharedEthernet { latency, .. } => *latency,
-            NetworkSpec::WideArea { intra_latency, .. } => *intra_latency,
-        }
-    }
-
-    /// One-way latency between nodes `a` and `b`, seconds.
-    pub fn pair_latency(&self, a: usize, b: usize) -> f64 {
-        match self {
-            NetworkSpec::WideArea { site_of, intra_latency, wan_latency, .. } => {
-                if site_of[a] == site_of[b] {
-                    *intra_latency
-                } else {
-                    *wan_latency
-                }
-            }
-            other => other.latency(),
-        }
-    }
-
-    /// Whether nodes `a` and `b` share a site (always true for single-site
-    /// interconnects).
-    pub fn same_site(&self, a: usize, b: usize) -> bool {
-        match self {
-            NetworkSpec::WideArea { site_of, .. } => site_of[a] == site_of[b],
-            _ => true,
         }
     }
 
@@ -92,7 +50,6 @@ impl NetworkSpec {
         match self {
             NetworkSpec::FatTree { per_node_bw, .. } => *per_node_bw,
             NetworkSpec::SharedEthernet { bus_bw, .. } => *bus_bw,
-            NetworkSpec::WideArea { intra_bw, .. } => *intra_bw,
         }
     }
 
@@ -113,27 +70,6 @@ impl NetworkSpec {
             // the LX disk at 1.8 MB/s and the bus at ~1.1 MB/s this is the
             // paper's 50–70 % cost increase, before any contention.
             NetworkSpec::SharedEthernet { bus_bw, .. } => local_disk_bw.min(*bus_bw),
-            // Intra-site estimate; cross-site pairs go through
-            // `estimated_pair_bw`.
-            NetworkSpec::WideArea { intra_bw, .. } => local_disk_bw.min(*intra_bw),
-        }
-    }
-
-    /// Remote-fetch bandwidth estimate for a specific `(home, candidate)`
-    /// node pair — identical to [`NetworkSpec::estimated_remote_bw`] except
-    /// on wide-area clusters, where cross-site fetches are additionally
-    /// bounded by the WAN pipe.
-    pub fn estimated_pair_bw(&self, home: usize, candidate: usize, local_disk_bw: f64) -> f64 {
-        match self {
-            NetworkSpec::WideArea { site_of, intra_bw, wan_bw, .. } => {
-                let b = local_disk_bw.min(*intra_bw);
-                if site_of[home] == site_of[candidate] {
-                    b
-                } else {
-                    b.min(*wan_bw)
-                }
-            }
-            other => other.estimated_remote_bw(local_disk_bw),
         }
     }
 }
@@ -152,9 +88,7 @@ impl NetworkSpec {
     /// Which legs a remote read takes on this interconnect.
     pub fn remote_path(&self) -> RemotePath {
         match self {
-            NetworkSpec::FatTree { .. } | NetworkSpec::WideArea { .. } => {
-                RemotePath::DiskThenLink
-            }
+            NetworkSpec::FatTree { .. } => RemotePath::DiskThenLink,
             NetworkSpec::SharedEthernet { .. } => RemotePath::DiskThenBus,
         }
     }
@@ -213,41 +147,5 @@ mod tests {
     fn latency_accessor() {
         assert!((fat_tree().latency() - 100e-6).abs() < 1e-12);
         assert!((ethernet().latency() - 1e-3).abs() < 1e-12);
-    }
-
-    fn wide_area() -> NetworkSpec {
-        NetworkSpec::WideArea {
-            site_of: vec![0, 0, 0, 1, 1, 1],
-            intra_bw: 4.5e6,
-            intra_latency: 100e-6,
-            wan_bw: 1.5e6,
-            wan_latency: 20e-3,
-        }
-    }
-
-    #[test]
-    fn wide_area_sites_and_latencies() {
-        let net = wide_area();
-        assert!(net.same_site(0, 2));
-        assert!(!net.same_site(0, 3));
-        assert!((net.pair_latency(0, 2) - 100e-6).abs() < 1e-12);
-        assert!((net.pair_latency(0, 5) - 20e-3).abs() < 1e-12);
-        assert!(!net.is_shared_medium());
-        assert_eq!(net.remote_path(), RemotePath::DiskThenLink);
-        // Single-site networks: everything is one site.
-        assert!(fat_tree().same_site(0, 5));
-        assert!((fat_tree().pair_latency(0, 5) - 100e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wide_area_pair_bandwidth() {
-        let net = wide_area();
-        let b1 = 5e6;
-        // Intra-site: bounded by the intra link (like the fat tree).
-        assert!((net.estimated_pair_bw(0, 2, b1) - 4.5e6).abs() < 1.0);
-        // Cross-site: bounded by the WAN.
-        assert!((net.estimated_pair_bw(0, 3, b1) - 1.5e6).abs() < 1.0);
-        // Other variants: pair == remote estimate.
-        assert_eq!(fat_tree().estimated_pair_bw(0, 1, b1), fat_tree().estimated_remote_bw(b1));
     }
 }

@@ -71,27 +71,6 @@ pub fn now_lx(n: usize) -> ClusterSpec {
     }
 }
 
-/// A geo-distributed cluster (extension; the authors' hierarchical
-/// direction): `sites` sites of `per_site` Meiko-class nodes each, joined
-/// by a shared wide-area pipe. Mid-90s inter-campus links: ~1.5 MB/s
-/// (fraction of a T3) at ~20 ms one way.
-pub fn geo_cluster(sites: usize, per_site: usize) -> ClusterSpec {
-    assert!(sites >= 1 && per_site >= 1, "at least one node at one site");
-    let n = sites * per_site;
-    let mut c = meiko(n);
-    for (i, node) in c.nodes.iter_mut().enumerate() {
-        node.name = format!("site{}-node{}", i / per_site, i % per_site);
-    }
-    c.network = NetworkSpec::WideArea {
-        site_of: (0..n).map(|i| (i / per_site) as u32).collect(),
-        intra_bw: MEIKO_LINK_BW,
-        intra_latency: 100e-6,
-        wan_bw: 1.5e6,
-        wan_latency: 20e-3,
-    };
-    c
-}
-
 /// A deliberately heterogeneous NOW: node `i` runs at `1/(1+i/2)` of full
 /// speed, modelling workstations shared with other users (the paper's
 /// motivation for load-adaptive scheduling over DNS round-robin).
@@ -138,18 +117,6 @@ mod tests {
         for w in c.nodes.windows(2) {
             assert!(w[0].cpu_ops_per_sec > w[1].cpu_ops_per_sec);
         }
-    }
-
-    #[test]
-    fn geo_cluster_wires_sites() {
-        let c = geo_cluster(2, 3);
-        assert_eq!(c.len(), 6);
-        assert!(c.network.same_site(0, 2));
-        assert!(!c.network.same_site(2, 3));
-        assert_eq!(c.nodes[4].name, "site1-node1");
-        // Cross-site fetches are WAN-bound.
-        let b = c.network.estimated_pair_bw(0, 5, c.nodes[0].disk_bw);
-        assert!((b - 1.5e6).abs() < 1.0);
     }
 
     #[test]

@@ -105,9 +105,8 @@ impl ClusterSpec {
         self.nodes.iter().map(|n| n.cache_bytes()).sum()
     }
 
-    /// Sanity-check the specification: non-empty, positive capacities,
-    /// consistent wide-area site table. Returns a description of the first
-    /// problem found.
+    /// Sanity-check the specification: non-empty, positive capacities.
+    /// Returns a description of the first problem found.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes.is_empty() {
             return Err("cluster has no nodes".into());
@@ -135,19 +134,6 @@ impl ClusterSpec {
             NetworkSpec::SharedEthernet { bus_bw, latency } => {
                 if !(*bus_bw > 0.0 && *latency >= 0.0) {
                     return Err("ethernet: non-positive bandwidth or negative latency".into());
-                }
-            }
-            NetworkSpec::WideArea { site_of, intra_bw, wan_bw, intra_latency, wan_latency } => {
-                if site_of.len() != self.nodes.len() {
-                    return Err(format!(
-                        "wide area: site table covers {} nodes, cluster has {}",
-                        site_of.len(),
-                        self.nodes.len()
-                    ));
-                }
-                if !(*intra_bw > 0.0 && *wan_bw > 0.0 && *intra_latency >= 0.0 && *wan_latency >= 0.0)
-                {
-                    return Err("wide area: non-positive bandwidth or negative latency".into());
                 }
             }
         }
@@ -202,7 +188,7 @@ mod tests {
 
     #[test]
     fn validate_accepts_presets_and_rejects_nonsense() {
-        for c in [presets::meiko(6), presets::now_lx(4), presets::geo_cluster(2, 3)] {
+        for c in [presets::meiko(6), presets::now_lx(4), presets::heterogeneous_now(4)] {
             assert_eq!(c.validate(), Ok(()), "{:?}", c.nodes[0].name);
         }
         let mut bad = presets::meiko(2);
@@ -211,9 +197,6 @@ mod tests {
         let mut bad = presets::meiko(2);
         bad.nodes[0].cache_fraction = 1.5;
         assert!(bad.validate().unwrap_err().contains("cache fraction"));
-        let mut bad = presets::geo_cluster(2, 2);
-        bad.nodes.pop();
-        assert!(bad.validate().unwrap_err().contains("site table"));
     }
 
     #[test]

@@ -141,20 +141,16 @@ impl CostModel {
     ) -> CostBreakdown {
         let size = req.size as f64;
         let net_load = inputs.loads.load(origin).net.max(inputs.loads.load(source).net);
-        // `estimated_pair_bw` bottlenecks the source's read rate against
+        // `estimated_remote_bw` bottlenecks the source's read rate against
         // the interconnect; passing `cache_bw` as the source rate models
         // a RAM read instead of an NFS disk read.
-        let pair_bw = inputs.cluster.network.estimated_pair_bw(
-            source.index(),
-            origin.index(),
-            self.cfg.cache_bw,
-        );
-        let rtt = 2.0 * inputs.cluster.network.pair_latency(origin.index(), source.index());
+        let pull_bw = inputs.cluster.network.estimated_remote_bw(self.cfg.cache_bw);
+        let rtt = 2.0 * inputs.cluster.network.latency();
         CostBreakdown {
             t_redirection: 0.0,
             t_data: 0.0,
             t_cpu: self.t_cpu_ops(req.cpu_ops, origin, inputs),
-            t_forward: rtt + size / (pair_bw / (1.0 + net_load)),
+            t_forward: rtt + size / (pull_bw / (1.0 + net_load)),
         }
     }
 
@@ -225,11 +221,7 @@ impl CostModel {
                 .load(candidate)
                 .net
                 .max(inputs.loads.load(req.home).net);
-            let b_remote = inputs.cluster.network.estimated_pair_bw(
-                req.home.index(),
-                candidate.index(),
-                home_spec.disk_bw,
-            );
+            let b_remote = inputs.cluster.network.estimated_remote_bw(home_spec.disk_bw);
             let avail = (home_spec.disk_bw / (1.0 + disk_load)).min(b_remote / (1.0 + net_load));
             size / avail
         }

@@ -38,16 +38,6 @@ pub struct NodeCounters {
     /// Seconds this node's network interface had at least one flow
     /// (0 on shared-bus clusters, where the bus is cluster-wide).
     pub net_busy_secs: f64,
-    /// CGI requests answered from this node's own result cache.
-    pub cgi_local_hits: u64,
-    /// CGI requests answered by fetching a peer's cached result.
-    pub cgi_peer_hits: u64,
-    /// CGI requests that had to be computed.
-    pub cgi_computed: u64,
-    /// loadd datagrams this node sent to same-site peers.
-    pub loadd_msgs_local: u64,
-    /// loadd datagrams this node sent across the WAN.
-    pub loadd_msgs_wan: u64,
 }
 
 /// Everything one experiment run produces.
@@ -226,18 +216,6 @@ impl RunStats {
             .sum()
     }
 
-    /// Fraction of CGI requests that avoided computation thanks to
-    /// (cooperative) result caching. 0 when no CGI ran.
-    pub fn cgi_cache_effectiveness(&self) -> f64 {
-        let hits: u64 = self.nodes.iter().map(|n| n.cgi_local_hits + n.cgi_peer_hits).sum();
-        let computed: u64 = self.nodes.iter().map(|n| n.cgi_computed).sum();
-        if hits + computed == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + computed) as f64
-        }
-    }
-
     /// Mean CPU utilization across nodes over the run duration.
     pub fn mean_cpu_utilization(&self) -> f64 {
         let d = self.duration.as_secs_f64();
@@ -289,11 +267,6 @@ impl RunStats {
             mine.cpu_busy_secs += theirs.cpu_busy_secs;
             mine.disk_busy_secs += theirs.disk_busy_secs;
             mine.net_busy_secs += theirs.net_busy_secs;
-            mine.cgi_local_hits += theirs.cgi_local_hits;
-            mine.cgi_peer_hits += theirs.cgi_peer_hits;
-            mine.cgi_computed += theirs.cgi_computed;
-            mine.loadd_msgs_local += theirs.loadd_msgs_local;
-            mine.loadd_msgs_wan += theirs.loadd_msgs_wan;
         }
     }
 

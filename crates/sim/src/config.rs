@@ -21,10 +21,10 @@ pub struct SimConfig {
     /// CPU operations loadd burns per broadcast (≈0.2 % of a 2.5 s period
     /// at 40 MHz, matching §4.3's load-monitoring overhead).
     pub loadd_ops_per_broadcast: f64,
-    /// Fraction of requests pinned to node 0 regardless of rotation — a
-    /// crude skewed-front-end knob for ablations. 0 = off. For the
-    /// realistic mechanism, use `dns_ttl`/`dns_domains` instead.
-    pub dns_cache_skew: f64,
+    /// Every arrival enters at node 0, the advertised address of a fixed
+    /// front end — even after node 0 has left the pool (its single point
+    /// of failure, §3.1). Off = DNS rotation over the alive nodes.
+    pub fixed_front_end: bool,
     /// TTL of client-side DNS caches (§1: "DNS caching enables a local DNS
     /// system to cache the name-to-IP address mapping"). Zero = ideal
     /// rotation on every request.
@@ -34,23 +34,13 @@ pub struct SimConfig {
     /// Probability that a loadd broadcast datagram is lost in transit
     /// (exercises the staleness machinery; UDP on a busy Ethernet drops).
     pub loadd_loss_prob: f64,
-    /// Hierarchical load dissemination (extension; the authors'
-    /// follow-up direction): cross-site load reports go out only every
-    /// k-th loadd tick, while same-site peers hear every tick. 1 = flat
-    /// (the paper's scheme). Only matters on wide-area clusters.
-    pub cross_site_loadd_every: u32,
     /// Fraction of requests that are CGI executions (the digital-library
     /// workload's "heterogeneous CPU activities").
     pub cgi_fraction: f64,
     /// Of the CGI requests, the fraction that are POSTs (non-idempotent:
     /// the broker pins them to the node they hit, as the live server does).
     pub post_fraction: f64,
-    /// Extension: cooperative caching of CGI results across nodes (the
-    /// Holmedahl/Smith/Yang follow-up work). See [`crate::CoopDirectory`].
-    pub coop_cache: bool,
-    /// Per-node CGI result-cache capacity, bytes.
-    pub result_cache_bytes: u64,
-    /// RNG seed for DNS skew / CGI draws.
+    /// RNG seed for DNS and CGI draws.
     pub seed: u64,
 }
 
@@ -62,15 +52,12 @@ impl Default for SimConfig {
             client: ClientPopulation::ucsb_local(),
             backlog_limit: 128,
             loadd_ops_per_broadcast: 0.2e6,
-            dns_cache_skew: 0.0,
+            fixed_front_end: false,
             dns_ttl: sweb_des::SimTime::ZERO,
             dns_domains: 16,
             loadd_loss_prob: 0.0,
-            cross_site_loadd_every: 1,
             cgi_fraction: 0.0,
             post_fraction: 0.0,
-            coop_cache: false,
-            result_cache_bytes: 4 << 20,
             seed: 0xc0ffee,
         }
     }
@@ -92,7 +79,7 @@ mod tests {
         let c = SimConfig::default();
         assert_eq!(c.policy, Policy::Sweb);
         assert!(c.backlog_limit > 0);
-        assert_eq!(c.dns_cache_skew, 0.0);
+        assert!(!c.fixed_front_end);
         // loadd overhead: ops per broadcast over a period at Meiko speed
         // stays well under 1% of the CPU.
         let frac = c.loadd_ops_per_broadcast / (40e6 * c.sweb.loadd_period.as_secs_f64());

@@ -665,8 +665,7 @@ pub struct AblationRow {
     pub redirect_rate: f64,
 }
 
-/// Ablations: Δ-bump off vs on, loadd period sweep, and DNS cache skew
-/// (the §1 motivation for rescheduling at the server).
+/// Ablations: Δ-bump off vs on, and the loadd period sweep.
 pub fn ablations(scale: Scale) -> (Vec<AblationRow>, TextTable) {
     let cluster = presets::meiko(6);
     let corpus = FilePopulation::nonuniform(200);
@@ -701,13 +700,6 @@ pub fn ablations(scale: Scale) -> (Vec<AblationRow>, TextTable) {
         cfg.client.timeout = 300.0;
         push(format!("loadd={period_ms}ms"), cfg);
     }
-    // DNS cache skew: SWEB vs RoundRobin under a skewed front end.
-    for policy in [Policy::RoundRobin, Policy::Sweb] {
-        let mut cfg = SimConfig::with_policy(policy);
-        cfg.dns_cache_skew = 0.5;
-        cfg.client.timeout = 300.0;
-        push(format!("dns-skew=0.5 {}", policy.label()), cfg);
-    }
     let mut table = TextTable::new("Ablations: SWEB design knobs (Meiko 6, non-uniform, 20 rps)")
         .header(&["variant", "response", "drop", "redirects"]);
     for r in &rows {
@@ -724,7 +716,7 @@ pub fn ablations(scale: Scale) -> (Vec<AblationRow>, TextTable) {
 /// The centralized-dispatcher architecture §3.1 rejected ("the single
 /// central distributor becomes a single point of failure, making the
 /// entire system more vulnerable"), composed from existing pieces: all
-/// requests hit a front end (DNS pin to node 0) that forwards to the
+/// requests hit a fixed front end (node 0) that forwards to the
 /// least-loaded backend. Compared with SWEB's distributed scheduler, with
 /// the front end crashing mid-run.
 pub fn centralized_dispatcher(scale: Scale) -> (Vec<AblationRow>, TextTable) {
@@ -749,7 +741,7 @@ pub fn centralized_dispatcher(scale: Scale) -> (Vec<AblationRow>, TextTable) {
     ] {
         let mut cfg = if centralized {
             let mut cfg = SimConfig::with_policy(Policy::LeastLoadedCpu);
-            cfg.dns_cache_skew = 1.0; // every request enters at node 0
+            cfg.fixed_front_end = true; // every request enters at node 0
             cfg.sweb.redirect_mechanism = RedirectMechanism::Forward;
             cfg
         } else {
@@ -927,55 +919,6 @@ pub fn scaling_surface(scale: Scale) -> (Vec<Table2Row>, TextTable) {
     (rows, table)
 }
 
-/// Geo-distributed cluster (extension; the authors' hierarchical
-/// direction): two 3-node sites joined by a ~1.5 MB/s WAN. Round-robin
-/// spreads requests blindly, so half the fetches cross the WAN; locality
-/// policies move the *client* (a 302 costs one round trip) instead of the
-/// *bytes* and keep the WAN idle.
-pub fn wide_area(scale: Scale) -> (Vec<AblationRow>, TextTable) {
-    let cluster = presets::geo_cluster(2, 3);
-    // 48 x 1.5 MB, hashed across all six disks => half the homes are on
-    // the far site from any given node.
-    let corpus = FilePopulation {
-        count: 48,
-        sizes: SizeDist::Fixed(1_500_000),
-        placement: Placement::Hashed,
-        seed: 0x9e0,
-    };
-    let schedule = ArrivalSchedule {
-        rps: 8,
-        duration: scale.short(),
-        popularity: Popularity::Uniform,
-        seed: 0x9e0,
-        bursty: true,
-    };
-    let mut rows = Vec::new();
-    for policy in [Policy::RoundRobin, Policy::FileLocality, Policy::Sweb] {
-        let mut cfg = SimConfig::with_policy(policy);
-        cfg.client.timeout = 600.0;
-        let stats = run_one(&cluster, &corpus, cfg, &schedule);
-        rows.push(AblationRow {
-            variant: policy.label().to_string(),
-            response_secs: stats.mean_response_secs(),
-            drop_rate: stats.drop_rate(),
-            redirect_rate: stats.redirect_rate(),
-        });
-    }
-    let mut table = TextTable::new(
-        "Geo-distributed cluster: 2 sites x 3 nodes, 1.5MB/s WAN, 8 rps of 1.5MB documents",
-    )
-    .header(&["policy", "response", "drop", "redirects"]);
-    for r in &rows {
-        table.row(vec![
-            r.variant.clone(),
-            fmt_secs(r.response_secs),
-            fmt_pct(r.drop_rate),
-            fmt_pct(r.redirect_rate),
-        ]);
-    }
-    (rows, table)
-}
-
 /// Failure detection: how fast the cluster notices a dead node is set by
 /// loadd's gossip cadence ("marking those processors which have not
 /// responded in a preset period of time as unavailable", §3.1). With
@@ -1075,106 +1018,6 @@ pub fn zipf_sweep(scale: Scale) -> (Vec<AblationRow>, TextTable) {
             fmt_secs(cells[0]),
             fmt_secs(cells[1]),
             fmt_secs(cells[2]),
-        ]);
-    }
-    (rows, table)
-}
-
-/// Hierarchical load dissemination (extension; the authors' follow-up
-/// direction): on a wide-area cluster, same-site peers hear loadd every
-/// period while cross-site reports go out every k-th tick. The claim:
-/// WAN control traffic falls ~k-fold while response time barely moves
-/// (intra-site load is what the broker mostly needs).
-pub fn hierarchy_sweep(scale: Scale) -> (Vec<AblationRow>, TextTable) {
-    let cluster = presets::geo_cluster(2, 3);
-    let corpus = FilePopulation {
-        count: 48,
-        sizes: SizeDist::Fixed(1_500_000),
-        placement: Placement::Hashed,
-        seed: 0x9e0,
-    };
-    let schedule = ArrivalSchedule {
-        rps: 8,
-        duration: scale.short(),
-        popularity: Popularity::Zipf(0.9),
-        seed: 0x9e0,
-        bursty: true,
-    };
-    let mut rows = Vec::new();
-    let mut table = TextTable::new(
-        "Hierarchical loadd: cross-site reports every k ticks (geo 2x3, SWEB, 8 rps)",
-    )
-    .header(&["k", "response", "drop", "WAN loadd msgs", "local loadd msgs"]);
-    for every in [1u32, 4, 16] {
-        let mut cfg = SimConfig::with_policy(Policy::Sweb);
-        cfg.cross_site_loadd_every = every;
-        cfg.client.timeout = 600.0;
-        let stats = run_one(&cluster, &corpus, cfg, &schedule);
-        let wan: u64 = stats.nodes.iter().map(|n| n.loadd_msgs_wan).sum();
-        let local: u64 = stats.nodes.iter().map(|n| n.loadd_msgs_local).sum();
-        table.row(vec![
-            every.to_string(),
-            fmt_secs(stats.mean_response_secs()),
-            fmt_pct(stats.drop_rate()),
-            wan.to_string(),
-            local.to_string(),
-        ]);
-        rows.push(AblationRow {
-            variant: format!("k={every} (wan-msgs {wan})"),
-            response_secs: stats.mean_response_secs(),
-            drop_rate: stats.drop_rate(),
-            redirect_rate: stats.redirect_rate(),
-        });
-    }
-    (rows, table)
-}
-
-/// Cooperative caching of CGI results (extension; the group's follow-up
-/// work): a CGI-heavy Zipf workload on the 6-node Meiko, with and without
-/// the cooperative result cache, under round-robin and SWEB scheduling.
-pub fn coop_cache(scale: Scale) -> (Vec<AblationRow>, TextTable) {
-    let cluster = presets::meiko(6);
-    // 120 distinct queries, ~100 KB results, hot-query Zipf popularity;
-    // each computation costs ~100 ms of CPU (the spatial-index search).
-    let corpus = FilePopulation::uniform(120, 100_000);
-    let schedule = ArrivalSchedule {
-        rps: 24,
-        duration: scale.short(),
-        popularity: Popularity::Zipf(1.0),
-        seed: 0xc09,
-        bursty: true,
-    };
-    let mut rows = Vec::new();
-    for policy in [Policy::RoundRobin, Policy::Sweb] {
-        for coop in [false, true] {
-            let mut cfg = SimConfig::with_policy(policy);
-            cfg.cgi_fraction = 1.0;
-            cfg.coop_cache = coop;
-            cfg.client.timeout = 300.0;
-            let stats = run_one(&cluster, &corpus, cfg, &schedule);
-            rows.push(AblationRow {
-                variant: format!(
-                    "{} coop={} (cache-effect {:.0}%)",
-                    policy.label(),
-                    if coop { "on" } else { "off" },
-                    stats.cgi_cache_effectiveness() * 100.0
-                ),
-                response_secs: stats.mean_response_secs(),
-                drop_rate: stats.drop_rate(),
-                redirect_rate: stats.redirect_rate(),
-            });
-        }
-    }
-    let mut table = TextTable::new(
-        "Cooperative CGI result caching (extension), Meiko 6 nodes, 24 rps Zipf CGI",
-    )
-    .header(&["variant", "response", "drop", "redirects"]);
-    for r in &rows {
-        table.row(vec![
-            r.variant.clone(),
-            fmt_secs(r.response_secs),
-            fmt_pct(r.drop_rate),
-            fmt_pct(r.redirect_rate),
         ]);
     }
     (rows, table)

@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 mod config;
-mod coop;
 mod dns;
 mod driver;
 mod join;
@@ -52,7 +51,6 @@ pub mod experiments;
 pub mod trace;
 
 pub use config::SimConfig;
-pub use coop::CoopDirectory;
 pub use dns::Dns;
 pub use driver::ClusterSim;
 pub use trace::{TraceEvent, TraceLog, TracePoint};

@@ -32,7 +32,7 @@ pub struct Req {
     pub home: NodeId,
     /// Oracle CPU estimate for fulfillment.
     pub cpu_ops: f64,
-    /// Whether this is a CGI execution (eligible for result caching).
+    /// Whether this is a CGI execution.
     pub is_cgi: bool,
     /// Whether the request is non-idempotent (POST): never reassigned.
     pub pinned: bool,
@@ -214,8 +214,7 @@ fn decide(w: &mut World, s: &mut Sim<World>, node: NodeId, mut req: Req) {
                             // The origin keeps its connection slot and
                             // relays the request over the interconnect.
                             let delay = SimTime::from_secs_f64(
-                                w.cluster.network.pair_latency(node.index(), target.index())
-                                    + w.cfg.sweb.connect_time,
+                                w.cluster.network.latency() + w.cfg.sweb.connect_time,
                             );
                             s.schedule_in(
                                 delay,
@@ -251,7 +250,7 @@ fn decide(w: &mut World, s: &mut Sim<World>, node: NodeId, mut req: Req) {
             }
             w.nodes[src].cache.access(req.file, req.size); // LRU touch
             w.stats.nodes[i].peer_fetches += 1;
-            let rtt = 2.0 * w.cluster.network.pair_latency(i, src);
+            let rtt = 2.0 * w.cluster.network.latency();
             let pulled: Thunk<World> = Box::new(move |w: &mut World, s: &mut Sim<World>| {
                 let i = node.index();
                 w.nodes[i].cache.access(req.file, req.size); // adopt
@@ -276,77 +275,9 @@ fn decide(w: &mut World, s: &mut Sim<World>, node: NodeId, mut req: Req) {
     }
 }
 
-/// Fulfillment: result cache (CGI, when cooperative caching is on), page
-/// cache, disk or NFS fetch, fulfillment CPU, response transfer.
+/// Fulfillment: page cache, disk or NFS fetch, fulfillment CPU, response
+/// transfer.
 fn fulfill(w: &mut World, s: &mut Sim<World>, node: NodeId, req: Req) {
-    if req.is_cgi && w.cfg.coop_cache {
-        return fulfill_cgi_coop(w, s, node, req);
-    }
-    if req.is_cgi {
-        w.stats.nodes[node.index()].cgi_computed += 1;
-    }
-    fulfill_compute(w, s, node, req);
-}
-
-/// CPU ops to assemble and serve an already-cached CGI result.
-const CGI_ASSEMBLE_OPS: f64 = 0.2e6;
-
-/// The cooperative-caching fast paths (see [`crate::coop`]).
-fn fulfill_cgi_coop(w: &mut World, s: &mut Sim<World>, node: NodeId, req: Req) {
-    let i = node.index();
-    // 1. Local result hit: serve straight from memory.
-    if w.nodes[i].result_cache.contains(req.file) {
-        w.nodes[i].result_cache.access(req.file, req.size); // LRU touch
-        w.stats.nodes[i].cgi_local_hits += 1;
-        serve_cached_result(w, s, node, req);
-        return;
-    }
-    // 2. Peer hit: a digest says someone has it. Digests go stale, so
-    // verify; a vanished result falls back to computing.
-    if let Some(peer) = w.nodes[i].coop_dir.holder(req.file, node) {
-        if w.nodes[peer.index()].result_cache.contains(req.file) {
-            w.stats.nodes[i].cgi_peer_hits += 1;
-            w.nodes[peer.index()].result_cache.access(req.file, req.size); // LRU touch
-            let done: Thunk<World> = Box::new(move |w: &mut World, s: &mut Sim<World>| {
-                let i = node.index();
-                w.nodes[i].result_cache.access(req.file, req.size); // adopt
-                serve_cached_result(w, s, node, req);
-            });
-            // The result bytes cross the peer's interface (or the bus).
-            if let Some(bus) = w.bus.as_mut() {
-                bus.submit(s, req.size as f64, done);
-            } else {
-                w.nodes[peer.index()]
-                    .link
-                    .as_mut()
-                    .expect("fat-tree cluster has per-node links")
-                    .submit(s, req.size as f64, done);
-            }
-            return;
-        }
-    }
-    // 3. Compute, then remember.
-    w.stats.nodes[i].cgi_computed += 1;
-    fulfill_compute(w, s, node, req);
-}
-
-/// Small assembly CPU, then send (both cached-result paths end here).
-fn serve_cached_result(w: &mut World, s: &mut Sim<World>, node: NodeId, req: Req) {
-    let i = node.index();
-    w.stats.nodes[i].fulfill_ops += CGI_ASSEMBLE_OPS;
-    w.nodes[i].cpu.submit(
-        s,
-        CGI_ASSEMBLE_OPS,
-        Box::new(move |w: &mut World, s: &mut Sim<World>| {
-            w.trace.record(req.id, s.now(), TracePoint::DataReady { cache_hit: true, remote: false });
-            w.stats.phases.add(Phase::DataTransfer, s.now() - req.mark);
-            send(w, s, node, Req { mark: s.now(), ..req });
-        }),
-    );
-}
-
-/// The full fulfillment path: page cache, disk or NFS fetch, CPU.
-fn fulfill_compute(w: &mut World, s: &mut Sim<World>, node: NodeId, req: Req) {
     let i = node.index();
     let hit = w.nodes[i].cache.access(req.file, req.size);
     if hit {
@@ -365,11 +296,6 @@ fn fulfill_compute(w: &mut World, s: &mut Sim<World>, node: NodeId, req: Req) {
             s,
             req.cpu_ops,
             Box::new(move |w: &mut World, s: &mut Sim<World>| {
-                let i = node.index();
-                if req.is_cgi && w.cfg.coop_cache {
-                    // Remember the freshly computed result for the cluster.
-                    w.nodes[i].result_cache.access(req.file, req.size);
-                }
                 w.stats.phases.add(Phase::DataTransfer, s.now() - req.mark);
                 send(w, s, node, Req { mark: s.now(), ..req });
             }),
@@ -394,9 +320,7 @@ fn fulfill_compute(w: &mut World, s: &mut Sim<World>, node: NodeId, req: Req) {
         } else {
             w.stats.nodes[h].cache_misses += 1;
         }
-        let cross_site = !w.cluster.network.same_site(h, i);
-        let leg_count = 1 + usize::from(!home_hit) + usize::from(cross_site);
-        let mut legs = join_barrier(leg_count, cpu_then_send);
+        let mut legs = join_barrier(1 + usize::from(!home_hit), cpu_then_send);
         let net_leg = legs.pop().expect("at least one leg");
         if let Some(bus) = w.bus.as_mut() {
             bus.submit(s, req.size as f64, net_leg);
@@ -406,14 +330,6 @@ fn fulfill_compute(w: &mut World, s: &mut Sim<World>, node: NodeId, req: Req) {
                 .as_mut()
                 .expect("fat-tree cluster has per-node links")
                 .submit(s, req.size as f64, net_leg);
-        }
-        if cross_site {
-            // Cross-site reads also squeeze through the shared WAN pipe.
-            let wan_leg = legs.pop().expect("wan leg");
-            w.wan
-                .as_mut()
-                .expect("cross-site read on a single-site cluster")
-                .submit(s, req.size as f64, wan_leg);
         }
         if let Some(disk_leg) = legs.pop() {
             let work = w.cluster.nodes[h].disk_read_work(req.size);
@@ -431,10 +347,7 @@ fn send(w: &mut World, s: &mut Sim<World>, node: NodeId, req: Req) {
     let done: Thunk<World> =
         Box::new(move |w: &mut World, s: &mut Sim<World>| complete(w, s, node, req));
     let relay = req.forwarded_via.filter(|&o| o != node);
-    let relay_cross_site =
-        relay.map(|o| !w.cluster.network.same_site(o.index(), i)).unwrap_or(false);
-    let leg_count = 2 + usize::from(relay.is_some()) + usize::from(relay_cross_site);
-    let mut legs = join_barrier(leg_count, done);
+    let mut legs = join_barrier(2 + usize::from(relay.is_some()), done);
     let client_leg = legs.pop().expect("client leg");
     let client_secs = req.size as f64 / w.cfg.client.bandwidth + w.cfg.client.latency;
     s.schedule_in(SimTime::from_secs_f64(client_secs), client_leg);
@@ -460,13 +373,6 @@ fn send(w: &mut World, s: &mut Sim<World>, node: NodeId, req: Req) {
                 .as_mut()
                 .expect("fat-tree cluster has per-node links")
                 .submit(s, req.size as f64, relay_leg);
-        }
-        if relay_cross_site {
-            let wan_leg = legs.pop().expect("relay wan leg");
-            w.wan
-                .as_mut()
-                .expect("cross-site relay on a single-site cluster")
-                .submit(s, req.size as f64, wan_leg);
         }
     }
 }

@@ -20,8 +20,6 @@ pub enum ResKey {
     Link(usize),
     /// The shared Ethernet segment, NOW clusters only (bytes/second).
     Bus,
-    /// The shared wide-area pipe, geo-distributed clusters only.
-    Wan,
 }
 
 /// Per-node simulated state.
@@ -34,10 +32,6 @@ pub struct NodeState {
     pub link: Option<FairShare<World>>,
     /// File page cache.
     pub cache: PageCache,
-    /// CGI result cache (cooperative-caching extension).
-    pub result_cache: PageCache,
-    /// This node's view of which peers hold which CGI results.
-    pub coop_dir: crate::coop::CoopDirectory,
     /// This node's view of everyone's load (fed by loadd broadcasts).
     pub view: LoadTable,
     /// This node's broker.
@@ -62,11 +56,9 @@ pub struct World {
     pub nodes: Vec<NodeState>,
     /// The shared Ethernet bus, if this cluster has one.
     pub bus: Option<FairShare<World>>,
-    /// The shared WAN pipe, if this cluster spans sites.
-    pub wan: Option<FairShare<World>>,
     /// Accumulating statistics.
     pub stats: RunStats,
-    /// RNG for DNS skew and CGI draws.
+    /// RNG for DNS and CGI draws.
     pub rng: StdRng,
     /// After this time loadd stops rescheduling (lets the run drain).
     pub horizon: SimTime,
@@ -90,7 +82,6 @@ impl ResourceHost for World {
                 .as_mut()
                 .expect("Link key used on a cluster without per-node links"),
             ResKey::Bus => self.bus.as_mut().expect("Bus key used on a cluster without a bus"),
-            ResKey::Wan => self.wan.as_mut().expect("Wan key used on a single-site cluster"),
         }
     }
 }
@@ -114,18 +105,9 @@ impl World {
                         NetworkSpec::FatTree { per_node_bw, .. } => {
                             Some(FairShare::new(ResKey::Link(i), *per_node_bw))
                         }
-                        NetworkSpec::WideArea { intra_bw, .. } => {
-                            Some(FairShare::new(ResKey::Link(i), *intra_bw))
-                        }
                         NetworkSpec::SharedEthernet { .. } => None,
                     },
                     cache: PageCache::new(spec.cache_bytes()),
-                    result_cache: PageCache::new(if cfg.coop_cache {
-                        cfg.result_cache_bytes
-                    } else {
-                        0
-                    }),
-                    coop_dir: crate::coop::CoopDirectory::new(n),
                     view: LoadTable::new(n),
                     broker: Broker::new(cfg.policy, model.clone()),
                     alive: true,
@@ -137,11 +119,7 @@ impl World {
             NetworkSpec::SharedEthernet { bus_bw, .. } => {
                 Some(FairShare::new(ResKey::Bus, *bus_bw))
             }
-            NetworkSpec::FatTree { .. } | NetworkSpec::WideArea { .. } => None,
-        };
-        let wan = match &cluster.network {
-            NetworkSpec::WideArea { wan_bw, .. } => Some(FairShare::new(ResKey::Wan, *wan_bw)),
-            _ => None,
+            NetworkSpec::FatTree { .. } => None,
         };
         let rng = StdRng::seed_from_u64(cfg.seed);
         let dns = crate::dns::Dns::new(cfg.dns_domains, cfg.dns_ttl);
@@ -158,7 +136,6 @@ impl World {
             oracle: Oracle::ncsa_default(),
             nodes,
             bus,
-            wan,
         }
     }
 
@@ -182,7 +159,7 @@ impl World {
     /// DNS resolution for one request at time `now`: the requesting client
     /// belongs to a random domain whose local resolver caches answers for
     /// the configured TTL; the authoritative server rotates over alive
-    /// nodes. The ablation-only `dns_cache_skew` fraction pins to node 0.
+    /// nodes. A fixed front end takes every arrival at node 0 instead.
     pub fn dns_pick(&mut self, now: SimTime) -> Option<NodeId> {
         let alive: Vec<NodeId> = self
             .nodes
@@ -194,7 +171,7 @@ impl World {
         if alive.is_empty() {
             return None;
         }
-        if self.cfg.dns_cache_skew > 0.0 && self.rng.gen_bool(self.cfg.dns_cache_skew) {
+        if self.cfg.fixed_front_end {
             // Pinned to the advertised address (node 0) even if it has
             // left the pool — that is precisely the single-point-of-failure
             // of a fixed front end; arrivals at a dead node are refused.
@@ -211,58 +188,28 @@ impl World {
             // Stagger initial broadcasts across the period so they do not
             // synchronize (and deliver an initial view quickly).
             let offset = SimTime::from_micros(period.as_micros() * (i as u64 + 1) / (n as u64 + 1));
-            let mut tick = 0u64;
             sim.schedule_periodic(offset, period, move |w: &mut World, s: &mut Sim<World>| {
-                tick += 1;
-                World::loadd_tick(w, s, i, tick);
+                World::loadd_tick(w, s, i);
                 s.now() < w.horizon
             });
         }
     }
 
     /// One loadd broadcast from node `i`: sample own load, deliver to every
-    /// node's view (same-site every tick, cross-site every k-th tick under
-    /// the hierarchical extension), run staleness marking, charge the CPU
-    /// cost.
-    fn loadd_tick(world: &mut World, sim: &mut Sim<World>, i: usize, tick: u64) {
+    /// node's view, run staleness marking, charge the CPU cost.
+    fn loadd_tick(world: &mut World, sim: &mut Sim<World>, i: usize) {
         let now = sim.now();
         if world.nodes[i].alive {
             let load = world.own_load(i);
             let me = NodeId(i as u32);
             let loss = world.cfg.loadd_loss_prob;
-            let wan_due = tick.is_multiple_of(world.cfg.cross_site_loadd_every.max(1) as u64);
-            // Cooperative-cache digest piggybacks on the load broadcast.
-            let digest: Vec<sweb_cluster::FileId> = if world.cfg.coop_cache {
-                world.nodes[i].result_cache.keys().collect()
-            } else {
-                Vec::new()
-            };
-            let mut local_msgs = 0u64;
-            let mut wan_msgs = 0u64;
             for j in 0..world.nodes.len() {
                 // A node always hears itself; peer datagrams may be lost.
                 if j != i && loss > 0.0 && rand::Rng::gen_bool(&mut world.rng, loss) {
                     continue;
                 }
-                let cross_site = !world.cluster.network.same_site(i, j);
-                if j != i && cross_site && !wan_due {
-                    continue; // summarized less often across the WAN
-                }
-                if j != i {
-                    if cross_site {
-                        wan_msgs += 1;
-                    } else {
-                        local_msgs += 1;
-                    }
-                }
-                let node = &mut world.nodes[j];
-                node.view.update(me, load, now);
-                if world.cfg.coop_cache && j != i {
-                    node.coop_dir.update(me, digest.iter().copied());
-                }
+                world.nodes[j].view.update(me, load, now);
             }
-            world.stats.nodes[i].loadd_msgs_local += local_msgs;
-            world.stats.nodes[i].loadd_msgs_wan += wan_msgs;
             // Staleness pass on this node's own view: silence past two
             // loadd periods (one missed packet plus a period of margin,
             // matching the live sweep) suspends redirect candidacy, silence
@@ -329,9 +276,16 @@ mod tests {
     }
 
     #[test]
-    fn dns_skew_pins_to_node_zero() {
+    fn fixed_front_end_pins_to_node_zero_even_after_it_leaves() {
         let mut w = world(4);
-        w.cfg.dns_cache_skew = 1.0;
+        w.cfg.fixed_front_end = true;
+        for _ in 0..10 {
+            assert_eq!(w.dns_pick(SimTime::ZERO), Some(NodeId(0)));
+        }
+        // The centralized dispatcher's crash depends on this: with node 0
+        // out of the pool and its peers alive, arrivals still go to node 0
+        // (and are refused there), not to a rotating survivor.
+        w.node_leave(NodeId(0));
         for _ in 0..10 {
             assert_eq!(w.dns_pick(SimTime::ZERO), Some(NodeId(0)));
         }

@@ -6,18 +6,11 @@ use sweb::sim::experiments::{self, Scale};
 #[test]
 fn dns_ttl_sweep_shows_rr_degrading_and_sweb_flat() {
     let (rows, _) = experiments::dns_ttl_sweep(Scale::Quick);
-    let rr = |ttl: &str| {
-        rows.iter()
-            .find(|r| r.variant.contains(ttl) && r.variant.contains("RoundRobin"))
-            .unwrap()
-            .response_secs
+    let row = |ttl: &str, policy: &str| {
+        rows.iter().find(|r| r.variant.contains(ttl) && r.variant.contains(policy)).unwrap()
     };
-    let sweb = |ttl: &str| {
-        rows.iter()
-            .find(|r| r.variant.contains(ttl) && r.variant.contains("SWEB"))
-            .unwrap()
-            .response_secs
-    };
+    let rr = |ttl: &str| row(ttl, "RoundRobin").response_secs;
+    let sweb = |ttl: &str| row(ttl, "SWEB").response_secs;
     // Quick scale runs only 8 s, so a 60 s TTL pins each domain once for
     // the whole run — a milder version of the Full-scale 2.4x degradation.
     assert!(
@@ -33,6 +26,11 @@ fn dns_ttl_sweep_shows_rr_degrading_and_sweb_flat() {
         sweb("ttl=60s")
     );
     assert!(sweb("ttl=60s") < rr("ttl=60s"));
+    // §1: DNS caching sends "all requests for a period of time ... to a
+    // particular IP address"; rescheduling at the server rescues this, and
+    // the rescue works through redirects.
+    let redirects = row("ttl=60s", "SWEB").redirect_rate;
+    assert!(redirects > 0.2, "SWEB must move the pinned clients by redirect: {redirects}");
 }
 
 #[test]
@@ -48,35 +46,6 @@ fn forwarding_helps_small_files_hurts_big_files_on_ethernet() {
     assert!(
         get("NOW 1.5M Forward") > get("NOW 1.5M UrlRedirect"),
         "forwarding must lose for big files on the shared Ethernet"
-    );
-}
-
-#[test]
-fn coop_cache_helps_and_reports_effectiveness() {
-    let (rows, table) = experiments::coop_cache(Scale::Quick);
-    let rr_off = rows.iter().find(|r| r.variant.starts_with("RoundRobin coop=off")).unwrap();
-    let rr_on = rows.iter().find(|r| r.variant.starts_with("RoundRobin coop=on")).unwrap();
-    assert!(
-        rr_on.response_secs < rr_off.response_secs,
-        "cooperative caching must speed up the CGI workload: {} vs {}",
-        rr_on.response_secs,
-        rr_off.response_secs
-    );
-    assert!(rr_off.variant.contains("cache-effect 0%"));
-    assert!(!rr_on.variant.contains("cache-effect 0%"), "{}", rr_on.variant);
-    assert!(table.render().contains("coop=on"));
-}
-
-#[test]
-fn wide_area_round_robin_is_wan_bound() {
-    let (rows, _) = experiments::wide_area(Scale::Quick);
-    let rr = rows.iter().find(|r| r.variant == "RoundRobin").unwrap();
-    let sweb = rows.iter().find(|r| r.variant == "SWEB").unwrap();
-    assert!(
-        rr.response_secs > 3.0 * sweb.response_secs,
-        "blind round robin must pay the WAN: RR {:.1}s vs SWEB {:.1}s",
-        rr.response_secs,
-        sweb.response_secs
     );
 }
 
@@ -124,32 +93,6 @@ fn zipf_sweep_shows_sweb_as_the_robust_compromise() {
             worst
         );
     }
-}
-
-#[test]
-fn hierarchical_loadd_cuts_wan_traffic_without_hurting_response() {
-    let (rows, table) = experiments::hierarchy_sweep(Scale::Quick);
-    assert_eq!(rows.len(), 3);
-    // Responses stay within a small band while k grows.
-    let base = rows[0].response_secs;
-    for r in &rows {
-        assert!(
-            r.response_secs < 1.6 * base + 0.2,
-            "response must stay flat: base {base:.2}s vs {} {:.2}s",
-            r.variant,
-            r.response_secs
-        );
-        assert!(r.drop_rate < 0.02);
-    }
-    // WAN messages fall monotonically (parsed out of the rendered table).
-    let rendered = table.render();
-    let wan: Vec<u64> = rendered
-        .lines()
-        .skip(3)
-        .filter_map(|l| l.split_whitespace().nth(3).and_then(|v| v.parse().ok()))
-        .collect();
-    assert_eq!(wan.len(), 3, "{rendered}");
-    assert!(wan[0] > wan[1] && wan[1] >= wan[2], "WAN msgs must fall: {wan:?}");
 }
 
 #[test]
