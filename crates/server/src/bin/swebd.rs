@@ -9,118 +9,119 @@
 //! daemons together, prints each node's URL, and serves until killed.
 //! `GET /sweb-status` on any node shows its view of the cluster.
 //!
-//! Configuration resolves through [`sweb_server::ServerOptions`]:
-//! **CLI flags > environment > defaults.** The env-overridable knobs are
-//! `SWEB_SHARDS`, `SWEB_PEER_TRANSFER`, `SWEB_REPLICATE_HOT` and
-//! `SWEB_OVERLOAD`; their flags always win when given. Each node's
-//! reactor shards poll with epoll; there is no other I/O backend.
+//! The flags are the whole configuration: [`parse_args`] maps them onto
+//! a [`ClusterConfig`], and nothing else (no environment, no config
+//! file) is consulted. Each node's reactor shards poll with epoll; there
+//! is no other I/O backend.
 
+use std::path::PathBuf;
 use std::time::Duration;
 
 use sweb_core::Policy;
-use sweb_server::{LiveCluster, ServerOptions};
+use sweb_des::SimTime;
+use sweb_server::{ClusterConfig, LiveCluster};
 
+const USAGE: &str = "usage: swebd [--nodes N] [--docroot DIR] [--policy sweb|rr|locality|cpu] \
+    [--shards N] [--port-base P] [--loadd-ms MS] [--access-log FILE] [--oracle FILE] \
+    [--fault-plan FILE] [--peer-transfer] [--replicate-hot] [--overload on|off]";
+
+/// A parsed command line: the cluster's configuration, what
+/// [`LiveCluster::start`] takes beside it, and the files `main` loads
+/// into the configuration.
 struct Args {
     nodes: usize,
-    docroot: std::path::PathBuf,
-    policy: Policy,
-    port_base: Option<u16>,
-    loadd_ms: u64,
-    access_log: Option<std::path::PathBuf>,
-    oracle: Option<std::path::PathBuf>,
-    fault_plan: Option<std::path::PathBuf>,
-    shards: Option<usize>,
-    peer_transfer: bool,
-    replicate_hot: bool,
-    overload: Option<bool>,
+    docroot: PathBuf,
+    cfg: ClusterConfig,
+    access_log: Option<PathBuf>,
+    oracle: Option<PathBuf>,
+    fault_plan: Option<PathBuf>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: swebd [--nodes N] [--docroot DIR] [--policy sweb|rr|locality|cpu] [--shards N] \
-         [--port-base P] [--loadd-ms MS] [--access-log FILE] [--oracle FILE] \
-         [--fault-plan FILE] [--peer-transfer] [--replicate-hot] [--overload on|off]\n\
-         env: SWEB_SHARDS, SWEB_PEER_TRANSFER, SWEB_REPLICATE_HOT, SWEB_OVERLOAD \
-         (flags win over env)"
-    );
-    std::process::exit(2);
+/// Why [`parse_args`] returned no command line to run.
+#[derive(Debug, PartialEq)]
+enum Stop {
+    /// `--help`: print the usage and exit 0.
+    Help,
+    /// An unknown flag, a missing or bad value: print the usage, exit 2.
+    Usage,
 }
 
-fn parse_args() -> Args {
+/// Map the flags onto a [`ClusterConfig`]. Without flags: 3 nodes
+/// serving `.`, policy `Sweb`, the paper's 2.5 s loadd period with a
+/// staleness timeout of four periods, and the [`ClusterConfig`] default
+/// for everything else.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, Stop> {
+    fn number<T: std::str::FromStr>(v: String) -> Result<T, Stop> {
+        v.parse().map_err(|_| Stop::Usage)
+    }
     let mut args = Args {
         nodes: 3,
-        docroot: std::path::PathBuf::from("."),
-        policy: Policy::Sweb,
-        port_base: None,
-        loadd_ms: 2500,
+        docroot: PathBuf::from("."),
+        cfg: ClusterConfig::default(),
         access_log: None,
         oracle: None,
         fault_plan: None,
-        shards: None,
-        peer_transfer: false,
-        replicate_hot: false,
-        overload: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut loadd_ms: u64 = 2500;
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage());
+        let mut value = || it.next().ok_or(Stop::Usage);
         match flag.as_str() {
-            "--nodes" => args.nodes = value().parse().unwrap_or_else(|_| usage()),
-            "--docroot" => args.docroot = value().into(),
+            "--nodes" => args.nodes = number(value()?)?,
+            "--docroot" => args.docroot = value()?.into(),
             "--policy" => {
-                args.policy = match value().as_str() {
+                args.cfg.policy = match value()?.as_str() {
                     "sweb" => Policy::Sweb,
                     "rr" | "round-robin" => Policy::RoundRobin,
                     "locality" => Policy::FileLocality,
                     "cpu" => Policy::LeastLoadedCpu,
-                    _ => usage(),
+                    _ => return Err(Stop::Usage),
                 }
             }
-            "--shards" => args.shards = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--port-base" => args.port_base = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--loadd-ms" => args.loadd_ms = value().parse().unwrap_or_else(|_| usage()),
-            "--access-log" => args.access_log = Some(value().into()),
-            "--oracle" => args.oracle = Some(value().into()),
-            "--fault-plan" => args.fault_plan = Some(value().into()),
-            "--peer-transfer" => args.peer_transfer = true,
-            "--replicate-hot" => args.replicate_hot = true,
+            "--shards" => args.cfg.shards = number(value()?)?,
+            "--port-base" => args.cfg.port_base = Some(number(value()?)?),
+            "--loadd-ms" => loadd_ms = number(value()?)?,
+            "--access-log" => args.access_log = Some(value()?.into()),
+            "--oracle" => args.oracle = Some(value()?.into()),
+            "--fault-plan" => args.fault_plan = Some(value()?.into()),
+            "--peer-transfer" => args.cfg.sweb.peer_transfer = true,
+            "--replicate-hot" => args.cfg.sweb.replicate_hot = true,
             "--overload" => {
-                args.overload = Some(match value().as_str() {
+                args.cfg.overload_control = match value()?.as_str() {
                     "on" => true,
                     "off" => false,
-                    _ => usage(),
-                })
+                    _ => return Err(Stop::Usage),
+                }
             }
-            "--help" | "-h" => usage(),
-            _ => usage(),
+            "--help" | "-h" => return Err(Stop::Help),
+            _ => return Err(Stop::Usage),
         }
     }
-    args
+    // No nodes is no cluster; a zero loadd period would broadcast on
+    // every loop turn and mark every peer Dead at once.
+    if args.nodes == 0 || loadd_ms == 0 {
+        return Err(Stop::Usage);
+    }
+    args.cfg.sweb.loadd_period = SimTime::from_millis(loadd_ms);
+    args.cfg.sweb.stale_timeout = SimTime::from_millis(loadd_ms * 4);
+    Ok(args)
 }
 
 fn main() {
-    let args = parse_args();
+    let mut args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(Stop::Help) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(Stop::Usage) => {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
+    };
     if !args.docroot.is_dir() {
         eprintln!("swebd: docroot {:?} is not a directory", args.docroot);
         std::process::exit(1);
-    }
-    // CLI tier: only flags the user actually passed become explicit
-    // settings, so the environment keeps its say over everything else.
-    let mut opts = ServerOptions::new().policy(args.policy).loadd_ms(args.loadd_ms);
-    if let Some(shards) = args.shards {
-        opts = opts.shards(shards);
-    }
-    if args.peer_transfer {
-        opts = opts.peer_transfer(true);
-    }
-    if args.replicate_hot {
-        opts = opts.replicate_hot(true);
-    }
-    if let Some(on) = args.overload {
-        opts = opts.overload_control(on);
-    }
-    if let Some(port) = args.port_base {
-        opts = opts.port_base(port);
     }
     if let Some(path) = &args.oracle {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -128,7 +129,7 @@ fn main() {
             std::process::exit(1);
         });
         match sweb_core::Oracle::from_config_str(&text) {
-            Ok(oracle) => opts = opts.oracle(oracle),
+            Ok(oracle) => args.cfg.oracle = oracle,
             Err(line) => {
                 eprintln!("swebd: malformed oracle config {path:?} at line {line}");
                 std::process::exit(1);
@@ -137,7 +138,7 @@ fn main() {
     }
     if let Some(path) = &args.access_log {
         match sweb_server::AccessLog::to_file(path) {
-            Ok(log) => opts = opts.access_log(log),
+            Ok(log) => args.cfg.access_log = Some(log),
             Err(e) => {
                 eprintln!("swebd: cannot open access log {path:?}: {e}");
                 std::process::exit(1);
@@ -156,7 +157,7 @@ fn main() {
                     plan.faults.len(),
                     plan.seed
                 );
-                opts = opts.fault_plan(Some(plan));
+                args.cfg.fault_plan = Some(plan);
             }
             Err(e) => {
                 eprintln!("swebd: malformed fault plan {path:?}: {e}");
@@ -165,12 +166,12 @@ fn main() {
         }
     }
 
-    let cfg = opts.build();
-    let shards_desc = match cfg.shards {
+    let policy = args.cfg.policy;
+    let shards_desc = match args.cfg.shards {
         0 => "auto".to_string(),
         n => n.to_string(),
     };
-    let cluster = match LiveCluster::start(args.nodes, args.docroot.clone(), cfg) {
+    let cluster = match LiveCluster::start(args.nodes, args.docroot.clone(), args.cfg) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("swebd: failed to start cluster: {e}");
@@ -180,7 +181,7 @@ fn main() {
     println!(
         "swebd: {}-node SWEB cluster, policy {:?}, shards {}, docroot {:?}",
         cluster.len(),
-        args.policy,
+        policy,
         shards_desc,
         args.docroot
     );
@@ -194,5 +195,98 @@ fn main() {
     }
     loop {
         std::thread::sleep(Duration::from_secs(3600));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[&str]) -> Result<Args, Stop> {
+        parse_args(flags.iter().map(|f| f.to_string()))
+    }
+
+    #[test]
+    fn no_flags_give_the_benchmarks_cluster() {
+        // `benchmark/` spawns `swebd --nodes N --docroot DIR` and measures
+        // exactly this configuration.
+        let args = parse(&["--nodes", "3", "--docroot", "/srv/www"]).unwrap();
+        assert_eq!(args.nodes, 3);
+        assert_eq!(args.docroot, PathBuf::from("/srv/www"));
+        let cfg = args.cfg;
+        assert_eq!(cfg.policy, Policy::Sweb);
+        assert_eq!(cfg.sweb.loadd_period, SimTime::from_millis(2_500));
+        assert_eq!(cfg.sweb.stale_timeout, SimTime::from_millis(10_000));
+        assert_eq!(cfg.shards, 0, "auto shards");
+        assert!(cfg.overload_control);
+        assert!(!cfg.sweb.peer_transfer);
+        assert!(!cfg.sweb.replicate_hot);
+        assert_eq!(cfg.port_base, None);
+        assert!(cfg.fault_plan.is_none() && cfg.access_log.is_none());
+        // Everything the flags do not name is the library default.
+        let plain = ClusterConfig::default();
+        assert_eq!(cfg.max_conns, plain.max_conns);
+        assert_eq!(cfg.file_cache_bytes, plain.file_cache_bytes);
+        assert_eq!(cfg.request_budget, plain.request_budget);
+        assert_eq!(cfg.sweb.cache_aware_cost, plain.sweb.cache_aware_cost);
+        assert_eq!(parse(&[]).unwrap().nodes, 3);
+    }
+
+    #[test]
+    fn loadd_ms_sets_the_period_and_four_periods_of_staleness() {
+        let cfg = parse(&["--loadd-ms", "150"]).unwrap().cfg;
+        assert_eq!(cfg.sweb.loadd_period, SimTime::from_millis(150));
+        assert_eq!(cfg.sweb.stale_timeout, SimTime::from_millis(600));
+    }
+
+    #[test]
+    fn each_flag_sets_its_field() {
+        let cfg = parse(&[
+            "--shards",
+            "2",
+            "--policy",
+            "locality",
+            "--overload",
+            "off",
+            "--peer-transfer",
+            "--replicate-hot",
+            "--port-base",
+            "9000",
+        ])
+        .unwrap()
+        .cfg;
+        assert_eq!(cfg.shards, 2);
+        assert_eq!(cfg.policy, Policy::FileLocality);
+        assert!(!cfg.overload_control);
+        assert!(cfg.sweb.peer_transfer);
+        assert!(cfg.sweb.replicate_hot);
+        assert_eq!(cfg.port_base, Some(9000));
+        for (name, policy) in [("rr", Policy::RoundRobin), ("cpu", Policy::LeastLoadedCpu)] {
+            assert_eq!(parse(&["--policy", name]).unwrap().cfg.policy, policy);
+        }
+    }
+
+    #[test]
+    fn bad_flags_are_usage_errors_and_help_is_not() {
+        assert_eq!(parse(&["--help"]).err(), Some(Stop::Help));
+        for flags in [
+            &["--nodes", "0"][..],
+            &["--loadd-ms", "0"][..],
+            &["--nodes"][..],
+            &["--nodes", "three"][..],
+            &["--policy", "random"][..],
+            &["--overload", "maybe"][..],
+            &["--port-base", "65536"][..],
+            &["--bogus"][..],
+        ] {
+            assert_eq!(parse(flags).err(), Some(Stop::Usage), "{flags:?}");
+        }
+    }
+
+    #[test]
+    fn a_port_range_past_65535_does_not_start() {
+        let args = parse(&["--port-base", "65535", "--nodes", "2"]).unwrap();
+        let err = LiveCluster::start(args.nodes, std::env::temp_dir(), args.cfg).err().unwrap();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 }

@@ -35,8 +35,7 @@ pub struct ClusterConfig {
     /// Reactor shards per node: per-core event loops sharing the node's
     /// port via `SO_REUSEPORT`. `0` (the default) means auto — one shard
     /// per available core for every node, so each node can serve a
-    /// connection on the CPU it arrived on (`--shards` / `SWEB_SHARDS`
-    /// through [`crate::ServerOptions`]).
+    /// connection on the CPU it arrived on (`swebd --shards`).
     pub shards: usize,
     /// Scheduler tunables. The default shortens the loadd period to 200 ms
     /// so tests converge quickly; pass the paper's 2.5 s for realism.
@@ -66,7 +65,7 @@ pub struct ClusterConfig {
     /// (parse/fetch/write) derive from it and overruns are answered 503 +
     /// `Retry-After` instead of hanging the client.
     pub request_budget: Duration,
-    /// The overload-control subsystem (`--overload` / `SWEB_OVERLOAD`):
+    /// The overload-control subsystem (`swebd --overload`):
     /// adaptive per-class admission, per-peer circuit breakers, and
     /// retry budgets. Off, the node falls back to the static `max_conns`
     /// cap alone — kept selectable so benchmarks can measure what the
@@ -142,21 +141,35 @@ pub struct LiveCluster {
 
 impl LiveCluster {
     /// Bind and start `n` nodes serving `docroot` (one shared directory,
-    /// standing in for the NFS crossmounted disks).
+    /// standing in for the NFS crossmounted disks). A `port_base` whose
+    /// range `port_base..port_base + n` runs past 65535 is
+    /// `InvalidInput`, refused before anything is bound.
     pub fn start(n: usize, docroot: PathBuf, cfg: ClusterConfig) -> std::io::Result<LiveCluster> {
         assert!(n >= 1, "at least one node");
         let shards = resolve_shards(&cfg);
+        let ports: Vec<u16> = (0..n)
+            .map(|i| match cfg.port_base {
+                None => Some(0),
+                Some(base) => u16::try_from(i).ok().and_then(|i| base.checked_add(i)),
+            })
+            .collect::<Option<_>>()
+            .ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("{n} nodes from port {:?} run past port 65535", cfg.port_base),
+                )
+            })?;
         // Bind everything first so every node knows every address. A
         // multi-shard reactor node binds its port with `SO_REUSEPORT` so
         // the other shards can join the accept group later.
-        let listeners: Vec<TcpListener> = (0..n)
-            .map(|i| {
-                let addr = ("127.0.0.1", cfg.port_base.map_or(0, |base| base + i as u16));
+        let listeners: Vec<TcpListener> = ports
+            .into_iter()
+            .map(|port| {
                 if shards > 1 {
-                    let sa = std::net::SocketAddr::from((std::net::Ipv4Addr::LOCALHOST, addr.1));
+                    let sa = std::net::SocketAddr::from((std::net::Ipv4Addr::LOCALHOST, port));
                     sweb_reactor::sys::bind_reuseport(sa)
                 } else {
-                    TcpListener::bind(addr)
+                    TcpListener::bind(("127.0.0.1", port))
                 }
             })
             .collect::<Result<_, _>>()?;

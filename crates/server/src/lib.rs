@@ -46,7 +46,6 @@ pub mod cgi;
 pub mod client;
 pub mod dynamic;
 pub mod file_cache;
-pub mod options;
 pub mod status;
 
 pub use access_log::AccessLog;
@@ -55,7 +54,6 @@ pub use cgi::{CgiProgram, ForkCgiHandler};
 pub use cluster::{ClusterConfig, LiveCluster};
 pub use dynamic::{DynamicHandler, DynamicRegistry, FnHandler, HandlerCtx};
 pub use handler::home_of;
-pub use options::ServerOptions;
 pub use sweb_chaos::{Fault, FaultPlan, Injector, ScriptedOp, Window};
 pub use node::{NodeHandle, NodeShared, NodeStats};
 pub use status::{StatusReport, METRICS_PATH, STATUS_PATH, STATUS_SCHEMA_VERSION};

@@ -17,9 +17,9 @@ use std::time::{Duration, Instant};
 
 use sweb_cluster::NodeId;
 use sweb_core::{PeerHealth, Policy};
+use sweb_des::SimTime;
 use sweb_server::{
-    client, AccessLog, ClusterConfig, Fault, FaultPlan, LiveCluster, ServerOptions,
-    StatusReport, Window,
+    client, AccessLog, ClusterConfig, Fault, FaultPlan, LiveCluster, StatusReport, Window,
 };
 
 mod support;
@@ -56,11 +56,14 @@ fn save_plan(name: &str, plan: &FaultPlan) {
 /// Short gossip windows so failure detection fits in a test run: Suspect
 /// after 100 ms of silence, Dead after 500 ms.
 fn chaos_config(plan: FaultPlan) -> ClusterConfig {
-    ServerOptions::new()
-        .policy(Policy::Sweb)
-        .loadd_timing(100, 500)
-        .fault_plan(Some(plan))
-        .build()
+    let mut cfg = ClusterConfig {
+        policy: Policy::Sweb,
+        fault_plan: Some(plan),
+        ..ClusterConfig::default()
+    };
+    cfg.sweb.loadd_period = SimTime::from_millis(100);
+    cfg.sweb.stale_timeout = SimTime::from_millis(500);
+    cfg
 }
 
 /// Poll until `check` passes or the deadline expires; panics with `what`
@@ -84,15 +87,24 @@ fn health_seen(cluster: &LiveCluster, observer: usize, peer: usize) -> PeerHealt
 /// Kill a node under live traffic, revive it, and require every single
 /// request to reach a definite outcome — a response or a refused
 /// connection, never a socket timeout (the client-visible face of a
-/// hang). After revival the victim must rejoin the scheduling pool.
+/// hang). After revival the victim must rejoin the scheduling pool. Runs
+/// with one shard per core, then with four shards per node, so a killed
+/// node has more loops than CPUs to stop and restart.
 #[test]
 fn hard_kill_mid_workload_never_hangs() {
+    for shards in [0, 4] {
+        hard_kill_mid_workload(shards);
+    }
+}
+
+fn hard_kill_mid_workload(shards: usize) {
     let plan = FaultPlan::seeded(plan_seed())
         .with(Fault::Crash { node: 2, at_ms: 400 })
         .with(Fault::Revive { node: 2, at_ms: 1_400 });
     save_plan("hard-kill", &plan);
     let dir = docroot("kill");
-    let cluster = LiveCluster::start(3, dir, chaos_config(plan)).unwrap();
+    let cfg = ClusterConfig { shards, ..chaos_config(plan) };
+    let cluster = LiveCluster::start(3, dir, cfg).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(10)), "mesh must converge first");
 
     let mut outcomes = 0u32;
@@ -222,11 +234,10 @@ fn partition_marks_suspect_then_dead_then_heals() {
 #[test]
 fn graceful_stop_evicts_within_one_loadd_period() {
     let dir = docroot("drain");
-    let cluster = ServerOptions::new()
-        .policy(Policy::Sweb)
-        .loadd_timing(200, 5_000) // silence alone is far too slow
-        .start(3, dir)
-        .unwrap();
+    let mut cfg = ClusterConfig { policy: Policy::Sweb, ..ClusterConfig::default() };
+    cfg.sweb.loadd_period = SimTime::from_millis(200);
+    cfg.sweb.stale_timeout = SimTime::from_millis(5_000); // silence alone is far too slow
+    let cluster = LiveCluster::start(3, dir, cfg).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(10)));
 
     let drained = cluster.stop_gracefully(2, Duration::from_secs(5));
@@ -265,11 +276,10 @@ fn graceful_stop_evicts_within_one_loadd_period() {
 #[test]
 fn an_idle_node_dies_at_once_and_rejoins() {
     let dir = docroot("idle-kill");
-    let cluster = ServerOptions::new()
-        .policy(Policy::Sweb)
-        .loadd_timing(100, 500)
-        .start(3, dir)
-        .unwrap();
+    let mut cfg = ClusterConfig { policy: Policy::Sweb, ..ClusterConfig::default() };
+    cfg.sweb.loadd_period = SimTime::from_millis(100);
+    cfg.sweb.stale_timeout = SimTime::from_millis(500);
+    let cluster = LiveCluster::start(3, dir, cfg).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(10)));
     std::thread::sleep(Duration::from_millis(50)); // between broadcasts
     let t0 = Instant::now();

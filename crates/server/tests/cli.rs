@@ -140,12 +140,15 @@ fn swebd_accepts_shipped_example_oracle() {
 #[test]
 fn swebd_usage_on_bad_flags() {
     // `--engine` was a flag while a second connection engine existed,
-    // `--io-backend` while a second poller did.
+    // `--io-backend` while a second poller did. No nodes, and a loadd
+    // period of zero, are refused before anything starts.
     for args in [
         &["--bogus"][..],
         &["--engine", "reactor"][..],
         &["--io-backend", "uring"][..],
         &["--io-backend", "epoll"][..],
+        &["--nodes", "0"][..],
+        &["--loadd-ms", "0"][..],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_swebd")).args(args).output().expect("run swebd");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -155,24 +158,29 @@ fn swebd_usage_on_bad_flags() {
     }
 }
 
+#[test]
+fn swebd_help_prints_the_usage_and_succeeds() {
+    let out = Command::new(env!("CARGO_BIN_EXE_swebd")).arg("--help").output().expect("run swebd");
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("usage:"));
+}
+
 /// The start-up contract `benchmark/src/swebd.rs` parses: spawned as
-/// `swebd --nodes 3 --docroot DIR` with every `SWEB_*` variable removed,
-/// stdout yields one `  node i: http://127.0.0.1:<port>` line per node,
-/// then a line starting `loadd mesh converged`, and never `warning:`.
+/// `swebd --nodes 3 --docroot DIR`, stdout yields one
+/// `  node i: http://127.0.0.1:<port>` line per node, then a line
+/// starting `loadd mesh converged`, and never `warning:`.
 #[test]
 fn swebd_default_startup_prints_node_urls_then_converges() {
     use std::io::BufRead;
     let dir = docroot("contract");
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_swebd"));
-    cmd.args(["--nodes", "3", "--docroot", dir.to_str().unwrap()])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null());
-    for (key, _) in std::env::vars_os() {
-        if key.to_string_lossy().starts_with("SWEB_") {
-            cmd.env_remove(key);
-        }
-    }
-    let mut daemon = Daemon(cmd.spawn().expect("spawn swebd"));
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_swebd"))
+            .args(["--nodes", "3", "--docroot", dir.to_str().unwrap()])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn swebd"),
+    );
     let stdout = std::io::BufReader::new(daemon.0.stdout.take().unwrap());
     let mut ports = Vec::new();
     let mut converged = false;

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use sweb_core::Policy;
 use sweb_http::Response;
 use sweb_server::{
-    client, DynamicRegistry, Fault, FaultPlan, ForkCgiHandler, LiveCluster, ServerOptions,
+    client, ClusterConfig, DynamicRegistry, Fault, FaultPlan, ForkCgiHandler, LiveCluster,
     Window,
 };
 
@@ -41,12 +41,14 @@ fn counting_registry(counter: Arc<AtomicU64>) -> DynamicRegistry {
 #[test]
 fn response_cache_serves_repeats_and_expires_on_ttl() {
     let counter = Arc::new(AtomicU64::new(0));
-    let cluster = ServerOptions::new()
-        .policy(Policy::RoundRobin)
-        .handlers(counting_registry(Arc::clone(&counter)))
-        .dynamic_cache(64, Duration::from_millis(150))
-        .start(1, docroot("ttl"))
-        .unwrap();
+    let cfg = ClusterConfig {
+        policy: Policy::RoundRobin,
+        handlers: counting_registry(Arc::clone(&counter)),
+        dynamic_cache_entries: 64,
+        dynamic_cache_ttl: Duration::from_millis(150),
+        ..ClusterConfig::default()
+    };
+    let cluster = LiveCluster::start(1, docroot("ttl"), cfg).unwrap();
     let url = format!("{}/cgi-bin/count?run=1", cluster.base_url(0));
 
     let first = client::get(&url).unwrap();
@@ -77,10 +79,8 @@ fn response_cache_serves_repeats_and_expires_on_ttl() {
 /// cache does not grow. A GET with arguments still misses, then hits.
 #[test]
 fn post_replies_are_not_cached_but_get_replies_are() {
-    let cluster = ServerOptions::new()
-        .policy(Policy::RoundRobin)
-        .start(1, docroot("post"))
-        .unwrap();
+    let cfg = ClusterConfig { policy: Policy::RoundRobin, ..ClusterConfig::default() };
+    let cluster = LiveCluster::start(1, docroot("post"), cfg).unwrap();
     let base = cluster.base_url(0);
     let node = cluster.node(0);
     let echo = node.dynamic.class_stats("echo").unwrap();
@@ -112,12 +112,14 @@ fn post_replies_are_not_cached_but_get_replies_are() {
 #[test]
 fn cache_keys_isolate_handlers_and_canonicalize_args() {
     let counter = Arc::new(AtomicU64::new(0));
-    let cluster = ServerOptions::new()
-        .policy(Policy::RoundRobin)
-        .handlers(counting_registry(Arc::clone(&counter)))
-        .dynamic_cache(64, Duration::from_secs(30))
-        .start(1, docroot("keys"))
-        .unwrap();
+    let cfg = ClusterConfig {
+        policy: Policy::RoundRobin,
+        handlers: counting_registry(Arc::clone(&counter)),
+        dynamic_cache_entries: 64,
+        dynamic_cache_ttl: Duration::from_secs(30),
+        ..ClusterConfig::default()
+    };
+    let cluster = LiveCluster::start(1, docroot("keys"), cfg).unwrap();
     let base = cluster.base_url(0);
 
     let ab = client::get(&format!("{base}/cgi-bin/count?a=1&b=2")).unwrap();
@@ -153,12 +155,13 @@ fn fork_cgi_child_overrunning_deadline_gets_503() {
     }
     let mut reg = DynamicRegistry::demo();
     reg.register("hang", Arc::new(ForkCgiHandler::new(&script)));
-    let cluster = ServerOptions::new()
-        .policy(Policy::RoundRobin)
-        .handlers(reg)
-        .request_budget(Duration::from_millis(500))
-        .start(1, dir)
-        .unwrap();
+    let cfg = ClusterConfig {
+        policy: Policy::RoundRobin,
+        handlers: reg,
+        request_budget: Duration::from_millis(500),
+        ..ClusterConfig::default()
+    };
+    let cluster = LiveCluster::start(1, dir, cfg).unwrap();
 
     let t0 = Instant::now();
     let resp = client::get_with_timeout(
@@ -185,12 +188,13 @@ fn dynamic_handlers_survive_slow_disk_chaos() {
     let plan = FaultPlan::seeded(7)
         .with(Fault::SlowDisk { node: 0, extra_ms: 800, window: Window::ALWAYS });
     let dir = docroot("chaos");
-    let cluster = ServerOptions::new()
-        .policy(Policy::RoundRobin)
-        .fault_plan(Some(plan))
-        .request_budget(Duration::from_millis(400))
-        .start(1, dir)
-        .unwrap();
+    let cfg = ClusterConfig {
+        policy: Policy::RoundRobin,
+        fault_plan: Some(plan),
+        request_budget: Duration::from_millis(400),
+        ..ClusterConfig::default()
+    };
+    let cluster = LiveCluster::start(1, dir, cfg).unwrap();
     let base = cluster.base_url(0);
 
     let mut dynamic_ok = 0u32;
@@ -224,10 +228,8 @@ fn dynamic_handlers_survive_slow_disk_chaos() {
 /// handler table reports it alongside the measured quantiles.
 #[test]
 fn oracle_learns_burn_cost_from_measurements() {
-    let cluster = ServerOptions::new()
-        .policy(Policy::RoundRobin)
-        .start(1, docroot("oracle"))
-        .unwrap();
+    let cfg = ClusterConfig { policy: Policy::RoundRobin, ..ClusterConfig::default() };
+    let cluster = LiveCluster::start(1, docroot("oracle"), cfg).unwrap();
     let base = cluster.base_url(0);
     for i in 0..12 {
         // Unique args per request: every one is a real invocation.
@@ -263,11 +265,9 @@ fn oracle_learns_burn_cost_from_measurements() {
 #[test]
 fn dynamic_requests_work_across_a_locality_cluster() {
     let dir = docroot("cluster");
-    let cluster = ServerOptions::new()
-        .policy(Policy::FileLocality)
-        .peer_transfer(true)
-        .start(2, dir)
-        .unwrap();
+    let mut cfg = ClusterConfig { policy: Policy::FileLocality, ..ClusterConfig::default() };
+    cfg.sweb.peer_transfer = true;
+    let cluster = LiveCluster::start(2, dir, cfg).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
     for node in 0..2 {
         for i in 0..4 {

@@ -21,8 +21,8 @@ use sweb_cluster::NodeId;
 use sweb_core::Policy;
 use sweb_http::{Request, Response};
 use sweb_server::{
-    home_of, DynamicHandler, DynamicRegistry, Fault, FaultPlan, HandlerCtx, LiveCluster,
-    NodeShared, ServerOptions, Window,
+    home_of, ClusterConfig, DynamicHandler, DynamicRegistry, Fault, FaultPlan, HandlerCtx,
+    LiveCluster, NodeShared, Window,
 };
 use sweb_telemetry::Phase;
 
@@ -41,8 +41,8 @@ fn pool_only() -> FaultPlan {
     })
 }
 
-fn options(plan: Option<FaultPlan>) -> ServerOptions {
-    ServerOptions::new().shards(1).fault_plan(plan)
+fn config(plan: Option<FaultPlan>) -> ClusterConfig {
+    ClusterConfig { shards: 1, fault_plan: plan, ..ClusterConfig::default() }
 }
 
 fn fresh_dir(tag: &str) -> std::path::PathBuf {
@@ -212,8 +212,8 @@ fn inline_and_pool_paths_agree_on_bytes_and_counts() {
     let requests = script(&local, &remote);
     assert_eq!(requests.len(), 20);
     let run = |plan: Option<FaultPlan>| {
-        let cluster =
-            options(plan).policy(Policy::FileLocality).start(3, dir.clone()).unwrap();
+        let cfg = ClusterConfig { policy: Policy::FileLocality, ..config(plan) };
+        let cluster = LiveCluster::start(3, dir.clone(), cfg).unwrap();
         assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
         let out = run_script(&cluster, &requests);
         cluster.shutdown();
@@ -258,8 +258,8 @@ fn a_redirect_bumps_the_chosen_peer_once_on_both_paths() {
     let target = home_of(&remote, 3);
     for plan in [None, Some(pool_only())] {
         let pooled = plan.is_some();
-        let cluster =
-            options(plan).policy(Policy::FileLocality).start(3, dir.clone()).unwrap();
+        let cfg = ClusterConfig { policy: Policy::FileLocality, ..config(plan) };
+        let cluster = LiveCluster::start(3, dir.clone(), cfg).unwrap();
         assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
         let node = cluster.node(0);
         let view = || {
@@ -291,7 +291,7 @@ fn a_redirect_bumps_the_chosen_peer_once_on_both_paths() {
 fn rewritten_file_is_served_fresh_by_the_inline_path() {
     let dir = fresh_dir("fresh");
     std::fs::write(dir.join("page.html"), "version one").unwrap();
-    let cluster = options(None).start(1, dir.clone()).unwrap();
+    let cluster = LiveCluster::start(1, dir.clone(), config(None)).unwrap();
     let node = cluster.node(0);
     let fetch = || {
         let reply = get(cluster.base_url(0), "/page.html");
@@ -320,7 +320,7 @@ fn rewritten_file_is_served_fresh_by_the_inline_path() {
 fn admission_level_recovers_with_inline_traffic_in_between() {
     let dir = fresh_dir("control");
     std::fs::write(dir.join("hot.txt"), "resident and cheap").unwrap();
-    let cluster = options(None).start(1, dir.clone()).unwrap();
+    let cluster = LiveCluster::start(1, dir.clone(), config(None)).unwrap();
     let base = cluster.base_url(0).to_string();
     let node = cluster.node(0);
     assert_eq!(status_of(&get(&base, "/hot.txt")), 200);
@@ -455,7 +455,7 @@ fn every_demo_handler_agrees_inline_and_on_the_pool_once_warmed() {
     ];
     let run = |plan: Option<FaultPlan>| {
         let pooled = plan.is_some();
-        let cluster = options(plan).start(1, dir.clone()).unwrap();
+        let cluster = LiveCluster::start(1, dir.clone(), config(plan)).unwrap();
         let base = cluster.base_url(0).to_string();
         let node = cluster.node(0);
         let mut replies = Vec::new();
@@ -499,7 +499,7 @@ fn every_demo_handler_agrees_inline_and_on_the_pool_once_warmed() {
 fn an_expensive_search_does_not_park_the_shard() {
     let dir = fresh_dir("park");
     std::fs::write(dir.join("hot.txt"), "resident").unwrap();
-    let cluster = options(None).start(1, dir.clone()).unwrap();
+    let cluster = LiveCluster::start(1, dir.clone(), config(None)).unwrap();
     let base = cluster.base_url(0).to_string();
     let node = cluster.node(0);
     assert_eq!(status_of(&get(&base, "/hot.txt")), 200);
@@ -564,7 +564,7 @@ fn a_class_whose_p99_rises_over_budget_goes_back_to_the_pool() {
     let slow = Arc::new(AtomicBool::new(false));
     let mut handlers = DynamicRegistry::new();
     handlers.register("turning", Arc::new(Turning { slow: Arc::clone(&slow) }));
-    let cluster = options(None).handlers(handlers).start(1, dir.clone()).unwrap();
+    let cluster = LiveCluster::start(1, dir.clone(), ClusterConfig { handlers, ..config(None) }).unwrap();
     let base = cluster.base_url(0).to_string();
     let node = cluster.node(0);
     let unique = AtomicU64::new(0);
@@ -609,7 +609,7 @@ fn a_large_document_agrees_inline_and_on_the_pool() {
         "GET /big.txt?sweb-redirect=1 HTTP/1.0\r\n\r\n",
     ];
     let run = |plan: Option<FaultPlan>| {
-        let cluster = options(plan).start(1, dir.clone()).unwrap();
+        let cluster = LiveCluster::start(1, dir.clone(), config(plan)).unwrap();
         let requests: Vec<String> = requests.iter().map(|r| r.to_string()).collect();
         let out = run_script(&cluster, &requests);
         cluster.shutdown();
@@ -669,7 +669,7 @@ fn a_cold_large_document_is_read_in_on_a_worker_then_streamed_inline() {
     let dir = fresh_dir("cold");
     let body = large_body(1 << 20);
     let cold = write_cold(&dir.join("cold.bin"), &body);
-    let cluster = options(None).start(1, dir.clone()).unwrap();
+    let cluster = LiveCluster::start(1, dir.clone(), config(None)).unwrap();
     let node = cluster.node(0);
     let fetch = || {
         let before = node.stats.inline.get();

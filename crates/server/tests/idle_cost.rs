@@ -7,7 +7,8 @@
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use sweb_server::ServerOptions;
+use sweb_des::SimTime;
+use sweb_server::{ClusterConfig, LiveCluster};
 
 /// Every thread of this process, by `comm`.
 fn thread_names() -> Vec<String> {
@@ -68,7 +69,10 @@ fn idle_swebd(nodes: usize) {
     let dir = std::env::temp_dir().join(format!("sweb-idle-{nodes}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("index.html"), "idle").unwrap();
-    let cluster = ServerOptions::new().loadd_ms(2_500).start(nodes, dir.clone()).unwrap();
+    let mut cfg = ClusterConfig::default();
+    cfg.sweb.loadd_period = SimTime::from_millis(2_500);
+    cfg.sweb.stale_timeout = SimTime::from_millis(10_000);
+    let cluster = LiveCluster::start(nodes, dir.clone(), cfg).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)), "mesh must converge");
     let live = |i: usize| cluster.node(i).shard_live.iter().all(|l| l.load(Ordering::Relaxed));
     let deadline = Instant::now() + Duration::from_secs(5);

@@ -5,7 +5,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use sweb_core::Policy;
-use sweb_server::{client, AccessLog, LiveCluster, ServerOptions};
+use sweb_des::SimTime;
+use sweb_server::{client, AccessLog, ClusterConfig, LiveCluster};
 
 mod support;
 
@@ -25,7 +26,8 @@ fn docroot(tag: &str) -> std::path::PathBuf {
 fn start(tag: &str, n: usize, policy: Policy) -> (LiveCluster, std::path::PathBuf) {
     let dir = docroot(tag);
     let cluster =
-        ServerOptions::new().policy(policy).start(n, dir.clone()).unwrap();
+        LiveCluster::start(n, dir.clone(), ClusterConfig { policy, ..ClusterConfig::default() })
+            .unwrap();
     (cluster, dir)
 }
 
@@ -304,11 +306,8 @@ fn admission_cap_sheds_excess_connections_with_503() {
     // Over-cap connections are refused with a counted 503 — the
     // scheduler reads `shed` as a node-pressure signal.
     let dir = docroot("shedcap");
-    let cluster = ServerOptions::new()
-        .policy(Policy::RoundRobin)
-        .max_conns(4)
-        .start(1, dir)
-        .unwrap();
+    let cfg = ClusterConfig { policy: Policy::RoundRobin, max_conns: 4, ..ClusterConfig::default() };
+    let cluster = LiveCluster::start(1, dir, cfg).unwrap();
     let addr = cluster.base_url(0).strip_prefix("http://").unwrap().to_string();
 
     // Fill the admission cap with idle connections.
@@ -536,11 +535,8 @@ fn cgi_requests_participate_in_scheduling() {
 #[test]
 fn sharded_reactor_reports_every_shard_live_and_exact() {
     let dir = docroot("shards4");
-    let cluster = ServerOptions::new()
-        .policy(Policy::RoundRobin)
-        .shards(4)
-        .start(1, dir.clone())
-        .unwrap();
+    let cfg = ClusterConfig { policy: Policy::RoundRobin, shards: 4, ..ClusterConfig::default() };
+    let cluster = LiveCluster::start(1, dir.clone(), cfg).unwrap();
     let expected = std::fs::read(dir.join("doc3.txt")).unwrap();
     for i in 0..12 {
         let resp = client::get(&format!("{}/doc{}.txt", cluster.base_url(0), i % 8)).unwrap();
@@ -639,12 +635,13 @@ fn co_located_nodes_serve_each_connection_on_the_cpu_it_arrived_on() {
 fn peer_transfer_serves_remote_files_with_zero_redirects() {
     let dir = docroot("peer-pull");
     let log_path = dir.join("access.log");
-    let cluster = ServerOptions::new()
-        .policy(Policy::FileLocality)
-        .peer_transfer(true)
-        .access_log(AccessLog::to_file(&log_path).unwrap())
-        .start(2, dir.clone())
-        .unwrap();
+    let mut cfg = ClusterConfig {
+        policy: Policy::FileLocality,
+        access_log: Some(AccessLog::to_file(&log_path).unwrap()),
+        ..ClusterConfig::default()
+    };
+    cfg.sweb.peer_transfer = true;
+    let cluster = LiveCluster::start(2, dir.clone(), cfg).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
 
     let mut traces = Vec::new();
@@ -702,14 +699,13 @@ fn peer_transfer_serves_remote_files_with_zero_redirects() {
 #[test]
 fn hot_files_replicate_to_peers_ahead_of_demand() {
     let dir = docroot("replicate");
-    let cluster = ServerOptions::new()
-        .policy(Policy::Sweb)
-        .peer_transfer(true)
-        .replicate_hot(true)
-        // Short loadd period: the replicator sweeps every two periods.
-        .loadd_timing(100, 2_000)
-        .start(2, dir.clone())
-        .unwrap();
+    let mut cfg = ClusterConfig { policy: Policy::Sweb, ..ClusterConfig::default() };
+    cfg.sweb.peer_transfer = true;
+    cfg.sweb.replicate_hot = true;
+    // Short loadd period: the replicator sweeps every two periods.
+    cfg.sweb.loadd_period = SimTime::from_millis(100);
+    cfg.sweb.stale_timeout = SimTime::from_millis(2_000);
+    let cluster = LiveCluster::start(2, dir.clone(), cfg).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
 
     // The redirect-once marker pins every request local, so the heat all

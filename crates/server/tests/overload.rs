@@ -13,9 +13,9 @@ use std::time::{Duration, Instant};
 
 use sweb_cluster::NodeId;
 use sweb_core::{BreakerState, Policy};
+use sweb_des::SimTime;
 use sweb_server::{
-    client, ClusterConfig, Fault, FaultPlan, LiveCluster, ServerOptions, StatusReport,
-    Window,
+    client, ClusterConfig, Fault, FaultPlan, LiveCluster, StatusReport, Window,
 };
 
 mod support;
@@ -39,11 +39,14 @@ fn plan_seed() -> u64 {
 
 /// Fast failure detection so breaker force-opens fit in a test run.
 fn overload_config(plan: FaultPlan) -> ClusterConfig {
-    ServerOptions::new()
-        .policy(Policy::Sweb)
-        .loadd_timing(100, 500)
-        .fault_plan(Some(plan))
-        .build()
+    let mut cfg = ClusterConfig {
+        policy: Policy::Sweb,
+        fault_plan: Some(plan),
+        ..ClusterConfig::default()
+    };
+    cfg.sweb.loadd_period = SimTime::from_millis(100);
+    cfg.sweb.stale_timeout = SimTime::from_millis(500);
+    cfg
 }
 
 /// Poll until `check` passes or the deadline expires; panics with `what`
@@ -131,9 +134,7 @@ fn controller_off_is_the_static_baseline() {
     let plan = FaultPlan::seeded(plan_seed())
         .with(Fault::Overload { node: 0, sojourn_us: 500_000, window: Window::ALWAYS });
     let dir = docroot("baseline");
-    let cfg = ServerOptions::from_config(overload_config(plan))
-        .overload_control(false)
-        .build();
+    let cfg = ClusterConfig { overload_control: false, ..overload_config(plan) };
     let cluster = LiveCluster::start(1, dir, cfg).unwrap();
     let url = format!("{}/ok.txt", cluster.base_url(0));
 
@@ -155,11 +156,12 @@ fn controller_off_is_the_static_baseline() {
 #[test]
 fn slowloris_dribble_is_evicted_on_the_parse_clock() {
     let dir = docroot("loris");
-    let cluster = ServerOptions::new()
-        .policy(Policy::RoundRobin)
-        .request_budget(Duration::from_secs(1)) // parse budget: 250 ms
-        .start(1, dir)
-        .unwrap();
+    let cfg = ClusterConfig {
+        policy: Policy::RoundRobin,
+        request_budget: Duration::from_secs(1), // parse budget: 250 ms
+        ..ClusterConfig::default()
+    };
+    let cluster = LiveCluster::start(1, dir, cfg).unwrap();
     let addr = cluster.base_url(0).strip_prefix("http://").unwrap().to_string();
     let evicted_before = cluster.node(0).stats.evicted.get();
 

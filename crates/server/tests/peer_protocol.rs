@@ -7,9 +7,10 @@ use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use sweb_core::Policy;
+use sweb_des::SimTime;
 use sweb_peer::{fetch_err, read_frame, write_frame, Frame, PeerPool};
 use sweb_server::file_cache::key_of;
-use sweb_server::{client, LiveCluster, ServerOptions};
+use sweb_server::{client, ClusterConfig, LiveCluster};
 
 fn docroot(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sweb-peerproto-{tag}-{}", std::process::id()));
@@ -24,11 +25,9 @@ fn docroot(tag: &str) -> std::path::PathBuf {
 
 fn start(tag: &str, n: usize) -> (LiveCluster, std::path::PathBuf) {
     let dir = docroot(tag);
-    let cluster = ServerOptions::new()
-        .policy(Policy::RoundRobin)
-        .peer_transfer(true)
-        .start(n, dir.clone())
-        .unwrap();
+    let mut cfg = ClusterConfig { policy: Policy::RoundRobin, ..ClusterConfig::default() };
+    cfg.sweb.peer_transfer = true;
+    let cluster = LiveCluster::start(n, dir.clone(), cfg).unwrap();
     (cluster, dir)
 }
 
@@ -170,12 +169,11 @@ fn mid_stream_death_fails_fast_never_hangs() {
 #[test]
 fn dead_peer_is_excluded_from_forward_targets() {
     let dir = docroot("deadpeer");
-    let cluster = ServerOptions::new()
-        .policy(Policy::FileLocality)
-        .peer_transfer(true)
-        .loadd_timing(100, 500)
-        .start(2, dir.clone())
-        .unwrap();
+    let mut cfg = ClusterConfig { policy: Policy::FileLocality, ..ClusterConfig::default() };
+    cfg.sweb.peer_transfer = true;
+    cfg.sweb.loadd_period = SimTime::from_millis(100);
+    cfg.sweb.stale_timeout = SimTime::from_millis(500);
+    let cluster = LiveCluster::start(2, dir.clone(), cfg).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(10)));
 
     cluster.kill(1);

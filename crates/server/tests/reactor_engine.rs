@@ -8,7 +8,7 @@ use std::os::fd::AsRawFd;
 use std::time::Duration;
 
 use sweb_core::Policy;
-use sweb_server::{client, ServerOptions};
+use sweb_server::{client, ClusterConfig, LiveCluster};
 
 fn docroot(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sweb-rtest-{tag}-{}", std::process::id()));
@@ -30,11 +30,8 @@ fn process_threads() -> Option<usize> {
 
 #[test]
 fn admission_control_sheds_with_503_and_counts_it() {
-    let cluster = ServerOptions::new()
-        .policy(Policy::RoundRobin)
-        .max_conns(4)
-        .start(1, docroot("shed"))
-        .unwrap();
+    let cfg = ClusterConfig { policy: Policy::RoundRobin, max_conns: 4, ..ClusterConfig::default() };
+    let cluster = LiveCluster::start(1, docroot("shed"), cfg).unwrap();
     let addr = cluster.base_url(0).strip_prefix("http://").unwrap().to_string();
 
     // Fill the admission cap with idle connections.
@@ -72,10 +69,7 @@ fn admission_control_sheds_with_503_and_counts_it() {
 #[test]
 fn many_concurrent_connections_with_bounded_threads() {
     const CONNS: usize = 256;
-    let cluster = ServerOptions::new()
-        .policy(Policy::RoundRobin)
-        .start(1, docroot("many"))
-        .unwrap();
+    let cluster = LiveCluster::start(1, docroot("many"), ClusterConfig { policy: Policy::RoundRobin, ..ClusterConfig::default() }).unwrap();
     let addr = cluster.base_url(0).strip_prefix("http://").unwrap().to_string();
     let before = process_threads();
 
@@ -138,7 +132,7 @@ fn a_large_document_streams_from_the_page_cache_and_skips_the_file_cache() {
     std::fs::write(dir.join("big.bin"), &body).unwrap();
     let probe = std::fs::File::open(dir.join("big.bin")).unwrap();
     let cachestat = sweb_reactor::sys::page_cached(probe.as_raw_fd(), body.len() as u64).is_ok();
-    let cluster = ServerOptions::new().policy(Policy::RoundRobin).start(1, dir).unwrap();
+    let cluster = LiveCluster::start(1, dir, ClusterConfig { policy: Policy::RoundRobin, ..ClusterConfig::default() }).unwrap();
     for pass in 0..2 {
         let resp = client::get(&format!("{}/big.bin", cluster.base_url(0))).unwrap();
         assert_eq!(resp.status, 200, "pass {pass}");
@@ -166,10 +160,8 @@ fn loadd_gossips_cache_digests_across_the_mesh() {
 
     let dir = docroot("gossip");
     std::fs::write(dir.join("hot.html"), "cached and gossiped").unwrap();
-    let cluster = ServerOptions::new()
-        .policy(Policy::RoundRobin) // never redirects: the fetch pins residency
-        .start(2, dir)
-        .unwrap();
+    // Round robin never redirects: the fetch pins residency.
+    let cluster = LiveCluster::start(2, dir, ClusterConfig { policy: Policy::RoundRobin, ..ClusterConfig::default() }).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
 
     let resp = client::get(&format!("{}/hot.html", cluster.base_url(1))).unwrap();
@@ -202,10 +194,8 @@ fn reactor_cluster_follows_redirects_under_locality() {
     for i in 0..8 {
         std::fs::write(dir.join(format!("doc{i}.txt")), format!("doc {i}")).unwrap();
     }
-    let cluster = ServerOptions::new()
-        .policy(Policy::FileLocality)
-        .start(3, dir)
-        .unwrap();
+    let cfg = ClusterConfig { policy: Policy::FileLocality, ..ClusterConfig::default() };
+    let cluster = LiveCluster::start(3, dir, cfg).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
     let mut redirected = 0;
     for i in 0..8 {

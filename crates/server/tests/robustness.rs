@@ -7,14 +7,14 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use sweb_core::Policy;
-use sweb_server::{client, LiveCluster, ServerOptions};
+use sweb_server::{client, ClusterConfig, LiveCluster};
 
 fn start(tag: &str) -> (LiveCluster, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("sweb-robust-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("ok.txt"), b"still alive").unwrap();
-    let cluster =
-        ServerOptions::new().policy(Policy::RoundRobin).start(1, dir.clone()).unwrap();
+    let cfg = ClusterConfig { policy: Policy::RoundRobin, ..ClusterConfig::default() };
+    let cluster = LiveCluster::start(1, dir.clone(), cfg).unwrap();
     (cluster, dir)
 }
 

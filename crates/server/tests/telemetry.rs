@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use sweb_cluster::NodeId;
 use sweb_core::Policy;
-use sweb_server::{client, home_of, AccessLog, ServerOptions, StatusReport};
+use sweb_server::{client, home_of, AccessLog, ClusterConfig, LiveCluster, StatusReport};
 use sweb_telemetry::{line_is_well_formed, Json};
 
 mod support;
@@ -48,11 +48,12 @@ fn docroot(tag: &str) -> std::path::PathBuf {
 fn trace_id_joins_access_logs_across_a_redirect_hop() {
     let buf = Arc::new(Mutex::new(Vec::new()));
     let dir = docroot("trace");
-    let cluster = ServerOptions::new()
-        .policy(Policy::FileLocality)
-        .access_log(AccessLog::new(Box::new(VecSink(Arc::clone(&buf)))))
-        .start(2, dir)
-        .unwrap();
+    let cfg = ClusterConfig {
+        policy: Policy::FileLocality,
+        access_log: Some(AccessLog::new(Box::new(VecSink(Arc::clone(&buf))))),
+        ..ClusterConfig::default()
+    };
+    let cluster = LiveCluster::start(2, dir, cfg).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
 
     // Find a document homed on node 1 by asking node 0 until one bounces.
@@ -94,8 +95,7 @@ fn trace_id_joins_access_logs_across_a_redirect_hop() {
 #[test]
 fn metrics_exposition_is_well_formed_and_rich() {
     let dir = docroot("metrics");
-    let cluster =
-        ServerOptions::new().policy(Policy::RoundRobin).start(1, dir).unwrap();
+    let cluster = LiveCluster::start(1, dir, ClusterConfig { policy: Policy::RoundRobin, ..ClusterConfig::default() }).unwrap();
 
     // Touch several code paths so counters and histograms have samples.
     for i in 0..4 {
@@ -129,8 +129,7 @@ fn metrics_exposition_is_well_formed_and_rich() {
 #[test]
 fn status_json_round_trips_through_the_typed_report() {
     let dir = docroot("json");
-    let cluster =
-        ServerOptions::new().policy(Policy::Sweb).start(2, dir).unwrap();
+    let cluster = LiveCluster::start(2, dir, ClusterConfig::default()).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
     let _ = client::get(&format!("{}/index.html", cluster.base_url(1))).unwrap();
 
@@ -180,7 +179,7 @@ fn scalar_series(exposition: &str) -> BTreeMap<String, i64> {
 #[test]
 fn status_metrics_are_the_scalar_series_of_the_exposition() {
     let dir = docroot("same");
-    let cluster = ServerOptions::new().policy(Policy::RoundRobin).start(1, dir).unwrap();
+    let cluster = LiveCluster::start(1, dir, ClusterConfig { policy: Policy::RoundRobin, ..ClusterConfig::default() }).unwrap();
     let base = cluster.base_url(0);
     for path in ["/doc0.txt", "/doc0.txt", "/cgi-bin/echo?x=1", "/missing.html"] {
         client::get(&format!("{base}{path}")).unwrap();
@@ -237,12 +236,13 @@ fn every_reply_lands_in_exactly_one_outcome_counter() {
     let big = (0..64).map(|i| format!("/big{i}.bin")).find(|p| home_of(p, 2) == NodeId(0));
     let big = big.unwrap();
     std::fs::write(dir.join(&big[1..]), vec![b'b'; 300_000]).unwrap();
-    let cluster = ServerOptions::new()
-        .policy(Policy::FileLocality)
-        .shards(1)
-        .max_conns(1)
-        .start(2, dir)
-        .unwrap();
+    let cfg = ClusterConfig {
+        policy: Policy::FileLocality,
+        shards: 1,
+        max_conns: 1,
+        ..ClusterConfig::default()
+    };
+    let cluster = LiveCluster::start(2, dir, cfg).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
     let base = cluster.base_url(0);
     let get = |target: &str| format!("GET {target} HTTP/1.0\r\n\r\n");

@@ -8,7 +8,8 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use sweb::core::Policy;
-use sweb::server::{client, Fault, FaultPlan, LiveCluster, ServerOptions, Window};
+use sweb::des::SimTime;
+use sweb::server::{client, ClusterConfig, Fault, FaultPlan, LiveCluster, Window};
 
 /// Synthetic fd exhaustion, then an accept pause, on a node with two
 /// shards: during either fault a client gets a definite outcome (an error
@@ -23,12 +24,14 @@ fn fd_pressure_and_pause_give_definite_outcomes() {
     let dir = std::env::temp_dir().join(format!("sweb-fault-plans-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("ok.txt"), b"definitely served").unwrap();
-    let cfg = ServerOptions::new()
-        .policy(Policy::Sweb)
-        .loadd_timing(100, 500)
-        .shards(2)
-        .fault_plan(Some(plan))
-        .build();
+    let mut cfg = ClusterConfig {
+        policy: Policy::Sweb,
+        shards: 2,
+        fault_plan: Some(plan),
+        ..ClusterConfig::default()
+    };
+    cfg.sweb.loadd_period = SimTime::from_millis(100);
+    cfg.sweb.stale_timeout = SimTime::from_millis(500);
     let cluster = LiveCluster::start(1, dir.clone(), cfg).unwrap();
     assert_eq!(cluster.node(0).shards, 2);
     let url = format!("{}/ok.txt", cluster.base_url(0));
