@@ -12,9 +12,10 @@
 //!   decisions (at most one redirect per request);
 //! * the **oracle** ([`Oracle`]) — "a miniature expert system" mapping a
 //!   request to its CPU demand from a user-supplied table;
-//! * **loadd** ([`LoadTable`], [`LoaddTimer`]) — per-node load vectors
-//!   (CPU, disk, network) broadcast every 2–3 s, with silent peers marked
-//!   unavailable and support for nodes joining/leaving the pool.
+//! * **loadd** ([`Loadd`], [`LoadTable`]) — per-node load vectors (CPU,
+//!   disk, network) broadcast every 2–3 s, with silent peers marked
+//!   unavailable and support for nodes joining/leaving the pool. The
+//!   simulator and the live node run the same sans-IO [`Loadd`].
 //!
 //! The cost model ([`CostModel`]) aggregates
 //! `t_s = t_redirection + t_data + t_cpu + t_net` exactly as §3.2 defines,
@@ -33,6 +34,7 @@ mod config;
 mod cost;
 mod digest;
 mod load;
+mod loadd;
 mod oracle;
 mod overload;
 mod policy;
@@ -42,7 +44,8 @@ pub use broker::{Broker, Decision, Route};
 pub use config::{RedirectMechanism, SwebConfig};
 pub use cost::{CostBreakdown, CostInputs, CostModel};
 pub use digest::{CacheDigest, DIGEST_BYTES};
-pub use load::{HealthChurn, LoadTable, LoadVector, LoaddTimer, PeerHealth};
+pub use load::{HealthChurn, LoadTable, LoadVector, PeerHealth};
+pub use loadd::{Broadcast, Folded, LoadReport, Loadd, MAX_HOT, PACKET_MAX};
 pub use oracle::{CostProfile, Oracle, OracleRule};
 pub use overload::{
     AdmissionController, AdmitClass, BreakerState, PeerBreakers, RetryBudget, MAX_SHED_LEVEL,

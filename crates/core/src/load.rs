@@ -1,4 +1,4 @@
-//! Load vectors, the per-node load table, and loadd timing.
+//! Load vectors and the per-node load table.
 //!
 //! The paper (§3.1): "The loadd daemon is responsible for updating the
 //! system CPU, network and disk load information periodically (every 2-3
@@ -126,9 +126,9 @@ struct Entry {
     health: PeerHealth,
     /// Whether we have ever heard from this node.
     known: bool,
-    /// Last advertised cache digest (empty until one arrives — legacy
-    /// loadd packets carry none, and an empty digest never matches, so
-    /// the cost model just never discounts such a peer).
+    /// Last advertised cache digest (empty until a report arrives; an
+    /// empty digest never matches, so the cost model never discounts such
+    /// a peer).
     digest: CacheDigest,
 }
 
@@ -238,10 +238,7 @@ impl LoadTable {
         self.entries[node.index()].load
     }
 
-    /// Record `node`'s advertised cache digest (from a v2 loadd packet).
-    /// Kept separate from [`LoadTable::update`] so legacy packets — which
-    /// carry no digest — leave the previous digest in place rather than
-    /// blanking it.
+    /// Record `node`'s advertised cache digest (from its loadd report).
     pub fn set_digest(&mut self, node: NodeId, digest: CacheDigest) {
         self.entries[node.index()].digest = digest;
     }
@@ -288,44 +285,6 @@ impl LoadTable {
     /// broadcasts.
     pub fn bump_cpu(&mut self, node: NodeId, delta: f64) {
         self.entries[node.index()].load.cpu += delta;
-    }
-}
-
-/// Timing helper for loadd's periodic duties. Engine-agnostic: the sim
-/// schedules events from it, the live server sleeps on it.
-#[derive(Debug, Clone, Copy)]
-pub struct LoaddTimer {
-    period: SimTime,
-    next_due: SimTime,
-}
-
-impl LoaddTimer {
-    /// A timer firing every `period`, first at `period` after start.
-    pub fn new(period: SimTime) -> Self {
-        LoaddTimer { period, next_due: period }
-    }
-
-    /// Broadcast period.
-    pub fn period(&self) -> SimTime {
-        self.period
-    }
-
-    /// When the next broadcast is due.
-    pub fn next_due(&self) -> SimTime {
-        self.next_due
-    }
-
-    /// Whether a broadcast is due at `now`; if so, advances the schedule.
-    pub fn tick(&mut self, now: SimTime) -> bool {
-        if now >= self.next_due {
-            // Skip any missed periods rather than bursting catch-up sends.
-            while self.next_due <= now {
-                self.next_due += self.period;
-            }
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -436,17 +395,5 @@ mod tests {
         assert_eq!(lt.alive_nodes().count(), 2);
         // Marking dead twice reports Dead the second time (idempotent).
         assert_eq!(lt.mark_dead(NodeId(2)), PeerHealth::Dead);
-    }
-
-    #[test]
-    fn loadd_timer_fires_each_period() {
-        let mut timer = LoaddTimer::new(SimTime::from_millis(2500));
-        assert!(!timer.tick(SimTime::from_millis(1000)));
-        assert!(timer.tick(SimTime::from_millis(2500)));
-        assert!(!timer.tick(SimTime::from_millis(3000)));
-        assert!(timer.tick(SimTime::from_millis(5200)));
-        // Missed periods are skipped, not bursted.
-        assert!(timer.tick(SimTime::from_millis(60_000)));
-        assert_eq!(timer.next_due(), SimTime::from_millis(62_500));
     }
 }

@@ -10,7 +10,7 @@ use parking_lot::RwLock;
 use sweb_chaos::{FaultPlan, Injector, ScriptedOp};
 use sweb_cluster::{presets, NodeId};
 use sweb_core::{
-    AdmissionController, Broker, CostModel, LoadTable, Oracle, PeerBreakers, Policy, RetryBudget,
+    AdmissionController, Broker, CostModel, LoadReport, LoadTable, Oracle, PeerBreakers, Policy, RetryBudget,
     SwebConfig,
 };
 use sweb_des::SimTime;
@@ -408,12 +408,7 @@ impl LiveCluster {
         // The final announcement goes out from an ephemeral socket (the
         // node's own loadd is gone); receivers don't check source
         // addresses, only the node id inside the packet.
-        let pkt = crate::loadd::encode_v2(
-            shared.id,
-            &crate::loadd::sample_load(shared),
-            true,
-            &shared.file_cache.digest(),
-        );
+        let pkt = LoadReport { leaving: true, ..crate::loadd::report(shared) }.encode();
         if let Ok(sock) = UdpSocket::bind("127.0.0.1:0") {
             for (peer, addr) in shared.peer_udp.iter().enumerate() {
                 if peer != i {

@@ -389,7 +389,7 @@ pub struct NodeShared {
     /// Per-file request counters feeding loadd's hot list and the
     /// replicator.
     pub popularity: crate::peer_transfer::Popularity,
-    /// Each peer's advertised hot list (from loadd v3 packets), indexed
+    /// Each peer's advertised hot list (from its loadd reports), indexed
     /// by node.
     pub peer_hot: RwLock<Vec<Vec<sweb_cluster::FileId>>>,
     /// This node's view of everyone's load.

@@ -95,7 +95,7 @@ impl Popularity {
         all
     }
 
-    /// The `k` hottest FileIds (for the loadd v3 piggyback).
+    /// The `k` hottest FileIds (for the loadd report's hot list).
     pub fn hot_ids(&self, k: usize) -> Vec<FileId> {
         self.hot(k).into_iter().map(|(f, _, _)| f).collect()
     }
@@ -484,17 +484,22 @@ mod tests {
         assert!(ids.contains(&FileId(999_999)));
     }
 
-    /// The v3 hot list a node's broadcast would carry after serving
-    /// `/a` three times and `/b` once.
+    /// The hot list a node's broadcast would carry after serving `/a`
+    /// three times and `/b` once.
     fn advertised(replicating: bool) -> Vec<FileId> {
-        use crate::loadd::{decode, encode_v3, MAX_HOT};
+        use sweb_core::{CacheDigest, LoadReport, LoadVector, MAX_HOT};
         let p = Popularity::new(replicating);
         for (file, path) in [(1, "/a"), (1, "/a"), (2, "/b"), (1, "/a")] {
             p.record(FileId(file), path);
         }
-        let (load, digest) = (sweb_core::LoadVector::IDLE, sweb_core::CacheDigest::EMPTY);
-        let pkt = encode_v3(NodeId(0), &load, false, &digest, &p.hot_ids(MAX_HOT));
-        decode(&pkt).expect("a v3 packet").hot
+        let report = LoadReport {
+            node: NodeId(0),
+            load: LoadVector::IDLE,
+            leaving: false,
+            digest: CacheDigest::EMPTY,
+            hot: p.hot_ids(MAX_HOT),
+        };
+        LoadReport::decode(&report.encode()).expect("a loadd packet").hot
     }
 
     #[test]

@@ -31,9 +31,6 @@ pub struct SimConfig {
     pub dns_ttl: sweb_des::SimTime,
     /// Number of client domains sharing local DNS resolvers.
     pub dns_domains: usize,
-    /// Probability that a loadd broadcast datagram is lost in transit
-    /// (exercises the staleness machinery; UDP on a busy Ethernet drops).
-    pub loadd_loss_prob: f64,
     /// Fraction of requests that are CGI executions (the digital-library
     /// workload's "heterogeneous CPU activities").
     pub cgi_fraction: f64,
@@ -55,7 +52,6 @@ impl Default for SimConfig {
             fixed_front_end: false,
             dns_ttl: sweb_des::SimTime::ZERO,
             dns_domains: 16,
-            loadd_loss_prob: 0.0,
             cgi_fraction: 0.0,
             post_fraction: 0.0,
             seed: 0xc0ffee,

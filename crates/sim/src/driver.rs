@@ -1,5 +1,6 @@
 //! Experiment driver: wire a workload to a world and run to completion.
 
+use sweb_chaos::{Fault, FaultPlan, Injector};
 use sweb_cluster::{ClusterSpec, FileMap, NodeId};
 use sweb_des::{Sim, SimTime};
 use sweb_metrics::RunStats;
@@ -45,6 +46,23 @@ impl ClusterSim {
             at,
             Box::new(move |w: &mut World, _: &mut Sim<World>| w.node_join(node)),
         );
+    }
+
+    /// Run loadd under `plan`'s loadd faults: `LoaddLoss`, `LoaddDelay`
+    /// and `Partition` act on every packet from one node's loadd to
+    /// another's, at the packet's simulated millisecond. Any other fault
+    /// kind is the error, and the plan is not taken.
+    pub fn inject_loadd_faults(&mut self, plan: &FaultPlan) -> Result<(), Fault> {
+        let other = plan.faults.iter().find(|f| {
+            !matches!(f, Fault::LoaddLoss { .. } | Fault::LoaddDelay { .. } | Fault::Partition { .. })
+        });
+        match other {
+            Some(&fault) => Err(fault),
+            None => {
+                self.world.loadd_faults = Injector::from_plan(plan);
+                Ok(())
+            }
+        }
     }
 
     /// Schedule a CPU capacity change on `node` at `at`: the node runs at
@@ -136,6 +154,7 @@ impl ClusterSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sweb_chaos::Window;
     use sweb_cluster::presets;
     use sweb_core::Policy;
     use sweb_workload::{ArrivalSchedule, FilePopulation};
@@ -312,14 +331,22 @@ mod tests {
         assert!(light.mean_disk_utilization() < 0.05, "light load, idle disks");
     }
 
+    /// `LoaddLoss` at `rate_ppm` on every ordered pair of `n` nodes.
+    fn loss_everywhere(n: u32, rate_ppm: u32) -> FaultPlan {
+        let pairs = (0..n).flat_map(|from| (0..n).filter(move |&to| to != from).map(move |to| (from, to)));
+        pairs.fold(FaultPlan::seeded(SimConfig::default().seed), |plan, (from, to)| {
+            plan.with(Fault::LoaddLoss { from, to, rate_ppm, window: Window::ALWAYS })
+        })
+    }
+
     #[test]
     fn loadd_packet_loss_does_not_break_service() {
         let cluster = presets::meiko(4);
         let corpus = FilePopulation::uniform(40, 100_000).build(4);
         let arrivals = ArrivalSchedule::burst_30s(8).generate(&corpus);
-        let mut cfg = SimConfig::with_policy(Policy::Sweb);
-        cfg.loadd_loss_prob = 0.5; // half of all load reports lost
-        let stats = ClusterSim::new(cluster, corpus, cfg).run(&arrivals);
+        let mut sim = ClusterSim::new(cluster, corpus, SimConfig::with_policy(Policy::Sweb));
+        sim.inject_loadd_faults(&loss_everywhere(4, 500_000)).unwrap(); // half of all reports lost
+        let stats = sim.run(&arrivals);
         assert!(stats.drop_rate() < 0.05, "drop rate {}", stats.drop_rate());
         assert_eq!(stats.conservation_slack(), 0);
     }
@@ -338,9 +365,9 @@ mod tests {
             bursty: true,
         };
         let arrivals = schedule.generate(&corpus);
-        let mut cfg = SimConfig::with_policy(Policy::Sweb);
-        cfg.loadd_loss_prob = 1.0;
-        let stats = ClusterSim::new(cluster, corpus, cfg).run(&arrivals);
+        let mut sim = ClusterSim::new(cluster, corpus, SimConfig::with_policy(Policy::Sweb));
+        sim.inject_loadd_faults(&loss_everywhere(3, 1_000_000)).unwrap();
+        let stats = sim.run(&arrivals);
         assert_eq!(stats.dropped, 0, "service must continue through the blackout");
         // Every node keeps serving what DNS sends it.
         assert!(stats.nodes.iter().all(|n| n.served > 0));

@@ -3,7 +3,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sweb_cluster::{ClusterSpec, FileMap, NetworkSpec, NodeId, PageCache};
-use sweb_core::{Broker, CostModel, LoadTable, LoadVector, Oracle};
+use sweb_chaos::{Injector, TxVerdict};
+use sweb_core::{Broker, CacheDigest, CostModel, LoadReport, LoadTable, LoadVector, Loadd, Oracle};
 use sweb_des::{FairShare, ResourceHost, Sim, SimTime};
 use sweb_metrics::RunStats;
 
@@ -34,6 +35,8 @@ pub struct NodeState {
     pub cache: PageCache,
     /// This node's view of everyone's load (fed by loadd broadcasts).
     pub view: LoadTable,
+    /// This node's loadd, folding into `view`.
+    pub loadd: Loadd,
     /// This node's broker.
     pub broker: Broker,
     /// Whether the node is in the resource pool.
@@ -68,6 +71,9 @@ pub struct World {
     pub next_request: u64,
     /// The DNS front end (rotation + client-side caches).
     pub dns: crate::dns::Dns,
+    /// The fault plan's loadd faults (loss, delay, partitions); disabled
+    /// unless [`crate::ClusterSim::inject_loadd_faults`] set a plan.
+    pub loadd_faults: Injector,
 }
 
 impl ResourceHost for World {
@@ -109,6 +115,7 @@ impl World {
                     },
                     cache: PageCache::new(spec.cache_bytes()),
                     view: LoadTable::new(n),
+                    loadd: Loadd::new(id, &cfg.sweb),
                     broker: Broker::new(cfg.policy, model.clone()),
                     alive: true,
                     accepted: 0,
@@ -130,6 +137,7 @@ impl World {
             trace: crate::trace::TraceLog::new(0),
             next_request: 0,
             dns,
+            loadd_faults: Injector::disabled(),
             cluster,
             cfg,
             files,
@@ -195,33 +203,52 @@ impl World {
         }
     }
 
-    /// One loadd broadcast from node `i`: sample own load, deliver to every
-    /// node's view, run staleness marking, charge the CPU cost.
+    /// One loadd broadcast from node `i`: the core folds its own load and
+    /// sweeps its view; each peer folds the packet at once, or later, or
+    /// never, as the fault plan says. The broadcast costs CPU.
     fn loadd_tick(world: &mut World, sim: &mut Sim<World>, i: usize) {
         let now = sim.now();
-        if world.nodes[i].alive {
-            let load = world.own_load(i);
-            let me = NodeId(i as u32);
-            let loss = world.cfg.loadd_loss_prob;
-            for j in 0..world.nodes.len() {
-                // A node always hears itself; peer datagrams may be lost.
-                if j != i && loss > 0.0 && rand::Rng::gen_bool(&mut world.rng, loss) {
-                    continue;
-                }
-                world.nodes[j].view.update(me, load, now);
-            }
-            // Staleness pass on this node's own view: silence past two
-            // loadd periods (one missed packet plus a period of margin,
-            // matching the live sweep) suspends redirect candidacy, silence
-            // past the staleness timeout removes the peer from the pool.
-            let suspect_after = world.cfg.sweb.loadd_period + world.cfg.sweb.loadd_period;
-            let timeout = world.cfg.sweb.stale_timeout;
-            world.nodes[i].view.mark_stale(now, suspect_after, timeout);
-            // The monitoring overhead is real CPU work (§4.3: ~0.2 %).
-            let ops = world.cfg.loadd_ops_per_broadcast;
-            world.stats.nodes[i].loadd_ops += ops;
-            world.nodes[i].cpu.submit(sim, ops, Box::new(|_, _| {}));
+        let node = &mut world.nodes[i];
+        if !node.alive || !node.loadd.due(now) {
+            return;
         }
+        // The simulated file caches advertise no digest: an empty one
+        // never matches, as in every view before its first report.
+        let report = LoadReport {
+            node: NodeId(i as u32),
+            load: world.own_load(i),
+            leaving: false,
+            digest: CacheDigest::EMPTY,
+            hot: Vec::new(),
+        };
+        let node = &mut world.nodes[i];
+        let packet = node.loadd.broadcast(now, &mut node.view, &report).packet;
+        let now_ms = now.as_micros() / 1000;
+        for j in (0..world.nodes.len()).filter(|&j| j != i) {
+            match world.loadd_faults.loadd_tx_at(i as u32, j as u32, now_ms) {
+                TxVerdict::Deliver => world.fold_loadd(j, now, &packet),
+                TxVerdict::Drop => {}
+                TxVerdict::Delay(d) => {
+                    let packet = packet.clone();
+                    sim.schedule(
+                        now + SimTime::from_micros(d.as_micros() as u64),
+                        Box::new(move |w: &mut World, s: &mut Sim<World>| {
+                            w.fold_loadd(j, s.now(), &packet)
+                        }),
+                    );
+                }
+            }
+        }
+        // The monitoring overhead is real CPU work (§4.3: ~0.2 %).
+        let ops = world.cfg.loadd_ops_per_broadcast;
+        world.stats.nodes[i].loadd_ops += ops;
+        world.nodes[i].cpu.submit(sim, ops, Box::new(|_, _| {}));
+    }
+
+    /// Node `j`'s loadd folds a received packet into its view.
+    fn fold_loadd(&mut self, j: usize, now: SimTime, packet: &[u8]) {
+        let node = &mut self.nodes[j];
+        node.loadd.fold(now, &mut node.view, packet);
     }
 
     /// Remove a node from the pool at the current time: DNS stops sending
