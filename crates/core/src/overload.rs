@@ -10,7 +10,7 @@
 //!   When the minimum sojourn over a whole observation window stays above
 //!   target, a standing queue exists — instantaneous spikes don't — and
 //!   the shed level escalates. Requests are shed by class, cheapest-kept
-//!   first: peer-serving and dynamic (fork) work goes at level 1, static
+//!   first: peer-serving and dynamic work goes at level 1, static
 //!   cache misses at level 2, and only a full emergency (level 3) refuses
 //!   static cache hits. Administrative endpoints are never shed.
 //! * [`PeerBreakers`] — per-peer circuit breakers

@@ -11,9 +11,9 @@ use sweb_cluster::{FileId, NodeId};
 pub enum RequestClass {
     /// A plain static-document fetch: bytes from disk or the file cache.
     Static,
-    /// Dynamic content produced by a registered in-process handler (or the
-    /// legacy fork-CGI fallback). The payload names the handler class used
-    /// to key the oracle's measured-`t_cpu` table (e.g. `"burn"`, `"fork"`).
+    /// Dynamic content produced by a registered in-process handler. The
+    /// payload names the handler class used to key the oracle's
+    /// measured-`t_cpu` table (e.g. `"burn"`, `"search"`).
     Dynamic(&'static str),
 }
 

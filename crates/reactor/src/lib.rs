@@ -985,10 +985,7 @@ impl Loop {
     /// Refuse a connection with 503 (best effort) and drop it.
     fn shed(&mut self, stream: TcpStream) {
         self.app.on_shed();
-        let mut resp = Response::error(StatusCode::ServiceUnavailable);
-        resp.headers.set("Retry-After", self.app.retry_after_secs().to_string());
-        resp.headers.set("Connection", "close");
-        let wire = resp.to_bytes(false);
+        let wire = overloaded_response(self.app.retry_after_secs()).to_bytes(false);
         let mut s = stream;
         let _ = s.write(&wire); // small; fits the socket buffer or is lost
     }
@@ -1536,9 +1533,10 @@ impl Loop {
             if let Some(deadline_ms) = conn.clock.pending() {
                 self.wheel.cancel(TimerEntry { token: idx, gen, deadline_ms });
             }
-            // Deregistered explicitly, not left to close(2): a fork-CGI
-            // child can hold a copy of the fd between fork and exec, which
-            // would keep a stale registration alive on a recycled token.
+            // Deregistered explicitly, not left to close(2): any child a
+            // handler or test spawns holds a copy of the fd between fork
+            // and exec, which would keep a stale registration alive on a
+            // recycled token.
             if conn.registered {
                 let _ = self.poller.deregister(conn.stream.as_raw_fd());
             }

@@ -226,7 +226,6 @@ mod tests {
         // Everything the flags do not name is the library default.
         let plain = ClusterConfig::default();
         assert_eq!(cfg.max_conns, plain.max_conns);
-        assert_eq!(cfg.file_cache_bytes, plain.file_cache_bytes);
         assert_eq!(cfg.request_budget, plain.request_budget);
         assert_eq!(cfg.sweb.cache_aware_cost, plain.sweb.cache_aware_cost);
         assert_eq!(parse(&[]).unwrap().nodes, 3);

@@ -10,8 +10,8 @@ use parking_lot::RwLock;
 use sweb_chaos::{FaultPlan, Injector, ScriptedOp};
 use sweb_cluster::{presets, NodeId};
 use sweb_core::{
-    AdmissionController, Broker, CostModel, LoadReport, LoadTable, Oracle, PeerBreakers, Policy, RetryBudget,
-    SwebConfig,
+    AdmissionController, Broker, CostModel, LoadReport, LoadTable, Oracle, PeerBreakers, Policy,
+    RedirectMechanism, RetryBudget, SwebConfig,
 };
 use sweb_des::SimTime;
 
@@ -23,6 +23,10 @@ const PEER_RETRY_CAP: u64 = 10;
 
 /// Retry tokens for local filesystem fetches (EINTR, EMFILE, flaky NFS).
 const FETCH_RETRY_CAP: u64 = 32;
+
+/// Per-node in-memory document cache capacity: 16 MiB. The benchmark's
+/// `static_bulk` sizes its document set at three times this.
+const FILE_CACHE_BYTES: u64 = 16 << 20;
 
 /// Configuration for a live cluster.
 #[derive(Debug, Clone)]
@@ -38,23 +42,19 @@ pub struct ClusterConfig {
     /// connection on the CPU it arrived on (`swebd --shards`).
     pub shards: usize,
     /// Scheduler tunables. The default shortens the loadd period to 200 ms
-    /// so tests converge quickly; pass the paper's 2.5 s for realism.
+    /// so tests converge quickly; pass the paper's 2.5 s for realism. A
+    /// live node reassigns a request only by 302, so
+    /// `redirect_mechanism` must stay `UrlRedirect`.
     pub sweb: SwebConfig,
     /// Dynamic handlers served under `/cgi-bin/` (default: the demo
     /// registry — echo, search, burn, template, introspect).
     pub handlers: crate::dynamic::DynamicRegistry,
-    /// Total-entry bound for the dynamic response cache (per node).
-    pub dynamic_cache_entries: usize,
-    /// Default TTL for cached dynamic responses (handlers may override).
-    pub dynamic_cache_ttl: Duration,
     /// When set, node `i` listens on `127.0.0.1:(port_base + i)` instead
     /// of an ephemeral port (used by the `swebd` binary).
     pub port_base: Option<u16>,
     /// Optional CLF access log shared by all nodes (replayable through
     /// `sweb_workload::parse_clf` + the simulator).
     pub access_log: Option<crate::access_log::AccessLog>,
-    /// Per-node in-memory document cache capacity, bytes (0 disables).
-    pub file_cache_bytes: u64,
     /// Request CPU-demand oracle (load a site-specific table with
     /// `Oracle::from_config_str`; defaults to the NCSA calibration).
     pub oracle: Oracle,
@@ -91,11 +91,8 @@ impl Default for ClusterConfig {
             shards: 0,
             sweb,
             handlers: crate::dynamic::DynamicRegistry::demo(),
-            dynamic_cache_entries: crate::dynamic::DEFAULT_MAX_ENTRIES,
-            dynamic_cache_ttl: crate::dynamic::DEFAULT_TTL,
             port_base: None,
             access_log: None,
-            file_cache_bytes: 16 << 20,
             oracle: Oracle::ncsa_default(),
             fault_plan: None,
             request_budget: Duration::from_secs(10),
@@ -142,10 +139,19 @@ pub struct LiveCluster {
 impl LiveCluster {
     /// Bind and start `n` nodes serving `docroot` (one shared directory,
     /// standing in for the NFS crossmounted disks). A `port_base` whose
-    /// range `port_base..port_base + n` runs past 65535 is
+    /// range `port_base..port_base + n` runs past 65535, or a
+    /// `RedirectMechanism::Forward` the nodes cannot perform, is
     /// `InvalidInput`, refused before anything is bound.
     pub fn start(n: usize, docroot: PathBuf, cfg: ClusterConfig) -> std::io::Result<LiveCluster> {
         assert!(n >= 1, "at least one node");
+        if cfg.sweb.redirect_mechanism == RedirectMechanism::Forward {
+            // The cost model would price remote candidates as forwarded,
+            // while every node still answers a 302.
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a live cluster redirects by URL: RedirectMechanism::Forward is simulator-only",
+            ));
+        }
         let shards = resolve_shards(&cfg);
         let ports: Vec<u16> = (0..n)
             .map(|i| match cfg.port_base {
@@ -204,12 +210,7 @@ impl LiveCluster {
             // Per-class metrics hang off the node's registry, so stats are
             // built first and dynamic state registered on them.
             let stats = NodeStats::new(shards);
-            let dynamic = crate::dynamic::DynamicState::new(
-                cfg.handlers.clone(),
-                &stats.registry,
-                cfg.dynamic_cache_entries,
-                cfg.dynamic_cache_ttl,
-            );
+            let dynamic = crate::dynamic::DynamicState::new(cfg.handlers.clone(), &stats.registry);
             // The overload-control trio. Breakers are always attached to
             // the broker (all-Closed they reprice nothing); the gates that
             // trip and consult them are behind `overload_control`.
@@ -217,7 +218,7 @@ impl LiveCluster {
             let breakers = Arc::new(PeerBreakers::new(n));
             let peer_retry_budgets: Arc<Vec<RetryBudget>> =
                 Arc::new((0..n).map(|_| RetryBudget::new(PEER_RETRY_CAP)).collect());
-            let file_cache = Arc::new(crate::file_cache::FileCache::new(cfg.file_cache_bytes));
+            let file_cache = Arc::new(crate::file_cache::FileCache::new(FILE_CACHE_BYTES));
             stats.read_from(&file_cache, &admission, &breakers, &chaos);
             let shared = Arc::new(NodeShared {
                 id: NodeId(i as u32),
@@ -457,5 +458,18 @@ impl LiveCluster {
                 handle.shutdown();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn forward_redirects_are_refused_before_binding() {
+        let mut cfg = ClusterConfig::default();
+        cfg.sweb.redirect_mechanism = RedirectMechanism::Forward;
+        let refused = LiveCluster::start(2, std::env::temp_dir(), cfg).err();
+        assert_eq!(refused.map(|e| e.kind()), Some(std::io::ErrorKind::InvalidInput));
     }
 }

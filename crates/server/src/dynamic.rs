@@ -7,10 +7,6 @@
 //! request ([`DynamicHandler::blocking`]) and whose class has measured
 //! cheap runs on the reactor loop thread that parsed the request; every
 //! other invocation is dispatched on the reactor's bounded worker pool.
-//! The legacy fork-per-request path survives as one
-//! handler implementation behind the same trait
-//! ([`crate::cgi::ForkCgiHandler`]), so the A/B between the two is a
-//! registration choice, not a code path.
 //!
 //! Three pieces live here:
 //!
@@ -33,7 +29,7 @@ use std::time::{Duration, Instant};
 use sweb_http::{Request, Response};
 use sweb_telemetry::{AtomicHistogram, Counter, Registry};
 
-use crate::cgi::CgiProgram;
+use crate::node::NodeShared;
 
 /// Default TTL for cacheable dynamic responses when the handler does not
 /// override it.
@@ -41,13 +37,6 @@ pub const DEFAULT_TTL: Duration = Duration::from_secs(2);
 
 /// Default total-entry bound for the dynamic response cache.
 pub const DEFAULT_MAX_ENTRIES: usize = 1024;
-
-/// Context a handler runs with: the serving node's shared state (for
-/// introspection-style handlers).
-pub struct HandlerCtx<'a> {
-    /// The node executing the handler.
-    pub shared: &'a crate::node::NodeShared,
-}
 
 /// An in-process dynamic-content handler. Implementations are registered
 /// under `/cgi-bin/<name>` and invoked on the reactor's worker pool, or on
@@ -96,8 +85,9 @@ pub trait DynamicHandler: Send + Sync {
     /// thread when [`DynamicHandler::blocking`] said `false` and the class
     /// measured cheap. A blocking handler may block, but the reactor
     /// answers 503 in its place once the request budget's fetch checkpoint
-    /// has passed.
-    fn handle(&self, ctx: &HandlerCtx<'_>, req: &Request, body: &[u8]) -> Response;
+    /// has passed. `shared` is the serving node, for handlers that read
+    /// its state.
+    fn handle(&self, shared: &NodeShared, req: &Request, body: &[u8]) -> Response;
 }
 
 /// Sort a query/form string's `&`-separated pairs so that `a=1&b=2` and
@@ -115,49 +105,8 @@ pub fn canonicalize_args(query: &str, body: &[u8]) -> String {
     key
 }
 
-/// Adapter running a legacy [`CgiProgram`] closure behind the
-/// [`DynamicHandler`] trait — how the pre-existing closure registry rides
-/// the new ABI unchanged.
-pub struct FnHandler {
-    class: &'static str,
-    cacheable: bool,
-    program: CgiProgram,
-    blocking: fn(&Request, &[u8]) -> bool,
-}
-
-impl FnHandler {
-    /// Wrap `program` as a handler of the given class. `cacheable`
-    /// handlers key the response cache on their canonicalized
-    /// query-plus-body. The closure is assumed to block.
-    pub fn new(class: &'static str, cacheable: bool, program: CgiProgram) -> Self {
-        FnHandler { class, cacheable, program, blocking: |_, _| true }
-    }
-
-    /// Declare per request whether the closure may block (see
-    /// [`DynamicHandler::blocking`]).
-    pub fn blocking_when(mut self, blocking: fn(&Request, &[u8]) -> bool) -> Self {
-        self.blocking = blocking;
-        self
-    }
-}
-
-impl DynamicHandler for FnHandler {
-    fn class(&self) -> &'static str {
-        self.class
-    }
-    fn cache_key(&self, req: &Request, body: &[u8]) -> Option<String> {
-        self.cacheable.then(|| canonicalize_args(req.query().unwrap_or(""), body))
-    }
-    fn blocking(&self, req: &Request, body: &[u8]) -> bool {
-        (self.blocking)(req, body)
-    }
-    fn handle(&self, _ctx: &HandlerCtx<'_>, req: &Request, body: &[u8]) -> Response {
-        (self.program)(req, body)
-    }
-}
-
-/// Registry of dynamic handlers by path prefix under `/cgi-bin/` —
-/// longest prefix wins, exactly as the legacy CGI registry dispatched.
+/// Registry of dynamic handlers by path prefix under `/cgi-bin/`:
+/// longest prefix wins, and a prefix matches whole path segments only.
 /// Shared by all nodes of a cluster (the same handler code would be
 /// NFS-visible everywhere in 1996).
 #[derive(Clone, Default)]
@@ -176,13 +125,6 @@ impl DynamicRegistry {
         self.handlers.insert(format!("/cgi-bin/{name}"), handler);
     }
 
-    /// Register a legacy [`CgiProgram`] closure at `/cgi-bin/<name>`. The
-    /// handler class is the (leaked) name; closure results are cached.
-    pub fn register_fn(&mut self, name: &str, program: CgiProgram) {
-        let class: &'static str = Box::leak(name.to_string().into_boxed_str());
-        self.register(name, Arc::new(FnHandler::new(class, true, program)));
-    }
-
     /// Number of registered handlers.
     pub fn len(&self) -> usize {
         self.handlers.len()
@@ -193,11 +135,16 @@ impl DynamicRegistry {
         self.handlers.is_empty()
     }
 
-    /// Find the handler for `path` (longest prefix match).
+    /// Find the handler for `path`: the longest registered prefix that is
+    /// the whole path or is followed by `/` (`echo` serves
+    /// `/cgi-bin/echo/x`, never `/cgi-bin/echoes`).
     pub fn lookup(&self, path: &str) -> Option<&Arc<dyn DynamicHandler>> {
         self.handlers
             .iter()
-            .filter(|(prefix, _)| path.starts_with(prefix.as_str()))
+            .filter(|(prefix, _)| {
+                path.strip_prefix(prefix.as_str())
+                    .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+            })
             .max_by_key(|(prefix, _)| prefix.len())
             .map(|(_, h)| h)
     }
@@ -214,10 +161,9 @@ impl DynamicRegistry {
 
     /// The demo handlers used by examples and tests:
     ///
-    /// * `/cgi-bin/echo` — echoes the query string back (legacy closure
-    ///   behind [`FnHandler`]);
+    /// * `/cgi-bin/echo` — echoes the query string (and a POST body) back;
     /// * `/cgi-bin/search` — the toy Alexandria spatial-index search
-    ///   (legacy closure; burns CPU per the `cost` parameter);
+    ///   (burns CPU per the `cost` parameter);
     /// * `/cgi-bin/burn` — delay/cpu-burn probe: `cost=N` LCG iterations
     ///   and optional `ms=N` sleep;
     /// * `/cgi-bin/template` — query-parameter templating into an HTML
@@ -225,11 +171,8 @@ impl DynamicRegistry {
     /// * `/cgi-bin/introspect` — status-like node summary (never cached).
     pub fn demo() -> Self {
         let mut reg = DynamicRegistry::new();
-        let echo = FnHandler::new("echo", true, echo_program()).blocking_when(|_, _| false);
-        reg.register("echo", Arc::new(echo));
-        let search = FnHandler::new("search", true, search_program())
-            .blocking_when(|req, body| search_cost(&search_query(req, body)) > SEARCH_INLINE_MAX_COST);
-        reg.register("search", Arc::new(search));
+        reg.register("echo", Arc::new(EchoHandler));
+        reg.register("search", Arc::new(SearchHandler));
         reg.register("burn", Arc::new(BurnHandler));
         reg.register("template", Arc::new(TemplateHandler));
         reg.register("introspect", Arc::new(IntrospectHandler));
@@ -245,9 +188,21 @@ impl std::fmt::Debug for DynamicRegistry {
     }
 }
 
-/// The legacy echo closure: query string (and POST body) reflected back.
-fn echo_program() -> CgiProgram {
-    Arc::new(|req: &Request, body: &[u8]| {
+/// `/cgi-bin/echo` — the query string (and a POST body) reflected back.
+/// Pure formatting, so it never blocks.
+struct EchoHandler;
+
+impl DynamicHandler for EchoHandler {
+    fn class(&self) -> &'static str {
+        "echo"
+    }
+    fn cache_key(&self, req: &Request, body: &[u8]) -> Option<String> {
+        Some(canonicalize_args(req.query().unwrap_or(""), body))
+    }
+    fn blocking(&self, _req: &Request, _body: &[u8]) -> bool {
+        false
+    }
+    fn handle(&self, _shared: &NodeShared, req: &Request, body: &[u8]) -> Response {
         let q = req.query().unwrap_or("");
         if body.is_empty() {
             Response::ok(format!("echo: {q}\n"), "text/plain")
@@ -255,7 +210,7 @@ fn echo_program() -> CgiProgram {
             let posted = String::from_utf8_lossy(body);
             Response::ok(format!("echo: {q}\nposted: {posted}\n"), "text/plain")
         }
-    })
+    }
 }
 
 /// The largest `search` cost that may run on a loop thread: five times
@@ -284,10 +239,22 @@ fn search_cost(query: &str) -> u64 {
         .unwrap_or(10_000)
 }
 
-/// The legacy toy Alexandria search closure: deterministic CPU burn
-/// proportional to the `cost` parameter, HTML result page.
-fn search_program() -> CgiProgram {
-    Arc::new(|req: &Request, body: &[u8]| {
+/// `/cgi-bin/search` — the toy Alexandria search: deterministic CPU
+/// burn proportional to the `cost` parameter, HTML result page. It runs
+/// on the loop only up to [`SEARCH_INLINE_MAX_COST`].
+struct SearchHandler;
+
+impl DynamicHandler for SearchHandler {
+    fn class(&self) -> &'static str {
+        "search"
+    }
+    fn cache_key(&self, req: &Request, body: &[u8]) -> Option<String> {
+        Some(canonicalize_args(req.query().unwrap_or(""), body))
+    }
+    fn blocking(&self, req: &Request, body: &[u8]) -> bool {
+        search_cost(&search_query(req, body)) > SEARCH_INLINE_MAX_COST
+    }
+    fn handle(&self, _shared: &NodeShared, req: &Request, body: &[u8]) -> Response {
         let query = search_query(req, body);
         let acc = lcg_burn(search_cost(&query));
         let body = format!(
@@ -295,7 +262,7 @@ fn search_program() -> CgiProgram {
              <P>query: {query}</P><P>digest: {acc:016x}</P></BODY></HTML>"
         );
         Response::ok(body, "text/html")
-    })
+    }
 }
 
 /// Deterministic busy work standing in for real handler compute (an LCG,
@@ -323,7 +290,7 @@ impl DynamicHandler for BurnHandler {
     fn size_hint(&self) -> u64 {
         64
     }
-    fn handle(&self, _ctx: &HandlerCtx<'_>, req: &Request, _body: &[u8]) -> Response {
+    fn handle(&self, _shared: &NodeShared, req: &Request, _body: &[u8]) -> Response {
         let q = req.query().unwrap_or("");
         let param = |k: &str| q.split('&').find_map(|kv| kv.strip_prefix(k)).map(str::to_string);
         let cost: u64 = param("cost=").and_then(|v| v.parse().ok()).unwrap_or(250_000);
@@ -351,7 +318,7 @@ impl DynamicHandler for TemplateHandler {
     fn blocking(&self, _req: &Request, _body: &[u8]) -> bool {
         false
     }
-    fn handle(&self, _ctx: &HandlerCtx<'_>, req: &Request, _body: &[u8]) -> Response {
+    fn handle(&self, _shared: &NodeShared, req: &Request, _body: &[u8]) -> Response {
         let q = req.query().unwrap_or("");
         let param = |k: &str, default: &str| {
             q.split('&')
@@ -382,8 +349,7 @@ impl DynamicHandler for IntrospectHandler {
     fn blocking(&self, _req: &Request, _body: &[u8]) -> bool {
         false
     }
-    fn handle(&self, ctx: &HandlerCtx<'_>, _req: &Request, _body: &[u8]) -> Response {
-        let shared = ctx.shared;
+    fn handle(&self, shared: &NodeShared, _req: &Request, _body: &[u8]) -> Response {
         let body = format!(
             "{{\"node\":{},\"policy\":\"{}\",\
              \"served\":{},\"accepted\":{},\"handlers\":{}}}\n",
@@ -598,13 +564,10 @@ pub struct DynamicState {
 impl DynamicState {
     /// Build the node's dynamic state, registering per-class metrics for
     /// every handler class in `registry` on `metrics`, and readers of the
-    /// response cache's counters.
-    pub fn new(
-        registry: DynamicRegistry,
-        metrics: &Registry,
-        max_entries: usize,
-        default_ttl: Duration,
-    ) -> Self {
+    /// response cache's counters. The cache holds [`DEFAULT_MAX_ENTRIES`]
+    /// replies for [`DEFAULT_TTL`] unless a handler's
+    /// [`DynamicHandler::ttl`] says otherwise.
+    pub fn new(registry: DynamicRegistry, metrics: &Registry) -> Self {
         let stats = registry
             .classes()
             .into_iter()
@@ -632,7 +595,7 @@ impl DynamicState {
                 )
             })
             .collect();
-        let cache = Arc::new(DynamicCache::new(max_entries, default_ttl));
+        let cache = Arc::new(DynamicCache::new(DEFAULT_MAX_ENTRIES, DEFAULT_TTL));
         let read = |number| crate::node::read(&cache, number);
         let lookups = "Dynamic response-cache lookups, by result";
         metrics.counter_fn(
@@ -724,13 +687,27 @@ mod tests {
         assert_ne!(canonicalize_args("a=1", b""), canonicalize_args("a=2", b""));
     }
 
+    /// A handler known only by its class name.
+    struct Named(&'static str);
+
+    impl DynamicHandler for Named {
+        fn class(&self) -> &'static str {
+            self.0
+        }
+        fn handle(&self, _shared: &NodeShared, _req: &Request, _body: &[u8]) -> Response {
+            Response::ok(self.0, "text/plain")
+        }
+    }
+
     #[test]
     fn registry_matches_longest_prefix() {
         let mut reg = DynamicRegistry::new();
-        reg.register_fn("a", Arc::new(|_, _: &[u8]| Response::ok("short", "text/plain")));
-        reg.register_fn("a/b", Arc::new(|_, _: &[u8]| Response::ok("long", "text/plain")));
-        assert_eq!(reg.lookup("/cgi-bin/a/b/c").unwrap().class(), "a/b");
-        assert_eq!(reg.lookup("/cgi-bin/a/x").unwrap().class(), "a");
+        reg.register("a", Arc::new(Named("short")));
+        reg.register("a/b", Arc::new(Named("long")));
+        assert_eq!(reg.lookup("/cgi-bin/a/b/c").unwrap().class(), "long");
+        assert_eq!(reg.lookup("/cgi-bin/a/x").unwrap().class(), "short");
+        assert_eq!(reg.lookup("/cgi-bin/a").unwrap().class(), "short");
+        assert!(reg.lookup("/cgi-bin/ab").is_none(), "a prefix matches whole segments");
         assert!(reg.lookup("/cgi-bin/zzz").is_none());
         assert_eq!(reg.len(), 2);
     }
@@ -804,7 +781,7 @@ mod tests {
         assert!(!blocking("/cgi-bin/echo", &[b'x'; 2048]));
         assert!(!blocking("/cgi-bin/template?title=t", b""));
         assert!(!blocking("/cgi-bin/introspect", b""));
-        assert!(blocking("/cgi-bin/burn?cost=1", b""), "burn sleeps");
+        assert!(blocking("/cgi-bin/burn?cost=1", b""), "burn sleeps: the trait's default");
         // search: cheap up to SEARCH_INLINE_MAX_COST, whichever of query
         // and body the handler reads.
         assert!(!blocking("/cgi-bin/search?q=maps", b""), "the default cost is 10,000");
@@ -814,11 +791,6 @@ mod tests {
         assert!(blocking("/cgi-bin/search?cost=50000000", b""));
         assert!(blocking("/cgi-bin/search?cost=10", b"q=x&cost=2000000"), "the body wins");
         assert!(!blocking("/cgi-bin/search?cost=50000000", b"cost=10"));
-        // Nobody vouched for these: the pool.
-        let closure = FnHandler::new("f", true, echo_program());
-        assert!(closure.blocking(&req("/cgi-bin/f"), b""));
-        let fork = crate::cgi::ForkCgiHandler::new("/bin/true");
-        assert!(fork.blocking(&req("/cgi-bin/fork"), b""));
     }
 
     use proptest::prelude::*;
@@ -868,8 +840,7 @@ mod tests {
     #[test]
     fn state_registers_class_stats() {
         let metrics = Registry::new();
-        let state =
-            DynamicState::new(DynamicRegistry::demo(), &metrics, 64, Duration::from_secs(1));
+        let state = DynamicState::new(DynamicRegistry::demo(), &metrics);
         let burn = state.class_stats("burn").expect("burn stats");
         burn.invocations.inc();
         burn.tcpu_us.record(1234);

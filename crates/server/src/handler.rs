@@ -7,9 +7,9 @@
 //! declare they cannot block and whose class has measured cheap. It ends
 //! in a reply, or in a [`Continuation`] carrying what it computed into
 //! the part that can sleep (disk reads, every other handler invocation,
-//! fork-CGI, peer fetches, status renders, reading a cold large document
-//! in). A reactor loop thread runs the first look on the shard that
-//! parsed the request and sends only continuations to the worker pool; a
+//! peer fetches, status renders, reading a cold large document in). A
+//! reactor loop thread runs the first look on the shard that parsed the
+//! request and sends only continuations to the worker pool; a
 //! worker that is handed a whole request ([`respond_parts`]) runs the
 //! same two stages back to back.
 
@@ -628,9 +628,8 @@ fn invoke(
     body: &[u8],
 ) -> Response {
     let class = handler.class();
-    let ctx = crate::dynamic::HandlerCtx { shared };
     let invoke_started = Instant::now();
-    let mut resp = handler.handle(&ctx, req, body);
+    let mut resp = handler.handle(shared, req, body);
     let elapsed = invoke_started.elapsed();
     if let Some(s) = shared.dynamic.class_stats(class) {
         s.invocations.inc();

@@ -7,8 +7,9 @@
 //!
 //! * an **httpd** on the event-driven reactor (`sweb-reactor`: per-core
 //!   poller threads multiplexing every connection, bounded workers for
-//!   blocking fulfilment, 503 admission control). NCSA httpd forked per
-//!   request; that baseline survives only as [`ForkCgiHandler`];
+//!   blocking fulfilment, 503 admission control). Where NCSA httpd forked
+//!   a process per `/cgi-bin/` request, every handler here is an
+//!   in-process [`DynamicHandler`];
 //! * the **broker** consults the node's live [`sweb_core::LoadTable`] and
 //!   answers `302 Found` with a `Location` on a peer when another node
 //!   would finish the request sooner — marked with the redirect-once query
@@ -42,7 +43,6 @@ mod node;
 mod peer_transfer;
 
 pub mod access_log;
-pub mod cgi;
 pub mod client;
 pub mod dynamic;
 pub mod file_cache;
@@ -50,9 +50,8 @@ pub mod status;
 
 pub use access_log::AccessLog;
 pub use file_cache::FileCache;
-pub use cgi::{CgiProgram, ForkCgiHandler};
 pub use cluster::{ClusterConfig, LiveCluster};
-pub use dynamic::{DynamicHandler, DynamicRegistry, FnHandler, HandlerCtx};
+pub use dynamic::{DynamicHandler, DynamicRegistry};
 pub use handler::home_of;
 pub use sweb_chaos::{Fault, FaultPlan, Injector, ScriptedOp, Window};
 pub use node::{NodeHandle, NodeShared, NodeStats};

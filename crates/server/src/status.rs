@@ -109,7 +109,7 @@ pub struct ShardRow {
 /// series (`sweb_dynamic_invocations_total{handler="<class>"}`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HandlerRow {
-    /// Handler class name (`"echo"`, `"burn"`, `"fork"`, ...).
+    /// Handler class name (`"echo"`, `"burn"`, `"search"`, ...).
     pub class: String,
     /// Median measured handler wall time, microseconds.
     pub p50_us: u64,

@@ -1,6 +1,6 @@
 //! End-to-end tests of the dynamic-content fast path: the in-process
 //! handler ABI, the `(handler, canonicalized args)` response cache with
-//! TTL expiry, the fork-CGI fallback's deadline behavior, and dynamic
+//! TTL expiry, a handler that overruns the request deadline, and dynamic
 //! handlers under injected disk faults.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -8,10 +8,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sweb_core::Policy;
-use sweb_http::Response;
+use sweb_http::{Request, Response};
+use sweb_server::dynamic::canonicalize_args;
 use sweb_server::{
-    client, ClusterConfig, DynamicRegistry, Fault, FaultPlan, ForkCgiHandler, LiveCluster,
-    Window,
+    client, ClusterConfig, DynamicHandler, DynamicRegistry, Fault, FaultPlan, LiveCluster,
+    NodeShared, Window,
 };
 
 fn docroot(tag: &str) -> std::path::PathBuf {
@@ -21,17 +22,33 @@ fn docroot(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// A registry whose `/cgi-bin/count` handler returns a fresh number per
-/// *real* invocation — cache hits are exactly the repeated bodies.
-fn counting_registry(counter: Arc<AtomicU64>) -> DynamicRegistry {
+/// `/cgi-bin/count`: a fresh number per *real* invocation — cache hits
+/// are exactly the repeated bodies — cached for `ttl`.
+struct Count {
+    counter: Arc<AtomicU64>,
+    ttl: Duration,
+}
+
+impl DynamicHandler for Count {
+    fn class(&self) -> &'static str {
+        "count"
+    }
+    fn cache_key(&self, req: &Request, body: &[u8]) -> Option<String> {
+        Some(canonicalize_args(req.query().unwrap_or(""), body))
+    }
+    fn ttl(&self) -> Option<Duration> {
+        Some(self.ttl)
+    }
+    fn handle(&self, _shared: &NodeShared, _req: &Request, _body: &[u8]) -> Response {
+        let n = self.counter.fetch_add(1, Ordering::SeqCst);
+        Response::ok(format!("count: {n}\n"), "text/plain")
+    }
+}
+
+/// The demo registry plus a [`Count`] handler cached for `ttl`.
+fn counting_registry(counter: Arc<AtomicU64>, ttl: Duration) -> DynamicRegistry {
     let mut reg = DynamicRegistry::demo();
-    reg.register_fn(
-        "count",
-        Arc::new(move |_req, _body| {
-            let n = counter.fetch_add(1, Ordering::SeqCst);
-            Response::ok(format!("count: {n}\n"), "text/plain")
-        }),
-    );
+    reg.register("count", Arc::new(Count { counter, ttl }));
     reg
 }
 
@@ -43,9 +60,7 @@ fn response_cache_serves_repeats_and_expires_on_ttl() {
     let counter = Arc::new(AtomicU64::new(0));
     let cfg = ClusterConfig {
         policy: Policy::RoundRobin,
-        handlers: counting_registry(Arc::clone(&counter)),
-        dynamic_cache_entries: 64,
-        dynamic_cache_ttl: Duration::from_millis(150),
+        handlers: counting_registry(Arc::clone(&counter), Duration::from_millis(150)),
         ..ClusterConfig::default()
     };
     let cluster = LiveCluster::start(1, docroot("ttl"), cfg).unwrap();
@@ -114,9 +129,7 @@ fn cache_keys_isolate_handlers_and_canonicalize_args() {
     let counter = Arc::new(AtomicU64::new(0));
     let cfg = ClusterConfig {
         policy: Policy::RoundRobin,
-        handlers: counting_registry(Arc::clone(&counter)),
-        dynamic_cache_entries: 64,
-        dynamic_cache_ttl: Duration::from_secs(30),
+        handlers: counting_registry(Arc::clone(&counter), Duration::from_secs(30)),
         ..ClusterConfig::default()
     };
     let cluster = LiveCluster::start(1, docroot("keys"), cfg).unwrap();
@@ -140,40 +153,29 @@ fn cache_keys_isolate_handlers_and_canonicalize_args() {
     cluster.shutdown();
 }
 
-/// A forked CGI child that outruns the request deadline is killed and
-/// reaped, and the client gets a definitive 503 + `Retry-After` — never a
-/// hang for the child's full sleep.
+/// A blocking handler that outruns the request deadline (`burn` sleeping
+/// 1 s under a 300 ms budget) gets the client a definitive 503 +
+/// `Retry-After` in place of its reply — never a hang.
 #[test]
-fn fork_cgi_child_overrunning_deadline_gets_503() {
-    let dir = docroot("fork");
-    let script = dir.join("hang.sh");
-    std::fs::write(&script, "#!/bin/sh\nsleep 30\n").unwrap();
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::PermissionsExt;
-        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
-    }
-    let mut reg = DynamicRegistry::demo();
-    reg.register("hang", Arc::new(ForkCgiHandler::new(&script)));
+fn blocking_handler_overrunning_deadline_gets_503() {
     let cfg = ClusterConfig {
         policy: Policy::RoundRobin,
-        handlers: reg,
-        request_budget: Duration::from_millis(500),
+        request_budget: Duration::from_millis(300),
         ..ClusterConfig::default()
     };
-    let cluster = LiveCluster::start(1, dir, cfg).unwrap();
+    let cluster = LiveCluster::start(1, docroot("overrun"), cfg).unwrap();
 
     let t0 = Instant::now();
     let resp = client::get_with_timeout(
-        &format!("{}/cgi-bin/hang", cluster.base_url(0)),
+        &format!("{}/cgi-bin/burn?ms=1000&cost=1", cluster.base_url(0)),
         Duration::from_secs(10),
     )
     .unwrap();
-    assert_eq!(resp.status, 503, "overrunning child must fail definitively");
+    assert_eq!(resp.status, 503, "an overrunning handler must fail definitively");
     assert_eq!(resp.headers.get("retry-after"), Some("1"));
     assert!(
         t0.elapsed() < Duration::from_secs(5),
-        "the child's 30 s sleep must not be waited out: {:?}",
+        "the request must be answered promptly: {:?}",
         t0.elapsed()
     );
     assert!(cluster.node(0).stats.deadline_overruns.get() >= 1);

@@ -21,8 +21,8 @@ use sweb_cluster::NodeId;
 use sweb_core::Policy;
 use sweb_http::{Request, Response};
 use sweb_server::{
-    home_of, ClusterConfig, DynamicHandler, DynamicRegistry, Fault, FaultPlan, HandlerCtx,
-    LiveCluster, NodeShared, Window,
+    home_of, ClusterConfig, DynamicHandler, DynamicRegistry, Fault, FaultPlan, LiveCluster,
+    NodeShared, Window,
 };
 use sweb_telemetry::Phase;
 
@@ -545,7 +545,7 @@ impl DynamicHandler for Turning {
     fn blocking(&self, _req: &Request, _body: &[u8]) -> bool {
         false
     }
-    fn handle(&self, _ctx: &HandlerCtx<'_>, _req: &Request, _body: &[u8]) -> Response {
+    fn handle(&self, _shared: &NodeShared, _req: &Request, _body: &[u8]) -> Response {
         if self.slow.load(Ordering::SeqCst) {
             let started = Instant::now();
             while started.elapsed() < Duration::from_millis(2) {
