@@ -4,6 +4,11 @@
 //! byte budget. Implemented as an intrusive doubly-linked list over a slab,
 //! so `access`/`insert`/`evict` are all O(1) — this sits on the simulator's
 //! per-request hot path.
+//!
+//! Each entry carries a value beside its id and size, in the one map: the
+//! simulator's caches carry `()`, the live server's `FileCache` carries a
+//! document's body and head. A lookup is one probe, and an insert hands
+//! back the entries it evicted.
 
 use std::collections::HashMap;
 
@@ -11,14 +16,17 @@ use crate::files::FileId;
 
 const NIL: usize = usize::MAX;
 
-struct Entry {
+struct Entry<V> {
     file: FileId,
     size: u64,
     prev: usize,
     next: usize,
+    /// `None` only while the slot is on the free list.
+    value: Option<V>,
 }
 
-/// An LRU cache of files bounded by total bytes.
+/// An LRU cache of files bounded by total bytes, each carrying a value
+/// (`()` when residency is all that matters).
 ///
 /// ```
 /// use sweb_cluster::{FileId, PageCache};
@@ -29,11 +37,11 @@ struct Entry {
 /// assert!(!cache.access(FileId(2), 60)); // evicts file 1 (LRU)
 /// assert!(!cache.contains(FileId(1)));
 /// ```
-pub struct PageCache {
+pub struct PageCache<V = ()> {
     capacity: u64,
     used: u64,
     map: HashMap<FileId, usize>,
-    slab: Vec<Entry>,
+    slab: Vec<Entry<V>>,
     free: Vec<usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
@@ -41,7 +49,7 @@ pub struct PageCache {
     misses: u64,
 }
 
-impl PageCache {
+impl<V> PageCache<V> {
     /// A cache holding at most `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
         PageCache {
@@ -81,13 +89,13 @@ impl PageCache {
         self.map.is_empty()
     }
 
-    /// Lifetime hit count.
+    /// Lifetime hit count of [`PageCache::access`].
     #[inline]
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Lifetime miss count.
+    /// Lifetime miss count of [`PageCache::access`].
     #[inline]
     pub fn misses(&self) -> u64 {
         self.misses
@@ -103,24 +111,82 @@ impl PageCache {
         }
     }
 
-    /// Record an access to `file` of `size` bytes. Returns `true` on a hit.
-    /// On a miss the file is inserted (if it fits at all), evicting LRU
-    /// entries as needed. Files larger than the whole cache are never
-    /// cached (they would evict everything for no benefit).
-    pub fn access(&mut self, file: FileId, size: u64) -> bool {
-        if let Some(&idx) = self.map.get(&file) {
-            self.hits += 1;
-            self.touch(idx);
-            return true;
+    /// Whether `file` is currently cached (no LRU side effect, no counters).
+    pub fn contains(&self, file: FileId) -> bool {
+        self.map.contains_key(&file)
+    }
+
+    /// `file`'s value, if cached: one probe, no LRU side effect, no
+    /// counters.
+    pub fn peek(&self, file: FileId) -> Option<&V> {
+        let idx = *self.map.get(&file)?;
+        self.slab[idx].value.as_ref()
+    }
+
+    /// `file`'s value, if cached, made most recently used: one probe and
+    /// a relink, no counters.
+    pub fn touch(&mut self, file: FileId) -> Option<&V> {
+        let idx = *self.map.get(&file)?;
+        self.relink(idx);
+        self.slab[idx].value.as_ref()
+    }
+
+    /// Iterate the cached file ids (arbitrary order, no LRU side effect).
+    /// Used by the live `FileCache` to build its loadd digest.
+    pub fn keys(&self) -> impl Iterator<Item = FileId> + '_ {
+        self.map.keys().copied()
+    }
+
+    /// Cache `file` (`size` bytes) with `value` as the most recently used
+    /// entry, replacing any entry it had, and return the entries evicted
+    /// to make room, least recently used first. A file larger than the
+    /// whole cache is not cached: it would evict everything for no
+    /// benefit (any old entry of it is dropped all the same).
+    pub fn insert(&mut self, file: FileId, size: u64, value: V) -> Vec<(FileId, V)> {
+        let mut evicted = Vec::new();
+        self.invalidate(file);
+        self.admit(file, size, value, |file, value| evicted.push((file, value)));
+        evicted
+    }
+
+    /// Drop a file from the cache (e.g. invalidation). Returns `true` if it
+    /// was present.
+    pub fn invalidate(&mut self, file: FileId) -> bool {
+        match self.map.remove(&file) {
+            Some(idx) => {
+                self.release(idx);
+                true
+            }
+            None => false,
         }
-        self.misses += 1;
+    }
+
+    /// Link a file that is not cached in at the head, evicting from the
+    /// tail until it fits; each evicted entry goes to `evicted`.
+    fn admit(&mut self, file: FileId, size: u64, value: V, mut evicted: impl FnMut(FileId, V)) {
         if size > self.capacity {
-            return false;
+            return;
         }
         while self.used + size > self.capacity {
-            self.evict_lru();
+            let idx = self.tail;
+            assert_ne!(idx, NIL, "eviction from an empty cache — size accounting bug");
+            let file = self.slab[idx].file;
+            self.map.remove(&file);
+            if let Some(value) = self.release(idx) {
+                evicted(file, value);
+            }
         }
-        let idx = self.alloc(Entry { file, size, prev: NIL, next: self.head });
+        let entry = Entry { file, size, prev: NIL, next: self.head, value: Some(value) };
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.slab[idx] = entry;
+                idx
+            }
+            None => {
+                self.slab.push(entry);
+                self.slab.len() - 1
+            }
+        };
         if self.head != NIL {
             self.slab[self.head].prev = idx;
         }
@@ -130,41 +196,15 @@ impl PageCache {
         }
         self.used += size;
         self.map.insert(file, idx);
-        false
     }
 
-    /// Whether `file` is currently cached (no LRU side effect, no counters).
-    pub fn contains(&self, file: FileId) -> bool {
-        self.map.contains_key(&file)
-    }
-
-    /// Iterate the cached file ids (arbitrary order, no LRU side effect).
-    /// Used by the live `FileCache` to build its loadd digest.
-    pub fn keys(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.map.keys().copied()
-    }
-
-    /// Drop a file from the cache (e.g. invalidation). Returns `true` if it
-    /// was present.
-    pub fn invalidate(&mut self, file: FileId) -> bool {
-        if let Some(idx) = self.map.remove(&file) {
-            self.unlink(idx);
-            self.used -= self.slab[idx].size;
-            self.free.push(idx);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn alloc(&mut self, e: Entry) -> usize {
-        if let Some(idx) = self.free.pop() {
-            self.slab[idx] = e;
-            idx
-        } else {
-            self.slab.push(e);
-            self.slab.len() - 1
-        }
+    /// Unlink slot `idx` (already out of the map), free it, and hand back
+    /// its value.
+    fn release(&mut self, idx: usize) -> Option<V> {
+        self.unlink(idx);
+        self.used -= self.slab[idx].size;
+        self.free.push(idx);
+        self.slab[idx].value.take()
     }
 
     fn unlink(&mut self, idx: usize) {
@@ -183,7 +223,8 @@ impl PageCache {
         self.slab[idx].next = NIL;
     }
 
-    fn touch(&mut self, idx: usize) {
+    /// Make slot `idx` the most recently used.
+    fn relink(&mut self, idx: usize) {
         if self.head == idx {
             return;
         }
@@ -197,18 +238,24 @@ impl PageCache {
             self.tail = idx;
         }
     }
-
-    fn evict_lru(&mut self) {
-        let idx = self.tail;
-        assert_ne!(idx, NIL, "evict_lru on empty cache — size accounting bug");
-        let file = self.slab[idx].file;
-        self.map.remove(&file);
-        self.unlink(idx);
-        self.used -= self.slab[idx].size;
-        self.free.push(idx);
-    }
 }
 
+impl PageCache {
+    /// Record an access to `file` of `size` bytes. Returns `true` on a hit.
+    /// On a miss the file is inserted (if it fits at all), evicting LRU
+    /// entries as needed. Files larger than the whole cache are never
+    /// cached (they would evict everything for no benefit).
+    pub fn access(&mut self, file: FileId, size: u64) -> bool {
+        if let Some(&idx) = self.map.get(&file) {
+            self.hits += 1;
+            self.relink(idx);
+            return true;
+        }
+        self.misses += 1;
+        self.admit(file, size, (), |_, ()| {});
+        false
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,6 +345,29 @@ mod tests {
         assert!(!c.access(f(1), 0));
         assert!(c.access(f(1), 0));
         assert_eq!(c.used(), 0);
+    }
+
+    #[test]
+    fn values_ride_their_entries_and_come_back_on_eviction() {
+        let mut c: PageCache<&str> = PageCache::new(30);
+        assert!(c.insert(f(1), 10, "one").is_empty());
+        assert!(c.insert(f(2), 10, "two").is_empty());
+        assert!(c.insert(f(3), 10, "three").is_empty());
+        assert_eq!(c.peek(f(2)), Some(&"two"));
+        // A peek is no use: 1 is still the least recently used.
+        assert_eq!(c.touch(f(1)), Some(&"one"));
+        // 2 is now the LRU entry, then 3.
+        assert_eq!(c.insert(f(4), 20, "four"), vec![(f(2), "two"), (f(3), "three")]);
+        assert_eq!(c.peek(f(4)), Some(&"four"));
+        // Replacing an entry drops the old value without calling it evicted.
+        assert!(c.insert(f(1), 10, "uno").is_empty());
+        assert_eq!(c.peek(f(1)), Some(&"uno"));
+        assert_eq!(c.used(), 30);
+        // Too large for the whole cache: not cached, nothing evicted.
+        assert!(c.insert(f(5), 31, "five").is_empty());
+        assert_eq!(c.peek(f(5)), None);
+        assert_eq!(c.touch(f(9)), None);
+        assert_eq!((c.hits(), c.misses()), (0, 0), "only access() counts");
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use headers::Headers;
 pub use mime::mime_for_path;
 pub use parse::{parse_request, try_parse_request, Malformed, ParseError};
 pub use request::{Method, Request};
-pub use response::{body_copies, Response};
+pub use response::{body_copies, Head, Response};
 pub use response_parse::{parse_response, ParsedResponse, ResponseParseError};
 pub use status::StatusCode;
 pub use url::{is_redirected, mark_redirected, mark_trace, sanitize_path, split_query, trace_of};

@@ -8,8 +8,15 @@
 //!   `Bytes`-sharing file cache exists to avoid.
 //! * [`Response::to_wire_parts`] — header bytes plus the body as a borrowed
 //!   [`Bytes`] handle (an O(1) refcount clone). A vectored transmit path
-//!   (`writev`) sends both without ever materializing the concatenation,
+//!   (`sendmsg`) sends both without ever materializing the concatenation,
 //!   so the only per-response allocation is the ~hundred-byte head.
+//!
+//! A head that many replies share — a cached document's — is serialized
+//! once as a [`Head`]: a reply built on one ([`Response::with_head`])
+//! writes only its own header lines, into the head's gap, and a vectored
+//! transmit gathers the shared bytes as they are
+//! ([`Response::head_pieces`]). Either way the bytes on the wire are the
+//! ones [`Response::head_bytes`] writes.
 
 use std::cell::Cell;
 
@@ -39,10 +46,83 @@ pub struct Response {
     /// Status line code.
     pub status: StatusCode,
     /// Header lines (Content-Length is filled in by [`Response::to_bytes`]).
+    /// With a [`Response::shared_head`], only the lines this reply adds,
+    /// which go in that head's gap.
     pub headers: Headers,
     /// Body payload. `Bytes` so large file payloads are shared, not copied,
     /// between the cache and concurrent responses.
     pub body: Bytes,
+    /// The head serialized once for every reply of a cached document, or
+    /// `None`: the head is serialized from `status` and `headers`.
+    pub shared_head: Option<Head>,
+}
+
+/// A response head serialized once and shared by many replies: the status
+/// line and the headers fixed for the document, a gap where each reply's
+/// own lines go, then `Server`, `Content-Length` and the blank line.
+#[derive(Debug, Clone)]
+pub struct Head {
+    status: StatusCode,
+    bytes: Bytes,
+    gap: usize,
+}
+
+impl Head {
+    /// Serialize `resp`'s head once, with the gap after its header lines.
+    /// The lines a reply later writes into the gap must not include
+    /// `Server` or `Content-Length`: the part after the gap already has
+    /// them.
+    pub fn of(resp: &Response) -> Head {
+        let mut out = Vec::with_capacity(160);
+        out.extend_from_slice(format!("HTTP/1.0 {}\r\n", resp.status).as_bytes());
+        let pinned = write_lines(&mut out, &resp.headers);
+        let gap = out.len();
+        write_tail(&mut out, pinned, resp.body.len());
+        Head { status: resp.status, bytes: Bytes::from(out), gap }
+    }
+
+    /// The bytes before the gap.
+    pub fn before_gap(&self) -> &[u8] {
+        &self.bytes[..self.gap]
+    }
+
+    /// The bytes after the gap, through the blank line.
+    pub fn after_gap(&self) -> &[u8] {
+        &self.bytes[self.gap..]
+    }
+}
+
+/// Which of the lines [`write_tail`] adds a header set already pinned.
+#[derive(Clone, Copy)]
+struct Pinned {
+    server: bool,
+    length: bool,
+}
+
+/// Append `headers` as header lines, in order.
+fn write_lines(out: &mut Vec<u8>, headers: &Headers) -> Pinned {
+    let mut pinned = Pinned { server: false, length: false };
+    for (name, value) in headers.iter() {
+        pinned.server |= name.eq_ignore_ascii_case("server");
+        pinned.length |= name.eq_ignore_ascii_case("content-length");
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(b": ");
+        out.extend_from_slice(value.as_bytes());
+        out.extend_from_slice(b"\r\n");
+    }
+    pinned
+}
+
+/// Append the `Server` and `Content-Length` lines the header set did not
+/// pin, and the blank line that ends the head.
+fn write_tail(out: &mut Vec<u8>, pinned: Pinned, body_len: usize) {
+    if !pinned.server {
+        out.extend_from_slice(b"Server: SWEB/0.1 (NCSA-derived)\r\n");
+    }
+    if !pinned.length {
+        out.extend_from_slice(format!("Content-Length: {body_len}\r\n").as_bytes());
+    }
+    out.extend_from_slice(b"\r\n");
 }
 
 impl Response {
@@ -50,7 +130,18 @@ impl Response {
     pub fn ok(body: impl Into<Bytes>, content_type: &str) -> Response {
         let mut headers = Headers::new();
         headers.set("Content-Type", content_type);
-        Response { status: StatusCode::Ok, headers, body: body.into() }
+        Response { status: StatusCode::Ok, headers, body: body.into(), shared_head: None }
+    }
+
+    /// A reply with `head`'s status and head, carrying `body` (the body
+    /// the head was serialized for), with no header lines of its own yet.
+    pub fn with_head(head: Head, body: Bytes) -> Response {
+        Response { status: head.status, headers: Headers::new(), body, shared_head: Some(head) }
+    }
+
+    /// A bodiless reply with `status` and no header lines yet.
+    pub fn empty(status: StatusCode) -> Response {
+        Response { status, headers: Headers::new(), body: Bytes::new(), shared_head: None }
     }
 
     /// SWEB's scheduling primitive: a `302 Found` sending the client to the
@@ -63,7 +154,7 @@ impl Response {
         headers.set("Content-Type", "text/html");
         let body = "<HTML><HEAD><TITLE>302 Found</TITLE></HEAD>\
              <BODY>Document relocated to a less loaded server.</BODY></HTML>".to_string();
-        Response { status: StatusCode::Found, headers, body: body.into() }
+        Response { status: StatusCode::Found, headers, body: body.into(), shared_head: None }
     }
 
     /// An error response with a small HTML body.
@@ -73,34 +164,37 @@ impl Response {
         let body = format!(
             "<HTML><HEAD><TITLE>{status}</TITLE></HEAD><BODY><H1>{status}</H1></BODY></HTML>"
         );
-        Response { status, headers, body: body.into() }
+        Response { status, headers, body: body.into(), shared_head: None }
     }
 
     /// Serialize the status line, headers (with `Content-Length` and
     /// `Server` filled in) and the terminating blank line — no body bytes.
     /// `Content-Length` still describes the body (HEAD semantics), unless
     /// an explicit header already pinned it (e.g. a streamed file body).
+    ///
+    /// With a [`Response::shared_head`], that head with `headers` written
+    /// into its gap.
     pub fn head_bytes(&self) -> Vec<u8> {
+        match self.head_pieces() {
+            (Some(head), lines) => [head.before_gap(), &lines, head.after_gap()].concat(),
+            (None, head) => head,
+        }
+    }
+
+    /// The head in the pieces a vectored write gathers: the shared head,
+    /// if there is one, and the bytes serialized for this reply alone —
+    /// the lines that go in the shared head's gap, or without one the
+    /// whole head.
+    pub fn head_pieces(&self) -> (Option<Head>, Vec<u8>) {
         let mut out = Vec::with_capacity(128);
+        if let Some(head) = &self.shared_head {
+            write_lines(&mut out, &self.headers);
+            return (Some(head.clone()), out);
+        }
         out.extend_from_slice(format!("HTTP/1.0 {}\r\n", self.status).as_bytes());
-        let mut wrote_server = false;
-        let mut wrote_len = false;
-        for (name, value) in self.headers.iter() {
-            wrote_server |= name.eq_ignore_ascii_case("server");
-            wrote_len |= name.eq_ignore_ascii_case("content-length");
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(b": ");
-            out.extend_from_slice(value.as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-        if !wrote_server {
-            out.extend_from_slice(b"Server: SWEB/0.1 (NCSA-derived)\r\n");
-        }
-        if !wrote_len {
-            out.extend_from_slice(format!("Content-Length: {}\r\n", self.body.len()).as_bytes());
-        }
-        out.extend_from_slice(b"\r\n");
-        out
+        let pinned = write_lines(&mut out, &self.headers);
+        write_tail(&mut out, pinned, self.body.len());
+        (None, out)
     }
 
     /// Zero-copy serialization: the head as owned bytes and the body as a
@@ -202,6 +296,31 @@ mod tests {
         let head = String::from_utf8(r.head_bytes()).unwrap();
         assert!(head.contains("Content-Length: 1500000\r\n"), "{head}");
         assert_eq!(head.matches("Content-Length").count(), 1, "{head}");
+    }
+
+    #[test]
+    fn a_shared_head_takes_per_reply_lines_in_its_gap() {
+        // What a cached document's reply looked like before its head was
+        // shared: fixed lines, then the per-reply ones, then the tail.
+        let mut whole = Response::ok("body bytes", "text/plain");
+        whole.headers.set("X-Fixed", "1");
+        let head = Head::of(&whole);
+        whole.headers.set("X-Per-Reply", "abc");
+        whole.headers.set("Connection", "Keep-Alive");
+
+        let mut shared = Response::with_head(head.clone(), whole.body.clone());
+        shared.headers.set("X-Per-Reply", "abc");
+        shared.headers.set("Connection", "Keep-Alive");
+        assert_eq!(shared.status, StatusCode::Ok);
+        assert_eq!(shared.head_bytes(), whole.head_bytes());
+        assert_eq!(shared.to_bytes(false), whole.to_bytes(false));
+        assert_eq!(shared.to_wire_parts(true), whole.to_wire_parts(true));
+        let (piece, lines) = shared.head_pieces();
+        let piece = piece.unwrap();
+        assert_eq!(piece.before_gap().as_ptr(), head.before_gap().as_ptr(), "shared, not copied");
+        assert_eq!(lines, b"X-Per-Reply: abc\r\nConnection: Keep-Alive\r\n");
+        assert!(piece.after_gap().starts_with(b"Server: "));
+        assert!(piece.after_gap().ends_with(b"Content-Length: 10\r\n\r\n"));
     }
 
     #[test]

@@ -47,10 +47,10 @@
 //!   bytes" from "can never parse" without re-scanning cost blowups.
 //! * **A connection that never waits costs no registration**: it is
 //!   read straight after `accept`, and an HTTP/1.0 request answered
-//!   inline costs `accept`, `read`, `writev` and `close` plus its share
-//!   of one poller wake-up — no `epoll_ctl` either side, nothing in the
-//!   timer wheel. The socket is registered the first time something
-//!   would block.
+//!   inline costs `accept`, `read`, `sendmsg`, `shutdown` and `close`
+//!   plus its share of one poller wake-up — no `epoll_ctl` either side,
+//!   nothing in the timer wheel. The socket is registered the first time
+//!   something would block.
 //! * **Timeouts** ride a hashed [`timer::TimerWheel`] with lazy
 //!   re-arming: slow or idle clients are evicted without ever blocking
 //!   healthy connections. A connection's deadline reaches the wheel when
@@ -71,10 +71,22 @@
 //!   bounded [`workers::WorkerPool`]; a full queue sheds (503) instead
 //!   of queueing unboundedly.
 //! * **Transmit is zero-copy**: responses drain as head bytes plus a
-//!   shared [`Bytes`] body gathered by `writev(2)` (no per-request body
-//!   copy), and large [`FileBody`] payloads stream in-kernel via
-//!   `sendfile(2)` with partial-write resumption — the write deadline
-//!   re-arms on progress so slow-but-live readers of big files survive.
+//!   shared [`Bytes`] body gathered by one `sendmsg(2)` (no per-request
+//!   body copy; a cached document's head is shared too, see
+//!   [`sweb_http::Head`]), and large [`FileBody`] payloads stream
+//!   in-kernel via `sendfile(2)` with partial-write resumption — the
+//!   write deadline re-arms on progress so slow-but-live readers of big
+//!   files survive.
+//! * **A reply leaves in as few segments as it can**: a buffered write
+//!   carries `MSG_MORE` when more of the same reply follows at once — a
+//!   streamed file body, or the FIN of a connection that closes after
+//!   this reply — so a head rides the first file segment and a small
+//!   closing reply leaves as one segment with its FIN. A closing reply
+//!   ends with `shutdown(SHUT_WR)`, then `close`: a bare `close` with
+//!   request bytes still unread resets the connection and the kernel
+//!   drops the corked reply. A kept connection's last write never
+//!   carries `MSG_MORE`, and `sendfile` takes no flags, so a streamed
+//!   body's last chunk goes out on its own.
 //! * **Admission control**: beyond `max_conns` open connections, counted
 //!   across every loop of a shard group, the reactor answers 503
 //!   immediately. The application observes connection counts through
@@ -93,14 +105,14 @@ pub mod timer;
 pub mod workers;
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use sweb_http::{try_parse_request, Method, Request, Response, StatusCode};
+use sweb_http::{try_parse_request, Head, Method, Request, Response, StatusCode};
 use sweb_telemetry::{Phase, RequestDeadline};
 
 use slab::Slab;
@@ -141,7 +153,7 @@ impl From<Response> for Reply {
 pub enum Payload {
     /// Nothing follows the head: a `HEAD`, a 304, an empty body.
     None,
-    /// A shared [`Bytes`] body gathered behind the head by `writev(2)`:
+    /// A shared [`Bytes`] body gathered behind the head by `sendmsg(2)`:
     /// no user-space copy.
     Bytes,
     /// A [`FileBody`] streamed by `sendfile(2)`.
@@ -621,16 +633,22 @@ struct Conn {
     stream: TcpStream,
     /// Its place under the admission cap.
     _seat: Seat,
-    peer: String,
+    /// The client's address as [`App`] methods see it.
+    peer: Arc<str>,
     state: ConnState,
     /// Read accumulator; may hold pipelined bytes beyond one request.
     carry: Vec<u8>,
-    /// Serialized status line + headers (per-response allocation).
+    /// The head shared with a cache entry, if the reply has one: sent
+    /// split at its gap, with `out_head` in between.
+    out_shared: Option<Head>,
+    /// The head bytes serialized for this reply alone: the lines in the
+    /// shared head's gap, or without one the whole head.
     out_head: Vec<u8>,
     /// Body as a shared handle (refcount clone of the cache's buffer, or
     /// empty when the head already contains the body / a file follows).
     out_body: Bytes,
-    /// Combined transmit offset across `out_head` ‖ `out_body`.
+    /// Combined transmit offset across the buffered pieces
+    /// ([`Conn::out_pieces`]).
     out_pos: usize,
     /// File payload streamed after the buffered part, if any.
     out_file: Option<FileTx>,
@@ -661,8 +679,39 @@ struct Conn {
     budget_deadline_ms: Option<u64>,
 }
 
+impl Conn {
+    /// The buffered part of the reply, in wire order: the shared head's
+    /// part before its gap, this reply's own head bytes, the rest of the
+    /// shared head, the body.
+    fn out_pieces(&self) -> [&[u8]; 4] {
+        let (before, after) = match &self.out_shared {
+            Some(head) => (head.before_gap(), head.after_gap()),
+            None => (&[][..], &[][..]),
+        };
+        [before, &self.out_head, after, &self.out_body]
+    }
+
+    /// Whether more of this reply follows the buffered part at once: a
+    /// file body still to stream, or the FIN of a connection that closes
+    /// after it. Either way a partial last segment is worth holding back
+    /// ([`sys::send_vectored`]'s `more`).
+    fn more_follows(&self) -> bool {
+        !self.keep_alive || self.out_file.as_ref().is_some_and(|f| f.offset < f.end)
+    }
+}
+
+/// What remains of `pieces` once the first `sent` bytes are gone.
+fn unsent(pieces: [&[u8]; 4], mut sent: usize) -> [&[u8]; 4] {
+    pieces.map(|piece| {
+        let gone = sent.min(piece.len());
+        sent -= gone;
+        &piece[gone..]
+    })
+}
+
 /// A reply in the shape `start_write` takes.
 struct Wire {
+    shared: Option<Head>,
     head: Vec<u8>,
     body: Bytes,
     file: Option<FileTx>,
@@ -674,7 +723,7 @@ impl Wire {
     /// and the connection closes after it.
     fn closing(resp: Response) -> Wire {
         let (head, body) = resp.to_wire_parts(false);
-        Wire { head, body, file: None, keep_alive: false }
+        Wire { shared: None, head, body, file: None, keep_alive: false }
     }
 }
 
@@ -718,7 +767,8 @@ impl Seal {
                 file_tx = Some(FileTx { file: fb.file, offset: 0, end: fb.len });
             }
         }
-        let (head, body) = resp.to_wire_parts(self.head_only);
+        let (shared, head) = resp.head_pieces();
+        let body = if self.head_only { Bytes::new() } else { resp.body };
         if !overrun {
             let payload = match &file_tx {
                 Some(_) => Payload::File,
@@ -727,7 +777,7 @@ impl Seal {
             };
             app.on_reply(resp.status, payload);
         }
-        Wire { head, body, file: file_tx, keep_alive }
+        Wire { shared, head, body, file: file_tx, keep_alive }
     }
 }
 
@@ -758,6 +808,9 @@ struct Loop {
     service: Option<Box<dyn Service>>,
     service_fds: Vec<RawFd>,
     service_due: Option<Instant>,
+    /// The last client address accepted and its label ([`Conn::peer`]):
+    /// a run of connections from one address formats it once.
+    last_peer: Option<(IpAddr, Arc<str>)>,
 }
 
 impl Loop {
@@ -793,6 +846,7 @@ impl Loop {
             service,
             service_fds: Vec::new(),
             service_due: None,
+            last_peer: None,
         }
     }
 
@@ -995,12 +1049,22 @@ impl Loop {
     /// or the wheel here.
     fn admit(&mut self, stream: TcpStream, seat: Seat, peer: SocketAddr) -> usize {
         let deadline_ms = self.now_ms() + self.cfg.read_timeout.as_millis() as u64;
+        let ip = peer.ip();
+        let peer = match &self.last_peer {
+            Some((last, label)) if *last == ip => Arc::clone(label),
+            _ => {
+                let label: Arc<str> = ip.to_string().into();
+                self.last_peer = Some((ip, Arc::clone(&label)));
+                label
+            }
+        };
         let conn = Conn {
             stream,
             _seat: seat,
-            peer: peer.ip().to_string(),
+            peer,
             state: ConnState::Reading,
             carry: Vec::new(),
+            out_shared: None,
             out_head: Vec::new(),
             out_body: Bytes::new(),
             out_pos: 0,
@@ -1238,7 +1302,7 @@ impl Loop {
             Some(FirstLook::Blocking(continuation)) => Some(continuation),
             None => None,
         };
-        let peer = conn.peer.clone();
+        let peer = Arc::clone(&conn.peer);
         // The request waits on a worker: the socket goes quiet in the
         // poller (registered now, if this is its first wait, so a reset
         // still reaches it) and the wheel enforces the budget.
@@ -1316,16 +1380,18 @@ impl Loop {
     }
 
     fn start_write(&mut self, idx: usize, wire: Wire) {
-        let Wire { head, body, file, keep_alive } = wire;
+        let Wire { shared, head, body, file, keep_alive } = wire;
         let mut deadline_ms = self.now_ms() + self.cfg.write_timeout.as_millis() as u64;
         let file_len = file.as_ref().map(|f| (f.end - f.offset) as usize).unwrap_or(0);
-        let planned = head.len() + body.len() + file_len;
+        let shared_len = shared.as_ref().map_or(0, |h| h.before_gap().len() + h.after_gap().len());
+        let planned = shared_len + head.len() + body.len() + file_len;
         {
             let Some(conn) = self.conns.get_mut(idx) else { return };
             if let Some(budget) = conn.budget_deadline_ms {
                 deadline_ms = deadline_ms.min(budget);
             }
             self.app.on_write_start(planned);
+            conn.out_shared = shared;
             conn.out_head = head;
             conn.out_body = body;
             conn.out_pos = 0;
@@ -1354,17 +1420,13 @@ impl Loop {
         loop {
             let step = {
                 let Some(conn) = self.conns.get_mut(idx) else { return };
-                let head_len = conn.out_head.len();
-                let buf_total = head_len + conn.out_body.len();
+                let pieces = conn.out_pieces();
+                let buf_total: usize = pieces.iter().map(|p| p.len()).sum();
                 if conn.out_pos < buf_total {
                     // Buffered part: head ‖ body gathered in one syscall.
                     let fd = conn.stream.as_raw_fd();
-                    let (a, b): (&[u8], &[u8]) = if conn.out_pos < head_len {
-                        (&conn.out_head[conn.out_pos..], &conn.out_body)
-                    } else {
-                        (&[], &conn.out_body[conn.out_pos - head_len..])
-                    };
-                    match sys::write_two(fd, a, b) {
+                    let rest = unsent(pieces, conn.out_pos);
+                    match sys::send_vectored(fd, &rest, conn.more_follows()) {
                         Ok(0) => Step::Fail,
                         Ok(n) => {
                             conn.out_pos += n;
@@ -1440,6 +1502,7 @@ impl Loop {
         let (keep, written, write_us) = {
             let Some(conn) = self.conns.get_mut(idx) else { return };
             let written = conn.out_planned;
+            conn.out_shared = None;
             conn.out_head = Vec::new();
             conn.out_body = Bytes::new();
             conn.out_pos = 0;
@@ -1458,6 +1521,14 @@ impl Loop {
             self.app.on_phase(Phase::Write, write_us);
         }
         if !ok || !keep {
+            if ok {
+                // The FIN goes out behind the corked tail of the reply,
+                // before `close` can reset a connection whose client
+                // sent more than its request.
+                if let Some(conn) = self.conns.get_mut(idx) {
+                    let _ = conn.stream.shutdown(Shutdown::Write);
+                }
+            }
             self.close(idx);
             return;
         }

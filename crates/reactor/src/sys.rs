@@ -210,28 +210,63 @@ struct IoVec {
     len: usize,
 }
 
-extern "C" {
-    fn writev(fd: i32, iov: *const IoVec, iovcnt: i32) -> isize;
+/// POSIX `struct msghdr`, with no address and no control data.
+#[repr(C)]
+struct MsgHdr {
+    name: *const u8,
+    name_len: u32,
+    iov: *const IoVec,
+    iov_len: usize,
+    control: *const u8,
+    control_len: usize,
+    flags: i32,
 }
 
-/// Transmit up to two slices with a single `writev(2)`: the serialized
-/// response head and the shared body, gathered by the kernel without the
-/// user-space concatenation `to_bytes` would pay. Returns bytes written
-/// (which may straddle the two slices — the caller resumes from the
-/// combined offset on the next readiness).
-pub fn write_two(fd: RawFd, a: &[u8], b: &[u8]) -> io::Result<usize> {
-    let mut iov = [IoVec { base: std::ptr::null(), len: 0 }; 2];
+const MSG_MORE: i32 = 0x8000;
+const MSG_NOSIGNAL: i32 = 0x4000;
+
+/// The most slices one [`send_vectored`] gathers.
+const MAX_SLICES: usize = 4;
+
+/// Transmit up to four slices with a single `sendmsg(2)`: a
+/// response head (shared pieces and the reply's own lines) and its shared
+/// body, gathered by the kernel without the user-space concatenation
+/// `to_bytes` would pay. Empty slices are skipped. Returns bytes written
+/// (which may stop inside any slice — the caller resumes from the combined
+/// offset on the next readiness).
+///
+/// `more` sets `MSG_MORE`: the caller sends more of the same reply at
+/// once (a file body, or the FIN of a `shutdown`), so the kernel holds a
+/// partial segment back for it instead of sending the tail alone.
+/// Never set it on a connection's last write before it waits for the
+/// client: the held bytes would wait with it.
+pub fn send_vectored(fd: RawFd, slices: &[&[u8]], more: bool) -> io::Result<usize> {
+    extern "C" {
+        fn sendmsg(fd: i32, msg: *const MsgHdr, flags: i32) -> isize;
+    }
+    assert!(slices.len() <= MAX_SLICES, "send_vectored gathers at most {MAX_SLICES} slices");
+    let mut iov = [IoVec { base: std::ptr::null(), len: 0 }; MAX_SLICES];
     let mut n = 0;
-    for s in [a, b] {
-        if !s.is_empty() {
-            iov[n] = IoVec { base: s.as_ptr(), len: s.len() };
-            n += 1;
-        }
+    for s in slices.iter().filter(|s| !s.is_empty()) {
+        iov[n] = IoVec { base: s.as_ptr(), len: s.len() };
+        n += 1;
     }
     if n == 0 {
         return Ok(0);
     }
-    let rc = unsafe { writev(fd, iov.as_ptr(), n as i32) };
+    let msg = MsgHdr {
+        name: std::ptr::null(),
+        name_len: 0,
+        iov: iov.as_ptr(),
+        iov_len: n,
+        control: std::ptr::null(),
+        control_len: 0,
+        flags: 0,
+    };
+    let flags = MSG_NOSIGNAL | if more { MSG_MORE } else { 0 };
+    // SAFETY: `msg` points at `n` iovecs, each a live borrowed slice; the
+    // kernel only reads them, during the call.
+    let rc = unsafe { sendmsg(fd, &msg, flags) };
     if rc < 0 {
         return Err(io::Error::last_os_error());
     }
@@ -301,6 +336,120 @@ pub fn page_cached(fd: RawFd, len: u64) -> io::Result<bool> {
     }
     // Were `sysconf` to fail, the range would read as cold: the safe side.
     Ok(page > 0 && stat[0] >= len.div_ceil(page as u64))
+}
+
+// ------------------------------------------------------------------
+// Looking up documents relative to an open directory.
+// ------------------------------------------------------------------
+
+/// Open the directory `path` for lookups relative to it ([`stat_at`]):
+/// `O_PATH | O_DIRECTORY | O_CLOEXEC`, so it needs no read permission
+/// and can be used for nothing else.
+pub fn open_dir(path: &std::path::Path) -> io::Result<std::fs::File> {
+    use std::os::unix::fs::OpenOptionsExt;
+    const O_PATH: i32 = 0o10000000;
+    #[cfg(any(target_arch = "aarch64", target_arch = "arm"))]
+    const O_DIRECTORY: i32 = 0o40000;
+    #[cfg(not(any(target_arch = "aarch64", target_arch = "arm")))]
+    const O_DIRECTORY: i32 = 0o200000;
+    // std adds `O_CLOEXEC`; with `O_PATH` the access mode is ignored.
+    std::fs::OpenOptions::new().read(true).custom_flags(O_PATH | O_DIRECTORY).open(path)
+}
+
+/// What [`stat_at`] reports of a file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileStat {
+    /// A regular file (after following symlinks).
+    pub is_file: bool,
+    /// Size in bytes.
+    pub len: u64,
+    /// Last modification, when the filesystem reports one.
+    pub modified: Option<std::time::SystemTime>,
+}
+
+/// The kernel's `struct statx_timestamp`.
+#[repr(C)]
+#[derive(Default)]
+struct StatxTimestamp {
+    sec: i64,
+    nsec: u32,
+    _reserved: i32,
+}
+
+/// The kernel's `struct statx` (256 bytes), up to `stx_mtime`.
+#[repr(C)]
+#[derive(Default)]
+struct Statx {
+    mask: u32,
+    _blksize: u32,
+    _attributes: u64,
+    _nlink: u32,
+    _uid: u32,
+    _gid: u32,
+    mode: u16,
+    _spare0: u16,
+    _ino: u64,
+    size: u64,
+    _blocks: u64,
+    _attributes_mask: u64,
+    _atime: StatxTimestamp,
+    _btime: StatxTimestamp,
+    _ctime: StatxTimestamp,
+    mtime: StatxTimestamp,
+    _rest: [u64; 16],
+}
+
+const _: () = assert!(std::mem::size_of::<Statx>() == 256);
+
+/// Longest relative path [`stat_at`] takes (`PATH_MAX`, NUL included).
+const PATH_MAX: usize = 4096;
+
+/// `stat(2)` of `rel`, relative to the directory `dir` ([`open_dir`]),
+/// following symlinks: one `statx(2)` asking for the type, the size and
+/// the mtime, with the path NUL-terminated in a stack buffer. A path with
+/// a NUL in it fails `InvalidInput`, one too long `ENAMETOOLONG`.
+pub fn stat_at(dir: RawFd, rel: &str) -> io::Result<FileStat> {
+    extern "C" {
+        fn statx(dirfd: i32, path: *const u8, flags: i32, mask: u32, buf: *mut Statx) -> i32;
+    }
+    const STATX_TYPE: u32 = 0x1;
+    const STATX_MTIME: u32 = 0x40;
+    const STATX_SIZE: u32 = 0x200;
+    const S_IFMT: u16 = 0o170000;
+    const S_IFREG: u16 = 0o100000;
+    const ENAMETOOLONG: i32 = 36;
+    if rel.len() >= PATH_MAX {
+        return Err(io::Error::from_raw_os_error(ENAMETOOLONG));
+    }
+    if rel.as_bytes().contains(&0) {
+        return Err(io::ErrorKind::InvalidInput.into());
+    }
+    let mut path = [std::mem::MaybeUninit::<u8>::uninit(); PATH_MAX];
+    for (slot, &b) in path.iter_mut().zip(rel.as_bytes().iter().chain(&[0])) {
+        slot.write(b);
+    }
+    let mut stx = Statx::default();
+    // SAFETY: `path` holds `rel` and a NUL, written just above, and the
+    // kernel reads no further than the NUL; it writes one `struct statx`
+    // into `stx`, which is laid out as its ABI and live for the call.
+    let rc = unsafe {
+        statx(dir, path.as_ptr().cast(), 0, STATX_TYPE | STATX_SIZE | STATX_MTIME, &mut stx)
+    };
+    if rc < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    let modified = (stx.mask & STATX_MTIME != 0).then(|| {
+        let (sec, nsec) = (stx.mtime.sec, stx.mtime.nsec);
+        let whole = std::time::Duration::from_secs(sec.unsigned_abs());
+        let epoch = std::time::UNIX_EPOCH;
+        let at = if sec >= 0 { epoch.checked_add(whole) } else { epoch.checked_sub(whole) };
+        at.and_then(|t| t.checked_add(std::time::Duration::from_nanos(nsec.into())))
+    });
+    Ok(FileStat {
+        is_file: stx.mode & S_IFMT == S_IFREG,
+        len: stx.size,
+        modified: modified.flatten(),
+    })
 }
 
 // ------------------------------------------------------------------
@@ -564,34 +713,53 @@ mod tests {
     }
 
     #[test]
-    fn write_two_gathers_both_slices() {
+    fn send_vectored_gathers_every_slice() {
         let (tx, mut rx) = stream_pair();
-        let head = b"HTTP/1.0 200 OK\r\n\r\n".to_vec();
-        let body = vec![b'x'; 4096];
+        let pieces: [&[u8]; 4] = [b"HTTP/1.0 200 OK\r\n", b"X-A: 1\r\n", b"\r\n", &[b'x'; 4096]];
+        let whole = pieces.concat();
         let mut sent = 0;
-        let total = head.len() + body.len();
-        while sent < total {
-            let (a, b): (&[u8], &[u8]) = if sent < head.len() {
-                (&head[sent..], &body)
-            } else {
-                (&[], &body[sent - head.len()..])
-            };
-            sent += write_two(tx.as_raw_fd(), a, b).unwrap();
+        while sent < whole.len() {
+            // Resume from the combined offset, as the reactor does.
+            let mut skip = sent;
+            let rest = pieces.map(|p| {
+                let n = skip.min(p.len());
+                skip -= n;
+                &p[n..]
+            });
+            sent += send_vectored(tx.as_raw_fd(), &rest, false).unwrap();
         }
         drop(tx);
-        let got = read_exact_n(&mut rx, total);
-        assert_eq!(&got[..head.len()], &head[..]);
-        assert_eq!(&got[head.len()..], &body[..]);
+        assert_eq!(read_exact_n(&mut rx, whole.len()), whole);
     }
 
     #[test]
-    fn write_two_skips_empty_slices() {
+    fn send_vectored_skips_empty_slices() {
         let (tx, mut rx) = stream_pair();
-        assert_eq!(write_two(tx.as_raw_fd(), b"", b"").unwrap(), 0);
-        assert_eq!(write_two(tx.as_raw_fd(), b"", b"tail").unwrap(), 4);
-        assert_eq!(write_two(tx.as_raw_fd(), b"head", b"").unwrap(), 4);
+        assert_eq!(send_vectored(tx.as_raw_fd(), &[b"", b""], false).unwrap(), 0);
+        assert_eq!(send_vectored(tx.as_raw_fd(), &[b"", b"tail"], true).unwrap(), 4);
+        assert_eq!(send_vectored(tx.as_raw_fd(), &[b"head", b""], false).unwrap(), 4);
         drop(tx);
         assert_eq!(read_exact_n(&mut rx, 8), b"tailhead");
+    }
+
+    #[test]
+    fn stat_at_reads_relative_to_the_directory() {
+        let dir = std::env::temp_dir().join(format!("sweb-statat-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        std::fs::write(dir.join("sub/doc.txt"), b"twelve bytes").unwrap();
+        let fd = open_dir(&dir).unwrap();
+        let st = stat_at(fd.as_raw_fd(), "sub/doc.txt").unwrap();
+        let meta = std::fs::metadata(dir.join("sub/doc.txt")).unwrap();
+        assert!(st.is_file);
+        assert_eq!(st.len, 12);
+        assert_eq!(st.modified, Some(meta.modified().unwrap()), "the mtime std reads, exactly");
+        assert!(!stat_at(fd.as_raw_fd(), "sub").unwrap().is_file, "a directory");
+        let missing = stat_at(fd.as_raw_fd(), "sub/none").unwrap_err();
+        assert_eq!(missing.kind(), io::ErrorKind::NotFound);
+        assert!(stat_at(fd.as_raw_fd(), "a\0b").is_err());
+        assert!(stat_at(fd.as_raw_fd(), &"x".repeat(PATH_MAX)).is_err());
+        assert!(open_dir(&dir.join("sub/doc.txt")).is_err(), "O_DIRECTORY refuses a file");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

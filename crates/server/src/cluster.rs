@@ -141,7 +141,8 @@ impl LiveCluster {
     /// standing in for the NFS crossmounted disks). A `port_base` whose
     /// range `port_base..port_base + n` runs past 65535, or a
     /// `RedirectMechanism::Forward` the nodes cannot perform, is
-    /// `InvalidInput`, refused before anything is bound.
+    /// `InvalidInput`, refused before anything is bound. A `docroot` that
+    /// is not a directory fails the start.
     pub fn start(n: usize, docroot: PathBuf, cfg: ClusterConfig) -> std::io::Result<LiveCluster> {
         assert!(n >= 1, "at least one node");
         if cfg.sweb.redirect_mechanism == RedirectMechanism::Forward {
@@ -218,7 +219,9 @@ impl LiveCluster {
             let breakers = Arc::new(PeerBreakers::new(n));
             let peer_retry_budgets: Arc<Vec<RetryBudget>> =
                 Arc::new((0..n).map(|_| RetryBudget::new(PEER_RETRY_CAP)).collect());
-            let file_cache = Arc::new(crate::file_cache::FileCache::new(FILE_CACHE_BYTES));
+            let file_cache = Arc::new(
+                crate::file_cache::FileCache::new(FILE_CACHE_BYTES).for_node(NodeId(i as u32)),
+            );
             stats.read_from(&file_cache, &admission, &breakers, &chaos);
             let shared = Arc::new(NodeShared {
                 id: NodeId(i as u32),
@@ -238,6 +241,9 @@ impl LiveCluster {
                 oracle: cfg.oracle.clone(),
                 sweb: cfg.sweb.clone(),
                 docroot: docroot.clone(),
+                docroot_dir: sweb_reactor::sys::open_dir(&docroot).map_err(|e| {
+                    std::io::Error::new(e.kind(), format!("docroot {docroot:?}: {e}"))
+                })?,
                 dynamic,
                 access_log: cfg.access_log.clone(),
                 file_cache,

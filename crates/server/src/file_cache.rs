@@ -22,49 +22,100 @@
 //! hot document still share a single [`Bytes`] body. A single-segment
 //! cache ([`FileCache::with_segments`] with `segments = 1`) behaves
 //! exactly like the old global-mutex cache, global LRU order included.
+//!
+//! Each segment is one [`PageCache`] whose entries carry the body, the
+//! mtime, the path and the document's [`Head`]: a lookup is one probe, a
+//! hit's LRU touch one probe and a relink, and an insert hands back what
+//! it evicted. The head — status line, `Content-Type`, `Last-Modified`,
+//! `X-SWEB-Node`, `Server`, `Content-Length` — is serialized once, when
+//! the entry is built, by the same `document` builder every document reply
+//! comes from; a hit writes only its own trace and connection lines.
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::SystemTime;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use sweb_cluster::{FileId, PageCache};
+use sweb_cluster::{FileId, NodeId, PageCache};
 use sweb_core::CacheDigest;
+use sweb_http::{mime_for_path, Head, Response};
 
 /// Default stripe count: enough segments that 8 reactor shards rarely
 /// collide on a lock, few enough that per-segment capacity shares stay
 /// useful (16 MiB default capacity → 2 MiB per segment).
 pub const DEFAULT_SEGMENTS: usize = 8;
 
+/// One resident document.
 struct Entry {
-    body: Bytes,
-    mtime: SystemTime,
+    doc: Document,
     /// Canonical request path this entry was cached under. Verified on
     /// every hit: a differing path under the same `FileId` is a hash
     /// collision, never a valid hit.
     path: String,
 }
 
+/// A document as the cache hands it out: the body, the file's mtime when
+/// it was read, and the head of its `200` — shared with the entry, so
+/// cloning one is three reference counts.
+#[derive(Clone)]
+pub(crate) struct Document {
+    pub(crate) body: Bytes,
+    pub(crate) mtime: SystemTime,
+    pub(crate) head: Head,
+}
+
+impl Document {
+    /// The `200` that serves this document.
+    pub(crate) fn reply(self) -> Response {
+        Response::with_head(self.head, self.body)
+    }
+}
+
+/// `200` carrying a document body, as `node` serves it: the one writer of
+/// a document reply's headers, whether its head is then shared by a cache
+/// entry or the reply is a one-off (a streamed file, an uncacheable read).
+pub(crate) fn document(
+    node: NodeId,
+    path: &str,
+    body: Bytes,
+    mtime: Option<SystemTime>,
+) -> Response {
+    let mut resp = Response::ok(body, mime_for_path(path));
+    if let Some(secs) = mtime.and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok()) {
+        resp.headers.set("Last-Modified", sweb_http::format_http_date(secs.as_secs()));
+    }
+    resp.headers.set("X-SWEB-Node", node.0.to_string());
+    resp
+}
+
 /// Byte-bounded, mtime-validated, lock-striped LRU cache of document
-/// bodies.
+/// bodies and their heads.
 pub struct FileCache {
     segments: Box<[Segment]>,
+    /// The node whose `X-SWEB-Node` the heads carry.
+    node: NodeId,
 }
 
 /// One independent stripe: its own lock, LRU, and counters.
 struct Segment {
-    inner: Mutex<Inner>,
+    lru: Mutex<PageCache<Entry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     collisions: AtomicU64,
     evictions: AtomicU64,
 }
 
-struct Inner {
-    lru: PageCache,
-    bodies: HashMap<FileId, Entry>,
+impl Segment {
+    /// Cache `entry` under `key`, counting what that evicted. The evicted
+    /// bodies are freed after the lock is let go.
+    fn put(&self, key: FileId, entry: Entry) {
+        let size = entry.doc.body.len() as u64;
+        let evicted = self.lru.lock().insert(key, size, entry);
+        if !evicted.is_empty() {
+            self.evictions.fetch_add(evicted.len() as u64, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Point-in-time counters for one cache segment, for `/sweb-status`.
@@ -114,17 +165,20 @@ impl FileCache {
         let share = capacity / n as u64;
         let segments = (0..n)
             .map(|_| Segment {
-                inner: Mutex::new(Inner {
-                    lru: PageCache::new(share),
-                    bodies: HashMap::new(),
-                }),
+                lru: Mutex::new(PageCache::new(share)),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 collisions: AtomicU64::new(0),
                 evictions: AtomicU64::new(0),
             })
             .collect();
-        FileCache { segments }
+        FileCache { segments, node: NodeId(0) }
+    }
+
+    /// The same cache, building heads that name `node` in `X-SWEB-Node`
+    /// (a new cache's name node 0).
+    pub fn for_node(self, node: NodeId) -> Self {
+        FileCache { node, ..self }
     }
 
     /// Number of stripes.
@@ -163,14 +217,14 @@ impl FileCache {
 
     /// Bytes currently cached (summed across segments).
     pub fn used(&self) -> u64 {
-        self.segments.iter().map(|s| s.inner.lock().lru.used()).sum()
+        self.segments.iter().map(|s| s.lru.lock().used()).sum()
     }
 
     /// Configured capacity in bytes: the sum of segment shares (at most
     /// the requested capacity; integer division may round each share
     /// down).
     pub fn capacity(&self) -> u64 {
-        self.segments.iter().map(|s| s.inner.lock().lru.capacity()).sum()
+        self.segments.iter().map(|s| s.lru.lock().capacity()).sum()
     }
 
     /// Per-segment counter snapshot, in stripe order.
@@ -178,14 +232,14 @@ impl FileCache {
         self.segments
             .iter()
             .map(|s| {
-                let inner = s.inner.lock();
+                let lru = s.lru.lock();
                 SegmentStats {
                     hits: s.hits.load(Ordering::Relaxed),
                     misses: s.misses.load(Ordering::Relaxed),
                     collisions: s.collisions.load(Ordering::Relaxed),
                     evictions: s.evictions.load(Ordering::Relaxed),
-                    used: inner.lru.used(),
-                    capacity: inner.lru.capacity(),
+                    used: lru.used(),
+                    capacity: lru.capacity(),
                 }
             })
             .collect()
@@ -196,30 +250,23 @@ impl FileCache {
         self.peek(key_of(path), path).is_some()
     }
 
-    /// The request path's one lookup: the resident body for `path` and
-    /// the mtime it was cached with — no stat, no LRU touch, no counter.
-    /// The caller holds the file's `stat`: a body whose mtime matches it
-    /// may be served (then [`FileCache::touch`] accounts the hit), one
-    /// that does not is stale and goes through [`FileCache::read`].
-    pub(crate) fn peek(&self, key: FileId, path: &str) -> Option<(Bytes, SystemTime)> {
-        let inner = self.segment_of(key).inner.lock();
-        if !inner.lru.contains(key) {
-            return None;
-        }
-        let entry = inner.bodies.get(&key).filter(|e| e.path == path)?;
-        Some((entry.body.clone(), entry.mtime))
+    /// The request path's one lookup: the resident document for `path` —
+    /// no stat, no LRU touch, no counter. The caller holds the file's
+    /// `stat`: a document whose mtime matches it may be served (then
+    /// [`FileCache::touch`] accounts the hit), one that does not is stale
+    /// and goes through [`FileCache::read`].
+    pub(crate) fn peek(&self, key: FileId, path: &str) -> Option<Document> {
+        let lru = self.segment_of(key).lru.lock();
+        lru.peek(key).filter(|e| e.path == path).map(|e| e.doc.clone())
     }
 
-    /// A body from [`FileCache::peek`] was served: count the hit and
+    /// A document from [`FileCache::peek`] was served: count the hit and
     /// touch the LRU, exactly what a hit in [`FileCache::read`] does.
-    pub(crate) fn touch(&self, key: FileId, len: u64) {
+    pub(crate) fn touch(&self, key: FileId) {
         let seg = self.segment_of(key);
-        let mut inner = seg.inner.lock();
-        // Evicted since the peek: the body in hand is still good, but
+        // Evicted since the peek: the document in hand is still good, but
         // there is no entry left to refresh.
-        if inner.lru.contains(key) {
-            inner.lru.access(key, len);
-        }
+        seg.lru.lock().touch(key);
         seg.hits.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -228,22 +275,32 @@ impl FileCache {
     pub fn digest(&self) -> CacheDigest {
         let mut d = CacheDigest::default();
         for seg in self.segments.iter() {
-            let inner = seg.inner.lock();
-            for key in inner.lru.keys() {
+            for key in seg.lru.lock().keys() {
                 d.insert(key);
             }
         }
         d
     }
 
+    /// The document `path` names, read at `mtime`, with its head built.
+    fn build(&self, path: &str, body: Bytes, mtime: SystemTime) -> Document {
+        let head = Head::of(&document(self.node, path, body.clone(), Some(mtime)));
+        Document { body, mtime, head }
+    }
+
     /// Fetch `full` (request path `path` for keying): from memory when the
     /// cached copy's mtime still matches, from disk otherwise. Returns the
     /// body and the file's mtime.
     pub fn read(&self, path: &str, full: &Path) -> std::io::Result<(Bytes, SystemTime)> {
+        self.load(path, full).map(|doc| (doc.body, doc.mtime))
+    }
+
+    /// [`FileCache::read`], with the document's head.
+    pub(crate) fn load(&self, path: &str, full: &Path) -> std::io::Result<Document> {
         self.read_keyed(key_of(path), path, full)
     }
 
-    /// [`FileCache::read`] with an explicit key — separated so tests can
+    /// [`FileCache::load`] with an explicit key — separated so tests can
     /// force two paths onto one `FileId` (a 64-bit FNV collision is
     /// otherwise impractical to construct).
     pub(crate) fn read_keyed(
@@ -251,76 +308,55 @@ impl FileCache {
         key: FileId,
         path: &str,
         full: &Path,
-    ) -> std::io::Result<(Bytes, SystemTime)> {
+    ) -> std::io::Result<Document> {
         let seg = self.segment_of(key);
         let mtime = std::fs::metadata(full)?.modified()?;
-        let mut collided = false;
-        {
-            let mut inner = seg.inner.lock();
-            if let Some(entry) = inner.bodies.get(&key) {
-                if entry.path != path {
-                    // Hash collision: this slot holds a different
-                    // document. Serving entry.body would be a wrong
-                    // response; fall through to a disk read.
-                    collided = true;
-                } else if entry.mtime == mtime && inner.lru.contains(key) {
-                    let body = entry.body.clone();
-                    inner.lru.access(key, body.len() as u64); // LRU touch
+        let collided = {
+            let mut lru = seg.lru.lock();
+            match lru.peek(key) {
+                // Hash collision: this slot holds a different document.
+                // Serving its body would be a wrong response; fall
+                // through to a disk read.
+                Some(entry) if entry.path != path => true,
+                Some(entry) if entry.doc.mtime == mtime => {
+                    let doc = entry.doc.clone();
+                    lru.touch(key);
                     seg.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((body, mtime));
+                    return Ok(doc);
                 }
+                _ => false,
             }
-        }
+        };
         // Miss, stale, or collision: read outside the lock (large files,
-        // slow disks).
+        // slow disks), and build the head there too.
         seg.misses.fetch_add(1, Ordering::Relaxed);
-        let body = Bytes::from(std::fs::read(full)?);
+        let doc = self.build(path, Bytes::from(std::fs::read(full)?), mtime);
         if collided {
             // Leave the resident entry in place — two documents fighting
             // over one slot would just thrash it. The loser of the slot is
             // served from disk, correctly, every time.
             seg.collisions.fetch_add(1, Ordering::Relaxed);
-            return Ok((body, mtime));
-        }
-        let mut inner = seg.inner.lock();
-        inner.lru.invalidate(key);
-        if (body.len() as u64) <= inner.lru.capacity() {
-            inner.lru.access(key, body.len() as u64);
-            inner.bodies.insert(key, Entry { body: body.clone(), mtime, path: path.to_string() });
         } else {
-            inner.bodies.remove(&key);
+            // Replaces a stale entry; a body over the segment's share is
+            // not cached, and its stale entry goes all the same.
+            seg.put(key, Entry { doc: doc.clone(), path: path.to_string() });
         }
-        // Drop bodies the LRU evicted (PageCache only tracks ids/sizes).
-        let lru = &inner.lru;
-        let live: std::collections::HashSet<FileId> = lru.keys().collect();
-        let before = inner.bodies.len();
-        inner.bodies.retain(|k, _| live.contains(k));
-        let dropped = before - inner.bodies.len();
-        if dropped > 0 {
-            seg.evictions.fetch_add(dropped as u64, Ordering::Relaxed);
-        }
-        Ok((body, mtime))
+        Ok(doc)
     }
-}
 
-impl FileCache {
     /// Look up a resident body by key — no filesystem stat, no disk
     /// fallback. Returns the body, its recorded mtime, and the canonical
     /// path it was cached under. The peer-transfer listener serves FETCH
     /// requests from here so a pull reads the source's RAM, not its disk.
     pub fn get(&self, key: FileId) -> Option<(Bytes, SystemTime, String)> {
         let seg = self.segment_of(key);
-        let mut inner = seg.inner.lock();
-        if !inner.lru.contains(key) {
-            return None;
-        }
-        let (body, mtime, path) = {
-            let entry = inner.bodies.get(&key)?;
-            (entry.body.clone(), entry.mtime, entry.path.clone())
+        let found = {
+            let mut lru = seg.lru.lock();
+            let entry = lru.touch(key)?;
+            (entry.doc.body.clone(), entry.doc.mtime, entry.path.clone())
         };
-        inner.lru.access(key, body.len() as u64); // LRU touch
         seg.hits.fetch_add(1, Ordering::Relaxed);
-        Some((body, mtime, path))
+        Some(found)
     }
 
     /// Adopt a body that arrived over the peer channel (a pull or a PUSH)
@@ -331,29 +367,30 @@ impl FileCache {
     /// mtime-stamped exactly as a disk read would key it, so later reads
     /// revalidate against the real file and hit.
     pub fn insert(&self, path: &str, body: Bytes, mtime: SystemTime) -> bool {
+        self.adopt(path, body, mtime).1
+    }
+
+    /// [`FileCache::insert`], returning the document built for it too:
+    /// cached or not, a pulled body is served with the head its entry
+    /// would carry.
+    pub(crate) fn adopt(&self, path: &str, body: Bytes, mtime: SystemTime) -> (Document, bool) {
         let key = key_of(path);
         let seg = self.segment_of(key);
-        let mut inner = seg.inner.lock();
-        if inner.bodies.get(&key).is_some_and(|e| e.path != path) {
-            // Collision: the slot belongs to a different document.
-            seg.collisions.fetch_add(1, Ordering::Relaxed);
-            return false;
+        let doc = self.build(path, body, mtime);
+        let cacheable = {
+            let lru = seg.lru.lock();
+            if lru.peek(key).is_some_and(|e| e.path != path) {
+                // Collision: the slot belongs to a different document.
+                seg.collisions.fetch_add(1, Ordering::Relaxed);
+                false
+            } else {
+                doc.body.len() as u64 <= lru.capacity()
+            }
+        };
+        if cacheable {
+            seg.put(key, Entry { doc: doc.clone(), path: path.to_string() });
         }
-        if (body.len() as u64) > inner.lru.capacity() {
-            return false;
-        }
-        inner.lru.invalidate(key);
-        inner.lru.access(key, body.len() as u64);
-        inner.bodies.insert(key, Entry { body, mtime, path: path.to_string() });
-        let lru = &inner.lru;
-        let live: std::collections::HashSet<FileId> = lru.keys().collect();
-        let before = inner.bodies.len();
-        inner.bodies.retain(|k, _| live.contains(k));
-        let dropped = before - inner.bodies.len();
-        if dropped > 0 {
-            seg.evictions.fetch_add(dropped as u64, Ordering::Relaxed);
-        }
-        true
+        (doc, cacheable)
     }
 }
 
@@ -414,10 +451,10 @@ mod tests {
         let (body, mtime) = cache.read("/peek", &f).unwrap();
         // The lookup itself moves no counter: the request may yet be
         // redirected, and only a served body is a hit.
-        let (peeked, cached_mtime) = cache.peek(key, "/peek").unwrap();
-        assert_eq!((peeked.clone(), cached_mtime), (body, mtime));
+        let peeked = cache.peek(key, "/peek").unwrap();
+        assert_eq!((peeked.body, peeked.mtime), (body, mtime));
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        cache.touch(key, peeked.len() as u64);
+        cache.touch(key);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // Same key, another path: a collision is never a resident body.
         assert!(cache.peek(key, "/other").is_none());
@@ -475,18 +512,18 @@ mod tests {
         let fb = tmpfile("col-b", b"BETA IS DIFFERENT");
         let cache = FileCache::new(1 << 20);
         let key = FileId(0xdead_beef);
-        let (a, _) = cache.read_keyed(key, "/alpha", &fa).unwrap();
+        let a = cache.read_keyed(key, "/alpha", &fa).unwrap().body;
         assert_eq!(&a[..], b"contents of alpha");
         // Same key, different path: must come back with /beta's bytes.
-        let (b, _) = cache.read_keyed(key, "/beta", &fb).unwrap();
+        let b = cache.read_keyed(key, "/beta", &fb).unwrap().body;
         assert_eq!(&b[..], b"BETA IS DIFFERENT", "collision served the wrong body");
         assert_eq!(cache.collisions(), 1);
         // The resident entry survives and still serves /alpha correctly.
-        let (a2, _) = cache.read_keyed(key, "/alpha", &fa).unwrap();
+        let a2 = cache.read_keyed(key, "/alpha", &fa).unwrap().body;
         assert_eq!(&a2[..], b"contents of alpha");
         assert_eq!(cache.hits(), 1);
         // Repeated /beta reads stay correct (and stay collisions).
-        let (b2, _) = cache.read_keyed(key, "/beta", &fb).unwrap();
+        let b2 = cache.read_keyed(key, "/beta", &fb).unwrap().body;
         assert_eq!(&b2[..], b"BETA IS DIFFERENT");
         assert_eq!(cache.collisions(), 2);
         let _ = std::fs::remove_file(&fa);
@@ -612,7 +649,7 @@ mod tests {
                             } else {
                                 ("/col-b", &col_b, b"beta-beta-beta-bb")
                             };
-                        let (got, _) = cache.read_keyed(col_key, cp, cf).unwrap();
+                        let got = cache.read_keyed(col_key, cp, cf).unwrap().body;
                         assert_eq!(&got[..], cw, "collision served the wrong body for {cp}");
                         // Segment shares are a hard bound at all times.
                         for (i, s) in cache.segment_stats().iter().enumerate() {

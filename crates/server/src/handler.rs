@@ -16,17 +16,17 @@
 use std::fs::File;
 use std::io::{Read, Seek};
 use std::os::fd::AsRawFd;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
 use bytes::Bytes;
 use sweb_cluster::{FileId, NodeId, Placement};
 use sweb_core::{AdmitClass, Decision, RequestClass, RequestInfo};
-use sweb_http::{mime_for_path, Method, Request, Response, StatusCode};
+use sweb_http::{Method, Request, Response, StatusCode};
 use sweb_telemetry::Phase;
 
 use crate::dynamic::DynamicHandler;
+use crate::file_cache::{document, Document};
 use crate::node::NodeShared;
 
 /// A document this large is never copied into user space or into the
@@ -134,9 +134,11 @@ struct Serve {
 
 enum Target {
     /// A document under the docroot, with the mtime its stat read. `hit`
-    /// is the resident body the request's one cache lookup found, if it
-    /// was cached at that mtime.
-    Document { full: PathBuf, modified: Option<SystemTime>, hit: Option<Bytes> },
+    /// is the resident document the request's one cache lookup found, if
+    /// it was cached at that mtime. `opened` is a large document the
+    /// first look opened and found not all in the page cache: the worker
+    /// reads it in from this fd rather than opening it again.
+    Document { modified: Option<SystemTime>, hit: Option<Document>, opened: Option<File> },
     /// A registered handler. `key` is its response-cache key, once
     /// [`Serve::try_memory`] has asked for it.
     Handler { handler: Arc<dyn DynamicHandler>, key: Option<String> },
@@ -205,7 +207,7 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
         // POST targets programs, not documents.
         return done(Response::error(StatusCode::MethodNotAllowed));
     }
-    let rel = path.trim_start_matches('/');
+    let rel = relative(&path);
     if rel.is_empty() {
         return done(Response::error(StatusCode::NotFound));
     }
@@ -241,14 +243,13 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
             None => return done(Response::error(StatusCode::NotFound)),
         }
     } else {
-        let full = shared.docroot.join(rel);
-        let Ok(meta) = std::fs::metadata(&full) else {
+        let Ok(meta) = shared.stat(rel) else {
             return done(Response::error(StatusCode::NotFound));
         };
-        if !meta.is_file() {
+        if !meta.is_file {
             return done(Response::error(StatusCode::Forbidden));
         }
-        let modified = meta.modified().ok();
+        let modified = meta.modified;
         // Conditional GET: a fresh client copy costs us only the stat —
         // answer 304 here, before any scheduling.
         let mtime = modified
@@ -259,20 +260,16 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
             req.headers.get("if-modified-since").and_then(sweb_http::parse_http_date),
         ) {
             if mtime <= ims {
-                let mut resp = Response {
-                    status: StatusCode::NotModified,
-                    headers: Default::default(),
-                    body: Default::default(),
-                };
+                let mut resp = Response::empty(StatusCode::NotModified);
                 resp.headers.set("Last-Modified", sweb_http::format_http_date(mtime));
                 resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
                 return done(resp);
             }
         }
-        // An edited document is never served stale: a resident body
+        // An edited document is never served stale: a resident document
         // counts only while its mtime is the file's.
-        let hit = resident.filter(|(_, cached)| modified == Some(*cached)).map(|(body, _)| body);
-        (meta.len(), Target::Document { full, modified, hit })
+        let hit = resident.filter(|doc| modified == Some(doc.mtime));
+        (meta.len, Target::Document { modified, hit, opened: None })
     };
     let class = match &target {
         Target::Handler { handler, .. } => Some(handler.class()),
@@ -354,14 +351,9 @@ fn redirect(shared: &NodeShared, req: &Request, target: NodeId, trace: &str) -> 
     resp
 }
 
-/// `200` carrying a document body.
-fn document(shared: &NodeShared, path: &str, body: Bytes, mtime: Option<SystemTime>) -> Response {
-    let mut resp = Response::ok(body, mime_for_path(path));
-    if let Some(secs) = mtime.and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok()) {
-        resp.headers.set("Last-Modified", sweb_http::format_http_date(secs.as_secs()));
-    }
-    resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-    resp
+/// The docroot-relative path of a request path.
+fn relative(path: &str) -> &str {
+    path.trim_start_matches('/')
 }
 
 impl Continuation {
@@ -383,15 +375,16 @@ impl Continuation {
 }
 
 impl Serve {
-    /// Memory-only fulfillment: the resident body the request's lookup
-    /// found, or a dynamic-cache hit.
+    /// Memory-only fulfillment: the resident document the request's
+    /// lookup found (body and head as its entry holds them), or a
+    /// dynamic-cache hit.
     fn try_memory(&mut self, shared: &NodeShared, req: &Request, body: &[u8]) -> Option<Response> {
         self.probed = true;
         match &mut self.target {
-            Target::Document { modified, hit, .. } => {
-                let bytes = hit.take()?;
-                shared.file_cache.touch(self.file, bytes.len() as u64);
-                Some(document(shared, &self.path, bytes, *modified))
+            Target::Document { hit, .. } => {
+                let doc = hit.take()?;
+                shared.file_cache.touch(self.file);
+                Some(doc.reply())
             }
             Target::Handler { handler, key } => {
                 // Nobody can reuse a POST's reply: caching it would only
@@ -426,22 +419,26 @@ impl Serve {
 
     /// A document of at least [`SENDFILE_MIN`] all in the OS page cache,
     /// opened for the loop to `sendfile` without waiting on the disk. A
-    /// cold range, or no `cachestat`, leaves the open to a worker.
-    fn try_stream(&self, shared: &NodeShared) -> Option<Parts> {
-        let Target::Document { full, modified, .. } = &self.target else { return None };
+    /// cold range, or no `cachestat`, leaves the reading in to a worker,
+    /// with the file already open.
+    fn try_stream(&mut self, shared: &NodeShared) -> Option<Parts> {
+        let Target::Document { modified, opened, .. } = &mut self.target else { return None };
         if self.size < SENDFILE_MIN {
             return None;
         }
-        let file = File::open(full).ok()?;
-        sweb_reactor::sys::page_cached(file.as_raw_fd(), self.size)
-            .ok()?
-            .then(|| self.streamed(shared, file, *modified))
+        let file = File::open(shared.docroot.join(relative(&self.path))).ok()?;
+        if let Ok(true) = sweb_reactor::sys::page_cached(file.as_raw_fd(), self.size) {
+            let modified = *modified;
+            return Some(self.streamed(shared, file, modified));
+        }
+        *opened = Some(file);
+        None
     }
 
     /// `200` for the document streamed from `file` (`sendfile`): the head
     /// [`document`] builds, and the file's first `size` bytes as the body.
     fn streamed(&self, shared: &NodeShared, file: File, mtime: Option<SystemTime>) -> Parts {
-        (document(shared, &self.path, Bytes::new(), mtime), Some((file, self.size)))
+        (document(shared.id, &self.path, Bytes::new(), mtime), Some((file, self.size)))
     }
 
     /// Step 4's accounting, once per request fulfilled here, timed against
@@ -482,13 +479,13 @@ impl Serve {
                 trace,
                 FORWARD_BUDGET,
             ) {
-                Ok(doc) => {
+                Ok(pulled) => {
                     let forward_us = forward_started.elapsed().as_micros() as u64;
                     shared.stats.phases.record(Phase::Forward, forward_us);
                     shared.stats.peer_fetches.inc();
                     shared.popularity.record(self.file, &self.path);
-                    let body = Bytes::from(doc.body);
-                    shared.file_cache.insert(&self.path, body.clone(), doc.mtime);
+                    let body = Bytes::from(pulled.body);
+                    let (doc, _) = shared.file_cache.adopt(&self.path, body, pulled.mtime);
                     let cost = self.decision.cost;
                     shared.stats.feedback.record(
                         cost.t_redirection,
@@ -496,7 +493,7 @@ impl Serve {
                         cost.t_cpu,
                         forward_us,
                     );
-                    return (document(shared, &self.path, body, Some(doc.mtime)), None);
+                    return (doc.reply(), None);
                 }
                 Err(_) => {
                     // Degrade, never hang: bounce the client to the source
@@ -541,32 +538,40 @@ impl Serve {
                 return (resp, None);
             }
         }
-        let (full, modified) = match &self.target {
+        let (modified, mut opened) = match &mut self.target {
             Target::Handler { handler, key } => {
                 return (invoke(shared, handler.as_ref(), key.as_deref(), req, body), None);
             }
-            Target::Document { full, modified, .. } => (full, *modified),
+            Target::Document { modified, opened, .. } => (*modified, opened.take()),
         };
+        // The full path is built here, where a read or an open needs it.
+        let full = shared.docroot.join(relative(&self.path));
         // One size rule: a large document streams from its fd, and the
         // FileCache keeps the smaller bodies repeat requests share.
         if self.size >= SENDFILE_MIN {
-            return match read_with_retry(shared, || open_resident(full, self.size)) {
+            let resident = read_with_retry(shared, || {
+                let file = match opened.take() {
+                    Some(file) => file,
+                    None => File::open(&full)?,
+                };
+                read_in(file, self.size)
+            });
+            return match resident {
                 Ok(file) => self.streamed(shared, file, modified),
                 Err(_) => (Response::error(StatusCode::InternalServerError), None),
             };
         }
-        match read_with_retry(shared, || shared.file_cache.read(&self.path, full)) {
-            Ok((body, mtime)) => (document(shared, &self.path, body, Some(mtime)), None),
+        match read_with_retry(shared, || shared.file_cache.load(&self.path, &full)) {
+            Ok(doc) => (doc.reply(), None),
             Err(_) => (Response::error(StatusCode::InternalServerError), None),
         }
     }
 }
 
-/// Open `full` with its first `len` bytes in the OS page cache, reading a
+/// `file` with its first `len` bytes in the OS page cache, reading a
 /// cold range through once, into nothing, so the loop's `sendfile` never
 /// waits on the disk for it. Blocks: a worker's job.
-fn open_resident(full: &Path, len: u64) -> std::io::Result<File> {
-    let mut file = File::open(full)?;
+fn read_in(mut file: File, len: u64) -> std::io::Result<File> {
     if let Ok(false) = sweb_reactor::sys::page_cached(file.as_raw_fd(), len) {
         std::io::copy(&mut (&file).take(len), &mut std::io::sink())?;
         file.rewind()?;
@@ -679,6 +684,74 @@ mod tests {
         // 400 ns at 40 Mops/s is 16 ops; under a load of 0.5, two thirds of that.
         let ops = measured_ops(Duration::from_nanos(400), 40e6, 0.5);
         assert!((ops - 400e-9 * 40e6 / 1.5).abs() < 1e-9, "{ops}");
+    }
+
+    /// The reply the loop thread would send for `GET path`, if the first
+    /// look finishes it.
+    fn inline_reply(node: &NodeShared, path: &str) -> Option<Response> {
+        let raw = format!("GET {path} HTTP/1.0\r\n\r\n");
+        let (req, _) = sweb_http::parse_request(raw.as_bytes()).unwrap();
+        match first_look(node, &req, b"") {
+            Look::Done((resp, None)) => Some(resp),
+            Look::Done((_, Some(_))) => panic!("a small document is never streamed"),
+            Look::Blocking(_) => None,
+        }
+    }
+
+    /// The reply the worker path sends for `GET path`.
+    fn pooled_reply(node: &NodeShared, path: &str) -> Response {
+        let raw = format!("GET {path} HTTP/1.0\r\n\r\n");
+        let (req, _) = sweb_http::parse_request(raw.as_bytes()).unwrap();
+        respond_parts(node, &req, b"").0
+    }
+
+    #[test]
+    fn a_resident_documents_head_is_built_once_per_entry() {
+        let dir = std::env::temp_dir().join(format!("sweb-head-once-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let page = dir.join("page.html");
+        std::fs::write(&page, "version one").unwrap();
+        let old = SystemTime::UNIX_EPOCH + Duration::from_secs(1_000_000_000);
+        std::fs::File::options().write(true).open(&page).unwrap().set_modified(old).unwrap();
+        let cfg = crate::ClusterConfig { shards: 1, ..crate::ClusterConfig::default() };
+        let cluster = crate::LiveCluster::start(1, dir.clone(), cfg).unwrap();
+        let node = cluster.node(0);
+
+        // The miss builds the entry, and is served with the entry's head.
+        assert!(inline_reply(node, "/page.html").is_none(), "a miss goes to the pool");
+        let miss = pooled_reply(node, "/page.html");
+        let head = |resp: &Response| resp.shared_head.clone().expect("a document's head is shared");
+        let entry_head = head(&miss);
+        let a = inline_reply(node, "/page.html").expect("a resident hit is inline");
+        let b = inline_reply(node, "/page.html").expect("a resident hit is inline");
+        for hit in [&a, &b] {
+            assert_eq!(head(hit).before_gap().as_ptr(), entry_head.before_gap().as_ptr());
+            assert_eq!(&hit.body[..], b"version one");
+        }
+        // Each reply writes only its own trace line into the gap.
+        let lines: Vec<&str> = a.headers.iter().map(|(name, _)| name).collect();
+        assert_eq!(lines, ["X-SWEB-Trace"]);
+        let wire = String::from_utf8(a.head_bytes()).unwrap();
+        assert!(wire.contains("Last-Modified: Sun, 09 Sep 2001 01:46:40 GMT\r\n"), "{wire}");
+
+        // A rewrite with a newer mtime: the stale head is never served.
+        std::fs::write(&page, "version two").unwrap();
+        let new = old + Duration::from_secs(3_600);
+        std::fs::File::options().write(true).open(&page).unwrap().set_modified(new).unwrap();
+        assert!(inline_reply(node, "/page.html").is_none(), "a stale entry is a miss");
+        let reread = pooled_reply(node, "/page.html");
+        let rebuilt = head(&reread);
+        assert_ne!(rebuilt.before_gap().as_ptr(), entry_head.before_gap().as_ptr());
+        let c = inline_reply(node, "/page.html").expect("the new entry is a hit");
+        assert_eq!(head(&c).before_gap().as_ptr(), rebuilt.before_gap().as_ptr());
+        for resp in [&reread, &c] {
+            let wire = String::from_utf8(resp.head_bytes()).unwrap();
+            assert!(wire.contains("Last-Modified: Sun, 09 Sep 2001 02:46:40 GMT\r\n"), "{wire}");
+            assert_eq!(&resp.body[..], b"version two");
+        }
+        cluster.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

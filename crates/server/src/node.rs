@@ -1,7 +1,7 @@
 //! Per-node state and its adapter onto the reactor connection engine.
 
 use std::net::{SocketAddr, TcpListener};
-use std::os::fd::RawFd;
+use std::os::fd::{AsRawFd, RawFd};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -150,7 +150,7 @@ impl NodeStats {
             evicted: sc("sweb_connections_evicted_total", "Connections evicted on timeout"),
             zero_copy: sc(
                 "sweb_zero_copy_responses_total",
-                "Served replies whose body left via zero-copy writev",
+                "Served replies whose body left via a zero-copy gather write",
             ),
             sendfile: sc(
                 "sweb_sendfile_responses_total",
@@ -343,11 +343,35 @@ impl NodeStats {
         }]
     }
 
-    /// Mint a fresh trace id: `n<node>-<epoch>-<seq>`, URL- and CLF-safe.
+    /// Mint a fresh trace id: `n<node>-<epoch>-<seq>` (node in decimal,
+    /// epoch and sequence in lowercase hex), URL- and CLF-safe. Written
+    /// digit by digit: this runs once per request.
     pub fn new_trace_id(&self, node: NodeId) -> String {
         let seq = self.trace_seq.fetch_add(1, Ordering::Relaxed);
-        format!("n{}-{:x}-{:x}", node.0, self.trace_epoch, seq)
+        let mut id = String::with_capacity(32);
+        id.push('n');
+        push_digits(&mut id, node.0.into(), 10);
+        id.push('-');
+        push_digits(&mut id, self.trace_epoch.into(), 16);
+        id.push('-');
+        push_digits(&mut id, seq, 16);
+        id
     }
+}
+
+/// Append `n` in `radix` (10 or 16), lowercase, with no leading zeros.
+fn push_digits(out: &mut String, mut n: u64, radix: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b"0123456789abcdef"[(n % radix) as usize];
+        n /= radix;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| d as char));
 }
 
 /// A scrape-time reader of one number `of` keeps.
@@ -402,6 +426,9 @@ pub struct NodeShared {
     pub sweb: SwebConfig,
     /// Document root (shared across nodes, standing in for NFS).
     pub docroot: PathBuf,
+    /// The docroot, opened once (`O_PATH`) for this node's own lookups:
+    /// a request's `stat` is relative to it ([`NodeShared::stat`]).
+    pub docroot_dir: std::fs::File,
     /// Dynamic-content state: the handler registry (shared across nodes,
     /// as NFS-visible binaries would be), the striped response cache, and
     /// per-handler-class stats.
@@ -446,6 +473,12 @@ impl NodeShared {
     /// is engine-agnostic and wants microsecond timestamps).
     pub fn now(&self) -> SimTime {
         SimTime::from_micros(self.start.elapsed().as_micros() as u64)
+    }
+
+    /// `stat` of the document at `rel`, relative to the docroot: one
+    /// `statx` on [`NodeShared::docroot_dir`], no path built.
+    pub fn stat(&self, rel: &str) -> std::io::Result<sweb_reactor::sys::FileStat> {
+        sweb_reactor::sys::stat_at(self.docroot_dir.as_raw_fd(), rel)
     }
 }
 
