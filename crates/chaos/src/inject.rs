@@ -59,10 +59,6 @@ pub struct FaultCounts {
     pub fd_rejections: AtomicU64,
     /// File reads slowed by injected disk latency.
     pub slow_reads: AtomicU64,
-    /// Peer-channel transfers broken (peer-loss).
-    pub peer_drops: AtomicU64,
-    /// Peer-channel transfers delayed (peer-delay).
-    pub peer_delays: AtomicU64,
     /// Sojourn samples inflated by a synthetic overload fault.
     pub overload_samples: AtomicU64,
     /// Requests slowed by an injected brownout.
@@ -72,15 +68,13 @@ pub struct FaultCounts {
 impl FaultCounts {
     /// Every counter with its kind, in declaration order: the labels the
     /// node's `/metrics` exposes them under.
-    pub fn each(&self) -> [(&'static str, &AtomicU64); 9] {
+    pub fn each(&self) -> [(&'static str, &AtomicU64); 7] {
         [
             ("packets_dropped", &self.packets_dropped),
             ("packets_delayed", &self.packets_delayed),
             ("accepts_paused", &self.accepts_paused),
             ("fd_rejections", &self.fd_rejections),
             ("slow_reads", &self.slow_reads),
-            ("peer_drops", &self.peer_drops),
-            ("peer_delays", &self.peer_delays),
             ("overload_samples", &self.overload_samples),
             ("brownout_delays", &self.brownout_delays),
         ]
@@ -244,72 +238,6 @@ impl Injector {
         }
         if delay > Duration::ZERO {
             self.counts.packets_delayed.fetch_add(1, Ordering::Relaxed);
-            TxVerdict::Delay(delay)
-        } else {
-            TxVerdict::Deliver
-        }
-    }
-
-    /// Verdict for a peer-channel transfer `from → to` right now.
-    pub fn peer_tx(&self, from: u32, to: u32) -> TxVerdict {
-        if !self.active {
-            return TxVerdict::Deliver;
-        }
-        let now = self.now_ms();
-        self.peer_tx_at(from, to, now)
-    }
-
-    /// Verdict for a peer-channel transfer `from → to` at a given run
-    /// offset. A [`Fault::Partition`] severs the peer channel along with
-    /// loadd (one cable, two protocols); [`Fault::PeerLoss`] and
-    /// [`Fault::PeerDelay`] hit only this channel. The sequence counter
-    /// lives in a disjoint key space (`from | 0x8000_0000`) so peer
-    /// traffic never perturbs loadd loss determinism.
-    pub fn peer_tx_at(&self, from: u32, to: u32, now_ms: u64) -> TxVerdict {
-        if !self.active {
-            return TxVerdict::Deliver;
-        }
-        let seq = {
-            let mut map = self.seq.lock().expect("injector seq lock");
-            let c = map.entry((from | 0x8000_0000, to)).or_insert(0);
-            let s = *c;
-            *c += 1;
-            s
-        };
-        let mut delay = Duration::ZERO;
-        for f in &self.faults {
-            match *f {
-                Fault::Partition { a, b, window }
-                    if window.contains(now_ms)
-                        && ((from, to) == (a, b) || (from, to) == (b, a)) =>
-                {
-                    self.counts.peer_drops.fetch_add(1, Ordering::Relaxed);
-                    return TxVerdict::Drop;
-                }
-                Fault::PeerLoss { from: f0, to: t0, rate_ppm, window }
-                    if window.contains(now_ms) && (f0, t0) == (from, to) =>
-                {
-                    let h = splitmix64(
-                        self.seed
-                            ^ (((from | 0x8000_0000) as u64) << 40)
-                            ^ ((to as u64) << 20)
-                            ^ seq,
-                    );
-                    if h % 1_000_000 < rate_ppm as u64 {
-                        self.counts.peer_drops.fetch_add(1, Ordering::Relaxed);
-                        return TxVerdict::Drop;
-                    }
-                }
-                Fault::PeerDelay { from: f0, to: t0, delay_ms, window }
-                    if window.contains(now_ms) && (f0, t0) == (from, to) =>
-                {
-                    delay = delay.max(Duration::from_millis(delay_ms));
-                }
-                _ => {}
-            }
-        }
-        if delay > Duration::ZERO {
-            self.counts.peer_delays.fetch_add(1, Ordering::Relaxed);
             TxVerdict::Delay(delay)
         } else {
             TxVerdict::Deliver
@@ -537,24 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn peer_faults_hit_only_the_peer_channel() {
-        let plan = FaultPlan::seeded(7)
-            .with(Fault::PeerLoss { from: 0, to: 1, rate_ppm: 1_000_000, window: Window::ALWAYS })
-            .with(Fault::PeerDelay { from: 2, to: 1, delay_ms: 40, window: Window::between(0, 100) });
-        let inj = Injector::from_plan(&plan);
-        for _ in 0..20 {
-            assert_eq!(inj.peer_tx_at(0, 1, 5), TxVerdict::Drop);
-        }
-        assert_eq!(inj.loadd_tx_at(0, 1, 5), TxVerdict::Deliver, "loadd unaffected by peer-loss");
-        assert_eq!(inj.peer_tx_at(2, 1, 50), TxVerdict::Delay(Duration::from_millis(40)));
-        assert_eq!(inj.peer_tx_at(2, 1, 150), TxVerdict::Deliver, "window over");
-        assert_eq!(inj.peer_tx_at(1, 0, 5), TxVerdict::Deliver, "reverse direction unaffected");
-        let c = inj.counts();
-        assert_eq!((count(&c.peer_drops), count(&c.peer_delays)), (20, 1));
-        assert_eq!(count(&c.packets_dropped), 0, "peer faults must not count as loadd losses");
-    }
-
-    #[test]
     fn overload_inflates_sojourns_only_inside_window() {
         let plan = FaultPlan::seeded(3)
             .with(Fault::Overload { node: 1, sojourn_us: 30_000, window: Window::between(100, 500) })
@@ -577,40 +487,6 @@ mod tests {
         assert_eq!(inj.brownout_delay_at(2, 400), None, "other node unaffected");
         assert_eq!(count(&inj.counts().brownout_delays), 1);
         assert_eq!(count(&inj.counts().slow_reads), 0, "brownout must not count as slow-disk");
-    }
-
-    #[test]
-    fn partition_severs_the_peer_channel_too() {
-        let plan = FaultPlan::seeded(1)
-            .with(Fault::Partition { a: 0, b: 2, window: Window::between(100, 200) });
-        let inj = Injector::from_plan(&plan);
-        assert_eq!(inj.peer_tx_at(0, 2, 150), TxVerdict::Drop);
-        assert_eq!(inj.peer_tx_at(2, 0, 150), TxVerdict::Drop);
-        assert_eq!(inj.peer_tx_at(0, 1, 150), TxVerdict::Deliver, "uninvolved pair unaffected");
-        assert_eq!(inj.peer_tx_at(0, 2, 250), TxVerdict::Deliver, "window over");
-        assert_eq!(count(&inj.counts().peer_drops), 2);
-    }
-
-    #[test]
-    fn peer_loss_is_deterministic_and_rate_shaped() {
-        let plan = FaultPlan::seeded(42).with(Fault::PeerLoss {
-            from: 0,
-            to: 1,
-            rate_ppm: 500_000,
-            window: Window::ALWAYS,
-        });
-        let a = Injector::from_plan(&plan);
-        let b = Injector::from_plan(&plan);
-        let run = |inj: &Injector| -> Vec<TxVerdict> {
-            (0..1000).map(|_| inj.peer_tx_at(0, 1, 10)).collect()
-        };
-        let va = run(&a);
-        assert_eq!(va, run(&b), "same plan must give the same verdict stream");
-        let dropped = va.iter().filter(|v| **v == TxVerdict::Drop).count();
-        assert!(
-            (300..700).contains(&dropped),
-            "50% peer loss should drop roughly half of 1000 transfers, got {dropped}"
-        );
     }
 
     #[test]

@@ -104,33 +104,6 @@ pub enum Fault {
         /// When the fault is active.
         window: Window,
     },
-    /// Break peer-channel transfers (FETCH/PUSH) from `from` to `to`
-    /// with probability `rate_ppm` / 1_000_000, decided
-    /// deterministically per attempt. A broken attempt fails fast on the
-    /// origin side (as if the channel reset), exercising the
-    /// fall-back-to-redirect path.
-    PeerLoss {
-        /// Pulling/pushing node.
-        from: u32,
-        /// Source/target peer.
-        to: u32,
-        /// Break probability in parts per million (1_000_000 = all).
-        rate_ppm: u32,
-        /// When the fault is active.
-        window: Window,
-    },
-    /// Delay peer-channel transfers from `from` to `to` by `delay_ms`
-    /// before the attempt starts (a congested or lossy channel).
-    PeerDelay {
-        /// Pulling/pushing node.
-        from: u32,
-        /// Source/target peer.
-        to: u32,
-        /// Added latency per transfer, in milliseconds.
-        delay_ms: u64,
-        /// When the fault is active.
-        window: Window,
-    },
     /// Synthetic overload on `node`: every worker-queue sojourn sample
     /// the node observes is inflated by `sojourn_us` microseconds, so
     /// the adaptive admission controller sees a standing queue without
@@ -231,14 +204,6 @@ impl FaultPlan {
                 Fault::FdPressure { node, window } => {
                     format!("fd-pressure node={node} {}", window_fields(window))
                 }
-                Fault::PeerLoss { from, to, rate_ppm, window } => format!(
-                    "peer-loss from={from} to={to} rate_ppm={rate_ppm} {}",
-                    window_fields(window)
-                ),
-                Fault::PeerDelay { from, to, delay_ms, window } => format!(
-                    "peer-delay from={from} to={to} delay_ms={delay_ms} {}",
-                    window_fields(window)
-                ),
                 Fault::Overload { node, sojourn_us, window } => format!(
                     "overload node={node} sojourn_us={sojourn_us} {}",
                     window_fields(window)
@@ -329,18 +294,6 @@ impl FaultPlan {
                 "fd-pressure" => plan
                     .faults
                     .push(Fault::FdPressure { node: num32("node")?, window: window()? }),
-                "peer-loss" => plan.faults.push(Fault::PeerLoss {
-                    from: num32("from")?,
-                    to: num32("to")?,
-                    rate_ppm: num32("rate_ppm")?,
-                    window: window()?,
-                }),
-                "peer-delay" => plan.faults.push(Fault::PeerDelay {
-                    from: num32("from")?,
-                    to: num32("to")?,
-                    delay_ms: num("delay_ms")?,
-                    window: window()?,
-                }),
                 "overload" => plan.faults.push(Fault::Overload {
                     node: num32("node")?,
                     sojourn_us: num("sojourn_us")?,
@@ -377,13 +330,6 @@ mod tests {
             .with(Fault::Pause { node: 1, window: Window::between(300, 600) })
             .with(Fault::SlowDisk { node: 0, extra_ms: 40, window: Window::ALWAYS })
             .with(Fault::FdPressure { node: 3, window: Window::between(200, 400) })
-            .with(Fault::PeerLoss {
-                from: 0,
-                to: 2,
-                rate_ppm: 1_000_000,
-                window: Window::between(50, 450),
-            })
-            .with(Fault::PeerDelay { from: 3, to: 1, delay_ms: 20, window: Window::ALWAYS })
             .with(Fault::Overload {
                 node: 1,
                 sojourn_us: 30_000,
@@ -419,6 +365,20 @@ mod tests {
         assert!(e.reason.contains("at_ms"), "{e}");
         let e = FaultPlan::from_text("seed banana\n").unwrap_err();
         assert!(e.reason.contains("banana"), "{e}");
+    }
+
+    #[test]
+    fn the_peer_channel_faults_are_gone_not_ignored() {
+        // No node has a peer channel to break or slow: a plan that asks
+        // for it is refused, not run as if it asked for nothing.
+        for line in [
+            "peer-loss from=0 to=1 rate_ppm=1000000 start_ms=0 end_ms=0",
+            "peer-delay from=2 to=1 delay_ms=40 start_ms=0 end_ms=100",
+        ] {
+            let e = FaultPlan::from_text(&format!("seed 1\n{line}\n")).unwrap_err();
+            assert_eq!(e.line, 2, "{e}");
+            assert!(e.reason.contains("unknown directive"), "{e}");
+        }
     }
 
     #[test]

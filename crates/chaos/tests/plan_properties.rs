@@ -17,7 +17,7 @@ fn window(pick: u8, start_ms: u64, end_ms: u64) -> Window {
 
 /// Number of [`Fault`] variants; [`kind_of`] is exhaustive, so a new
 /// variant does not compile here until [`fault`] can build it.
-const KINDS: u8 = 12;
+const KINDS: u8 = 10;
 
 /// A fault of variant `kind % KINDS` from generated fields.
 fn fault(kind: u8, a: u32, b: u32, n: u64, w: Window) -> Fault {
@@ -30,9 +30,7 @@ fn fault(kind: u8, a: u32, b: u32, n: u64, w: Window) -> Fault {
         5 => Fault::Pause { node: a, window: w },
         6 => Fault::SlowDisk { node: a, extra_ms: n, window: w },
         7 => Fault::FdPressure { node: a, window: w },
-        8 => Fault::PeerLoss { from: a, to: b, rate_ppm: n as u32, window: w },
-        9 => Fault::PeerDelay { from: a, to: b, delay_ms: n, window: w },
-        10 => Fault::Overload { node: a, sojourn_us: n, window: w },
+        8 => Fault::Overload { node: a, sojourn_us: n, window: w },
         _ => Fault::Brownout { node: a, delay_ms: n, window: w },
     }
 }
@@ -48,16 +46,14 @@ fn kind_of(f: &Fault) -> u8 {
         Fault::Pause { .. } => 5,
         Fault::SlowDisk { .. } => 6,
         Fault::FdPressure { .. } => 7,
-        Fault::PeerLoss { .. } => 8,
-        Fault::PeerDelay { .. } => 9,
-        Fault::Overload { .. } => 10,
-        Fault::Brownout { .. } => 11,
+        Fault::Overload { .. } => 8,
+        Fault::Brownout { .. } => 9,
     }
 }
 
 /// Every directive and the fields it requires (`seed` takes a bare
 /// number instead).
-const DIRECTIVES: [(&str, &[&str]); 13] = [
+const DIRECTIVES: [(&str, &[&str]); 11] = [
     ("seed", &[]),
     ("loadd-loss", &["from", "to", "rate_ppm", "start_ms", "end_ms"]),
     ("loadd-delay", &["from", "to", "delay_ms", "start_ms", "end_ms"]),
@@ -67,8 +63,6 @@ const DIRECTIVES: [(&str, &[&str]); 13] = [
     ("pause", &["node", "start_ms", "end_ms"]),
     ("slow-disk", &["node", "extra_ms", "start_ms", "end_ms"]),
     ("fd-pressure", &["node", "start_ms", "end_ms"]),
-    ("peer-loss", &["from", "to", "rate_ppm", "start_ms", "end_ms"]),
-    ("peer-delay", &["from", "to", "delay_ms", "start_ms", "end_ms"]),
     ("overload", &["node", "sojourn_us", "start_ms", "end_ms"]),
     ("brownout", &["node", "delay_ms", "start_ms", "end_ms"]),
 ];

@@ -1,12 +1,9 @@
 //! The broker: per-request server selection (§3.2 steps 1–3).
 
-use std::sync::Arc;
-
 use sweb_cluster::NodeId;
 
 use crate::cost::{CostBreakdown, CostInputs, CostModel};
 use crate::load::LoadTable;
-use crate::overload::PeerBreakers;
 use crate::policy::Policy;
 use crate::types::RequestInfo;
 
@@ -17,13 +14,6 @@ pub enum Route {
     Local,
     /// Issue a 302 sending the client to this node.
     Redirect(NodeId),
-    /// Serve on the node the request arrived at, after pulling the
-    /// document from this peer over the peer transfer channel (the
-    /// `peer_transfer` extension). The client sees no redirect; the
-    /// origin inserts the pulled body into its own cache. Like redirect
-    /// targets, sources are only ever strictly-Alive peers — and a
-    /// failed pull degrades to a 302 or local service, never a hang.
-    PeerFetch(NodeId),
 }
 
 /// The broker's verdict for one request: the chosen route *and* the
@@ -52,36 +42,15 @@ impl Decision {
         Decision { route: Route::Redirect(target), cost }
     }
 
-    /// A peer-fetch decision with the pull's cost breakdown.
-    pub fn peer_fetch(source: NodeId, cost: CostBreakdown) -> Decision {
-        Decision { route: Route::PeerFetch(source), cost }
-    }
-
-    /// Whether the request stays on the origin node (a peer-fetch does:
-    /// the *bytes* move, the request doesn't).
-    pub fn is_local(&self) -> bool {
-        !matches!(self.route, Route::Redirect(_))
-    }
-
     /// The redirect target, when the route is a redirect.
     pub fn redirect_target(&self) -> Option<NodeId> {
         match self.route {
             Route::Redirect(t) => Some(t),
-            Route::Local | Route::PeerFetch(_) => None,
-        }
-    }
-
-    /// The peer to pull the document from, when the route is a
-    /// peer-fetch.
-    pub fn peer_source(&self) -> Option<NodeId> {
-        match self.route {
-            Route::PeerFetch(s) => Some(s),
-            Route::Local | Route::Redirect(_) => None,
+            Route::Local => None,
         }
     }
 
     /// The node that will serve the request, given where it arrived.
-    /// Peer-fetched requests are served at the origin.
     pub fn chosen(&self, origin: NodeId) -> NodeId {
         self.redirect_target().unwrap_or(origin)
     }
@@ -108,31 +77,12 @@ impl Decision {
 pub struct Broker {
     policy: Policy,
     model: CostModel,
-    /// Per-peer circuit breakers (the overload-control extension). When
-    /// present, a peer whose breaker is not admitting traffic is repriced
-    /// out of redirect/peer-fetch candidacy *before* the cost comparison
-    /// — exactly like a `Suspect` health verdict, but driven by observed
-    /// request outcomes instead of loadd silence.
-    breakers: Option<Arc<PeerBreakers>>,
 }
 
 impl Broker {
     /// A broker running `policy` with the given cost model.
     pub fn new(policy: Policy, model: CostModel) -> Self {
-        Broker { policy, model, breakers: None }
-    }
-
-    /// Attach per-peer circuit breakers: candidates whose breaker is
-    /// open stop being proposed as redirect targets or pull sources.
-    pub fn with_breakers(mut self, breakers: Arc<PeerBreakers>) -> Self {
-        self.breakers = Some(breakers);
-        self
-    }
-
-    /// Whether `peer` is currently routable: no breakers attached, or
-    /// its breaker admits traffic right now.
-    fn peer_routable(&self, peer: NodeId) -> bool {
-        self.breakers.as_ref().is_none_or(|b| b.allow(peer))
+        Broker { policy, model }
     }
 
     /// Active policy.
@@ -185,22 +135,8 @@ impl Broker {
                 // 302 cannot be repaired downstream.
                 if req.home == origin
                     || inputs.loads.health(req.home) != crate::load::PeerHealth::Alive
-                    || !self.peer_routable(req.home)
                 {
                     Decision::local(at(origin))
-                } else if self.model.config().peer_transfer && !req.class.is_dynamic() {
-                    // Chase the home's bytes, not the home: pull the
-                    // document over the peer channel instead of bouncing
-                    // the client. Same Alive-only gate as the 302. A
-                    // previous pull seeded the local cache — once the
-                    // bytes are resident there is nothing left to chase.
-                    if req.cached_at_origin {
-                        Decision::local(at(origin))
-                    } else {
-                        let cost =
-                            self.model.peer_fetch_breakdown(req, origin, req.home, inputs);
-                        Decision::peer_fetch(req.home, cost)
-                    }
                 } else {
                     Decision::redirect(req.home, at(req.home))
                 }
@@ -209,7 +145,6 @@ impl Broker {
                 let best = inputs
                     .loads
                     .candidates()
-                    .filter(|&n| n == origin || self.peer_routable(n))
                     .min_by(|&a, &b| {
                         let (la, lb) = (inputs.loads.load(a).cpu, inputs.loads.load(b).cpu);
                         la.partial_cmp(&lb).expect("loads are finite")
@@ -222,30 +157,16 @@ impl Broker {
                 }
             }
             Policy::Sweb => {
-                let local_cost = at(origin);
                 let mut best = origin;
-                let mut best_cost = local_cost;
+                let mut best_cost = at(origin);
                 for node in inputs.loads.candidates() {
-                    if node == origin || !self.peer_routable(node) {
+                    if node == origin {
                         continue;
                     }
                     let cost = at(node);
                     if cost.total() < best_cost.total() {
                         best_cost = cost;
                         best = node;
-                    }
-                }
-                if let Some(pull) = self.best_peer_fetch(req, origin, inputs) {
-                    // A pull must beat the 302 outright; against local
-                    // service it gets the forward slack — the pull seeds
-                    // the origin's cache, so a tie is a win (see
-                    // `CostModel::forward_slack`).
-                    let vs_redirect =
-                        best == origin || pull.cost.total() <= best_cost.total();
-                    let vs_local = pull.cost.total()
-                        <= local_cost.total() + self.model.forward_slack();
-                    if vs_redirect && vs_local {
-                        return pull;
                     }
                 }
                 if best == origin {
@@ -255,38 +176,6 @@ impl Broker {
                 }
             }
         }
-    }
-
-    /// The cheapest peer-fetch source for `req`, when the `peer_transfer`
-    /// extension is on and some peer's loadd cache digest advertises the
-    /// file. Sources come from [`LoadTable::candidates`] — strictly-Alive
-    /// peers only, the exact gate redirect targets pass (a Suspect peer
-    /// is no better a pull source than a 302 target). Dynamic requests
-    /// never pull: a handler's output is produced, not stored, so there
-    /// are no bytes at a peer to chase.
-    fn best_peer_fetch(
-        &self,
-        req: &RequestInfo,
-        origin: NodeId,
-        inputs: &CostInputs<'_>,
-    ) -> Option<Decision> {
-        if !self.model.config().peer_transfer || req.class.is_dynamic() {
-            return None;
-        }
-        let mut best: Option<Decision> = None;
-        for node in inputs.loads.candidates() {
-            if node == origin
-                || !inputs.loads.digest(node).contains(req.file)
-                || !self.peer_routable(node)
-            {
-                continue;
-            }
-            let cost = self.model.peer_fetch_breakdown(req, origin, node, inputs);
-            if best.as_ref().is_none_or(|b| cost.total() < b.cost.total()) {
-                best = Some(Decision::peer_fetch(node, cost));
-            }
-        }
-        best
     }
 }
 
@@ -441,176 +330,6 @@ mod tests {
             Route::Redirect(NodeId(1))
         );
         let _ = inputs;
-    }
-
-    fn peer_cfg() -> SwebConfig {
-        SwebConfig { peer_transfer: true, cache_aware_cost: true, ..SwebConfig::default() }
-    }
-
-    fn with_digest(loads: &mut LoadTable, node: u32, file: FileId) {
-        let mut d = crate::digest::CacheDigest::default();
-        d.insert(file);
-        loads.set_digest(NodeId(node), d);
-    }
-
-    #[test]
-    fn sweb_pulls_digest_hits_over_the_peer_channel_instead_of_bouncing() {
-        let cluster = presets::meiko(4);
-        let mut loads = LoadTable::new(4);
-        with_digest(&mut loads, 2, FileId(9));
-        let inputs = CostInputs { cluster: &cluster, loads: &loads };
-        let req = fetch(2, 200_000);
-        // Flag off: a 200 KB file on an idle cluster is served locally
-        // over NFS (the 302 round trip plus re-preprocessing loses).
-        let off = Broker::new(Policy::Sweb, CostModel::new(SwebConfig::default()));
-        assert_eq!(off.decide(&req, NodeId(0), &inputs).route, Route::Local);
-        // Flag on: the digest holder is pulled from — no client bounce,
-        // and the decision carries the t_forward term it was made on.
-        let on = Broker::new(Policy::Sweb, CostModel::new(peer_cfg()));
-        let d = on.decide(&req, NodeId(0), &inputs);
-        assert_eq!(d.route, Route::PeerFetch(NodeId(2)));
-        assert!(d.cost.t_forward > 0.0);
-        assert_eq!(d.cost.t_redirection, 0.0);
-        assert!(d.is_local(), "a peer-fetch serves at the origin");
-        assert_eq!(d.peer_source(), Some(NodeId(2)));
-        assert_eq!(d.redirect_target(), None);
-        assert_eq!(d.chosen(NodeId(0)), NodeId(0));
-    }
-
-    #[test]
-    fn peer_fetch_needs_digest_evidence() {
-        // No peer advertises the file: nothing to pull, serve locally.
-        let cluster = presets::meiko(4);
-        let loads = LoadTable::new(4);
-        let inputs = CostInputs { cluster: &cluster, loads: &loads };
-        let on = Broker::new(Policy::Sweb, CostModel::new(peer_cfg()));
-        assert_eq!(on.decide(&fetch(2, 200_000), NodeId(0), &inputs).route, Route::Local);
-    }
-
-    #[test]
-    fn suspect_peers_are_not_pull_sources() {
-        // The digest holder went silent past a loadd period: Suspect, and
-        // excluded from peer-fetch sources exactly as from 302 targets.
-        let cluster = presets::meiko(4);
-        let mut loads = LoadTable::new(4);
-        for n in 0..4 {
-            loads.update(NodeId(n), LoadVector::IDLE, SimTime::ZERO);
-        }
-        with_digest(&mut loads, 2, FileId(9));
-        loads.update(NodeId(0), LoadVector::IDLE, SimTime::from_secs(3));
-        loads.mark_stale(SimTime::from_secs(3), SimTime::from_secs(2), SimTime::from_secs(8));
-        assert_eq!(loads.health(NodeId(2)), crate::load::PeerHealth::Suspect);
-        let inputs = CostInputs { cluster: &cluster, loads: &loads };
-        let on = Broker::new(Policy::Sweb, CostModel::new(peer_cfg()));
-        assert_eq!(on.decide(&fetch(2, 200_000), NodeId(0), &inputs).route, Route::Local);
-    }
-
-    #[test]
-    fn redirected_and_pinned_requests_never_peer_fetch() {
-        let cluster = presets::meiko(4);
-        let mut loads = LoadTable::new(4);
-        with_digest(&mut loads, 2, FileId(9));
-        let inputs = CostInputs { cluster: &cluster, loads: &loads };
-        let on = Broker::new(Policy::Sweb, CostModel::new(peer_cfg()));
-        assert_eq!(on.decide(&fetch(2, 200_000).redirected(), NodeId(0), &inputs).route, Route::Local);
-        let mut pinned = fetch(2, 200_000);
-        pinned.pinned_local = true;
-        assert_eq!(on.decide(&pinned, NodeId(0), &inputs).route, Route::Local);
-    }
-
-    #[test]
-    fn dynamic_requests_never_peer_fetch() {
-        // A digest hit that would be pulled for a static fetch is ignored
-        // for dynamic work — the handler runs somewhere, its output is not
-        // stored bytes a peer can ship. Redirects remain allowed.
-        let cluster = presets::meiko(4);
-        let mut loads = LoadTable::new(4);
-        with_digest(&mut loads, 2, FileId(9));
-        let inputs = CostInputs { cluster: &cluster, loads: &loads };
-        let sweb = Broker::new(Policy::Sweb, CostModel::new(peer_cfg()));
-        let req = fetch(2, 200_000).dynamic("burn");
-        assert_eq!(sweb.decide(&req, NodeId(0), &inputs).route, Route::Local);
-        let fl = Broker::new(Policy::FileLocality, CostModel::new(peer_cfg()));
-        assert_eq!(
-            fl.decide(&fetch(2, 1024).dynamic("burn"), NodeId(0), &inputs).route,
-            Route::Redirect(NodeId(2)),
-            "dynamic requests still redirect, they just never pull"
-        );
-    }
-
-    #[test]
-    fn file_locality_pulls_from_home_when_peer_transfer_is_on() {
-        let cluster = presets::meiko(4);
-        let loads = LoadTable::new(4);
-        let inputs = CostInputs { cluster: &cluster, loads: &loads };
-        let fl = Broker::new(Policy::FileLocality, CostModel::new(peer_cfg()));
-        assert_eq!(
-            fl.decide(&fetch(2, 1024), NodeId(0), &inputs).route,
-            Route::PeerFetch(NodeId(2))
-        );
-        assert_eq!(fl.decide(&fetch(0, 1024), NodeId(0), &inputs).route, Route::Local);
-    }
-
-    #[test]
-    fn choose_bumps_the_origin_for_a_peer_fetch() {
-        // The origin serves a peer-fetched request, so the Δ bump lands
-        // on the origin — not on the source that only ships bytes.
-        let cluster = presets::meiko(4);
-        let mut loads = LoadTable::new(4);
-        with_digest(&mut loads, 2, FileId(9));
-        let broker = Broker::new(Policy::Sweb, CostModel::new(peer_cfg()));
-        let before_origin = loads.load(NodeId(0)).cpu;
-        let before_source = loads.load(NodeId(2)).cpu;
-        let d = broker.choose(&fetch(2, 200_000), NodeId(0), &cluster, &mut loads);
-        assert_eq!(d.route, Route::PeerFetch(NodeId(2)));
-        assert!((loads.load(NodeId(0)).cpu - before_origin - 0.30).abs() < 1e-9);
-        assert!((loads.load(NodeId(2)).cpu - before_source).abs() < 1e-12);
-    }
-
-    #[test]
-    fn open_breakers_reprice_redirect_targets_out() {
-        // Node 3 would win the SWEB comparison (see the contention test
-        // above) — but its breaker is open, so the broker degrades to
-        // local service exactly as it does for a Suspect peer.
-        let cluster = presets::meiko(4);
-        let mut loads = LoadTable::new(4);
-        for n in 0..4 {
-            loads.update(NodeId(n), LoadVector::new(0.0, 0.0, 6.0), SimTime::ZERO);
-        }
-        let breakers = std::sync::Arc::new(crate::overload::PeerBreakers::new(4));
-        breakers.force_open(NodeId(3));
-        let inputs = CostInputs { cluster: &cluster, loads: &loads };
-        let req = fetch(3, 1_500_000);
-        for policy in [Policy::Sweb, Policy::FileLocality, Policy::LeastLoadedCpu] {
-            let open = Broker::new(policy, CostModel::new(SwebConfig::default()))
-                .with_breakers(std::sync::Arc::clone(&breakers));
-            assert_eq!(
-                open.decide(&req, NodeId(0), &inputs).route,
-                Route::Local,
-                "{policy} routed to a peer with an open breaker"
-            );
-        }
-        // Without breakers attached the same decision redirects.
-        let plain = Broker::new(Policy::Sweb, CostModel::new(SwebConfig::default()));
-        assert_eq!(plain.decide(&req, NodeId(0), &inputs).route, Route::Redirect(NodeId(3)));
-        assert!(breakers.fast_fails_total() >= 1, "repriced-out peers count fast-fails");
-    }
-
-    #[test]
-    fn open_breakers_reprice_pull_sources_out() {
-        let cluster = presets::meiko(4);
-        let mut loads = LoadTable::new(4);
-        with_digest(&mut loads, 2, FileId(9));
-        let breakers = std::sync::Arc::new(crate::overload::PeerBreakers::new(4));
-        breakers.force_open(NodeId(2));
-        let inputs = CostInputs { cluster: &cluster, loads: &loads };
-        let on = Broker::new(Policy::Sweb, CostModel::new(peer_cfg()))
-            .with_breakers(std::sync::Arc::clone(&breakers));
-        assert_eq!(
-            on.decide(&fetch(2, 200_000), NodeId(0), &inputs).route,
-            Route::Local,
-            "must not pull from a peer with an open breaker"
-        );
     }
 
     #[test]

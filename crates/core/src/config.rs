@@ -69,20 +69,6 @@ pub struct SwebConfig {
     /// collide (Bloom false positives), so a discounted candidate should
     /// still cost *something* rather than look free.
     pub cache_bw: f64,
-    /// Extension beyond the paper: when true, the broker may resolve a
-    /// lost placement decision by *pulling the document over the peer
-    /// channel* (`Route::PeerFetch`) instead of bouncing the client with
-    /// a 302. The peer-fetch candidate set is gated exactly like redirect
-    /// targets (strictly-Alive peers only) and priced by the `t_forward`
-    /// term: an internal connect plus the transfer across the
-    /// interconnect, with no client round trip and no re-preprocessing.
-    pub peer_transfer: bool,
-    /// Extension beyond the paper: when true (and `peer_transfer` is on),
-    /// a background replicator combines per-file popularity counters with
-    /// the loadd cache digests to PUSH hot documents to underloaded peers
-    /// that do not hold them yet — moving the Zipf head ahead of demand
-    /// instead of re-fetching it per request.
-    pub replicate_hot: bool,
 }
 
 impl Default for SwebConfig {
@@ -100,8 +86,6 @@ impl Default for SwebConfig {
             redirect_mechanism: RedirectMechanism::UrlRedirect,
             cache_aware_cost: false,
             cache_bw: 40e6,
-            peer_transfer: false,
-            replicate_hot: false,
         }
     }
 }

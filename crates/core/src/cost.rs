@@ -48,19 +48,13 @@ pub struct CostBreakdown {
     /// `t_cpu`: request operations over load-degraded CPU speed
     /// (including re-preprocessing charged to URL-redirected candidates).
     pub t_cpu: f64,
-    /// `t_forward`: pulling the document over the peer channel — an
-    /// internal connect plus the body crossing the interconnect. Zero for
-    /// local service and for 302 redirects; only the peer-fetch route
-    /// pays it (and pays *neither* the client round trip nor the
-    /// re-preprocessing a 302 charges).
-    pub t_forward: f64,
 }
 
 impl CostBreakdown {
-    /// `t_s = t_redirection + t_data + t_cpu + t_forward` (`t_net` is
-    /// equal across candidates and not estimated, §3.2).
+    /// `t_s = t_redirection + t_data + t_cpu` (`t_net` is equal across
+    /// candidates and not estimated, §3.2).
     pub fn total(self) -> f64 {
-        self.t_redirection + self.t_data + self.t_cpu + self.t_forward
+        self.t_redirection + self.t_data + self.t_cpu
     }
 }
 
@@ -117,52 +111,8 @@ impl CostModel {
             t_redirection: self.t_redirection(origin, candidate),
             t_data: self.t_data(req, origin, candidate, inputs),
             t_cpu: self.t_cpu_ops(req.cpu_ops + reprocess, candidate, inputs),
-            t_forward: 0.0,
             // + t_net: equal across candidates, not estimated (§3.2).
         }
-    }
-
-    /// Cost of serving `req` *at the origin* after pulling the document
-    /// from `source` over the peer channel (the `peer_transfer`
-    /// extension): no client round trip and no re-preprocessing — one
-    /// internal RPC round trip plus the body crossing the interconnect
-    /// ([`CostBreakdown::t_forward`]), then origin CPU. Connection setup
-    /// is *not* charged: the channel is persistent and pooled, so the
-    /// handshake amortizes to zero across requests. The source holds the
-    /// document in its page cache (the broker only considers digest
-    /// hits), so the pull is bounded by RAM-copy bandwidth at the source
-    /// and the load-degraded interconnect — never by anyone's disk.
-    pub fn peer_fetch_breakdown(
-        &self,
-        req: &RequestInfo,
-        origin: NodeId,
-        source: NodeId,
-        inputs: &CostInputs<'_>,
-    ) -> CostBreakdown {
-        let size = req.size as f64;
-        let net_load = inputs.loads.load(origin).net.max(inputs.loads.load(source).net);
-        // `estimated_remote_bw` bottlenecks the source's read rate against
-        // the interconnect; passing `cache_bw` as the source rate models
-        // a RAM read instead of an NFS disk read.
-        let pull_bw = inputs.cluster.network.estimated_remote_bw(self.cfg.cache_bw);
-        let rtt = 2.0 * inputs.cluster.network.latency();
-        CostBreakdown {
-            t_redirection: 0.0,
-            t_data: 0.0,
-            t_cpu: self.t_cpu_ops(req.cpu_ops, origin, inputs),
-            t_forward: rtt + size / (pull_bw / (1.0 + net_load)),
-        }
-    }
-
-    /// Slack granted to the peer-fetch route when compared against local
-    /// service: pulling the document seeds the origin's cache, turning
-    /// every subsequent request for it into a local hit, so a pull that
-    /// is within one connection-setup time of the local NFS estimate is
-    /// still preferred — the difference is charged against the future
-    /// hits it creates. (Against a 302 redirect no slack is needed or
-    /// given; the comparison is strict.)
-    pub fn forward_slack(&self) -> f64 {
-        self.cfg.connect_time
     }
 
     /// `t_redirection`: zero when served where it landed; else, for URL
@@ -339,34 +289,6 @@ mod tests {
             (url_est - fwd_est - (t_url - t_fwd) - preprocess_secs).abs() < 1e-9,
             "url {url_est} vs fwd {fwd_est}"
         );
-    }
-
-    #[test]
-    fn peer_fetch_is_priced_off_ram_not_disks() {
-        let (cluster, mut loads, model) = setup();
-        let r = req(2, 200_000);
-        let inputs = CostInputs { cluster: &cluster, loads: &loads.clone() };
-        let idle = model.peer_fetch_breakdown(&r, NodeId(0), NodeId(2), &inputs);
-        // One internal RPC round trip plus the body over the interconnect
-        // (meiko: 100 us one-way, pulls bottlenecked at 4.5 MB/s by the
-        // fat-tree link, not by cache_bw = 40 MB/s).
-        assert!((idle.t_forward - (2e-4 + 200_000.0 / 4.5e6)).abs() < 1e-9, "{:?}", idle);
-        assert_eq!(idle.t_redirection, 0.0);
-        assert_eq!(idle.t_data, 0.0);
-        assert!((idle.t_cpu - 1e6 / 40e6).abs() < 1e-12, "origin CPU, no reprocess");
-        // The source's disk being swamped changes nothing: the pull reads
-        // its RAM. The NFS estimate for the same file degrades instead.
-        loads.update(NodeId(2), LoadVector::new(0.0, 8.0, 0.0), SimTime::ZERO);
-        let inputs = CostInputs { cluster: &cluster, loads: &loads };
-        let busy_disk = model.peer_fetch_breakdown(&r, NodeId(0), NodeId(2), &inputs);
-        assert!((busy_disk.t_forward - idle.t_forward).abs() < 1e-12);
-        let nfs = model.t_data(&r, NodeId(0), NodeId(0), &inputs);
-        assert!(nfs > busy_disk.t_forward, "NFS {nfs} must degrade with the home disk");
-        // Interconnect load does degrade the pull.
-        loads.update(NodeId(0), LoadVector::new(0.0, 0.0, 3.0), SimTime::ZERO);
-        let inputs = CostInputs { cluster: &cluster, loads: &loads };
-        let busy_net = model.peer_fetch_breakdown(&r, NodeId(0), NodeId(2), &inputs);
-        assert!(busy_net.t_forward > 3.0 * idle.t_forward);
     }
 
     #[test]

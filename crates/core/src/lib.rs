@@ -45,7 +45,7 @@ pub use config::{RedirectMechanism, SwebConfig};
 pub use cost::{CostBreakdown, CostInputs, CostModel};
 pub use digest::{CacheDigest, DIGEST_BYTES};
 pub use load::{HealthChurn, LoadTable, LoadVector, PeerHealth};
-pub use loadd::{Broadcast, Folded, LoadReport, Loadd, MAX_HOT, PACKET_MAX};
+pub use loadd::{Broadcast, Folded, LoadReport, Loadd, PACKET_MAX};
 pub use oracle::{CostProfile, Oracle, OracleRule};
 pub use overload::{
     AdmissionController, AdmitClass, BreakerState, PeerBreakers, RetryBudget, MAX_SHED_LEVEL,

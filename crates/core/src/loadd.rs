@@ -3,29 +3,25 @@
 //! no clock and no table: it folds into the [`LoadTable`] it is handed,
 //! at the [`SimTime`] it is told.
 //!
-//! The wire format is one little-endian datagram: `b"SW"`, version 3,
-//! `[node: u32][cpu, disk, net: f64][leaving: u8]`, the 32-byte
-//! [`CacheDigest`], a count byte and up to [`MAX_HOT`] `u64` [`FileId`]s.
-//! Any other magic or version is a decode error, never a misread.
+//! The wire format is one little-endian datagram: `b"SW"`, version 4,
+//! `[node: u32][cpu, disk, net: f64][leaving: u8]` and the 32-byte
+//! [`CacheDigest`]. Any other magic or version is a decode error, never a
+//! misread.
 
-use sweb_cluster::{FileId, NodeId};
+use sweb_cluster::NodeId;
 use sweb_des::SimTime;
 
 use crate::config::SwebConfig;
 use crate::digest::{CacheDigest, DIGEST_BYTES};
 use crate::load::{HealthChurn, LoadTable, LoadVector, PeerHealth};
 
-/// Most hot-file ids a report carries.
-pub const MAX_HOT: usize = 8;
-
 const MAGIC: [u8; 2] = *b"SW";
-const VERSION: u8 = 3;
-/// Offset of the count byte: header, node id, three loads, the leaving
-/// flag, the digest.
-const COUNT_AT: usize = 3 + 4 + 3 * 8 + 1 + DIGEST_BYTES;
+const VERSION: u8 = 4;
+/// Offset of the digest: header, node id, three loads, the leaving flag.
+const DIGEST_AT: usize = 3 + 4 + 3 * 8 + 1;
 
-/// Largest datagram: everything up to the count byte, then `MAX_HOT` ids.
-pub const PACKET_MAX: usize = COUNT_AT + 1 + MAX_HOT * 8;
+/// The datagram's length: everything up to the digest, then the digest.
+pub const PACKET_MAX: usize = DIGEST_AT + DIGEST_BYTES;
 
 /// One node's load report, as it travels between loadds.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,16 +35,12 @@ pub struct LoadReport {
     pub leaving: bool,
     /// Digest of the sender's file cache.
     pub digest: CacheDigest,
-    /// The sender's hottest documents; the encoder keeps the first
-    /// [`MAX_HOT`].
-    pub hot: Vec<FileId>,
 }
 
 impl LoadReport {
     /// The wire form.
     pub fn encode(&self) -> Vec<u8> {
-        let hot = &self.hot[..self.hot.len().min(MAX_HOT)];
-        let mut buf = Vec::with_capacity(COUNT_AT + 1 + hot.len() * 8);
+        let mut buf = Vec::with_capacity(PACKET_MAX);
         buf.extend_from_slice(&MAGIC);
         buf.push(VERSION);
         buf.extend_from_slice(&self.node.0.to_le_bytes());
@@ -57,18 +49,13 @@ impl LoadReport {
         }
         buf.push(u8::from(self.leaving));
         buf.extend_from_slice(&self.digest.to_bytes());
-        buf.push(hot.len() as u8);
-        for id in hot {
-            buf.extend_from_slice(&id.0.to_le_bytes());
-        }
         buf
     }
 
-    /// Parse a datagram; `None` for short, garbled or foreign packets, a
-    /// non-finite load, or a hot list longer than [`MAX_HOT`] or than the
-    /// datagram. Trailing bytes are ignored.
+    /// Parse a datagram; `None` for short, garbled or foreign packets or
+    /// a non-finite load. Trailing bytes are ignored.
     pub fn decode(buf: &[u8]) -> Option<LoadReport> {
-        if buf.len() <= COUNT_AT || buf[0..2] != MAGIC || buf[2] != VERSION {
+        if buf.len() < PACKET_MAX || buf[0..2] != MAGIC || buf[2] != VERSION {
             return None;
         }
         let word = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
@@ -81,13 +68,8 @@ impl LoadReport {
         if !(load.cpu.is_finite() && load.disk.is_finite() && load.net.is_finite()) {
             return None;
         }
-        let digest = CacheDigest::from_bytes(&buf[32..COUNT_AT])?;
-        let count = buf[COUNT_AT] as usize;
-        if count > MAX_HOT || buf.len() < COUNT_AT + 1 + count * 8 {
-            return None;
-        }
-        let hot = (0..count).map(|i| FileId(word(COUNT_AT + 1 + i * 8))).collect();
-        Some(LoadReport { node, load, leaving: buf[31] != 0, digest, hot })
+        let digest = CacheDigest::from_bytes(&buf[DIGEST_AT..PACKET_MAX])?;
+        Some(LoadReport { node, load, leaving: buf[31] != 0, digest })
     }
 }
 
@@ -110,8 +92,6 @@ pub struct Folded {
     /// Its health after: `Dead` for a peer's `leaving` report, else
     /// `Alive`.
     pub health: PeerHealth,
-    /// Its advertised hot list.
-    pub hot: Vec<FileId>,
 }
 
 /// One node's loadd: the broadcast deadline, the self-report, the
@@ -173,7 +153,7 @@ impl Loadd {
     /// the table. A peer's `leaving` report marks it Dead; any other
     /// report, or a `leaving` one naming this node, refreshes the entry.
     pub fn fold(&self, now: SimTime, table: &mut LoadTable, packet: &[u8]) -> Option<Folded> {
-        let LoadReport { node, load, leaving, digest, hot } = LoadReport::decode(packet)?;
+        let LoadReport { node, load, leaving, digest } = LoadReport::decode(packet)?;
         if node.index() >= table.len() {
             return None;
         }
@@ -184,6 +164,6 @@ impl Loadd {
             table.set_digest(node, digest);
             prev
         };
-        Some(Folded { node, prev, health: table.health(node), hot })
+        Some(Folded { node, prev, health: table.health(node) })
     }
 }

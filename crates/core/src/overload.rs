@@ -1,8 +1,8 @@
-//! Overload control: adaptive admission, per-peer circuit breakers, and
-//! retry budgets.
+//! Overload control: adaptive admission and retry budgets, plus per-peer
+//! circuit breakers that no node runs any more.
 //!
-//! Saturation should be a slope, not a cliff. Three cooperating pieces
-//! (all engine-agnostic, all lock-free) turn the server's static
+//! Saturation should be a slope, not a cliff. Two cooperating pieces
+//! (both engine-agnostic, both lock-free) turn the server's static
 //! `max_conns` refusal into graceful degradation:
 //!
 //! * [`AdmissionController`] — a CoDel-style controller over worker-queue
@@ -10,17 +10,17 @@
 //!   When the minimum sojourn over a whole observation window stays above
 //!   target, a standing queue exists — instantaneous spikes don't — and
 //!   the shed level escalates. Requests are shed by class, cheapest-kept
-//!   first: peer-serving and dynamic work goes at level 1, static
+//!   first: dynamic work goes at level 1, static
 //!   cache misses at level 2, and only a full emergency (level 3) refuses
 //!   static cache hits. Administrative endpoints are never shed.
-//! * [`PeerBreakers`] — per-peer circuit breakers
-//!   (Closed → Open → HalfOpen) over the peer-transfer channel and
-//!   redirect targets, fed by rolling failure/latency evidence plus the
-//!   tri-state loadd health. An open breaker reprices the peer out of
-//!   `Broker::decide` so a blackholed peer stops costing every forward
-//!   its full deadline.
 //! * [`RetryBudget`] — a token bucket limiting retries to a fraction of
 //!   recent successes, so a retry storm cannot amplify an outage.
+//!
+//! [`PeerBreakers`] (Closed → Open → HalfOpen per peer) guarded the peer
+//! transfer channel, whose successful pulls were their only close signal;
+//! the channel is gone, and the live node keeps Dead and Suspect peers out
+//! of its candidates through its `LoadTable` alone. The type stays only
+//! because the benchmark's layer replay times `PeerBreakers::allow`.
 //!
 //! Every time-dependent method comes in pairs — `x()` reading the
 //! instance's own monotonic clock and `x_at(now_ms)` taking explicit
@@ -36,11 +36,7 @@ use sweb_cluster::NodeId;
 /// property of the *request* (what it would cost us), not of the client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmitClass {
-    /// Serving a document to a cluster peer (FETCH over the peer
-    /// channel). Shed first: the peer can fall back to NFS or a 302,
-    /// so refusing costs the cluster the least.
-    PeerServe,
-    /// Dynamic (handler/CGI) work: the most CPU per request.
+    /// Dynamic (handler/CGI) work: the most CPU per request. Shed first.
     Dynamic,
     /// A static document not resident in the local cache (disk/NFS read).
     StaticMiss,
@@ -53,7 +49,7 @@ impl AdmitClass {
     /// The lowest shed level at which this class is refused.
     fn shed_at(self) -> u8 {
         match self {
-            AdmitClass::PeerServe | AdmitClass::Dynamic => 1,
+            AdmitClass::Dynamic => 1,
             AdmitClass::StaticMiss => 2,
             AdmitClass::StaticHit => 3,
         }
@@ -62,7 +58,6 @@ impl AdmitClass {
     /// Lowercase name, as counters and the status API spell it.
     pub fn name(self) -> &'static str {
         match self {
-            AdmitClass::PeerServe => "peer_serve",
             AdmitClass::Dynamic => "dynamic",
             AdmitClass::StaticMiss => "static_miss",
             AdmitClass::StaticHit => "static_hit",
@@ -302,9 +297,10 @@ impl Breaker {
 
 /// Per-peer circuit breakers for one node's view of its cluster.
 ///
-/// All state is atomic: the breakers are shared between the broker (which
-/// reprices open peers out of candidacy), the peer-transfer channel
-/// (which records outcomes), and loadd (which force-opens on `Dead`).
+/// All state is atomic. Nothing in the server or the simulator holds one
+/// (see the module docs); the benchmark's layer replay times [`allow`].
+///
+/// [`allow`]: PeerBreakers::allow
 #[derive(Debug)]
 pub struct PeerBreakers {
     peers: Vec<Breaker>,
@@ -545,12 +541,7 @@ mod tests {
     #[test]
     fn admission_starts_wide_open() {
         let c = AdmissionController::new();
-        for class in [
-            AdmitClass::PeerServe,
-            AdmitClass::Dynamic,
-            AdmitClass::StaticMiss,
-            AdmitClass::StaticHit,
-        ] {
+        for class in [AdmitClass::Dynamic, AdmitClass::StaticMiss, AdmitClass::StaticHit] {
             assert!(c.admit(class), "{} refused at level 0", class.name());
         }
         assert_eq!(c.level(), 0);
@@ -572,7 +563,6 @@ mod tests {
         saturate_window(&c, 0, 20_000);
         assert_eq!(c.level(), 1);
         assert!(!c.admit(AdmitClass::Dynamic), "dynamic shed first");
-        assert!(!c.admit(AdmitClass::PeerServe), "peer-serve shed first");
         assert!(c.admit(AdmitClass::StaticMiss));
         assert!(c.admit(AdmitClass::StaticHit));
         saturate_window(&c, 100, 20_000);

@@ -4,9 +4,7 @@ use sweb_cluster::{FileId, NodeId};
 
 /// What kind of work fulfilling a request entails. The broker carries this
 /// in routing decisions so dynamic requests are priced per handler class
-/// (the oracle's tuned `t_cpu` table is keyed on the class name) and never
-/// peer-fetched — a handler's output lives nowhere but the node that runs
-/// it, so the only non-local route for dynamic work is a redirect.
+/// (the oracle's tuned `t_cpu` table is keyed on the class name).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestClass {
     /// A plain static-document fetch: bytes from disk or the file cache.
@@ -18,11 +16,6 @@ pub enum RequestClass {
 }
 
 impl RequestClass {
-    /// True for any handler-generated (non-static) request.
-    pub fn is_dynamic(&self) -> bool {
-        matches!(self, RequestClass::Dynamic(_))
-    }
-
     /// Handler class name, or `None` for static fetches.
     pub fn name(&self) -> Option<&'static str> {
         match self {
@@ -58,7 +51,7 @@ pub struct RequestInfo {
     /// flag is enabled, a cached local copy zeroes `t_data` at the origin.
     pub cached_at_origin: bool,
     /// Static fetch or dynamic handler invocation (and which handler
-    /// class). Dynamic requests are never routed via `PeerFetch`.
+    /// class).
     pub class: RequestClass,
 }
 
@@ -99,7 +92,6 @@ mod tests {
         let r = RequestInfo::fetch(FileId(3), 1024, NodeId(1), 5e5);
         assert!(!r.redirected && !r.pinned_local);
         assert_eq!(r.class, RequestClass::Static);
-        assert!(!r.class.is_dynamic());
         let r = r.redirected();
         assert!(r.redirected);
         assert_eq!(r.size, 1024);
@@ -108,7 +100,7 @@ mod tests {
     #[test]
     fn dynamic_builder_sets_class() {
         let r = RequestInfo::fetch(FileId(7), 4096, NodeId(0), 4e6).dynamic("burn");
-        assert!(r.class.is_dynamic());
+        assert_eq!(r.class, RequestClass::Dynamic("burn"));
         assert_eq!(r.class.name(), Some("burn"));
         assert_eq!(RequestClass::Static.name(), None);
     }

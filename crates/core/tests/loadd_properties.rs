@@ -5,20 +5,16 @@ use proptest::prelude::*;
 use sweb_cluster::{FileId, NodeId};
 use sweb_core::{
     CacheDigest, LoadReport, LoadTable, LoadVector, Loadd, PeerHealth, SwebConfig, DIGEST_BYTES,
-    MAX_HOT, PACKET_MAX,
+    PACKET_MAX,
 };
 use sweb_des::SimTime;
 
-/// Offset of the hot list's count byte.
-const COUNT_AT: usize = PACKET_MAX - 1 - MAX_HOT * 8;
-
-fn report(node: u32, leaving: bool, hot: &[u64]) -> LoadReport {
+fn report(node: u32, leaving: bool) -> LoadReport {
     LoadReport {
         node: NodeId(node),
         load: LoadVector::new(1.0, 0.5, 0.25),
         leaving,
         digest: CacheDigest::EMPTY,
-        hot: hot.iter().copied().map(FileId).collect(),
     }
 }
 
@@ -27,64 +23,43 @@ fn ms(ms: u64) -> SimTime {
 }
 
 #[test]
-fn hot_list_round_trips_in_order() {
-    let mut r = report(4, false, &[9, 1729, u64::MAX]);
+fn a_report_is_one_fixed_length_datagram() {
+    let mut r = report(4, false);
     r.digest.insert(FileId(9));
     let pkt = r.encode();
-    assert!(pkt.len() <= PACKET_MAX);
-    assert_eq!(LoadReport::decode(&pkt), Some(r));
-    // An empty hot list is legal: the packet ends at the count byte.
-    let pkt = report(4, false, &[]).encode();
-    assert_eq!(pkt.len(), COUNT_AT + 1);
-    assert!(LoadReport::decode(&pkt).unwrap().hot.is_empty());
-}
-
-#[test]
-fn caps_and_validates_the_hot_list() {
-    // An oversupplied list is truncated to MAX_HOT at encode time.
-    let many: Vec<u64> = (0..20).collect();
-    let pkt = report(0, false, &many).encode();
     assert_eq!(pkt.len(), PACKET_MAX);
-    assert_eq!(LoadReport::decode(&pkt).unwrap().hot.len(), MAX_HOT);
-    // A count byte promising more ids than the datagram carries is
-    // garbage, not a partial list.
-    let mut short = report(0, false, &[1, 2]).encode();
-    short.truncate(short.len() - 8);
-    assert!(LoadReport::decode(&short).is_none());
-    // A count beyond MAX_HOT is from no encoder of ours.
-    let mut bad = report(0, false, &[]).encode();
-    bad[COUNT_AT] = (MAX_HOT + 1) as u8;
-    bad.extend_from_slice(&[0u8; (MAX_HOT + 1) * 8]);
-    assert!(LoadReport::decode(&bad).is_none());
+    assert_eq!(LoadReport::decode(&pkt), Some(r));
 }
 
 #[test]
 fn foreign_versions_and_truncations_are_dropped() {
-    for version in [0, 1, 2, 4, 255] {
-        let mut pkt = report(1, false, &[]).encode();
+    // Version 3 carried a hot list after the digest; its datagrams are
+    // dropped like any other foreign version's.
+    for version in [0, 1, 2, 3, 5, 255] {
+        let mut pkt = report(1, false).encode();
         pkt[2] = version;
         assert!(LoadReport::decode(&pkt).is_none(), "version {version} is not ours");
     }
-    let good = report(1, false, &[]).encode();
+    let good = report(1, false).encode();
     assert!(LoadReport::decode(&good[..good.len() - 1]).is_none());
     assert!(LoadReport::decode(&[0u8; 10]).is_none());
 }
 
 #[test]
 fn decode_rejects_nan_and_tolerates_trailing_bytes() {
-    let mut pkt = report(1, false, &[]).encode();
+    let mut pkt = report(1, false).encode();
     pkt[7..15].copy_from_slice(&f64::NAN.to_le_bytes());
     assert!(LoadReport::decode(&pkt).is_none());
-    let mut long = report(2, false, &[5]).encode();
+    let mut long = report(2, false).encode();
     long.extend_from_slice(b"junk");
-    assert_eq!(LoadReport::decode(&long), Some(report(2, false, &[5])));
+    assert_eq!(LoadReport::decode(&long), Some(report(2, false)));
 }
 
 #[test]
 fn fold_rejects_a_node_beyond_the_table_and_changes_nothing() {
     let loadd = Loadd::new(NodeId(0), &SwebConfig::default());
     let mut table = LoadTable::new(2);
-    let pkt = report(2, false, &[]).encode();
+    let pkt = report(2, false).encode();
     assert_eq!(loadd.fold(ms(10), &mut table, &pkt), None);
     for n in [NodeId(0), NodeId(1)] {
         assert_eq!(table.updated_at(n), SimTime::ZERO);
@@ -97,16 +72,15 @@ fn fold_rejects_a_node_beyond_the_table_and_changes_nothing() {
 fn a_peers_leaving_report_kills_it_but_ones_own_does_not() {
     let loadd = Loadd::new(NodeId(0), &SwebConfig::default());
     let mut table = LoadTable::new(2);
-    let peer = loadd.fold(ms(10), &mut table, &report(1, true, &[]).encode()).unwrap();
+    let peer = loadd.fold(ms(10), &mut table, &report(1, true).encode()).unwrap();
     assert_eq!((peer.prev, peer.health), (PeerHealth::Alive, PeerHealth::Dead));
     assert_eq!(table.health(NodeId(1)), PeerHealth::Dead);
-    let own = loadd.fold(ms(10), &mut table, &report(0, true, &[]).encode()).unwrap();
+    let own = loadd.fold(ms(10), &mut table, &report(0, true).encode()).unwrap();
     assert_eq!(own.health, PeerHealth::Alive);
     assert_eq!(table.updated_at(NodeId(0)), ms(10));
     // A fresh report is the only way back from Dead.
-    let back = loadd.fold(ms(20), &mut table, &report(1, false, &[3]).encode()).unwrap();
+    let back = loadd.fold(ms(20), &mut table, &report(1, false).encode()).unwrap();
     assert_eq!((back.prev, back.health), (PeerHealth::Dead, PeerHealth::Alive));
-    assert_eq!(back.hot, vec![FileId(3)]);
 }
 
 #[test]
@@ -116,46 +90,42 @@ fn broadcast_folds_its_own_report_sweeps_and_moves_the_deadline() {
     let mut table = LoadTable::new(2);
     assert!(loadd.due(SimTime::ZERO));
     table.update(NodeId(1), LoadVector::IDLE, SimTime::ZERO);
-    let b = loadd.broadcast(ms(150), &mut table, &report(0, false, &[]));
-    assert_eq!(LoadReport::decode(&b.packet), Some(report(0, false, &[])));
+    let b = loadd.broadcast(ms(150), &mut table, &report(0, false));
+    assert_eq!(LoadReport::decode(&b.packet), Some(report(0, false)));
     assert_eq!(table.load(NodeId(0)), LoadVector::new(1.0, 0.5, 0.25));
     assert!(b.churn.is_empty(), "one silent period is not suspicion");
     assert_eq!(loadd.next_broadcast(), ms(250));
     assert!(!loadd.due(ms(249)) && loadd.due(ms(250)));
-    let b = loadd.broadcast(ms(250), &mut table, &report(0, false, &[]));
+    let b = loadd.broadcast(ms(250), &mut table, &report(0, false));
     assert_eq!(b.churn.suspected, vec![NodeId(1)], "two silent periods are");
-    let b = loadd.broadcast(ms(550), &mut table, &report(0, false, &[]));
+    let b = loadd.broadcast(ms(550), &mut table, &report(0, false));
     assert_eq!(b.churn.died, vec![NodeId(1)]);
     assert_eq!(table.health(NodeId(0)), PeerHealth::Alive, "a node always hears itself");
 }
 
 proptest! {
-    /// The codec returns what it was given, the hot list cut to its
-    /// first `MAX_HOT` ids.
+    /// The codec returns what it was given.
     #[test]
     fn reports_round_trip(
         node in any::<u32>(),
         load in (any::<f64>(), any::<f64>(), any::<f64>()),
         leaving in any::<bool>(),
         digest in proptest::collection::vec(any::<u8>(), DIGEST_BYTES),
-        hot in proptest::collection::vec(any::<u64>(), 0..20),
     ) {
-        let mut r = LoadReport {
+        let r = LoadReport {
             node: NodeId(node),
             load: LoadVector::new(load.0, load.1, load.2),
             leaving,
             digest: CacheDigest::from_bytes(&digest).expect("DIGEST_BYTES bytes"),
-            hot: hot.into_iter().map(FileId).collect(),
         };
         let pkt = r.encode();
-        prop_assert!(pkt.len() <= PACKET_MAX);
-        r.hot.truncate(MAX_HOT);
+        prop_assert_eq!(pkt.len(), PACKET_MAX);
         let finite = r.load.cpu.is_finite() && r.load.disk.is_finite() && r.load.net.is_finite();
         prop_assert_eq!(LoadReport::decode(&pkt), finite.then_some(r));
     }
 
     /// Arbitrary datagrams never panic the decoder, and one it
-    /// accepts holds only finite loads and a bounded hot list.
+    /// accepts holds only finite loads.
     #[test]
     fn arbitrary_bytes_never_panic(
         bytes in proptest::collection::vec(any::<u8>(), 0..2 * PACKET_MAX),
@@ -171,9 +141,9 @@ proptest! {
         let decoded = LoadReport::decode(&bytes);
         if let Some(r) = &decoded {
             prop_assert!(r.load.cpu.is_finite() && r.load.disk.is_finite());
-            prop_assert!(r.load.net.is_finite() && r.hot.len() <= MAX_HOT);
+            prop_assert!(r.load.net.is_finite());
         }
-        if versioned && bytes.len() >= 3 && bytes[2] != 3 {
+        if versioned && bytes.len() >= 3 && bytes[2] != 4 {
             prop_assert_eq!(decoded, None, "version {} is not ours", bytes[2]);
         }
     }

@@ -14,9 +14,6 @@ pub struct NodeCounters {
     pub served: u64,
     /// Requests this node redirected away.
     pub redirected_away: u64,
-    /// Requests this node served after pulling the document from a peer
-    /// over the transfer channel (no client-visible redirect).
-    pub peer_fetches: u64,
     /// Connections refused at this node (backlog full).
     pub refused: u64,
     /// CPU ops spent on request fulfillment.
@@ -152,16 +149,6 @@ impl RunStats {
         }
     }
 
-    /// Fraction of completed requests served via a peer-channel pull.
-    pub fn peer_fetch_rate(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            let pulls: u64 = self.nodes.iter().map(|n| n.peer_fetches).sum();
-            pulls as f64 / self.completed as f64
-        }
-    }
-
     /// Aggregate cache hit ratio across nodes.
     pub fn cache_hit_ratio(&self) -> f64 {
         let hits: u64 = self.nodes.iter().map(|n| n.cache_hits).sum();
@@ -256,7 +243,6 @@ impl RunStats {
             mine.arrived += theirs.arrived;
             mine.served += theirs.served;
             mine.redirected_away += theirs.redirected_away;
-            mine.peer_fetches += theirs.peer_fetches;
             mine.refused += theirs.refused;
             mine.fulfill_ops += theirs.fulfill_ops;
             mine.preprocess_ops += theirs.preprocess_ops;

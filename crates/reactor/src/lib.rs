@@ -67,9 +67,10 @@
 //!   request ([`FirstLook::Done`] goes straight to the socket, no thread
 //!   hop), a [`FileBody`] whose pages are all in the OS page cache
 //!   included ([`sys::page_cached`] asks the kernel). **Blocking work**
-//!   (file reads, reading a cold file in, CGI, peer fetches) runs on a
-//!   bounded [`workers::WorkerPool`]; a full queue sheds (503) instead
-//!   of queueing unboundedly.
+//!   (a document read on a cache miss, reading a cold large file in, a
+//!   handler that may block or has not yet measured cheap, the status
+//!   and `/metrics` renders) runs on a bounded [`workers::WorkerPool`];
+//!   a full queue sheds (503) instead of queueing unboundedly.
 //! * **Transmit is zero-copy**: responses drain as head bytes plus a
 //!   shared [`Bytes`] body gathered by one `sendmsg(2)` (no per-request
 //!   body copy; a cached document's head is shared too, see
@@ -182,9 +183,8 @@ pub type Continuation = Box<dyn FnOnce(&str, &Request, &[u8]) -> Reply + Send>;
 /// the loop watches the service's fds for reads beside its own, and wakes
 /// it at the deadline it last asked for. It runs on the loop thread, so,
 /// like [`App::first_look`], it must not block: drain nonblocking fds,
-/// send datagrams, compute. A SWEB node runs its loadd daemon and its
-/// peer-channel listener this way, on shard 0, instead of on threads of
-/// their own.
+/// send datagrams, compute. A SWEB node runs its loadd daemon this way,
+/// on shard 0, instead of on a thread of its own.
 pub trait Service: Send {
     /// The nonblocking fds to watch for reads now. Asked when the loop
     /// starts and again after every [`Service::run`], so a service can

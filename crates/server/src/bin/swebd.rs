@@ -23,7 +23,7 @@ use sweb_server::{ClusterConfig, LiveCluster};
 
 const USAGE: &str = "usage: swebd [--nodes N] [--docroot DIR] [--policy sweb|rr|locality|cpu] \
     [--shards N] [--port-base P] [--loadd-ms MS] [--access-log FILE] [--oracle FILE] \
-    [--fault-plan FILE] [--peer-transfer] [--replicate-hot] [--overload on|off]";
+    [--fault-plan FILE] [--overload on|off]";
 
 /// A parsed command line: the cluster's configuration, what
 /// [`LiveCluster::start`] takes beside it, and the files `main` loads
@@ -84,8 +84,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, Stop> {
             "--access-log" => args.access_log = Some(value()?.into()),
             "--oracle" => args.oracle = Some(value()?.into()),
             "--fault-plan" => args.fault_plan = Some(value()?.into()),
-            "--peer-transfer" => args.cfg.sweb.peer_transfer = true,
-            "--replicate-hot" => args.cfg.sweb.replicate_hot = true,
             "--overload" => {
                 args.cfg.overload_control = match value()?.as_str() {
                     "on" => true,
@@ -219,8 +217,6 @@ mod tests {
         assert_eq!(cfg.sweb.stale_timeout, SimTime::from_millis(10_000));
         assert_eq!(cfg.shards, 0, "auto shards");
         assert!(cfg.overload_control);
-        assert!(!cfg.sweb.peer_transfer);
-        assert!(!cfg.sweb.replicate_hot);
         assert_eq!(cfg.port_base, None);
         assert!(cfg.fault_plan.is_none() && cfg.access_log.is_none());
         // Everything the flags do not name is the library default.
@@ -247,8 +243,6 @@ mod tests {
             "locality",
             "--overload",
             "off",
-            "--peer-transfer",
-            "--replicate-hot",
             "--port-base",
             "9000",
         ])
@@ -257,8 +251,6 @@ mod tests {
         assert_eq!(cfg.shards, 2);
         assert_eq!(cfg.policy, Policy::FileLocality);
         assert!(!cfg.overload_control);
-        assert!(cfg.sweb.peer_transfer);
-        assert!(cfg.sweb.replicate_hot);
         assert_eq!(cfg.port_base, Some(9000));
         for (name, policy) in [("rr", Policy::RoundRobin), ("cpu", Policy::LeastLoadedCpu)] {
             assert_eq!(parse(&["--policy", name]).unwrap().cfg.policy, policy);
@@ -280,6 +272,17 @@ mod tests {
         ] {
             assert_eq!(parse(flags).err(), Some(Stop::Usage), "{flags:?}");
         }
+    }
+
+    #[test]
+    fn the_peer_channel_flags_are_gone_not_ignored() {
+        // No node pulls or pushes documents any more: asking for it is a
+        // usage error, not a cluster that silently runs without it.
+        for flag in ["--peer-transfer", "--replicate-hot"] {
+            assert_eq!(parse(&[flag]).err(), Some(Stop::Usage), "{flag}");
+            assert_eq!(parse(&["--nodes", "3", flag]).err(), Some(Stop::Usage), "{flag}");
+        }
+        assert!(!USAGE.contains("--peer-transfer") && !USAGE.contains("--replicate-hot"));
     }
 
     #[test]

@@ -10,16 +10,12 @@ use parking_lot::RwLock;
 use sweb_chaos::{FaultPlan, Injector, ScriptedOp};
 use sweb_cluster::{presets, NodeId};
 use sweb_core::{
-    AdmissionController, Broker, CostModel, LoadReport, LoadTable, Oracle, PeerBreakers, Policy,
+    AdmissionController, Broker, CostModel, LoadReport, LoadTable, Oracle, Policy,
     RedirectMechanism, RetryBudget, SwebConfig,
 };
 use sweb_des::SimTime;
 
 use crate::node::{NodeHandle, NodeShared, NodeStats};
-
-/// Retry tokens a node holds toward each peer's transfer channel (the
-/// bucket starts full; sustained retrying needs sustained successes).
-const PEER_RETRY_CAP: u64 = 10;
 
 /// Retry tokens for local filesystem fetches (EINTR, EMFILE, flaky NFS).
 const FETCH_RETRY_CAP: u64 = 32;
@@ -66,10 +62,9 @@ pub struct ClusterConfig {
     /// `Retry-After` instead of hanging the client.
     pub request_budget: Duration,
     /// The overload-control subsystem (`swebd --overload`):
-    /// adaptive per-class admission, per-peer circuit breakers, and
-    /// retry budgets. Off, the node falls back to the static `max_conns`
-    /// cap alone — kept selectable so benchmarks can measure what the
-    /// controller buys.
+    /// adaptive per-class admission and the fetch retry budget. Off, the
+    /// node falls back to the static `max_conns` cap alone — kept
+    /// selectable so benchmarks can measure what the controller buys.
     pub overload_control: bool,
 }
 
@@ -182,19 +177,12 @@ impl LiveCluster {
             .collect::<Result<_, _>>()?;
         let udps: Vec<UdpSocket> =
             (0..n).map(|_| UdpSocket::bind("127.0.0.1:0")).collect::<Result<_, _>>()?;
-        // The peer transfer channel: one TCP listener per node, bound up
-        // front (like the UDP sockets) so every node knows every peer's
-        // channel address before any node starts serving.
-        let peer_listeners: Vec<TcpListener> =
-            (0..n).map(|_| TcpListener::bind("127.0.0.1:0")).collect::<Result<_, _>>()?;
         let peer_http: Vec<String> = listeners
             .iter()
             .map(|l| Ok(format!("http://{}", l.local_addr()?)))
             .collect::<std::io::Result<_>>()?;
         let peer_udp: Vec<std::net::SocketAddr> =
             udps.iter().map(|u| u.local_addr()).collect::<Result<_, _>>()?;
-        let peer_tcp: Vec<std::net::SocketAddr> =
-            peer_listeners.iter().map(|l| l.local_addr()).collect::<Result<_, _>>()?;
 
         // The cost model needs hardware parameters; a localhost cluster
         // borrows the Meiko calibration (homogeneous nodes).
@@ -205,24 +193,16 @@ impl LiveCluster {
         chaos.arm(start);
 
         let mut slots = Vec::with_capacity(n);
-        for (i, ((listener, udp), peer_listener)) in
-            listeners.into_iter().zip(udps).zip(peer_listeners).enumerate()
-        {
+        for (i, (listener, udp)) in listeners.into_iter().zip(udps).enumerate() {
             // Per-class metrics hang off the node's registry, so stats are
             // built first and dynamic state registered on them.
             let stats = NodeStats::new(shards);
             let dynamic = crate::dynamic::DynamicState::new(cfg.handlers.clone(), &stats.registry);
-            // The overload-control trio. Breakers are always attached to
-            // the broker (all-Closed they reprice nothing); the gates that
-            // trip and consult them are behind `overload_control`.
             let admission = Arc::new(AdmissionController::new());
-            let breakers = Arc::new(PeerBreakers::new(n));
-            let peer_retry_budgets: Arc<Vec<RetryBudget>> =
-                Arc::new((0..n).map(|_| RetryBudget::new(PEER_RETRY_CAP)).collect());
             let file_cache = Arc::new(
                 crate::file_cache::FileCache::new(FILE_CACHE_BYTES).for_node(NodeId(i as u32)),
             );
-            stats.read_from(&file_cache, &admission, &breakers, &chaos);
+            stats.read_from(&file_cache, &admission, &chaos);
             let shared = Arc::new(NodeShared {
                 id: NodeId(i as u32),
                 shards,
@@ -231,13 +211,8 @@ impl LiveCluster {
                 cluster: cluster_spec.clone(),
                 peer_http: peer_http.clone(),
                 peer_udp: peer_udp.clone(),
-                peer_tcp: peer_tcp.clone(),
-                peer_pool: sweb_peer::PeerPool::new(peer_tcp.clone()),
-                popularity: crate::peer_transfer::Popularity::new(cfg.sweb.replicate_hot),
-                peer_hot: RwLock::new(vec![Vec::new(); n]),
                 loads: RwLock::new(LoadTable::new(n)),
-                broker: Broker::new(cfg.policy, model.clone())
-                    .with_breakers(Arc::clone(&breakers)),
+                broker: Broker::new(cfg.policy, model.clone()),
                 oracle: cfg.oracle.clone(),
                 sweb: cfg.sweb.clone(),
                 docroot: docroot.clone(),
@@ -254,20 +229,10 @@ impl LiveCluster {
                 chaos: Arc::clone(&chaos),
                 request_budget: cfg.request_budget,
                 admission,
-                breakers,
-                peer_retry_budgets: Arc::clone(&peer_retry_budgets),
                 fetch_retry_budget: RetryBudget::new(FETCH_RETRY_CAP),
                 overload_control: cfg.overload_control,
             });
-            if cfg.overload_control {
-                // The pool's stale-connection retry draws from the same
-                // per-peer token bucket as the scheduler-level retries.
-                let budgets = Arc::clone(&peer_retry_budgets);
-                shared.peer_pool.set_retry_gate(move |peer| {
-                    budgets.get(peer).is_none_or(|b| b.try_retry())
-                });
-            }
-            let handle = NodeHandle::spawn(Arc::clone(&shared), listener, udp, peer_listener)?;
+            let handle = NodeHandle::spawn(Arc::clone(&shared), listener, udp)?;
             slots.push(NodeSlot { shared, handle: Mutex::new(Some(handle)) });
         }
         Ok(LiveCluster { slots, chaos, script_pos: Mutex::new(0) })
@@ -338,8 +303,8 @@ impl LiveCluster {
         self.slots[i].shared.draining.store(false, Ordering::Relaxed);
     }
 
-    /// Hard-kill node `i`: stop its engine (whose shard 0 runs loadd and
-    /// the peer listener) and close its sockets, with no drain and no
+    /// Hard-kill node `i`: stop its engine (whose shard 0 runs loadd)
+    /// and close its sockets, with no drain and no
     /// leaving packet — the process equivalent of yanking power. Joining
     /// the loops wakes them, so an idle node dies at once. Peers only
     /// find out through silence (Suspect after two silent loadd periods,
@@ -383,15 +348,10 @@ impl LiveCluster {
             sweb_reactor::sys::bind_reuseaddr(http_addr)?
         };
         let udp = UdpSocket::bind(shared.peer_udp[i])?;
-        // The peer channel rebinds its original address too (REUSEADDR:
-        // connections the dead node held linger in TIME_WAIT), and every
-        // stale pooled connection to the old incarnation is dropped.
-        let peer_listener = sweb_reactor::sys::bind_reuseaddr(shared.peer_tcp[i])?;
-        shared.peer_pool.disconnect(i);
         // Flags must reset *before* spawn or the new threads exit at once.
         shared.shutdown.store(false, Ordering::Relaxed);
         shared.draining.store(false, Ordering::Relaxed);
-        *slot = Some(NodeHandle::spawn(Arc::clone(shared), listener, udp, peer_listener)?);
+        *slot = Some(NodeHandle::spawn(Arc::clone(shared), listener, udp)?);
         Ok(())
     }
 

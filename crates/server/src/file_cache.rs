@@ -3,8 +3,8 @@
 //! the OS buffer cache and re-`read()` per request).
 //!
 //! The server keeps only documents below 256 KiB here: a larger one
-//! streams from the OS page cache (`sendfile`), so it is in no stripe,
-//! loadd digest or peer pull. [`FileCache::read`] still takes any size.
+//! streams from the OS page cache (`sendfile`), so it is in no stripe or
+//! loadd digest. [`FileCache::read`] still takes any size.
 //!
 //! Bodies are stored as [`Bytes`], so concurrent responses share one copy
 //! with no duplication. Entries are validated against the file's mtime on
@@ -346,8 +346,7 @@ impl FileCache {
 
     /// Look up a resident body by key — no filesystem stat, no disk
     /// fallback. Returns the body, its recorded mtime, and the canonical
-    /// path it was cached under. The peer-transfer listener serves FETCH
-    /// requests from here so a pull reads the source's RAM, not its disk.
+    /// path it was cached under.
     pub fn get(&self, key: FileId) -> Option<(Bytes, SystemTime, String)> {
         let seg = self.segment_of(key);
         let found = {
@@ -357,40 +356,6 @@ impl FileCache {
         };
         seg.hits.fetch_add(1, Ordering::Relaxed);
         Some(found)
-    }
-
-    /// Adopt a body that arrived over the peer channel (a pull or a PUSH)
-    /// without touching the filesystem. Returns whether the body was
-    /// actually cached (an oversized body, or one whose `FileId` slot is
-    /// held by a colliding path, is dropped — the next local request will
-    /// read it from the shared docroot, correctly). The entry is keyed and
-    /// mtime-stamped exactly as a disk read would key it, so later reads
-    /// revalidate against the real file and hit.
-    pub fn insert(&self, path: &str, body: Bytes, mtime: SystemTime) -> bool {
-        self.adopt(path, body, mtime).1
-    }
-
-    /// [`FileCache::insert`], returning the document built for it too:
-    /// cached or not, a pulled body is served with the head its entry
-    /// would carry.
-    pub(crate) fn adopt(&self, path: &str, body: Bytes, mtime: SystemTime) -> (Document, bool) {
-        let key = key_of(path);
-        let seg = self.segment_of(key);
-        let doc = self.build(path, body, mtime);
-        let cacheable = {
-            let lru = seg.lru.lock();
-            if lru.peek(key).is_some_and(|e| e.path != path) {
-                // Collision: the slot belongs to a different document.
-                seg.collisions.fetch_add(1, Ordering::Relaxed);
-                false
-            } else {
-                doc.body.len() as u64 <= lru.capacity()
-            }
-        };
-        if cacheable {
-            seg.put(key, Entry { doc: doc.clone(), path: path.to_string() });
-        }
-        (doc, cacheable)
     }
 }
 
@@ -562,38 +527,15 @@ mod tests {
     }
 
     #[test]
-    fn inserted_bodies_read_back_byte_identical() {
-        // A body adopted over the peer channel must come back bit-for-bit
-        // through the striped cache — same Bytes, same mtime — and must
-        // revalidate against the real file once one exists.
+    fn get_returns_a_resident_body_by_key() {
         let cache = FileCache::new(1 << 20);
-        let body = Bytes::from_static(b"pushed from a peer");
-        let mtime = SystemTime::UNIX_EPOCH + std::time::Duration::new(1_234_567, 890);
-        assert!(cache.insert("/pushed", body.clone(), mtime));
-        assert!(cache.resident("/pushed"));
-        let (got, got_mtime, path) = cache.get(key_of("/pushed")).unwrap();
-        assert_eq!(got, body, "peer-inserted body must read back identical");
-        assert_eq!(got_mtime, mtime, "mtime must survive adoption exactly");
-        assert_eq!(path, "/pushed");
-        // A matching on-disk file makes the normal read path hit the entry.
-        let f = tmpfile("push", b"pushed from a peer");
-        let disk_mtime = std::fs::metadata(&f).unwrap().modified().unwrap();
-        assert!(cache.insert("/pushed", body.clone(), disk_mtime));
-        let (via_read, _) = cache.read("/pushed", &f).unwrap();
-        assert_eq!(via_read, body);
-        assert!(cache.hits() >= 2);
-        let _ = std::fs::remove_file(&f);
-    }
-
-    #[test]
-    fn insert_refuses_oversized_bodies() {
-        let cache = FileCache::with_segments(64, 1);
-        let t = SystemTime::UNIX_EPOCH;
-        assert!(!cache.insert("/huge", Bytes::from(vec![b'z'; 100]), t), "oversized");
-        assert_eq!(cache.used(), 0);
-        assert!(cache.insert("/small", Bytes::from_static(b"ok"), t));
+        let f = tmpfile("get", b"resident body");
+        let (body, mtime) = cache.read("/got", &f).unwrap();
+        let (got, got_mtime, path) = cache.get(key_of("/got")).unwrap();
+        assert_eq!((got, got_mtime, path.as_str()), (body, mtime, "/got"));
         // get() on a missing key is a clean None.
         assert!(cache.get(FileId(0x1)).is_none());
+        let _ = std::fs::remove_file(&f);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! declare they cannot block and whose class has measured cheap. It ends
 //! in a reply, or in a [`Continuation`] carrying what it computed into
 //! the part that can sleep (disk reads, every other handler invocation,
-//! peer fetches, status renders, reading a cold large document in). A
+//! status renders, reading a cold large document in). A
 //! reactor loop thread runs the first look on the shard that parsed the
 //! request and sends only continuations to the worker pool; a
 //! worker that is handed a whole request ([`respond_parts`]) runs the
@@ -33,9 +33,6 @@ use crate::node::NodeShared;
 /// `FileCache`: it streams from its fd (`sendfile`) out of the OS page
 /// cache. Below it the fd bookkeeping costs more than the copy it saves.
 const SENDFILE_MIN: u64 = 256 << 10;
-
-/// Wall-clock bound on one peer pull.
-const FORWARD_BUDGET: Duration = Duration::from_secs(2);
 
 /// A non-blocking handler runs on the loop thread only while its class's
 /// measured p99 (`sweb_dynamic_tcpu_us`) is at most this. It is a bucket
@@ -115,7 +112,7 @@ enum Work {
     /// and a refusal that skipped the queue would starve it of the very
     /// samples that let the level come back down.
     Refuse(AdmitClass),
-    /// Scheduled onto this node: pull from a peer or fulfill locally.
+    /// Scheduled onto this node: fulfill locally.
     Serve(Serve),
 }
 
@@ -124,7 +121,6 @@ struct Serve {
     path: String,
     file: FileId,
     size: u64,
-    redirected: bool,
     decision: Decision,
     target: Target,
     /// [`Serve::try_memory`] ran. Its lookups count cache hits and
@@ -298,9 +294,8 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
         // POST is non-idempotent: never reassign it (§3.2 step 2's
         // "always completed at x" class).
         pinned_local: !req.method.is_redirectable(),
-        // Residency feeds both the cache-aware cost terms and the
-        // peer-transfer pull gate (a resident document is never pulled).
-        cached_at_origin: (shared.sweb.cache_aware_cost || shared.sweb.peer_transfer)
+        // Residency feeds the cache-aware cost terms.
+        cached_at_origin: shared.sweb.cache_aware_cost
             && matches!(&target, Target::Document { hit: Some(_), .. }),
         class: class.map_or(RequestClass::Static, RequestClass::Dynamic),
     };
@@ -323,11 +318,11 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
         return done(redirect(shared, req, target, trace));
     }
 
-    // Step 4, the part of it that cannot block. A peer pull can. And
-    // while a fault plan is active nothing is served from here: injected
-    // brownouts and slow disks sleep in `fulfill`, ahead of every read.
-    let mut serve = Serve { path, file, size, redirected, decision, target, probed: false };
-    if decision.peer_source().is_none() && !shared.chaos.is_active() {
+    // Step 4, the part of it that cannot block. While a fault plan is
+    // active nothing is served from here: injected brownouts and slow
+    // disks sleep in `fulfill`, ahead of every read.
+    let mut serve = Serve { path, file, size, decision, target, probed: false };
+    if !shared.chaos.is_active() {
         let fetch_started = Instant::now();
         let inline = serve
             .try_memory(shared, req, body)
@@ -367,7 +362,7 @@ impl Continuation {
                 shared.stats.admission_shed_counter(class).inc();
                 (overloaded(shared), None)
             }
-            Work::Serve(serve) => serve.run(shared, req, body, &self.trace),
+            Work::Serve(serve) => serve.run(shared, req, body),
         };
         resp.headers.set("X-SWEB-Trace", self.trace);
         (resp, file)
@@ -446,69 +441,13 @@ impl Serve {
     /// is what this very fetch was scheduled on, so the pair feeds the
     /// prediction-error histograms.
     fn fetched(&self, shared: &NodeShared, started: Instant) {
-        if matches!(self.target, Target::Document { .. }) {
-            // Count the serve toward this node's popularity table: these
-            // counts feed the replicator and loadd's hot-list piggyback
-            // (a no-op on a node without the replicator).
-            shared.popularity.record(self.file, &self.path);
-        }
         let fetch_us = started.elapsed().as_micros() as u64;
         shared.stats.phases.record(Phase::Fetch, fetch_us);
         let cost = self.decision.cost;
         shared.stats.feedback.record(cost.t_redirection, cost.t_data, cost.t_cpu, fetch_us);
     }
 
-    fn run(mut self, shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Parts {
-        // Step 3½: peer pull — the comparison picked a peer that holds the
-        // document in RAM, close enough to a tie that bouncing the client
-        // (302) would cost more than it saves. Pull the body over the
-        // cluster-internal peer channel instead: the client is answered by
-        // the node it reached (no extra round trip, no Location chase), and
-        // the pulled body seeds the local striped cache so repeats become
-        // plain local hits. Dynamic requests never forward — the broker
-        // doesn't propose it, and a Bloom false positive on a handler path
-        // must not turn into a FETCH for a file that isn't one.
-        if let (Some(source), Target::Document { .. }) = (self.decision.peer_source(), &self.target)
-        {
-            let forward_started = Instant::now();
-            match crate::peer_transfer::fetch_via_peer(
-                shared,
-                source,
-                self.file,
-                &self.path,
-                trace,
-                FORWARD_BUDGET,
-            ) {
-                Ok(pulled) => {
-                    let forward_us = forward_started.elapsed().as_micros() as u64;
-                    shared.stats.phases.record(Phase::Forward, forward_us);
-                    shared.stats.peer_fetches.inc();
-                    shared.popularity.record(self.file, &self.path);
-                    let body = Bytes::from(pulled.body);
-                    let (doc, _) = shared.file_cache.adopt(&self.path, body, pulled.mtime);
-                    let cost = self.decision.cost;
-                    shared.stats.feedback.record(
-                        cost.t_redirection,
-                        cost.t_data,
-                        cost.t_cpu,
-                        forward_us,
-                    );
-                    return (doc.reply(), None);
-                }
-                Err(_) => {
-                    // Degrade, never hang: bounce the client to the source
-                    // with a classic 302 when it can still be bounced (not
-                    // already redirected, source not known dead); otherwise
-                    // fall through and serve from the shared docroot.
-                    shared.stats.forward_failures.inc();
-                    let source_up = shared.loads.read().is_alive(source);
-                    if !self.redirected && source_up {
-                        return (redirect(shared, req, source, trace), None);
-                    }
-                }
-            }
-        }
-
+    fn run(mut self, shared: &NodeShared, req: &Request, body: &[u8]) -> Parts {
         // Step 4: fulfillment.
         let fetch_started = Instant::now();
         let result = self.fulfill(shared, req, body);

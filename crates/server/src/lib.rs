@@ -40,7 +40,6 @@ mod cluster;
 mod handler;
 mod loadd;
 mod node;
-mod peer_transfer;
 
 pub mod access_log;
 pub mod client;

@@ -5,8 +5,7 @@
 //! what a received report does to the load table — and this shim keeps
 //! what only a live node has: the socket, the clock (`NodeShared::now`),
 //! the load sample, the fault plan's drop/delay verdicts with the packets
-//! they delay, and acting on churn (counters, membership log lines, the
-//! breaker's `force_open`, the peers' hot lists).
+//! they delay, and acting on churn (counters and membership log lines).
 
 use std::net::{SocketAddr, UdpSocket};
 use std::os::fd::{AsRawFd, RawFd};
@@ -16,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use sweb_chaos::TxVerdict;
 use sweb_cluster::NodeId;
-use sweb_core::{LoadReport, LoadVector, Loadd, PeerHealth, MAX_HOT, PACKET_MAX};
+use sweb_core::{LoadReport, LoadVector, Loadd, PeerHealth, PACKET_MAX};
 
 use crate::node::NodeShared;
 
@@ -49,25 +48,19 @@ fn log_membership(shared: &NodeShared, peer: NodeId, event: &str) {
     }
 }
 
-/// This node's report: its load, drain flag, cache digest and hot list.
+/// This node's report: its load, drain flag and cache digest.
 pub(crate) fn report(shared: &NodeShared) -> LoadReport {
     LoadReport {
         node: shared.id,
         load: sample_load(shared),
         leaving: shared.draining.load(Ordering::Relaxed),
         digest: shared.file_cache.digest(),
-        hot: shared.popularity.hot_ids(MAX_HOT),
     }
 }
 
-/// Count a peer's death and log it; with overload control on, open its
-/// breaker now rather than wait for failed forwards to trip it (a peer
-/// that stopped reporting load is already not answering).
+/// Count a peer's death and log it.
 fn peer_died(shared: &NodeShared, peer: NodeId) {
     shared.stats.peer_dead.inc();
-    if shared.overload_control {
-        shared.breakers.force_open(peer);
-    }
     log_membership(shared, peer, "dead");
 }
 
@@ -162,11 +155,6 @@ impl Daemon {
             shared.stats.loadd_decode_errors.inc();
             return;
         };
-        // Keep the peer's advertised hot list; a node without a
-        // replicator advertises none and leaves the previous list alone.
-        if !folded.hot.is_empty() {
-            shared.peer_hot.write()[folded.node.index()] = folded.hot;
-        }
         match (folded.prev, folded.health) {
             (PeerHealth::Alive | PeerHealth::Suspect, PeerHealth::Dead) => {
                 peer_died(shared, folded.node)

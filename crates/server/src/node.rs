@@ -11,8 +11,7 @@ use parking_lot::{Mutex, RwLock};
 use sweb_chaos::Injector;
 use sweb_cluster::{ClusterSpec, NodeId};
 use sweb_core::{
-    AdmissionController, AdmitClass, Broker, LoadTable, Oracle, PeerBreakers, RetryBudget,
-    SwebConfig,
+    AdmissionController, AdmitClass, Broker, LoadTable, Oracle, RetryBudget, SwebConfig,
 };
 use sweb_des::SimTime;
 use sweb_http::{Request, StatusCode};
@@ -69,18 +68,6 @@ pub struct NodeStats {
     pub peer_dead: Arc<Counter>,
     /// Peers revived from Suspect/Dead by a fresh loadd packet.
     pub peer_revived: Arc<Counter>,
-    /// Requests served after pulling the document from a peer over the
-    /// transfer channel (the client saw no redirect).
-    pub peer_fetches: Arc<Counter>,
-    /// Peer pulls that failed and degraded to a redirect or local read.
-    pub forward_failures: Arc<Counter>,
-    /// Peer-channel frames that failed to decode or violated the
-    /// protocol (counted like `loadd_decode_errors`; never fatal).
-    pub peer_frames_bad: Arc<Counter>,
-    /// Hot documents this node pushed into peers' caches (accepted).
-    pub pushes_sent: Arc<Counter>,
-    /// Documents peers pushed into this node's cache (accepted).
-    pub pushes_received: Arc<Counter>,
     /// Requests answered 503 by the reactor for missing a deadline phase.
     pub deadline_overruns: Arc<Counter>,
     /// Transient file-fetch errors retried under bounded backoff.
@@ -88,7 +75,7 @@ pub struct NodeStats {
     /// Requests refused by the adaptive admission controller, one
     /// counter per class (`sweb_admission_sheds_total{class=...}`).
     /// Order matches [`NodeStats::admission_shed_counter`].
-    admission_sheds: [Arc<Counter>; 4],
+    admission_sheds: [Arc<Counter>; 3],
     /// Retries refused because a retry budget was empty.
     pub retry_budget_exhausted: Arc<Counter>,
     /// Requests currently in flight on this node (the live "CPU load";
@@ -133,6 +120,10 @@ impl NodeStats {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.subsec_nanos() ^ d.as_secs() as u32)
             .unwrap_or(0);
+        // The benchmark's traced run reads these two series. No node
+        // pulls or pushes documents any more, so they stay at 0.
+        c("sweb_peer_fetches_total", "Requests served after pulling the document from a peer");
+        c("sweb_pushes_sent_total", "Documents pushed into peers' caches");
         NodeStats {
             accepted: sc("sweb_connections_accepted_total", "Connections accepted"),
             served: sc(
@@ -172,26 +163,6 @@ impl NodeStats {
                 "sweb_peer_revived_total",
                 "Suspect/Dead peers revived by a fresh loadd packet",
             ),
-            peer_fetches: c(
-                "sweb_peer_fetches_total",
-                "Requests served after pulling the document over the peer channel",
-            ),
-            forward_failures: c(
-                "sweb_forward_failures_total",
-                "Peer pulls that failed and degraded to a redirect or local read",
-            ),
-            peer_frames_bad: c(
-                "sweb_peer_frames_bad_total",
-                "Peer-channel frames that failed to decode or violated the protocol",
-            ),
-            pushes_sent: c(
-                "sweb_pushes_sent_total",
-                "Hot documents pushed into peers' caches",
-            ),
-            pushes_received: c(
-                "sweb_pushes_received_total",
-                "Documents peers pushed into this node's cache",
-            ),
             deadline_overruns: c(
                 "sweb_deadline_overruns_total",
                 "Requests answered 503 for missing a deadline phase",
@@ -200,7 +171,7 @@ impl NodeStats {
                 "sweb_fetch_retries_total",
                 "Transient file-fetch errors retried under bounded backoff",
             ),
-            admission_sheds: ["peer_serve", "dynamic", "static_miss", "static_hit"].map(|cl| {
+            admission_sheds: ["dynamic", "static_miss", "static_hit"].map(|cl| {
                 registry.counter(
                     "sweb_admission_sheds_total",
                     &[("class", cl)],
@@ -245,13 +216,12 @@ impl NodeStats {
     }
 
     /// Register readers of the numbers the node's other subsystems keep in
-    /// their own atomics: the file cache, the admission controller, the
-    /// breakers and the (cluster-wide) fault injector.
+    /// their own atomics: the file cache, the admission controller and the
+    /// (cluster-wide) fault injector.
     pub fn read_from(
         &self,
         file_cache: &Arc<FileCache>,
         admission: &Arc<AdmissionController>,
-        breakers: &Arc<PeerBreakers>,
         chaos: &Arc<Injector>,
     ) {
         let reg = &self.registry;
@@ -304,24 +274,6 @@ impl NodeStats {
             "Retry-After seconds a 503 would carry now",
             read(admission, AdmissionController::retry_after_secs),
         );
-        reg.gauge_fn(
-            "sweb_breaker_open",
-            &[],
-            "Peer circuit breakers currently open",
-            read(breakers, |b| b.open_count() as u64),
-        );
-        reg.counter_fn(
-            "sweb_breaker_opens_total",
-            &[],
-            "Closed-to-open breaker transitions",
-            read(breakers, PeerBreakers::opens_total),
-        );
-        reg.counter_fn(
-            "sweb_breaker_fast_fails_total",
-            &[],
-            "Peer operations refused by an open breaker",
-            read(breakers, PeerBreakers::fast_fails_total),
-        );
         for (i, (kind, _)) in chaos.counts().each().into_iter().enumerate() {
             let chaos = Arc::clone(chaos);
             reg.counter_fn(
@@ -336,10 +288,9 @@ impl NodeStats {
     /// The admission-shed counter for one [`AdmitClass`].
     pub fn admission_shed_counter(&self, class: AdmitClass) -> &Arc<Counter> {
         &self.admission_sheds[match class {
-            AdmitClass::PeerServe => 0,
-            AdmitClass::Dynamic => 1,
-            AdmitClass::StaticMiss => 2,
-            AdmitClass::StaticHit => 3,
+            AdmitClass::Dynamic => 0,
+            AdmitClass::StaticMiss => 1,
+            AdmitClass::StaticHit => 2,
         }]
     }
 
@@ -406,16 +357,6 @@ pub struct NodeShared {
     pub peer_http: Vec<String>,
     /// UDP loadd addresses of every node.
     pub peer_udp: Vec<SocketAddr>,
-    /// Peer-transfer channel (TCP) addresses of every node.
-    pub peer_tcp: Vec<SocketAddr>,
-    /// Pooled connections to every peer's transfer channel.
-    pub peer_pool: sweb_peer::PeerPool,
-    /// Per-file request counters feeding loadd's hot list and the
-    /// replicator.
-    pub popularity: crate::peer_transfer::Popularity,
-    /// Each peer's advertised hot list (from its loadd reports), indexed
-    /// by node.
-    pub peer_hot: RwLock<Vec<Vec<sweb_cluster::FileId>>>,
     /// This node's view of everyone's load.
     pub loads: RwLock<LoadTable>,
     /// The scheduling broker.
@@ -454,17 +395,11 @@ pub struct NodeShared {
     /// Adaptive admission controller: worker-queue sojourn feeds it, and
     /// the per-class gates in the handler consult its shed level.
     pub admission: Arc<AdmissionController>,
-    /// Per-peer circuit breakers over the transfer channel / redirect
-    /// targets. Also attached to [`NodeShared::broker`], which reprices
-    /// open-breaker candidates out of its comparisons.
-    pub breakers: Arc<PeerBreakers>,
-    /// Per-peer retry budgets for transfer-channel retries.
-    pub peer_retry_budgets: Arc<Vec<RetryBudget>>,
     /// Retry budget for local filesystem fetch retries.
     pub fetch_retry_budget: RetryBudget,
-    /// Whether the overload-control gates are active (admission, breaker
-    /// bookkeeping, retry budgets). The structures above exist either
-    /// way, so status can always report them.
+    /// Whether the overload-control gates are active (admission and the
+    /// fetch retry budget). The structures above exist either way, so
+    /// status can always report them.
     pub overload_control: bool,
 }
 
@@ -491,30 +426,22 @@ impl NodeShared {
 struct ReactorApp {
     shared: Arc<NodeShared>,
     shard: usize,
-    /// Shard 0's loop takes the node's loadd daemon and peer listener as
-    /// it starts ([`sweb_reactor::App::service`]); `None` on the others.
-    service: Mutex<Option<NodeService>>,
+    /// Shard 0's loop takes the node's loadd daemon as it starts
+    /// ([`sweb_reactor::App::service`]); `None` on the others.
+    service: Mutex<Option<crate::loadd::Daemon>>,
 }
 
-/// What shard 0's loop runs beside its connections: the node's loadd
-/// daemon and its peer-channel listener. Neither has a thread of its own.
-struct NodeService {
-    loadd: crate::loadd::Daemon,
-    peers: crate::peer_transfer::PeerListener,
-}
-
-impl sweb_reactor::Service for NodeService {
+/// loadd rides shard 0's loop beside its connections, with no thread of
+/// its own.
+impl sweb_reactor::Service for crate::loadd::Daemon {
     fn fds(&self) -> Vec<RawFd> {
-        std::iter::once(self.loadd.fd()).chain(self.peers.fd()).collect()
+        vec![self.fd()]
     }
     fn run(&mut self, ready: Option<RawFd>) -> Option<Instant> {
-        match ready {
-            Some(fd) if fd == self.loadd.fd() => self.loadd.receive(),
-            Some(_) => self.peers.accept(),
-            None => {}
+        if ready.is_some() {
+            self.receive();
         }
-        let due = self.loadd.tick();
-        Some(self.peers.parked_until(Instant::now()).map_or(due, |until| due.min(until)))
+        Some(self.tick())
     }
 }
 
@@ -686,31 +613,23 @@ pub struct NodeHandle {
     pub shared: Arc<NodeShared>,
     /// HTTP address the node listens on.
     pub http_addr: SocketAddr,
-    /// The hot-file replicator's thread, when configured.
-    replicator: Option<std::thread::JoinHandle<()>>,
-    /// The event loops; shard 0's also runs loadd and the peer listener.
+    /// The event loops; shard 0's also runs loadd.
     reactor: sweb_reactor::ShardedHandle,
     /// The reactor's own stop flag (its loops look at it when woken).
     reactor_shutdown: Arc<AtomicBool>,
 }
 
 impl NodeHandle {
-    /// Spawn the connection engine for a node whose listener, UDP socket,
-    /// and peer-channel listener are already bound. Shard 0's loop runs
-    /// loadd on the UDP socket and accepts on the peer channel (serving
-    /// FETCH costs nothing when nobody pulls); only the replicator, whose
-    /// pushes block, gets a thread, and only when configured.
+    /// Spawn the connection engine for a node whose listener and UDP
+    /// socket are already bound. Shard 0's loop runs loadd on the UDP
+    /// socket.
     pub fn spawn(
         shared: Arc<NodeShared>,
         listener: TcpListener,
         udp: std::net::UdpSocket,
-        peer_listener: TcpListener,
     ) -> std::io::Result<NodeHandle> {
         let http_addr = listener.local_addr()?;
-        let mut service = Some(NodeService {
-            loadd: crate::loadd::Daemon::new(Arc::clone(&shared), udp)?,
-            peers: crate::peer_transfer::PeerListener::new(Arc::clone(&shared), peer_listener)?,
-        });
+        let mut service = Some(crate::loadd::Daemon::new(Arc::clone(&shared), udp)?);
 
         let reactor_shutdown = Arc::new(AtomicBool::new(false));
         let apps: Vec<Arc<dyn sweb_reactor::App>> = (0..shared.shards.max(1))
@@ -732,23 +651,16 @@ impl NodeHandle {
         };
         let reactor =
             sweb_reactor::spawn_sharded(listener, apps, cfg, Arc::clone(&reactor_shutdown))?;
-        let replicator = shared
-            .sweb
-            .replicate_hot
-            .then(|| crate::peer_transfer::spawn_replicator(Arc::clone(&shared)));
 
-        Ok(NodeHandle { shared, http_addr, replicator, reactor, reactor_shutdown })
+        Ok(NodeHandle { shared, http_addr, reactor, reactor_shutdown })
     }
 
-    /// Signal shutdown and join the loops and the replicator; open
-    /// connections are closed by the reactor loops on their way out.
+    /// Signal shutdown and join the loops; open connections are closed by
+    /// the reactor loops on their way out.
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         self.reactor_shutdown.store(true, Ordering::Relaxed);
         let _ = self.reactor.join();
-        if let Some(t) = self.replicator {
-            let _ = t.join();
-        }
         // Shards clear their own flags on the way out; a loop that
         // panicked never got to.
         for live in self.shared.shard_live.iter() {

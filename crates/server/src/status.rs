@@ -7,7 +7,7 @@
 //! numbers: `/metrics` renders it, and the report's `metrics` are its
 //! counters and gauges keyed by series. The report types by hand only
 //! what is not a registry number — the node's identity, the load, shard
-//! and handler tables, and the overload switch with the breaker states.
+//! and handler tables, and the overload switch.
 //! The text page and the JSON document are two views of that one value,
 //! and `StatusReport::from_json` gives API consumers a schema-checked
 //! round trip.
@@ -47,7 +47,9 @@ pub const METRICS_PATH: &str = "/metrics";
 /// `cache`, `dynamic_cache` and `faults` blocks, the numeric `overload`
 /// members and the handler rows' `invocations` and `cache_hits` went. A
 /// new series is one registration and needs no bump.
-pub const STATUS_SCHEMA_VERSION: u64 = 11;
+/// v12 removed the `overload.breakers` array: no node keeps per-peer
+/// circuit breakers.
+pub const STATUS_SCHEMA_VERSION: u64 = 12;
 
 /// One node's full introspection snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +68,7 @@ pub struct StatusReport {
     pub shards: Vec<ShardRow>,
     /// Per-class dynamic handler accounting, sorted by class name.
     pub handlers: Vec<HandlerRow>,
-    /// Overload-control switch and breaker states.
+    /// Overload-control switch.
     pub overload: OverloadSnapshot,
     /// Every counter and gauge of the node's registry, `(series, value)`
     /// in registration order: the scalar series of `/metrics`.
@@ -78,11 +80,8 @@ pub struct StatusReport {
 /// off`), not that the numbers are absent.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OverloadSnapshot {
-    /// Whether the admission/breaker/budget gates are active.
+    /// Whether the admission and retry-budget gates are active.
     pub enabled: bool,
-    /// Per-peer circuit-breaker states (`"closed"`, `"open"`,
-    /// `"half-open"`), indexed by node id.
-    pub breakers: Vec<String>,
 }
 
 /// One reactor shard's slice of the node's hot counters.
@@ -198,12 +197,7 @@ impl StatusReport {
                     ),
                 })
                 .collect(),
-            overload: OverloadSnapshot {
-                enabled: shared.overload_control,
-                breakers: (0..shared.breakers.len())
-                    .map(|i| shared.breakers.state(NodeId(i as u32)).name().to_string())
-                    .collect(),
-            },
+            overload: OverloadSnapshot { enabled: shared.overload_control },
             metrics: s.registry.scalars(),
         }
     }
@@ -254,9 +248,8 @@ impl StatusReport {
             ));
         }
         out.push_str(&format!(
-            "\noverload control: {} — breakers: [{}]\n\nmetrics:\n",
+            "\noverload control: {}\n\nmetrics:\n",
             if self.overload.enabled { "on" } else { "off" },
-            self.overload.breakers.join(", "),
         ));
         for (series, value) in &self.metrics {
             out.push_str(&format!("  {series} {value}\n"));
@@ -329,15 +322,7 @@ impl StatusReport {
             ),
             (
                 "overload",
-                obj(vec![
-                    ("enabled", Json::Bool(self.overload.enabled)),
-                    (
-                        "breakers",
-                        Json::Arr(
-                            self.overload.breakers.iter().map(|s| Json::Str(s.clone())).collect(),
-                        ),
-                    ),
-                ]),
+                obj(vec![("enabled", Json::Bool(self.overload.enabled))]),
             ),
             (
                 "metrics",
@@ -423,15 +408,7 @@ impl StatusReport {
             })
             .collect::<Result<Vec<_>, String>>()?;
         let o = field(v, "overload")?;
-        let overload = OverloadSnapshot {
-            enabled: boolean(&o, "enabled")?,
-            breakers: field(&o, "breakers")?
-                .as_arr()
-                .ok_or("breakers is not an array")?
-                .iter()
-                .map(|s| s.as_str().map(str::to_string).ok_or("breaker is not a string"))
-                .collect::<Result<Vec<_>, _>>()?,
-        };
+        let overload = OverloadSnapshot { enabled: boolean(&o, "enabled")? };
         let Json::Obj(members) = field(v, "metrics")? else {
             return Err("metrics is not an object".into());
         };
@@ -524,10 +501,7 @@ mod tests {
                     oracle_ops: 5000.0,
                 },
             ],
-            overload: OverloadSnapshot {
-                enabled: true,
-                breakers: vec!["closed".to_string(), "open".to_string(), "closed".to_string()],
-            },
+            overload: OverloadSnapshot { enabled: true },
             metrics: vec![
                 ("sweb_requests_served_total".to_string(), 90),
                 ("sweb_active_requests".to_string(), -1),
@@ -608,8 +582,8 @@ mod tests {
         let doc = sample_report().to_json();
         let broken = without_one_member(&doc);
         // 9 top-level members, 7 per load row, 6 per shard row, 4 per
-        // handler row and 2 in `overload`.
-        assert_eq!(broken.len(), 9 + 2 * 7 + 2 * 6 + 2 * 4 + 2);
+        // handler row and 1 in `overload`.
+        assert_eq!(broken.len(), 9 + 2 * 7 + 2 * 6 + 2 * 4 + 1);
         for v in &broken {
             assert!(StatusReport::from_json(v).is_err(), "accepted {}", v.render());
         }
@@ -624,7 +598,7 @@ mod tests {
         }
         assert!(StatusReport::from_json(&metrics("sweb_x{k=\"v\"}", Json::Num(-2.0))).is_ok());
         // The previous version, and a future one.
-        for version in [10.0, 99.0] {
+        for version in [11.0, 99.0] {
             let Json::Obj(mut members) = doc.clone() else { unreachable!() };
             members[0].1 = Json::Num(version);
             let err = StatusReport::from_json(&Json::Obj(members)).unwrap_err();
@@ -645,7 +619,7 @@ mod tests {
         assert!(text.contains("s1     no     40        35        0         2"), "{text}");
         assert!(text.contains("burn        1800      4200      250000"), "{text}");
         assert!(text.contains("echo        30        90        5000"), "{text}");
-        assert!(text.contains("overload control: on — breakers: [closed, open, closed]"), "{text}");
+        assert!(text.contains("overload control: on\n"), "{text}");
         for (series, value) in &report.metrics {
             assert!(text.contains(&format!("\n  {series} {value}\n")), "{series}: {text}");
         }

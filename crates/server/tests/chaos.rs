@@ -18,8 +18,9 @@ use std::time::{Duration, Instant};
 use sweb_cluster::NodeId;
 use sweb_core::{PeerHealth, Policy};
 use sweb_des::SimTime;
+use sweb_server::client::Session;
 use sweb_server::{
-    client, AccessLog, ClusterConfig, Fault, FaultPlan, LiveCluster, StatusReport, Window,
+    client, home_of, AccessLog, ClusterConfig, Fault, FaultPlan, LiveCluster, StatusReport, Window,
 };
 
 mod support;
@@ -299,6 +300,61 @@ fn an_idle_node_dies_at_once_and_rejoins() {
     cluster.shutdown();
 }
 
+/// How many of `rounds` passes over `paths` node 0 answers with a 302 to
+/// node 2 (each request on a fresh connection; redirects not followed).
+fn redirected_to_node_2(cluster: &LiveCluster, paths: &[String], rounds: usize) -> usize {
+    let to_node_2 = format!("{}/", cluster.base_url(2));
+    let mut redirected = 0;
+    for path in paths.iter().cycle().take(rounds) {
+        let resp = Session::connect(cluster.base_url(0)).unwrap().get(path).unwrap();
+        let location = resp.headers.get("location").unwrap_or("");
+        if resp.status == 302 && location.starts_with(&to_node_2) {
+            redirected += 1;
+        }
+    }
+    redirected
+}
+
+/// A node that dies and comes back is a redirect target again as soon as
+/// its peers hear it: under `FileLocality`, once node 0 sees node 2 Alive,
+/// every request for a document homed on node 2 is a 302 there within one
+/// loadd period. (Per-peer circuit breakers once kept a revived peer
+/// half-open for good — their only close signal was a successful pull
+/// over the peer channel — and node 0 then redirected to it at most once
+/// per probe interval.)
+#[test]
+fn a_revived_home_gets_every_redirect_again() {
+    let dir = docroot("revived-home");
+    let mut paths = Vec::new();
+    for i in 0.. {
+        let path = format!("/home{i}.txt");
+        if home_of(&path, 3) == NodeId(2) {
+            std::fs::write(dir.join(&path[1..]), format!("homed on node 2: {i}")).unwrap();
+            paths.push(path);
+            if paths.len() == 8 {
+                break;
+            }
+        }
+    }
+    let cfg = ClusterConfig { policy: Policy::FileLocality, ..ClusterConfig::default() };
+    let period = Duration::from_micros(cfg.sweb.loadd_period.as_micros());
+    let cluster = LiveCluster::start(3, dir, cfg).unwrap();
+    assert!(cluster.await_loadd_mesh(Duration::from_secs(10)));
+    assert_eq!(redirected_to_node_2(&cluster, &paths, 40), 40, "before the kill");
+
+    cluster.kill(2);
+    await_true(Duration::from_secs(10), "node 0 marks node 2 dead", || {
+        health_seen(&cluster, 0, 2) == PeerHealth::Dead
+    });
+    cluster.revive(2).unwrap();
+    await_true(Duration::from_secs(10), "node 0 sees node 2 alive again", || {
+        health_seen(&cluster, 0, 2) == PeerHealth::Alive
+    });
+    std::thread::sleep(period);
+    assert_eq!(redirected_to_node_2(&cluster, &paths, 40), 40, "after the revival");
+    cluster.shutdown();
+}
+
 /// A disk serving reads 800 ms late against a 250 ms request budget: the
 /// node must answer `503` + `Retry-After` (and close the connection)
 /// rather than let the client wait out a read that cannot finish in time.
@@ -323,43 +379,6 @@ fn slow_disk_blows_deadline_and_sheds_503() {
     assert!(stats.deadline_overruns.get() >= 1, "overrun not counted");
     let slow_reads = cluster.chaos().counts().slow_reads.load(Ordering::Relaxed);
     assert!(slow_reads >= 1, "injected stall not counted");
-    cluster.shutdown();
-}
-
-/// Blackhole the peer transfer channel between the only two nodes: every
-/// pull the broker schedules fails the injected loss check, and every
-/// failure degrades to the classic 302 — correct bytes, zero hangs, and
-/// the degradation visible in both the node counters and the injector's.
-#[test]
-fn blackholed_peer_channel_degrades_pull_to_redirect() {
-    let plan = FaultPlan::seeded(plan_seed())
-        .with(Fault::PeerLoss { from: 1, to: 0, rate_ppm: 1_000_000, window: Window::ALWAYS });
-    save_plan("peer-loss", &plan);
-    let dir = docroot("peer-loss");
-    let mut cfg = chaos_config(plan);
-    cfg.policy = Policy::FileLocality; // deterministic pull targets: the home
-    cfg.sweb.peer_transfer = true;
-    let cluster = LiveCluster::start(2, dir.clone(), cfg).unwrap();
-    assert!(cluster.await_loadd_mesh(Duration::from_secs(10)));
-
-    for i in 0..8 {
-        let url = format!("{}/doc{i}.txt", cluster.base_url(0));
-        let resp = client::get_with_timeout(&url, Duration::from_secs(5)).unwrap();
-        assert_eq!(resp.status, 200, "doc{i}");
-        assert_eq!(
-            resp.body,
-            std::fs::read(dir.join(format!("doc{i}.txt"))).unwrap(),
-            "degraded path must still serve identical bytes"
-        );
-    }
-    let stats = &cluster.node(0).stats;
-    assert_eq!(stats.peer_fetches.get(), 0, "no pull survives a 100% loss rate");
-    assert!(stats.forward_failures.get() >= 1, "failed pulls must be counted");
-    assert!(stats.redirected.get() >= 1, "failed pulls must degrade to the 302");
-    let peer_drops = cluster.chaos().counts().peer_drops.load(Ordering::Relaxed);
-    assert!(peer_drops >= 1, "injector must log the drops");
-    // loadd shares the pair but not the fault: the mesh stayed healthy.
-    assert_eq!(health_seen(&cluster, 0, 1), PeerHealth::Alive);
     cluster.shutdown();
 }
 

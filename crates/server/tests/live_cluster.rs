@@ -5,8 +5,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use sweb_core::Policy;
-use sweb_des::SimTime;
-use sweb_server::{client, AccessLog, ClusterConfig, LiveCluster};
+use sweb_server::{client, ClusterConfig, LiveCluster};
 
 mod support;
 
@@ -623,131 +622,6 @@ fn co_located_nodes_serve_each_connection_on_the_cpu_it_arrived_on() {
             assert_eq!(took, &want, "node {node}: a client on CPU {cpu} belongs to shard {shard}");
         }
     }
-    cluster.shutdown();
-}
-
-/// The peer-transfer acceptance path: a 2-node cluster where node 0
-/// serves documents homed on node 1 by pulling them over the peer
-/// channel. The client path must be 302-free, the body byte-identical to
-/// disk, the pull cache-seeding (repeats stay local), and one logical
-/// request joinable across both nodes' access logs by its trace id.
-#[test]
-fn peer_transfer_serves_remote_files_with_zero_redirects() {
-    let dir = docroot("peer-pull");
-    let log_path = dir.join("access.log");
-    let mut cfg = ClusterConfig {
-        policy: Policy::FileLocality,
-        access_log: Some(AccessLog::to_file(&log_path).unwrap()),
-        ..ClusterConfig::default()
-    };
-    cfg.sweb.peer_transfer = true;
-    let cluster = LiveCluster::start(2, dir.clone(), cfg).unwrap();
-    assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
-
-    let mut traces = Vec::new();
-    for i in 0..8 {
-        let path = format!("/doc{i}.txt");
-        let resp = client::get(&format!("{}{path}", cluster.base_url(0))).unwrap();
-        assert_eq!(resp.status, 200, "{path}");
-        assert_eq!(resp.redirects, 0, "peer transfer must keep the client path 302-free");
-        assert_eq!(resp.served_by, Some(0), "the node the client reached must answer");
-        assert_eq!(
-            resp.body,
-            std::fs::read(dir.join(format!("doc{i}.txt"))).unwrap(),
-            "{path} must be byte-identical through the peer channel"
-        );
-        if let Some(t) = resp.headers.get("x-sweb-trace") {
-            traces.push(t.to_string());
-        }
-    }
-    let stats = &cluster.node(0).stats;
-    let pulled = stats.peer_fetches.get();
-    assert!(pulled > 0, "at least one of 8 hashed docs must be homed on node 1");
-    assert_eq!(stats.redirected.get(), 0, "no client was bounced");
-    assert_eq!(stats.forward_failures.get(), 0, "healthy channel, no degradations");
-
-    // The pull seeded node 0's cache: every document is now resident, so
-    // repeats are plain local hits — no second round of pulls.
-    for i in 0..8 {
-        let resp = client::get(&format!("{}/doc{i}.txt", cluster.base_url(0))).unwrap();
-        assert_eq!((resp.status, resp.redirects), (200, 0));
-    }
-    assert_eq!(
-        cluster.node(0).stats.peer_fetches.get(),
-        pulled,
-        "pulled bodies must seed the cache — repeats stay local"
-    );
-
-    // One logical request, two nodes' log lines: the origin's GET and the
-    // source's PEER serving both carry the same trace id.
-    let log = std::fs::read_to_string(&log_path).unwrap();
-    assert!(
-        log.lines().any(|l| l.contains("\"PEER ")),
-        "the source node must log its peer servings:\n{log}"
-    );
-    let joined = traces.iter().any(|t| {
-        log.lines().any(|l| l.contains("\"PEER ") && l.contains(t.as_str()))
-            && log.lines().any(|l| l.contains("\"GET ") && l.contains(t.as_str()))
-    });
-    assert!(joined, "some trace id must join a GET line and a PEER line:\n{log}");
-    cluster.shutdown();
-}
-
-/// Digest-driven replication: hammer one document on node 0 until the
-/// popularity counter marks it hot, then watch the replicator PUSH it to
-/// node 1 (whose digest lacks it) ahead of any request arriving there.
-#[test]
-fn hot_files_replicate_to_peers_ahead_of_demand() {
-    let dir = docroot("replicate");
-    let mut cfg = ClusterConfig { policy: Policy::Sweb, ..ClusterConfig::default() };
-    cfg.sweb.peer_transfer = true;
-    cfg.sweb.replicate_hot = true;
-    // Short loadd period: the replicator sweeps every two periods.
-    cfg.sweb.loadd_period = SimTime::from_millis(100);
-    cfg.sweb.stale_timeout = SimTime::from_millis(2_000);
-    let cluster = LiveCluster::start(2, dir.clone(), cfg).unwrap();
-    assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
-
-    // The redirect-once marker pins every request local, so the heat all
-    // lands on node 0 no matter what the broker would prefer.
-    for _ in 0..12 {
-        let resp =
-            client::get(&format!("{}/doc0.txt?sweb-redirect=1", cluster.base_url(0))).unwrap();
-        assert_eq!(resp.status, 200);
-    }
-    // The receiver counts a push before it answers; the sender counts it
-    // once the answer is back. Wait for both sides.
-    let t0 = std::time::Instant::now();
-    while cluster.node(1).stats.pushes_received.get() == 0
-        || cluster.node(0).stats.pushes_sent.get() == 0
-    {
-        assert!(
-            t0.elapsed() < Duration::from_secs(10),
-            "replicator never pushed the hot file (sent={}, received={})",
-            cluster.node(0).stats.pushes_sent.get(),
-            cluster.node(1).stats.pushes_received.get()
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    assert!(cluster.node(0).stats.pushes_sent.get() >= 1);
-
-    // The replica is resident in node 1's RAM before any client asked: a
-    // marked GET there is a cache hit serving identical bytes.
-    assert!(cluster.node(1).file_cache.resident("/doc0.txt"), "replica must be resident");
-    let hits_before = cluster.node(1).file_cache.hits();
-    let resp =
-        client::get(&format!("{}/doc0.txt?sweb-redirect=1", cluster.base_url(1))).unwrap();
-    assert_eq!(resp.status, 200);
-    assert_eq!(resp.body, std::fs::read(dir.join("doc0.txt")).unwrap());
-    assert!(cluster.node(1).file_cache.hits() > hits_before, "replica must serve from RAM");
-
-    // And the replication counters are visible through the status API.
-    let resp =
-        client::get(&format!("{}/sweb-status?format=json", cluster.base_url(1))).unwrap();
-    let json = sweb_telemetry::Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
-    let report = sweb_server::StatusReport::from_json(&json).unwrap();
-    let received = report.metric("sweb_pushes_received_total");
-    assert!(received >= Some(1), "{:?}", report.metrics);
     cluster.shutdown();
 }
 

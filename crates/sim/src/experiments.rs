@@ -1024,13 +1024,10 @@ pub fn zipf_sweep(scale: Scale) -> (Vec<AblationRow>, TextTable) {
 }
 
 /// §3.1's road not taken, quantified: URL redirection (the paper's
-/// choice) vs request forwarding vs the peer-channel pull. Forwarding
-/// skips the client round trip and the re-parse but relays every
-/// response byte across the interconnect a second time — cheap for
-/// small files on the fat tree, ruinous for large files on the shared
-/// Ethernet. PeerFetch inverts forwarding: instead of pushing the
-/// request to the data, it pulls the data to the request, seeding the
-/// origin's page cache so repeats become local hits.
+/// choice) vs request forwarding. Forwarding skips the client round
+/// trip and the re-parse but relays every response byte across the
+/// interconnect a second time — cheap for small files on the fat tree,
+/// ruinous for large files on the shared Ethernet.
 pub fn forwarding_comparison(scale: Scale) -> (Vec<AblationRow>, TextTable) {
     use sweb_core::RedirectMechanism;
     let mut rows = Vec::new();
@@ -1038,16 +1035,14 @@ pub fn forwarding_comparison(scale: Scale) -> (Vec<AblationRow>, TextTable) {
         ("Meiko 1K", presets::meiko(6), FilePopulation::uniform(600, 1 << 10), 40),
         ("NOW 1.5M", presets::now_lx(4), FilePopulation::uniform(48, 1_500_000), 2),
     ];
-    let modes: [(&str, RedirectMechanism, bool); 3] = [
-        ("UrlRedirect", RedirectMechanism::UrlRedirect, false),
-        ("Forward", RedirectMechanism::Forward, false),
-        ("PeerFetch", RedirectMechanism::UrlRedirect, true),
+    let modes = [
+        ("UrlRedirect", RedirectMechanism::UrlRedirect),
+        ("Forward", RedirectMechanism::Forward),
     ];
     for (label, cluster, corpus, rps) in cases {
-        for (mode, mechanism, peer_transfer) in modes {
+        for (mode, mechanism) in modes {
             let mut cfg = SimConfig::with_policy(Policy::FileLocality);
             cfg.sweb.redirect_mechanism = mechanism;
-            cfg.sweb.peer_transfer = peer_transfer;
             cfg.client.timeout = 600.0;
             let schedule = ArrivalSchedule {
                 rps,
@@ -1061,7 +1056,7 @@ pub fn forwarding_comparison(scale: Scale) -> (Vec<AblationRow>, TextTable) {
                 variant: format!("{label} {mode}"),
                 response_secs: stats.mean_response_secs(),
                 drop_rate: stats.drop_rate(),
-                redirect_rate: stats.redirect_rate() + stats.peer_fetch_rate(),
+                redirect_rate: stats.redirect_rate(),
             });
         }
     }

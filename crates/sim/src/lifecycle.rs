@@ -238,40 +238,6 @@ fn decide(w: &mut World, s: &mut Sim<World>, node: NodeId, mut req: Req) {
                 }
             }
         }
-        Route::PeerFetch(source) => {
-            // Cluster-internal pull: the origin keeps the client connection
-            // and fetches the document from the source's RAM over the
-            // persistent peer channel — the client never sees a redirect.
-            // Digests go stale; a vanished copy degrades to the normal
-            // fulfillment path (NFS from home), never a client error.
-            let src = source.index();
-            if !w.nodes[src].alive || !w.nodes[src].cache.contains(req.file) {
-                return fulfill(w, s, node, req);
-            }
-            w.nodes[src].cache.access(req.file, req.size); // LRU touch
-            w.stats.nodes[i].peer_fetches += 1;
-            let rtt = 2.0 * w.cluster.network.latency();
-            let pulled: Thunk<World> = Box::new(move |w: &mut World, s: &mut Sim<World>| {
-                let i = node.index();
-                w.nodes[i].cache.access(req.file, req.size); // adopt
-                fulfill(w, s, node, req);
-            });
-            s.schedule_in(
-                SimTime::from_secs_f64(rtt),
-                Box::new(move |w: &mut World, s: &mut Sim<World>| {
-                    // The body crosses the source's interface (or the bus).
-                    if let Some(bus) = w.bus.as_mut() {
-                        bus.submit(s, req.size as f64, pulled);
-                    } else {
-                        w.nodes[source.index()]
-                            .link
-                            .as_mut()
-                            .expect("fat-tree cluster has per-node links")
-                            .submit(s, req.size as f64, pulled);
-                    }
-                }),
-            );
-        }
     }
 }
 

@@ -219,7 +219,6 @@ impl World {
             load: world.own_load(i),
             leaving: false,
             digest: CacheDigest::EMPTY,
-            hot: Vec::new(),
         };
         let node = &mut world.nodes[i];
         let packet = node.loadd.broadcast(now, &mut node.view, &report).packet;

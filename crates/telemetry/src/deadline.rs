@@ -33,7 +33,7 @@ impl RequestDeadline {
             // Accept and Decide are sub-microsecond bookkeeping phases;
             // they share the neighbouring checkpoint.
             Phase::Accept | Phase::Parse => 25,
-            // A peer pull happens inside the fetch window: same cutoff.
+            // Forward, which nothing records any more, shares the fetch cutoff.
             Phase::Decide | Phase::Forward | Phase::Fetch => 80,
             Phase::Write => 100,
         }

@@ -22,8 +22,9 @@ pub enum Phase {
     Parse,
     /// The broker's §3.2 scheduling decision (load refresh + cost scan).
     Decide,
-    /// Pulling the document from a peer over the transfer channel (only
-    /// requests routed `PeerFetch` spend time here).
+    /// Pulling the document from a peer. No node does any more, so
+    /// nothing records it; the variant stays because the benchmark's
+    /// layer replay records every phase in [`Phase::ALL`].
     Forward,
     /// Local fulfillment: cache/disk read or CGI execution.
     Fetch,
