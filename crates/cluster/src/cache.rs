@@ -131,12 +131,6 @@ impl<V> PageCache<V> {
         self.slab[idx].value.as_ref()
     }
 
-    /// Iterate the cached file ids (arbitrary order, no LRU side effect).
-    /// Used by the live `FileCache` to build its loadd digest.
-    pub fn keys(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.map.keys().copied()
-    }
-
     /// Cache `file` (`size` bytes) with `value` as the most recently used
     /// entry, replacing any entry it had, and return the entries evicted
     /// to make room, least recently used first. A file larger than the

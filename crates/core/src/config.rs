@@ -58,17 +58,9 @@ pub struct SwebConfig {
     /// service in the cost estimate. The 1996 cost model has no cache term,
     /// which makes SWEB chase a hot file's home node in the §4.2 skewed
     /// test; this one-sided (own-cache-only, hence implementable) term
-    /// fixes that without peeking at remote state. Also gates the remote
-    /// side of the same idea: a candidate whose advertised cache digest
-    /// contains the requested file is priced at `cache_bw` instead of its
-    /// disk (see `CostModel::t_data`).
+    /// fixes that without peeking at remote state: a peer's residency is
+    /// never priced, since only the origin knows its own cache first-hand.
     pub cache_aware_cost: bool,
-    /// Effective memory-copy bandwidth (bytes/s) used to price service
-    /// from a peer's page cache on a digest hit. Well above the Meiko-era
-    /// 5 MB/s disks but deliberately finite: digests can be stale or
-    /// collide (Bloom false positives), so a discounted candidate should
-    /// still cost *something* rather than look free.
-    pub cache_bw: f64,
 }
 
 impl Default for SwebConfig {
@@ -85,7 +77,6 @@ impl Default for SwebConfig {
             analysis_ops: 0.1e6,
             redirect_mechanism: RedirectMechanism::UrlRedirect,
             cache_aware_cost: false,
-            cache_bw: 40e6,
         }
     }
 }

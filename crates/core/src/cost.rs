@@ -136,12 +136,8 @@ impl CostModel {
     /// With the `cache_aware_cost` extension, a request whose document sits
     /// in the *origin's* page cache costs no data time there (`candidate ==
     /// origin` is signalled by `req.cached_at_origin`, which the caller only
-    /// sets for the origin evaluation); and a *remote* candidate whose
-    /// advertised cache digest contains the file is priced at RAM-copy
-    /// bandwidth (`cache_bw`) instead of its disk. The digest is a Bloom
-    /// filter, so this discount can be optimistic (false positive ⇒
-    /// mispriced schedule) but the serving node always returns the true
-    /// document — correctness never depends on the digest.
+    /// sets for the origin evaluation). Every other candidate pays its disk
+    /// or the NFS path.
     pub fn t_data(
         &self,
         req: &RequestInfo,
@@ -153,9 +149,6 @@ impl CostModel {
         let cand_spec = &inputs.cluster.nodes[candidate.index()];
         if req.cached_at_origin && candidate == origin {
             return 0.0;
-        }
-        if self.cfg.cache_aware_cost && inputs.loads.digest(candidate).contains(req.file) {
-            return size / self.cfg.cache_bw;
         }
         if req.home == candidate {
             let disk_load = inputs.loads.load(candidate).disk;
@@ -289,65 +282,6 @@ mod tests {
             (url_est - fwd_est - (t_url - t_fwd) - preprocess_secs).abs() < 1e-9,
             "url {url_est} vs fwd {fwd_est}"
         );
-    }
-
-    #[test]
-    fn digest_hit_prices_candidate_at_cache_bandwidth() {
-        use crate::digest::CacheDigest;
-        let cluster = presets::meiko(4);
-        let mut loads = LoadTable::new(4);
-        let mut d = CacheDigest::default();
-        d.insert(FileId(42));
-        loads.set_digest(NodeId(2), d);
-        let inputs = CostInputs { cluster: &cluster, loads: &loads };
-        let r = RequestInfo::fetch(FileId(42), 1_500_000, NodeId(0), 1e6);
-
-        let aware =
-            CostModel::new(SwebConfig { cache_aware_cost: true, ..SwebConfig::default() });
-        let t_hit = aware.t_data(&r, NodeId(0), NodeId(2), &inputs);
-        assert!(
-            (t_hit - 1_500_000.0 / 40e6).abs() < 1e-9,
-            "digest hit must price at cache_bw, got {t_hit}"
-        );
-        // A peer without the digest pays the full NFS path.
-        let t_miss = aware.t_data(&r, NodeId(0), NodeId(1), &inputs);
-        assert!(t_miss > 5.0 * t_hit, "NFS {t_miss} vs cached {t_hit}");
-        // The flag off: digests are ignored entirely.
-        let unaware = CostModel::new(SwebConfig::default());
-        let t_off = unaware.t_data(&r, NodeId(0), NodeId(2), &inputs);
-        assert!((t_off - t_miss).abs() < 1e-9, "{t_off} vs {t_miss}");
-    }
-
-    #[test]
-    fn digest_false_positive_only_misprices_never_invalidates() {
-        // A digest claiming residency for a file the peer long evicted is
-        // indistinguishable from a Bloom collision. The broker may then
-        // prefer that peer — a *mispriced but valid* schedule: the choice
-        // is still an alive node, and the serving node reads its own disk,
-        // so the response bytes are unaffected.
-        use crate::broker::Broker;
-        use crate::digest::CacheDigest;
-        use crate::policy::Policy;
-        let cluster = presets::meiko(4);
-        let mut loads = LoadTable::new(4);
-        // Swamp the home node so a redirect is on the table at all.
-        loads.update(NodeId(0), LoadVector::new(20.0, 20.0, 0.0), SimTime::ZERO);
-        // Node 3 falsely advertises the file.
-        let mut d = CacheDigest::default();
-        d.insert(FileId(7));
-        loads.set_digest(NodeId(3), d);
-        let broker = Broker::new(
-            Policy::Sweb,
-            CostModel::new(SwebConfig { cache_aware_cost: true, ..SwebConfig::default() }),
-        );
-        let r = RequestInfo::fetch(FileId(7), 1_500_000, NodeId(0), 1e6);
-        let decision = broker.choose(&r, NodeId(0), &cluster, &mut loads);
-        let chosen = decision.chosen(NodeId(0));
-        // The false positive steers toward node 3 …
-        assert_eq!(chosen, NodeId(3), "digest hit should attract the request");
-        // … and the schedule remains valid: an alive node, within the
-        // redirect limit (correctness is the serving node's own lookup).
-        assert!(loads.is_alive(chosen));
     }
 
     #[test]

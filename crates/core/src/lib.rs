@@ -32,7 +32,6 @@ pub mod analytic;
 mod broker;
 mod config;
 mod cost;
-mod digest;
 mod load;
 mod loadd;
 mod oracle;
@@ -43,7 +42,6 @@ mod types;
 pub use broker::{Broker, Decision, Route};
 pub use config::{RedirectMechanism, SwebConfig};
 pub use cost::{CostBreakdown, CostInputs, CostModel};
-pub use digest::{CacheDigest, DIGEST_BYTES};
 pub use load::{HealthChurn, LoadTable, LoadVector, PeerHealth};
 pub use loadd::{Broadcast, Folded, LoadReport, Loadd, PACKET_MAX};
 pub use oracle::{CostProfile, Oracle, OracleRule};

@@ -9,8 +9,6 @@
 use sweb_cluster::NodeId;
 use sweb_des::SimTime;
 
-use crate::digest::CacheDigest;
-
 /// A node's advertised load along the three facets the SWEB scheduler
 /// monitors. Each component is a dimensionless *load factor*: 0 = idle,
 /// `k` = roughly `k` jobs' worth of queued demand on that resource, so a
@@ -126,10 +124,6 @@ struct Entry {
     health: PeerHealth,
     /// Whether we have ever heard from this node.
     known: bool,
-    /// Last advertised cache digest (empty until a report arrives; an
-    /// empty digest never matches, so the cost model never discounts such
-    /// a peer).
-    digest: CacheDigest,
 }
 
 /// Each node's view of every node's load (including its own), fed by loadd
@@ -151,7 +145,6 @@ impl LoadTable {
                     updated: SimTime::ZERO,
                     health: PeerHealth::Alive,
                     known: false,
-                    digest: CacheDigest::EMPTY,
                 };
                 n
             ],
@@ -236,16 +229,6 @@ impl LoadTable {
     /// Advertised load of `node`.
     pub fn load(&self, node: NodeId) -> LoadVector {
         self.entries[node.index()].load
-    }
-
-    /// Record `node`'s advertised cache digest (from its loadd report).
-    pub fn set_digest(&mut self, node: NodeId, digest: CacheDigest) {
-        self.entries[node.index()].digest = digest;
-    }
-
-    /// `node`'s last advertised cache digest (empty if never reported).
-    pub fn digest(&self, node: NodeId) -> &CacheDigest {
-        &self.entries[node.index()].digest
     }
 
     /// When `node` last reported.

@@ -3,25 +3,21 @@
 //! no clock and no table: it folds into the [`LoadTable`] it is handed,
 //! at the [`SimTime`] it is told.
 //!
-//! The wire format is one little-endian datagram: `b"SW"`, version 4,
-//! `[node: u32][cpu, disk, net: f64][leaving: u8]` and the 32-byte
-//! [`CacheDigest`]. Any other magic or version is a decode error, never a
-//! misread.
+//! The wire format is one little-endian 32-byte datagram: `b"SW"`,
+//! version 5, `[node: u32][cpu, disk, net: f64][leaving: u8]`. Any other
+//! magic or version is a decode error, never a misread.
 
 use sweb_cluster::NodeId;
 use sweb_des::SimTime;
 
 use crate::config::SwebConfig;
-use crate::digest::{CacheDigest, DIGEST_BYTES};
 use crate::load::{HealthChurn, LoadTable, LoadVector, PeerHealth};
 
 const MAGIC: [u8; 2] = *b"SW";
-const VERSION: u8 = 4;
-/// Offset of the digest: header, node id, three loads, the leaving flag.
-const DIGEST_AT: usize = 3 + 4 + 3 * 8 + 1;
+const VERSION: u8 = 5;
 
-/// The datagram's length: everything up to the digest, then the digest.
-pub const PACKET_MAX: usize = DIGEST_AT + DIGEST_BYTES;
+/// The datagram's length: header, node id, three loads, the leaving flag.
+pub const PACKET_MAX: usize = 3 + 4 + 3 * 8 + 1;
 
 /// One node's load report, as it travels between loadds.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,8 +29,6 @@ pub struct LoadReport {
     /// Graceful-drain announcement: peers take the sender out of the pool
     /// now instead of a staleness timeout later.
     pub leaving: bool,
-    /// Digest of the sender's file cache.
-    pub digest: CacheDigest,
 }
 
 impl LoadReport {
@@ -48,7 +42,6 @@ impl LoadReport {
             buf.extend_from_slice(&x.to_le_bytes());
         }
         buf.push(u8::from(self.leaving));
-        buf.extend_from_slice(&self.digest.to_bytes());
         buf
     }
 
@@ -68,8 +61,7 @@ impl LoadReport {
         if !(load.cpu.is_finite() && load.disk.is_finite() && load.net.is_finite()) {
             return None;
         }
-        let digest = CacheDigest::from_bytes(&buf[DIGEST_AT..PACKET_MAX])?;
-        Some(LoadReport { node, load, leaving: buf[31] != 0, digest })
+        Some(LoadReport { node, load, leaving: buf[31] != 0 })
     }
 }
 
@@ -143,7 +135,6 @@ impl Loadd {
         debug_assert_eq!(report.node, self.me, "a node broadcasts its own report");
         self.next_broadcast = now + self.period;
         table.update(self.me, report.load, now);
-        table.set_digest(self.me, report.digest);
         let churn = table.mark_stale(now, self.period + self.period, self.stale_timeout);
         Broadcast { packet: report.encode(), churn }
     }
@@ -153,16 +144,14 @@ impl Loadd {
     /// the table. A peer's `leaving` report marks it Dead; any other
     /// report, or a `leaving` one naming this node, refreshes the entry.
     pub fn fold(&self, now: SimTime, table: &mut LoadTable, packet: &[u8]) -> Option<Folded> {
-        let LoadReport { node, load, leaving, digest } = LoadReport::decode(packet)?;
+        let LoadReport { node, load, leaving } = LoadReport::decode(packet)?;
         if node.index() >= table.len() {
             return None;
         }
         let prev = if leaving && node != self.me {
             table.mark_dead(node)
         } else {
-            let prev = table.update(node, load, now);
-            table.set_digest(node, digest);
-            prev
+            table.update(node, load, now)
         };
         Some(Folded { node, prev, health: table.health(node) })
     }

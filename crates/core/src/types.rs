@@ -49,6 +49,7 @@ pub struct RequestInfo {
     /// own page cache. The paper's cost model has no cache term (this is
     /// the *extension* behind `SwebConfig::cache_aware_cost`); when the
     /// flag is enabled, a cached local copy zeroes `t_data` at the origin.
+    /// No node prices a peer's residency: it only knows its own.
     pub cached_at_origin: bool,
     /// Static fetch or dynamic handler invocation (and which handler
     /// class).

@@ -2,20 +2,12 @@
 //! broadcast and a received report do to a load table.
 
 use proptest::prelude::*;
-use sweb_cluster::{FileId, NodeId};
-use sweb_core::{
-    CacheDigest, LoadReport, LoadTable, LoadVector, Loadd, PeerHealth, SwebConfig, DIGEST_BYTES,
-    PACKET_MAX,
-};
+use sweb_cluster::NodeId;
+use sweb_core::{LoadReport, LoadTable, LoadVector, Loadd, PeerHealth, SwebConfig, PACKET_MAX};
 use sweb_des::SimTime;
 
 fn report(node: u32, leaving: bool) -> LoadReport {
-    LoadReport {
-        node: NodeId(node),
-        load: LoadVector::new(1.0, 0.5, 0.25),
-        leaving,
-        digest: CacheDigest::EMPTY,
-    }
+    LoadReport { node: NodeId(node), load: LoadVector::new(1.0, 0.5, 0.25), leaving }
 }
 
 fn ms(ms: u64) -> SimTime {
@@ -24,21 +16,23 @@ fn ms(ms: u64) -> SimTime {
 
 #[test]
 fn a_report_is_one_fixed_length_datagram() {
-    let mut r = report(4, false);
-    r.digest.insert(FileId(9));
+    let r = report(4, true);
     let pkt = r.encode();
-    assert_eq!(pkt.len(), PACKET_MAX);
+    assert_eq!((pkt.len(), PACKET_MAX), (32, 32));
     assert_eq!(LoadReport::decode(&pkt), Some(r));
 }
 
 #[test]
 fn foreign_versions_and_truncations_are_dropped() {
-    // Version 3 carried a hot list after the digest; its datagrams are
-    // dropped like any other foreign version's.
-    for version in [0, 1, 2, 3, 5, 255] {
+    // Version 4 carried a 32-byte cache digest after the leaving flag,
+    // version 3 a hot list after that; their datagrams are dropped like
+    // any other foreign version's, digest bytes and all.
+    for version in [0, 1, 2, 3, 4, 6, 255] {
         let mut pkt = report(1, false).encode();
         pkt[2] = version;
         assert!(LoadReport::decode(&pkt).is_none(), "version {version} is not ours");
+        pkt.extend_from_slice(&[0xff; 32]);
+        assert!(LoadReport::decode(&pkt).is_none(), "version {version} with a digest");
     }
     let good = report(1, false).encode();
     assert!(LoadReport::decode(&good[..good.len() - 1]).is_none());
@@ -110,14 +104,9 @@ proptest! {
         node in any::<u32>(),
         load in (any::<f64>(), any::<f64>(), any::<f64>()),
         leaving in any::<bool>(),
-        digest in proptest::collection::vec(any::<u8>(), DIGEST_BYTES),
     ) {
-        let r = LoadReport {
-            node: NodeId(node),
-            load: LoadVector::new(load.0, load.1, load.2),
-            leaving,
-            digest: CacheDigest::from_bytes(&digest).expect("DIGEST_BYTES bytes"),
-        };
+        let load = LoadVector::new(load.0, load.1, load.2);
+        let r = LoadReport { node: NodeId(node), load, leaving };
         let pkt = r.encode();
         prop_assert_eq!(pkt.len(), PACKET_MAX);
         let finite = r.load.cpu.is_finite() && r.load.disk.is_finite() && r.load.net.is_finite();
@@ -136,14 +125,14 @@ proptest! {
         if versioned && bytes.len() >= 3 {
             // Get past the magic so the version check is reached.
             bytes[..2].copy_from_slice(b"SW");
-            bytes[2] = version % 6;
+            bytes[2] = version % 7;
         }
         let decoded = LoadReport::decode(&bytes);
         if let Some(r) = &decoded {
             prop_assert!(r.load.cpu.is_finite() && r.load.disk.is_finite());
             prop_assert!(r.load.net.is_finite());
         }
-        if versioned && bytes.len() >= 3 && bytes[2] != 4 {
+        if versioned && bytes.len() >= 3 && bytes[2] != 5 {
             prop_assert_eq!(decoded, None, "version {} is not ours", bytes[2]);
         }
     }

@@ -159,8 +159,8 @@ impl<C> Sim<C> {
     }
 
     /// Schedule `tick` to run at `first` and then every `period`, for as
-    /// long as it returns `true` (daemon loops: loadd broadcasts, cache
-    /// digests, watchdogs).
+    /// long as it returns `true` (daemon loops: loadd broadcasts,
+    /// watchdogs).
     pub fn schedule_periodic<F>(&mut self, first: SimTime, period: SimTime, tick: F)
     where
         F: FnMut(&mut C, &mut Sim<C>) -> bool + 'static,

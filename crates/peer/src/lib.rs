@@ -10,7 +10,7 @@
 //! frames are typed [`FrameError`]s, never a misread.
 //!
 //! (`FileId`s are u64 file keys — the same FNV-1a namespace the striped
-//! file cache and the loadd Bloom digests use.)
+//! file cache uses.)
 
 #![warn(missing_docs)]
 

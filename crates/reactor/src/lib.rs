@@ -180,21 +180,20 @@ pub enum FirstLook {
 pub type Continuation = Box<dyn FnOnce(&str, &Request, &[u8]) -> Reply + Send>;
 
 /// Work that shares a shard's loop with its connections ([`App::service`]):
-/// the loop watches the service's fds for reads beside its own, and wakes
+/// the loop watches the service's fd for reads beside its own, and wakes
 /// it at the deadline it last asked for. It runs on the loop thread, so,
-/// like [`App::first_look`], it must not block: drain nonblocking fds,
+/// like [`App::first_look`], it must not block: drain its nonblocking fd,
 /// send datagrams, compute. A SWEB node runs its loadd daemon this way,
 /// on shard 0, instead of on a thread of its own.
 pub trait Service: Send {
-    /// The nonblocking fds to watch for reads now. Asked when the loop
-    /// starts and again after every [`Service::run`], so a service can
-    /// stop watching an fd for a while (a listener whose `accept` fails
-    /// with `EMFILE` stays readable) and watch it again later.
-    fn fds(&self) -> Vec<RawFd>;
-    /// `Some(fd)`: that fd is readable; drain it. `None`: the loop just
+    /// The nonblocking fd to watch for reads, for the service's life: the
+    /// loop registers it once, as it starts, and deregisters it as it
+    /// stops.
+    fn fd(&self) -> RawFd;
+    /// `readable`: the fd is readable; drain it. Otherwise the loop just
     /// started, or the deadline the last call returned has come. Returns
     /// the next deadline (`None`: wake only for a read).
-    fn run(&mut self, ready: Option<RawFd>) -> Option<Instant>;
+    fn run(&mut self, readable: bool) -> Option<Instant>;
 }
 
 /// Verdict from [`App::accept_gate`], consulted before each accept burst.
@@ -388,10 +387,8 @@ const ACCEPT_BURST: usize = 16;
 /// Reserved poller tokens.
 const TOKEN_LISTENER: usize = 0;
 const TOKEN_WAKEUP: usize = 1;
-const TOKEN_BASE: usize = 2;
-/// A [`Service`] fd is watched under `TOKEN_SERVICE + fd`, far above any
-/// connection's token.
-const TOKEN_SERVICE: usize = usize::MAX / 2;
+const TOKEN_SERVICE: usize = 2;
+const TOKEN_BASE: usize = 3;
 
 /// A running reactor: join handle plus identity.
 pub struct ReactorHandle {
@@ -803,10 +800,9 @@ struct Loop {
     listener_parked_until: Option<u64>,
     /// Jobs handed to the pool whose completion has not been drained.
     in_flight: usize,
-    /// What the app runs beside its connections ([`App::service`]), the
-    /// fds of it the poller watches, and when it next wants to run.
+    /// What the app runs beside its connections ([`App::service`]), and
+    /// when it next wants to run.
     service: Option<Box<dyn Service>>,
-    service_fds: Vec<RawFd>,
     service_due: Option<Instant>,
     /// The last client address accepted and its label ([`Conn::peer`]):
     /// a run of connections from one address formats it once.
@@ -844,7 +840,6 @@ impl Loop {
             listener_parked_until: None,
             in_flight: 0,
             service,
-            service_fds: Vec::new(),
             service_due: None,
             last_peer: None,
         }
@@ -865,6 +860,9 @@ impl Loop {
             }
             self.app.on_conn_close();
         }
+        if let Some(service) = &self.service {
+            let _ = self.poller.deregister(service.fd());
+        }
         self.pool.shutdown();
         self.app.on_shard_stop();
         result
@@ -880,11 +878,16 @@ impl Loop {
         Ok(())
     }
 
-    /// Watch the listener, the doorbell and the service's fds.
+    /// Watch the listener, the doorbell and the service's fd, and run the
+    /// service for the first time.
     fn start_polling(&mut self) -> io::Result<()> {
         self.poller.register(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         self.poller.register(self.wakeup_rx.as_raw_fd(), TOKEN_WAKEUP, Interest::READ)?;
-        self.run_service(None)
+        if let Some(service) = &self.service {
+            self.poller.register(service.fd(), TOKEN_SERVICE, Interest::READ)?;
+        }
+        self.run_service(false);
+        Ok(())
     }
 
     /// One iteration: wait up to [`Loop::poll_timeout`], handle what woke
@@ -897,7 +900,7 @@ impl Loop {
             match ev.token {
                 TOKEN_LISTENER => self.accept_ready(),
                 TOKEN_WAKEUP => self.drain_wakeup(),
-                t if t >= TOKEN_SERVICE => self.run_service(Some((t - TOKEN_SERVICE) as RawFd))?,
+                TOKEN_SERVICE => self.run_service(true),
                 t => self.conn_event(t - TOKEN_BASE, ev),
             }
         }
@@ -921,7 +924,7 @@ impl Loop {
         }
 
         if self.service_due.is_some_and(|due| due <= Instant::now()) {
-            self.run_service(None)?;
+            self.run_service(false);
         }
 
         let syscalls = self.poller.take_syscalls();
@@ -954,20 +957,12 @@ impl Loop {
         .map_or(-1, |ms| ms.min(i32::MAX as u64) as i32)
     }
 
-    /// Run the service (`ready`: the fd that woke it), then bring the
-    /// poller in line with the fds it wants watched now.
-    fn run_service(&mut self, ready: Option<RawFd>) -> io::Result<()> {
-        let Some(service) = self.service.as_mut() else { return Ok(()) };
-        self.service_due = service.run(ready);
-        let want = service.fds();
-        for &fd in self.service_fds.iter().filter(|fd| !want.contains(fd)) {
-            let _ = self.poller.deregister(fd);
+    /// Run the service (`readable`: its fd woke the loop) and keep the
+    /// deadline it asks for.
+    fn run_service(&mut self, readable: bool) {
+        if let Some(service) = self.service.as_mut() {
+            self.service_due = service.run(readable);
         }
-        for &fd in want.iter().filter(|fd| !self.service_fds.contains(fd)) {
-            self.poller.register(fd, TOKEN_SERVICE + fd as usize, Interest::READ)?;
-        }
-        self.service_fds = want;
-        Ok(())
     }
 
     // -------------------------------------------------- accept + admission

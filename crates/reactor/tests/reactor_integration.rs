@@ -1276,11 +1276,11 @@ struct Ticker {
 }
 
 impl Service for Ticker {
-    fn fds(&self) -> Vec<RawFd> {
-        vec![self.sock.as_raw_fd()]
+    fn fd(&self) -> RawFd {
+        self.sock.as_raw_fd()
     }
-    fn run(&mut self, ready: Option<RawFd>) -> Option<Instant> {
-        if ready.is_some() {
+    fn run(&mut self, readable: bool) -> Option<Instant> {
+        if readable {
             let mut buf = [0u8; 16];
             while self.sock.recv(&mut buf).is_ok() {
                 self.reads.fetch_add(1, Ordering::SeqCst);

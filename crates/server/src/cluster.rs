@@ -73,10 +73,8 @@ impl Default for ClusterConfig {
         let sweb = SwebConfig {
             loadd_period: SimTime::from_millis(200),
             stale_timeout: SimTime::from_millis(1500),
-            // Live nodes gossip cache digests over loadd, so the broker can
-            // price a peer's cache hit below its NFS read by default. A
-            // Bloom false positive merely misprices one candidate — the
-            // response bytes always come from the node that serves them.
+            // A node prices a document in its own file cache at no data
+            // time, so it does not 302 away what it can answer from RAM.
             cache_aware_cost: true,
             ..SwebConfig::default()
         };

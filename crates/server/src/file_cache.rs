@@ -3,8 +3,8 @@
 //! the OS buffer cache and re-`read()` per request).
 //!
 //! The server keeps only documents below 256 KiB here: a larger one
-//! streams from the OS page cache (`sendfile`), so it is in no stripe or
-//! loadd digest. [`FileCache::read`] still takes any size.
+//! streams from the OS page cache (`sendfile`), so it is in no stripe.
+//! [`FileCache::read`] still takes any size.
 //!
 //! Bodies are stored as [`Bytes`], so concurrent responses share one copy
 //! with no duplication. Entries are validated against the file's mtime on
@@ -38,7 +38,6 @@ use std::time::SystemTime;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use sweb_cluster::{FileId, NodeId, PageCache};
-use sweb_core::CacheDigest;
 use sweb_http::{mime_for_path, Head, Response};
 
 /// Default stripe count: enough segments that 8 reactor shards rarely
@@ -270,18 +269,6 @@ impl FileCache {
         seg.hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Bloom digest of currently-resident [`FileId`]s, for loadd
-    /// broadcasts: peers use it to price this node's cache hits.
-    pub fn digest(&self) -> CacheDigest {
-        let mut d = CacheDigest::default();
-        for seg in self.segments.iter() {
-            for key in seg.lru.lock().keys() {
-                d.insert(key);
-            }
-        }
-        d
-    }
-
     /// The document `path` names, read at `mtime`, with its head built.
     fn build(&self, path: &str, body: Bytes, mtime: SystemTime) -> Document {
         let head = Head::of(&document(self.node, path, body.clone(), Some(mtime)));
@@ -491,37 +478,6 @@ mod tests {
         let b2 = cache.read_keyed(key, "/beta", &fb).unwrap().body;
         assert_eq!(&b2[..], b"BETA IS DIFFERENT");
         assert_eq!(cache.collisions(), 2);
-        let _ = std::fs::remove_file(&fa);
-        let _ = std::fs::remove_file(&fb);
-    }
-
-    #[test]
-    fn digest_tracks_residency() {
-        let f = tmpfile("dig", b"digest me");
-        let cache = FileCache::new(1 << 20);
-        assert!(cache.digest().is_empty());
-        assert!(!cache.resident("/dig"));
-        cache.read("/dig", &f).unwrap();
-        assert!(cache.resident("/dig"));
-        let d = cache.digest();
-        assert!(d.contains(key_of("/dig")), "resident file must be in the digest");
-        assert!(!cache.resident("/other"));
-        let _ = std::fs::remove_file(&f);
-    }
-
-    #[test]
-    fn digest_drops_evicted_files() {
-        // Single segment so the two 80-byte bodies genuinely compete.
-        let cache = FileCache::with_segments(100, 1);
-        let fa = tmpfile("ev-a", &[b'a'; 80]);
-        let fb = tmpfile("ev-b", &[b'b'; 80]);
-        cache.read("/ev-a", &fa).unwrap();
-        assert!(cache.digest().contains(key_of("/ev-a")));
-        // /ev-b evicts /ev-a (both can't fit in 100 bytes).
-        cache.read("/ev-b", &fb).unwrap();
-        let d = cache.digest();
-        assert!(d.contains(key_of("/ev-b")));
-        assert!(!d.contains(key_of("/ev-a")), "evicted file leaked into the digest");
         let _ = std::fs::remove_file(&fa);
         let _ = std::fs::remove_file(&fb);
     }

@@ -44,8 +44,8 @@ const INLINE_BUDGET_US: u64 = 256;
 
 /// The document's "home" node. Every node shares one document root (the
 /// NFS crossmount); homes are assigned by hashing the path — the same
-/// hash the file cache keys on, so home placement, cache digests and
-/// residency checks all live in one `FileId` namespace.
+/// hash the file cache keys on, so home placement and residency checks
+/// live in one `FileId` namespace.
 pub fn home_of(path: &str, nodes: usize) -> NodeId {
     Placement::Hashed.home(crate::file_cache::key_of(path), nodes)
 }
@@ -279,8 +279,7 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
         shared.stats.received_redirects.inc();
     }
     let info = RequestInfo {
-        // Real identity: the same FileId the cache digests advertise, so
-        // the broker can match this request against peers' digests.
+        // Real identity: the same FileId the file cache keys on.
         file,
         size,
         home: home_of(&path, nodes),
@@ -294,7 +293,7 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
         // POST is non-idempotent: never reassign it (§3.2 step 2's
         // "always completed at x" class).
         pinned_local: !req.method.is_redirectable(),
-        // Residency feeds the cache-aware cost terms.
+        // Residency feeds the cache-aware cost term.
         cached_at_origin: shared.sweb.cache_aware_cost
             && matches!(&target, Target::Document { hit: Some(_), .. }),
         class: class.map_or(RequestClass::Static, RequestClass::Dynamic),

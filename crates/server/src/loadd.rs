@@ -48,13 +48,12 @@ fn log_membership(shared: &NodeShared, peer: NodeId, event: &str) {
     }
 }
 
-/// This node's report: its load, drain flag and cache digest.
+/// This node's report: its load and drain flag.
 pub(crate) fn report(shared: &NodeShared) -> LoadReport {
     LoadReport {
         node: shared.id,
         load: sample_load(shared),
         leaving: shared.draining.load(Ordering::Relaxed),
-        digest: shared.file_cache.digest(),
     }
 }
 
@@ -84,14 +83,9 @@ impl Daemon {
         Ok(Daemon { shared, udp, core, delayed: Vec::new() })
     }
 
-    /// The socket the loop watches.
-    pub(crate) fn fd(&self) -> RawFd {
-        self.udp.as_raw_fd()
-    }
-
     /// Send what has come due — delayed packets, and the broadcast when
     /// the core says so — and say when to come back.
-    pub(crate) fn tick(&mut self) -> Instant {
+    fn tick(&mut self) -> Instant {
         let Daemon { shared, udp, core, delayed } = self;
         let now = Instant::now();
         delayed.retain(|(due, addr, pkt)| {
@@ -133,7 +127,7 @@ impl Daemon {
     }
 
     /// Fold every report waiting on the socket into the load table.
-    pub(crate) fn receive(&self) {
+    fn receive(&self) {
         let mut buf = [0u8; PACKET_MAX + 64]; // headroom for trailing junk
         loop {
             match self.udp.recv_from(&mut buf) {
@@ -165,5 +159,19 @@ impl Daemon {
             }
             _ => {}
         }
+    }
+}
+
+/// loadd rides shard 0's loop beside its connections, with no thread of
+/// its own.
+impl sweb_reactor::Service for Daemon {
+    fn fd(&self) -> RawFd {
+        self.udp.as_raw_fd()
+    }
+    fn run(&mut self, readable: bool) -> Option<Instant> {
+        if readable {
+            self.receive();
+        }
+        Some(self.tick())
     }
 }

@@ -1,7 +1,7 @@
 //! Per-node state and its adapter onto the reactor connection engine.
 
 use std::net::{SocketAddr, TcpListener};
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -257,12 +257,6 @@ impl NodeStats {
             cache(FileCache::capacity),
         );
         reg.gauge_fn(
-            "sweb_file_cache_digest_bits",
-            &[],
-            "Bits set in the advertised Bloom digest",
-            cache(|c| c.digest().ones() as u64),
-        );
-        reg.gauge_fn(
             "sweb_admission_shed_level",
             &[],
             "Current adaptive-admission shed level (0-3)",
@@ -429,20 +423,6 @@ struct ReactorApp {
     /// Shard 0's loop takes the node's loadd daemon as it starts
     /// ([`sweb_reactor::App::service`]); `None` on the others.
     service: Mutex<Option<crate::loadd::Daemon>>,
-}
-
-/// loadd rides shard 0's loop beside its connections, with no thread of
-/// its own.
-impl sweb_reactor::Service for crate::loadd::Daemon {
-    fn fds(&self) -> Vec<RawFd> {
-        vec![self.fd()]
-    }
-    fn run(&mut self, ready: Option<RawFd>) -> Option<Instant> {
-        if ready.is_some() {
-            self.receive();
-        }
-        Some(self.tick())
-    }
 }
 
 /// Log a finished reply where it was produced and hand it to the reactor.

@@ -151,38 +151,44 @@ fn a_large_document_streams_from_the_page_cache_and_skips_the_file_cache() {
 }
 
 #[test]
-fn loadd_gossips_cache_digests_across_the_mesh() {
-    // Residency on one node must become visible in every peer's load
-    // table via the v2 loadd packets, so the cost model can price the
-    // holder's cache hit (§3.2 t_data at RAM speed).
+fn a_full_cache_never_prices_a_large_peer_document_at_ram_speed() {
+    // A node prices residency only from its own cache, and only for the
+    // document in hand. Hundreds of small residents must not make a 1.5 MB
+    // document homed on a peer (too large for any file cache) look like a
+    // RAM copy: its data time stays the NFS read from its home.
     use sweb_cluster::NodeId;
-    use sweb_server::file_cache::key_of;
+    use sweb_core::{CostInputs, CostModel, RequestInfo, SwebConfig};
+    use sweb_server::{file_cache::key_of, home_of};
 
-    let dir = docroot("gossip");
-    std::fs::write(dir.join("hot.html"), "cached and gossiped").unwrap();
-    // Round robin never redirects: the fetch pins residency.
+    let dir = docroot("residency");
+    let paths: Vec<String> = (0..300).map(|i| format!("/small{i}.html")).collect();
+    for p in &paths {
+        std::fs::write(dir.join(&p[1..]), format!("resident {p}")).unwrap();
+    }
+    // Round robin never redirects: every fetch makes its document resident
+    // on node 0.
     let cluster = LiveCluster::start(2, dir, ClusterConfig { policy: Policy::RoundRobin, ..ClusterConfig::default() }).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
-
-    let resp = client::get(&format!("{}/hot.html", cluster.base_url(1))).unwrap();
-    assert_eq!(resp.status, 200);
-    assert!(cluster.node(1).file_cache.resident("/hot.html"));
-
-    // Node 0 learns of node 1's residency within a few loadd periods.
-    let key = key_of("/hot.html");
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        if cluster.node(0).loads.read().digest(NodeId(1)).contains(key) {
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "digest never reached node 0");
-        std::thread::sleep(Duration::from_millis(20));
+    let node = cluster.node(0);
+    for p in &paths {
+        assert_eq!(client::get(&format!("{}{p}", cluster.base_url(0))).unwrap().status, 200);
+        assert!(node.file_cache.resident(p), "{p} is not resident");
     }
-    // A file nobody fetched is not advertised.
-    assert!(
-        !cluster.node(0).loads.read().digest(NodeId(1)).contains(key_of("/cold.html")),
-        "digest advertises a non-resident file"
-    );
+    std::thread::sleep(2 * Duration::from_micros(node.sweb.loadd_period.as_micros()));
+
+    let size = 1_500_000u64;
+    let blind = CostModel::new(SwebConfig { cache_aware_cost: false, ..node.sweb.clone() });
+    let loads = node.loads.read();
+    let inputs = CostInputs { cluster: &node.cluster, loads: &loads };
+    let peer_homed = (0..).map(|i| format!("/big{i}.bin")).filter(|p| home_of(p, 2) == NodeId(1));
+    for big in peer_homed.take(16) {
+        let req = RequestInfo::fetch(key_of(&big), size, NodeId(1), 1e6);
+        let priced = node.broker.model().breakdown(&req, NodeId(0), NodeId(0), &inputs).t_data;
+        let nfs = blind.t_data(&req, NodeId(0), NodeId(0), &inputs);
+        assert!((priced - nfs).abs() < 1e-12, "{big}: t_data {priced} s, the NFS read {nfs} s");
+        assert!(priced > 2.0 * size as f64 / 40e6, "{big} priced as a RAM copy: {priced} s");
+    }
+    drop(loads);
     cluster.shutdown();
 }
 

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sweb_cluster::{ClusterSpec, FileMap, NetworkSpec, NodeId, PageCache};
 use sweb_chaos::{Injector, TxVerdict};
-use sweb_core::{Broker, CacheDigest, CostModel, LoadReport, LoadTable, LoadVector, Loadd, Oracle};
+use sweb_core::{Broker, CostModel, LoadReport, LoadTable, LoadVector, Loadd, Oracle};
 use sweb_des::{FairShare, ResourceHost, Sim, SimTime};
 use sweb_metrics::RunStats;
 
@@ -212,14 +212,8 @@ impl World {
         if !node.alive || !node.loadd.due(now) {
             return;
         }
-        // The simulated file caches advertise no digest: an empty one
-        // never matches, as in every view before its first report.
-        let report = LoadReport {
-            node: NodeId(i as u32),
-            load: world.own_load(i),
-            leaving: false,
-            digest: CacheDigest::EMPTY,
-        };
+        let report =
+            LoadReport { node: NodeId(i as u32), load: world.own_load(i), leaving: false };
         let node = &mut world.nodes[i];
         let packet = node.loadd.broadcast(now, &mut node.view, &report).packet;
         let now_ms = now.as_micros() / 1000;
