@@ -59,8 +59,6 @@ pub struct FaultCounts {
     pub fd_rejections: AtomicU64,
     /// File reads slowed by injected disk latency.
     pub slow_reads: AtomicU64,
-    /// Sojourn samples inflated by a synthetic overload fault.
-    pub overload_samples: AtomicU64,
     /// Requests slowed by an injected brownout.
     pub brownout_delays: AtomicU64,
 }
@@ -68,14 +66,13 @@ pub struct FaultCounts {
 impl FaultCounts {
     /// Every counter with its kind, in declaration order: the labels the
     /// node's `/metrics` exposes them under.
-    pub fn each(&self) -> [(&'static str, &AtomicU64); 7] {
+    pub fn each(&self) -> [(&'static str, &AtomicU64); 6] {
         [
             ("packets_dropped", &self.packets_dropped),
             ("packets_delayed", &self.packets_delayed),
             ("accepts_paused", &self.accepts_paused),
             ("fd_rejections", &self.fd_rejections),
             ("slow_reads", &self.slow_reads),
-            ("overload_samples", &self.overload_samples),
             ("brownout_delays", &self.brownout_delays),
         ]
     }
@@ -304,33 +301,6 @@ impl Injector {
         }
     }
 
-    /// Microseconds of synthetic queueing to add to `node`'s sojourn
-    /// samples right now (the overload fault shape).
-    pub fn overload_sojourn(&self, node: u32) -> Option<u64> {
-        if !self.active {
-            return None;
-        }
-        self.overload_sojourn_at(node, self.now_ms())
-    }
-
-    /// Overload query at an explicit run offset.
-    pub fn overload_sojourn_at(&self, node: u32, now_ms: u64) -> Option<u64> {
-        let mut extra = 0u64;
-        for f in &self.faults {
-            if let Fault::Overload { node: n, sojourn_us, window } = *f {
-                if n == node && window.contains(now_ms) {
-                    extra = extra.max(sojourn_us);
-                }
-            }
-        }
-        if extra > 0 {
-            self.counts.overload_samples.fetch_add(1, Ordering::Relaxed);
-            Some(extra)
-        } else {
-            None
-        }
-    }
-
     /// Artificial latency every request on `node` pays right now (the
     /// brownout fault shape: the whole node degraded, not just disk).
     pub fn brownout_delay(&self, node: u32) -> Option<Duration> {
@@ -462,19 +432,6 @@ mod tests {
             (count(&c.accepts_paused), count(&c.slow_reads), count(&c.fd_rejections)),
             (1, 1, 1)
         );
-    }
-
-    #[test]
-    fn overload_inflates_sojourns_only_inside_window() {
-        let plan = FaultPlan::seeded(3)
-            .with(Fault::Overload { node: 1, sojourn_us: 30_000, window: Window::between(100, 500) })
-            .with(Fault::Overload { node: 1, sojourn_us: 80_000, window: Window::between(200, 300) });
-        let inj = Injector::from_plan(&plan);
-        assert_eq!(inj.overload_sojourn_at(1, 150), Some(30_000));
-        assert_eq!(inj.overload_sojourn_at(1, 250), Some(80_000), "overlapping faults take the max");
-        assert_eq!(inj.overload_sojourn_at(1, 600), None, "window over");
-        assert_eq!(inj.overload_sojourn_at(0, 150), None, "other node unaffected");
-        assert_eq!(count(&inj.counts().overload_samples), 2);
     }
 
     #[test]

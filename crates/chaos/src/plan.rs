@@ -104,18 +104,6 @@ pub enum Fault {
         /// When the fault is active.
         window: Window,
     },
-    /// Synthetic overload on `node`: every worker-queue sojourn sample
-    /// the node observes is inflated by `sojourn_us` microseconds, so
-    /// the adaptive admission controller sees a standing queue without
-    /// the test having to generate real saturating load.
-    Overload {
-        /// Affected node.
-        node: u32,
-        /// Microseconds added to each observed sojourn sample.
-        sojourn_us: u64,
-        /// When the fault is active.
-        window: Window,
-    },
     /// Brownout on `node`: every request's fulfillment is slowed by
     /// `delay_ms` — the whole node runs degraded (CPU starvation,
     /// thermal throttle), unlike [`Fault::SlowDisk`] which only touches
@@ -204,10 +192,6 @@ impl FaultPlan {
                 Fault::FdPressure { node, window } => {
                     format!("fd-pressure node={node} {}", window_fields(window))
                 }
-                Fault::Overload { node, sojourn_us, window } => format!(
-                    "overload node={node} sojourn_us={sojourn_us} {}",
-                    window_fields(window)
-                ),
                 Fault::Brownout { node, delay_ms, window } => format!(
                     "brownout node={node} delay_ms={delay_ms} {}",
                     window_fields(window)
@@ -294,11 +278,6 @@ impl FaultPlan {
                 "fd-pressure" => plan
                     .faults
                     .push(Fault::FdPressure { node: num32("node")?, window: window()? }),
-                "overload" => plan.faults.push(Fault::Overload {
-                    node: num32("node")?,
-                    sojourn_us: num("sojourn_us")?,
-                    window: window()?,
-                }),
                 "brownout" => plan.faults.push(Fault::Brownout {
                     node: num32("node")?,
                     delay_ms: num("delay_ms")?,
@@ -330,11 +309,6 @@ mod tests {
             .with(Fault::Pause { node: 1, window: Window::between(300, 600) })
             .with(Fault::SlowDisk { node: 0, extra_ms: 40, window: Window::ALWAYS })
             .with(Fault::FdPressure { node: 3, window: Window::between(200, 400) })
-            .with(Fault::Overload {
-                node: 1,
-                sojourn_us: 30_000,
-                window: Window::between(100, 700),
-            })
             .with(Fault::Brownout { node: 0, delay_ms: 15, window: Window::between(0, 800) })
     }
 
@@ -368,12 +342,14 @@ mod tests {
     }
 
     #[test]
-    fn the_peer_channel_faults_are_gone_not_ignored() {
-        // No node has a peer channel to break or slow: a plan that asks
-        // for it is refused, not run as if it asked for nothing.
+    fn the_deleted_faults_are_gone_not_ignored() {
+        // No node has a peer channel to break or slow, and overload is
+        // made with real queued work, not faked: a plan that asks for
+        // either is refused, not run as if it asked for nothing.
         for line in [
             "peer-loss from=0 to=1 rate_ppm=1000000 start_ms=0 end_ms=0",
             "peer-delay from=2 to=1 delay_ms=40 start_ms=0 end_ms=100",
+            "overload node=0 sojourn_us=500000 start_ms=0 end_ms=0",
         ] {
             let e = FaultPlan::from_text(&format!("seed 1\n{line}\n")).unwrap_err();
             assert_eq!(e.line, 2, "{e}");

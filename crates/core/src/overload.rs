@@ -87,8 +87,6 @@ pub const SOJOURN_INTERVAL_MS: u64 = 100;
 /// both directions.
 #[derive(Debug)]
 pub struct AdmissionController {
-    target_us: u64,
-    interval_ms: u64,
     /// Current shed level, 0..=3.
     level: AtomicU8,
     /// When the current observation window opened.
@@ -99,28 +97,19 @@ pub struct AdmissionController {
     /// Minimum sojourn of the last *closed* window — the evidence the
     /// current level was set on, and what `Retry-After` derives from.
     last_min_us: AtomicU64,
-    /// Requests shed, total (all classes).
-    shed_total: AtomicU64,
     /// Monotonic epoch for the `_at`-less convenience methods.
     epoch: Instant,
 }
 
 impl AdmissionController {
-    /// A controller with the default target and interval.
+    /// A controller judging sojourns against the 5 ms target over 100 ms
+    /// windows, admitting everything until it has evidence.
     pub fn new() -> Self {
-        Self::with_params(SOJOURN_TARGET_US, SOJOURN_INTERVAL_MS)
-    }
-
-    /// A controller with explicit target/interval (tests, tuning).
-    pub fn with_params(target_us: u64, interval_ms: u64) -> Self {
         AdmissionController {
-            target_us: target_us.max(1),
-            interval_ms: interval_ms.max(1),
             level: AtomicU8::new(0),
             window_start_ms: AtomicU64::new(0),
             window_min_us: AtomicU64::new(u64::MAX),
             last_min_us: AtomicU64::new(0),
-            shed_total: AtomicU64::new(0),
             epoch: Instant::now(),
         }
     }
@@ -141,7 +130,7 @@ impl AdmissionController {
     pub fn observe_at(&self, sojourn_us: u64, now_ms: u64) {
         self.window_min_us.fetch_min(sojourn_us, Ordering::Relaxed);
         let start = self.window_start_ms.load(Ordering::Relaxed);
-        if now_ms.saturating_sub(start) < self.interval_ms {
+        if now_ms.saturating_sub(start) < SOJOURN_INTERVAL_MS {
             return;
         }
         // Close the window: exactly one thread wins the CAS and applies
@@ -159,11 +148,11 @@ impl AdmissionController {
         }
         self.last_min_us.store(min, Ordering::Relaxed);
         let level = self.level.load(Ordering::Relaxed);
-        if min > self.target_us && level < MAX_SHED_LEVEL {
+        if min > SOJOURN_TARGET_US && level < MAX_SHED_LEVEL {
             // Even the luckiest request waited past target all window:
             // a standing queue. Escalate one step.
             self.level.store(level + 1, Ordering::Relaxed);
-        } else if min <= self.target_us / 2 && level > 0 {
+        } else if min <= SOJOURN_TARGET_US / 2 && level > 0 {
             // Comfortably under target: relax one step.
             self.level.store(level - 1, Ordering::Relaxed);
         }
@@ -174,21 +163,10 @@ impl AdmissionController {
         self.level.load(Ordering::Relaxed)
     }
 
-    /// Whether a request of `class` is admitted right now. Does *not*
-    /// count a shed — call [`AdmissionController::shed`] when acting on
-    /// a refusal, so the counter matches responses actually sent.
+    /// Whether a request of `class` is admitted right now. Counts
+    /// nothing: the node counts the refusals it sends, per class.
     pub fn admit(&self, class: AdmitClass) -> bool {
         self.level() < class.shed_at()
-    }
-
-    /// Count one shed response.
-    pub fn shed(&self) {
-        self.shed_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total shed responses counted via [`AdmissionController::shed`].
-    pub fn shed_count(&self) -> u64 {
-        self.shed_total.load(Ordering::Relaxed)
     }
 
     /// Load-derived `Retry-After` seconds: how far past target the last
@@ -197,7 +175,7 @@ impl AdmissionController {
     /// deeply backed-up one buys itself up to eight.
     pub fn retry_after_secs(&self) -> u64 {
         let min = self.last_min_us.load(Ordering::Relaxed);
-        (min / self.target_us).clamp(1, 8)
+        (min / SOJOURN_TARGET_US).clamp(1, 8)
     }
 }
 
@@ -608,14 +586,6 @@ mod tests {
         assert_eq!(c.retry_after_secs(), 4);
         saturate_window(&c, 100, 100_000); // 20× target, clamped
         assert_eq!(c.retry_after_secs(), 8);
-    }
-
-    #[test]
-    fn shed_counter_counts() {
-        let c = AdmissionController::new();
-        c.shed();
-        c.shed();
-        assert_eq!(c.shed_count(), 2);
     }
 
     #[test]

@@ -281,6 +281,94 @@ fn connections_beyond_the_cap_are_shed_with_503() {
     assert!(reply.starts_with("HTTP/1.0 200"), "{reply}");
 }
 
+/// Holds every request on a worker until the test sends a release, so
+/// the pool fills with no clock in the way.
+struct GateApp {
+    looked: AtomicUsize,
+    entered: AtomicUsize,
+    release: Mutex<std::sync::mpsc::Receiver<()>>,
+    shed: AtomicUsize,
+    closed: AtomicUsize,
+}
+
+impl App for GateApp {
+    fn respond(&self, _peer: &str, req: &Request, _body: &[u8]) -> Reply {
+        self.entered.fetch_add(1, Ordering::SeqCst);
+        let _ = self.release.lock().unwrap().recv();
+        Response::ok(format!("target={}", req.target), "text/plain").into()
+    }
+    fn first_look(&self, _peer: &str, _req: &Request, _body: &[u8]) -> Option<FirstLook> {
+        // Counted on the loop thread just before the request is submitted.
+        self.looked.fetch_add(1, Ordering::SeqCst);
+        None
+    }
+    fn on_shed(&self) {
+        self.shed.fetch_add(1, Ordering::SeqCst);
+    }
+    fn on_conn_close(&self) {
+        self.closed.fetch_add(1, Ordering::SeqCst);
+    }
+    fn retry_after_secs(&self) -> u64 {
+        7
+    }
+}
+
+#[test]
+fn a_request_that_finds_the_worker_queue_full_is_shed_with_503() {
+    let (release, gate) = std::sync::mpsc::channel();
+    let app = GateApp {
+        looked: AtomicUsize::new(0),
+        entered: AtomicUsize::new(0),
+        release: Mutex::new(gate),
+        shed: AtomicUsize::new(0),
+        closed: AtomicUsize::new(0),
+    };
+    let cfg = ReactorConfig { workers: 1, worker_queue: 1, ..ReactorConfig::default() };
+    let srv = TestServer::start_app(app, cfg);
+    // Dropped before `srv`, so a failed assert cannot leave the worker
+    // blocked in `respond` while `srv` joins it.
+    let release = release;
+    let send = |target: &str| {
+        let mut s = srv.connect();
+        s.write_all(format!("GET {target} HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").as_bytes())
+            .unwrap();
+        s
+    };
+    // The one worker takes the first request and blocks in it; the second
+    // fills the one queue slot (the loop submits it right after its first
+    // look, before it reads anything else).
+    let mut running = send("/running");
+    assert!(wait_until(Duration::from_secs(2), || srv.app.entered.load(Ordering::SeqCst) == 1));
+    let mut queued = send("/queued");
+    assert!(wait_until(Duration::from_secs(2), || srv.app.looked.load(Ordering::SeqCst) == 2));
+
+    // The third finds the queue full: a 503 carrying the app's
+    // Retry-After, and the connection closes although it asked to stay.
+    let mut refused = send("/refused");
+    let mut out = String::new();
+    refused.read_to_string(&mut out).expect("the shed connection must close");
+    assert!(out.starts_with("HTTP/1.0 503"), "{out}");
+    assert!(out.contains("\r\nRetry-After: 7\r\n"), "{out}");
+    assert!(wait_until(Duration::from_secs(2), || srv.app.closed.load(Ordering::SeqCst) == 1));
+    assert_eq!(srv.app.shed.load(Ordering::SeqCst), 1);
+
+    // Released, the two admitted requests are answered in turn; nothing
+    // else was shed.
+    for (s, target) in [(&mut running, "/running"), (&mut queued, "/queued")] {
+        release.send(()).unwrap();
+        let mut buf = [0u8; 512];
+        let mut reply = Vec::new();
+        while !reply.ends_with(format!("target={target}").as_bytes()) {
+            let n = s.read(&mut buf).unwrap();
+            assert!(n > 0, "closed before answering {target}");
+            reply.extend_from_slice(&buf[..n]);
+        }
+        assert!(reply.starts_with(b"HTTP/1.0 200"), "{}", String::from_utf8_lossy(&reply));
+    }
+    assert_eq!(srv.app.entered.load(Ordering::SeqCst), 2);
+    assert_eq!(srv.app.shed.load(Ordering::SeqCst), 1);
+}
+
 #[test]
 fn clean_shutdown_closes_open_connections() {
     let srv = TestServer::start(ReactorConfig::default());

@@ -23,7 +23,7 @@ use sweb_server::{ClusterConfig, LiveCluster};
 
 const USAGE: &str = "usage: swebd [--nodes N] [--docroot DIR] [--policy sweb|rr|locality|cpu] \
     [--shards N] [--port-base P] [--loadd-ms MS] [--access-log FILE] [--oracle FILE] \
-    [--fault-plan FILE] [--overload on|off]";
+    [--fault-plan FILE]";
 
 /// A parsed command line: the cluster's configuration, what
 /// [`LiveCluster::start`] takes beside it, and the files `main` loads
@@ -84,13 +84,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, Stop> {
             "--access-log" => args.access_log = Some(value()?.into()),
             "--oracle" => args.oracle = Some(value()?.into()),
             "--fault-plan" => args.fault_plan = Some(value()?.into()),
-            "--overload" => {
-                args.cfg.overload_control = match value()?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    _ => return Err(Stop::Usage),
-                }
-            }
             "--help" | "-h" => return Err(Stop::Help),
             _ => return Err(Stop::Usage),
         }
@@ -216,7 +209,6 @@ mod tests {
         assert_eq!(cfg.sweb.loadd_period, SimTime::from_millis(2_500));
         assert_eq!(cfg.sweb.stale_timeout, SimTime::from_millis(10_000));
         assert_eq!(cfg.shards, 0, "auto shards");
-        assert!(cfg.overload_control);
         assert_eq!(cfg.port_base, None);
         assert!(cfg.fault_plan.is_none() && cfg.access_log.is_none());
         // Everything the flags do not name is the library default.
@@ -241,8 +233,6 @@ mod tests {
             "2",
             "--policy",
             "locality",
-            "--overload",
-            "off",
             "--port-base",
             "9000",
         ])
@@ -250,7 +240,6 @@ mod tests {
         .cfg;
         assert_eq!(cfg.shards, 2);
         assert_eq!(cfg.policy, Policy::FileLocality);
-        assert!(!cfg.overload_control);
         assert_eq!(cfg.port_base, Some(9000));
         for (name, policy) in [("rr", Policy::RoundRobin), ("cpu", Policy::LeastLoadedCpu)] {
             assert_eq!(parse(&["--policy", name]).unwrap().cfg.policy, policy);
@@ -266,7 +255,6 @@ mod tests {
             &["--nodes"][..],
             &["--nodes", "three"][..],
             &["--policy", "random"][..],
-            &["--overload", "maybe"][..],
             &["--port-base", "65536"][..],
             &["--bogus"][..],
         ] {
@@ -275,14 +263,21 @@ mod tests {
     }
 
     #[test]
-    fn the_peer_channel_flags_are_gone_not_ignored() {
-        // No node pulls or pushes documents any more: asking for it is a
-        // usage error, not a cluster that silently runs without it.
-        for flag in ["--peer-transfer", "--replicate-hot"] {
-            assert_eq!(parse(&[flag]).err(), Some(Stop::Usage), "{flag}");
-            assert_eq!(parse(&["--nodes", "3", flag]).err(), Some(Stop::Usage), "{flag}");
+    fn the_deleted_flags_are_gone_not_ignored() {
+        // No node pulls or pushes documents any more, and overload control
+        // has no off switch: asking for either is a usage error, not a
+        // cluster that silently runs without what was asked.
+        for flags in [
+            &["--peer-transfer", "on"][..],
+            &["--replicate-hot", "on"][..],
+            &["--overload", "on"][..],
+            &["--overload", "off"][..],
+        ] {
+            assert_eq!(parse(flags).err(), Some(Stop::Usage), "{flags:?}");
+            let after_nodes = [&["--nodes", "3"][..], flags].concat();
+            assert_eq!(parse(&after_nodes).err(), Some(Stop::Usage), "{flags:?}");
+            assert!(!USAGE.contains(flags[0]), "{flags:?}");
         }
-        assert!(!USAGE.contains("--peer-transfer") && !USAGE.contains("--replicate-hot"));
     }
 
     #[test]

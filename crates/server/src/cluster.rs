@@ -61,11 +61,6 @@ pub struct ClusterConfig {
     /// (parse/fetch/write) derive from it and overruns are answered 503 +
     /// `Retry-After` instead of hanging the client.
     pub request_budget: Duration,
-    /// The overload-control subsystem (`swebd --overload`):
-    /// adaptive per-class admission and the fetch retry budget. Off, the
-    /// node falls back to the static `max_conns` cap alone — kept
-    /// selectable so benchmarks can measure what the controller buys.
-    pub overload_control: bool,
 }
 
 impl Default for ClusterConfig {
@@ -89,7 +84,6 @@ impl Default for ClusterConfig {
             oracle: Oracle::ncsa_default(),
             fault_plan: None,
             request_budget: Duration::from_secs(10),
-            overload_control: true,
         }
     }
 }
@@ -228,7 +222,6 @@ impl LiveCluster {
                 request_budget: cfg.request_budget,
                 admission,
                 fetch_retry_budget: RetryBudget::new(FETCH_RETRY_CAP),
-                overload_control: cfg.overload_control,
             });
             let handle = NodeHandle::spawn(Arc::clone(&shared), listener, udp)?;
             slots.push(NodeSlot { shared, handle: Mutex::new(Some(handle)) });

@@ -215,17 +215,15 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
     // and shed the expensive classes first as the controller's level
     // rises. Admin endpoints never reach this point — an operator must be
     // able to see an overloaded node.
-    if shared.overload_control {
-        let class = if is_dynamic {
-            AdmitClass::Dynamic
-        } else if resident.is_some() {
-            AdmitClass::StaticHit
-        } else {
-            AdmitClass::StaticMiss
-        };
-        if !shared.admission.admit(class) {
-            return rest(Work::Refuse(class));
-        }
+    let class = if is_dynamic {
+        AdmitClass::Dynamic
+    } else if resident.is_some() {
+        AdmitClass::StaticHit
+    } else {
+        AdmitClass::StaticMiss
+    };
+    if !shared.admission.admit(class) {
+        return rest(Work::Refuse(class));
     }
     // Existence + size: a filesystem stat for documents, a registry lookup
     // (with the handler's own size hint) for dynamic requests. The
@@ -357,8 +355,7 @@ impl Continuation {
             Work::Status => (crate::status::render(shared, req.query()), None),
             Work::Metrics => (crate::status::render_metrics(shared), None),
             Work::Refuse(class) => {
-                shared.admission.shed();
-                shared.stats.admission_shed_counter(class).inc();
+                shared.stats.admission_sheds_of(class).inc();
                 (overloaded(shared), None)
             }
             Work::Serve(serve) => serve.run(shared, req, body),
@@ -535,15 +532,13 @@ fn read_with_retry<T>(
     for attempt in 0..3 {
         match op() {
             Ok(v) => {
-                if shared.overload_control {
-                    shared.fetch_retry_budget.on_success();
-                }
+                shared.fetch_retry_budget.on_success();
                 return Ok(v);
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(e),
             Err(e) if attempt == 2 => return Err(e),
             Err(e) => {
-                if shared.overload_control && !shared.fetch_retry_budget.try_retry() {
+                if !shared.fetch_retry_budget.try_retry() {
                     shared.stats.retry_budget_exhausted.inc();
                     return Err(e);
                 }

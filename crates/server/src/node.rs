@@ -74,7 +74,7 @@ pub struct NodeStats {
     pub fetch_retries: Arc<Counter>,
     /// Requests refused by the adaptive admission controller, one
     /// counter per class (`sweb_admission_sheds_total{class=...}`).
-    /// Order matches [`NodeStats::admission_shed_counter`].
+    /// Order matches [`NodeStats::admission_sheds_of`].
     admission_sheds: [Arc<Counter>; 3],
     /// Retries refused because a retry budget was empty.
     pub retry_budget_exhausted: Arc<Counter>,
@@ -280,7 +280,7 @@ impl NodeStats {
     }
 
     /// The admission-shed counter for one [`AdmitClass`].
-    pub fn admission_shed_counter(&self, class: AdmitClass) -> &Arc<Counter> {
+    pub fn admission_sheds_of(&self, class: AdmitClass) -> &Arc<Counter> {
         &self.admission_sheds[match class {
             AdmitClass::Dynamic => 0,
             AdmitClass::StaticMiss => 1,
@@ -391,10 +391,6 @@ pub struct NodeShared {
     pub admission: Arc<AdmissionController>,
     /// Retry budget for local filesystem fetch retries.
     pub fetch_retry_budget: RetryBudget,
-    /// Whether the overload-control gates are active (admission and the
-    /// fetch retry budget). The structures above exist either way, so
-    /// status can always report them.
-    pub overload_control: bool,
 }
 
 impl NodeShared {
@@ -510,18 +506,7 @@ impl sweb_reactor::App for ReactorApp {
         self.shared.stats.deadline_overruns.inc();
     }
     fn on_queue_sojourn(&self, micros: u64) {
-        if !self.shared.overload_control {
-            return;
-        }
-        // An injected overload fault inflates the observed sojourn: the
-        // controller reacts as if the queue were standing, which is the
-        // point — the fault tests the control loop, not the queue.
-        let inflated = if self.shared.chaos.is_active() {
-            micros + self.shared.chaos.overload_sojourn(self.shared.id.0).unwrap_or(0)
-        } else {
-            micros
-        };
-        self.shared.admission.observe(inflated);
+        self.shared.admission.observe(micros);
     }
     fn retry_after_secs(&self) -> u64 {
         self.shared.admission.retry_after_secs()

@@ -6,8 +6,8 @@
 //! The node's [`sweb_telemetry::Registry`] is the one description of its
 //! numbers: `/metrics` renders it, and the report's `metrics` are its
 //! counters and gauges keyed by series. The report types by hand only
-//! what is not a registry number — the node's identity, the load, shard
-//! and handler tables, and the overload switch.
+//! what is not a registry number — the node's identity and the load,
+//! shard and handler tables.
 //! The text page and the JSON document are two views of that one value,
 //! and `StatusReport::from_json` gives API consumers a schema-checked
 //! round trip.
@@ -49,7 +49,9 @@ pub const METRICS_PATH: &str = "/metrics";
 /// new series is one registration and needs no bump.
 /// v12 removed the `overload.breakers` array: no node keeps per-peer
 /// circuit breakers.
-pub const STATUS_SCHEMA_VERSION: u64 = 12;
+/// v13 removed the `overload` block: overload control has no switch, and
+/// its numbers are `metrics` series.
+pub const STATUS_SCHEMA_VERSION: u64 = 13;
 
 /// One node's full introspection snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,20 +70,9 @@ pub struct StatusReport {
     pub shards: Vec<ShardRow>,
     /// Per-class dynamic handler accounting, sorted by class name.
     pub handlers: Vec<HandlerRow>,
-    /// Overload-control switch.
-    pub overload: OverloadSnapshot,
     /// Every counter and gauge of the node's registry, `(series, value)`
     /// in registration order: the scalar series of `/metrics`.
     pub metrics: Vec<(String, i64)>,
-}
-
-/// The overload-control state that is not a number. The structures always
-/// exist — `enabled: false` means the gates are bypassed (`--overload
-/// off`), not that the numbers are absent.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct OverloadSnapshot {
-    /// Whether the admission and retry-budget gates are active.
-    pub enabled: bool,
 }
 
 /// One reactor shard's slice of the node's hot counters.
@@ -197,7 +188,6 @@ impl StatusReport {
                     ),
                 })
                 .collect(),
-            overload: OverloadSnapshot { enabled: shared.overload_control },
             metrics: s.registry.scalars(),
         }
     }
@@ -247,10 +237,7 @@ impl StatusReport {
                 row.class, row.p50_us, row.p99_us, row.oracle_ops,
             ));
         }
-        out.push_str(&format!(
-            "\noverload control: {}\n\nmetrics:\n",
-            if self.overload.enabled { "on" } else { "off" },
-        ));
+        out.push_str("\nmetrics:\n");
         for (series, value) in &self.metrics {
             out.push_str(&format!("  {series} {value}\n"));
         }
@@ -319,10 +306,6 @@ impl StatusReport {
                         })
                         .collect(),
                 ),
-            ),
-            (
-                "overload",
-                obj(vec![("enabled", Json::Bool(self.overload.enabled))]),
             ),
             (
                 "metrics",
@@ -407,8 +390,6 @@ impl StatusReport {
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let o = field(v, "overload")?;
-        let overload = OverloadSnapshot { enabled: boolean(&o, "enabled")? };
         let Json::Obj(members) = field(v, "metrics")? else {
             return Err("metrics is not an object".into());
         };
@@ -430,7 +411,6 @@ impl StatusReport {
             load,
             shards,
             handlers,
-            overload,
             metrics,
         })
     }
@@ -501,7 +481,6 @@ mod tests {
                     oracle_ops: 5000.0,
                 },
             ],
-            overload: OverloadSnapshot { enabled: true },
             metrics: vec![
                 ("sweb_requests_served_total".to_string(), 90),
                 ("sweb_active_requests".to_string(), -1),
@@ -571,7 +550,6 @@ mod tests {
                 "load",
                 "shards",
                 "handlers",
-                "overload",
                 "metrics"
             ]
         );
@@ -581,9 +559,9 @@ mod tests {
     fn from_json_rejects_anything_but_a_whole_current_document() {
         let doc = sample_report().to_json();
         let broken = without_one_member(&doc);
-        // 9 top-level members, 7 per load row, 6 per shard row, 4 per
-        // handler row and 1 in `overload`.
-        assert_eq!(broken.len(), 9 + 2 * 7 + 2 * 6 + 2 * 4 + 1);
+        // 8 top-level members, 7 per load row, 6 per shard row and 4 per
+        // handler row.
+        assert_eq!(broken.len(), 8 + 2 * 7 + 2 * 6 + 2 * 4);
         for v in &broken {
             assert!(StatusReport::from_json(v).is_err(), "accepted {}", v.render());
         }
@@ -598,7 +576,7 @@ mod tests {
         }
         assert!(StatusReport::from_json(&metrics("sweb_x{k=\"v\"}", Json::Num(-2.0))).is_ok());
         // The previous version, and a future one.
-        for version in [11.0, 99.0] {
+        for version in [12.0, 99.0] {
             let Json::Obj(mut members) = doc.clone() else { unreachable!() };
             members[0].1 = Json::Num(version);
             let err = StatusReport::from_json(&Json::Obj(members)).unwrap_err();
@@ -619,7 +597,7 @@ mod tests {
         assert!(text.contains("s1     no     40        35        0         2"), "{text}");
         assert!(text.contains("burn        1800      4200      250000"), "{text}");
         assert!(text.contains("echo        30        90        5000"), "{text}");
-        assert!(text.contains("overload control: on\n"), "{text}");
+        assert!(!text.contains("overload"), "{text}");
         for (series, value) in &report.metrics {
             assert!(text.contains(&format!("\n  {series} {value}\n")), "{series}: {text}");
         }

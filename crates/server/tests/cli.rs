@@ -140,13 +140,15 @@ fn swebd_accepts_shipped_example_oracle() {
 #[test]
 fn swebd_usage_on_bad_flags() {
     // `--engine` was a flag while a second connection engine existed,
-    // `--io-backend` while a second poller did. No nodes, and a loadd
+    // `--io-backend` while a second poller did, `--overload` while
+    // overload control could be switched off. No nodes, and a loadd
     // period of zero, are refused before anything starts.
     for args in [
         &["--bogus"][..],
         &["--engine", "reactor"][..],
         &["--io-backend", "uring"][..],
         &["--io-backend", "epoll"][..],
+        &["--overload", "on"][..],
         &["--nodes", "0"][..],
         &["--loadd-ms", "0"][..],
     ] {

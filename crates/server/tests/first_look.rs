@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sweb_cluster::NodeId;
-use sweb_core::Policy;
+use sweb_core::{AdmitClass, Policy};
 use sweb_http::{Request, Response};
 use sweb_server::{
     home_of, ClusterConfig, DynamicHandler, DynamicRegistry, Fault, FaultPlan, LiveCluster,
@@ -369,7 +369,11 @@ fn admission_level_recovers_with_inline_traffic_in_between() {
 
     // Resident hits only, for half a second: all served, all inline, and
     // the level does not move because nothing observes a queue.
-    let (inline_before, shed_before) = (node.stats.inline.get(), node.admission.shed_count());
+    let sheds = || {
+        [AdmitClass::Dynamic, AdmitClass::StaticMiss, AdmitClass::StaticHit]
+            .map(|class| node.stats.admission_sheds_of(class).get())
+    };
+    let (inline_before, shed_before) = (node.stats.inline.get(), sheds());
     let started = Instant::now();
     let mut hits = 0u64;
     while started.elapsed() < Duration::from_millis(500) {
@@ -379,7 +383,7 @@ fn admission_level_recovers_with_inline_traffic_in_between() {
     }
     assert_eq!(node.stats.inline.get() - inline_before, hits, "hits must be answered inline");
     assert_eq!(node.admission.level(), 2, "inline traffic moved the shed level");
-    assert_eq!(node.admission.shed_count(), shed_before);
+    assert_eq!(sheds(), shed_before, "inline traffic was refused by class");
 
     // Dynamic requests, one per observation window: each refusal goes
     // through the pool, is a sample of an empty queue, and takes the level

@@ -4,17 +4,19 @@
 //! The degradation invariant under test extends the chaos suite's "no
 //! request may hang": under overload every *shed* response must carry a
 //! load-derived `Retry-After`, and a client dribbling header bytes must
-//! be evicted on the parse clock.
+//! be evicted on the parse clock. Overload is real: more clients than the
+//! node has workers, each holding a worker with `/cgi-bin/burn`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sweb_core::Policy;
+use sweb_core::{AdmitClass, Policy};
 use sweb_des::SimTime;
-use sweb_server::{
-    client, ClusterConfig, Fault, FaultPlan, LiveCluster, StatusReport, Window,
-};
+use sweb_server::{client, ClusterConfig, Fault, FaultPlan, LiveCluster, StatusReport};
 
 mod support;
 
@@ -36,11 +38,14 @@ fn plan_seed() -> u64 {
 }
 
 /// Fast failure detection so a crashed peer is marked Dead within a test
-/// run.
-fn overload_config(plan: FaultPlan) -> ClusterConfig {
+/// run, and one loop per node: all of a node's workers then share one
+/// 512-job queue, which a [`crowd`] cannot fill, so every 503 is the
+/// controller's.
+fn overload_config(fault_plan: Option<FaultPlan>) -> ClusterConfig {
     let mut cfg = ClusterConfig {
         policy: Policy::Sweb,
-        fault_plan: Some(plan),
+        shards: 1,
+        fault_plan,
         ..ClusterConfig::default()
     };
     cfg.sweb.loadd_period = SimTime::from_millis(100);
@@ -77,75 +82,84 @@ fn admission_sheds(report: &StatusReport) -> i64 {
     report.metrics.iter().filter(|(k, _)| k.starts_with(family)).map(|(_, v)| v).sum()
 }
 
-/// A synthetic standing queue (the `overload` fault inflates every
-/// sojourn sample by 500 ms against the 5 ms CoDel target) must drive
-/// the controller to shedding within a few 100 ms windows — and every
-/// shed response must carry a load-derived `Retry-After`.
-#[test]
-fn injected_overload_sheds_with_retry_after() {
-    let plan = FaultPlan::seeded(plan_seed())
-        .with(Fault::Overload { node: 0, sojourn_us: 500_000, window: Window::ALWAYS });
-    let dir = docroot("shed");
-    let cluster = LiveCluster::start(1, dir, overload_config(plan)).unwrap();
-    let url = format!("{}/ok.txt", cluster.base_url(0));
+/// Unique query values, so the dynamic cache never answers a `burn`.
+static UNIQUE: AtomicU64 = AtomicU64::new(0);
 
-    let mut shed = None;
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while Instant::now() < deadline {
-        let resp = client::get_with_timeout(&url, Duration::from_secs(5)).unwrap();
-        match resp.status {
-            200 => std::thread::sleep(Duration::from_millis(10)),
-            503 => {
-                shed = Some(resp);
-                break;
-            }
-            s => panic!("unexpected status {s} under injected overload"),
-        }
-    }
-    let shed = shed.expect("controller never escalated to shedding");
-    let retry_after: u64 = shed
-        .headers
-        .get("retry-after")
-        .expect("shed response must carry Retry-After")
-        .parse()
-        .expect("Retry-After must be numeric");
-    assert!((1..=8).contains(&retry_after), "Retry-After out of range: {retry_after}");
-
-    // The admin endpoints are never shed: the status API answers even at
-    // level 3, and its v7 overload block shows what just happened.
-    let report = status(&cluster, 0);
-    let metric = |series: &str| report.metric(series).unwrap();
-    assert!(report.overload.enabled);
-    let level = metric("sweb_admission_shed_level");
-    assert!(level >= 2, "level {level} after sustained overload");
-    assert!(admission_sheds(&report) >= 1, "no class was shed: {:?}", report.metrics);
-    assert!(metric("sweb_connections_shed_total") >= 1);
-    let inflated = metric("sweb_faults_injected_total{kind=\"overload_samples\"}");
-    assert!(inflated >= 1, "the fault never inflated a sample");
-    cluster.shutdown();
+/// A real standing queue on the node at `base`: `clients` threads, each
+/// sending its next `burn` request (a worker held `ms` milliseconds,
+/// unique so the response cache cannot absorb it) as soon as the last one
+/// is answered, until `stop`. More clients than the node has workers keep
+/// every worker busy and the rest waiting in the queue. Every reply is a
+/// definite outcome, and every 503 carries a `Retry-After` of 1–8 s; each
+/// client returns the 503s it got.
+fn flood(base: &str, clients: usize, ms: u64, stop: &Arc<AtomicBool>) -> Vec<JoinHandle<u64>> {
+    (0..clients)
+        .map(|_| {
+            let (base, stop) = (base.to_string(), Arc::clone(stop));
+            std::thread::spawn(move || {
+                let mut refused = 0;
+                while !stop.load(Ordering::SeqCst) {
+                    let n = UNIQUE.fetch_add(1, Ordering::Relaxed);
+                    let url = format!("{base}/cgi-bin/burn?ms={ms}&cost=1&n={n}");
+                    let resp = client::get_with_timeout(&url, Duration::from_secs(5))
+                        .unwrap_or_else(|e| panic!("{url}: {e}"));
+                    match resp.status {
+                        200 | 302 => {}
+                        503 => {
+                            let retry_after: u64 = resp
+                                .headers
+                                .get("retry-after")
+                                .expect("shed response must carry Retry-After")
+                                .parse()
+                                .expect("Retry-After must be numeric");
+                            assert!((1..=8).contains(&retry_after), "Retry-After {retry_after}");
+                            refused += 1;
+                        }
+                        s => panic!("unexpected status {s} under a standing queue"),
+                    }
+                }
+                refused
+            })
+        })
+        .collect()
 }
 
-/// The A/B baseline: the same injected overload with `--overload off`
-/// never sheds by admission — the static path (`max_conns`) is all
-/// that's left, and these sequential requests never hit it.
-#[test]
-fn controller_off_is_the_static_baseline() {
-    let plan = FaultPlan::seeded(plan_seed())
-        .with(Fault::Overload { node: 0, sojourn_us: 500_000, window: Window::ALWAYS });
-    let dir = docroot("baseline");
-    let cfg = ClusterConfig { overload_control: false, ..overload_config(plan) };
-    let cluster = LiveCluster::start(1, dir, cfg).unwrap();
-    let url = format!("{}/ok.txt", cluster.base_url(0));
+/// Clients enough for a standing queue on any node: four per worker a
+/// node of a one-node cluster runs.
+fn crowd() -> usize {
+    4 * sweb_reactor::default_workers()
+}
 
-    for i in 0..30 {
-        let resp = client::get_with_timeout(&url, Duration::from_secs(5)).unwrap();
-        assert_eq!(resp.status, 200, "request {i} shed with the controller off");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+/// Stop a [`flood`] and total the 503s its clients got.
+fn drain(stop: &AtomicBool, clients: Vec<JoinHandle<u64>>) -> u64 {
+    stop.store(true, Ordering::SeqCst);
+    clients.into_iter().map(|c| c.join().unwrap()).sum()
+}
+
+/// Four clients per worker, each request holding a worker 50 ms: even
+/// the luckiest request waits past the 5 ms CoDel target all window, so
+/// the controller must shed within a few 100 ms windows. Every
+/// 503 carries a load-derived `Retry-After`, and each is counted once by
+/// class and once among the node's 503s.
+#[test]
+fn standing_queue_sheds_with_retry_after() {
+    let cluster = LiveCluster::start(1, docroot("shed"), overload_config(None)).unwrap();
+    let node = cluster.node(0);
+    let stop = Arc::new(AtomicBool::new(false));
+    let clients = flood(cluster.base_url(0), crowd(), 50, &stop);
+    await_true(Duration::from_secs(10), "the controller shed a dynamic request", || {
+        node.stats.admission_sheds_of(AdmitClass::Dynamic).get() >= 1
+    });
+    // The admin endpoints are never shed: the status API answers while
+    // the queue stands.
+    let level = status(&cluster, 0).metric("sweb_admission_shed_level").unwrap();
+    assert!((0..=3).contains(&level), "level {level}");
+    let refused = drain(&stop, clients);
+
     let report = status(&cluster, 0);
-    assert!(!report.overload.enabled);
-    assert_eq!(report.metric("sweb_admission_shed_level"), Some(0));
-    assert_eq!(admission_sheds(&report), 0);
+    assert!(refused >= 1, "no client saw a 503");
+    assert_eq!(admission_sheds(&report), refused as i64, "{:?}", report.metrics);
+    assert_eq!(report.metric("sweb_connections_shed_total"), Some(refused as i64));
     cluster.shutdown();
 }
 
@@ -211,30 +225,39 @@ fn slowloris_dribble_is_evicted_on_the_parse_clock() {
     cluster.shutdown();
 }
 
-/// Seeded chaos composition: a crashed peer *and* injected overload at
-/// once. Every request reaches a definite outcome, every shed carries
+/// Seeded chaos composition: a crashed peer *and* a real standing queue
+/// at once. Every request reaches a definite outcome, every shed carries
 /// `Retry-After`, and failure detection marks the crashed peer Dead.
 #[test]
 fn crash_under_overload_keeps_every_outcome_definite() {
     let plan = FaultPlan::seeded(plan_seed())
-        .with(Fault::Overload { node: 0, sojourn_us: 100_000, window: Window::between(600, 2_000) })
         .with(Fault::Crash { node: 1, at_ms: 300 })
         .with(Fault::Revive { node: 1, at_ms: 2_500 });
     let dir = docroot("crash");
-    let cluster = LiveCluster::start(2, dir, overload_config(plan)).unwrap();
+    let cluster = LiveCluster::start(2, dir, overload_config(Some(plan))).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(10)));
 
-    let mut sheds_with_header = 0u32;
+    // Node 0 queues real work from 600 ms to 2 s of the run.
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut queue = None;
+    let mut sheds_with_header = 0u64;
     let mut outcomes = 0u32;
     while cluster.chaos().now_ms() < 2_300 {
         // Scripted crash/revive ops fire from the workload loop, not a
         // background thread — drive them to their due time.
         cluster.drive_scripted();
+        let now = cluster.chaos().now_ms();
+        if queue.is_none() && (600..2_000).contains(&now) {
+            queue = Some(flood(cluster.base_url(0), crowd(), 50, &stop));
+        }
+        if now >= 2_000 {
+            stop.store(true, Ordering::SeqCst);
+        }
         let url = format!("{}/doc{}.txt", cluster.base_url(0), outcomes % 8);
         match client::get_with_timeout(&url, Duration::from_secs(5)) {
             Ok(resp) => {
                 assert!(
-                    resp.status == 200 || resp.status == 503,
+                    matches!(resp.status, 200 | 302 | 503),
                     "unexpected status {}",
                     resp.status
                 );
@@ -257,8 +280,10 @@ fn crash_under_overload_keeps_every_outcome_definite() {
         outcomes += 1;
         std::thread::sleep(Duration::from_millis(15));
     }
+    let queue = queue.expect("the run never reached the queue's window");
+    sheds_with_header += drain(&stop, queue);
     assert!(outcomes >= 20, "only {outcomes} requests completed");
-    assert!(sheds_with_header >= 1, "overload window never shed");
+    assert!(sheds_with_header >= 1, "the standing queue never shed");
     // The crash was detected on silence alone.
     assert!(cluster.node(0).stats.peer_dead.get() >= 1, "the crashed peer was never marked dead");
     cluster.shutdown();
