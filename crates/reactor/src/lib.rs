@@ -8,7 +8,8 @@
 //! a per-connection state machine, so concurrency is bounded by memory
 //! rather than by threads.
 //!
-//! Architecture (one reactor = one loop thread + a bounded worker pool):
+//! Architecture (one reactor = one shard group: a loop thread per shard
+//! and one bounded worker pool they share):
 //!
 //! ```text
 //!        accept ──▶ [admission: cap or 503] ──▶ Reading ──▶ ReadingBody
@@ -69,8 +70,9 @@
 //!   included ([`sys::page_cached`] asks the kernel). **Blocking work**
 //!   (a document read on a cache miss, reading a cold large file in, a
 //!   handler that may block or has not yet measured cheap, the status
-//!   and `/metrics` renders) runs on a bounded [`workers::WorkerPool`];
-//!   a full queue sheds (503) instead of queueing unboundedly.
+//!   and `/metrics` renders) runs on a bounded [`workers::WorkerPool`],
+//!   one per shard group, whose workers serve every loop's jobs; a full
+//!   queue sheds (503) instead of queueing unboundedly.
 //! * **Transmit is zero-copy**: responses drain as head bytes plus a
 //!   shared [`Bytes`] body gathered by one `sendmsg(2)` (no per-request
 //!   body copy; a cached document's head is shared too, see
@@ -294,7 +296,7 @@ pub trait App: Send + Sync + 'static {
     /// any. Deltas, not totals: sum them into a counter.
     fn on_poller_syscalls(&self, _count: u64) {}
     /// Work that shares this loop with its connections, asked for once as
-    /// the loop starts. `None` (the default): the loop serves connections
+    /// the loop is built. `None` (the default): the loop serves connections
     /// alone. See [`Service`].
     fn service(&self) -> Option<Box<dyn Service>> {
         None
@@ -322,13 +324,11 @@ pub struct ReactorConfig {
     /// loops of a [`spawn_sharded`] group share it: together they hold at
     /// most this many, however the connections fall among them.
     pub max_conns: usize,
-    /// Worker threads for blocking fulfilment. Defaults to
-    /// [`default_workers`] (the machine's `available_parallelism()`
-    /// clamped to `[4, 32]`).
-    /// [`spawn_sharded`] divides this node-wide total evenly per shard.
+    /// Worker threads for blocking fulfilment, one pool for every loop of
+    /// a [`spawn_sharded`] group. Defaults to [`default_workers`] (the
+    /// machine's `available_parallelism()` clamped to `[4, 32]`).
     pub workers: usize,
-    /// Bounded depth of the worker submission queue (divided per shard by
-    /// [`spawn_sharded`]).
+    /// Bounded depth of the group's one worker submission queue.
     pub worker_queue: usize,
     /// Evict a connection that produces no complete request for this long.
     pub read_timeout: Duration,
@@ -390,85 +390,53 @@ const TOKEN_WAKEUP: usize = 1;
 const TOKEN_SERVICE: usize = 2;
 const TOKEN_BASE: usize = 3;
 
-/// A running reactor: join handle plus identity.
+/// A running reactor: one shard group, its worker pool, and its address.
 pub struct ReactorHandle {
-    thread: Option<std::thread::JoinHandle<io::Result<()>>>,
-    /// The loop's doorbell, rung by [`ReactorHandle::join`].
-    wakeup: Arc<UdpSocket>,
+    /// Each loop's thread and doorbell, in shard order.
+    loops: Vec<(std::thread::JoinHandle<io::Result<()>>, Arc<UdpSocket>)>,
+    /// The group's workers; every loop holds the pool too.
+    pool: Arc<WorkerPool>,
     /// Address the reactor is listening on.
     pub addr: SocketAddr,
 }
 
 impl ReactorHandle {
-    /// Wait for the loop thread to exit (after `shutdown` was flagged).
-    /// Rings the loop's doorbell first: an idle loop sleeps until
-    /// something happens, and this is what makes it look at the flag.
-    pub fn join(mut self) -> io::Result<()> {
-        let _ = self.wakeup.send(&[1]);
-        match self.thread.take() {
-            Some(t) => t.join().unwrap_or_else(|_| {
-                Err(io::Error::other("reactor thread panicked"))
-            }),
-            None => Ok(()),
+    /// Number of shard loops.
+    pub fn shard_count(&self) -> usize {
+        self.loops.len()
+    }
+
+    /// Wait for every loop to exit (after `shutdown` was flagged), then
+    /// for the workers, which run what is still queued first: when this
+    /// returns, no thread of the group is left. Rings each loop's doorbell
+    /// first: an idle loop sleeps until something happens, and this is
+    /// what makes it look at the flag. Returns the first loop error, if
+    /// any.
+    pub fn join(self) -> io::Result<()> {
+        let mut result = Ok(());
+        for (thread, wakeup) in self.loops {
+            let _ = wakeup.send(&[1]);
+            let joined =
+                thread.join().unwrap_or_else(|_| Err(io::Error::other("reactor thread panicked")));
+            result = result.and(joined);
         }
+        // The loops are gone, and their references with them: dropping the
+        // last one closes the queue and joins the workers.
+        drop(self.pool);
+        result
     }
 }
 
-/// Spawn a reactor serving `app` on `listener`. The loop runs until
-/// `shutdown` is set: it looks at the flag every time it wakes, and
-/// [`ReactorHandle::join`] wakes it.
+/// Spawn a reactor serving `app` on `listener`: the one-shard case of
+/// [`spawn_sharded`]. The loop runs until `shutdown` is set: it looks at
+/// the flag every time it wakes, and [`ReactorHandle::join`] wakes it.
 pub fn spawn(
     listener: TcpListener,
     app: Arc<dyn App>,
     cfg: ReactorConfig,
     shutdown: Arc<AtomicBool>,
 ) -> io::Result<ReactorHandle> {
-    spawn_shard(listener, app, cfg, shutdown, Arc::default(), 0, None)
-}
-
-/// Spawn one shard's loop thread, accepting on its own `listener`, with
-/// `open` counting the connections its group holds under the admission
-/// cap, steered to `cpu` if given ([`steer_loop`]).
-fn spawn_shard(
-    listener: TcpListener,
-    app: Arc<dyn App>,
-    cfg: ReactorConfig,
-    shutdown: Arc<AtomicBool>,
-    open: Arc<AtomicUsize>,
-    shard: usize,
-    cpu: Option<usize>,
-) -> io::Result<ReactorHandle> {
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    // Inherited by every accepted socket: no `setsockopt` per connection.
-    sys::set_listener_nodelay(&listener)?;
-    let poller = Poller::new()?;
-
-    // Self-addressed UDP socket: the workers' doorbell into the loop.
-    let wakeup_rx = UdpSocket::bind("127.0.0.1:0")?;
-    wakeup_rx.set_nonblocking(true)?;
-    wakeup_rx.connect(wakeup_rx.local_addr()?)?;
-    let wakeup_tx = Arc::new(wakeup_rx.try_clone()?);
-    let wakeup = Arc::clone(&wakeup_tx);
-
-    let thread = std::thread::Builder::new()
-        .name(format!("sweb-reactor-{}-s{shard}", addr.port()))
-        .spawn(move || {
-            // The pool's threads are spawned by `new`, before any steering:
-            // only the loop changes class.
-            // `Loop::new` counts a lone loop's connections; a shard counts
-            // its group's.
-            let lp = Loop {
-                open,
-                ..Loop::new(listener, app, cfg, shutdown, poller, wakeup_rx, wakeup_tx)
-            };
-            if let Some(cpu) = cpu {
-                steer_loop(&lp.listener, cpu, shard);
-            }
-            lp.run()
-        })?;
-
-    Ok(ReactorHandle { thread: Some(thread), wakeup, addr })
+    spawn_sharded(listener, vec![app], cfg, shutdown)
 }
 
 /// Make the calling loop thread the one that serves `cpu`'s connections:
@@ -493,71 +461,41 @@ fn steer_loop(listener: &TcpListener, cpu: usize, shard: usize) {
     }
 }
 
-/// A running sharded reactor: one loop handle per shard.
-pub struct ShardedHandle {
-    shards: Vec<ReactorHandle>,
-    /// Address the shard group is listening on.
-    pub addr: SocketAddr,
-}
-
-impl ShardedHandle {
-    /// Number of shard loops.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Wait for every shard loop to exit (after `shutdown` was flagged),
-    /// ringing each one's doorbell ([`ReactorHandle::join`]). Returns the
-    /// first shard error, if any.
-    pub fn join(self) -> io::Result<()> {
-        let mut result = Ok(());
-        for shard in self.shards {
-            if let Err(e) = shard.join() {
-                result = Err(e);
-            }
-        }
-        result
-    }
-}
-
-/// Spawn `apps.len()` reactor shards all serving the same port. `cfg`
-/// describes the node-wide totals, so a sharded node has the same
-/// aggregate budgets as a single-loop one: `workers` and `worker_queue`
-/// are divided evenly across shards (each at least 1), and `max_conns`
-/// bounds the connections the shards hold together. The cap is not
-/// divided because placement is not even: a steered shard takes every
-/// connection that arrives on its CPU.
+/// Spawn a shard group: `apps.len()` loops all serving the same port,
+/// sharing one worker pool. `cfg` holds the node-wide totals, whatever the
+/// shard count: the group runs `workers` threads on one queue of
+/// `worker_queue` jobs, any worker serves any shard's job (an idle one
+/// that last served the same loop first, see
+/// [`WorkerPool::try_submit_from`]), and `max_conns` bounds the
+/// connections the loops hold together. Nothing is divided
+/// per shard because placement is not even: a steered shard takes every
+/// connection that arrives on its CPU. Loops are named
+/// `sweb-<port>-s<shard>` and workers `sweb-<port>-w<i>`.
 ///
 /// Shard 0 serves `listener`; every other shard binds its own
 /// `SO_REUSEPORT` listener on the same port and the kernel distributes
 /// accepts across the group. With several apps, `listener` must itself
 /// have been bound with [`sys::bind_reuseport`] or the group cannot
-/// form: every bind happens before any loop starts, so that mistake is
-/// an `Err` and no shard runs.
+/// form: every bind happens before any thread starts, so that mistake is
+/// an `Err` and no thread runs.
 ///
 /// With at least two shards and no more than the CPUs this thread may run
 /// on ([`sys::cpus`]), shard `i` serves the connections that arrive on
 /// the `i`-th of those CPUs (see `steer_loop`), so a connection's packets,
 /// its loop and its client share a CPU instead of waking each other
 /// across two. A single shard, or more shards than CPUs, keeps the
-/// group's 4-tuple hash.
+/// group's 4-tuple hash. The workers are spawned on the caller's thread,
+/// before any loop steers itself, so they stay in the normal class.
 pub fn spawn_sharded(
     listener: TcpListener,
     apps: Vec<Arc<dyn App>>,
     cfg: ReactorConfig,
     shutdown: Arc<AtomicBool>,
-) -> io::Result<ShardedHandle> {
+) -> io::Result<ReactorHandle> {
     assert!(!apps.is_empty(), "spawn_sharded needs at least one shard app");
-    let n = apps.len();
     let addr = listener.local_addr()?;
-    let shard_cfg = ReactorConfig {
-        workers: (cfg.workers / n).max(1),
-        worker_queue: (cfg.worker_queue / n).max(1),
-        ..cfg
-    };
-
     let mut listeners = vec![listener];
-    for _ in 1..n {
+    for _ in 1..apps.len() {
         let joined = sys::bind_reuseport(addr).map_err(|e| {
             io::Error::new(
                 e.kind(),
@@ -570,16 +508,38 @@ pub fn spawn_sharded(
         listeners.push(joined);
     }
 
-    let cpus = sys::cpus().unwrap_or_default();
-    let steered = (2..=cpus.len()).contains(&n);
+    let name = format!("sweb-{}", addr.port());
+    let pool = Arc::new(WorkerPool::new(cfg.workers, cfg.worker_queue, &name));
     let open = Arc::new(AtomicUsize::new(0));
-    let mut shards = Vec::with_capacity(n);
-    for (shard, (l, app)) in listeners.into_iter().zip(apps).enumerate() {
+    // Every loop is built before any starts: a loop that cannot be built
+    // drops the others and the pool, which joins its workers.
+    let loops = listeners
+        .into_iter()
+        .zip(apps)
+        .enumerate()
+        .map(|(shard, (listener, app))| {
+            let (shutdown, open, pool) =
+                (Arc::clone(&shutdown), Arc::clone(&open), Arc::clone(&pool));
+            Loop::new(shard, listener, app, cfg.clone(), shutdown, open, pool)
+        })
+        .collect::<io::Result<Vec<Loop>>>()?;
+
+    let cpus = sys::cpus().unwrap_or_default();
+    let steered = (2..=cpus.len()).contains(&loops.len());
+    let mut threads = Vec::with_capacity(loops.len());
+    for lp in loops {
+        let (shard, wakeup) = (lp.shard, Arc::clone(&lp.wakeup_tx));
         let cpu = steered.then(|| cpus[shard]);
-        let (shutdown, open) = (Arc::clone(&shutdown), Arc::clone(&open));
-        shards.push(spawn_shard(l, app, shard_cfg.clone(), shutdown, open, shard, cpu)?);
+        let thread =
+            std::thread::Builder::new().name(format!("{name}-s{shard}")).spawn(move || {
+                if let Some(cpu) = cpu {
+                    steer_loop(&lp.listener, cpu, shard);
+                }
+                lp.run()
+            })?;
+        threads.push((thread, wakeup));
     }
-    Ok(ShardedHandle { shards, addr })
+    Ok(ReactorHandle { loops: threads, pool, addr })
 }
 
 /// Per-connection protocol position.
@@ -779,6 +739,8 @@ impl Seal {
 }
 
 struct Loop {
+    /// This loop's index in its shard group.
+    shard: usize,
     listener: TcpListener,
     app: Arc<dyn App>,
     cfg: ReactorConfig,
@@ -791,7 +753,8 @@ struct Loop {
     /// cap bounds it ([`Seat`]).
     open: Arc<AtomicUsize>,
     wheel: TimerWheel,
-    pool: WorkerPool,
+    /// The group's workers, shared by its loops.
+    pool: Arc<WorkerPool>,
     completions: Arc<Mutex<Vec<Completion>>>,
     start: Instant,
     /// Accept failure streak, for exponential listener backoff.
@@ -810,19 +773,31 @@ struct Loop {
 }
 
 impl Loop {
+    /// Shard `shard`'s loop, accepting on `listener`, with `open`
+    /// counting the connections its group holds under the admission cap
+    /// and `pool` running its group's blocking work.
     fn new(
+        shard: usize,
         listener: TcpListener,
         app: Arc<dyn App>,
         cfg: ReactorConfig,
         shutdown: Arc<AtomicBool>,
-        poller: Poller,
-        wakeup_rx: UdpSocket,
-        wakeup_tx: Arc<UdpSocket>,
-    ) -> Loop {
+        open: Arc<AtomicUsize>,
+        pool: Arc<WorkerPool>,
+    ) -> io::Result<Loop> {
+        listener.set_nonblocking(true)?;
+        // Inherited by every accepted socket: no `setsockopt` per connection.
+        sys::set_listener_nodelay(&listener)?;
+        // Self-addressed UDP socket: the workers' doorbell into the loop.
+        let wakeup_rx = UdpSocket::bind("127.0.0.1:0")?;
+        wakeup_rx.set_nonblocking(true)?;
+        wakeup_rx.connect(wakeup_rx.local_addr()?)?;
+        let wakeup_tx = Arc::new(wakeup_rx.try_clone()?);
+        let poller = Poller::new()?;
         let wheel = TimerWheel::new(cfg.timer_slots, cfg.timer_tick_ms);
-        let pool = WorkerPool::new(cfg.workers, cfg.worker_queue, "sweb");
         let service = app.service();
-        Loop {
+        Ok(Loop {
+            shard,
             listener,
             app,
             cfg,
@@ -831,7 +806,7 @@ impl Loop {
             wakeup_rx,
             wakeup_tx,
             conns: Slab::new(),
-            open: Arc::default(),
+            open,
             wheel,
             pool,
             completions: Arc::new(Mutex::new(Vec::new())),
@@ -842,7 +817,7 @@ impl Loop {
             service,
             service_due: None,
             last_peer: None,
-        }
+        })
     }
 
     fn now_ms(&self) -> u64 {
@@ -853,7 +828,8 @@ impl Loop {
         self.app.on_shard_start();
         let result = self.run_inner();
 
-        // Drain: close every connection, then join the workers.
+        // Drain: close every connection. Jobs still on the group's pool
+        // run; their completions have no loop left to write them.
         for (_, conn) in self.conns.drain_all() {
             if conn.registered {
                 let _ = self.poller.deregister(conn.stream.as_raw_fd());
@@ -863,7 +839,6 @@ impl Loop {
         if let Some(service) = &self.service {
             let _ = self.poller.deregister(service.fd());
         }
-        self.pool.shutdown();
         self.app.on_shard_stop();
         result
     }
@@ -1327,7 +1302,7 @@ impl Loop {
             }
             let _ = wakeup.send(&[1]);
         });
-        match self.pool.try_submit(job) {
+        match self.pool.try_submit_from(self.shard, job) {
             Ok(()) => self.in_flight += 1,
             Err(_job) => {
                 // Every worker busy and the queue full: shed at the
@@ -1695,25 +1670,15 @@ mod tests {
         const CLIENTS: usize = 50;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let wakeup_rx = UdpSocket::bind("127.0.0.1:0").unwrap();
-        wakeup_rx.set_nonblocking(true).unwrap();
-        wakeup_rx.connect(wakeup_rx.local_addr().unwrap()).unwrap();
-        let wakeup_tx = Arc::new(wakeup_rx.try_clone().unwrap());
         let app = Arc::new(Inline::default());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let cfg = ReactorConfig { workers: 1, ..ReactorConfig::default() };
-        let poller = Poller::new().unwrap();
+        let pool = Arc::new(WorkerPool::new(1, 1, "test"));
         let app_dyn: Arc<dyn App> = app.clone();
-        let mut lp = Loop::new(
-            listener,
-            app_dyn,
-            cfg,
-            Arc::clone(&shutdown),
-            poller,
-            wakeup_rx,
-            Arc::clone(&wakeup_tx),
-        );
+        let cfg = ReactorConfig::default();
+        let mut lp =
+            Loop::new(0, listener, app_dyn, cfg, Arc::clone(&shutdown), Arc::default(), pool)
+                .unwrap();
+        let wakeup_tx = Arc::clone(&lp.wakeup_tx);
         lp.start_polling().unwrap();
 
         let opened = Arc::clone(&app.opened);
@@ -1754,7 +1719,6 @@ mod tests {
         let switches = ctx_switches() - before;
         ringer.join().unwrap();
         assert!(switches <= 5, "{switches} context switches in an idle second");
-        lp.pool.shutdown();
     }
 
     #[test]

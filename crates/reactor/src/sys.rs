@@ -477,25 +477,6 @@ fn set_int_opt(fd: RawFd, level: i32, name: i32, value: i32) -> io::Result<()> {
     Ok(())
 }
 
-/// Bind a listener with `SO_REUSEADDR`, so a revived node can reclaim
-/// its old address while connections it accepted before dying still sit
-/// in `TIME_WAIT` (a plain `TcpListener::bind` fails with `EADDRINUSE`
-/// for the staleness timeout's worth of seconds).
-pub fn bind_reuseaddr(addr: SocketAddr) -> io::Result<TcpListener> {
-    bind_with(addr, false)
-}
-
-/// Bind a listener with `SO_REUSEADDR` **and** `SO_REUSEPORT`, so several
-/// listeners — one per reactor shard — share one port and the kernel
-/// distributes incoming connections across them (hashed on the 4-tuple,
-/// unless [`steer`] gives a listener the connections of one CPU).
-/// Every listener on the port must set the flag *before* bind, or the
-/// kernel refuses the group: sharded callers bind their first listener
-/// through here too, never through a plain `TcpListener::bind`.
-pub fn bind_reuseport(addr: SocketAddr) -> io::Result<TcpListener> {
-    bind_with(addr, true)
-}
-
 /// The kernel's `struct sockaddr_in` (IPv4).
 #[repr(C)]
 struct SockAddrIn {
@@ -508,7 +489,18 @@ struct SockAddrIn {
 const AF_INET: u16 = 2;
 const AF_INET6: u16 = 10;
 
-fn bind_with(addr: SocketAddr, reuseport: bool) -> io::Result<TcpListener> {
+/// Bind a listener with `SO_REUSEADDR` **and** `SO_REUSEPORT`, so several
+/// listeners — one per reactor shard — share one port and the kernel
+/// distributes incoming connections across them (hashed on the 4-tuple,
+/// unless [`steer`] gives a listener the connections of one CPU).
+/// Every listener on the port must set the flag *before* bind, or the
+/// kernel refuses the group: a shard group binds its first listener
+/// through here too, never through a plain `TcpListener::bind`.
+/// `SO_REUSEADDR` lets a revived node reclaim its old address while
+/// connections it accepted before dying still sit in `TIME_WAIT` (a plain
+/// bind fails with `EADDRINUSE` for the staleness timeout's worth of
+/// seconds).
+pub fn bind_reuseport(addr: SocketAddr) -> io::Result<TcpListener> {
     extern "C" {
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         fn bind(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
@@ -530,9 +522,7 @@ fn bind_with(addr: SocketAddr, reuseport: bool) -> io::Result<TcpListener> {
     };
     let raw = fd.as_raw_fd();
     set_int_opt(raw, SOL_SOCKET, SO_REUSEADDR, 1)?;
-    if reuseport {
-        set_int_opt(raw, SOL_SOCKET, SO_REUSEPORT, 1)?;
-    }
+    set_int_opt(raw, SOL_SOCKET, SO_REUSEPORT, 1)?;
     let sa = SockAddrIn {
         family: AF_INET,
         port_be: v4.port().to_be(),
@@ -806,7 +796,7 @@ mod tests {
         // accepts.
         const O_NONBLOCK: u32 = 0o4000;
         const O_CLOEXEC: u32 = 0o2000000;
-        let plain = bind_reuseaddr("127.0.0.1:0".parse().unwrap()).unwrap();
+        let plain = bind_reuseport("127.0.0.1:0".parse().unwrap()).unwrap();
         let _client = TcpStream::connect(plain.local_addr().unwrap()).unwrap();
         let (conn, _) = accept(&plain).unwrap();
         assert!(!conn.nodelay().unwrap(), "TCP_NODELAY is off unless the listener has it");
@@ -817,7 +807,7 @@ mod tests {
         let mut buf = [0u8; 8];
         assert_eq!((&conn).read(&mut buf).unwrap_err().kind(), io::ErrorKind::WouldBlock);
 
-        let listener = bind_reuseaddr("127.0.0.1:0".parse().unwrap()).unwrap();
+        let listener = bind_reuseport("127.0.0.1:0".parse().unwrap()).unwrap();
         set_listener_nodelay(&listener).unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (conn, peer) = accept(&listener).unwrap();

@@ -35,9 +35,24 @@ struct EchoApp {
     loop_policy: Mutex<Option<u32>>,
     big: Mutex<Option<Bytes>>,
     file_path: Mutex<Option<PathBuf>>,
+    /// `/meet` continuations that have started.
+    met: Arc<AtomicUsize>,
 }
 
 impl App for EchoApp {
+    /// `/meet` takes a continuation that counts itself in, then waits up
+    /// to 2 s for a second one to start: it answers `together` if one did
+    /// and `alone` if not.
+    fn first_look(&self, _peer: &str, req: &Request, _body: &[u8]) -> Option<FirstLook> {
+        let met = Arc::clone(&self.met);
+        (req.target == "/meet").then(|| {
+            FirstLook::Blocking(Box::new(move |_, _, _| {
+                met.fetch_add(1, Ordering::SeqCst);
+                let two = wait_until(Duration::from_secs(2), || met.load(Ordering::SeqCst) >= 2);
+                Response::ok(if two { "together" } else { "alone" }, "text/plain").into()
+            }))
+        })
+    }
     fn respond(&self, _peer: &str, req: &Request, body: &[u8]) -> Reply {
         self.served.fetch_add(1, Ordering::SeqCst);
         if req.target == "/big" {
@@ -565,9 +580,7 @@ fn shards_cannot_join_a_listener_bound_without_reuseport() {
 }
 
 /// Two shards on one port, one [`EchoApp`] each, once both loops run.
-fn start_pair(
-    cfg: ReactorConfig,
-) -> (sweb_reactor::ShardedHandle, Vec<Arc<EchoApp>>, Arc<AtomicBool>) {
+fn start_pair(cfg: ReactorConfig) -> (ReactorHandle, Vec<Arc<EchoApp>>, Arc<AtomicBool>) {
     let listener = sweb_reactor::sys::bind_reuseport("127.0.0.1:0".parse().unwrap()).unwrap();
     let apps: Vec<Arc<EchoApp>> = (0..2).map(|_| Arc::new(EchoApp::default())).collect();
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -681,6 +694,59 @@ fn a_steered_group_shares_one_admission_cap() {
     drop(idle);
     shutdown.store(true, Ordering::Relaxed);
     handle.join().unwrap();
+}
+
+#[test]
+fn a_steered_shard_has_every_worker_of_its_group() {
+    // Steering puts both connections from one CPU on one shard; the
+    // group's two workers must both be free to take its jobs.
+    let Some(cpus) = two_cpus() else { return };
+    let (handle, apps, shutdown) = start_pair(ReactorConfig { workers: 2, ..Default::default() });
+    let mut pair: Vec<TcpStream> = (0..2).map(|_| connect_from(cpus[0], handle.addr)).collect();
+    for s in &mut pair {
+        s.write_all(b"GET /meet HTTP/1.0\r\n\r\n").unwrap();
+    }
+    for s in &mut pair {
+        let mut out = String::new();
+        s.read_to_string(&mut out).unwrap();
+        assert!(out.ends_with("together"), "one shard's jobs met one worker: {out:?}");
+    }
+    let opened: Vec<usize> = apps.iter().map(|a| a.open.load(Ordering::SeqCst)).collect();
+    assert_eq!(opened, [2, 0], "both connections belong to shard 0");
+    shutdown.store(true, Ordering::Relaxed);
+    handle.join().unwrap();
+}
+
+/// How many of this process's threads have a `comm` starting `prefix`.
+fn threads_named(prefix: &str) -> usize {
+    let tasks = std::fs::read_dir("/proc/self/task").unwrap();
+    tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with(prefix))
+        .count()
+}
+
+#[test]
+fn a_shard_group_runs_its_workers_once_and_join_leaves_no_thread() {
+    let listener = sweb_reactor::sys::bind_reuseport("127.0.0.1:0".parse().unwrap()).unwrap();
+    let apps: Vec<Arc<dyn App>> =
+        (0..3).map(|_| Arc::new(EchoApp::default()) as Arc<dyn App>).collect();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let cfg = ReactorConfig { workers: 2, ..ReactorConfig::default() };
+    let handle = sweb_reactor::spawn_sharded(listener, apps, cfg, Arc::clone(&shutdown)).unwrap();
+    let port = handle.addr.port();
+    let (loops, workers) = (format!("sweb-{port}-s"), format!("sweb-{port}-w"));
+    assert_eq!(handle.shard_count(), 3);
+    // A thread names itself as it starts: give the last one a moment.
+    let named = || threads_named(&loops) == 3 && threads_named(&workers) >= 2;
+    assert!(wait_until(Duration::from_secs(2), named), "the group never came up");
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(threads_named(&workers), 2, "the group's workers are divided per shard");
+    shutdown.store(true, Ordering::Relaxed);
+    handle.join().unwrap();
+    // An exited thread can outlive its join in `/proc` by a moment.
+    let gone = || threads_named(&loops) + threads_named(&workers) == 0;
+    assert!(wait_until(Duration::from_secs(1), gone), "join left a thread");
 }
 
 #[test]
@@ -895,7 +961,7 @@ fn inline_first_look_is_byte_identical_to_respond() {
     assert!(got[1].ends_with("\r\n\r\n"), "HEAD carried a body");
     // 3 + 2 + 64 requests: all answered on the loop thread, none by
     // `respond`; the other server never answered inline.
-    let loop_thread = format!("sweb-reactor-{}-s0", inline.addr.port());
+    let loop_thread = format!("sweb-{}-s0", inline.addr.port());
     let looked = inline.app.looked_on.lock().unwrap();
     assert_eq!(looked.len(), 69);
     assert!(looked.iter().all(|t| *t == loop_thread), "{looked:?}");
@@ -912,9 +978,10 @@ fn blocking_continuation_runs_once_on_a_worker_and_respond_never() {
     let srv = TestServer::start_app(LookApp::new(Mode::Blocking), cfg);
     assert_eq!(run_script(srv.addr), run_script(pooled.addr));
     let continued = srv.app.continued_on.lock().unwrap();
+    let workers = format!("sweb-{}-w", srv.addr.port());
     assert_eq!(continued.len(), 69, "one continuation per request");
     assert!(
-        continued.iter().all(|t| t.starts_with("sweb-worker-")),
+        continued.iter().all(|t| t.starts_with(&workers)),
         "continuation off the pool: {continued:?}"
     );
     assert!(srv.app.responded_on.lock().unwrap().is_empty(), "respond ran as well");

@@ -95,7 +95,8 @@ impl Default for ClusterConfig {
 /// CPU: a loop can only be handed the connections that arrive on its
 /// CPU if its node has a listener there (`sweb_reactor::spawn_sharded`).
 /// An idle loop sleeps, so the extra loops cost a thread each. What the
-/// nodes split is the worker pool (`NodeHandle::spawn`).
+/// nodes split is the worker pool (`NodeHandle::spawn`); a node's shards
+/// do not split it again, but share their node's one pool.
 fn resolve_shards(cfg: &ClusterConfig) -> usize {
     let n = if cfg.shards == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -153,18 +154,14 @@ impl LiveCluster {
                     format!("{n} nodes from port {:?} run past port 65535", cfg.port_base),
                 )
             })?;
-        // Bind everything first so every node knows every address. A
-        // multi-shard reactor node binds its port with `SO_REUSEPORT` so
-        // the other shards can join the accept group later.
+        // Bind everything first so every node knows every address. Each
+        // node's reactor is a shard group, so its port is bound with
+        // `SO_REUSEPORT` for the other shards to join.
         let listeners: Vec<TcpListener> = ports
             .into_iter()
             .map(|port| {
-                if shards > 1 {
-                    let sa = std::net::SocketAddr::from((std::net::Ipv4Addr::LOCALHOST, port));
-                    sweb_reactor::sys::bind_reuseport(sa)
-                } else {
-                    TcpListener::bind(("127.0.0.1", port))
-                }
+                let sa = std::net::SocketAddr::from((std::net::Ipv4Addr::LOCALHOST, port));
+                sweb_reactor::sys::bind_reuseport(sa)
             })
             .collect::<Result<_, _>>()?;
         let udps: Vec<UdpSocket> =
@@ -215,7 +212,6 @@ impl LiveCluster {
                 access_log: cfg.access_log.clone(),
                 file_cache,
                 draining: AtomicBool::new(false),
-                shutdown: AtomicBool::new(false),
                 start,
                 stats,
                 chaos: Arc::clone(&chaos),
@@ -309,7 +305,6 @@ impl LiveCluster {
             slot.take()
         };
         if let Some(handle) = handle {
-            self.slots[i].shared.shutdown.store(true, Ordering::Relaxed);
             handle.shutdown();
         }
     }
@@ -332,15 +327,8 @@ impl LiveCluster {
             .trim_start_matches("http://")
             .parse()
             .map_err(|_| std::io::Error::other("unparseable node address"))?;
-        let listener = if shared.shards > 1 {
-            // Shard groups need the flag back on the primary bind too.
-            sweb_reactor::sys::bind_reuseport(http_addr)?
-        } else {
-            sweb_reactor::sys::bind_reuseaddr(http_addr)?
-        };
+        let listener = sweb_reactor::sys::bind_reuseport(http_addr)?;
         let udp = UdpSocket::bind(shared.peer_udp[i])?;
-        // Flags must reset *before* spawn or the new threads exit at once.
-        shared.shutdown.store(false, Ordering::Relaxed);
         shared.draining.store(false, Ordering::Relaxed);
         *slot = Some(NodeHandle::spawn(Arc::clone(shared), listener, udp)?);
         Ok(())
@@ -403,9 +391,6 @@ impl LiveCluster {
 
     /// Stop every node and join their service threads.
     pub fn shutdown(self) {
-        for slot in &self.slots {
-            slot.shared.shutdown.store(true, Ordering::Relaxed);
-        }
         for slot in self.slots {
             let handle = match slot.handle.lock() {
                 Ok(mut h) => h.take(),

@@ -375,8 +375,6 @@ pub struct NodeShared {
     /// Graceful-drain flag: while set, loadd announces "leaving" and peers
     /// stop choosing this node; it keeps serving what it receives.
     pub draining: AtomicBool,
-    /// Shutdown flag for all of this node's threads.
-    pub shutdown: AtomicBool,
     /// Server start, for load-table timestamps.
     pub start: Instant,
     /// The node's telemetry surface (counters, gauges, histograms).
@@ -579,7 +577,7 @@ pub struct NodeHandle {
     /// HTTP address the node listens on.
     pub http_addr: SocketAddr,
     /// The event loops; shard 0's also runs loadd.
-    reactor: sweb_reactor::ShardedHandle,
+    reactor: sweb_reactor::ReactorHandle,
     /// The reactor's own stop flag (its loops look at it when woken).
     reactor_shutdown: Arc<AtomicBool>,
 }
@@ -605,8 +603,9 @@ impl NodeHandle {
             })
             .collect();
         // Nodes that share this process share its cores: each takes its
-        // share of the default pool, and at least two workers. (Loops are
-        // not split: every node runs one per core, see `resolve_shards`.)
+        // share of the default pool, and at least two workers, which serve
+        // every shard of the node. (Loops are not split: every node runs
+        // one per core, see `resolve_shards`.)
         let nodes = shared.peer_http.len().max(1);
         let cfg = sweb_reactor::ReactorConfig {
             max_conns: shared.max_conns,
@@ -620,10 +619,9 @@ impl NodeHandle {
         Ok(NodeHandle { shared, http_addr, reactor, reactor_shutdown })
     }
 
-    /// Signal shutdown and join the loops; open connections are closed by
-    /// the reactor loops on their way out.
+    /// Signal shutdown and join the loops and the workers; open
+    /// connections are closed by the reactor loops on their way out.
     pub fn shutdown(self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
         self.reactor_shutdown.store(true, Ordering::Relaxed);
         let _ = self.reactor.join();
         // Shards clear their own flags on the way out; a loop that

@@ -1,8 +1,8 @@
 //! An idle cluster costs next to nothing: every node runs one loop per
-//! CPU, co-located nodes split the worker pool, and a node with no
-//! requests sleeps. Its own file, so it runs in its own process, and one
-//! test, so every thread it counts beyond the harness's own belongs to the
-//! cluster under test.
+//! CPU and one worker pool that its loops share, co-located nodes split
+//! the default pool between them, and a node with no requests sleeps. Its
+//! own file, so it runs in its own process, and one test, so every thread
+//! it counts beyond the harness's own belongs to the cluster under test.
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -51,12 +51,10 @@ fn context_switches() -> u64 {
         .sum()
 }
 
-/// Worker threads one node of an `nodes`-node process runs over `shards`:
-/// its share of the default pool (at least two), split evenly over its
-/// shards (at least one each).
-fn workers_per_node(nodes: usize, shards: usize) -> usize {
-    let pool = (sweb_reactor::default_workers() / nodes).max(2);
-    shards * (pool / shards).max(1)
+/// Worker threads one node of an `nodes`-node process runs: its share of
+/// the default pool, at least two, whatever its shard count.
+fn workers_per_node(nodes: usize) -> usize {
+    (sweb_reactor::default_workers() / nodes).max(2)
 }
 
 /// What `swebd --nodes N` runs, idle: default shards, the 2.5 s loadd
@@ -84,21 +82,27 @@ fn idle_swebd(nodes: usize) {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let shards = cluster.node(0).shards;
     assert_eq!(shards, cores.min(sweb_telemetry::MAX_SHARD_CELLS), "one shard per core");
-    let workers = workers_per_node(nodes, shards);
+    let workers = workers_per_node(nodes);
     let names = thread_names();
     let count = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
-    assert_eq!(count("sweb-reactor"), nodes * shards, "{names:?}");
-    assert_eq!(count("sweb-worker"), nodes * workers, "{names:?}");
+    for i in 0..nodes {
+        // A node's threads carry its port: `sweb-<port>-s<k>`, `sweb-<port>-w<k>`.
+        let port = cluster.base_url(i).rsplit(':').next().unwrap();
+        assert_eq!(count(&format!("sweb-{port}-s")), shards, "node {i}: {names:?}");
+        assert_eq!(count(&format!("sweb-{port}-w")), workers, "node {i}: {names:?}");
+        if shards >= 2 {
+            const SCHED_BATCH: u32 = 3;
+            let loops = policies(&format!("sweb-{port}-s"));
+            assert!(loops.iter().all(|&p| p == SCHED_BATCH), "node {i}: loop policies {loops:?}");
+        }
+        let pool = policies(&format!("sweb-{port}-w"));
+        assert!(pool.iter().all(|&p| p == 0), "node {i}: worker policies {pool:?}");
+    }
     assert_eq!(
         names.len(),
         harness + nodes * (shards + workers),
         "a thread beyond the loops and the workers: {names:?}"
     );
-    if shards >= 2 {
-        const SCHED_BATCH: u32 = 3;
-        let loops = policies("sweb-reactor");
-        assert!(loops.iter().all(|&p| p == SCHED_BATCH), "loop policies {loops:?}");
-    }
 
     let before = context_switches();
     std::thread::sleep(Duration::from_secs(1));

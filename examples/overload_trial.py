@@ -21,14 +21,12 @@ reports the p99 of its 200s, the 503 share and how many 503s lacked
 with epoll; `swebd` runs as its own process.
 
 Sides are given as `name=ARGS`, the extra `swebd` flags of that side, and
-alternate which goes first from round to round. `--shards 1` gives the
-node one loop and all its workers: with more shards, steering would put
-this one-thread client on one shard's share of the workers. The shipped
-node, one side:
+alternate which goes first from round to round. The shipped node, one
+side, with its default shards (they share the node's one worker pool):
 
     cargo build --release -p sweb-server --bin swebd
     python3 examples/overload_trial.py --swebd target/release/swebd \\
-        --side 'shipped=--shards 1' --rounds 1
+        --side 'shipped=' --rounds 1
 
 The controller's trial ran against a `swebd` built before `--overload`
 went, with `--side 'on=--shards 1 --overload on' --side 'off=--shards 1
