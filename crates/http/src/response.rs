@@ -167,6 +167,17 @@ impl Response {
         Response { status, headers, body: body.into(), shared_head: None }
     }
 
+    /// The load-shedding answer: `503` telling the client to come back in
+    /// `retry_after_secs`, on a connection about to close. A definite
+    /// refusal the client can act on beats an open socket that never
+    /// answers.
+    pub fn unavailable(retry_after_secs: u64) -> Response {
+        let mut resp = Response::error(StatusCode::ServiceUnavailable);
+        resp.headers.set("Retry-After", retry_after_secs.to_string());
+        resp.headers.set("Connection", "close");
+        resp
+    }
+
     /// Serialize the status line, headers (with `Content-Length` and
     /// `Server` filled in) and the terminating blank line — no body bytes.
     /// `Content-Length` still describes the body (HEAD semantics), unless

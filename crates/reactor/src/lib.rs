@@ -92,10 +92,15 @@
 //!   body's last chunk goes out on its own.
 //! * **Admission control**: beyond `max_conns` open connections, counted
 //!   across every loop of a shard group, the reactor answers 503
-//!   immediately. The application observes connection counts through
-//!   [`App`] hooks and feeds them into its advertised load vector, so an
-//!   overloaded node repels the cluster's scheduler as §3.3's `A+d(A+O)`
-//!   model intends.
+//!   immediately. The application reads the open connections and bytes
+//!   in flight from [`Counters`] and feeds them into its advertised load
+//!   vector, so an overloaded node repels the cluster's scheduler as
+//!   §3.3's `A+d(A+O)` model intends.
+//! * **The loops count their own events**: accepts, every reply's
+//!   outcome, evictions, poller syscalls and the phases they time land
+//!   in one [`Counters`] block of shard-local cells, each loop at its own
+//!   shard's index. The application names the cells; the engine knows
+//!   none of its series.
 
 #![warn(missing_docs)]
 
@@ -116,7 +121,10 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use sweb_http::{try_parse_request, Head, Method, Request, Response, StatusCode};
-use sweb_telemetry::{Phase, RequestDeadline};
+use sweb_telemetry::{
+    AtomicHistogram, Counter, Phase, PhaseTimes, RequestDeadline, ShardedCounter, ShardedGauge,
+    MAX_SHARD_CELLS,
+};
 
 use slab::Slab;
 use sys::{Event, Interest, Poller};
@@ -151,16 +159,85 @@ impl From<Response> for Reply {
     }
 }
 
-/// How the body of a reply [`App::on_reply`] hears about leaves the loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Payload {
-    /// Nothing follows the head: a `HEAD`, a 304, an empty body.
-    None,
-    /// A shared [`Bytes`] body gathered behind the head by `sendmsg(2)`:
-    /// no user-space copy.
-    Bytes,
-    /// A [`FileBody`] streamed by `sendfile(2)`.
-    File,
+/// What the loops of a shard group count. Each loop adds at its own
+/// shard's index, and a worker at the index of the loop that handed it
+/// the request. The application names the cells (a server builds the
+/// block from its metric registry) and reads them; the reactor only adds.
+/// The `Default` is fresh cells that no registry knows, one per possible
+/// shard.
+///
+/// Every reply lands in exactly one of `served`, `redirected`, `shed`,
+/// `bad_requests` and `deadline_overruns`.
+#[derive(Debug)]
+pub struct Counters {
+    /// Connections accepted, before admission control.
+    pub accepted: Arc<ShardedCounter>,
+    /// Replies the app produced that were neither a 302 nor a 503.
+    pub served: Arc<ShardedCounter>,
+    /// Replies the app produced that were a 302.
+    pub redirected: Arc<Counter>,
+    /// 503 refusals: at the admission cap, at a full worker queue, or
+    /// produced by the app.
+    pub shed: Arc<ShardedCounter>,
+    /// Requests that failed to parse, answered 400.
+    pub bad_requests: Arc<Counter>,
+    /// Requests answered 503 for missing a phase checkpoint of their
+    /// [`RequestDeadline`] (a reply that came too late is discarded).
+    pub deadline_overruns: Arc<Counter>,
+    /// Connections evicted by the timer wheel (read or write deadline).
+    pub evicted: Arc<ShardedCounter>,
+    /// `accept(2)` failures (not `WouldBlock`), real or the gate's.
+    pub accept_errors: Arc<Counter>,
+    /// `served` replies whose non-empty body left as a shared [`Bytes`]
+    /// gathered behind the head by `sendmsg(2)`: no user-space copy.
+    pub zero_copy: Arc<ShardedCounter>,
+    /// `served` replies whose body streamed from a [`FileBody`] by
+    /// `sendfile(2)`.
+    pub sendfile: Arc<ShardedCounter>,
+    /// Connections admitted and not yet closed. A connection opens and
+    /// closes on its own loop, so no cell goes negative.
+    pub open: Arc<ShardedGauge>,
+    /// Reply bytes queued to sockets and not yet written or dropped.
+    pub bytes_in_flight: Arc<ShardedGauge>,
+    /// Kernel entries of the loops' pollers (`epoll_wait`, `epoll_ctl`).
+    pub poller_syscalls: Arc<ShardedCounter>,
+    /// Requests answered by [`FirstLook::Done`], on the loop thread.
+    pub inline: Arc<ShardedCounter>,
+    /// Per inline answer, µs from parsed request to the start of its
+    /// write, all of it on the loop thread.
+    pub inline_us: Arc<AtomicHistogram>,
+    /// The loops time accept (admission hand-off), parse (first byte to
+    /// dispatched request) and write (reply queued to drained, successful
+    /// writes only); the application times the other phases.
+    pub phases: Arc<PhaseTimes>,
+    /// 1 in a shard's cell while its loop runs, 0 once it has exited.
+    pub live: Arc<ShardedGauge>,
+}
+
+impl Default for Counters {
+    fn default() -> Counters {
+        let sc = || Arc::new(ShardedCounter::new(MAX_SHARD_CELLS));
+        let sg = || Arc::new(ShardedGauge::new(MAX_SHARD_CELLS));
+        Counters {
+            accepted: sc(),
+            served: sc(),
+            redirected: Arc::default(),
+            shed: sc(),
+            bad_requests: Arc::default(),
+            deadline_overruns: Arc::default(),
+            evicted: sc(),
+            accept_errors: Arc::default(),
+            zero_copy: sc(),
+            sendfile: sc(),
+            open: sg(),
+            bytes_in_flight: sg(),
+            poller_syscalls: sc(),
+            inline: sc(),
+            inline_us: Arc::default(),
+            phases: Arc::default(),
+            live: sg(),
+        }
+    }
 }
 
 /// What [`App::first_look`] concluded about one parsed request, on the
@@ -213,13 +290,15 @@ pub enum AcceptGate {
     FailFd,
 }
 
-/// What the reactor serves.
+/// What the reactor serves: the replies, and the decisions and policy
+/// behind them. What happened to each connection and reply the loops
+/// count themselves, in [`Counters`].
 ///
 /// Which method runs where: [`App::respond`], a [`FirstLook::Blocking`]
 /// continuation and [`App::on_queue_sojourn`] run on a **worker thread**
-/// and may block; [`App::on_reply`] and [`App::on_deadline_overrun`] run
-/// where the reply was produced (worker or loop); [`App::first_look`] and
-/// every other hook run on the **event-loop thread**, where anything that
+/// and may block; [`App::retry_after_secs`] runs where a 503 is built
+/// (worker or loop); [`App::first_look`], [`App::accept_gate`] and
+/// [`App::service`] run on the **event-loop thread**, where anything that
 /// sleeps stalls every connection of the shard.
 pub trait App: Send + Sync + 'static {
     /// Produce the response for one parsed request, on a worker thread.
@@ -234,67 +313,18 @@ pub trait App: Send + Sync + 'static {
     /// Budget: compute, short uncontended locks, and at most one
     /// `stat(2)` — no reads, no sleeps, no lock a worker holds across
     /// I/O. A large document resident in the page cache adds one `open`
-    /// and one `cachestat(2)`. Nothing enforces it; [`App::on_inline`]
-    /// reports what each inline answer cost, so a first look that does
+    /// and one `cachestat(2)`. Nothing enforces it; [`Counters::inline_us`]
+    /// records what each inline answer cost, so a first look that does
     /// block (a docroot on a slow NFS mount makes even the `stat` slow)
     /// shows there.
     fn first_look(&self, _peer: &str, _req: &Request, _body: &[u8]) -> Option<FirstLook> {
         None
     }
-    /// A request was answered by [`FirstLook::Done`]: `micros` from
-    /// parsed request to the start of the response write, all of it on
-    /// the loop thread.
-    fn on_inline(&self, _micros: u64) {}
 
     /// Consulted before each accept burst; see [`AcceptGate`].
     fn accept_gate(&self) -> AcceptGate {
         AcceptGate::Proceed
     }
-    /// A request missed a phase checkpoint of its
-    /// [`RequestDeadline`] and was
-    /// answered 503 (or evicted) instead of being allowed to hang.
-    fn on_deadline_overrun(&self) {}
-    /// A connection reached `accept` (before admission control).
-    fn on_accept(&self) {}
-    /// A connection was admitted and is now tracked.
-    fn on_conn_open(&self) {}
-    /// A tracked connection closed (any reason).
-    fn on_conn_close(&self) {}
-    /// A connection was refused with 503 (admission cap or full workers).
-    fn on_shed(&self) {}
-    /// A connection was evicted by the timer wheel (read/write deadline).
-    fn on_evict(&self) {}
-    /// A request failed to parse and was answered 400.
-    fn on_bad_request(&self) {}
-    /// `accept(2)` itself failed (not `WouldBlock`); the listener backs
-    /// off exponentially.
-    fn on_accept_error(&self, _err: &io::Error) {}
-    /// A response write began (`bytes` = wire size), for in-flight
-    /// accounting.
-    fn on_write_start(&self, _bytes: usize) {}
-    /// The matching end of [`App::on_write_start`].
-    fn on_write_end(&self, _bytes: usize) {}
-    /// A reply the app produced goes to the socket with this status and
-    /// payload. Once per reply, and never for the reactor's own 400s and
-    /// 503s, nor for a reply a missed deadline replaced (that one is an
-    /// [`App::on_deadline_overrun`]).
-    fn on_reply(&self, _status: StatusCode, _payload: Payload) {}
-    /// One request phase finished on this engine: accept (admission
-    /// hand-off), parse (first byte to dispatched request), or write
-    /// (response queued to socket drained). The decide/fetch phases are
-    /// measured by the application itself, on whichever thread ran them.
-    fn on_phase(&self, _phase: Phase, _micros: u64) {}
-    /// This app's event loop is about to start polling (called on the
-    /// loop thread). With [`spawn_sharded`], each shard's app hears its
-    /// own loop come up — the hook marks the shard live.
-    fn on_shard_start(&self) {}
-    /// The matching end of [`App::on_shard_start`]: the loop has drained
-    /// its connections and is exiting (shutdown or loop error).
-    fn on_shard_stop(&self) {}
-    /// Periodic flush of the poller's syscall count (`epoll_wait` and
-    /// `epoll_ctl` calls), on the loop thread, once per tick that made
-    /// any. Deltas, not totals: sum them into a counter.
-    fn on_poller_syscalls(&self, _count: u64) {}
     /// Work that shares this loop with its connections, asked for once as
     /// the loop is built. `None` (the default): the loop serves connections
     /// alone. See [`Service`].
@@ -349,6 +379,9 @@ pub struct ReactorConfig {
     /// missing one is answered 503 + `Retry-After` (or evicted mid-write)
     /// instead of hanging its client.
     pub request_budget: Duration,
+    /// Where the loops count what happens: a handle, shared by every loop
+    /// of a group and by every reactor spawned with the same config.
+    pub counters: Arc<Counters>,
 }
 
 /// Default worker-pool size: [`std::thread::available_parallelism`]
@@ -370,6 +403,7 @@ impl Default for ReactorConfig {
             timer_slots: 256,
             timer_tick_ms: 20,
             request_budget: Duration::from_secs(10),
+            counters: Arc::default(),
         }
     }
 }
@@ -695,6 +729,9 @@ struct Completion {
 /// dispatch and applied where the reply is produced: by the worker job,
 /// or on the loop thread for a [`FirstLook::Done`].
 struct Seal {
+    /// The shard whose loop dispatched the request: the reply counts in
+    /// its cells.
+    shard: usize,
     deadline: RequestDeadline,
     keep_alive: bool,
     head_only: bool,
@@ -703,13 +740,14 @@ struct Seal {
 impl Seal {
     /// `reply` is `None` when the fetch checkpoint had already passed
     /// and the work was skipped. A reply that arrives past the
-    /// checkpoint is replaced by the same definite 503.
-    fn finish(self, app: &dyn App, reply: Option<Reply>) -> Wire {
+    /// checkpoint is replaced by the same definite 503. Either way the
+    /// reply is counted in its outcome here.
+    fn finish(self, app: &dyn App, counters: &Counters, reply: Option<Reply>) -> Wire {
         let reply = reply.filter(|_| !self.deadline.overrun(Phase::Fetch));
         let overrun = reply.is_none();
         let reply = reply.unwrap_or_else(|| {
-            app.on_deadline_overrun();
-            Reply::from(overloaded_response(app.retry_after_secs()))
+            counters.deadline_overruns.inc();
+            Reply::from(Response::unavailable(app.retry_after_secs()))
         });
         let mut resp = reply.response;
         let keep_alive = self.keep_alive && !overrun;
@@ -726,13 +764,20 @@ impl Seal {
         }
         let (shared, head) = resp.head_pieces();
         let body = if self.head_only { Bytes::new() } else { resp.body };
-        if !overrun {
-            let payload = match &file_tx {
-                Some(_) => Payload::File,
-                None if body.is_empty() => Payload::None,
-                None => Payload::Bytes,
-            };
-            app.on_reply(resp.status, payload);
+        let shard = self.shard;
+        match resp.status {
+            // Counted as an overrun above.
+            _ if overrun => {}
+            StatusCode::Found => counters.redirected.inc(),
+            StatusCode::ServiceUnavailable => counters.shed.inc_at(shard),
+            _ => {
+                counters.served.inc_at(shard);
+                if file_tx.is_some() {
+                    counters.sendfile.inc_at(shard);
+                } else if !body.is_empty() {
+                    counters.zero_copy.inc_at(shard);
+                }
+            }
         }
         Wire { shared, head, body, file: file_tx, keep_alive }
     }
@@ -825,21 +870,17 @@ impl Loop {
     }
 
     fn run(mut self) -> io::Result<()> {
-        self.app.on_shard_start();
+        let _live = Live::mark(&self.cfg.counters.live, self.shard);
         let result = self.run_inner();
 
         // Drain: close every connection. Jobs still on the group's pool
         // run; their completions have no loop left to write them.
         for (_, conn) in self.conns.drain_all() {
-            if conn.registered {
-                let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            }
-            self.app.on_conn_close();
+            self.release(&conn);
         }
         if let Some(service) = &self.service {
             let _ = self.poller.deregister(service.fd());
         }
-        self.app.on_shard_stop();
         result
     }
 
@@ -902,10 +943,7 @@ impl Loop {
             self.run_service(false);
         }
 
-        let syscalls = self.poller.take_syscalls();
-        if syscalls > 0 {
-            self.app.on_poller_syscalls(syscalls);
-        }
+        self.cfg.counters.poller_syscalls.add_at(self.shard, self.poller.take_syscalls());
         Ok(())
     }
 
@@ -954,7 +992,7 @@ impl Loop {
             AcceptGate::FailFd => {
                 // Synthetic EMFILE: exercise the same backoff path a real
                 // fd-exhausted process would take.
-                self.accept_failed(&io::Error::from_raw_os_error(24));
+                self.accept_failed();
                 return;
             }
         }
@@ -966,8 +1004,8 @@ impl Loop {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.accept_failed(&e);
+                Err(_) => {
+                    self.accept_failed();
                     break;
                 }
             }
@@ -980,10 +1018,10 @@ impl Loop {
         self.listener_parked_until = Some(self.now_ms() + ms);
     }
 
-    /// `accept(2)` failed (EMFILE & friends, real or the gate's): report
+    /// `accept(2)` failed (EMFILE & friends, real or the gate's): count
     /// it and back the listener off exponentially instead of spinning hot.
-    fn accept_failed(&mut self, e: &io::Error) {
-        self.app.on_accept_error(e);
+    fn accept_failed(&mut self) {
+        self.cfg.counters.accept_errors.inc();
         self.accept_errors = self.accept_errors.saturating_add(1);
         self.park_listener(5u64.saturating_mul(1 << self.accept_errors.min(8)).min(1000));
     }
@@ -991,14 +1029,14 @@ impl Loop {
     /// One accepted connection: counted, then shed at the cap or admitted
     /// and read at once.
     fn take(&mut self, stream: TcpStream, peer: SocketAddr) {
-        self.app.on_accept();
+        self.cfg.counters.accepted.inc_at(self.shard);
         let Some(seat) = Seat::take(&self.open, self.cfg.max_conns) else {
             self.shed(stream);
             return;
         };
         let t0 = Instant::now();
         let idx = self.admit(stream, seat, peer);
-        self.app.on_phase(Phase::Accept, t0.elapsed().as_micros() as u64);
+        self.cfg.counters.phases.record(Phase::Accept, t0.elapsed().as_micros() as u64);
         // The request is almost always in the socket by the time accept
         // returns: read it now. The poller and the wheel hear of this
         // connection only if that read (or the answer's write) would
@@ -1008,8 +1046,8 @@ impl Loop {
 
     /// Refuse a connection with 503 (best effort) and drop it.
     fn shed(&mut self, stream: TcpStream) {
-        self.app.on_shed();
-        let wire = overloaded_response(self.app.retry_after_secs()).to_bytes(false);
+        self.cfg.counters.shed.inc_at(self.shard);
+        let wire = Response::unavailable(self.app.retry_after_secs()).to_bytes(false);
         let mut s = stream;
         let _ = s.write(&wire); // small; fits the socket buffer or is lost
     }
@@ -1050,7 +1088,7 @@ impl Loop {
             budget_deadline_ms: None,
         };
         let (idx, _) = self.conns.insert(conn);
-        self.app.on_conn_open();
+        self.cfg.counters.open.inc_at(self.shard);
         idx
     }
 
@@ -1235,6 +1273,7 @@ impl Loop {
         conn.budget_deadline_ms =
             Some(loop_now_ms + deadline.remaining().as_millis() as u64);
         let seal = Seal {
+            shard: self.shard,
             deadline,
             keep_alive: client_keep && conn.rounds < self.cfg.keepalive_limit,
             head_only: req.method == Method::Head,
@@ -1247,12 +1286,13 @@ impl Loop {
         if conn.clock.deadline_ms() < evict_ms {
             self.set_deadline(idx, evict_ms);
         }
-        self.app.on_phase(Phase::Parse, parse_us);
+        let counters = &self.cfg.counters;
+        counters.phases.record(Phase::Parse, parse_us);
         if deadline.overrun(Phase::Parse) {
             // A trickled head already ate most of the budget: refuse the
             // work before paying for fulfillment.
-            self.app.on_deadline_overrun();
-            let resp = overloaded_response(self.app.retry_after_secs());
+            counters.deadline_overruns.inc();
+            let resp = Response::unavailable(self.app.retry_after_secs());
             self.start_write(idx, Wire::closing(resp));
             return;
         }
@@ -1262,8 +1302,10 @@ impl Loop {
         let Some(conn) = self.conns.get_mut(idx) else { return };
         let continuation = match self.app.first_look(&conn.peer, &req, &body) {
             Some(FirstLook::Done(reply)) => {
-                let wire = seal.finish(&*self.app, Some(reply));
-                self.app.on_inline(dispatched.elapsed().as_micros() as u64);
+                let counters = &self.cfg.counters;
+                let wire = seal.finish(&*self.app, counters, Some(reply));
+                counters.inline.inc_at(self.shard);
+                counters.inline_us.record(dispatched.elapsed().as_micros() as u64);
                 // A pipelined client re-enters dispatch from this write's
                 // write_done; `keepalive_limit` bounds that recursion.
                 self.start_write(idx, wire);
@@ -1280,6 +1322,7 @@ impl Loop {
         // The worker may outlive this request's relevance (evicted client);
         // the generation check on completion makes that harmless.
         let app = Arc::clone(&self.app);
+        let counters = Arc::clone(&self.cfg.counters);
         let completions = Arc::clone(&self.completions);
         let wakeup = Arc::clone(&self.wakeup_tx);
         let enqueued = Instant::now();
@@ -1295,7 +1338,7 @@ impl Loop {
                 Some(continuation) => continuation(&peer, &req, &body),
                 None => app.respond(&peer, &req, &body),
             });
-            let done = Completion { token: idx, gen, wire: seal.finish(&*app, reply) };
+            let done = Completion { token: idx, gen, wire: seal.finish(&*app, &counters, reply) };
             match completions.lock() {
                 Ok(mut q) => q.push(done),
                 Err(poisoned) => poisoned.into_inner().push(done),
@@ -1307,15 +1350,15 @@ impl Loop {
             Err(_job) => {
                 // Every worker busy and the queue full: shed at the
                 // request level rather than queue unboundedly.
-                self.app.on_shed();
-                let resp = overloaded_response(self.app.retry_after_secs());
+                self.cfg.counters.shed.inc_at(self.shard);
+                let resp = Response::unavailable(self.app.retry_after_secs());
                 self.start_write(idx, Wire::closing(resp));
             }
         }
     }
 
     fn bad_request(&mut self, idx: usize) {
-        self.app.on_bad_request();
+        self.cfg.counters.bad_requests.inc();
         self.start_write(idx, Wire::closing(Response::error(StatusCode::BadRequest)));
     }
 
@@ -1360,7 +1403,7 @@ impl Loop {
             if let Some(budget) = conn.budget_deadline_ms {
                 deadline_ms = deadline_ms.min(budget);
             }
-            self.app.on_write_start(planned);
+            self.cfg.counters.bytes_in_flight.add_at(self.shard, planned as i64);
             conn.out_shared = shared;
             conn.out_head = head;
             conn.out_body = body;
@@ -1486,9 +1529,10 @@ impl Loop {
                 .unwrap_or(0);
             (conn.keep_alive, written, write_us)
         };
-        self.app.on_write_end(written);
+        let counters = &self.cfg.counters;
+        counters.bytes_in_flight.sub_at(self.shard, written as i64);
         if ok {
-            self.app.on_phase(Phase::Write, write_us);
+            counters.phases.record(Phase::Write, write_us);
         }
         if !ok || !keep {
             if ok {
@@ -1560,7 +1604,7 @@ impl Loop {
             Fired::Stale => {}
             Fired::Rearm(deadline_ms) => self.wheel.schedule(TimerEntry { deadline_ms, ..e }),
             Fired::Evict => {
-                self.app.on_evict();
+                self.cfg.counters.evicted.inc_at(self.shard);
                 self.close(e.token);
             }
         }
@@ -1574,27 +1618,42 @@ impl Loop {
             if let Some(deadline_ms) = conn.clock.pending() {
                 self.wheel.cancel(TimerEntry { token: idx, gen, deadline_ms });
             }
-            // Deregistered explicitly, not left to close(2): any child a
-            // handler or test spawns holds a copy of the fd between fork
-            // and exec, which would keep a stale registration alive on a
-            // recycled token.
-            if conn.registered {
-                let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            }
-            self.app.on_conn_close();
+            self.release(&conn);
             // conn.stream drops here, closing the fd.
         }
     }
+
+    /// Let go of a connection leaving the slab: out of the poller, out of
+    /// the open count, and its unwritten reply out of the bytes in flight.
+    fn release(&mut self, conn: &Conn) {
+        // Deregistered explicitly, not left to close(2): any child a
+        // handler or test spawns holds a copy of the fd between fork and
+        // exec, which would keep a stale registration alive on a recycled
+        // token.
+        if conn.registered {
+            let _ = self.poller.deregister(conn.stream.as_raw_fd());
+        }
+        let counters = &self.cfg.counters;
+        counters.open.dec_at(self.shard);
+        counters.bytes_in_flight.sub_at(self.shard, conn.out_planned as i64);
+    }
 }
 
-/// The definite answer for a request that missed a deadline checkpoint
-/// or was refused by admission: 503 with a (load-derived) `Retry-After`,
-/// closing the connection.
-fn overloaded_response(retry_after_secs: u64) -> Response {
-    let mut resp = Response::error(StatusCode::ServiceUnavailable);
-    resp.headers.set("Retry-After", retry_after_secs.to_string());
-    resp.headers.set("Connection", "close");
-    resp
+/// A loop's mark in [`Counters::live`], held while it runs: dropped as
+/// the loop exits, by return or by panic.
+struct Live(Arc<ShardedGauge>, usize);
+
+impl Live {
+    fn mark(live: &Arc<ShardedGauge>, shard: usize) -> Live {
+        live.inc_at(shard);
+        Live(Arc::clone(live), shard)
+    }
+}
+
+impl Drop for Live {
+    fn drop(&mut self) {
+        self.0.dec_at(self.1);
+    }
 }
 
 /// Expected body length for a parsed request head; `Err` means the head
@@ -1627,13 +1686,8 @@ mod tests {
         assert_eq!(body_length(&huge), Err(()));
     }
 
-    /// Answers every request on the loop thread, counting opens and
-    /// closes.
-    #[derive(Default)]
-    struct Inline {
-        opened: Arc<std::sync::atomic::AtomicUsize>,
-        closed: std::sync::atomic::AtomicUsize,
-    }
+    /// Answers every request on the loop thread.
+    struct Inline;
 
     impl App for Inline {
         fn respond(&self, _: &str, _: &Request, _: &[u8]) -> Reply {
@@ -1641,12 +1695,6 @@ mod tests {
         }
         fn first_look(&self, _: &str, _: &Request, _: &[u8]) -> Option<FirstLook> {
             Some(FirstLook::Done(Response::ok("inline", "text/plain").into()))
-        }
-        fn on_conn_open(&self) {
-            self.opened.fetch_add(1, Ordering::SeqCst);
-        }
-        fn on_conn_close(&self) {
-            self.closed.fetch_add(1, Ordering::SeqCst);
         }
     }
 
@@ -1670,22 +1718,29 @@ mod tests {
         const CLIENTS: usize = 50;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let app = Arc::new(Inline::default());
         let shutdown = Arc::new(AtomicBool::new(false));
         let pool = Arc::new(WorkerPool::new(1, 1, "test"));
-        let app_dyn: Arc<dyn App> = app.clone();
         let cfg = ReactorConfig::default();
-        let mut lp =
-            Loop::new(0, listener, app_dyn, cfg, Arc::clone(&shutdown), Arc::default(), pool)
-                .unwrap();
+        let counters = Arc::clone(&cfg.counters);
+        let mut lp = Loop::new(
+            0,
+            listener,
+            Arc::new(Inline),
+            cfg,
+            Arc::clone(&shutdown),
+            Arc::default(),
+            pool,
+        )
+        .unwrap();
         let wakeup_tx = Arc::clone(&lp.wakeup_tx);
         lp.start_polling().unwrap();
 
-        let opened = Arc::clone(&app.opened);
+        let open = Arc::clone(&counters.open);
         let clients = std::thread::spawn(move || {
             let mut streams: Vec<TcpStream> =
                 (0..CLIENTS).map(|_| TcpStream::connect(addr).unwrap()).collect();
-            while opened.load(Ordering::SeqCst) < CLIENTS {
+            // No connection closes before every one is open.
+            while open.get() < CLIENTS as i64 {
                 std::thread::sleep(Duration::from_millis(1));
             }
             for s in &mut streams {
@@ -1697,7 +1752,7 @@ mod tests {
         });
         let (mut events, mut expired) = (Vec::new(), Vec::new());
         let mut peak = 0;
-        while app.closed.load(Ordering::SeqCst) < CLIENTS {
+        while counters.served.get() < CLIENTS as u64 || counters.open.get() > 0 {
             lp.turn(&mut events, &mut expired).unwrap();
             peak = peak.max(lp.wheel.pending());
         }

@@ -5,33 +5,23 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, UdpSocket};
 use std::os::fd::{AsRawFd, RawFd};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use sweb_http::{Request, Response, StatusCode};
+use sweb_http::{Request, Response};
 use sweb_reactor::{
-    AcceptGate, App, FileBody, FirstLook, Payload, ReactorConfig, ReactorHandle, Reply, Service,
+    AcceptGate, App, Counters, FileBody, FirstLook, ReactorConfig, ReactorHandle, Reply, Service,
 };
 use sweb_telemetry::Phase;
 
-/// Minimal app: answers with the request target, counts every hook.
-/// `/big` serves the configured in-memory body (the cached-file shape);
-/// `/file` serves the configured file as a streamed [`FileBody`].
+/// Minimal app: answers with the request target; the reactor counts the
+/// rest. `/big` serves the configured in-memory body (the cached-file
+/// shape); `/file` serves the configured file as a streamed [`FileBody`].
 #[derive(Default)]
 struct EchoApp {
-    served: AtomicUsize,
-    evicted: AtomicUsize,
-    shed: AtomicUsize,
-    bad: AtomicUsize,
-    open: AtomicUsize,
-    closed: AtomicUsize,
-    zero_copy: AtomicUsize,
-    sendfile: AtomicUsize,
-    shard_starts: AtomicUsize,
-    shard_stops: AtomicUsize,
-    /// The loop thread's scheduling policy as it started.
+    /// The loop thread's scheduling policy at the last first look.
     loop_policy: Mutex<Option<u32>>,
     big: Mutex<Option<Bytes>>,
     file_path: Mutex<Option<PathBuf>>,
@@ -44,6 +34,7 @@ impl App for EchoApp {
     /// to 2 s for a second one to start: it answers `together` if one did
     /// and `alone` if not.
     fn first_look(&self, _peer: &str, req: &Request, _body: &[u8]) -> Option<FirstLook> {
+        *self.loop_policy.lock().unwrap() = Some(sched_policy());
         let met = Arc::clone(&self.met);
         (req.target == "/meet").then(|| {
             FirstLook::Blocking(Box::new(move |_, _, _| {
@@ -54,7 +45,6 @@ impl App for EchoApp {
         })
     }
     fn respond(&self, _peer: &str, req: &Request, body: &[u8]) -> Reply {
-        self.served.fetch_add(1, Ordering::SeqCst);
         if req.target == "/big" {
             if let Some(b) = self.big.lock().unwrap().clone() {
                 return Response::ok(b, "application/octet-stream").into();
@@ -72,40 +62,12 @@ impl App for EchoApp {
         }
         Response::ok(format!("target={} body={}", req.target, body.len()), "text/plain").into()
     }
-    fn on_conn_open(&self) {
-        self.open.fetch_add(1, Ordering::SeqCst);
-    }
-    fn on_conn_close(&self) {
-        self.closed.fetch_add(1, Ordering::SeqCst);
-    }
-    fn on_evict(&self) {
-        self.evicted.fetch_add(1, Ordering::SeqCst);
-    }
-    fn on_shed(&self) {
-        self.shed.fetch_add(1, Ordering::SeqCst);
-    }
-    fn on_bad_request(&self) {
-        self.bad.fetch_add(1, Ordering::SeqCst);
-    }
-    fn on_reply(&self, _status: StatusCode, payload: Payload) {
-        let counter = match payload {
-            Payload::Bytes => &self.zero_copy,
-            Payload::File => &self.sendfile,
-            Payload::None => return,
-        };
-        counter.fetch_add(1, Ordering::SeqCst);
-    }
-    fn on_shard_start(&self) {
-        *self.loop_policy.lock().unwrap() = Some(sched_policy());
-        self.shard_starts.fetch_add(1, Ordering::SeqCst);
-    }
-    fn on_shard_stop(&self) {
-        self.shard_stops.fetch_add(1, Ordering::SeqCst);
-    }
 }
 
 struct TestServer<A: App = EchoApp> {
     app: Arc<A>,
+    /// What its loop counted.
+    counters: Arc<Counters>,
     handle: Option<ReactorHandle>,
     shutdown: Arc<AtomicBool>,
     addr: std::net::SocketAddr,
@@ -121,6 +83,7 @@ impl<A: App> TestServer<A> {
     fn start_app(app: A, cfg: ReactorConfig) -> TestServer<A> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let app = Arc::new(app);
+        let counters = Arc::clone(&cfg.counters);
         let shutdown = Arc::new(AtomicBool::new(false));
         let handle = sweb_reactor::spawn(
             listener,
@@ -130,7 +93,7 @@ impl<A: App> TestServer<A> {
         )
         .unwrap();
         let addr = handle.addr;
-        TestServer { app, handle: Some(handle), shutdown, addr }
+        TestServer { app, counters, handle: Some(handle), shutdown, addr }
     }
 
     fn connect(&self) -> TcpStream {
@@ -184,7 +147,7 @@ fn serves_a_simple_get() {
     let reply = srv.exchange(b"GET /hello HTTP/1.0\r\n\r\n");
     assert!(reply.starts_with("HTTP/1.0 200"), "{reply}");
     assert!(reply.contains("target=/hello"), "{reply}");
-    assert_eq!(srv.app.served.load(Ordering::SeqCst), 1);
+    assert_eq!(srv.counters.served.get(), 1);
 }
 
 #[test]
@@ -195,10 +158,11 @@ fn serves_post_bodies_and_rejects_missing_length() {
     assert!(reply.contains("body=4"), "{reply}");
     let reply = srv.exchange(b"POST /cgi HTTP/1.0\r\n\r\n");
     assert!(reply.starts_with("HTTP/1.0 400"), "{reply}");
-    assert_eq!(srv.app.bad.load(Ordering::SeqCst), 1);
-    // Only the app's own reply reaches `on_reply`; the reactor's 400 is
-    // counted by `on_bad_request` alone.
-    assert_eq!(srv.app.zero_copy.load(Ordering::SeqCst), 1);
+    assert_eq!(srv.counters.bad_requests.get(), 1);
+    // Only the app's own reply counts as served, and splits by its body;
+    // the reactor's 400 is a bad request alone.
+    assert_eq!(srv.counters.served.get(), 1);
+    assert_eq!(srv.counters.zero_copy.get(), 1);
 }
 
 #[test]
@@ -206,7 +170,7 @@ fn malformed_request_gets_400_and_close() {
     let srv = TestServer::start(ReactorConfig::default());
     let reply = srv.exchange(b"GET nopath HTTP/1.0\r\n\r\n");
     assert!(reply.starts_with("HTTP/1.0 400"), "{reply}");
-    assert_eq!(srv.app.bad.load(Ordering::SeqCst), 1);
+    assert_eq!(srv.counters.bad_requests.get(), 1);
 }
 
 #[test]
@@ -225,8 +189,8 @@ fn keepalive_reuses_the_connection_and_pipelines() {
     assert!(out.contains("target=/b"), "{out}");
     assert_eq!(out.matches("HTTP/1.0 200").count(), 2, "{out}");
     // One connection carried both requests.
-    assert_eq!(srv.app.open.load(Ordering::SeqCst), 1);
-    assert_eq!(srv.app.served.load(Ordering::SeqCst), 2);
+    assert_eq!(srv.counters.accepted.get(), 1);
+    assert_eq!(srv.counters.served.get(), 2);
 }
 
 #[test]
@@ -255,7 +219,7 @@ fn slow_client_is_evicted_without_stalling_others() {
     // The wheel must have evicted the slow client by now: its socket
     // reads EOF and the eviction counter moved.
     assert!(
-        wait_until(Duration::from_secs(2), || srv.app.evicted.load(Ordering::SeqCst) >= 1),
+        wait_until(Duration::from_secs(2), || srv.counters.evicted.get() >= 1),
         "slow client never evicted"
     );
     let mut buf = [0u8; 64];
@@ -263,7 +227,7 @@ fn slow_client_is_evicted_without_stalling_others() {
     assert_eq!(n, 0, "expected EOF on the evicted connection");
     // The slow client never completed a request, so nothing was served
     // on its behalf.
-    assert_eq!(srv.app.bad.load(Ordering::SeqCst), 0);
+    assert_eq!(srv.counters.bad_requests.get(), 0);
 }
 
 #[test]
@@ -275,7 +239,7 @@ fn connections_beyond_the_cap_are_shed_with_503() {
     let _a = srv.connect();
     let _b = srv.connect();
     assert!(
-        wait_until(Duration::from_secs(2), || srv.app.open.load(Ordering::SeqCst) == 2),
+        wait_until(Duration::from_secs(2), || srv.counters.open.get() == 2),
         "first two connections not tracked"
     );
 
@@ -284,12 +248,12 @@ fn connections_beyond_the_cap_are_shed_with_503() {
     let mut out = String::new();
     let _ = c.read_to_string(&mut out);
     assert!(out.starts_with("HTTP/1.0 503"), "expected shed, got: {out:?}");
-    assert_eq!(srv.app.shed.load(Ordering::SeqCst), 1);
+    assert_eq!(srv.counters.shed.get(), 1);
 
     // Dropping one admitted connection frees a slot for new work.
     drop(_a);
     assert!(
-        wait_until(Duration::from_secs(2), || srv.app.closed.load(Ordering::SeqCst) >= 1),
+        wait_until(Duration::from_secs(2), || srv.counters.open.get() <= 1),
         "freed slot never noticed"
     );
     let reply = srv.exchange(b"GET /after HTTP/1.0\r\n\r\n");
@@ -302,8 +266,6 @@ struct GateApp {
     looked: AtomicUsize,
     entered: AtomicUsize,
     release: Mutex<std::sync::mpsc::Receiver<()>>,
-    shed: AtomicUsize,
-    closed: AtomicUsize,
 }
 
 impl App for GateApp {
@@ -317,12 +279,6 @@ impl App for GateApp {
         self.looked.fetch_add(1, Ordering::SeqCst);
         None
     }
-    fn on_shed(&self) {
-        self.shed.fetch_add(1, Ordering::SeqCst);
-    }
-    fn on_conn_close(&self) {
-        self.closed.fetch_add(1, Ordering::SeqCst);
-    }
     fn retry_after_secs(&self) -> u64 {
         7
     }
@@ -335,8 +291,6 @@ fn a_request_that_finds_the_worker_queue_full_is_shed_with_503() {
         looked: AtomicUsize::new(0),
         entered: AtomicUsize::new(0),
         release: Mutex::new(gate),
-        shed: AtomicUsize::new(0),
-        closed: AtomicUsize::new(0),
     };
     let cfg = ReactorConfig { workers: 1, worker_queue: 1, ..ReactorConfig::default() };
     let srv = TestServer::start_app(app, cfg);
@@ -364,8 +318,9 @@ fn a_request_that_finds_the_worker_queue_full_is_shed_with_503() {
     refused.read_to_string(&mut out).expect("the shed connection must close");
     assert!(out.starts_with("HTTP/1.0 503"), "{out}");
     assert!(out.contains("\r\nRetry-After: 7\r\n"), "{out}");
-    assert!(wait_until(Duration::from_secs(2), || srv.app.closed.load(Ordering::SeqCst) == 1));
-    assert_eq!(srv.app.shed.load(Ordering::SeqCst), 1);
+    // Closed: two of the three connections are left open.
+    assert!(wait_until(Duration::from_secs(2), || srv.counters.open.get() == 2));
+    assert_eq!(srv.counters.shed.get(), 1);
 
     // Released, the two admitted requests are answered in turn; nothing
     // else was shed.
@@ -381,18 +336,174 @@ fn a_request_that_finds_the_worker_queue_full_is_shed_with_503() {
         assert!(reply.starts_with(b"HTTP/1.0 200"), "{}", String::from_utf8_lossy(&reply));
     }
     assert_eq!(srv.app.entered.load(Ordering::SeqCst), 2);
-    assert_eq!(srv.app.shed.load(Ordering::SeqCst), 1);
+    assert_eq!(srv.counters.shed.get(), 1);
 }
 
 #[test]
 fn clean_shutdown_closes_open_connections() {
     let srv = TestServer::start(ReactorConfig::default());
+    let counters = Arc::clone(&srv.counters);
     let mut idle = srv.connect();
-    assert!(wait_until(Duration::from_secs(2), || srv.app.open.load(Ordering::SeqCst) == 1));
+    assert!(wait_until(Duration::from_secs(2), || counters.open.get() == 1));
     drop(srv); // flags shutdown and joins the loop
     let mut buf = [0u8; 8];
     let n = idle.read(&mut buf).unwrap_or(0);
     assert_eq!(n, 0, "open connection must be closed on shutdown");
+    assert_eq!(counters.open.get(), 0, "the drain's close went uncounted");
+}
+
+// ---------------------------------------------------------------- outcomes
+
+/// One reply kind per target. On the loop: `/inline` (a 200), `/302` and
+/// `/503` (the app's own redirect and refusal), `/stuck` (an 8 MiB body).
+/// On a worker: `/file` (a 200 streamed by `sendfile`), `/late` (a reply
+/// that takes `late`), `/hold` (waits for a release).
+struct KindApp {
+    file: PathBuf,
+    late: Duration,
+    looked: AtomicUsize,
+    entered: AtomicUsize,
+    release: Mutex<std::sync::mpsc::Receiver<()>>,
+}
+
+impl KindApp {
+    fn new(file: PathBuf, late: Duration, release: std::sync::mpsc::Receiver<()>) -> KindApp {
+        let (looked, entered) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        KindApp { file, late, looked, entered, release: Mutex::new(release) }
+    }
+}
+
+impl App for KindApp {
+    fn first_look(&self, _peer: &str, req: &Request, _body: &[u8]) -> Option<FirstLook> {
+        self.looked.fetch_add(1, Ordering::SeqCst);
+        let reply: Reply = match req.target.as_str() {
+            "/inline" => Response::ok("inline", "text/plain").into(),
+            "/302" => Response::redirect_to_peer("http://127.0.0.1:9", "/302").into(),
+            "/503" => Response::unavailable(3).into(),
+            "/stuck" => Response::ok(payload(8 << 20), "application/octet-stream").into(),
+            _ => return None,
+        };
+        Some(FirstLook::Done(reply))
+    }
+    fn respond(&self, _peer: &str, req: &Request, _body: &[u8]) -> Reply {
+        match req.target.as_str() {
+            "/file" => {
+                let file = std::fs::File::open(&self.file).unwrap();
+                let len = file.metadata().unwrap().len();
+                let response = Response::ok("", "application/octet-stream");
+                Reply { response, file: Some(FileBody { file, len }) }
+            }
+            "/late" => {
+                std::thread::sleep(self.late);
+                Response::ok("late", "text/plain").into()
+            }
+            _ => {
+                self.entered.fetch_add(1, Ordering::SeqCst);
+                let _ = self.release.lock().unwrap().recv();
+                Response::ok("held", "text/plain").into()
+            }
+        }
+    }
+}
+
+/// The five outcome counters: served, redirected, shed, bad requests,
+/// deadline overruns.
+fn outcomes(c: &Counters) -> [u64; 5] {
+    [
+        c.served.get(),
+        c.redirected.get(),
+        c.shed.get(),
+        c.bad_requests.get(),
+        c.deadline_overruns.get(),
+    ]
+}
+
+#[test]
+fn every_reply_moves_exactly_one_outcome_counter() {
+    const SERVED: [u64; 5] = [1, 0, 0, 0, 0];
+    const REDIRECTED: [u64; 5] = [0, 1, 0, 0, 0];
+    const SHED: [u64; 5] = [0, 0, 1, 0, 0];
+    const BAD: [u64; 5] = [0, 0, 0, 1, 0];
+    const OVERRUN: [u64; 5] = [0, 0, 0, 0, 1];
+    let dir = std::env::temp_dir().join(format!("sweb-reactor-kinds-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("doc.bin");
+    std::fs::write(&path, vec![b'f'; 64 << 10]).unwrap();
+
+    // One worker, one queue slot, three connections.
+    let (release, gate) = std::sync::mpsc::channel();
+    let cfg = ReactorConfig { max_conns: 3, workers: 1, worker_queue: 1, ..Default::default() };
+    let srv = TestServer::start_app(KindApp::new(path.clone(), Duration::ZERO, gate), cfg);
+    // Dropped before `srv`, so a failed assert cannot leave the worker
+    // blocked in `respond` while `srv` joins it.
+    let release = release;
+    let counters = Arc::clone(&srv.counters);
+    let mut before = outcomes(&counters);
+    let mut moved = |kind: &str, reply: &str, status: &str, want: [u64; 5]| {
+        assert!(reply.starts_with(status), "{kind}: {reply:?}");
+        let now = outcomes(&counters);
+        let delta: Vec<u64> = now.iter().zip(before).map(|(now, then)| now - then).collect();
+        assert_eq!(delta, want, "{kind}");
+        before = now;
+    };
+    let get = |target: &str| srv.exchange(format!("GET {target} HTTP/1.0\r\n\r\n").as_bytes());
+
+    moved("inline 200", &get("/inline"), "HTTP/1.0 200", SERVED);
+    moved("400", &srv.exchange(b"GET nopath HTTP/1.0\r\n\r\n"), "HTTP/1.0 400", BAD);
+    moved("app 302", &get("/302"), "HTTP/1.0 302", REDIRECTED);
+    moved("app 503", &get("/503"), "HTTP/1.0 503", SHED);
+    moved("pooled sendfile 200", &get("/file"), "HTTP/1.0 200", SERVED);
+    assert_eq!((counters.zero_copy.get(), counters.sendfile.get()), (1, 1));
+
+    // The worker holds one request and the queue the next: a third that
+    // needs the pool finds the queue full.
+    let looked = srv.app.looked.load(Ordering::SeqCst);
+    let hold = || {
+        let mut s = srv.connect();
+        s.write_all(b"GET /hold HTTP/1.0\r\n\r\n").unwrap();
+        s
+    };
+    let mut held = vec![hold()];
+    assert!(wait_until(Duration::from_secs(2), || srv.app.entered.load(Ordering::SeqCst) == 1));
+    held.push(hold());
+    let queued = || srv.app.looked.load(Ordering::SeqCst) == looked + 2;
+    assert!(wait_until(Duration::from_secs(2), queued));
+    moved("full-queue 503", &get("/file"), "HTTP/1.0 503", SHED);
+
+    // Two held and one idle connection fill the cap: the next is refused.
+    assert!(wait_until(Duration::from_secs(2), || counters.open.get() == 2));
+    let idle = srv.connect();
+    assert!(wait_until(Duration::from_secs(2), || counters.open.get() == 3));
+    let mut refused = String::new();
+    let _ = srv.connect().read_to_string(&mut refused);
+    moved("cap 503", &refused, "HTTP/1.0 503", SHED);
+
+    for mut s in held {
+        release.send(()).unwrap();
+        let mut reply = String::new();
+        s.read_to_string(&mut reply).unwrap();
+        moved("released 200", &reply, "HTTP/1.0 200", SERVED);
+    }
+
+    // A reply past the fetch checkpoint (80% of a 200 ms budget) is
+    // replaced, and counted once, as an overrun.
+    let (_, gate) = std::sync::mpsc::channel();
+    let cfg = ReactorConfig { request_budget: Duration::from_millis(200), ..Default::default() };
+    let late = TestServer::start_app(KindApp::new(path, Duration::from_millis(250), gate), cfg);
+    let reply = late.exchange(b"GET /late HTTP/1.0\r\n\r\n");
+    assert!(reply.starts_with("HTTP/1.0 503"), "{reply:?}");
+    assert_eq!(outcomes(&late.counters), OVERRUN, "fetch-checkpoint 503");
+
+    // Shutdown drains what is left: an idle connection and one whose
+    // 8 MiB reply its client never reads. Neither stays counted.
+    let mut stuck = srv.connect();
+    stuck.write_all(b"GET /stuck HTTP/1.0\r\n\r\n").unwrap();
+    assert!(wait_until(Duration::from_secs(2), || counters.bytes_in_flight.get() > 0));
+    drop(srv);
+    assert_eq!(counters.open.get(), 0, "open connections after join");
+    assert_eq!(counters.bytes_in_flight.get(), 0, "bytes in flight after join");
+    drop((idle, stuck, release));
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 // ---------------------------------------------------------------- transmit
@@ -454,8 +565,8 @@ fn large_cached_body_resumes_across_partial_writes() {
     assert!(head.contains(&format!("Content-Length: {}\r\n", body.len())), "{head}");
     assert_eq!(got.len(), body.len(), "body truncated after {:?}", t0.elapsed());
     assert_eq!(got, body, "body corrupted in transit");
-    assert_eq!(srv.app.zero_copy.load(Ordering::SeqCst), 1, "zero-copy path not taken");
-    assert_eq!(srv.app.evicted.load(Ordering::SeqCst), 0, "live reader was evicted");
+    assert_eq!(srv.counters.zero_copy.get(), 1, "zero-copy path not taken");
+    assert_eq!(srv.counters.evicted.get(), 0, "live reader was evicted");
 }
 
 #[test]
@@ -481,8 +592,8 @@ fn file_body_streams_intact_with_a_slow_reader() {
     assert!(head.contains(&format!("Content-Length: {}\r\n", body.len())), "{head}");
     assert_eq!(got.len(), body.len(), "file body truncated");
     assert_eq!(got, body, "file body corrupted in transit");
-    assert_eq!(srv.app.evicted.load(Ordering::SeqCst), 0, "live reader was evicted");
-    assert_eq!(srv.app.sendfile.load(Ordering::SeqCst), 1, "sendfile path not taken");
+    assert_eq!(srv.counters.evicted.get(), 0, "live reader was evicted");
+    assert_eq!(srv.counters.sendfile.get(), 1, "sendfile path not taken");
     let _ = std::fs::remove_dir_all(std::env::temp_dir().join(format!(
         "sweb-reactor-sf-{}",
         std::process::id()
@@ -523,36 +634,33 @@ fn exchange_at(addr: std::net::SocketAddr, raw: &[u8]) -> String {
 
 #[test]
 fn sharded_group_serves_every_request_and_runs_all_loops() {
-    // Four shards, one app per shard so per-shard activity is visible.
     let listener = sweb_reactor::sys::bind_reuseport("127.0.0.1:0".parse().unwrap()).unwrap();
-    let apps: Vec<Arc<EchoApp>> = (0..4).map(|_| Arc::new(EchoApp::default())).collect();
+    let apps: Vec<Arc<dyn App>> =
+        (0..4).map(|_| Arc::new(EchoApp::default()) as Arc<dyn App>).collect();
     let shutdown = Arc::new(AtomicBool::new(false));
-    let handle = sweb_reactor::spawn_sharded(
-        listener,
-        apps.iter().map(|a| Arc::clone(a) as Arc<dyn App>).collect(),
-        ReactorConfig::default(),
-        Arc::clone(&shutdown),
-    )
-    .unwrap();
+    let cfg = ReactorConfig::default();
+    let counters = Arc::clone(&cfg.counters);
+    let handle = sweb_reactor::spawn_sharded(listener, apps, cfg, Arc::clone(&shutdown)).unwrap();
     assert_eq!(handle.shard_count(), 4);
     let addr = handle.addr;
 
-    let total_started =
-        || apps.iter().map(|a| a.shard_starts.load(Ordering::SeqCst)).sum::<usize>();
-    assert!(wait_until(Duration::from_secs(2), || total_started() == 4), "shards never started");
+    let live = || (0..4).map(|shard| counters.live.cell_value(shard)).collect::<Vec<_>>();
+    assert!(wait_until(Duration::from_secs(2), || live() == [1; 4]), "shards never started");
 
     for i in 0..24 {
         let reply = exchange_at(addr, format!("GET /r{i} HTTP/1.0\r\n\r\n").as_bytes());
         assert!(reply.starts_with("HTTP/1.0 200"), "{reply}");
         assert!(reply.contains(&format!("target=/r{i}")), "{reply}");
     }
-    let total_served = apps.iter().map(|a| a.served.load(Ordering::SeqCst)).sum::<usize>();
-    assert_eq!(total_served, 24, "every request must be served exactly once across shards");
+    assert_eq!(
+        counters.served.get(),
+        24,
+        "every request must be served exactly once across shards"
+    );
 
     shutdown.store(true, Ordering::Relaxed);
     handle.join().unwrap();
-    let total_stopped = apps.iter().map(|a| a.shard_stops.load(Ordering::SeqCst)).sum::<usize>();
-    assert_eq!(total_stopped, 4, "every shard loop must report stopping");
+    assert_eq!(live(), [0; 4], "every shard loop must report stopping");
 }
 
 #[test]
@@ -562,10 +670,12 @@ fn shards_cannot_join_a_listener_bound_without_reuseport() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let apps: Vec<Arc<EchoApp>> = (0..2).map(|_| Arc::new(EchoApp::default())).collect();
     let shutdown = Arc::new(AtomicBool::new(false));
+    let cfg = ReactorConfig::default();
+    let counters = Arc::clone(&cfg.counters);
     let result = sweb_reactor::spawn_sharded(
         listener,
         apps.iter().map(|a| Arc::clone(a) as Arc<dyn App>).collect(),
-        ReactorConfig::default(),
+        cfg,
         Arc::clone(&shutdown),
     );
     let err = result.err().expect("a plain listener cannot host a shard group");
@@ -573,17 +683,39 @@ fn shards_cannot_join_a_listener_bound_without_reuseport() {
     // No loop thread ran: nothing came up, and every app was handed
     // back (the only references left are ours).
     std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(counters.live.get(), 0, "a shard loop started");
     for app in &apps {
-        assert_eq!(app.shard_starts.load(Ordering::SeqCst), 0, "a shard loop started");
         assert_eq!(Arc::strong_count(app), 1, "a shard loop still holds its app");
     }
 }
 
-/// Two shards on one port, one [`EchoApp`] each, once both loops run.
-fn start_pair(cfg: ReactorConfig) -> (ReactorHandle, Vec<Arc<EchoApp>>, Arc<AtomicBool>) {
+/// A running two-shard group: one [`EchoApp`] per shard, and what the
+/// loops count.
+struct Pair {
+    handle: ReactorHandle,
+    apps: Vec<Arc<EchoApp>>,
+    counters: Arc<Counters>,
+    shutdown: Arc<AtomicBool>,
+}
+
+impl Pair {
+    /// Each shard's cell of `cells`.
+    fn per_shard<T>(&self, cells: impl Fn(usize) -> T) -> Vec<T> {
+        (0..2).map(cells).collect()
+    }
+
+    fn join(self) {
+        self.shutdown.store(true, Ordering::Relaxed);
+        self.handle.join().unwrap();
+    }
+}
+
+/// Two shards on one port, once both loops run.
+fn start_pair(cfg: ReactorConfig) -> Pair {
     let listener = sweb_reactor::sys::bind_reuseport("127.0.0.1:0".parse().unwrap()).unwrap();
     let apps: Vec<Arc<EchoApp>> = (0..2).map(|_| Arc::new(EchoApp::default())).collect();
     let shutdown = Arc::new(AtomicBool::new(false));
+    let counters = Arc::clone(&cfg.counters);
     let handle = sweb_reactor::spawn_sharded(
         listener,
         apps.iter().map(|a| Arc::clone(a) as Arc<dyn App>).collect(),
@@ -591,9 +723,9 @@ fn start_pair(cfg: ReactorConfig) -> (ReactorHandle, Vec<Arc<EchoApp>>, Arc<Atom
         Arc::clone(&shutdown),
     )
     .unwrap();
-    let started = || apps.iter().all(|a| a.shard_starts.load(Ordering::SeqCst) == 1);
+    let started = || counters.live.get() == 2;
     assert!(wait_until(Duration::from_secs(2), started), "shards never started");
-    (handle, apps, shutdown)
+    Pair { handle, apps, counters, shutdown }
 }
 
 /// The CPUs a two-shard group steers to, or `None` (with the reason
@@ -622,9 +754,9 @@ fn pin_to(cpu: usize) {
 #[test]
 fn each_shard_serves_the_connections_that_arrive_on_its_cpu() {
     let Some(cpus) = two_cpus() else { return };
-    let (handle, apps, shutdown) = start_pair(ReactorConfig::default());
-    let addr = handle.addr;
-    let opened = || apps.iter().map(|a| a.open.load(Ordering::SeqCst)).collect::<Vec<_>>();
+    let pair = start_pair(ReactorConfig::default());
+    let addr = pair.handle.addr;
+    let opened = || pair.per_shard(|shard| pair.counters.accepted.cell_value(shard));
     for (shard, cpu) in cpus.into_iter().enumerate() {
         let before = opened();
         std::thread::spawn(move || {
@@ -637,13 +769,12 @@ fn each_shard_serves_the_connections_that_arrive_on_its_cpu() {
         })
         .join()
         .unwrap();
-        let took: Vec<usize> = opened().iter().zip(&before).map(|(now, then)| now - then).collect();
+        let took: Vec<u64> = opened().iter().zip(&before).map(|(now, then)| now - then).collect();
         let mut want = vec![0; 2];
         want[shard] = 200;
         assert_eq!(took, want, "a client on CPU {cpu} belongs to shard {shard}");
     }
-    shutdown.store(true, Ordering::Relaxed);
-    handle.join().unwrap();
+    pair.join();
 }
 
 /// A connection opened from a thread confined to `cpu`, so its SYN is
@@ -665,10 +796,10 @@ fn a_steered_group_shares_one_admission_cap() {
     // shard may hold the group's whole cap, and the group no more.
     let Some(cpus) = two_cpus() else { return };
     let cfg = ReactorConfig { max_conns: 4, ..ReactorConfig::default() };
-    let (handle, apps, shutdown) = start_pair(cfg);
-    let addr = handle.addr;
-    let opened = || apps.iter().map(|a| a.open.load(Ordering::SeqCst)).collect::<Vec<_>>();
-    let shed = || apps.iter().map(|a| a.shed.load(Ordering::SeqCst)).sum::<usize>();
+    let pair = start_pair(cfg);
+    let addr = pair.handle.addr;
+    let opened = || pair.per_shard(|shard| pair.counters.open.cell_value(shard));
+    let shed = || pair.counters.shed.get();
 
     let idle: Vec<TcpStream> = (0..4).map(|_| connect_from(cpus[0], addr)).collect();
     assert!(
@@ -687,13 +818,12 @@ fn a_steered_group_shares_one_admission_cap() {
         let mut out = String::new();
         let _ = extra.read_to_string(&mut out);
         assert!(out.starts_with("HTTP/1.0 503"), "CPU {cpu}: expected shed, got {out:?}");
-        assert_eq!(shed(), n + 1);
+        assert_eq!(shed(), n as u64 + 1);
     }
     assert_eq!(opened(), [4, 0]);
 
     drop(idle);
-    shutdown.store(true, Ordering::Relaxed);
-    handle.join().unwrap();
+    pair.join();
 }
 
 #[test]
@@ -701,20 +831,20 @@ fn a_steered_shard_has_every_worker_of_its_group() {
     // Steering puts both connections from one CPU on one shard; the
     // group's two workers must both be free to take its jobs.
     let Some(cpus) = two_cpus() else { return };
-    let (handle, apps, shutdown) = start_pair(ReactorConfig { workers: 2, ..Default::default() });
-    let mut pair: Vec<TcpStream> = (0..2).map(|_| connect_from(cpus[0], handle.addr)).collect();
-    for s in &mut pair {
+    let pair = start_pair(ReactorConfig { workers: 2, ..Default::default() });
+    let mut conns: Vec<TcpStream> =
+        (0..2).map(|_| connect_from(cpus[0], pair.handle.addr)).collect();
+    for s in &mut conns {
         s.write_all(b"GET /meet HTTP/1.0\r\n\r\n").unwrap();
     }
-    for s in &mut pair {
+    for s in &mut conns {
         let mut out = String::new();
         s.read_to_string(&mut out).unwrap();
         assert!(out.ends_with("together"), "one shard's jobs met one worker: {out:?}");
     }
-    let opened: Vec<usize> = apps.iter().map(|a| a.open.load(Ordering::SeqCst)).collect();
+    let opened = pair.per_shard(|shard| pair.counters.accepted.cell_value(shard));
     assert_eq!(opened, [2, 0], "both connections belong to shard 0");
-    shutdown.store(true, Ordering::Relaxed);
-    handle.join().unwrap();
+    pair.join();
 }
 
 /// How many of this process's threads have a `comm` starting `prefix`.
@@ -753,17 +883,23 @@ fn a_shard_group_runs_its_workers_once_and_join_leaves_no_thread() {
 fn steered_loops_run_in_the_batch_class_and_a_lone_loop_does_not() {
     const SCHED_OTHER: u32 = 0;
     const SCHED_BATCH: u32 = 3;
-    if two_cpus().is_some() {
-        let (handle, apps, shutdown) = start_pair(ReactorConfig::default());
-        for app in &apps {
+    // Each loop's first look records the policy it runs under.
+    if let Some(cpus) = two_cpus() {
+        let pair = start_pair(ReactorConfig::default());
+        for cpu in cpus {
+            let mut s = connect_from(cpu, pair.handle.addr);
+            s.write_all(b"GET /policy HTTP/1.0\r\n\r\n").unwrap();
+            let mut out = String::new();
+            s.read_to_string(&mut out).unwrap();
+            assert!(out.starts_with("HTTP/1.0 200"), "{out}");
+        }
+        for app in &pair.apps {
             assert_eq!(*app.loop_policy.lock().unwrap(), Some(SCHED_BATCH));
         }
-        shutdown.store(true, Ordering::Relaxed);
-        handle.join().unwrap();
+        pair.join();
     }
     let server = TestServer::start(ReactorConfig::default());
-    let started = || server.app.shard_starts.load(Ordering::SeqCst) == 1;
-    assert!(wait_until(Duration::from_secs(2), started), "the loop never started");
+    assert!(server.exchange(b"GET /policy HTTP/1.0\r\n\r\n").starts_with("HTTP/1.0 200"));
     assert_eq!(*server.app.loop_policy.lock().unwrap(), Some(SCHED_OTHER));
 }
 
@@ -800,15 +936,7 @@ struct LookApp {
     looked_on: Mutex<Vec<String>>,
     /// Names of the threads continuations ran on.
     continued_on: Arc<Mutex<Vec<String>>>,
-    inline: AtomicUsize,
-    evicted: AtomicUsize,
-    opened: AtomicUsize,
-    closed: AtomicUsize,
     gate_calls: AtomicUsize,
-    /// Every `Phase::Accept` sample, µs.
-    accept_us: Mutex<Vec<u64>>,
-    /// Poller syscalls, summed from `on_poller_syscalls`.
-    poller_syscalls: AtomicU64,
 }
 
 impl LookApp {
@@ -822,13 +950,7 @@ impl LookApp {
             responded_on: Mutex::default(),
             looked_on: Mutex::default(),
             continued_on: Arc::default(),
-            inline: AtomicUsize::new(0),
-            evicted: AtomicUsize::new(0),
-            opened: AtomicUsize::new(0),
-            closed: AtomicUsize::new(0),
             gate_calls: AtomicUsize::new(0),
-            accept_us: Mutex::default(),
-            poller_syscalls: AtomicU64::new(0),
         }
     }
 }
@@ -867,12 +989,6 @@ impl App for LookApp {
             }
         }
     }
-    fn on_inline(&self, _micros: u64) {
-        self.inline.fetch_add(1, Ordering::SeqCst);
-    }
-    fn on_evict(&self) {
-        self.evicted.fetch_add(1, Ordering::SeqCst);
-    }
     fn accept_gate(&self) -> AcceptGate {
         let n = self.gate_calls.fetch_add(1, Ordering::SeqCst) + 1;
         std::thread::sleep(self.accept_delay);
@@ -881,20 +997,6 @@ impl App for LookApp {
         } else {
             AcceptGate::Proceed
         }
-    }
-    fn on_conn_open(&self) {
-        self.opened.fetch_add(1, Ordering::SeqCst);
-    }
-    fn on_conn_close(&self) {
-        self.closed.fetch_add(1, Ordering::SeqCst);
-    }
-    fn on_phase(&self, phase: Phase, micros: u64) {
-        if phase == Phase::Accept {
-            self.accept_us.lock().unwrap().push(micros);
-        }
-    }
-    fn on_poller_syscalls(&self, count: u64) {
-        self.poller_syscalls.fetch_add(count, Ordering::SeqCst);
     }
 }
 
@@ -941,9 +1043,8 @@ fn run_script(addr: std::net::SocketAddr) -> Vec<String> {
 
 #[test]
 fn inline_first_look_is_byte_identical_to_respond() {
-    let cfg = ReactorConfig::default();
-    let pooled = TestServer::start_app(LookApp::new(Mode::Respond), cfg.clone());
-    let inline = TestServer::start_app(LookApp::new(Mode::Inline), cfg);
+    let pooled = TestServer::start_app(LookApp::new(Mode::Respond), ReactorConfig::default());
+    let inline = TestServer::start_app(LookApp::new(Mode::Inline), ReactorConfig::default());
     let (want, got) = (run_script(pooled.addr), run_script(inline.addr));
     for (i, (want, got)) in want.iter().zip(&got).enumerate() {
         assert_eq!(got, want, "exchange {i} differs from respond's");
@@ -965,17 +1066,16 @@ fn inline_first_look_is_byte_identical_to_respond() {
     let looked = inline.app.looked_on.lock().unwrap();
     assert_eq!(looked.len(), 69);
     assert!(looked.iter().all(|t| *t == loop_thread), "{looked:?}");
-    assert_eq!(inline.app.inline.load(Ordering::SeqCst), 69);
+    assert_eq!(inline.counters.inline.get(), 69);
     assert!(inline.app.responded_on.lock().unwrap().is_empty());
     assert_eq!(pooled.app.responded_on.lock().unwrap().len(), 69);
-    assert_eq!(pooled.app.inline.load(Ordering::SeqCst), 0);
+    assert_eq!(pooled.counters.inline.get(), 0);
 }
 
 #[test]
 fn blocking_continuation_runs_once_on_a_worker_and_respond_never() {
-    let cfg = ReactorConfig::default();
-    let pooled = TestServer::start_app(LookApp::new(Mode::Respond), cfg.clone());
-    let srv = TestServer::start_app(LookApp::new(Mode::Blocking), cfg);
+    let pooled = TestServer::start_app(LookApp::new(Mode::Respond), ReactorConfig::default());
+    let srv = TestServer::start_app(LookApp::new(Mode::Blocking), ReactorConfig::default());
     assert_eq!(run_script(srv.addr), run_script(pooled.addr));
     let continued = srv.app.continued_on.lock().unwrap();
     let workers = format!("sweb-{}-w", srv.addr.port());
@@ -985,7 +1085,7 @@ fn blocking_continuation_runs_once_on_a_worker_and_respond_never() {
         "continuation off the pool: {continued:?}"
     );
     assert!(srv.app.responded_on.lock().unwrap().is_empty(), "respond ran as well");
-    assert_eq!(srv.app.inline.load(Ordering::SeqCst), 0);
+    assert_eq!(srv.counters.inline.get(), 0);
 }
 
 #[test]
@@ -1008,8 +1108,8 @@ fn large_inline_body_resumes_across_partial_writes() {
     assert!(head.starts_with("HTTP/1.0 200"), "{head}");
     assert_eq!(got.len(), body.len(), "body truncated");
     assert!(got == body, "body corrupted in transit");
-    assert_eq!(srv.app.evicted.load(Ordering::SeqCst), 0, "live reader was evicted");
-    assert_eq!(srv.app.inline.load(Ordering::SeqCst), 1);
+    assert_eq!(srv.counters.evicted.get(), 0, "live reader was evicted");
+    assert_eq!(srv.counters.inline.get(), 1);
 }
 
 /// Milliseconds from `since` until the server closes `s` (EOF, or a
@@ -1077,7 +1177,7 @@ fn evictions_land_on_the_same_deadlines_with_lazy_rearm() {
             (600 - TICK..=600 + TICK + SLACK).contains(&took),
             "{tag}: idle connection evicted {took} ms after its reply, read timeout is 600"
         );
-        assert_eq!(srv.app.evicted.load(Ordering::SeqCst), 2, "{tag}");
+        assert_eq!(srv.counters.evicted.get(), 2, "{tag}");
     }
 }
 
@@ -1105,7 +1205,7 @@ fn a_silent_connection_is_evicted_at_the_read_timeout() {
         (300 - TICK..=300 + TICK + SLACK).contains(&took),
         "silent connection evicted after {took} ms, read timeout is 300"
     );
-    assert_eq!(srv.app.evicted.load(Ordering::SeqCst), 1);
+    assert_eq!(srv.counters.evicted.get(), 1);
 }
 
 #[test]
@@ -1153,12 +1253,12 @@ fn a_client_that_hangs_up_on_a_worker_is_closed_exactly_once() {
     );
     drop(s);
     // The worker finishes, its answer meets a closed peer, and the
-    // slot is freed once.
-    let closed = || srv.app.closed.load(Ordering::SeqCst);
-    assert!(wait_until(Duration::from_secs(2), || closed() == 1));
+    // slot is freed once: a second close would take the gauge below 0.
+    let open = || srv.counters.open.get();
+    assert!(wait_until(Duration::from_secs(2), || open() == 0));
     std::thread::sleep(Duration::from_millis(300));
-    assert_eq!(closed(), 1, "closed twice");
-    assert_eq!(srv.app.opened.load(Ordering::SeqCst), 1);
+    assert_eq!(open(), 0, "closed twice");
+    assert_eq!(srv.counters.accepted.get(), 1);
     // And the loop still serves.
     let reply = exchange_at(srv.addr, b"GET /after HTTP/1.0\r\n\r\n");
     assert!(reply.ends_with("target=/after body=0"), "{reply}");
@@ -1206,11 +1306,14 @@ fn accept_phase_times_admission_not_the_answer_behind_it() {
         assert!(reply.starts_with("HTTP/1.0 200"), "{reply}");
         assert!(t0.elapsed() >= Duration::from_millis(30));
     }
-    let accept_us = srv.app.accept_us.lock().unwrap().clone();
-    assert_eq!(accept_us.len(), 3);
+    let accept_us = srv.counters.phases.histogram(Phase::Accept);
+    assert_eq!(accept_us.count(), 3);
+    // Together under the 15 ms each one was allowed: no sample holds an
+    // answer's 30 ms.
     assert!(
-        accept_us.iter().all(|&us| us < 15_000),
-        "accept phase took the answer's time: {accept_us:?} µs"
+        accept_us.sum() < 15_000,
+        "accept phase took the answer's time: {} µs in all",
+        accept_us.sum()
     );
 }
 
@@ -1233,7 +1336,7 @@ fn inline_http10_gets_reach_the_poller_about_once_each() {
         let reply = exchange_at(srv.addr, format!("GET {target} HTTP/1.0\r\n\r\n").as_bytes());
         assert!(reply.ends_with(&format!("target={target} body=0")), "{reply}");
     };
-    let syscalls = || srv.app.poller_syscalls.load(Ordering::SeqCst);
+    let syscalls = || srv.counters.poller_syscalls.get();
     get("/warm".into());
     std::thread::sleep(Duration::from_millis(20));
     let before = syscalls();
@@ -1285,8 +1388,8 @@ fn held_keepalive_connections_cost_the_poller_nothing_while_idle() {
             s
         })
         .collect();
-    assert_eq!(srv.app.opened.load(Ordering::SeqCst), CONNS);
-    let syscalls = || srv.app.poller_syscalls.load(Ordering::SeqCst);
+    assert_eq!(srv.counters.accepted.get(), CONNS as u64);
+    let syscalls = || srv.counters.poller_syscalls.get();
 
     std::thread::sleep(Duration::from_millis(100));
     let before = syscalls();
@@ -1307,8 +1410,8 @@ fn held_keepalive_connections_cost_the_poller_nothing_while_idle() {
         spent * 10 <= CONNS as u64 * 12,
         "{spent} poller syscalls for one request on each of {CONNS} held connections"
     );
-    assert_eq!(srv.app.opened.load(Ordering::SeqCst), CONNS, "a held connection was replaced");
-    assert_eq!(srv.app.closed.load(Ordering::SeqCst), 0, "a held connection was closed");
+    assert_eq!(srv.counters.accepted.get(), CONNS as u64, "a held connection was replaced");
+    assert_eq!(srv.counters.open.get(), CONNS as i64, "a held connection was closed");
 }
 
 #[test]
@@ -1386,7 +1489,7 @@ fn a_parked_listener_loses_no_connection_in_flight() {
     for c in clients {
         c.join().expect("a request was lost");
     }
-    assert_eq!(srv.app.inline.load(Ordering::SeqCst), CLIENTS * EACH);
+    assert_eq!(srv.counters.inline.get(), (CLIENTS * EACH) as u64);
     assert!(srv.app.gate_calls.load(Ordering::SeqCst) >= 3);
 }
 
@@ -1405,21 +1508,22 @@ fn shutdown_wakes_an_idle_loop() {
     // No connection, no timer, no job: the loop sleeps until an event,
     // with no timeout at all. `join` rings its doorbell, which is what
     // makes it look at the flag; without that this join never returns.
-    let app = Arc::new(EchoApp::default());
     let shutdown = Arc::new(AtomicBool::new(false));
+    let cfg = ReactorConfig::default();
+    let live = Arc::clone(&cfg.counters.live);
     let handle = sweb_reactor::spawn(
         TcpListener::bind("127.0.0.1:0").unwrap(),
-        Arc::clone(&app) as Arc<dyn App>,
-        ReactorConfig::default(),
+        Arc::new(EchoApp::default()),
+        cfg,
         Arc::clone(&shutdown),
     )
     .unwrap();
-    assert!(wait_until(Duration::from_secs(2), || app.shard_starts.load(Ordering::SeqCst) == 1));
+    assert!(wait_until(Duration::from_secs(2), || live.get() == 1));
     std::thread::sleep(Duration::from_millis(200)); // well into its sleep
     shutdown.store(true, Ordering::Relaxed);
     let took = join_within_a_second(handle).expect("an idle loop did not see the shutdown");
     eprintln!("an idle loop joined in {took:?}");
-    assert_eq!(app.shard_stops.load(Ordering::SeqCst), 1);
+    assert_eq!(live.get(), 0);
 }
 
 /// A service over one UDP socket: counts the datagrams it drains and the

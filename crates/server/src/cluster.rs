@@ -30,7 +30,7 @@ pub struct ClusterConfig {
     /// Scheduling strategy each node runs.
     pub policy: Policy,
     /// Per-node admission cap: connections beyond this are answered
-    /// `503` and counted in `NodeStats::shed`.
+    /// `503` and counted in the reactor's `Counters::shed`.
     pub max_conns: usize,
     /// Reactor shards per node: per-core event loops sharing the node's
     /// port via `SO_REUSEPORT`. `0` (the default) means auto — one shard
@@ -185,7 +185,7 @@ impl LiveCluster {
         for (i, (listener, udp)) in listeners.into_iter().zip(udps).enumerate() {
             // Per-class metrics hang off the node's registry, so stats are
             // built first and dynamic state registered on them.
-            let stats = NodeStats::new(shards);
+            let (stats, counters) = NodeStats::new(shards);
             let dynamic = crate::dynamic::DynamicState::new(cfg.handlers.clone(), &stats.registry);
             let admission = Arc::new(AdmissionController::new());
             let file_cache = Arc::new(
@@ -195,8 +195,18 @@ impl LiveCluster {
             let shared = Arc::new(NodeShared {
                 id: NodeId(i as u32),
                 shards,
-                shard_live: (0..shards).map(|_| AtomicBool::new(false)).collect(),
-                max_conns: cfg.max_conns,
+                // Nodes that share this process share its cores: each
+                // takes its share of the default pool, and at least two
+                // workers, which serve every shard of the node. (Loops are
+                // not split: every node runs one per core, see
+                // `resolve_shards`.)
+                reactor: sweb_reactor::ReactorConfig {
+                    max_conns: cfg.max_conns,
+                    workers: (sweb_reactor::default_workers() / n).max(2),
+                    request_budget: cfg.request_budget,
+                    counters: Arc::new(counters),
+                    ..sweb_reactor::ReactorConfig::default()
+                },
                 cluster: cluster_spec.clone(),
                 peer_http: peer_http.clone(),
                 peer_udp: peer_udp.clone(),
@@ -215,7 +225,6 @@ impl LiveCluster {
                 start,
                 stats,
                 chaos: Arc::clone(&chaos),
-                request_budget: cfg.request_budget,
                 admission,
                 fetch_retry_budget: RetryBudget::new(FETCH_RETRY_CAP),
             });
@@ -343,10 +352,11 @@ impl LiveCluster {
         let shared = &self.slots[i].shared;
         self.drain(i);
         let t0 = Instant::now();
-        while t0.elapsed() < deadline && shared.stats.active.get() > 0 {
+        let open = &shared.reactor.counters.open;
+        while t0.elapsed() < deadline && open.get() > 0 {
             std::thread::sleep(Duration::from_millis(5));
         }
-        let drained = shared.stats.active.get() <= 0;
+        let drained = open.get() <= 0;
         // Stop the node *before* announcing: kill() joins shard 0's loop,
         // where loadd broadcasts, so no straggling normal packet can race
         // behind the leaving one and resurrect the node in a peer's table.

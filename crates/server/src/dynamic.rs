@@ -355,8 +355,8 @@ impl DynamicHandler for IntrospectHandler {
              \"served\":{},\"accepted\":{},\"handlers\":{}}}\n",
             shared.id.0,
             shared.broker.policy(),
-            shared.stats.served.get(),
-            shared.stats.accepted.get(),
+            shared.reactor.counters.served.get(),
+            shared.reactor.counters.accepted.get(),
             shared.dynamic.registry().len(),
         );
         Response::ok(body, "application/json")

@@ -60,26 +60,6 @@ pub(crate) fn method_str(method: Method) -> &'static str {
     }
 }
 
-/// The one load-derived `Retry-After` value every 503 path stamps: the
-/// admission controller scales it with how far the last closed window's
-/// queue delay stood above target, so a client backs off longer the
-/// deeper the overload.
-pub(crate) fn retry_after_secs(shared: &NodeShared) -> u64 {
-    shared.admission.retry_after_secs()
-}
-
-/// The load-shedding answer for a request that blew its budget or was
-/// refused admission: `503` with a load-derived `Retry-After`, on a
-/// connection we are about to close. A definite refusal the client can
-/// act on beats an open socket that never answers.
-pub(crate) fn overloaded(shared: &NodeShared) -> Response {
-    let mut resp = Response::error(StatusCode::ServiceUnavailable);
-    resp.headers.set("Retry-After", retry_after_secs(shared).to_string());
-    resp.headers.set("Connection", "close");
-    resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-    resp
-}
-
 /// A response plus, for a document streamed from its fd (`sendfile`),
 /// the open file and its length; the reactor consumes this shape
 /// directly.
@@ -356,7 +336,9 @@ impl Continuation {
             Work::Metrics => (crate::status::render_metrics(shared), None),
             Work::Refuse(class) => {
                 shared.stats.admission_sheds_of(class).inc();
-                (overloaded(shared), None)
+                let mut resp = Response::unavailable(shared.admission.retry_after_secs());
+                resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
+                (resp, None)
             }
             Work::Serve(serve) => serve.run(shared, req, body),
         };

@@ -21,8 +21,9 @@ use crate::node::NodeShared;
 
 /// Sample this node's live load vector from its activity gauges.
 pub(crate) fn sample_load(shared: &NodeShared) -> LoadVector {
-    let active = shared.stats.active.get().max(0) as f64;
-    let net = shared.stats.bytes_in_flight.get().max(0) as f64 / 1e6;
+    let counters = &shared.reactor.counters;
+    let active = counters.open.get().max(0) as f64;
+    let net = counters.bytes_in_flight.get().max(0) as f64 / 1e6;
     // Disk pressure tracks concurrent fulfillments; on a localhost cluster
     // the OS page cache absorbs reads, so active requests is the best
     // observable proxy for the disk channel too. A sharded node divides

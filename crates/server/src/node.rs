@@ -5,7 +5,7 @@ use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 use sweb_chaos::Injector;
@@ -14,52 +14,27 @@ use sweb_core::{
     AdmissionController, AdmitClass, Broker, LoadTable, Oracle, RetryBudget, SwebConfig,
 };
 use sweb_des::SimTime;
-use sweb_http::{Request, StatusCode};
-use sweb_reactor::Payload;
-use sweb_telemetry::{
-    AtomicHistogram, CostFeedback, Counter, Phase, PhaseTimes, Registry, ShardedCounter,
-    ShardedGauge,
-};
+use sweb_http::Request;
+use sweb_reactor::{Counters, ReactorConfig};
+use sweb_telemetry::{CostFeedback, Counter, PhaseTimes, Registry, ShardedGauge};
 
 use crate::file_cache::FileCache;
 use crate::handler;
 
 /// A node's telemetry surface: every counter, gauge, and histogram the
-/// server increments, all registered on one [`Registry`] — with readers of
-/// the numbers other subsystems keep ([`NodeStats::read_from`]) — so the
-/// status page, the JSON report, and the `/metrics` exposition are three
-/// views of one registry.
+/// server increments, all registered on one [`Registry`] — with the
+/// reactor's [`Counters`] and readers of the numbers other subsystems keep
+/// ([`NodeStats::read_from`]) — so the status page, the JSON report, and
+/// the `/metrics` exposition are three views of one registry.
 ///
-/// Every reply lands in exactly one outcome counter: `served`,
-/// `redirected`, `shed`, `bad_requests` or `deadline_overruns` (DESIGN.md
-/// §10 states the rule).
+/// Every reply lands in exactly one outcome counter of the reactor's
+/// block: `served`, `redirected`, `shed`, `bad_requests` or
+/// `deadline_overruns` (DESIGN.md §10 states the rule).
 pub struct NodeStats {
     /// The metric registry behind every handle below (renders `/metrics`).
     pub registry: Arc<Registry>,
-    /// Connections accepted (shard-local cells: hot on every accept).
-    pub accepted: Arc<ShardedCounter>,
-    /// Replies the node produced that are neither a 302 nor a 503: every
-    /// document, handler, admin page, 304 and 4xx/5xx (shard-local cells).
-    pub served: Arc<ShardedCounter>,
-    /// Replies that were a 302 to a peer.
-    pub redirected: Arc<Counter>,
     /// Requests that arrived already carrying the redirect marker.
     pub received_redirects: Arc<Counter>,
-    /// Malformed requests answered 400.
-    pub bad_requests: Arc<Counter>,
-    /// `accept(2)` failures (fd exhaustion, aborted handshakes, ...).
-    pub accept_errors: Arc<Counter>,
-    /// Replies that were a 503 refusal: the reactor's connection cap or
-    /// full worker queue, the admission controller, a handler out of time
-    /// (shard-local).
-    pub shed: Arc<ShardedCounter>,
-    /// Connections evicted by the reactor's timeout wheel (shard-local).
-    pub evicted: Arc<ShardedCounter>,
-    /// `served` replies whose body left via the zero-copy transmit path
-    /// (shared `Bytes` gathered at the socket, no per-request body copy).
-    pub zero_copy: Arc<ShardedCounter>,
-    /// `served` replies streamed from an fd via `sendfile(2)`.
-    pub sendfile: Arc<ShardedCounter>,
     /// loadd packets that failed to decode (garbage, short, bad node id).
     pub loadd_decode_errors: Arc<Counter>,
     /// Peers this node demoted Alive → Suspect (silent for two loadd periods).
@@ -68,8 +43,6 @@ pub struct NodeStats {
     pub peer_dead: Arc<Counter>,
     /// Peers revived from Suspect/Dead by a fresh loadd packet.
     pub peer_revived: Arc<Counter>,
-    /// Requests answered 503 by the reactor for missing a deadline phase.
-    pub deadline_overruns: Arc<Counter>,
     /// Transient file-fetch errors retried under bounded backoff.
     pub fetch_retries: Arc<Counter>,
     /// Requests refused by the adaptive admission controller, one
@@ -78,26 +51,10 @@ pub struct NodeStats {
     admission_sheds: [Arc<Counter>; 3],
     /// Retries refused because a retry budget was empty.
     pub retry_budget_exhausted: Arc<Counter>,
-    /// Requests currently in flight on this node (the live "CPU load";
-    /// shard-local cells, summed on read).
-    pub active: Arc<ShardedGauge>,
-    /// Bytes currently being transferred (the live "net load", scaled;
-    /// shard-local cells, summed on read).
-    pub bytes_in_flight: Arc<ShardedGauge>,
-    /// Kernel entries the connection engine's pollers made
-    /// (`epoll_wait` / `epoll_ctl`; shard-local cells).
-    pub io_syscalls: Arc<ShardedCounter>,
-    /// Per-request phase latency (accept → parse → decide → fetch → write).
-    pub phases: PhaseTimes,
-    /// Requests answered on the loop thread that parsed them, without a
-    /// worker (shard-local cells).
-    pub inline: Arc<ShardedCounter>,
-    /// Loop-thread time per inline answer, parsed request to first write
-    /// (`sweb_inline_us`). This is what the first look costs a shard: it
-    /// holds the decide and fetch time of those requests plus reply
-    /// serialization, so it is deliberately not a [`Phase`] — the phase
-    /// family partitions a request's time and is summed as such.
-    pub inline_us: Arc<AtomicHistogram>,
+    /// Per-request phase latency (accept → parse → decide → fetch →
+    /// write): the reactor times accept, parse and write through its
+    /// [`Counters`], the handler decide and fetch.
+    pub phases: Arc<PhaseTimes>,
     /// Cost-model feedback: predicted `t_s` terms vs measured wall time.
     pub feedback: CostFeedback,
     /// Trace-id epoch (wall-clock salt, so ids don't repeat across runs).
@@ -107,15 +64,18 @@ pub struct NodeStats {
 }
 
 impl NodeStats {
-    /// Build a node's telemetry surface on a fresh registry. `shards` is
-    /// the number of per-shard cells behind the hot counters (accept /
-    /// serve / shed / in-flight): each reactor shard increments its own
-    /// cacheline, and scrapes sum the cells, so totals stay exact without
-    /// cross-core ping-pong.
-    pub fn new(shards: usize) -> NodeStats {
+    /// Build a node's telemetry surface on a fresh registry, and the
+    /// reactor's counter block on the same registry: this is where the
+    /// engine's cells get their series names. `shards` is the number of
+    /// per-shard cells behind the hot counters (accept / serve / shed /
+    /// in-flight): each reactor shard increments its own cacheline, and
+    /// scrapes sum the cells, so totals stay exact without cross-core
+    /// ping-pong.
+    pub fn new(shards: usize) -> (NodeStats, Counters) {
         let registry = Arc::new(Registry::new());
         let c = |name: &str, help: &str| registry.counter(name, &[], help);
         let sc = |name: &str, help: &str| registry.sharded_counter(name, &[], help, shards);
+        let sg = |name: &str, help: &str| registry.sharded_gauge(name, &[], help, shards);
         let epoch = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.subsec_nanos() ^ d.as_secs() as u32)
@@ -124,21 +84,21 @@ impl NodeStats {
         // pulls or pushes documents any more, so they stay at 0.
         c("sweb_peer_fetches_total", "Requests served after pulling the document from a peer");
         c("sweb_pushes_sent_total", "Documents pushed into peers' caches");
-        NodeStats {
+        let counters = Counters {
             accepted: sc("sweb_connections_accepted_total", "Connections accepted"),
             served: sc(
                 "sweb_requests_served_total",
                 "Replies produced here that were neither a 302 nor a 503",
             ),
             redirected: c("sweb_redirects_issued_total", "Replies that were a 302 to a peer"),
-            received_redirects: c(
-                "sweb_redirects_received_total",
-                "Requests arriving already redirected once",
-            ),
-            bad_requests: c("sweb_bad_requests_total", "Malformed requests answered 400"),
-            accept_errors: c("sweb_accept_errors_total", "accept(2) failures"),
             shed: sc("sweb_connections_shed_total", "Replies that were a 503 refusal"),
+            bad_requests: c("sweb_bad_requests_total", "Malformed requests answered 400"),
+            deadline_overruns: c(
+                "sweb_deadline_overruns_total",
+                "Requests answered 503 for missing a deadline phase",
+            ),
             evicted: sc("sweb_connections_evicted_total", "Connections evicted on timeout"),
+            accept_errors: c("sweb_accept_errors_total", "accept(2) failures"),
             zero_copy: sc(
                 "sweb_zero_copy_responses_total",
                 "Served replies whose body left via a zero-copy gather write",
@@ -146,6 +106,37 @@ impl NodeStats {
             sendfile: sc(
                 "sweb_sendfile_responses_total",
                 "Served replies streamed via sendfile(2)",
+            ),
+            open: sg("sweb_active_requests", "Requests currently in flight"),
+            bytes_in_flight: sg(
+                "sweb_bytes_in_flight",
+                "Response bytes currently being transmitted",
+            ),
+            poller_syscalls: sc(
+                "sweb_io_syscalls_total",
+                "Kernel entries made by the connection engine's poller",
+            ),
+            inline: sc(
+                "sweb_requests_inline_total",
+                "Requests answered on the loop thread that parsed them, without a worker",
+            ),
+            // What the first look costs a shard: it holds the decide and
+            // fetch time of those requests plus reply serialization, so it
+            // is deliberately not a phase — the phase family partitions a
+            // request's time and is summed as such.
+            inline_us: registry.histogram(
+                "sweb_inline_us",
+                &[],
+                "Loop-thread time per inline answer, parsed request to first write (us)",
+            ),
+            phases: Arc::new(PhaseTimes::register(&registry)),
+            // Read by the status page's shard rows, not a series.
+            live: Arc::new(ShardedGauge::new(shards)),
+        };
+        let stats = NodeStats {
+            received_redirects: c(
+                "sweb_redirects_received_total",
+                "Requests arriving already redirected once",
             ),
             loadd_decode_errors: c(
                 "sweb_loadd_decode_errors_total",
@@ -163,10 +154,6 @@ impl NodeStats {
                 "sweb_peer_revived_total",
                 "Suspect/Dead peers revived by a fresh loadd packet",
             ),
-            deadline_overruns: c(
-                "sweb_deadline_overruns_total",
-                "Requests answered 503 for missing a deadline phase",
-            ),
             fetch_retries: c(
                 "sweb_fetch_retries_total",
                 "Transient file-fetch errors retried under bounded backoff",
@@ -182,37 +169,13 @@ impl NodeStats {
                 "sweb_retry_budget_exhausted_total",
                 "Retries refused because a retry budget was empty",
             ),
-            io_syscalls: sc(
-                "sweb_io_syscalls_total",
-                "Kernel entries made by the connection engine's poller",
-            ),
-            active: registry.sharded_gauge(
-                "sweb_active_requests",
-                &[],
-                "Requests currently in flight",
-                shards,
-            ),
-            bytes_in_flight: registry.sharded_gauge(
-                "sweb_bytes_in_flight",
-                &[],
-                "Response bytes currently being transmitted",
-                shards,
-            ),
-            phases: PhaseTimes::register(&registry),
-            inline: sc(
-                "sweb_requests_inline_total",
-                "Requests answered on the loop thread that parsed them, without a worker",
-            ),
-            inline_us: registry.histogram(
-                "sweb_inline_us",
-                &[],
-                "Loop-thread time per inline answer, parsed request to first write (us)",
-            ),
+            phases: Arc::clone(&counters.phases),
             feedback: CostFeedback::register(&registry),
             trace_epoch: epoch,
             trace_seq: AtomicU64::new(0),
             registry,
-        }
+        };
+        (stats, counters)
     }
 
     /// Register readers of the numbers the node's other subsystems keep in
@@ -328,23 +291,16 @@ pub(crate) fn read<T: Send + Sync + 'static>(
     move || number(&of)
 }
 
-impl Default for NodeStats {
-    fn default() -> NodeStats {
-        NodeStats::new(1)
-    }
-}
-
 /// Shared state of one live SWEB node.
 pub struct NodeShared {
     /// This node's id.
     pub id: NodeId,
     /// Reactor shards this node runs.
     pub shards: usize,
-    /// Liveness of each shard's event loop, set/cleared by the loop
-    /// thread itself.
-    pub shard_live: Vec<AtomicBool>,
-    /// Node-wide admission cap (its shards share it in the reactor).
-    pub max_conns: usize,
+    /// The reactor configuration every spawn of this node uses: budgets,
+    /// and the counter block its loops count in, so totals run on across
+    /// a crash and a revive.
+    pub reactor: ReactorConfig,
     /// Synthetic hardware description used by the cost model.
     pub cluster: ClusterSpec,
     /// HTTP base URLs of every node (http://127.0.0.1:port).
@@ -382,8 +338,6 @@ pub struct NodeShared {
     /// Fault injector shared by every node of the cluster (disabled by
     /// default: every query short-circuits).
     pub chaos: Arc<sweb_chaos::Injector>,
-    /// Wall-clock budget for one request; phase deadlines derive from it.
-    pub request_budget: Duration,
     /// Adaptive admission controller: worker-queue sojourn feeds it, and
     /// the per-class gates in the handler consult its shed level.
     pub admission: Arc<AdmissionController>,
@@ -406,14 +360,11 @@ impl NodeShared {
 }
 
 /// Adapter exposing a node to the reactor: `first_look` and `respond`
-/// run the §3.2 pipeline, and the reactor's hooks feed the node's live
-/// load gauges that loadd advertises. One `ReactorApp` exists per shard;
-/// loop-thread hooks attribute to this shard's metric cell explicitly,
-/// and worker-side entry points pin the worker thread's shard hint so
-/// handler-path increments attribute the same way.
+/// run the §3.2 pipeline, and the admission controller hears each queue
+/// sojourn and prices every 503's `Retry-After`. One `ReactorApp` exists
+/// per shard.
 struct ReactorApp {
     shared: Arc<NodeShared>,
-    shard: usize,
     /// Shard 0's loop takes the node's loadd daemon as it starts
     /// ([`sweb_reactor::App::service`]); `None` on the others.
     service: Mutex<Option<crate::loadd::Daemon>>,
@@ -447,7 +398,6 @@ fn reply(
 
 impl sweb_reactor::App for ReactorApp {
     fn respond(&self, peer: &str, req: &Request, body: &[u8]) -> sweb_reactor::Reply {
-        sweb_telemetry::set_shard(self.shard);
         reply(&self.shared, peer, req, handler::respond_parts(&self.shared, req, body))
     }
     fn first_look(
@@ -470,9 +420,8 @@ impl sweb_reactor::App for ReactorApp {
                 sweb_reactor::FirstLook::Done(reply(&self.shared, peer, req, parts))
             }
             handler::Look::Blocking(rest) => {
-                let (shared, shard) = (Arc::clone(&self.shared), self.shard);
+                let shared = Arc::clone(&self.shared);
                 sweb_reactor::FirstLook::Blocking(Box::new(move |peer, req, body| {
-                    sweb_telemetry::set_shard(shard);
                     reply(&shared, peer, req, rest.run(&shared, req, body))
                 }))
             }
@@ -481,10 +430,6 @@ impl sweb_reactor::App for ReactorApp {
     fn service(&self) -> Option<Box<dyn sweb_reactor::Service>> {
         let service = self.service.lock().take()?;
         Some(Box::new(service))
-    }
-    fn on_inline(&self, micros: u64) {
-        self.shared.stats.inline.inc_at(self.shard);
-        self.shared.stats.inline_us.record(micros);
     }
     fn accept_gate(&self) -> sweb_reactor::AcceptGate {
         let chaos = &self.shared.chaos;
@@ -500,73 +445,11 @@ impl sweb_reactor::App for ReactorApp {
             sweb_reactor::AcceptGate::Proceed
         }
     }
-    fn on_deadline_overrun(&self) {
-        self.shared.stats.deadline_overruns.inc();
-    }
     fn on_queue_sojourn(&self, micros: u64) {
         self.shared.admission.observe(micros);
     }
     fn retry_after_secs(&self) -> u64 {
         self.shared.admission.retry_after_secs()
-    }
-    fn on_accept(&self) {
-        self.shared.stats.accepted.inc_at(self.shard);
-    }
-    fn on_conn_open(&self) {
-        self.shared.stats.active.inc_at(self.shard);
-    }
-    fn on_conn_close(&self) {
-        self.shared.stats.active.dec_at(self.shard);
-    }
-    fn on_shed(&self) {
-        self.shared.stats.shed.inc_at(self.shard);
-    }
-    fn on_evict(&self) {
-        self.shared.stats.evicted.inc_at(self.shard);
-    }
-    fn on_bad_request(&self) {
-        self.shared.stats.bad_requests.inc();
-    }
-    fn on_accept_error(&self, _err: &std::io::Error) {
-        self.shared.stats.accept_errors.inc();
-    }
-    fn on_write_start(&self, bytes: usize) {
-        self.shared.stats.bytes_in_flight.add_at(self.shard, bytes as i64);
-    }
-    fn on_write_end(&self, bytes: usize) {
-        self.shared.stats.bytes_in_flight.sub_at(self.shard, bytes as i64);
-    }
-    fn on_reply(&self, status: StatusCode, payload: Payload) {
-        let stats = &self.shared.stats;
-        match status {
-            StatusCode::Found => stats.redirected.inc(),
-            StatusCode::ServiceUnavailable => stats.shed.inc_at(self.shard),
-            _ => {
-                stats.served.inc_at(self.shard);
-                match payload {
-                    Payload::Bytes => stats.zero_copy.inc_at(self.shard),
-                    Payload::File => stats.sendfile.inc_at(self.shard),
-                    Payload::None => {}
-                }
-            }
-        }
-    }
-    fn on_phase(&self, phase: Phase, micros: u64) {
-        self.shared.stats.phases.record(phase, micros);
-    }
-    fn on_shard_start(&self) {
-        sweb_telemetry::set_shard(self.shard);
-        if let Some(live) = self.shared.shard_live.get(self.shard) {
-            live.store(true, Ordering::Relaxed);
-        }
-    }
-    fn on_poller_syscalls(&self, count: u64) {
-        self.shared.stats.io_syscalls.add_at(self.shard, count);
-    }
-    fn on_shard_stop(&self) {
-        if let Some(live) = self.shared.shard_live.get(self.shard) {
-            live.store(false, Ordering::Relaxed);
-        }
     }
 }
 
@@ -596,23 +479,13 @@ impl NodeHandle {
 
         let reactor_shutdown = Arc::new(AtomicBool::new(false));
         let apps: Vec<Arc<dyn sweb_reactor::App>> = (0..shared.shards.max(1))
-            .map(|shard| {
+            .map(|_| {
                 let service = Mutex::new(service.take());
-                Arc::new(ReactorApp { shared: Arc::clone(&shared), shard, service })
+                Arc::new(ReactorApp { shared: Arc::clone(&shared), service })
                     as Arc<dyn sweb_reactor::App>
             })
             .collect();
-        // Nodes that share this process share its cores: each takes its
-        // share of the default pool, and at least two workers, which serve
-        // every shard of the node. (Loops are not split: every node runs
-        // one per core, see `resolve_shards`.)
-        let nodes = shared.peer_http.len().max(1);
-        let cfg = sweb_reactor::ReactorConfig {
-            max_conns: shared.max_conns,
-            workers: (sweb_reactor::default_workers() / nodes).max(2),
-            request_budget: shared.request_budget,
-            ..sweb_reactor::ReactorConfig::default()
-        };
+        let cfg = shared.reactor.clone();
         let reactor =
             sweb_reactor::spawn_sharded(listener, apps, cfg, Arc::clone(&reactor_shutdown))?;
 
@@ -624,10 +497,5 @@ impl NodeHandle {
     pub fn shutdown(self) {
         self.reactor_shutdown.store(true, Ordering::Relaxed);
         let _ = self.reactor.join();
-        // Shards clear their own flags on the way out; a loop that
-        // panicked never got to.
-        for live in self.shared.shard_live.iter() {
-            live.store(false, Ordering::Relaxed);
-        }
     }
 }

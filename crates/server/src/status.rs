@@ -88,9 +88,8 @@ pub struct ShardRow {
     pub served: u64,
     /// 503 refusals this shard counted.
     pub shed: u64,
-    /// Requests in flight on this shard right now (may go negative for a
-    /// single cell when a connection closes on a different shard's
-    /// thread; only the sum is a true gauge).
+    /// Connections open on this shard right now. A connection opens and
+    /// closes on its own shard's loop, so the cell never goes negative.
     pub active: i64,
 }
 
@@ -153,7 +152,7 @@ impl StatusReport {
                 })
                 .collect()
         };
-        let s = &shared.stats;
+        let c = &shared.reactor.counters;
         StatusReport {
             schema_version: STATUS_SCHEMA_VERSION,
             node: shared.id.0,
@@ -163,14 +162,11 @@ impl StatusReport {
             shards: (0..shared.shards.max(1))
                 .map(|i| ShardRow {
                     shard: i as u32,
-                    live: shared
-                        .shard_live
-                        .get(i)
-                        .is_some_and(|l| l.load(std::sync::atomic::Ordering::Relaxed)),
-                    accepted: s.accepted.cell_value(i),
-                    served: s.served.cell_value(i),
-                    shed: s.shed.cell_value(i),
-                    active: s.active.cell_value(i),
+                    live: c.live.cell_value(i) > 0,
+                    accepted: c.accepted.cell_value(i),
+                    served: c.served.cell_value(i),
+                    shed: c.shed.cell_value(i),
+                    active: c.open.cell_value(i),
                 })
                 .collect(),
             handlers: shared
@@ -188,7 +184,7 @@ impl StatusReport {
                     ),
                 })
                 .collect(),
-            metrics: s.registry.scalars(),
+            metrics: shared.stats.registry.scalars(),
         }
     }
 

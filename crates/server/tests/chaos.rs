@@ -375,7 +375,7 @@ fn slow_disk_blows_deadline_and_sheds_503() {
     .unwrap();
     assert_eq!(resp.status, 503, "overrun must shed, not stall");
     assert_eq!(resp.headers.get("retry-after"), Some("1"), "503 must tell the client when");
-    let stats = &cluster.node(0).stats;
+    let stats = &cluster.node(0).reactor.counters;
     assert!(stats.deadline_overruns.get() >= 1, "overrun not counted");
     let slow_reads = cluster.chaos().counts().slow_reads.load(Ordering::Relaxed);
     assert!(slow_reads >= 1, "injected stall not counted");

@@ -178,7 +178,7 @@ fn blocking_handler_overrunning_deadline_gets_503() {
         "the request must be answered promptly: {:?}",
         t0.elapsed()
     );
-    assert!(cluster.node(0).stats.deadline_overruns.get() >= 1);
+    assert!(cluster.node(0).reactor.counters.deadline_overruns.get() >= 1);
     cluster.shutdown();
 }
 

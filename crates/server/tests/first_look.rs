@@ -136,8 +136,8 @@ struct Counts {
 
 fn counts(node: &NodeShared) -> Counts {
     Counts {
-        served: node.stats.served.get(),
-        redirected: node.stats.redirected.get(),
+        served: node.reactor.counters.served.get(),
+        redirected: node.reactor.counters.redirected.get(),
         received_redirects: node.stats.received_redirects.get(),
         cache_hits: node.file_cache.hits(),
         cache_misses: node.file_cache.misses(),
@@ -185,7 +185,7 @@ fn run_script(cluster: &LiveCluster, requests: &[String]) -> (Vec<String>, Count
     let node = cluster.node(0);
     let replies =
         requests.iter().map(|r| normalized(&raw(cluster.base_url(0), r), cluster)).collect();
-    (replies, counts(node), node.stats.inline.get())
+    (replies, counts(node), node.reactor.counters.inline.get())
 }
 
 /// Documents homed on node 0 of a 3-node cluster, and one that is not.
@@ -300,14 +300,18 @@ fn rewritten_file_is_served_fresh_by_the_inline_path() {
     };
     assert_eq!(fetch(), "version one");
     assert_eq!(fetch(), "version one");
-    assert_eq!(node.stats.inline.get(), 1, "the resident copy is served inline");
+    assert_eq!(node.reactor.counters.inline.get(), 1, "the resident copy is served inline");
     // Rewrite with a strictly newer mtime.
     std::thread::sleep(Duration::from_millis(20));
     std::fs::write(dir.join("page.html"), "version two, longer").unwrap();
     assert_eq!(fetch(), "version two, longer", "stale body served");
-    assert_eq!(node.stats.inline.get(), 1, "a stale entry is a miss: re-read on the pool");
+    assert_eq!(
+        node.reactor.counters.inline.get(),
+        1,
+        "a stale entry is a miss: re-read on the pool"
+    );
     assert_eq!(fetch(), "version two, longer");
-    assert_eq!(node.stats.inline.get(), 2);
+    assert_eq!(node.reactor.counters.inline.get(), 2);
     assert_eq!((node.file_cache.hits(), node.file_cache.misses()), (2, 2));
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -373,7 +377,7 @@ fn admission_level_recovers_with_inline_traffic_in_between() {
         [AdmitClass::Dynamic, AdmitClass::StaticMiss, AdmitClass::StaticHit]
             .map(|class| node.stats.admission_sheds_of(class).get())
     };
-    let (inline_before, shed_before) = (node.stats.inline.get(), sheds());
+    let (inline_before, shed_before) = (node.reactor.counters.inline.get(), sheds());
     let started = Instant::now();
     let mut hits = 0u64;
     while started.elapsed() < Duration::from_millis(500) {
@@ -381,7 +385,11 @@ fn admission_level_recovers_with_inline_traffic_in_between() {
         assert_eq!(status_of(&reply), 200, "a resident hit was refused below level 3: {reply}");
         hits += 1;
     }
-    assert_eq!(node.stats.inline.get() - inline_before, hits, "hits must be answered inline");
+    assert_eq!(
+        node.reactor.counters.inline.get() - inline_before,
+        hits,
+        "hits must be answered inline"
+    );
     assert_eq!(node.admission.level(), 2, "inline traffic moved the shed level");
     assert_eq!(sheds(), shed_before, "inline traffic was refused by class");
 
@@ -466,20 +474,20 @@ fn every_demo_handler_agrees_inline_and_on_the_pool_once_warmed() {
         for (class, warm, measured, may_inline) in &cases {
             assert_eq!(status_of(&raw(&base, warm)), 200);
             let expect_inline = !pooled && *may_inline && measured_cheap(node, class);
-            let before = node.stats.inline.get();
+            let before = node.reactor.counters.inline.get();
             let reply = raw(&base, measured);
             assert_eq!(status_of(&reply), 200, "{reply}");
             // A POST's reply and introspect's are never cached.
             let cached = !measured.starts_with("POST") && *class != "introspect";
             assert_eq!(reply.contains("X-SWEB-Dynamic-Cache: miss"), cached, "{reply}");
             assert_eq!(
-                node.stats.inline.get() - before,
+                node.reactor.counters.inline.get() - before,
                 u64::from(expect_inline),
                 "pooled={pooled}: {measured:?} inline"
             );
             replies.push(normalized(&reply, &cluster));
         }
-        let out = (replies, counts(node), class_counts(node), node.stats.inline.get());
+        let out = (replies, counts(node), class_counts(node), node.reactor.counters.inline.get());
         cluster.shutdown();
         out
     };
@@ -510,7 +518,7 @@ fn an_expensive_search_does_not_park_the_shard() {
     assert_eq!(status_of(&get(&base, "/hot.txt")), 200);
     assert_eq!(status_of(&get(&base, "/cgi-bin/search?q=warm&cost=100")), 200);
     let search = node.dynamic.class_stats("search").unwrap();
-    let inline_before = node.stats.inline.get();
+    let inline_before = node.reactor.counters.inline.get();
     let parsed = || node.stats.phases.histogram(Phase::Parse).count();
     let parsed_before = parsed();
 
@@ -530,7 +538,11 @@ fn an_expensive_search_does_not_park_the_shard() {
     assert_eq!(status_of(&reply), 200, "{reply}");
     assert!(took < Duration::from_millis(50), "a resident GET waited {took:?} behind a search");
     assert!(matches!(slow.join().unwrap(), 200 | 503));
-    assert_eq!(node.stats.inline.get() - inline_before, 1, "only the GET is an inline answer");
+    assert_eq!(
+        node.reactor.counters.inline.get() - inline_before,
+        1,
+        "only the GET is an inline answer"
+    );
     assert_eq!(search.invocations.get(), 2, "the slow search ran, on the pool");
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -573,10 +585,10 @@ fn a_class_whose_p99_rises_over_budget_goes_back_to_the_pool() {
     let node = cluster.node(0);
     let unique = AtomicU64::new(0);
     let inline = || {
-        let before = node.stats.inline.get();
+        let before = node.reactor.counters.inline.get();
         let u = unique.fetch_add(1, Ordering::SeqCst);
         assert_eq!(status_of(&get(&base, &format!("/cgi-bin/turning?u={u}"))), 200);
-        node.stats.inline.get() - before == 1
+        node.reactor.counters.inline.get() - before == 1
     };
     assert!(!inline(), "an unmeasured class takes the pool");
     // A fast class runs inline. (One sample preempted past the budget
@@ -676,16 +688,16 @@ fn a_cold_large_document_is_read_in_on_a_worker_then_streamed_inline() {
     let cluster = LiveCluster::start(1, dir.clone(), config(None)).unwrap();
     let node = cluster.node(0);
     let fetch = || {
-        let before = node.stats.inline.get();
+        let before = node.reactor.counters.inline.get();
         let reply = get(cluster.base_url(0), "/cold.bin");
         assert_eq!(status_of(&reply), 200);
-        (body_of(&reply).to_string(), node.stats.inline.get() - before)
+        (body_of(&reply).to_string(), node.reactor.counters.inline.get() - before)
     };
     // A HEAD streams nothing, so only the worker can have read it in.
     let head = raw(cluster.base_url(0), "HEAD /cold.bin HTTP/1.0\r\n\r\n");
     assert_eq!(status_of(&head), 200);
     if cold == Some(true) {
-        assert_eq!(node.stats.inline.get(), 0, "a cold document must take the pool");
+        assert_eq!(node.reactor.counters.inline.get(), 0, "a cold document must take the pool");
         let file = std::fs::File::open(dir.join("cold.bin")).unwrap();
         let resident = sweb_reactor::sys::page_cached(file.as_raw_fd(), body.len() as u64);
         assert!(resident.unwrap(), "the worker left the document cold");
@@ -699,7 +711,7 @@ fn a_cold_large_document_is_read_in_on_a_worker_then_streamed_inline() {
         assert_eq!(first_inline, 0, "a cold document must take the pool");
         assert_eq!(second_inline, 1, "the worker read it in: the repeat streams inline");
     }
-    assert_eq!(node.stats.sendfile.get(), 2);
+    assert_eq!(node.reactor.counters.sendfile.get(), 2);
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

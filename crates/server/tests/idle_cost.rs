@@ -4,7 +4,6 @@
 //! own file, so it runs in its own process, and one test, so every thread
 //! it counts beyond the harness's own belongs to the cluster under test.
 
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use sweb_des::SimTime;
@@ -72,7 +71,10 @@ fn idle_swebd(nodes: usize) {
     cfg.sweb.stale_timeout = SimTime::from_millis(10_000);
     let cluster = LiveCluster::start(nodes, dir.clone(), cfg).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)), "mesh must converge");
-    let live = |i: usize| cluster.node(i).shard_live.iter().all(|l| l.load(Ordering::Relaxed));
+    let live = |i: usize| {
+        let node = cluster.node(i);
+        (0..node.shards).all(|shard| node.reactor.counters.live.cell_value(shard) > 0)
+    };
     let deadline = Instant::now() + Duration::from_secs(5);
     while !(0..nodes).all(live) {
         assert!(Instant::now() < deadline, "a shard never came up");

@@ -123,7 +123,7 @@ fn file_locality_redirects_to_home_and_client_follows() {
     }
     assert!(found, "at least one of 8 hashed docs must be homed off node 0");
     // The origin recorded redirects; some target recorded marked arrivals.
-    assert!(cluster.node(0).stats.redirected.get() > 0);
+    assert!(cluster.node(0).reactor.counters.redirected.get() > 0);
     let marked: u64 = (0..3)
         .map(|i| cluster.node(i).stats.received_redirects.get())
         .sum();
@@ -156,7 +156,7 @@ fn round_robin_policy_never_redirects() {
         assert_eq!(resp.redirects, 0);
     }
     for i in 0..3 {
-        assert_eq!(cluster.node(i).stats.redirected.get(), 0);
+        assert_eq!(cluster.node(i).reactor.counters.redirected.get(), 0);
     }
     cluster.shutdown();
 }
@@ -185,7 +185,7 @@ fn concurrent_clients_all_succeed() {
     let total: u32 = handles.into_iter().map(|h| h.join().unwrap()).sum();
     assert_eq!(total, 80);
     let served: u64 =
-        (0..3).map(|i| cluster.node(i).stats.served.get()).sum();
+        (0..3).map(|i| cluster.node(i).reactor.counters.served.get()).sum();
     assert!(served >= 80, "all requests must be served somewhere, got {served}");
     cluster.shutdown();
 }
@@ -237,7 +237,7 @@ fn pipelined_requests_on_one_connection_all_answered() {
         "both pipelined requests must be answered: {text}"
     );
     // Second request had no Keep-Alive, so the connection closed after it.
-    assert_eq!(cluster.node(0).stats.served.get(), 2);
+    assert_eq!(cluster.node(0).reactor.counters.served.get(), 2);
     cluster.shutdown();
 }
 
@@ -295,8 +295,12 @@ fn pipelined_keepalive_requests_answered_in_order() {
         String::from_utf8_lossy(&bodies[1][..20.min(bodies[1].len())])
     );
     drop(stream);
-    assert_eq!(cluster.node(0).stats.accepted.get(), 1, "both requests share one connection");
-    assert_eq!(cluster.node(0).stats.served.get(), 2);
+    assert_eq!(
+        cluster.node(0).reactor.counters.accepted.get(),
+        1,
+        "both requests share one connection"
+    );
+    assert_eq!(cluster.node(0).reactor.counters.served.get(), 2);
     cluster.shutdown();
 }
 
@@ -312,7 +316,7 @@ fn admission_cap_sheds_excess_connections_with_503() {
     // Fill the admission cap with idle connections.
     let idle: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(&addr).unwrap()).collect();
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while cluster.node(0).stats.active.get() < 4 {
+    while cluster.node(0).reactor.counters.open.get() < 4 {
         assert!(std::time::Instant::now() < deadline, "cap never filled");
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -323,7 +327,7 @@ fn admission_cap_sheds_excess_connections_with_503() {
     let mut out = String::new();
     let _ = extra.read_to_string(&mut out);
     assert!(out.starts_with("HTTP/1.0 503"), "expected shed, got {out:?}");
-    let stats = &cluster.node(0).stats;
+    let stats = &cluster.node(0).reactor.counters;
     assert!(stats.shed.get() >= 1, "shed must be counted");
     assert_eq!(stats.served.get(), 0, "a shed connection is not a served request");
     drop(idle);
@@ -457,7 +461,7 @@ fn keepalive_session_reuses_one_connection() {
     assert!(session.reused >= 5, "connection must be reused, got {}", session.reused);
     // Exactly one connection was accepted for all six requests.
     assert_eq!(
-        cluster.node(0).stats.accepted.get(),
+        cluster.node(0).reactor.counters.accepted.get(),
         1,
         "keep-alive must not open new connections"
     );
@@ -475,7 +479,7 @@ fn non_keepalive_clients_still_close_per_request() {
             Some("keep-alive")
         );
     }
-    assert_eq!(cluster.node(0).stats.accepted.get(), 3);
+    assert_eq!(cluster.node(0).reactor.counters.accepted.get(), 3);
     cluster.shutdown();
 }
 

@@ -176,7 +176,7 @@ fn slowloris_dribble_is_evicted_on_the_parse_clock() {
     };
     let cluster = LiveCluster::start(1, dir, cfg).unwrap();
     let addr = cluster.base_url(0).strip_prefix("http://").unwrap().to_string();
-    let evicted_before = cluster.node(0).stats.evicted.get();
+    let evicted_before = cluster.node(0).reactor.counters.evicted.get();
 
     let mut stream = TcpStream::connect(&addr).unwrap();
     stream.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
@@ -217,7 +217,7 @@ fn slowloris_dribble_is_evicted_on_the_parse_clock() {
         t0.elapsed()
     );
     await_true(Duration::from_secs(2), "eviction counted", || {
-        cluster.node(0).stats.evicted.get() > evicted_before
+        cluster.node(0).reactor.counters.evicted.get() > evicted_before
     });
     // The server is unharmed: a well-formed request still answers.
     let resp = client::get(&format!("http://{addr}/ok.txt")).unwrap();

@@ -37,7 +37,7 @@ fn admission_control_sheds_with_503_and_counts_it() {
     // Fill the admission cap with idle connections.
     let idle: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(&addr).unwrap()).collect();
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while cluster.node(0).stats.active.get() < 4 {
+    while cluster.node(0).reactor.counters.open.get() < 4 {
         assert!(std::time::Instant::now() < deadline, "cap never filled");
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -48,13 +48,13 @@ fn admission_control_sheds_with_503_and_counts_it() {
     let mut out = String::new();
     let _ = extra.read_to_string(&mut out);
     assert!(out.starts_with("HTTP/1.0 503"), "expected shed, got {out:?}");
-    assert!(cluster.node(0).stats.shed.get() >= 1);
+    assert!(cluster.node(0).reactor.counters.shed.get() >= 1);
 
     // Freeing a slot restores service, and the status page reports the
     // shed (the admission signal the load vector reflects via `active`).
     drop(idle);
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while cluster.node(0).stats.active.get() > 0 {
+    while cluster.node(0).reactor.counters.open.get() > 0 {
         assert!(std::time::Instant::now() < deadline, "idle conns never reaped");
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -140,10 +140,14 @@ fn a_large_document_streams_from_the_page_cache_and_skips_the_file_cache() {
         assert!(resp.body == body, "pass {pass}: corrupted body");
     }
     let node = cluster.node(0);
-    assert_eq!(node.stats.sendfile.get(), 2, "both replies stream from the fd");
+    assert_eq!(node.reactor.counters.sendfile.get(), 2, "both replies stream from the fd");
     // Without `cachestat` every large document takes a worker instead.
     if cachestat {
-        assert_eq!(node.stats.inline.get(), 2, "a resident document streams from the loop");
+        assert_eq!(
+            node.reactor.counters.inline.get(),
+            2,
+            "a resident document streams from the loop"
+        );
     }
     assert_eq!(node.file_cache.used(), 0, "a large document must not enter the cache");
     assert_eq!((node.file_cache.hits(), node.file_cache.misses()), (0, 0));

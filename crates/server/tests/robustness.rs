@@ -97,7 +97,7 @@ fn immediate_disconnects_do_not_leak_slots() {
     // Give the connection threads a moment to notice.
     std::thread::sleep(Duration::from_millis(200));
     assert_still_serving(&cluster);
-    let active = cluster.node(0).stats.active.get();
+    let active = cluster.node(0).reactor.counters.open.get();
     assert!(active <= 1, "connection slots leaked: {active}");
     cluster.shutdown();
 }

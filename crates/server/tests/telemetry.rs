@@ -272,14 +272,14 @@ fn every_reply_lands_in_exactly_one_outcome_counter() {
     let node = cluster.node(0);
     let idle = TcpStream::connect(base.strip_prefix("http://").unwrap()).unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
-    while node.stats.active.get() < 1 {
+    while node.reactor.counters.open.get() < 1 {
         assert!(Instant::now() < deadline, "the idle connection was never admitted");
         std::thread::sleep(Duration::from_millis(5));
     }
     assert!(exchange(base, b"GET / HTTP/1.0\r\n\r\n").starts_with("HTTP/1.0 503 "));
     drop(idle);
 
-    let s = &node.stats;
+    let s = &node.reactor.counters;
     let outcomes =
         [s.served.get(), s.redirected.get(), s.shed.get(), s.bad_requests.get(), s.deadline_overruns.get()];
     assert_eq!(outcomes, [13, 1, 1, 1, 0], "served, redirected, shed, 400, overruns");

@@ -44,4 +44,4 @@ pub use hist::AtomicHistogram;
 pub use json::Json;
 pub use phases::{Phase, PhaseTimes};
 pub use registry::{line_is_well_formed, Counter, Registry};
-pub use sharded::{set_shard, ShardedCounter, ShardedGauge, MAX_SHARD_CELLS};
+pub use sharded::{ShardedCounter, ShardedGauge, MAX_SHARD_CELLS};

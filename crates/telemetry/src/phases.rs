@@ -55,8 +55,8 @@ impl Phase {
 }
 
 /// One latency histogram per [`Phase`], registered as
-/// `sweb_request_phase_us{phase=...}`.
-#[derive(Debug)]
+/// `sweb_request_phase_us{phase=...}`; the `Default` is unregistered.
+#[derive(Debug, Default)]
 pub struct PhaseTimes {
     hists: [Arc<AtomicHistogram>; 6],
 }

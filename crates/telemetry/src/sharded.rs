@@ -12,15 +12,12 @@
 //! Attribution has two forms:
 //!
 //! * **explicit** — [`ShardedCounter::inc_at`]/[`ShardedGauge::add_at`]
-//!   with the shard index, used by reactor loop threads that know who
-//!   they are;
-//! * **thread-local** — [`ShardedCounter::inc`] uses the calling thread's
-//!   shard hint, pinned with [`set_shard`] (worker threads set it per
-//!   request). Threads that never call [`set_shard`] get a stable
-//!   round-robin default, so unpinned threads still spread instead of
-//!   piling onto cell 0.
+//!   with the shard index, used by every reactor loop (and by the worker
+//!   jobs a loop dispatched) for its own shard;
+//! * **per thread** — [`ShardedCounter::inc`] adds in the calling
+//!   thread's cell, a stable round-robin pick made once per thread, so
+//!   threads spread over the cells instead of piling onto cell 0.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 /// Upper bound on cells per sharded metric: enough for any realistic
@@ -30,20 +27,12 @@ pub const MAX_SHARD_CELLS: usize = 64;
 static NEXT_THREAD_HINT: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    static SHARD_HINT: Cell<usize> =
-        Cell::new(NEXT_THREAD_HINT.fetch_add(1, Ordering::Relaxed));
-}
-
-/// Pin the calling thread's shard hint: subsequent [`ShardedCounter::inc`]
-/// / [`ShardedGauge::add`] calls from this thread land in cell
-/// `shard % cells`. Reactor worker threads call this at the top of each
-/// request so handler-path increments attribute to the serving shard.
-pub fn set_shard(shard: usize) {
-    SHARD_HINT.with(|c| c.set(shard));
+    /// The calling thread's cell, picked round-robin as it first counts.
+    static SHARD_HINT: usize = NEXT_THREAD_HINT.fetch_add(1, Ordering::Relaxed);
 }
 
 fn hint() -> usize {
-    SHARD_HINT.with(|c| c.get())
+    SHARD_HINT.with(|hint| *hint)
 }
 
 /// One cacheline per cell so neighboring shards never share one.
@@ -215,30 +204,14 @@ mod tests {
     }
 
     #[test]
-    fn set_shard_pins_thread_local_attribution() {
-        let c = Arc::new(ShardedCounter::new(8));
-        let c2 = Arc::clone(&c);
-        std::thread::spawn(move || {
-            set_shard(3);
-            c2.inc();
-            c2.add(4);
-        })
-        .join()
-        .unwrap();
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.cell_value(3), 5);
-    }
-
-    #[test]
     fn concurrent_increments_are_exact() {
         let c = Arc::new(ShardedCounter::new(8));
         let g = Arc::new(ShardedGauge::new(8));
         let threads: Vec<_> = (0..8)
-            .map(|i| {
+            .map(|_| {
                 let c = Arc::clone(&c);
                 let g = Arc::clone(&g);
                 std::thread::spawn(move || {
-                    set_shard(i);
                     for _ in 0..10_000 {
                         c.inc();
                         g.inc();

@@ -51,7 +51,7 @@ fn main() {
 
     println!("\nper-node counters:");
     for i in 0..cluster.len() {
-        let stats = &cluster.node(i).stats;
+        let stats = &cluster.node(i).reactor.counters;
         println!(
             "  node {i}: accepted {:2}  served {:2}  redirected-away {:2}",
             stats.accepted.get(),

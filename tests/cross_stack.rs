@@ -84,7 +84,7 @@ fn loop_threads_answer_hits_redirects_and_404s_inline() {
     let cfg = ClusterConfig { policy: Policy::FileLocality, ..Default::default() };
     let cluster = LiveCluster::start(n, dir.clone(), cfg).unwrap();
     assert!(cluster.await_loadd_mesh(Duration::from_secs(5)));
-    let inline = || cluster.node(0).stats.inline.get();
+    let inline = || cluster.node(0).reactor.counters.inline.get();
     let url = |path: &str| format!("{}{path}", cluster.base_url(0));
 
     let cold = client::get(&url(local)).unwrap();
