@@ -77,9 +77,9 @@
 //!   shared [`Bytes`] body gathered by one `sendmsg(2)` (no per-request
 //!   body copy; a cached document's head is shared too, see
 //!   [`sweb_http::Head`]), and large [`FileBody`] payloads stream
-//!   in-kernel via `sendfile(2)` with partial-write resumption — the
-//!   write deadline re-arms on progress so slow-but-live readers of big
-//!   files survive.
+//!   in-kernel via `sendfile(2)` with partial-write resumption; a reply
+//!   has until its request budget's end to drain, however slowly its
+//!   reader takes it.
 //! * **A reply leaves in as few segments as it can**: a buffered write
 //!   carries `MSG_MORE` when more of the same reply follows at once — a
 //!   streamed file body, or the FIN of a connection that closes after
@@ -362,22 +362,20 @@ pub struct ReactorConfig {
     pub worker_queue: usize,
     /// Evict a connection that produces no complete request for this long.
     pub read_timeout: Duration,
-    /// Evict a connection that accepts no response bytes for this long.
-    pub write_timeout: Duration,
     /// Maximum requests served over one keep-alive connection. Also the
     /// bound on how deep the loop thread's stack nests when a client
     /// pipelines requests that are all answered inline (each answer's
     /// write completion dispatches the next).
     pub keepalive_limit: u32,
-    /// Timer wheel ring size (slots).
-    pub timer_slots: usize,
     /// Timer wheel tick, ms (eviction resolution).
     pub timer_tick_ms: u64,
     /// Wall-clock budget for one request (first byte to response
     /// drained). Phase checkpoints are derived from it via
     /// [`RequestDeadline`]; a request
-    /// missing one is answered 503 + `Retry-After` (or evicted mid-write)
-    /// instead of hanging its client.
+    /// missing one is answered 503 + `Retry-After` instead of hanging its
+    /// client, and a reply still draining at the budget's end is evicted
+    /// mid-write. A `400`, which has no request to budget, has this long
+    /// to drain from when its write starts.
     pub request_budget: Duration,
     /// Where the loops count what happens: a handle, shared by every loop
     /// of a group and by every reactor spawned with the same config.
@@ -398,15 +396,16 @@ impl Default for ReactorConfig {
             workers: default_workers(),
             worker_queue: 512,
             read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
             keepalive_limit: 64,
-            timer_slots: 256,
             timer_tick_ms: 20,
             request_budget: Duration::from_secs(10),
             counters: Arc::default(),
         }
     }
 }
+
+/// Timer wheel ring size (slots).
+const TIMER_SLOTS: usize = 256;
 
 /// Largest accepted POST body.
 const MAX_BODY_BYTES: u64 = 1 << 20;
@@ -664,9 +663,8 @@ struct Conn {
     /// When the in-progress response was queued (write phase start).
     write_started: Option<Instant>,
     /// Absolute cutoff (reactor ms) from the request's
-    /// [`RequestDeadline`]: write deadlines are clamped to it so a
-    /// response that can't drain inside the budget is evicted at the
-    /// budget, not at the rolling write timeout.
+    /// [`RequestDeadline`]: the reply's write deadline, so a response
+    /// that can't drain inside the budget is evicted at the budget's end.
     budget_deadline_ms: Option<u64>,
 }
 
@@ -839,7 +837,7 @@ impl Loop {
         wakeup_rx.connect(wakeup_rx.local_addr()?)?;
         let wakeup_tx = Arc::new(wakeup_rx.try_clone()?);
         let poller = Poller::new()?;
-        let wheel = TimerWheel::new(cfg.timer_slots, cfg.timer_tick_ms);
+        let wheel = TimerWheel::new(TIMER_SLOTS, cfg.timer_tick_ms);
         let service = app.service();
         Ok(Loop {
             shard,
@@ -1394,15 +1392,12 @@ impl Loop {
 
     fn start_write(&mut self, idx: usize, wire: Wire) {
         let Wire { shared, head, body, file, keep_alive } = wire;
-        let mut deadline_ms = self.now_ms() + self.cfg.write_timeout.as_millis() as u64;
+        let unbudgeted_ms = self.now_ms() + self.cfg.request_budget.as_millis() as u64;
         let file_len = file.as_ref().map(|f| (f.end - f.offset) as usize).unwrap_or(0);
         let shared_len = shared.as_ref().map_or(0, |h| h.before_gap().len() + h.after_gap().len());
         let planned = shared_len + head.len() + body.len() + file_len;
-        {
+        let deadline_ms = {
             let Some(conn) = self.conns.get_mut(idx) else { return };
-            if let Some(budget) = conn.budget_deadline_ms {
-                deadline_ms = deadline_ms.min(budget);
-            }
             self.cfg.counters.bytes_in_flight.add_at(self.shard, planned as i64);
             conn.out_shared = shared;
             conn.out_head = head;
@@ -1413,7 +1408,10 @@ impl Loop {
             conn.keep_alive = keep_alive;
             conn.state = ConnState::Writing;
             conn.write_started = Some(Instant::now());
-        }
+            // The budget's end, fixed at dispatch: transmit progress never
+            // moves it. A 400 has no budget.
+            conn.budget_deadline_ms.unwrap_or(unbudgeted_ms)
+        };
         self.set_deadline(idx, deadline_ms);
 
         // Optimistic write: most responses fit the socket buffer, saving a
@@ -1423,13 +1421,11 @@ impl Loop {
 
     fn on_writable(&mut self, idx: usize) {
         enum Step {
-            Progress,
-            Retry,
+            Again,
             Block,
             Fail,
             Done,
         }
-        let mut progressed = false;
         loop {
             let step = {
                 let Some(conn) = self.conns.get_mut(idx) else { return };
@@ -1443,10 +1439,10 @@ impl Loop {
                         Ok(0) => Step::Fail,
                         Ok(n) => {
                             conn.out_pos += n;
-                            Step::Progress
+                            Step::Again
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => Step::Block,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => Step::Retry,
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => Step::Again,
                         Err(_) => Step::Fail,
                     }
                 } else if let Some(ft) = conn.out_file.as_mut() {
@@ -1463,9 +1459,9 @@ impl Loop {
                             // was truncated underneath us; the client sees
                             // a short body, which closing makes explicit.
                             Ok(0) => Step::Fail,
-                            Ok(_) => Step::Progress,
+                            Ok(_) => Step::Again,
                             Err(e) if e.kind() == io::ErrorKind::WouldBlock => Step::Block,
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => Step::Retry,
+                            Err(e) if e.kind() == io::ErrorKind::Interrupted => Step::Again,
                             Err(_) => Step::Fail,
                         }
                     }
@@ -1474,15 +1470,8 @@ impl Loop {
                 }
             };
             match step {
-                Step::Progress => progressed = true,
-                Step::Retry => {}
+                Step::Again => {}
                 Step::Block => {
-                    // The socket buffer is full but the client is making
-                    // progress: push the eviction deadline out so a slow—
-                    // but live—reader of a large file isn't killed mid-body.
-                    if progressed {
-                        self.refresh_write_deadline(idx);
-                    }
                     self.set_interest(idx, Interest::WRITE);
                     return;
                 }
@@ -1496,17 +1485,6 @@ impl Loop {
                 }
             }
         }
-    }
-
-    /// Push the write deadline out after transmit progress.
-    fn refresh_write_deadline(&mut self, idx: usize) {
-        let mut deadline_ms = self.now_ms() + self.cfg.write_timeout.as_millis() as u64;
-        let Some(conn) = self.conns.get_mut(idx) else { return };
-        if let Some(budget) = conn.budget_deadline_ms {
-            // Progress keeps the client alive, but never past the budget.
-            deadline_ms = deadline_ms.min(budget);
-        }
-        self.set_deadline(idx, deadline_ms);
     }
 
     /// A write finished (fully, or by error). Account it, then either
@@ -1780,6 +1758,6 @@ mod tests {
     fn default_config_is_sane() {
         let cfg = ReactorConfig::default();
         assert!(cfg.max_conns > 0 && cfg.workers > 0 && cfg.keepalive_limit > 1);
-        assert!(cfg.timer_tick_ms > 0 && cfg.timer_slots > 1);
+        assert!(cfg.timer_tick_ms > 0);
     }
 }

@@ -7,8 +7,8 @@
 //! read or write would block, or a worker takes its request. A
 //! connection answered in the loop call that accepted it never schedules
 //! anything. Once armed, a deadline that only moves *later* (the usual
-//! case: the next phase of a request, write progress, the next
-//! keep-alive request) schedules nothing, and the one entry already
+//! case: the next phase of a request, the next keep-alive request)
+//! schedules nothing, and the one entry already
 //! pending re-schedules itself at the current deadline when it fires.
 //! Only a deadline that moves *earlier* than the pending entry (the
 //! slowloris parse clock) pushes a new one.

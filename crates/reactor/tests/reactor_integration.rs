@@ -546,14 +546,8 @@ fn slow_read_response(s: &mut TcpStream, chunk: usize, pause: Duration) -> (Stri
 #[test]
 fn large_cached_body_resumes_across_partial_writes() {
     // A body far bigger than any socket buffer forces EAGAIN resumption,
-    // and a write timeout shorter than the total transfer proves the
-    // deadline re-arms on progress (a slow-but-live reader survives).
-    let cfg = ReactorConfig {
-        write_timeout: Duration::from_millis(400),
-        timer_tick_ms: 10,
-        ..ReactorConfig::default()
-    };
-    let srv = TestServer::start(cfg);
+    // and a slow-but-live reader inside the request budget survives.
+    let srv = TestServer::start(ReactorConfig::default());
     let body = payload(8 << 20);
     *srv.app.big.lock().unwrap() = Some(Bytes::from(body.clone()));
 
@@ -577,12 +571,7 @@ fn file_body_streams_intact_with_a_slow_reader() {
     let body = payload(8 << 20);
     std::fs::write(&path, &body).unwrap();
 
-    let cfg = ReactorConfig {
-        write_timeout: Duration::from_millis(400),
-        timer_tick_ms: 10,
-        ..ReactorConfig::default()
-    };
-    let srv = TestServer::start(cfg);
+    let srv = TestServer::start(ReactorConfig::default());
     *srv.app.file_path.lock().unwrap() = Some(path);
 
     let mut s = srv.connect();
@@ -1091,17 +1080,11 @@ fn blocking_continuation_runs_once_on_a_worker_and_respond_never() {
 #[test]
 fn large_inline_body_resumes_across_partial_writes() {
     // The inline path leaves the socket's interest alone until a write
-    // blocks; an 8 MiB body blocks many times, and the write timeout is
-    // shorter than the transfer, so this also proves the lazily re-armed
-    // deadline keeps moving with progress.
-    let cfg = ReactorConfig {
-        write_timeout: Duration::from_millis(400),
-        timer_tick_ms: 10,
-        ..ReactorConfig::default()
-    };
+    // blocks; an 8 MiB body blocks many times, and its slow reader stays
+    // inside the request budget.
     let body = payload(8 << 20);
     let app = LookApp { big: Bytes::from(body.clone()), ..LookApp::new(Mode::Inline) };
-    let srv = TestServer::start_app(app, cfg);
+    let srv = TestServer::start_app(app, ReactorConfig::default());
     let mut s = srv.connect();
     s.write_all(b"GET /big HTTP/1.0\r\n\r\n").unwrap();
     let (head, got) = slow_read_response(&mut s, 256 << 10, Duration::from_millis(20));
@@ -1110,6 +1093,47 @@ fn large_inline_body_resumes_across_partial_writes() {
     assert!(got == body, "body corrupted in transit");
     assert_eq!(srv.counters.evicted.get(), 0, "live reader was evicted");
     assert_eq!(srv.counters.inline.get(), 1);
+}
+
+#[test]
+fn a_reader_that_stalls_mid_body_is_evicted_at_the_budgets_end() {
+    // The reply is ready 300 ms into a 600 ms budget, and its reader
+    // stops after the first bytes. The write deadline is the budget's
+    // end, fixed at dispatch: the eviction lands 600 ms after the request,
+    // not a budget after the write began (900 ms).
+    const TICK: u128 = 10;
+    const SLACK: u128 = 150;
+    let body = payload(16 << 20);
+    let app = LookApp {
+        big: Bytes::from(body.clone()),
+        delay: Duration::from_millis(300),
+        ..LookApp::new(Mode::Respond)
+    };
+    let cfg = ReactorConfig {
+        request_budget: Duration::from_millis(600),
+        timer_tick_ms: TICK as u64,
+        ..ReactorConfig::default()
+    };
+    let srv = TestServer::start_app(app, cfg);
+    let mut s = srv.connect();
+    s.write_all(b"GET /big HTTP/1.0\r\n\r\n").unwrap();
+    let sent = Instant::now();
+    let mut buf = vec![0u8; 64 << 10];
+    let first = read_some(&mut s, &mut buf).unwrap();
+    assert!(first > 0, "closed before the body began");
+    // Stalled: the test reads nothing more until the loop evicts.
+    assert!(wait_until(Duration::from_secs(3), || srv.counters.evicted.get() == 1));
+    let took = sent.elapsed().as_millis();
+    assert!(
+        (600 - TICK..=600 + TICK + SLACK).contains(&took),
+        "stalled reader evicted after {took} ms, the budget ends at 600"
+    );
+    let mut got = first;
+    while let Ok(n @ 1..) = read_some(&mut s, &mut buf) {
+        got += n;
+    }
+    assert!(got < body.len(), "the whole body arrived: {got} bytes");
+    assert_eq!(srv.counters.evicted.get(), 1);
 }
 
 /// Milliseconds from `since` until the server closes `s` (EOF, or a

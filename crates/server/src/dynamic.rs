@@ -12,24 +12,26 @@
 //!
 //! * the [`DynamicHandler`] trait and [`DynamicRegistry`] (longest-prefix
 //!   dispatch under `/cgi-bin/`, same namespace the 1996 server used);
-//! * [`DynamicCache`], a lock-striped response cache keyed on
+//! * [`DynamicCache`], a lock-striped LRU response cache keyed on
 //!   `(handler class, canonicalized args)` with TTL + max-entries —
-//!   the striped-segment design of [`crate::file_cache::FileCache`]
-//!   applied to generated replies;
+//!   the striped cache [`crate::file_cache::FileCache`] is built on,
+//!   holding generated replies;
 //! * [`DynamicState`] + [`ClassStats`], the per-handler-class telemetry
 //!   (invocations, cache hits, measured `t_cpu` histogram) whose
 //!   measurements feed the oracle's tuned table
 //!   ([`sweb_core::Oracle::observe`]).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use sweb_cluster::FileId;
 use sweb_http::{Request, Response};
 use sweb_telemetry::{AtomicHistogram, Counter, Registry};
 
 use crate::node::NodeShared;
+use crate::striped::{Striped, SEGMENTS};
 
 /// Default TTL for cacheable dynamic responses when the handler does not
 /// override it.
@@ -363,8 +365,6 @@ impl DynamicHandler for IntrospectHandler {
     }
 }
 
-const SEGMENTS: usize = 8;
-
 /// One cached dynamic reply.
 struct CacheEntry {
     /// Handler class — verified on hit, so an FNV collision between two
@@ -374,46 +374,21 @@ struct CacheEntry {
     args: String,
     resp: Response,
     expires: Instant,
-    /// Insert order within the segment: the `order` slot that still
-    /// names this entry carries the same number.
-    seq: u64,
-}
-
-/// A segment's entries and their insertion order. `order` may hold stale
-/// slots — keys that TTL expiry removed or a later insert replaced — and
-/// a slot counts only while its `seq` is the live entry's.
-#[derive(Default)]
-struct SegmentEntries {
-    map: HashMap<u64, CacheEntry>,
-    order: VecDeque<(u64, u64)>,
-    next_seq: u64,
-}
-
-/// Whether the `order` slot `(key, seq)` still names a live entry.
-fn is_live(map: &HashMap<u64, CacheEntry>, (key, seq): (u64, u64)) -> bool {
-    map.get(&key).is_some_and(|e| e.seq == seq)
-}
-
-#[derive(Default)]
-struct Segment {
-    entries: Mutex<SegmentEntries>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    expired: AtomicU64,
-    evictions: AtomicU64,
 }
 
 /// Lock-striped response cache for dynamic replies, keyed on
 /// `(handler class, canonicalized args)` with TTL and a max-entries
-/// bound — the same segment design as the striped
-/// [`crate::file_cache::FileCache`]: FNV-1a key hash, Fibonacci segment
-/// spread, identity verification on hit so hash collisions degrade to
-/// misses instead of wrong bodies.
+/// bound. It is the striped LRU the [`crate::file_cache::FileCache`] sits
+/// on, with every entry of size 1: the same key hash and segment spread,
+/// LRU eviction within a segment, and identity verification on hit so
+/// hash collisions degrade to misses instead of wrong bodies.
 pub struct DynamicCache {
-    segments: Box<[Segment]>,
+    /// `ceil(max_entries / 8)` entries per segment, at least one.
+    stripes: Striped<CacheEntry>,
+    /// Entries dropped at their TTL: one count for the whole cache, since
+    /// few lookups find an entry expired.
+    expired: AtomicU64,
     default_ttl: Duration,
-    /// Per-segment entry bound (total bound split across segments).
-    per_segment: usize,
     max_entries: usize,
 }
 
@@ -423,120 +398,85 @@ impl DynamicCache {
     pub fn new(max_entries: usize, default_ttl: Duration) -> Self {
         let per_segment = max_entries.div_ceil(SEGMENTS).max(1);
         DynamicCache {
-            segments: (0..SEGMENTS).map(|_| Segment::default()).collect(),
+            stripes: Striped::new(SEGMENTS, per_segment as u64),
+            expired: AtomicU64::new(0),
             default_ttl,
-            per_segment,
             max_entries,
         }
     }
 
-    /// FNV-1a over `class NUL args` — the same hash the file cache keys
-    /// paths with, applied to the cache identity.
-    fn key_hash(class: &str, args: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for chunk in [class.as_bytes(), b"\0", args.as_bytes()] {
-            for &b in chunk {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1_0000_01b3);
-            }
-        }
-        h
+    /// The key of `(class, args)`: the hash behind
+    /// [`crate::file_cache::key_of`], over `class NUL args`.
+    fn key(class: &str, args: &str) -> FileId {
+        crate::striped::key(&[class.as_bytes(), b"\0", args.as_bytes()])
     }
 
-    fn segment_index(&self, key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize % self.segments.len()
-    }
-
-    fn segment_of(&self, key: u64) -> &Segment {
-        &self.segments[self.segment_index(key)]
-    }
-
-    /// Cached response for `(class, args)`, if present and unexpired.
+    /// Cached response for `(class, args)`, if present and unexpired; a
+    /// hit makes the entry its segment's most recent.
     pub fn get(&self, class: &str, args: &str) -> Option<Response> {
-        let key = Self::key_hash(class, args);
-        let seg = self.segment_of(key);
-        let mut entries = seg.entries.lock().unwrap();
-        match entries.map.get(&key) {
+        let key = Self::key(class, args);
+        let seg = self.stripes.segment(key);
+        let mut lru = seg.lock();
+        // One probe: the touch comes before the identity check, so a
+        // lookup that collides refreshes the entry it found, and serves
+        // nothing from it.
+        let fresh = match lru.touch(key) {
             Some(e) if e.class == class && e.args == args => {
-                if e.expires <= Instant::now() {
-                    entries.map.remove(&key);
-                    seg.expired.fetch_add(1, Ordering::Relaxed);
-                    seg.misses.fetch_add(1, Ordering::Relaxed);
-                    None
-                } else {
-                    seg.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(e.resp.clone())
-                }
+                (e.expires > Instant::now()).then(|| e.resp.clone())
             }
             _ => {
-                seg.misses.fetch_add(1, Ordering::Relaxed);
-                None
+                seg.miss();
+                return None;
             }
+        };
+        if fresh.is_some() {
+            seg.hit();
+        } else {
+            lru.invalidate(key);
+            self.expired.fetch_add(1, Ordering::Relaxed);
+            seg.miss();
         }
+        fresh
     }
 
     /// Insert a reply for `(class, args)`; `ttl` of `None` uses the
-    /// cache default. Evicts the segment's oldest entries beyond the
-    /// per-segment bound, in insertion order.
+    /// cache default. Evicts the segment's least recently used entry when
+    /// it is full.
     pub fn insert(&self, class: &'static str, args: &str, resp: Response, ttl: Option<Duration>) {
-        let key = Self::key_hash(class, args);
-        let seg = self.segment_of(key);
-        let mut guard = seg.entries.lock().unwrap();
-        let entries = &mut *guard;
-        let seq = entries.next_seq;
-        entries.next_seq += 1;
+        let key = Self::key(class, args);
         let expires = Instant::now() + ttl.unwrap_or(self.default_ttl);
-        let entry = CacheEntry { class, args: args.to_string(), resp, expires, seq };
-        entries.map.insert(key, entry);
-        entries.order.push_back((key, seq));
-        while entries.map.len() > self.per_segment {
-            let Some(slot) = entries.order.pop_front() else { break };
-            if is_live(&entries.map, slot) {
-                entries.map.remove(&slot.0);
-                seg.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        // Stale slots pile up behind a live head while nothing evicts
-        // (a hot key expiring and coming back): sweep them once they
-        // outnumber the bound, which keeps the work amortised O(1).
-        if entries.order.len() > 2 * self.per_segment {
-            let map = &entries.map;
-            entries.order.retain(|&slot| is_live(map, slot));
-        }
+        let entry = CacheEntry { class, args: args.to_string(), resp, expires };
+        self.stripes.segment(key).put(key, 1, entry);
     }
 
     /// Lookups answered from the cache, summed across segments.
     pub fn hits(&self) -> u64 {
-        self.sum(|s| &s.hits)
+        self.stripes.hits()
     }
 
     /// Lookups that found nothing, or only an expired entry.
     pub fn misses(&self) -> u64 {
-        self.sum(|s| &s.misses)
+        self.stripes.misses()
     }
 
     /// Entries dropped because their TTL had passed.
     pub fn expired(&self) -> u64 {
-        self.sum(|s| &s.expired)
+        self.expired.load(Ordering::Relaxed)
     }
 
     /// Entries evicted to hold the max-entries bound.
     pub fn evictions(&self) -> u64 {
-        self.sum(|s| &s.evictions)
+        self.stripes.evictions()
     }
 
-    /// Live entries right now.
+    /// Live entries right now (each entry is of size 1).
     pub fn entries(&self) -> u64 {
-        self.segments.iter().map(|s| s.entries.lock().unwrap().map.len() as u64).sum()
+        self.stripes.used()
     }
 
     /// The configured total-entry bound.
     pub fn max_entries(&self) -> u64 {
         self.max_entries as u64
-    }
-
-    fn sum(&self, counter: impl Fn(&Segment) -> &AtomicU64) -> u64 {
-        self.segments.iter().map(|s| counter(s).load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -759,7 +699,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_bounds_entries_fifo() {
+    fn cache_bounds_entries_lru() {
         // One segment's bound is max_entries/8; hammer one identity class
         // with distinct args until evictions must have happened.
         let cache = DynamicCache::new(8, Duration::from_secs(60));
@@ -768,6 +708,32 @@ mod tests {
         }
         assert!(cache.entries() <= 8, "bound violated: {} entries", cache.entries());
         assert!(cache.evictions() >= 56, "expected evictions, saw {}", cache.evictions());
+    }
+
+    #[test]
+    fn key_collision_serves_correct_body_not_the_cached_entry() {
+        // Each identity's reply planted under the other's key, as a hash
+        // collision would leave it: a lookup misses rather than serve a
+        // body that is not its own.
+        let cache = DynamicCache::new(64, Duration::from_secs(60));
+        let expires = Instant::now() + Duration::from_secs(60);
+        let pairs =
+            [(("burn", "cost=1"), ("echo", "cost=1")), (("echo", "cost=1"), ("echo", "cost=2"))];
+        for ((class, args), (planted_class, planted_args)) in pairs {
+            let key = DynamicCache::key(class, args);
+            let resp = Response::ok("planted", "text/plain");
+            let planted =
+                CacheEntry { class: planted_class, args: planted_args.into(), resp, expires };
+            cache.stripes.segment(key).put(key, 1, planted);
+            assert!(
+                cache.get(class, args).is_none(),
+                "{class}?{args} got {planted_class}?{planted_args}"
+            );
+            // Its own insert takes the slot back.
+            cache.insert(class, args, Response::ok(args, "text/plain"), None);
+            assert_eq!(&cache.get(class, args).unwrap().body[..], args.as_bytes());
+        }
+        assert_eq!((cache.hits(), cache.misses(), cache.entries()), (2, 2, 2));
     }
 
     #[test]
@@ -796,44 +762,48 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Against a per-segment FIFO model: the cache holds exactly the
-        /// model's entries after every step, so the bound holds and
-        /// entries leave in insertion order. A re-insert moves a key to
-        /// the back; an entry TTL expiry removed leaves a stale slot that
-        /// eviction must skip, and the slots stay bounded.
+        /// Against a per-segment LRU model: after every step the cache
+        /// holds exactly the model's entries, so the bound holds; a hit
+        /// or a re-insert makes a key its segment's most recent, a miss
+        /// moves nothing, and an expired entry is never served.
         #[test]
-        fn eviction_is_fifo_per_segment(
+        fn eviction_is_lru_per_segment(
             max_entries in 1usize..40,
-            ops in proptest::collection::vec((0u32..48, any::<bool>()), 0..300),
+            ops in proptest::collection::vec((0u32..48, 0u8..3), 0..300),
         ) {
             let cache = DynamicCache::new(max_entries, Duration::from_secs(3600));
-            let mut model: Vec<VecDeque<String>> = vec![VecDeque::new(); SEGMENTS];
-            for (k, expire) in ops {
+            let bound = max_entries.div_ceil(SEGMENTS).max(1);
+            let segments = cache.stripes.segments();
+            // Per segment, least recent first.
+            let mut model: Vec<Vec<String>> = vec![Vec::new(); SEGMENTS];
+            for (k, op) in ops {
                 let args = format!("k={k}");
-                let idx = cache.segment_index(DynamicCache::key_hash("burn", &args));
-                let ttl = expire.then_some(Duration::ZERO);
-                cache.insert("burn", &args, Response::ok("x", "text/plain"), ttl);
-                let fifo = &mut model[idx];
-                fifo.retain(|a| *a != args);
-                fifo.push_back(args.clone());
-                while fifo.len() > cache.per_segment {
-                    fifo.pop_front();
+                let seg = cache.stripes.segment(DynamicCache::key("burn", &args));
+                let lru = &mut model[segments.iter().position(|s| std::ptr::eq(s, seg)).unwrap()];
+                let held = lru.iter().position(|a| *a == args).map(|i| lru.remove(i));
+                if op == 0 {
+                    prop_assert_eq!(cache.get("burn", &args).is_some(), held.is_some());
+                    lru.extend(held);
+                } else {
+                    // An insert, live (1) or already expired (2).
+                    let ttl = (op == 2).then_some(Duration::ZERO);
+                    cache.insert("burn", &args, Response::ok("x", "text/plain"), ttl);
+                    lru.push(args.clone());
+                    if lru.len() > bound {
+                        lru.remove(0);
+                    }
+                    if op == 2 {
+                        prop_assert!(cache.get("burn", &args).is_none());
+                        lru.pop();
+                    }
                 }
-                if expire {
-                    prop_assert!(cache.get("burn", &args).is_none());
-                    fifo.retain(|a| *a != args);
-                }
-                for (seg, fifo) in cache.segments.iter().zip(&model) {
-                    let entries = seg.entries.lock().unwrap();
-                    let mut held: Vec<&str> = entries.map.values().map(|e| e.args.as_str()).collect();
-                    let mut want: Vec<&str> = fifo.iter().map(String::as_str).collect();
-                    held.sort_unstable();
-                    want.sort_unstable();
-                    prop_assert_eq!(held, want);
-                    prop_assert!(entries.order.len() <= 2 * cache.per_segment + 1);
+                for (seg, want) in segments.iter().zip(&model) {
+                    let lru = seg.lock();
+                    prop_assert!(lru.len() <= bound);
+                    prop_assert_eq!(lru.len(), want.len());
+                    prop_assert!(want.iter().all(|a| lru.contains(DynamicCache::key("burn", a))));
                 }
             }
-            prop_assert!(cache.entries() as usize <= SEGMENTS * cache.per_segment);
         }
     }
 

@@ -14,36 +14,32 @@
 //! (rare) collision the path check makes the cache serve the *correct*
 //! bytes from disk instead of another document's body.
 //!
-//! The cache is **lock-striped** for the sharded reactor: the capacity is
-//! split across [`DEFAULT_SEGMENTS`] independent segments, each with its
-//! own mutex, LRU, and hit/miss/eviction/collision counters. A `FileId`
-//! hashes to exactly one segment, so two shards faulting in different
-//! documents never contend on one lock, while two shards reading the same
-//! hot document still share a single [`Bytes`] body. A single-segment
-//! cache ([`FileCache::with_segments`] with `segments = 1`) behaves
-//! exactly like the old global-mutex cache, global LRU order included.
+//! The cache sits on the crate's one lock-striped LRU, the one the dynamic
+//! response cache uses too: the capacity is split across 8 segments, each a
+//! [`PageCache`](sweb_cluster::PageCache) behind its own mutex, and a
+//! `FileId` hashes to exactly one segment, so two shards faulting in
+//! different documents never contend on one lock, while two shards
+//! reading the same hot document still share a single [`Bytes`] body. A
+//! single-segment cache (`FileCache::with_segments` with `segments = 1`)
+//! behaves exactly like a global-mutex cache, global LRU order included.
 //!
-//! Each segment is one [`PageCache`] whose entries carry the body, the
-//! mtime, the path and the document's [`Head`]: a lookup is one probe, a
-//! hit's LRU touch one probe and a relink, and an insert hands back what
-//! it evicted. The head — status line, `Content-Type`, `Last-Modified`,
-//! `X-SWEB-Node`, `Server`, `Content-Length` — is serialized once, when
-//! the entry is built, by the same `document` builder every document reply
-//! comes from; a hit writes only its own trace and connection lines.
+//! Each entry carries the body, the mtime, the path and the document's
+//! [`Head`]: a lookup is one probe, a hit's LRU touch one probe and a
+//! relink, and an insert hands back what it evicted. The head — status
+//! line, `Content-Type`, `Last-Modified`, `X-SWEB-Node`, `Server`,
+//! `Content-Length` — is serialized once, when the entry is built, by the
+//! same `document` builder every document reply comes from; a hit writes
+//! only its own trace and connection lines.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::SystemTime;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
-use sweb_cluster::{FileId, NodeId, PageCache};
+use sweb_cluster::{FileId, NodeId};
 use sweb_http::{mime_for_path, Head, Response};
 
-/// Default stripe count: enough segments that 8 reactor shards rarely
-/// collide on a lock, few enough that per-segment capacity shares stay
-/// useful (16 MiB default capacity → 2 MiB per segment).
-pub const DEFAULT_SEGMENTS: usize = 8;
+use crate::striped::{Striped, SEGMENTS};
 
 /// One resident document.
 struct Entry {
@@ -91,87 +87,35 @@ pub(crate) fn document(
 /// Byte-bounded, mtime-validated, lock-striped LRU cache of document
 /// bodies and their heads.
 pub struct FileCache {
-    segments: Box<[Segment]>,
+    /// Entries sized by their body's bytes.
+    stripes: Striped<Entry>,
+    /// FNV collisions detected: one count for the whole cache, since a
+    /// collision is rare.
+    collisions: AtomicU64,
     /// The node whose `X-SWEB-Node` the heads carry.
     node: NodeId,
 }
 
-/// One independent stripe: its own lock, LRU, and counters.
-struct Segment {
-    lru: Mutex<PageCache<Entry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    collisions: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl Segment {
-    /// Cache `entry` under `key`, counting what that evicted. The evicted
-    /// bodies are freed after the lock is let go.
-    fn put(&self, key: FileId, entry: Entry) {
-        let size = entry.doc.body.len() as u64;
-        let evicted = self.lru.lock().insert(key, size, entry);
-        if !evicted.is_empty() {
-            self.evictions.fetch_add(evicted.len() as u64, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Point-in-time counters for one cache segment, for `/sweb-status`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SegmentStats {
-    /// Lifetime hits served from this segment.
-    pub hits: u64,
-    /// Lifetime misses (including invalidations and read errors).
-    pub misses: u64,
-    /// Lifetime FNV collisions detected in this segment.
-    pub collisions: u64,
-    /// Lifetime LRU evictions from this segment.
-    pub evictions: u64,
-    /// Bytes currently resident in this segment.
-    pub used: u64,
-    /// This segment's capacity share in bytes.
-    pub capacity: u64,
-}
-
-/// An FNV-1a-shaped hash (xor a byte, multiply) over the canonical
-/// request path — the cache's [`FileId`] namespace, shared with the
-/// scheduler's home placement and digests. The multiplier is
-/// 2³² + 0x1b3, not the 64-bit FNV prime (2⁴⁰ + 0x1b3), so the values
-/// differ from standard FNV-1a; it stays as is because changing it
-/// would re-home every document.
+/// The hash over the canonical request path — the cache's [`FileId`]
+/// namespace, shared with the scheduler's home placement.
 pub fn key_of(path: &str) -> FileId {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in path.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    FileId(h)
+    crate::striped::key(&[path.as_bytes()])
 }
 
 impl FileCache {
     /// A cache holding at most `capacity` bytes of document bodies,
-    /// striped across [`DEFAULT_SEGMENTS`] segments.
+    /// striped across 8 segments.
     pub fn new(capacity: u64) -> Self {
-        FileCache::with_segments(capacity, DEFAULT_SEGMENTS)
+        FileCache::with_segments(capacity, SEGMENTS)
     }
 
     /// A cache striped across `segments` stripes (clamped to `1..=64`),
     /// each owning an even share of `capacity`. With one segment this is
-    /// the old single-mutex cache, global LRU order included.
-    pub fn with_segments(capacity: u64, segments: usize) -> Self {
+    /// a single-mutex cache, global LRU order included.
+    pub(crate) fn with_segments(capacity: u64, segments: usize) -> Self {
         let n = segments.clamp(1, 64);
-        let share = capacity / n as u64;
-        let segments = (0..n)
-            .map(|_| Segment {
-                lru: Mutex::new(PageCache::new(share)),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                collisions: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-            })
-            .collect();
-        FileCache { segments, node: NodeId(0) }
+        let stripes = Striped::new(n, capacity / n as u64);
+        FileCache { stripes, collisions: AtomicU64::new(0), node: NodeId(0) }
     }
 
     /// The same cache, building heads that name `node` in `X-SWEB-Node`
@@ -180,68 +124,38 @@ impl FileCache {
         FileCache { node, ..self }
     }
 
-    /// Number of stripes.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Which stripe `key` lives in. Fibonacci-hash the FileId first so
-    /// stripe choice isn't correlated with FNV's low-byte patterns.
-    fn segment_of(&self, key: FileId) -> &Segment {
-        let mixed = key.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.segments[(mixed >> 56) as usize % self.segments.len()]
-    }
-
     /// Lifetime hit count (summed across segments).
     pub fn hits(&self) -> u64 {
-        self.segments.iter().map(|s| s.hits.load(Ordering::Relaxed)).sum()
+        self.stripes.hits()
     }
 
     /// Lifetime miss count, including invalidations and read errors
     /// (summed across segments).
     pub fn misses(&self) -> u64 {
-        self.segments.iter().map(|s| s.misses.load(Ordering::Relaxed)).sum()
+        self.stripes.misses()
     }
 
     /// Lifetime count of FNV `FileId` collisions detected (served
     /// correctly from disk, not from the colliding entry).
     pub fn collisions(&self) -> u64 {
-        self.segments.iter().map(|s| s.collisions.load(Ordering::Relaxed)).sum()
+        self.collisions.load(Ordering::Relaxed)
     }
 
     /// Lifetime count of bodies evicted by per-segment LRU pressure.
     pub fn evictions(&self) -> u64 {
-        self.segments.iter().map(|s| s.evictions.load(Ordering::Relaxed)).sum()
+        self.stripes.evictions()
     }
 
     /// Bytes currently cached (summed across segments).
     pub fn used(&self) -> u64 {
-        self.segments.iter().map(|s| s.lru.lock().used()).sum()
+        self.stripes.used()
     }
 
     /// Configured capacity in bytes: the sum of segment shares (at most
     /// the requested capacity; integer division may round each share
     /// down).
     pub fn capacity(&self) -> u64 {
-        self.segments.iter().map(|s| s.lru.lock().capacity()).sum()
-    }
-
-    /// Per-segment counter snapshot, in stripe order.
-    pub fn segment_stats(&self) -> Vec<SegmentStats> {
-        self.segments
-            .iter()
-            .map(|s| {
-                let lru = s.lru.lock();
-                SegmentStats {
-                    hits: s.hits.load(Ordering::Relaxed),
-                    misses: s.misses.load(Ordering::Relaxed),
-                    collisions: s.collisions.load(Ordering::Relaxed),
-                    evictions: s.evictions.load(Ordering::Relaxed),
-                    used: lru.used(),
-                    capacity: lru.capacity(),
-                }
-            })
-            .collect()
+        self.stripes.capacity()
     }
 
     /// Whether `path`'s body is resident right now (no I/O, no LRU touch).
@@ -255,18 +169,18 @@ impl FileCache {
     /// [`FileCache::touch`] accounts the hit), one that does not is stale
     /// and goes through [`FileCache::read`].
     pub(crate) fn peek(&self, key: FileId, path: &str) -> Option<Document> {
-        let lru = self.segment_of(key).lru.lock();
+        let lru = self.stripes.segment(key).lock();
         lru.peek(key).filter(|e| e.path == path).map(|e| e.doc.clone())
     }
 
     /// A document from [`FileCache::peek`] was served: count the hit and
     /// touch the LRU, exactly what a hit in [`FileCache::read`] does.
     pub(crate) fn touch(&self, key: FileId) {
-        let seg = self.segment_of(key);
+        let seg = self.stripes.segment(key);
         // Evicted since the peek: the document in hand is still good, but
         // there is no entry left to refresh.
-        seg.lru.lock().touch(key);
-        seg.hits.fetch_add(1, Ordering::Relaxed);
+        seg.lock().touch(key);
+        seg.hit();
     }
 
     /// The document `path` names, read at `mtime`, with its head built.
@@ -296,10 +210,10 @@ impl FileCache {
         path: &str,
         full: &Path,
     ) -> std::io::Result<Document> {
-        let seg = self.segment_of(key);
+        let seg = self.stripes.segment(key);
         let mtime = std::fs::metadata(full)?.modified()?;
         let collided = {
-            let mut lru = seg.lru.lock();
+            let mut lru = seg.lock();
             match lru.peek(key) {
                 // Hash collision: this slot holds a different document.
                 // Serving its body would be a wrong response; fall
@@ -308,7 +222,7 @@ impl FileCache {
                 Some(entry) if entry.doc.mtime == mtime => {
                     let doc = entry.doc.clone();
                     lru.touch(key);
-                    seg.hits.fetch_add(1, Ordering::Relaxed);
+                    seg.hit();
                     return Ok(doc);
                 }
                 _ => false,
@@ -316,17 +230,18 @@ impl FileCache {
         };
         // Miss, stale, or collision: read outside the lock (large files,
         // slow disks), and build the head there too.
-        seg.misses.fetch_add(1, Ordering::Relaxed);
+        seg.miss();
         let doc = self.build(path, Bytes::from(std::fs::read(full)?), mtime);
         if collided {
             // Leave the resident entry in place — two documents fighting
             // over one slot would just thrash it. The loser of the slot is
             // served from disk, correctly, every time.
-            seg.collisions.fetch_add(1, Ordering::Relaxed);
+            self.collisions.fetch_add(1, Ordering::Relaxed);
         } else {
             // Replaces a stale entry; a body over the segment's share is
             // not cached, and its stale entry goes all the same.
-            seg.put(key, Entry { doc: doc.clone(), path: path.to_string() });
+            let size = doc.body.len() as u64;
+            seg.put(key, size, Entry { doc: doc.clone(), path: path.to_string() });
         }
         Ok(doc)
     }
@@ -335,13 +250,13 @@ impl FileCache {
     /// fallback. Returns the body, its recorded mtime, and the canonical
     /// path it was cached under.
     pub fn get(&self, key: FileId) -> Option<(Bytes, SystemTime, String)> {
-        let seg = self.segment_of(key);
+        let seg = self.stripes.segment(key);
         let found = {
-            let mut lru = seg.lru.lock();
+            let mut lru = seg.lock();
             let entry = lru.touch(key)?;
             (entry.doc.body.clone(), entry.doc.mtime, entry.path.clone())
         };
-        seg.hits.fetch_add(1, Ordering::Relaxed);
+        seg.hit();
         Some(found)
     }
 }
@@ -349,7 +264,7 @@ impl FileCache {
 impl std::fmt::Debug for FileCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FileCache")
-            .field("segments", &self.segments.len())
+            .field("segments", &self.stripes.segments().len())
             .field("hits", &self.hits())
             .field("misses", &self.misses())
             .field("used", &self.used())
@@ -497,13 +412,12 @@ mod tests {
     #[test]
     fn capacity_is_split_across_segments() {
         let cache = FileCache::with_segments(800, 8);
-        assert_eq!(cache.segment_count(), 8);
+        let segments = cache.stripes.segments();
+        assert_eq!(segments.len(), 8);
         assert_eq!(cache.capacity(), 800);
-        let stats = cache.segment_stats();
-        assert_eq!(stats.len(), 8);
-        assert!(stats.iter().all(|s| s.capacity == 100));
+        assert!(segments.iter().all(|s| s.lock().capacity() == 100));
         // Clamping: zero segments becomes one.
-        assert_eq!(FileCache::with_segments(100, 0).segment_count(), 1);
+        assert_eq!(FileCache::with_segments(100, 0).stripes.segments().len(), 1);
     }
 
     #[test]
@@ -550,12 +464,13 @@ mod tests {
                         let got = cache.read_keyed(col_key, cp, cf).unwrap().body;
                         assert_eq!(&got[..], cw, "collision served the wrong body for {cp}");
                         // Segment shares are a hard bound at all times.
-                        for (i, s) in cache.segment_stats().iter().enumerate() {
+                        for (i, s) in cache.stripes.segments().iter().enumerate() {
+                            let lru = s.lock();
                             assert!(
-                                s.used <= s.capacity,
+                                lru.used() <= lru.capacity(),
                                 "segment {i} over its share: {} > {}",
-                                s.used,
-                                s.capacity
+                                lru.used(),
+                                lru.capacity()
                             );
                         }
                     }

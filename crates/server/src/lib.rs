@@ -40,6 +40,7 @@ mod cluster;
 mod handler;
 mod loadd;
 mod node;
+mod striped;
 
 pub mod access_log;
 pub mod client;

@@ -14,7 +14,7 @@
 //! * **explicit** — [`ShardedCounter::inc_at`]/[`ShardedGauge::add_at`]
 //!   with the shard index, used by every reactor loop (and by the worker
 //!   jobs a loop dispatched) for its own shard;
-//! * **per thread** — [`ShardedCounter::inc`] adds in the calling
+//! * **per thread** (counters only) — [`ShardedCounter::inc`] adds in the calling
 //!   thread's cell, a stable round-robin pick made once per thread, so
 //!   threads spread over the cells instead of piling onto cell 0.
 
@@ -96,8 +96,9 @@ impl ShardedCounter {
 }
 
 /// A gauge split into per-shard cells; the logical value is the sum.
-/// Cells may individually go negative (a request admitted on one thread
-/// and closed from another) — only the sum is meaningful as a gauge.
+/// Every change names its shard: a reactor loop adds and subtracts in its
+/// own cell (a connection opens and closes on one loop), so each cell
+/// reads that shard's own level.
 #[derive(Debug)]
 pub struct ShardedGauge {
     cells: Box<[PaddedI64]>,
@@ -109,26 +110,6 @@ impl ShardedGauge {
     pub fn new(cells: usize) -> ShardedGauge {
         let n = cells.clamp(1, MAX_SHARD_CELLS);
         ShardedGauge { cells: (0..n).map(|_| PaddedI64::default()).collect() }
-    }
-
-    /// Increment by one in the calling thread's cell.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Decrement by one in the calling thread's cell.
-    pub fn dec(&self) {
-        self.sub(1);
-    }
-
-    /// Add `n` in the calling thread's cell.
-    pub fn add(&self, n: i64) {
-        self.add_at(hint(), n);
-    }
-
-    /// Subtract `n` in the calling thread's cell.
-    pub fn sub(&self, n: i64) {
-        self.add_at(hint(), -n);
     }
 
     /// Increment by one in cell `shard % cells`.
@@ -208,14 +189,14 @@ mod tests {
         let c = Arc::new(ShardedCounter::new(8));
         let g = Arc::new(ShardedGauge::new(8));
         let threads: Vec<_> = (0..8)
-            .map(|_| {
+            .map(|shard| {
                 let c = Arc::clone(&c);
                 let g = Arc::clone(&g);
                 std::thread::spawn(move || {
                     for _ in 0..10_000 {
                         c.inc();
-                        g.inc();
-                        g.dec();
+                        g.inc_at(shard);
+                        g.dec_at(shard);
                     }
                 })
             })
