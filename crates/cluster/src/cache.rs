@@ -116,6 +116,12 @@ impl<V> PageCache<V> {
         self.map.contains_key(&file)
     }
 
+    /// Every cached value, in no particular order (no LRU side effect, no
+    /// counters).
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.slab.iter().filter_map(|e| e.value.as_ref())
+    }
+
     /// `file`'s value, if cached: one probe, no LRU side effect, no
     /// counters.
     pub fn peek(&self, file: FileId) -> Option<&V> {
@@ -357,6 +363,10 @@ mod tests {
         assert!(c.insert(f(1), 10, "uno").is_empty());
         assert_eq!(c.peek(f(1)), Some(&"uno"));
         assert_eq!(c.used(), 30);
+        // Only what is held is listed: no evicted or replaced value.
+        let mut held: Vec<&str> = c.values().copied().collect();
+        held.sort_unstable();
+        assert_eq!(held, ["four", "uno"]);
         // Too large for the whole cache: not cached, nothing evicted.
         assert!(c.insert(f(5), 31, "five").is_empty());
         assert_eq!(c.peek(f(5)), None);

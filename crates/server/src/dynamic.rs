@@ -13,9 +13,10 @@
 //! * the [`DynamicHandler`] trait and [`DynamicRegistry`] (longest-prefix
 //!   dispatch under `/cgi-bin/`, same namespace the 1996 server used);
 //! * [`DynamicCache`], a lock-striped LRU response cache keyed on
-//!   `(handler class, canonicalized args)` with TTL + max-entries —
-//!   the striped cache [`crate::file_cache::FileCache`] is built on,
-//!   holding generated replies;
+//!   `(handler class, canonicalized args)` with a TTL and a bound in
+//!   512-byte slots — the striped cache [`crate::file_cache::FileCache`]
+//!   is built on, holding generated replies as documents are held: a head
+//!   serialized once, and the body;
 //! * [`DynamicState`] + [`ClassStats`], the per-handler-class telemetry
 //!   (invocations, cache hits, measured `t_cpu` histogram) whose
 //!   measurements feed the oracle's tuned table
@@ -26,8 +27,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use sweb_cluster::FileId;
-use sweb_http::{Request, Response};
+use sweb_http::{Head, Request, Response};
 use sweb_telemetry::{AtomicHistogram, Counter, Registry};
 
 use crate::node::NodeShared;
@@ -37,8 +39,16 @@ use crate::striped::{Striped, SEGMENTS};
 /// override it.
 pub const DEFAULT_TTL: Duration = Duration::from_secs(2);
 
-/// Default total-entry bound for the dynamic response cache.
-pub const DEFAULT_MAX_ENTRIES: usize = 1024;
+/// Default bound of the dynamic response cache, in [`SLOT_BYTES`] slots:
+/// 4,096 replies of up to 512 B, 2 MiB in all. It is the knee of the hit
+/// rate over the benchmark's 20,000 Zipf(1.0) search keys (0.61 at 1,024,
+/// 0.76 at 4,096, 0.79 at 8,192, where the TTL starts to bind).
+pub const DEFAULT_MAX_ENTRIES: usize = 4096;
+
+/// The unit the dynamic response cache is bounded in: an entry of `n`
+/// bytes (args, head and body) takes `ceil(n / 512)` slots, so a large
+/// reply displaces as many small ones as its bytes would hold.
+pub const SLOT_BYTES: usize = 512;
 
 /// An in-process dynamic-content handler. Implementations are registered
 /// under `/cgi-bin/<name>` and invoked on the reactor's worker pool, or on
@@ -365,25 +375,44 @@ impl DynamicHandler for IntrospectHandler {
     }
 }
 
-/// One cached dynamic reply.
+/// One cached dynamic reply, held the way [`crate::file_cache`] holds a
+/// document: the head serialized once and the body, both shared with
+/// every reply served from the entry.
 struct CacheEntry {
     /// Handler class — verified on hit, so an FNV collision between two
     /// `(class, args)` identities can never serve the wrong body.
     class: &'static str,
     /// Canonicalized argument string — verified on hit, same reason.
-    args: String,
-    resp: Response,
+    args: Box<str>,
+    head: Head,
+    body: Bytes,
     expires: Instant,
 }
 
+impl CacheEntry {
+    /// The entry's size in slots: its args, head and body bytes, rounded
+    /// up to whole [`SLOT_BYTES`].
+    fn slots(&self) -> u64 {
+        let head = self.head.before_gap().len() + self.head.after_gap().len();
+        (self.args.len() + head + self.body.len()).div_ceil(SLOT_BYTES) as u64
+    }
+
+    /// A reply served from this entry: two reference counts, and no
+    /// header lines of its own yet.
+    fn reply(&self) -> Response {
+        Response::with_head(self.head.clone(), self.body.clone())
+    }
+}
+
 /// Lock-striped response cache for dynamic replies, keyed on
-/// `(handler class, canonicalized args)` with TTL and a max-entries
-/// bound. It is the striped LRU the [`crate::file_cache::FileCache`] sits
-/// on, with every entry of size 1: the same key hash and segment spread,
-/// LRU eviction within a segment, and identity verification on hit so
-/// hash collisions degrade to misses instead of wrong bodies.
+/// `(handler class, canonicalized args)` with TTL and a bound in
+/// [`SLOT_BYTES`] slots. It is the striped LRU the
+/// [`crate::file_cache::FileCache`] sits on, with each entry sized in
+/// slots: the same key hash and segment spread, LRU eviction within a
+/// segment, and identity verification on hit so hash collisions degrade
+/// to misses instead of wrong bodies.
 pub struct DynamicCache {
-    /// `ceil(max_entries / 8)` entries per segment, at least one.
+    /// `ceil(max_entries / 8)` slots per segment, at least one.
     stripes: Striped<CacheEntry>,
     /// Entries dropped at their TTL: one count for the whole cache, since
     /// few lookups find an entry expired.
@@ -393,8 +422,8 @@ pub struct DynamicCache {
 }
 
 impl DynamicCache {
-    /// A cache bounded at `max_entries` total entries with the given
-    /// default TTL.
+    /// A cache bounded at `max_entries` one-slot replies (`max_entries ×`
+    /// [`SLOT_BYTES`] bytes) with the given default TTL.
     pub fn new(max_entries: usize, default_ttl: Duration) -> Self {
         let per_segment = max_entries.div_ceil(SEGMENTS).max(1);
         DynamicCache {
@@ -421,8 +450,8 @@ impl DynamicCache {
         // lookup that collides refreshes the entry it found, and serves
         // nothing from it.
         let fresh = match lru.touch(key) {
-            Some(e) if e.class == class && e.args == args => {
-                (e.expires > Instant::now()).then(|| e.resp.clone())
+            Some(e) if e.class == class && *e.args == *args => {
+                (e.expires > Instant::now()).then(|| e.reply())
             }
             _ => {
                 seg.miss();
@@ -440,13 +469,34 @@ impl DynamicCache {
     }
 
     /// Insert a reply for `(class, args)`; `ttl` of `None` uses the
-    /// cache default. Evicts the segment's least recently used entry when
-    /// it is full.
+    /// cache default. Evicts the segment's least recently used entries
+    /// until it fits.
     pub fn insert(&self, class: &'static str, args: &str, resp: Response, ttl: Option<Duration>) {
+        self.store(class, args, resp, ttl);
+    }
+
+    /// [`DynamicCache::insert`], handing back the reply as a hit would
+    /// serve it: on the head the entry holds. A reply larger than a
+    /// segment's share is not cached, and is served the same way. A reply
+    /// already on a shared head (a document's) is handed back as it is,
+    /// uncached: its head cannot be serialized again from its lines.
+    pub(crate) fn store(
+        &self,
+        class: &'static str,
+        args: &str,
+        resp: Response,
+        ttl: Option<Duration>,
+    ) -> Response {
+        if resp.shared_head.is_some() {
+            return resp;
+        }
         let key = Self::key(class, args);
         let expires = Instant::now() + ttl.unwrap_or(self.default_ttl);
-        let entry = CacheEntry { class, args: args.to_string(), resp, expires };
-        self.stripes.segment(key).put(key, 1, entry);
+        let head = Head::of(&resp);
+        let entry = CacheEntry { class, args: args.into(), head, body: resp.body, expires };
+        let reply = entry.reply();
+        self.stripes.segment(key).put(key, entry.slots(), entry);
+        reply
     }
 
     /// Lookups answered from the cache, summed across segments.
@@ -464,17 +514,20 @@ impl DynamicCache {
         self.expired.load(Ordering::Relaxed)
     }
 
-    /// Entries evicted to hold the max-entries bound.
+    /// Entries evicted to hold the slot bound.
     pub fn evictions(&self) -> u64 {
         self.stripes.evictions()
     }
 
-    /// Live entries right now (each entry is of size 1).
+    /// Unexpired entries right now, whatever their slots: an entry past
+    /// its TTL stays held until a lookup or LRU pressure drops it, but it
+    /// is not counted.
     pub fn entries(&self) -> u64 {
-        self.stripes.used()
+        let now = Instant::now();
+        self.stripes.count(|e| e.expires > now)
     }
 
-    /// The configured total-entry bound.
+    /// The configured bound, in one-slot entries.
     pub fn max_entries(&self) -> u64 {
         self.max_entries as u64
     }
@@ -699,6 +752,112 @@ mod tests {
     }
 
     #[test]
+    fn expired_entries_are_not_counted_before_a_lookup_drops_them() {
+        let cache = DynamicCache::new(64, Duration::from_millis(20));
+        for i in 0..5 {
+            cache.insert("burn", &format!("cost={i}"), Response::ok("v", "text/plain"), None);
+        }
+        let hour = Some(Duration::from_secs(3600));
+        cache.insert("burn", "kept", Response::ok("v", "text/plain"), hour);
+        assert_eq!(cache.entries(), 6);
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(cache.entries(), 1, "five entries are past their TTL");
+        // Nothing was looked up, so nothing was dropped yet.
+        assert_eq!((cache.expired(), cache.stripes.count(|_| true)), (0, 6));
+    }
+
+    /// A `text/html` reply of `body_len` bytes.
+    fn reply_of(body_len: usize) -> Response {
+        Response::ok(vec![b'x'; body_len], "text/html")
+    }
+
+    /// `count` distinct `search` args whose keys share one segment.
+    fn args_in_one_segment(cache: &DynamicCache, count: usize) -> Vec<String> {
+        let home = cache.stripes.segment(DynamicCache::key("search", "q=0"));
+        (0..)
+            .map(|i| format!("q={i}"))
+            .filter(|a| std::ptr::eq(cache.stripes.segment(DynamicCache::key("search", a)), home))
+            .take(count)
+            .collect()
+    }
+
+    #[test]
+    fn a_reply_takes_a_slot_per_512_bytes() {
+        // 40 slots per segment.
+        let cache = DynamicCache::new(8 * 40, Duration::from_secs(60));
+        let args = args_in_one_segment(&cache, 41);
+        for a in &args[..40] {
+            cache.insert("search", a, reply_of(100), None);
+        }
+        assert_eq!((cache.entries(), cache.evictions()), (40, 0));
+        // A 16 KiB entry: its args, head and body are 32 slots exactly.
+        let big = &args[40];
+        let head_len = |body_len| {
+            let head = Head::of(&reply_of(body_len));
+            head.before_gap().len() + head.after_gap().len()
+        };
+        let body_len = 16 * 1024 - big.len() - head_len(16 * 1024);
+        assert_eq!(big.len() + head_len(body_len) + body_len, 16 * 1024);
+        cache.insert("search", big, reply_of(body_len), None);
+        assert_eq!(cache.evictions(), 32, "it displaces 32 one-slot replies");
+        assert_eq!(cache.entries(), 40 - 32 + 1);
+        assert_eq!(cache.get("search", big).unwrap().body.len(), body_len);
+        // The oldest went first: the 8 most recent small replies are held.
+        assert!(args[..32].iter().all(|a| cache.get("search", a).is_none()));
+        assert!(args[32..40].iter().all(|a| cache.get("search", a).is_some()));
+
+        // Larger than a segment's share: served, never cached, and the
+        // entry it would replace goes all the same.
+        let huge = cache.store("search", big, reply_of(41 * SLOT_BYTES), None);
+        assert_eq!(huge.body.len(), 41 * SLOT_BYTES);
+        assert!(cache.get("search", big).is_none());
+        assert_eq!((cache.entries(), cache.evictions()), (8, 32));
+        // Already on a shared head: handed back as it is, never cached.
+        let doc = reply_of(100);
+        let shared = Response::with_head(Head::of(&doc), doc.body);
+        let back = cache.store("search", big, shared, None);
+        assert!(back.shared_head.is_some() && cache.get("search", big).is_none());
+    }
+
+    /// The cache under the benchmark's `dynamic_keepalive` search stream:
+    /// Zipf(1.0) over 20,000 keys. The TTL is an hour so the figure does
+    /// not depend on how fast the test runs.
+    fn zipf_hit_rate(max_entries: usize) -> f64 {
+        use rand::{Rng, SeedableRng};
+        const KEYS: usize = 20_000;
+        const REQUESTS: usize = 200_000;
+        let mut cdf: Vec<f64> = (1..=KEYS).map(|k| 1.0 / k as f64).collect();
+        let total: f64 = cdf.iter().sum();
+        let mut acc = 0.0;
+        for c in &mut cdf {
+            acc += *c / total;
+            *c = acc;
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(46);
+        let cache = DynamicCache::new(max_entries, Duration::from_secs(3600));
+        for _ in 0..REQUESTS {
+            let u: f64 = rng.gen_range(0.0..1.0);
+            let key = cdf.partition_point(|&c| c <= u).min(KEYS - 1);
+            let args = format!("cost=200000&q=k{key}");
+            if cache.get("search", &args).is_none() {
+                let body = format!(
+                    "<HTML><BODY><H1>Alexandria search</H1>\
+                     <P>query: q=k{key}&cost=200000</P><P>digest: {key:016x}</P></BODY></HTML>"
+                );
+                cache.insert("search", &args, Response::ok(body, "text/html"), None);
+            }
+        }
+        cache.hits() as f64 / (cache.hits() + cache.misses()) as f64
+    }
+
+    #[test]
+    fn the_default_bound_holds_the_search_streams_knee() {
+        // 0.782 here; 1,024 entries read 0.617.
+        let rate = zipf_hit_rate(DEFAULT_MAX_ENTRIES);
+        assert!(rate >= 0.75, "hit rate {rate:.3} at {DEFAULT_MAX_ENTRIES} entries");
+    }
+
+    #[test]
     fn cache_bounds_entries_lru() {
         // One segment's bound is max_entries/8; hammer one identity class
         // with distinct args until evictions must have happened.
@@ -722,8 +881,14 @@ mod tests {
         for ((class, args), (planted_class, planted_args)) in pairs {
             let key = DynamicCache::key(class, args);
             let resp = Response::ok("planted", "text/plain");
-            let planted =
-                CacheEntry { class: planted_class, args: planted_args.into(), resp, expires };
+            let head = Head::of(&resp);
+            let planted = CacheEntry {
+                class: planted_class,
+                args: planted_args.into(),
+                head,
+                body: resp.body,
+                expires,
+            };
             cache.stripes.segment(key).put(key, 1, planted);
             assert!(
                 cache.get(class, args).is_none(),
@@ -762,46 +927,54 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Against a per-segment LRU model: after every step the cache
-        /// holds exactly the model's entries, so the bound holds; a hit
-        /// or a re-insert makes a key its segment's most recent, a miss
-        /// moves nothing, and an expired entry is never served.
+        /// Against a per-segment LRU model sized in slots: after every
+        /// step the cache holds exactly the model's entries, so the slot
+        /// bound holds; a hit or a re-insert makes a key its segment's
+        /// most recent, a miss moves nothing, a reply larger than a
+        /// segment's share is never held, and an expired entry is never
+        /// served.
         #[test]
         fn eviction_is_lru_per_segment(
             max_entries in 1usize..40,
-            ops in proptest::collection::vec((0u32..48, 0u8..3), 0..300),
+            ops in proptest::collection::vec((0u32..48, 0u8..3, 1u64..4), 0..300),
         ) {
             let cache = DynamicCache::new(max_entries, Duration::from_secs(3600));
-            let bound = max_entries.div_ceil(SEGMENTS).max(1);
+            let bound = max_entries.div_ceil(SEGMENTS).max(1) as u64;
             let segments = cache.stripes.segments();
-            // Per segment, least recent first.
-            let mut model: Vec<Vec<String>> = vec![Vec::new(); SEGMENTS];
-            for (k, op) in ops {
+            // Per segment, least recent first, with each entry's slots.
+            let mut model: Vec<Vec<(String, u64)>> = vec![Vec::new(); SEGMENTS];
+            for (k, op, slots) in ops {
                 let args = format!("k={k}");
                 let seg = cache.stripes.segment(DynamicCache::key("burn", &args));
                 let lru = &mut model[segments.iter().position(|s| std::ptr::eq(s, seg)).unwrap()];
-                let held = lru.iter().position(|a| *a == args).map(|i| lru.remove(i));
+                let held = lru.iter().position(|(a, _)| *a == args).map(|i| lru.remove(i));
                 if op == 0 {
                     prop_assert_eq!(cache.get("burn", &args).is_some(), held.is_some());
                     lru.extend(held);
                 } else {
-                    // An insert, live (1) or already expired (2).
+                    // An insert of `slots` slots (a head of about 100
+                    // bytes, the body the rest), live (1) or already
+                    // expired (2).
+                    let body_len = slots as usize * SLOT_BYTES - 200;
                     let ttl = (op == 2).then_some(Duration::ZERO);
-                    cache.insert("burn", &args, Response::ok("x", "text/plain"), ttl);
-                    lru.push(args.clone());
-                    if lru.len() > bound {
-                        lru.remove(0);
+                    cache.insert("burn", &args, reply_of(body_len), ttl);
+                    if slots <= bound {
+                        lru.push((args.clone(), slots));
+                        while lru.iter().map(|(_, n)| n).sum::<u64>() > bound {
+                            lru.remove(0);
+                        }
                     }
                     if op == 2 {
                         prop_assert!(cache.get("burn", &args).is_none());
-                        lru.pop();
+                        lru.retain(|(a, _)| *a != args);
                     }
                 }
                 for (seg, want) in segments.iter().zip(&model) {
                     let lru = seg.lock();
-                    prop_assert!(lru.len() <= bound);
+                    prop_assert!(lru.used() <= bound);
+                    prop_assert_eq!(lru.used(), want.iter().map(|(_, n)| n).sum::<u64>());
                     prop_assert_eq!(lru.len(), want.len());
-                    prop_assert!(want.iter().all(|a| lru.contains(DynamicCache::key("burn", a))));
+                    prop_assert!(want.iter().all(|(a, _)| lru.contains(DynamicCache::key("burn", a))));
                 }
             }
         }

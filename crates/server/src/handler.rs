@@ -560,9 +560,10 @@ fn invoke(
     shared.oracle.observe(class, measured_ops(elapsed, ops_per_sec, cpu_load));
     if resp.status == StatusCode::Ok {
         if let Some(k) = key {
-            // Cache the reply *before* the per-request headers go on: a
-            // future hit stamps its own node and cache markers.
-            shared.dynamic.cache.insert(class, k, resp.clone(), handler.ttl());
+            // Serve the miss from the head its entry holds, so it carries
+            // a later hit's bytes by construction: only the per-request
+            // lines go in the gap.
+            resp = shared.dynamic.cache.store(class, k, resp, handler.ttl());
             resp.headers.set("X-SWEB-Dynamic-Cache", "miss");
         }
     }
@@ -665,6 +666,87 @@ mod tests {
             assert!(wire.contains("Last-Modified: Sun, 09 Sep 2001 02:46:40 GMT\r\n"), "{wire}");
             assert_eq!(&resp.body[..], b"version two");
         }
+        cluster.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cached_handler_replys_head_is_built_once_per_entry() {
+        let dir = std::env::temp_dir().join(format!("sweb-dyn-head-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = crate::ClusterConfig { shards: 1, ..crate::ClusterConfig::default() };
+        let cluster = crate::LiveCluster::start(1, dir.clone(), cfg).unwrap();
+        let node = cluster.node(0);
+        let path = "/cgi-bin/search?q=maps&cost=1000";
+
+        // A class's first call takes the pool; its reply is the entry's.
+        assert!(inline_reply(node, path).is_none(), "an unmeasured class goes to the pool");
+        let miss = pooled_reply(node, path);
+        let head = |resp: &Response| resp.shared_head.clone().expect("a cached head is shared");
+        let entry_head = head(&miss);
+        let a = inline_reply(node, path).expect("a dynamic-cache hit is inline");
+        let b = inline_reply(node, path).expect("a dynamic-cache hit is inline");
+        // The wire without the two lines that differ by design.
+        let rest = |resp: &Response| {
+            let wire = String::from_utf8(resp.head_bytes()).unwrap();
+            let kept = wire.split_inclusive("\r\n").filter(|line| {
+                !line.starts_with("X-SWEB-Dynamic-Cache: ") && !line.starts_with("X-SWEB-Trace: ")
+            });
+            kept.collect::<String>()
+        };
+        for hit in [&a, &b] {
+            assert_eq!(head(hit).before_gap().as_ptr(), entry_head.before_gap().as_ptr());
+            assert_eq!(hit.body.as_ptr(), miss.body.as_ptr(), "the body is shared, not copied");
+            assert_eq!(rest(hit), rest(&miss));
+        }
+        // A hit on the wire: the handler's lines, the per-request lines in
+        // the gap, then the tail the entry's head fixed.
+        let wire = String::from_utf8(a.head_bytes()).unwrap();
+        let trace = a.headers.get("X-SWEB-Trace").unwrap();
+        let len = a.body.len();
+        assert_eq!(
+            wire,
+            format!(
+                "HTTP/1.0 200 OK\r\nContent-Type: text/html\r\nX-SWEB-Dynamic-Cache: hit\r\n\
+                 X-SWEB-Node: 0\r\nX-SWEB-Trace: {trace}\r\n\
+                 Server: SWEB/0.1 (NCSA-derived)\r\nContent-Length: {len}\r\n\r\n"
+            )
+        );
+        assert_eq!(miss.headers.get("X-SWEB-Dynamic-Cache"), Some("miss"));
+        cluster.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_cache_evictions_show_in_metrics() {
+        let dir = std::env::temp_dir().join(format!("sweb-evict-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Nine documents that share one of the 8 stripes of a node's
+        // 16 MiB cache: eight fill its 2 MiB share, the ninth evicts.
+        let spread = crate::striped::Striped::<()>::new(crate::striped::SEGMENTS, 0);
+        let stripe = |path: &str| spread.segment(crate::file_cache::key_of(path)) as *const _;
+        let home = stripe("/d0.bin");
+        let paths: Vec<String> =
+            (0..).map(|i| format!("/d{i}.bin")).filter(|p| stripe(p) == home).take(9).collect();
+        for path in &paths {
+            std::fs::write(dir.join(&path[1..]), vec![b'e'; 240 << 10]).unwrap();
+        }
+        let cluster = crate::LiveCluster::start(1, dir.clone(), crate::ClusterConfig::default());
+        let cluster = cluster.unwrap();
+        let node = cluster.node(0);
+        let evictions = || {
+            let body = crate::status::render_metrics(node).body;
+            let text = String::from_utf8(body.to_vec()).unwrap();
+            let line = text.lines().find(|l| l.starts_with("sweb_file_cache_evictions_total "));
+            let value = line.expect("the series is exported").rsplit(' ').next().unwrap();
+            value.parse::<u64>().unwrap()
+        };
+        for path in &paths[..8] {
+            assert_eq!(pooled_reply(node, path).status, StatusCode::Ok);
+        }
+        assert_eq!(evictions(), 0, "eight documents fit the stripe");
+        assert_eq!(pooled_reply(node, &paths[8]).status, StatusCode::Ok);
+        assert_eq!(evictions(), 1);
         cluster.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

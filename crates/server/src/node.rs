@@ -207,6 +207,12 @@ impl NodeStats {
             "Cache key collisions",
             cache(FileCache::collisions),
         );
+        reg.counter_fn(
+            "sweb_file_cache_evictions_total",
+            &[],
+            "Documents evicted to hold the byte bound",
+            cache(FileCache::evictions),
+        );
         reg.gauge_fn(
             "sweb_file_cache_used_bytes",
             &[],

@@ -122,6 +122,12 @@ impl<V> Striped<V> {
         self.sum(|s| s.lock().used())
     }
 
+    /// Entries held right now that `counts` accepts, summed across
+    /// segments.
+    pub(crate) fn count(&self, counts: impl Fn(&V) -> bool) -> u64 {
+        self.sum(|s| s.lock().values().filter(|v| counts(v)).count() as u64)
+    }
+
     /// The segments' shares, summed.
     pub(crate) fn capacity(&self) -> u64 {
         self.sum(|s| s.lock().capacity())
