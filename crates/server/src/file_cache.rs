@@ -4,7 +4,12 @@
 //!
 //! The server keeps only documents below 256 KiB here: a larger one
 //! streams from the OS page cache (`sendfile`), so it is in no stripe.
-//! [`FileCache::read`] still takes any size.
+//! [`FileCache::read`] still takes any size. The server reads a miss
+//! itself — on the loop thread when it is small and all in the page
+//! cache, else on a worker, from the fd the loop opened — under the mtime
+//! of the request's own `stat`; every body enters through one routine
+//! (`FileCache::insert`), which [`FileCache::read`] uses too, so the
+//! collision and stale-entry rules are written once.
 //!
 //! Bodies are stored as [`Bytes`], so concurrent responses share one copy
 //! with no duplication. Entries are validated against the file's mtime on
@@ -166,8 +171,9 @@ impl FileCache {
     /// The request path's one lookup: the resident document for `path` —
     /// no stat, no LRU touch, no counter. The caller holds the file's
     /// `stat`: a document whose mtime matches it may be served (then
-    /// [`FileCache::touch`] accounts the hit), one that does not is stale
-    /// and goes through [`FileCache::read`].
+    /// [`FileCache::touch`] accounts the hit), one that does not is stale:
+    /// [`FileCache::miss`] accounts it, and the body read again replaces
+    /// it ([`FileCache::insert`]).
     pub(crate) fn peek(&self, key: FileId, path: &str) -> Option<Document> {
         let lru = self.stripes.segment(key).lock();
         lru.peek(key).filter(|e| e.path == path).map(|e| e.doc.clone())
@@ -183,27 +189,23 @@ impl FileCache {
         seg.hit();
     }
 
-    /// The document `path` names, read at `mtime`, with its head built.
-    fn build(&self, path: &str, body: Bytes, mtime: SystemTime) -> Document {
-        let head = Head::of(&document(self.node, path, body.clone(), Some(mtime)));
-        Document { body, mtime, head }
+    /// A request's lookup found no fresh document for `key`: count the
+    /// miss, once, wherever the document is then read.
+    pub(crate) fn miss(&self, key: FileId) {
+        self.stripes.segment(key).miss();
     }
 
     /// Fetch `full` (request path `path` for keying): from memory when the
     /// cached copy's mtime still matches, from disk otherwise. Returns the
     /// body and the file's mtime.
     pub fn read(&self, path: &str, full: &Path) -> std::io::Result<(Bytes, SystemTime)> {
-        self.load(path, full).map(|doc| (doc.body, doc.mtime))
+        let doc = self.read_keyed(key_of(path), path, full)?;
+        Ok((doc.body, doc.mtime))
     }
 
-    /// [`FileCache::read`], with the document's head.
-    pub(crate) fn load(&self, path: &str, full: &Path) -> std::io::Result<Document> {
-        self.read_keyed(key_of(path), path, full)
-    }
-
-    /// [`FileCache::load`] with an explicit key — separated so tests can
-    /// force two paths onto one `FileId` (a 64-bit FNV collision is
-    /// otherwise impractical to construct).
+    /// [`FileCache::read`] with an explicit key, and the document's head —
+    /// separated so tests can force two paths onto one `FileId` (a 64-bit
+    /// FNV collision is otherwise impractical to construct).
     pub(crate) fn read_keyed(
         &self,
         key: FileId,
@@ -212,30 +214,38 @@ impl FileCache {
     ) -> std::io::Result<Document> {
         let seg = self.stripes.segment(key);
         let mtime = std::fs::metadata(full)?.modified()?;
-        let collided = {
+        {
             let mut lru = seg.lock();
-            match lru.peek(key) {
-                // Hash collision: this slot holds a different document.
-                // Serving its body would be a wrong response; fall
-                // through to a disk read.
-                Some(entry) if entry.path != path => true,
-                Some(entry) if entry.doc.mtime == mtime => {
-                    let doc = entry.doc.clone();
-                    lru.touch(key);
-                    seg.hit();
-                    return Ok(doc);
-                }
-                _ => false,
+            if let Some(entry) = lru.peek(key).filter(|e| e.path == path && e.doc.mtime == mtime) {
+                let doc = entry.doc.clone();
+                lru.touch(key);
+                seg.hit();
+                return Ok(doc);
             }
-        };
-        // Miss, stale, or collision: read outside the lock (large files,
-        // slow disks), and build the head there too.
+        }
+        // Miss, stale, or collision: read outside the lock.
         seg.miss();
-        let doc = self.build(path, Bytes::from(std::fs::read(full)?), mtime);
-        if collided {
-            // Leave the resident entry in place — two documents fighting
-            // over one slot would just thrash it. The loser of the slot is
-            // served from disk, correctly, every time.
+        Ok(self.insert(key, path, Bytes::from(std::fs::read(full)?), mtime))
+    }
+
+    /// The one way a document enters the cache: `body`, read at `mtime`,
+    /// with its head built (outside the lock), cached under `key` unless
+    /// the slot holds another path. The inline read, the worker's read and
+    /// [`FileCache::read`] all end here.
+    pub(crate) fn insert(
+        &self,
+        key: FileId,
+        path: &str,
+        body: Bytes,
+        mtime: SystemTime,
+    ) -> Document {
+        let head = Head::of(&document(self.node, path, body.clone(), Some(mtime)));
+        let doc = Document { body, mtime, head };
+        let seg = self.stripes.segment(key);
+        if seg.lock().peek(key).is_some_and(|e| e.path != path) {
+            // Hash collision: leave the resident entry in place — two
+            // documents fighting over one slot would just thrash it. The
+            // loser of the slot is served from disk, correctly, every time.
             self.collisions.fetch_add(1, Ordering::Relaxed);
         } else {
             // Replaces a stale entry; a body over the segment's share is
@@ -243,7 +253,7 @@ impl FileCache {
             let size = doc.body.len() as u64;
             seg.put(key, size, Entry { doc: doc.clone(), path: path.to_string() });
         }
-        Ok(doc)
+        doc
     }
 
     /// Look up a resident body by key — no filesystem stat, no disk
@@ -274,6 +284,8 @@ impl std::fmt::Debug for FileCache {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     fn tmpfile(tag: &str, contents: &[u8]) -> std::path::PathBuf {
@@ -395,6 +407,37 @@ mod tests {
         assert_eq!(cache.collisions(), 2);
         let _ = std::fs::remove_file(&fa);
         let _ = std::fs::remove_file(&fb);
+    }
+
+    #[test]
+    fn insert_keeps_the_resident_entry_on_a_collision_and_replaces_a_stale_one() {
+        let cache = FileCache::with_segments(64, 1);
+        let key = FileId(0xdead_beef);
+        let (old, new) = (SystemTime::UNIX_EPOCH, SystemTime::UNIX_EPOCH + Duration::from_secs(9));
+        let alpha = cache.insert(key, "/alpha", Bytes::from_static(b"alpha one"), old);
+        assert_eq!(cache.peek(key, "/alpha").unwrap().body, alpha.body);
+        // Same key, another path: served its own bytes and head, counted,
+        // and the resident entry stays.
+        let beta = cache.insert(key, "/beta", Bytes::from_static(b"BETA"), new);
+        assert_eq!(&beta.body[..], b"BETA");
+        let tail = String::from_utf8_lossy(beta.head.after_gap()).into_owned();
+        assert!(tail.contains("Content-Length: 4\r\n"), "{tail}");
+        assert_eq!(cache.collisions(), 1);
+        assert!(cache.peek(key, "/beta").is_none(), "a colliding body replaced the entry");
+        assert_eq!(cache.peek(key, "/alpha").unwrap().mtime, old);
+        // The same path at a newer mtime replaces its stale entry.
+        cache.insert(key, "/alpha", Bytes::from_static(b"alpha two"), new);
+        let fresh = cache.peek(key, "/alpha").unwrap();
+        assert_eq!((&fresh.body[..], fresh.mtime), (&b"alpha two"[..], new));
+        assert_eq!((cache.collisions(), cache.used()), (1, 9));
+        // A body over the stripe's share is served, not cached, and its
+        // stale entry goes all the same.
+        let big = cache.insert(key, "/alpha", Bytes::from(vec![b'z'; 65]), old);
+        assert_eq!(big.body.len(), 65);
+        assert!(cache.peek(key, "/alpha").is_none());
+        assert_eq!(cache.used(), 0);
+        // Inserting counts nothing: the request's lookup counted its miss.
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
     }
 
     #[test]

@@ -2,20 +2,23 @@
 //!
 //! The §3.2 pipeline is one pipeline, split where it can first block.
 //! [`first_look`] is everything that cannot: steps 1–3, the
-//! fulfillments that are memory only, a large document whose pages are
-//! all in the OS page cache (streamed from its fd), and handlers that
-//! declare they cannot block and whose class has measured cheap. It ends
-//! in a reply, or in a [`Continuation`] carrying what it computed into
-//! the part that can sleep (disk reads, every other handler invocation,
-//! status renders, reading a cold large document in). A
-//! reactor loop thread runs the first look on the shard that parsed the
-//! request and sends only continuations to the worker pool; a
+//! fulfillments that are memory only, a document whose pages are all in
+//! the OS page cache — read and cached if small, streamed from its fd if
+//! large — and handlers that declare they cannot block and whose class
+//! has measured cheap. It ends in a reply, or in a [`Continuation`]
+//! carrying what it computed into the part that can sleep (disk reads,
+//! every other handler invocation, status renders). A document the
+//! first look could not serve is opened once: the continuation carries
+//! the open file, its size and its mtime to the worker, which reads from
+//! that fd. A reactor loop thread runs the first look on the shard that
+//! parsed the request and sends only continuations to the worker pool; a
 //! worker that is handed a whole request ([`respond_parts`]) runs the
 //! same two stages back to back.
 
 use std::fs::File;
 use std::io::{Read, Seek};
 use std::os::fd::AsRawFd;
+use std::os::unix::fs::FileExt;
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -23,6 +26,7 @@ use bytes::Bytes;
 use sweb_cluster::{FileId, NodeId, Placement};
 use sweb_core::{AdmitClass, Decision, RequestClass, RequestInfo};
 use sweb_http::{Method, Request, Response, StatusCode};
+use sweb_reactor::sys::page_cached;
 use sweb_telemetry::Phase;
 
 use crate::dynamic::DynamicHandler;
@@ -33,6 +37,17 @@ use crate::node::NodeShared;
 /// `FileCache`: it streams from its fd (`sendfile`) out of the OS page
 /// cache. Below it the fd bookkeeping costs more than the copy it saves.
 const SENDFILE_MIN: u64 = 256 << 10;
+
+/// A `FileCache` miss this small, all in the OS page cache, is read on
+/// the loop thread instead of a worker. The hop it saves is two
+/// cross-thread wake-ups: a round trip to a sleeping thread reads 33 µs at
+/// p50 on a 2-vCPU box (kernel 6.18). One positioned read into a fresh
+/// buffer there reads, at p50: 0.4 µs at 4 KiB, 0.8 µs at 16 KiB, 1.9 µs
+/// at 32 KiB, 4.2 µs at 64 KiB and 17 µs at 256 KiB. Up to 16 KiB the copy
+/// costs about what the first look's `statx` does; past it the cost per
+/// byte more than doubles, and every other connection on the shard waits
+/// behind it. So the bound is the knee, 16 KiB, not a workload's sizes.
+const READ_INLINE_MAX: u64 = 16 << 10;
 
 /// A non-blocking handler runs on the loop thread only while its class's
 /// measured p99 (`sweb_dynamic_tcpu_us`) is at most this. It is a bucket
@@ -111,9 +126,9 @@ struct Serve {
 enum Target {
     /// A document under the docroot, with the mtime its stat read. `hit`
     /// is the resident document the request's one cache lookup found, if
-    /// it was cached at that mtime. `opened` is a large document the
-    /// first look opened and found not all in the page cache: the worker
-    /// reads it in from this fd rather than opening it again.
+    /// it was cached at that mtime. `opened` is the file the first look
+    /// opened and left to a worker: the worker reads from this fd rather
+    /// than opening it again.
     Document { modified: Option<SystemTime>, hit: Option<Document>, opened: Option<File> },
     /// A registered handler. `key` is its response-cache key, once
     /// [`Serve::try_memory`] has asked for it.
@@ -133,12 +148,12 @@ pub(crate) fn respond_parts(shared: &NodeShared, req: &Request, body: &[u8]) -> 
 
 /// The part of the pipeline that cannot block: preprocess, analyze,
 /// schedule (steps 1–3), then the fulfillments that are memory only — a
-/// resident document, a dynamic-cache hit, a large document all in the
-/// OS page cache — or a short computation: a handler that cannot block,
-/// of a class measured cheap. Its budget is one `stat`, short locks and
-/// computation, plus one `open` and one `cachestat` for a large
-/// document, so a reactor loop thread can run it between two socket
-/// events.
+/// resident document, a dynamic-cache hit, a document all in the OS page
+/// cache — or a short computation: a handler that cannot block, of a
+/// class measured cheap. Its budget is one `stat`, short locks and
+/// computation, plus, for a document the `FileCache` misses, one `open`,
+/// one `cachestat` and, up to [`READ_INLINE_MAX`], one positioned read,
+/// so a reactor loop thread can run it between two socket events.
 ///
 /// Every response carries an `X-SWEB-Trace` header: the id the request
 /// arrived with (carried through a 302 hop as a `sweb-trace` query
@@ -305,7 +320,7 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
             .try_memory(shared, req, body)
             .or_else(|| serve.try_cheap(shared, req, body))
             .map(|resp| (resp, None))
-            .or_else(|| serve.try_stream(shared));
+            .or_else(|| serve.try_open(shared));
         if let Some(parts) = inline {
             serve.fetched(shared, fetch_started);
             return Look::Done(parts);
@@ -350,12 +365,19 @@ impl Continuation {
 impl Serve {
     /// Memory-only fulfillment: the resident document the request's
     /// lookup found (body and head as its entry holds them), or a
-    /// dynamic-cache hit.
+    /// dynamic-cache hit. A document below [`SENDFILE_MIN`] that is not
+    /// resident counts its `FileCache` miss here, once, wherever it is
+    /// then read.
     fn try_memory(&mut self, shared: &NodeShared, req: &Request, body: &[u8]) -> Option<Response> {
         self.probed = true;
         match &mut self.target {
             Target::Document { hit, .. } => {
-                let doc = hit.take()?;
+                let Some(doc) = hit.take() else {
+                    if self.size < SENDFILE_MIN {
+                        shared.file_cache.miss(self.file);
+                    }
+                    return None;
+                };
                 shared.file_cache.touch(self.file);
                 Some(doc.reply())
             }
@@ -390,19 +412,28 @@ impl Serve {
             .then(|| invoke(shared, handler.as_ref(), key.as_deref(), req, body))
     }
 
-    /// A document of at least [`SENDFILE_MIN`] all in the OS page cache,
-    /// opened for the loop to `sendfile` without waiting on the disk. A
-    /// cold range, or no `cachestat`, leaves the reading in to a worker,
-    /// with the file already open.
-    fn try_stream(&mut self, shared: &NodeShared) -> Option<Parts> {
+    /// A document the cache missed, opened once, and served here when
+    /// that cannot wait on the disk: one of at most [`READ_INLINE_MAX`]
+    /// all in the OS page cache is read with one positioned read and
+    /// cached under the stat's mtime, one of at least [`SENDFILE_MIN`] all
+    /// in it is streamed from its fd. Anything else — a size between the
+    /// two, a cold range, no `cachestat`, a short read, no mtime — leaves
+    /// the read to a worker, with the file already open. Called after
+    /// [`Serve::try_memory`] missed.
+    fn try_open(&mut self, shared: &NodeShared) -> Option<Parts> {
         let Target::Document { modified, opened, .. } = &mut self.target else { return None };
-        if self.size < SENDFILE_MIN {
-            return None;
-        }
         let file = File::open(shared.docroot.join(relative(&self.path))).ok()?;
-        if let Ok(true) = sweb_reactor::sys::page_cached(file.as_raw_fd(), self.size) {
+        let large = self.size >= SENDFILE_MIN;
+        let inline = large || self.size <= READ_INLINE_MAX;
+        if inline && matches!(page_cached(file.as_raw_fd(), self.size), Ok(true)) {
             let modified = *modified;
-            return Some(self.streamed(shared, file, modified));
+            if large {
+                return Some(self.streamed(shared, file, modified));
+            }
+            if let (Some(mtime), Ok(body)) = (modified, read_body(&file, self.size)) {
+                let doc = shared.file_cache.insert(self.file, &self.path, body, mtime);
+                return Some((doc.reply(), None));
+            }
         }
         *opened = Some(file);
         None
@@ -461,35 +492,47 @@ impl Serve {
             }
             Target::Document { modified, opened, .. } => (*modified, opened.take()),
         };
-        // The full path is built here, where a read or an open needs it.
-        let full = shared.docroot.join(relative(&self.path));
+        // The file the first look opened, if it did; a retry, or a request
+        // the first look left unopened, opens it here.
+        let mut open = || match opened.take() {
+            Some(file) => Ok(file),
+            None => File::open(shared.docroot.join(relative(&self.path))),
+        };
+        let failed = || (Response::error(StatusCode::InternalServerError), None);
         // One size rule: a large document streams from its fd, and the
         // FileCache keeps the smaller bodies repeat requests share.
         if self.size >= SENDFILE_MIN {
-            let resident = read_with_retry(shared, || {
-                let file = match opened.take() {
-                    Some(file) => file,
-                    None => File::open(&full)?,
-                };
-                read_in(file, self.size)
-            });
-            return match resident {
+            return match read_with_retry(shared, || read_in(open()?, self.size)) {
                 Ok(file) => self.streamed(shared, file, modified),
-                Err(_) => (Response::error(StatusCode::InternalServerError), None),
+                Err(_) => failed(),
             };
         }
-        match read_with_retry(shared, || shared.file_cache.load(&self.path, &full)) {
-            Ok(doc) => (doc.reply(), None),
-            Err(_) => (Response::error(StatusCode::InternalServerError), None),
-        }
+        let Ok(body) = read_with_retry(shared, || read_body(&open()?, self.size)) else {
+            return failed();
+        };
+        let resp = match modified {
+            Some(mtime) => shared.file_cache.insert(self.file, &self.path, body, mtime).reply(),
+            // No mtime to check a later hit against: served, not cached.
+            None => document(shared.id, &self.path, body, None),
+        };
+        (resp, None)
     }
+}
+
+/// The first `len` bytes of `file`, read from offset 0 — the size the
+/// first look's stat read, so a file that grew since is cut there and
+/// one that shrank is an error.
+fn read_body(file: &File, len: u64) -> std::io::Result<Bytes> {
+    let mut body = vec![0; len as usize];
+    file.read_exact_at(&mut body, 0)?;
+    Ok(body.into())
 }
 
 /// `file` with its first `len` bytes in the OS page cache, reading a
 /// cold range through once, into nothing, so the loop's `sendfile` never
 /// waits on the disk for it. Blocks: a worker's job.
 fn read_in(mut file: File, len: u64) -> std::io::Result<File> {
-    if let Ok(false) = sweb_reactor::sys::page_cached(file.as_raw_fd(), len) {
+    if let Ok(false) = page_cached(file.as_raw_fd(), len) {
         std::io::copy(&mut (&file).take(len), &mut std::io::sink())?;
         file.rewind()?;
     }
@@ -633,10 +676,17 @@ mod tests {
         let cfg = crate::ClusterConfig { shards: 1, ..crate::ClusterConfig::default() };
         let cluster = crate::LiveCluster::start(1, dir.clone(), cfg).unwrap();
         let node = cluster.node(0);
+        // A document just written is all in the page cache, so a miss is
+        // read on the loop; without `cachestat` it takes the pool.
+        let cachestat = page_cached(File::open(&page).unwrap().as_raw_fd(), 1).is_ok();
+        let miss_reply = || {
+            let inline = inline_reply(node, "/page.html");
+            assert_eq!(inline.is_some(), cachestat, "a resident miss is inline");
+            inline.unwrap_or_else(|| pooled_reply(node, "/page.html"))
+        };
 
         // The miss builds the entry, and is served with the entry's head.
-        assert!(inline_reply(node, "/page.html").is_none(), "a miss goes to the pool");
-        let miss = pooled_reply(node, "/page.html");
+        let miss = miss_reply();
         let head = |resp: &Response| resp.shared_head.clone().expect("a document's head is shared");
         let entry_head = head(&miss);
         let a = inline_reply(node, "/page.html").expect("a resident hit is inline");
@@ -655,8 +705,8 @@ mod tests {
         std::fs::write(&page, "version two").unwrap();
         let new = old + Duration::from_secs(3_600);
         std::fs::File::options().write(true).open(&page).unwrap().set_modified(new).unwrap();
-        assert!(inline_reply(node, "/page.html").is_none(), "a stale entry is a miss");
-        let reread = pooled_reply(node, "/page.html");
+        // A stale entry is a miss: re-read, inline, into a new entry.
+        let reread = miss_reply();
         let rebuilt = head(&reread);
         assert_ne!(rebuilt.before_gap().as_ptr(), entry_head.before_gap().as_ptr());
         let c = inline_reply(node, "/page.html").expect("the new entry is a hit");

@@ -1,14 +1,15 @@
 //! The inline first look against the worker path, end to end.
 //!
 //! A reactor loop thread answers whatever cannot block — resident
-//! documents, large documents all in the OS page cache (streamed from
-//! their fd), dynamic-cache hits, 302s, 304s, 4xx, and non-blocking
-//! handlers whose class has measured cheap — without a worker;
-//! everything else, and *every* request while a fault plan is active,
-//! takes the pool. The two paths run one pipeline, so they must agree:
-//! byte for byte on the wire, count for count in the metrics, bump for
-//! bump in the load table — and the admission controller, which only
-//! hears from the pool, must still recover while inline traffic flows.
+//! documents, small documents all in the OS page cache (read there and
+//! cached), large ones all in it (streamed from their fd), dynamic-cache
+//! hits, 302s, 304s, 4xx, and non-blocking handlers whose class has
+//! measured cheap — without a worker; everything else, and *every*
+//! request while a fault plan is active, takes the pool. The two paths
+//! run one pipeline, so they must agree: byte for byte on the wire,
+//! count for count in the metrics, bump for bump in the load table — and
+//! the admission controller, which only hears from the pool, must still
+//! recover while inline traffic flows.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -85,6 +86,14 @@ fn raw(base_url: &str, request: &str) -> String {
 
 fn get(base_url: &str, path: &str) -> String {
     raw(base_url, &format!("GET {path} HTTP/1.0\r\n\r\n"))
+}
+
+/// Whether this kernel answers `cachestat(2)` on `path`. Without it no
+/// page counts as resident, and every document the cache misses takes
+/// the pool.
+fn has_cachestat(path: &std::path::Path) -> bool {
+    let file = std::fs::File::open(path).unwrap();
+    sweb_reactor::sys::page_cached(file.as_raw_fd(), 1).is_ok()
 }
 
 fn status_of(reply: &str) -> u16 {
@@ -209,6 +218,7 @@ fn placed_docs(dir: &std::path::Path) -> (Vec<String>, String) {
 fn inline_and_pool_paths_agree_on_bytes_and_counts() {
     let dir = fresh_dir("script");
     let (local, remote) = placed_docs(&dir);
+    let cachestat = has_cachestat(&dir.join(&local[0][1..]));
     let requests = script(&local, &remote);
     assert_eq!(requests.len(), 20);
     let run = |plan: Option<FaultPlan>| {
@@ -241,12 +251,15 @@ fn inline_and_pool_paths_agree_on_bytes_and_counts() {
     // The POST is never looked up: nobody can reuse its reply.
     assert_eq!((inline_counts.dynamic_hits, inline_counts.dynamic_misses), (1, 1));
     assert_eq!((inline_counts.redirected, inline_counts.received_redirects), (1, 1));
-    // Inline: both hits and the HEAD and keep-alive ones, the 304, five
-    // 4xx/501, the dynamic hit and the 302. To the pool: four document
-    // misses and two handler invocations. The search miss and the POSTed
-    // echo are handlers that cannot block, but each is its class's first
-    // call: an unmeasured class is not trusted on the loop.
-    assert_eq!(inline_answers, 14, "requests answered without a worker");
+    // Inline: the four document misses (each small and just written, so
+    // all in the page cache), both hits and the HEAD and keep-alive ones,
+    // the 304, five 4xx/501, the dynamic hit and the 302. To the pool: two
+    // handler invocations. The search miss and the POSTed echo are
+    // handlers that cannot block, but each is its class's first call: an
+    // unmeasured class is not trusted on the loop. Without `cachestat`
+    // the four misses take the pool too.
+    let expected = if cachestat { 18 } else { 14 };
+    assert_eq!(inline_answers, expected, "requests answered without a worker");
     assert_eq!(pool_answers, 0, "an active fault plan must keep the loop out of it");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -291,6 +304,8 @@ fn a_redirect_bumps_the_chosen_peer_once_on_both_paths() {
 fn rewritten_file_is_served_fresh_by_the_inline_path() {
     let dir = fresh_dir("fresh");
     std::fs::write(dir.join("page.html"), "version one").unwrap();
+    // Without `cachestat` each miss takes the pool instead.
+    let read_inline = u64::from(has_cachestat(&dir.join("page.html")));
     let cluster = LiveCluster::start(1, dir.clone(), config(None)).unwrap();
     let node = cluster.node(0);
     let fetch = || {
@@ -300,18 +315,22 @@ fn rewritten_file_is_served_fresh_by_the_inline_path() {
     };
     assert_eq!(fetch(), "version one");
     assert_eq!(fetch(), "version one");
-    assert_eq!(node.reactor.counters.inline.get(), 1, "the resident copy is served inline");
+    assert_eq!(
+        node.reactor.counters.inline.get(),
+        read_inline + 1,
+        "the miss is read inline, the resident copy served inline"
+    );
     // Rewrite with a strictly newer mtime.
     std::thread::sleep(Duration::from_millis(20));
     std::fs::write(dir.join("page.html"), "version two, longer").unwrap();
     assert_eq!(fetch(), "version two, longer", "stale body served");
     assert_eq!(
         node.reactor.counters.inline.get(),
-        1,
-        "a stale entry is a miss: re-read on the pool"
+        2 * read_inline + 1,
+        "a stale entry is a miss: re-read inline from the page cache"
     );
     assert_eq!(fetch(), "version two, longer");
-    assert_eq!(node.reactor.counters.inline.get(), 2);
+    assert_eq!(node.reactor.counters.inline.get(), 2 * read_inline + 2);
     assert_eq!((node.file_cache.hits(), node.file_cache.misses()), (2, 2));
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -616,8 +635,7 @@ fn large_body(len: usize) -> String {
 fn a_large_document_agrees_inline_and_on_the_pool() {
     let dir = fresh_dir("large");
     std::fs::write(dir.join("big.txt"), large_body(300 << 10)).unwrap();
-    let probe = std::fs::File::open(dir.join("big.txt")).unwrap();
-    let cachestat = sweb_reactor::sys::page_cached(probe.as_raw_fd(), 300 << 10).is_ok();
+    let cachestat = has_cachestat(&dir.join("big.txt"));
     let requests = [
         "GET /big.txt HTTP/1.0\r\n\r\n",
         "HEAD /big.txt HTTP/1.0\r\n\r\n",
@@ -712,6 +730,67 @@ fn a_cold_large_document_is_read_in_on_a_worker_then_streamed_inline() {
         assert_eq!(second_inline, 1, "the worker read it in: the repeat streams inline");
     }
     assert_eq!(node.reactor.counters.sendfile.get(), 2);
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Fetch `path` from node 0, returning the reply and how many inline
+/// answers it added.
+fn fetch_counted(cluster: &LiveCluster, path: &str) -> (String, u64) {
+    let inline = || cluster.node(0).reactor.counters.inline.get();
+    let before = inline();
+    let reply = get(cluster.base_url(0), path);
+    assert_eq!(status_of(&reply), 200, "{reply}");
+    (reply, inline() - before)
+}
+
+/// A small document the cache misses but the OS page cache holds is read
+/// on the loop: its first request is answered without a worker and builds
+/// the entry its repeat is served from.
+#[test]
+fn a_small_document_in_the_page_cache_is_read_inline_on_its_first_request() {
+    let dir = fresh_dir("small");
+    let body = large_body(4 << 10);
+    std::fs::write(dir.join("small.txt"), &body).unwrap();
+    let cachestat = has_cachestat(&dir.join("small.txt"));
+    let cluster = LiveCluster::start(1, dir.clone(), config(None)).unwrap();
+    let node = cluster.node(0);
+    let (first, first_inline) = fetch_counted(&cluster, "/small.txt");
+    assert!(body_of(&first) == body, "the inline read corrupted or truncated the body");
+    if cachestat {
+        assert_eq!(first_inline, 1, "a resident miss is read on the loop");
+    }
+    assert_eq!((node.file_cache.hits(), node.file_cache.misses()), (0, 1));
+    assert!(node.file_cache.resident("/small.txt"), "the miss did not build an entry");
+    let (second, second_inline) = fetch_counted(&cluster, "/small.txt");
+    assert_eq!(second_inline, 1, "the repeat is a resident hit");
+    // The hit is served with the head the miss built its entry with.
+    assert_eq!(normalized(&second, &cluster), normalized(&first, &cluster));
+    assert_eq!((node.file_cache.hits(), node.file_cache.misses()), (1, 1));
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The cold twin: a small document whose pages are not in memory is read
+/// on a worker, from the fd the first look opened, and cached there; its
+/// repeat is a resident hit on the loop.
+#[test]
+fn a_cold_small_document_is_read_on_a_worker_then_served_inline() {
+    let dir = fresh_dir("cold-small");
+    let body = large_body(4 << 10);
+    let cold = write_cold(&dir.join("cold.txt"), &body);
+    let cluster = LiveCluster::start(1, dir.clone(), config(None)).unwrap();
+    let node = cluster.node(0);
+    let (first, first_inline) = fetch_counted(&cluster, "/cold.txt");
+    let (second, second_inline) = fetch_counted(&cluster, "/cold.txt");
+    assert!(body_of(&first) == body, "the worker's read corrupted or truncated the body");
+    assert!(body_of(&second) == body, "the cached body differs from the worker's read");
+    // Skipped where the kernel has no `cachestat` or the pages stayed.
+    if cold == Some(true) {
+        assert_eq!(first_inline, 0, "a cold document must take the pool");
+    }
+    assert_eq!(second_inline, 1, "the worker cached it: the repeat is inline");
+    assert_eq!((node.file_cache.hits(), node.file_cache.misses()), (1, 1));
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
