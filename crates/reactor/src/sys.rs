@@ -342,7 +342,8 @@ pub fn page_cached(fd: RawFd, len: u64) -> io::Result<bool> {
 // Looking up documents relative to an open directory.
 // ------------------------------------------------------------------
 
-/// Open the directory `path` for lookups relative to it ([`stat_at`]):
+/// Open the directory `path` for lookups relative to it ([`stat_at`],
+/// [`open_at`]):
 /// `O_PATH | O_DIRECTORY | O_CLOEXEC`, so it needs no read permission
 /// and can be used for nothing else.
 pub fn open_dir(path: &std::path::Path) -> io::Result<std::fs::File> {
@@ -404,19 +405,11 @@ const _: () = assert!(std::mem::size_of::<Statx>() == 256);
 /// Longest relative path [`stat_at`] takes (`PATH_MAX`, NUL included).
 const PATH_MAX: usize = 4096;
 
-/// `stat(2)` of `rel`, relative to the directory `dir` ([`open_dir`]),
-/// following symlinks: one `statx(2)` asking for the type, the size and
-/// the mtime, with the path NUL-terminated in a stack buffer. A path with
-/// a NUL in it fails `InvalidInput`, one too long `ENAMETOOLONG`.
-pub fn stat_at(dir: RawFd, rel: &str) -> io::Result<FileStat> {
-    extern "C" {
-        fn statx(dirfd: i32, path: *const u8, flags: i32, mask: u32, buf: *mut Statx) -> i32;
-    }
-    const STATX_TYPE: u32 = 0x1;
-    const STATX_MTIME: u32 = 0x40;
-    const STATX_SIZE: u32 = 0x200;
-    const S_IFMT: u16 = 0o170000;
-    const S_IFREG: u16 = 0o100000;
+/// `syscall` called with `rel` NUL-terminated in a stack buffer, for a
+/// syscall that reads a path no further than its NUL. The buffer lives in
+/// this frame, so no path is copied or allocated. A path with a NUL in it
+/// fails `InvalidInput`, one too long `ENAMETOOLONG`.
+fn with_c_path<T>(rel: &str, syscall: impl FnOnce(*const u8) -> T) -> io::Result<T> {
     const ENAMETOOLONG: i32 = 36;
     if rel.len() >= PATH_MAX {
         return Err(io::Error::from_raw_os_error(ENAMETOOLONG));
@@ -428,13 +421,28 @@ pub fn stat_at(dir: RawFd, rel: &str) -> io::Result<FileStat> {
     for (slot, &b) in path.iter_mut().zip(rel.as_bytes().iter().chain(&[0])) {
         slot.write(b);
     }
+    Ok(syscall(path.as_ptr().cast()))
+}
+
+/// `stat(2)` of `rel`, relative to the directory `dir` ([`open_dir`]),
+/// following symlinks: one `statx(2)` asking for the type, the size and
+/// the mtime. A path with a NUL in it fails `InvalidInput`, one too long
+/// `ENAMETOOLONG`.
+pub fn stat_at(dir: RawFd, rel: &str) -> io::Result<FileStat> {
+    extern "C" {
+        fn statx(dirfd: i32, path: *const u8, flags: i32, mask: u32, buf: *mut Statx) -> i32;
+    }
+    const STATX_TYPE: u32 = 0x1;
+    const STATX_MTIME: u32 = 0x40;
+    const STATX_SIZE: u32 = 0x200;
+    const S_IFMT: u16 = 0o170000;
+    const S_IFREG: u16 = 0o100000;
     let mut stx = Statx::default();
-    // SAFETY: `path` holds `rel` and a NUL, written just above, and the
-    // kernel reads no further than the NUL; it writes one `struct statx`
-    // into `stx`, which is laid out as its ABI and live for the call.
-    let rc = unsafe {
-        statx(dir, path.as_ptr().cast(), 0, STATX_TYPE | STATX_SIZE | STATX_MTIME, &mut stx)
-    };
+    let mask = STATX_TYPE | STATX_SIZE | STATX_MTIME;
+    // SAFETY: `path` holds `rel` and a NUL (`with_c_path`), and the kernel
+    // reads no further than the NUL; it writes one `struct statx` into
+    // `stx`, which is laid out as its ABI and live for the call.
+    let rc = with_c_path(rel, |path| unsafe { statx(dir, path, 0, mask, &mut stx) })?;
     if rc < 0 {
         return Err(io::Error::last_os_error());
     }
@@ -450,6 +458,27 @@ pub fn stat_at(dir: RawFd, rel: &str) -> io::Result<FileStat> {
         len: stx.size,
         modified: modified.flatten(),
     })
+}
+
+/// Open `rel`, relative to the directory `dir` ([`open_dir`]), for
+/// reading: one `openat(2)` with `O_RDONLY | O_CLOEXEC`, following
+/// symlinks, where `File::open` of the joined path would build the path
+/// and walk it from the root. A path with a NUL in it fails
+/// `InvalidInput`, one too long `ENAMETOOLONG`.
+pub fn open_at(dir: RawFd, rel: &str) -> io::Result<std::fs::File> {
+    extern "C" {
+        fn openat(dirfd: i32, path: *const u8, flags: i32, ...) -> i32;
+    }
+    const O_RDONLY: i32 = 0;
+    const O_CLOEXEC: i32 = 0o2000000;
+    // SAFETY: `path` holds `rel` and a NUL (`with_c_path`), and the kernel
+    // reads no further than the NUL. A non-negative return is the file
+    // just opened, owned by nothing else.
+    let opened = with_c_path(rel, |path| unsafe {
+        let fd = openat(dir, path, O_RDONLY | O_CLOEXEC);
+        (fd >= 0).then(|| std::fs::File::from_raw_fd(fd))
+    })?;
+    opened.ok_or_else(io::Error::last_os_error)
 }
 
 // ------------------------------------------------------------------
@@ -749,6 +778,29 @@ mod tests {
         assert!(stat_at(fd.as_raw_fd(), "a\0b").is_err());
         assert!(stat_at(fd.as_raw_fd(), &"x".repeat(PATH_MAX)).is_err());
         assert!(open_dir(&dir.join("sub/doc.txt")).is_err(), "O_DIRECTORY refuses a file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_at_opens_relative_to_the_directory_close_on_exec() {
+        use std::io::Read;
+        const O_ACCMODE: u32 = 0o3;
+        const O_CLOEXEC: u32 = 0o2000000;
+        let dir = std::env::temp_dir().join(format!("sweb-openat-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        std::fs::write(dir.join("sub/doc.txt"), b"twelve bytes").unwrap();
+        let fd = open_dir(&dir).unwrap();
+        let mut file = open_at(fd.as_raw_fd(), "sub/doc.txt").unwrap();
+        let flags = fd_flags(file.as_raw_fd());
+        assert_ne!(flags & O_CLOEXEC, 0, "FD_CLOEXEC unset: flags {flags:o}");
+        assert_eq!(flags & O_ACCMODE, 0, "read-only: flags {flags:o}");
+        let mut body = String::new();
+        file.read_to_string(&mut body).unwrap();
+        assert_eq!(body, "twelve bytes");
+        let missing = open_at(fd.as_raw_fd(), "sub/none").unwrap_err();
+        assert_eq!(missing.kind(), io::ErrorKind::NotFound);
+        assert!(open_at(fd.as_raw_fd(), "a\0b").is_err());
+        assert!(open_at(fd.as_raw_fd(), &"x".repeat(PATH_MAX)).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

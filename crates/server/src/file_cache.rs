@@ -2,12 +2,12 @@
 //! simulator models, made explicit (extension; NCSA httpd 1.3 relied on
 //! the OS buffer cache and re-`read()` per request).
 //!
-//! The server keeps only documents below 256 KiB here: a larger one
+//! The server keeps only documents of at most 32 KiB here: a larger one
 //! streams from the OS page cache (`sendfile`), so it is in no stripe.
 //! [`FileCache::read`] still takes any size. The server reads a miss
-//! itself — on the loop thread when it is small and all in the page
-//! cache, else on a worker, from the fd the loop opened — under the mtime
-//! of the request's own `stat`; every body enters through one routine
+//! itself — on the loop thread when it is all in the page cache, else on
+//! a worker, from the fd the loop opened — under the mtime of the
+//! request's own `stat`; every body enters through one routine
 //! (`FileCache::insert`), which [`FileCache::read`] uses too, so the
 //! collision and stale-entry rules are written once.
 //!

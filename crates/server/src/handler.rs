@@ -33,21 +33,26 @@ use crate::dynamic::DynamicHandler;
 use crate::file_cache::{document, Document};
 use crate::node::NodeShared;
 
-/// A document this large is never copied into user space or into the
-/// `FileCache`: it streams from its fd (`sendfile`) out of the OS page
-/// cache. Below it the fd bookkeeping costs more than the copy it saves.
-const SENDFILE_MIN: u64 = 256 << 10;
-
-/// A `FileCache` miss this small, all in the OS page cache, is read on
-/// the loop thread instead of a worker. The hop it saves is two
-/// cross-thread wake-ups: a round trip to a sleeping thread reads 33 µs at
-/// p50 on a 2-vCPU box (kernel 6.18). One positioned read into a fresh
-/// buffer there reads, at p50: 0.4 µs at 4 KiB, 0.8 µs at 16 KiB, 1.9 µs
-/// at 32 KiB, 4.2 µs at 64 KiB and 17 µs at 256 KiB. Up to 16 KiB the copy
-/// costs about what the first look's `statx` does; past it the cost per
-/// byte more than doubles, and every other connection on the shard waits
-/// behind it. So the bound is the knee, 16 KiB, not a workload's sizes.
-const READ_INLINE_MAX: u64 = 16 << 10;
+/// The one size rule for documents. One of at most this many bytes lives
+/// in the `FileCache`: a miss whose pages are all in the OS page cache is
+/// read on the loop thread with one positioned read, a cold one on a
+/// worker. A larger one never enters user space: it streams from its fd
+/// (`sendfile`) out of the page cache, from the loop when every page is
+/// resident, else once a worker has read it in.
+///
+/// Reading on the loop saves a worker hop, two cross-thread wake-ups: a
+/// round trip to a sleeping thread reads 33 µs at p50 on a 2-vCPU box
+/// (kernel 6.18). One positioned read into a fresh buffer there reads, at
+/// p50: 0.4 µs at 4 KiB, 0.8 µs at 16 KiB, 1.9 µs at 32 KiB, 4.2 µs at
+/// 64 KiB and 17 µs at 256 KiB. Streaming copies nothing, but every reply,
+/// hit or not, pays an `openat` + `close` (1.6 µs), a `cachestat` and a
+/// second send call. Below the bound that costs more than the copy it
+/// saves; above it a node's copy only duplicates bytes the one page cache
+/// already holds. The bound is the smallest of 16, 32 and 64 KiB that cost
+/// no end-to-end ratio on `cluster_mixed`: at 16 KiB the median latency
+/// ratio rose 2.7%, more than the spread between runs (EXPERIMENTS.md,
+/// *One size rule for documents*).
+const CACHE_MAX: u64 = 32 << 10;
 
 /// A non-blocking handler runs on the loop thread only while its class's
 /// measured p99 (`sweb_dynamic_tcpu_us`) is at most this. It is a bucket
@@ -151,8 +156,8 @@ pub(crate) fn respond_parts(shared: &NodeShared, req: &Request, body: &[u8]) -> 
 /// resident document, a dynamic-cache hit, a document all in the OS page
 /// cache — or a short computation: a handler that cannot block, of a
 /// class measured cheap. Its budget is one `stat`, short locks and
-/// computation, plus, for a document the `FileCache` misses, one `open`,
-/// one `cachestat` and, up to [`READ_INLINE_MAX`], one positioned read,
+/// computation, plus, for a document the `FileCache` misses, one `openat`,
+/// one `cachestat` and, up to [`CACHE_MAX`], one positioned read,
 /// so a reactor loop thread can run it between two socket events.
 ///
 /// Every response carries an `X-SWEB-Trace` header: the id the request
@@ -365,7 +370,7 @@ impl Continuation {
 impl Serve {
     /// Memory-only fulfillment: the resident document the request's
     /// lookup found (body and head as its entry holds them), or a
-    /// dynamic-cache hit. A document below [`SENDFILE_MIN`] that is not
+    /// dynamic-cache hit. A document of at most [`CACHE_MAX`] that is not
     /// resident counts its `FileCache` miss here, once, wherever it is
     /// then read.
     fn try_memory(&mut self, shared: &NodeShared, req: &Request, body: &[u8]) -> Option<Response> {
@@ -373,7 +378,7 @@ impl Serve {
         match &mut self.target {
             Target::Document { hit, .. } => {
                 let Some(doc) = hit.take() else {
-                    if self.size < SENDFILE_MIN {
+                    if self.size <= CACHE_MAX {
                         shared.file_cache.miss(self.file);
                     }
                     return None;
@@ -413,21 +418,19 @@ impl Serve {
     }
 
     /// A document the cache missed, opened once, and served here when
-    /// that cannot wait on the disk: one of at most [`READ_INLINE_MAX`]
-    /// all in the OS page cache is read with one positioned read and
-    /// cached under the stat's mtime, one of at least [`SENDFILE_MIN`] all
-    /// in it is streamed from its fd. Anything else — a size between the
-    /// two, a cold range, no `cachestat`, a short read, no mtime — leaves
-    /// the read to a worker, with the file already open. Called after
-    /// [`Serve::try_memory`] missed.
+    /// that cannot wait on the disk, that is when every page of it is in
+    /// the OS page cache: one of at most [`CACHE_MAX`] is read with one
+    /// positioned read and cached under the stat's mtime, a larger one is
+    /// streamed from its fd. Anything else — a cold range, no
+    /// `cachestat`, a short read, no mtime — leaves the read to a worker,
+    /// with the file already open. Called after [`Serve::try_memory`]
+    /// missed.
     fn try_open(&mut self, shared: &NodeShared) -> Option<Parts> {
         let Target::Document { modified, opened, .. } = &mut self.target else { return None };
-        let file = File::open(shared.docroot.join(relative(&self.path))).ok()?;
-        let large = self.size >= SENDFILE_MIN;
-        let inline = large || self.size <= READ_INLINE_MAX;
-        if inline && matches!(page_cached(file.as_raw_fd(), self.size), Ok(true)) {
+        let file = shared.open(relative(&self.path)).ok()?;
+        if let Ok(true) = page_cached(file.as_raw_fd(), self.size) {
             let modified = *modified;
-            if large {
+            if self.size > CACHE_MAX {
                 return Some(self.streamed(shared, file, modified));
             }
             if let (Some(mtime), Ok(body)) = (modified, read_body(&file, self.size)) {
@@ -496,12 +499,12 @@ impl Serve {
         // the first look left unopened, opens it here.
         let mut open = || match opened.take() {
             Some(file) => Ok(file),
-            None => File::open(shared.docroot.join(relative(&self.path))),
+            None => shared.open(relative(&self.path)),
         };
         let failed = || (Response::error(StatusCode::InternalServerError), None);
         // One size rule: a large document streams from its fd, and the
         // FileCache keeps the smaller bodies repeat requests share.
-        if self.size >= SENDFILE_MIN {
+        if self.size > CACHE_MAX {
             return match read_with_retry(shared, || read_in(open()?, self.size)) {
                 Ok(file) => self.streamed(shared, file, modified),
                 Err(_) => failed(),
@@ -771,15 +774,17 @@ mod tests {
     fn file_cache_evictions_show_in_metrics() {
         let dir = std::env::temp_dir().join(format!("sweb-evict-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        // Nine documents that share one of the 8 stripes of a node's
-        // 16 MiB cache: eight fill its 2 MiB share, the ninth evicts.
+        // Documents of the largest size the cache keeps that share one of
+        // the 8 stripes of a node's 16 MiB cache: `fit` of them fill its
+        // 2 MiB share, one more evicts.
+        let fit = (2 << 20) / CACHE_MAX as usize;
         let spread = crate::striped::Striped::<()>::new(crate::striped::SEGMENTS, 0);
         let stripe = |path: &str| spread.segment(crate::file_cache::key_of(path)) as *const _;
         let home = stripe("/d0.bin");
-        let paths: Vec<String> =
-            (0..).map(|i| format!("/d{i}.bin")).filter(|p| stripe(p) == home).take(9).collect();
+        let same_stripe = (0..).map(|i| format!("/d{i}.bin")).filter(|p| stripe(p) == home);
+        let paths: Vec<String> = same_stripe.take(fit + 1).collect();
         for path in &paths {
-            std::fs::write(dir.join(&path[1..]), vec![b'e'; 240 << 10]).unwrap();
+            std::fs::write(dir.join(&path[1..]), vec![b'e'; CACHE_MAX as usize]).unwrap();
         }
         let cluster = crate::LiveCluster::start(1, dir.clone(), crate::ClusterConfig::default());
         let cluster = cluster.unwrap();
@@ -791,11 +796,11 @@ mod tests {
             let value = line.expect("the series is exported").rsplit(' ').next().unwrap();
             value.parse::<u64>().unwrap()
         };
-        for path in &paths[..8] {
+        for path in &paths[..fit] {
             assert_eq!(pooled_reply(node, path).status, StatusCode::Ok);
         }
-        assert_eq!(evictions(), 0, "eight documents fit the stripe");
-        assert_eq!(pooled_reply(node, &paths[8]).status, StatusCode::Ok);
+        assert_eq!(evictions(), 0, "{fit} documents fit the stripe");
+        assert_eq!(pooled_reply(node, &paths[fit]).status, StatusCode::Ok);
         assert_eq!(evictions(), 1);
         cluster.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

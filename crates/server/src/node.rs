@@ -2,7 +2,6 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -321,10 +320,10 @@ pub struct NodeShared {
     pub oracle: Oracle,
     /// Scheduler configuration.
     pub sweb: SwebConfig,
-    /// Document root (shared across nodes, standing in for NFS).
-    pub docroot: PathBuf,
-    /// The docroot, opened once (`O_PATH`) for this node's own lookups:
-    /// a request's `stat` is relative to it ([`NodeShared::stat`]).
+    /// The document root (shared across nodes, standing in for NFS),
+    /// opened once (`O_PATH`) for this node's own lookups:
+    /// a request's `stat` and `open` are relative to it
+    /// ([`NodeShared::stat`], [`NodeShared::open`]).
     pub docroot_dir: std::fs::File,
     /// Dynamic-content state: the handler registry (shared across nodes,
     /// as NFS-visible binaries would be), the striped response cache, and
@@ -362,6 +361,12 @@ impl NodeShared {
     /// `statx` on [`NodeShared::docroot_dir`], no path built.
     pub fn stat(&self, rel: &str) -> std::io::Result<sweb_reactor::sys::FileStat> {
         sweb_reactor::sys::stat_at(self.docroot_dir.as_raw_fd(), rel)
+    }
+
+    /// The document at `rel`, relative to the docroot, opened for
+    /// reading: one `openat` on [`NodeShared::docroot_dir`].
+    pub fn open(&self, rel: &str) -> std::io::Result<std::fs::File> {
+        sweb_reactor::sys::open_at(self.docroot_dir.as_raw_fd(), rel)
     }
 }
 

@@ -1,10 +1,10 @@
 //! The inline first look against the worker path, end to end.
 //!
 //! A reactor loop thread answers whatever cannot block — resident
-//! documents, small documents all in the OS page cache (read there and
-//! cached), large ones all in it (streamed from their fd), dynamic-cache
-//! hits, 302s, 304s, 4xx, and non-blocking handlers whose class has
-//! measured cheap — without a worker; everything else, and *every*
+//! documents, documents of at most 32 KiB all in the OS page cache (read
+//! there and cached), larger ones all in it (streamed from their fd),
+//! dynamic-cache hits, 302s, 304s, 4xx, and non-blocking handlers whose
+//! class has measured cheap — without a worker; everything else, and *every*
 //! request while a fault plan is active, takes the pool. The two paths
 //! run one pipeline, so they must agree: byte for byte on the wire,
 //! count for count in the metrics, bump for bump in the load table — and
@@ -29,6 +29,10 @@ use sweb_telemetry::Phase;
 
 /// The server's inline budget for a handler class's measured p99 (µs).
 const INLINE_BUDGET_US: u64 = 256;
+
+/// The server's size rule: a document of at most this many bytes is
+/// copied into the `FileCache`, a larger one streams from its fd.
+const CACHE_MAX: usize = 32 << 10;
 
 /// A plan that is active (`Injector::is_active`) and never fires: its one
 /// fault opens an hour after start. An active plan keeps every request on
@@ -633,8 +637,14 @@ fn large_body(len: usize) -> String {
 
 #[test]
 fn a_large_document_agrees_inline_and_on_the_pool() {
-    let dir = fresh_dir("large");
-    std::fs::write(dir.join("big.txt"), large_body(300 << 10)).unwrap();
+    for len in [2 * CACHE_MAX, 300 << 10] {
+        large_document_agrees_inline_and_on_the_pool(len);
+    }
+}
+
+fn large_document_agrees_inline_and_on_the_pool(len: usize) {
+    let dir = fresh_dir(&format!("large-{len}"));
+    std::fs::write(dir.join("big.txt"), large_body(len)).unwrap();
     let cachestat = has_cachestat(&dir.join("big.txt"));
     let requests = [
         "GET /big.txt HTTP/1.0\r\n\r\n",
@@ -652,24 +662,24 @@ fn a_large_document_agrees_inline_and_on_the_pool() {
     let (inline_replies, inline_counts, inline_answers) = run(None);
     let (pool_replies, pool_counts, pool_answers) = run(Some(pool_only()));
     for (i, (inline, pool)) in inline_replies.iter().zip(&pool_replies).enumerate() {
-        assert_eq!(inline, pool, "{:?} differs between the paths", requests[i]);
+        assert_eq!(inline, pool, "{len} B: {:?} differs between the paths", requests[i]);
     }
     let statuses: Vec<u16> = inline_replies.iter().map(|r| status_of(r)).collect();
-    assert_eq!(statuses, [200, 200, 304, 200]);
+    assert_eq!(statuses, [200, 200, 304, 200], "{len} B");
     for reply in [&inline_replies[0], &inline_replies[3]] {
-        assert_eq!(body_of(reply).len(), 300 << 10, "a GET streams the whole document");
+        assert_eq!(body_of(reply).len(), len, "a GET streams the whole document");
     }
     let head = &inline_replies[1];
-    assert!(head.contains("Content-Length: 307200\r\n"), "{head}");
+    assert!(head.contains(&format!("Content-Length: {len}\r\n")), "{head}");
     assert_eq!(body_of(head), "", "a HEAD carries no body");
-    assert_eq!(inline_counts, pool_counts, "the two paths moved the counters differently");
-    assert_eq!((inline_counts.cache_hits, inline_counts.cache_misses), (0, 0));
+    assert_eq!(inline_counts, pool_counts, "{len} B: the two paths moved the counters differently");
+    assert_eq!((inline_counts.cache_hits, inline_counts.cache_misses), (0, 0), "{len} B");
     assert_eq!(inline_counts.received_redirects, 1);
     // Every one of them on the loop: the GETs and the HEAD stream from
     // the page cache (a file just written is in it), the 304 is the stat's.
     // Without `cachestat` only the 304 is.
     let expected = if cachestat { 4 } else { 1 };
-    assert_eq!(inline_answers, expected, "requests answered without a worker");
+    assert_eq!(inline_answers, expected, "{len} B: requests answered without a worker");
     assert_eq!(pool_answers, 0, "an active fault plan must keep the loop out of it");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -700,8 +710,14 @@ fn write_cold(path: &std::path::Path, body: &str) -> Option<bool> {
 /// is resident the loop streams it.
 #[test]
 fn a_cold_large_document_is_read_in_on_a_worker_then_streamed_inline() {
-    let dir = fresh_dir("cold");
-    let body = large_body(1 << 20);
+    for len in [2 * CACHE_MAX, 300 << 10, 1 << 20] {
+        cold_large_document_is_read_in_on_a_worker_then_streamed_inline(len);
+    }
+}
+
+fn cold_large_document_is_read_in_on_a_worker_then_streamed_inline(len: usize) {
+    let dir = fresh_dir(&format!("cold-{len}"));
+    let body = large_body(len);
     let cold = write_cold(&dir.join("cold.bin"), &body);
     let cluster = LiveCluster::start(1, dir.clone(), config(None)).unwrap();
     let node = cluster.node(0);
@@ -718,18 +734,19 @@ fn a_cold_large_document_is_read_in_on_a_worker_then_streamed_inline() {
         assert_eq!(node.reactor.counters.inline.get(), 0, "a cold document must take the pool");
         let file = std::fs::File::open(dir.join("cold.bin")).unwrap();
         let resident = sweb_reactor::sys::page_cached(file.as_raw_fd(), body.len() as u64);
-        assert!(resident.unwrap(), "the worker left the document cold");
+        assert!(resident.unwrap(), "{len} B: the worker left the document cold");
     }
     let cold = write_cold(&dir.join("cold.bin"), &body);
     let (first, first_inline) = fetch();
     let (second, second_inline) = fetch();
-    assert!(first == body, "the cold read corrupted or truncated the body");
-    assert!(second == body, "the streamed body differs from the cold read");
+    assert!(first == body, "{len} B: the cold read corrupted or truncated the body");
+    assert!(second == body, "{len} B: the streamed body differs from the cold read");
     if cold == Some(true) {
         assert_eq!(first_inline, 0, "a cold document must take the pool");
         assert_eq!(second_inline, 1, "the worker read it in: the repeat streams inline");
     }
-    assert_eq!(node.reactor.counters.sendfile.get(), 2);
+    assert_eq!(node.reactor.counters.sendfile.get(), 2, "{len} B");
+    assert_eq!((node.file_cache.hits(), node.file_cache.misses()), (0, 0), "{len} B");
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -791,6 +808,58 @@ fn a_cold_small_document_is_read_on_a_worker_then_served_inline() {
     }
     assert_eq!(second_inline, 1, "the worker cached it: the repeat is inline");
     assert_eq!((node.file_cache.hits(), node.file_cache.misses()), (1, 1));
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The edge of the size rule, from below: a resident document of
+/// exactly [`CACHE_MAX`] bytes is read on the loop and copied into the
+/// cache on its miss, and its repeat is a hit.
+#[test]
+fn a_document_of_exactly_the_bound_is_a_miss_then_a_hit() {
+    let dir = fresh_dir("at-bound");
+    let body = large_body(CACHE_MAX);
+    std::fs::write(dir.join("at.txt"), &body).unwrap();
+    let cachestat = has_cachestat(&dir.join("at.txt"));
+    let cluster = LiveCluster::start(1, dir.clone(), config(None)).unwrap();
+    let node = cluster.node(0);
+    let (first, first_inline) = fetch_counted(&cluster, "/at.txt");
+    assert!(body_of(&first) == body, "the miss corrupted or truncated the body");
+    if cachestat {
+        assert_eq!(first_inline, 1, "a resident miss at the bound is read on the loop");
+    }
+    assert_eq!((node.file_cache.hits(), node.file_cache.misses()), (0, 1));
+    assert!(node.file_cache.resident("/at.txt"), "the miss did not build an entry");
+    let (second, second_inline) = fetch_counted(&cluster, "/at.txt");
+    assert_eq!(second_inline, 1, "the repeat is a resident hit");
+    assert_eq!(normalized(&second, &cluster), normalized(&first, &cluster));
+    assert_eq!((node.file_cache.hits(), node.file_cache.misses()), (1, 1));
+    assert_eq!(node.reactor.counters.sendfile.get(), 0, "a cached document is not streamed");
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The edge from above: a resident document one byte over [`CACHE_MAX`]
+/// streams from the loop with `sendfile` and never touches the cache.
+#[test]
+fn a_resident_document_one_byte_over_the_bound_streams_inline() {
+    let dir = fresh_dir("over-bound");
+    let body = large_body(CACHE_MAX + 1);
+    std::fs::write(dir.join("over.txt"), &body).unwrap();
+    let cachestat = has_cachestat(&dir.join("over.txt"));
+    let cluster = LiveCluster::start(1, dir.clone(), config(None)).unwrap();
+    let node = cluster.node(0);
+    for pass in 0..2 {
+        let (reply, inline) = fetch_counted(&cluster, "/over.txt");
+        assert!(body_of(&reply) == body, "pass {pass}: corrupted or truncated body");
+        // Without `cachestat` no page counts as resident: the pool streams it.
+        if cachestat {
+            assert_eq!(inline, 1, "pass {pass}: a resident document streams from the loop");
+        }
+    }
+    assert_eq!(node.reactor.counters.sendfile.get(), 2, "both replies stream from the fd");
+    assert_eq!((node.file_cache.hits(), node.file_cache.misses()), (0, 0));
+    assert!(!node.file_cache.resident("/over.txt"), "a streamed document entered the cache");
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

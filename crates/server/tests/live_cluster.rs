@@ -193,18 +193,20 @@ fn concurrent_clients_all_succeed() {
 #[test]
 fn file_cache_serves_repeats_from_memory() {
     let (cluster, dir) = start("filecache", 1, Policy::RoundRobin);
-    let url = format!("{}/maps/goleta.gif", cluster.base_url(0));
+    // The cache keeps documents of at most 32 KiB; larger ones stream.
+    std::fs::write(dir.join("maps/campus.gif"), vec![0x47u8; 20_000]).unwrap();
+    let url = format!("{}/maps/campus.gif", cluster.base_url(0));
     for _ in 0..4 {
         let resp = client::get(&url).unwrap();
         assert_eq!(resp.status, 200);
-        assert_eq!(resp.body.len(), 200_000);
+        assert_eq!(resp.body.len(), 20_000);
     }
     let node = cluster.node(0);
     assert_eq!(node.file_cache.misses(), 1, "only the first read touches disk");
     assert_eq!(node.file_cache.hits(), 3);
     // Modify the document: next fetch must serve the new bytes.
     std::thread::sleep(Duration::from_millis(20));
-    std::fs::write(dir.join("maps/goleta.gif"), vec![0x50u8; 1000]).unwrap();
+    std::fs::write(dir.join("maps/campus.gif"), vec![0x50u8; 1000]).unwrap();
     let resp = client::get(&url).unwrap();
     assert_eq!(resp.body.len(), 1000, "stale cache entry must be invalidated");
     // The status page reports the cache counters.

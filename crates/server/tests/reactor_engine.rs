@@ -123,8 +123,8 @@ fn payload(len: usize) -> Vec<u8> {
 
 #[test]
 fn a_large_document_streams_from_the_page_cache_and_skips_the_file_cache() {
-    // One size rule: a document of at least 256 KiB always streams from
-    // its fd (`sendfile`) and is never copied into the FileCache. A file
+    // One size rule: a document over 32 KiB always streams from its fd
+    // (`sendfile`) and is never copied into the FileCache. A file
     // just written is all in the OS page cache, so the loop thread that
     // parsed each request streams it, no worker involved.
     let dir = docroot("stream");
