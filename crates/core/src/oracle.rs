@@ -6,14 +6,59 @@
 //! saved in a configuration file."
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Decay factor for measured-`t_cpu` feedback: each new sample pulls the
 /// tuned estimate 25% of the way toward the measurement, so the table
 /// tracks drift (a handler whose working set grew) while one outlier
 /// request cannot wreck the estimate.
 const TUNE_ALPHA: f64 = 0.25;
+
+/// Handler classes the tuned table holds; samples of classes beyond it are
+/// dropped (a node registers a handful).
+const TUNED_SLOTS: usize = 64;
+
+/// The measured-feedback table, read and written with no lock: a fixed
+/// set of slots, each a class name set once and its estimate as the bits
+/// of an `f64` in one atomic word (0: no sample yet). A dynamic request's
+/// pricing reads it, so a read is loads only, and a sample is one
+/// compare-and-swap on its class's slot.
+#[derive(Debug)]
+struct Tuned {
+    slots: Box<[Slot]>,
+}
+
+#[derive(Debug, Default)]
+struct Slot {
+    class: OnceLock<Box<str>>,
+    ops: AtomicU64,
+}
+
+impl Default for Tuned {
+    fn default() -> Tuned {
+        Tuned { slots: (0..TUNED_SLOTS).map(|_| Slot::default()).collect() }
+    }
+}
+
+impl Tuned {
+    /// `class`'s slot, probing from its hash; with `claim`, an empty slot
+    /// on the way becomes its.
+    fn slot(&self, class: &str, claim: bool) -> Option<&Slot> {
+        let hash = class.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        let n = self.slots.len();
+        (0..n).map(|i| &self.slots[(hash as usize).wrapping_add(i) % n]).find_map(|slot| {
+            let name = match slot.class.get() {
+                Some(name) => name,
+                None if claim => slot.class.get_or_init(|| class.into()),
+                None => return Some(None),
+            };
+            (**name == *class).then_some(Some(slot))
+        })?
+    }
+}
 
 /// CPU demand of a request class: `base_ops + ops_per_byte * size`.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -62,7 +107,7 @@ pub struct Oracle {
     /// reads and writes the same live table. Not serialized: the config
     /// file carries the *user-supplied* priors, never the learned state.
     #[serde(skip, default)]
-    tuned: Arc<RwLock<HashMap<String, f64>>>,
+    tuned: Arc<Tuned>,
 }
 
 impl Oracle {
@@ -180,19 +225,24 @@ impl Oracle {
         if !measured_ops.is_finite() || measured_ops <= 0.0 {
             return;
         }
-        let mut tuned = self.tuned.write().unwrap();
-        match tuned.get_mut(class) {
-            Some(est) => *est += TUNE_ALPHA * (measured_ops - *est),
-            None => {
-                tuned.insert(class.to_string(), measured_ops);
-            }
-        }
+        let Some(slot) = self.tuned.slot(class, true) else { return };
+        let _ = slot.ops.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+            let next = match bits {
+                0 => measured_ops,
+                _ => {
+                    let est = f64::from_bits(bits);
+                    est + TUNE_ALPHA * (measured_ops - est)
+                }
+            };
+            Some(next.to_bits())
+        });
     }
 
     /// Current tuned estimate for a handler class, if any feedback has been
     /// observed.
     pub fn tuned_ops(&self, class: &str) -> Option<f64> {
-        self.tuned.read().unwrap().get(class).copied()
+        let bits = self.tuned.slot(class, false)?.ops.load(Ordering::Relaxed);
+        (bits != 0).then(|| f64::from_bits(bits))
     }
 }
 
@@ -294,6 +344,19 @@ cgi-default       3.0e6   1.2
         o.observe("burn", f64::NAN);
         o.observe("burn", -5.0);
         assert_eq!(o.tuned_ops("burn"), Some(after));
+    }
+
+    #[test]
+    fn the_tuned_table_holds_many_classes_apart() {
+        let o = Oracle::ncsa_default();
+        let classes: Vec<String> = (0..40).map(|i| format!("class{i}")).collect();
+        for (i, c) in classes.iter().enumerate() {
+            o.observe(c, (i + 1) as f64);
+        }
+        for (i, c) in classes.iter().enumerate() {
+            assert_eq!(o.tuned_ops(c), Some((i + 1) as f64), "{c}");
+        }
+        assert_eq!(o.tuned_ops("unseen"), None);
     }
 
     #[test]

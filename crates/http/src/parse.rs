@@ -117,7 +117,7 @@ pub fn parse_request(buf: &[u8]) -> Result<(Request, usize), ParseError> {
 /// let raw = b"GET /doc HTTP/1.0\r\nHost: sweb\r\n\r\n";
 /// assert!(try_parse_request(&raw[..10]).unwrap().is_none()); // keep reading
 /// let (req, used) = try_parse_request(raw).unwrap().unwrap();
-/// assert_eq!(req.target, "/doc");
+/// assert_eq!(req.target(), "/doc");
 /// assert_eq!(used, raw.len());
 /// ```
 pub fn try_parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, Malformed> {
@@ -147,7 +147,8 @@ pub fn try_parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, Malform
         return Err(Malformed::BadRequestLine);
     }
 
-    let mut headers = Headers::new();
+    // One buffer for every line: the head's own bytes, trimmed, bound it.
+    let mut headers = Headers::with_capacity(head.len() + 16);
     for line in lines {
         if line.is_empty() {
             continue;
@@ -159,15 +160,8 @@ pub fn try_parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, Malform
         headers.push(name.trim(), value.trim());
     }
 
-    Ok(Some((
-        Request {
-            method: Method::from_token(method_tok),
-            target: target.to_string(),
-            version: version.to_string(),
-            headers,
-        },
-        head_end.consumed,
-    )))
+    let method = Method::from_token(method_tok);
+    Ok(Some((Request::with_headers(method, target, version, headers), head_end.consumed)))
 }
 
 struct HeadEnd {
@@ -203,9 +197,9 @@ mod tests {
         let raw = b"GET /index.html HTTP/1.0\r\nHost: sweb.ucsb.edu\r\nUser-Agent: Netscape/2.0\r\n\r\n";
         let (req, used) = parse_request(raw).unwrap();
         assert_eq!(req.method, Method::Get);
-        assert_eq!(req.target, "/index.html");
-        assert_eq!(req.version, "HTTP/1.0");
-        assert_eq!(req.headers.get("host"), Some("sweb.ucsb.edu"));
+        assert_eq!(req.target(), "/index.html");
+        assert_eq!(req.version(), "HTTP/1.0");
+        assert_eq!(req.headers().get("host"), Some("sweb.ucsb.edu"));
         assert_eq!(used, raw.len());
     }
 
@@ -213,7 +207,7 @@ mod tests {
     fn parses_bare_lf_lines() {
         let raw = b"GET /a HTTP/1.0\nHost: x\n\n";
         let (req, used) = parse_request(raw).unwrap();
-        assert_eq!(req.target, "/a");
+        assert_eq!(req.target(), "/a");
         assert_eq!(used, raw.len());
     }
 
@@ -221,8 +215,8 @@ mod tests {
     fn parses_http09_simple_request() {
         let raw = b"GET /plain\n\n";
         let (req, _) = parse_request(raw).unwrap();
-        assert_eq!(req.version, "");
-        assert_eq!(req.target, "/plain");
+        assert_eq!(req.version(), "");
+        assert_eq!(req.target(), "/plain");
     }
 
     #[test]
@@ -306,7 +300,7 @@ mod tests {
             );
         }
         let (req, used) = try_parse_request(raw).unwrap().unwrap();
-        assert_eq!(req.target, "/maps/goleta.gif");
+        assert_eq!(req.target(), "/maps/goleta.gif");
         assert_eq!(used, raw.len());
         // A completed-but-bad head is terminal.
         assert_eq!(

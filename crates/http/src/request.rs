@@ -1,5 +1,7 @@
 //! Request representation.
 
+use std::borrow::Cow;
+
 use crate::headers::Headers;
 use crate::url::{is_redirected, sanitize_path, split_query};
 
@@ -45,43 +47,79 @@ impl Method {
     }
 }
 
-/// A parsed HTTP request.
+/// A parsed HTTP request: the method, and the target, the version and
+/// the header lines held in one buffer, the header set's.
 #[derive(Debug, Clone)]
 pub struct Request {
     /// Request method.
     pub method: Method,
-    /// Raw request target as received (path + optional query).
-    pub target: String,
-    /// HTTP version string, e.g. "HTTP/1.0". Empty for HTTP/0.9 simple
-    /// requests (`GET /path` with no version).
-    pub version: String,
-    /// Header lines.
-    pub headers: Headers,
+    /// Where the target, then the version, end in the buffer.
+    ends: [usize; 2],
+    /// Header lines (and, in front of them, the target and version).
+    headers: Headers,
 }
 
 impl Request {
-    /// Decoded, normalized filesystem-safe path (no query, no `..`).
+    /// A request for `target` with no header lines yet. `version` is e.g.
+    /// "HTTP/1.0", or empty for an HTTP/0.9 simple request.
+    pub fn new(method: Method, target: &str, version: &str) -> Request {
+        Request::with_headers(method, target, version, Headers::new())
+    }
+
+    pub(crate) fn with_headers(
+        method: Method,
+        target: &str,
+        version: &str,
+        mut headers: Headers,
+    ) -> Request {
+        let ends = headers.keep_in_front([target, version]);
+        Request { method, ends, headers }
+    }
+
+    /// Raw request target as received (path + optional query).
+    pub fn target(&self) -> &str {
+        &self.headers.front()[..self.ends[0]]
+    }
+
+    /// HTTP version string, e.g. "HTTP/1.0". Empty for HTTP/0.9 simple
+    /// requests (`GET /path` with no version).
+    pub fn version(&self) -> &str {
+        &self.headers.front()[self.ends[0]..self.ends[1]]
+    }
+
+    /// Header lines.
+    pub fn headers(&self) -> &Headers {
+        &self.headers
+    }
+
+    /// Header lines, to add to.
+    pub fn headers_mut(&mut self) -> &mut Headers {
+        &mut self.headers
+    }
+
+    /// Decoded, normalized filesystem-safe path (no query, no `..`),
+    /// borrowed from the target when it is already in that form.
     /// `None` when the target attempts directory traversal.
-    pub fn path(&self) -> Option<String> {
-        let (path, _) = split_query(&self.target);
+    pub fn path(&self) -> Option<Cow<'_, str>> {
+        let (path, _) = split_query(self.target());
         sanitize_path(path)
     }
 
     /// Query string, if any (without the `?`).
     pub fn query(&self) -> Option<&str> {
-        split_query(&self.target).1
+        split_query(self.target()).1
     }
 
     /// Whether this request already carries SWEB's redirected marker and
     /// therefore must be served locally (redirect-once rule, §3.1).
     pub fn already_redirected(&self) -> bool {
-        is_redirected(&self.target)
+        is_redirected(self.target())
     }
 
     /// Whether the target names a CGI program (NCSA convention:
     /// under `/cgi-bin/`).
     pub fn is_cgi(&self) -> bool {
-        let (path, _) = split_query(&self.target);
+        let (path, _) = split_query(self.target());
         path.starts_with("/cgi-bin/")
     }
 
@@ -94,15 +132,10 @@ impl Request {
             Method::Post => "POST",
             Method::Other => "PUT",
         };
-        let version = if self.version.is_empty() { "HTTP/1.0" } else { &self.version };
-        let mut out = Vec::with_capacity(64 + self.headers.len() * 32);
-        out.extend_from_slice(format!("{method} {} {version}\r\n", self.target).as_bytes());
-        for (name, value) in self.headers.iter() {
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(b": ");
-            out.extend_from_slice(value.as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
+        let version = if self.version().is_empty() { "HTTP/1.0" } else { self.version() };
+        let mut out = Vec::with_capacity(64 + self.headers.as_wire().len());
+        out.extend_from_slice(format!("{method} {} {version}\r\n", self.target()).as_bytes());
+        out.extend_from_slice(self.headers.as_wire());
         out.extend_from_slice(b"\r\n");
         out
     }
@@ -113,12 +146,7 @@ mod tests {
     use super::*;
 
     fn req(target: &str) -> Request {
-        Request {
-            method: Method::Get,
-            target: target.to_string(),
-            version: "HTTP/1.0".to_string(),
-            headers: Headers::new(),
-        }
+        Request::new(Method::Get, target, "HTTP/1.0")
     }
 
     #[test]
@@ -157,15 +185,15 @@ mod tests {
     #[test]
     fn to_bytes_round_trips_through_the_parser() {
         let mut r = req("/maps/goleta.gif?zoom=2");
-        r.headers.push("Host", "alexandria.ucsb.edu");
-        r.headers.push("Connection", "Keep-Alive");
+        r.headers_mut().push("Host", "alexandria.ucsb.edu");
+        r.headers_mut().push("Connection", "Keep-Alive");
         let wire = r.to_bytes();
         let (parsed, used) = crate::parse::parse_request(&wire).unwrap();
         assert_eq!(used, wire.len());
         assert_eq!(parsed.method, Method::Get);
-        assert_eq!(parsed.target, r.target);
-        assert_eq!(parsed.headers.get("host"), Some("alexandria.ucsb.edu"));
-        assert_eq!(parsed.headers.get("connection"), Some("Keep-Alive"));
+        assert_eq!(parsed.target(), r.target());
+        assert_eq!(parsed.headers().get("host"), Some("alexandria.ucsb.edu"));
+        assert_eq!(parsed.headers().get("connection"), Some("Keep-Alive"));
     }
 
     #[test]

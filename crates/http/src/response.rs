@@ -15,8 +15,11 @@
 //! once as a [`Head`]: a reply built on one ([`Response::with_head`])
 //! writes only its own header lines, into the head's gap, and a vectored
 //! transmit gathers the shared bytes as they are
-//! ([`Response::head_pieces`]). Either way the bytes on the wire are the
-//! ones [`Response::head_bytes`] writes.
+//! ([`Response::into_wire`]). A reply's own lines are held as they go on
+//! the wire ([`Headers::as_wire`]), so that gap is the lines' buffer
+//! itself, and the error and redirect replies share heads built once per
+//! status. Either way the bytes on the wire are the ones
+//! [`Response::head_bytes`] writes.
 
 use std::cell::Cell;
 
@@ -24,7 +27,6 @@ use bytes::Bytes;
 
 use crate::headers::Headers;
 use crate::status::StatusCode;
-use crate::url::mark_redirected;
 
 thread_local! {
     /// Per-thread count of body payloads copied into a contiguous wire
@@ -73,11 +75,11 @@ impl Head {
     /// `Server` or `Content-Length`: the part after the gap already has
     /// them.
     pub fn of(resp: &Response) -> Head {
-        let mut out = Vec::with_capacity(160);
-        out.extend_from_slice(format!("HTTP/1.0 {}\r\n", resp.status).as_bytes());
-        let pinned = write_lines(&mut out, &resp.headers);
+        let mut out = String::with_capacity(160);
+        out.push_str(resp.status.line());
+        out.push_str(std::str::from_utf8(resp.headers.as_wire()).expect("header lines are text"));
         let gap = out.len();
-        write_tail(&mut out, pinned, resp.body.len());
+        push_tail(&mut out, Pinned::of(&resp.headers), resp.body.len());
         Head { status: resp.status, bytes: Bytes::from(out), gap }
     }
 
@@ -92,37 +94,67 @@ impl Head {
     }
 }
 
-/// Which of the lines [`write_tail`] adds a header set already pinned.
+/// Which of the lines [`push_tail`] adds a header set already pinned.
 #[derive(Clone, Copy)]
 struct Pinned {
     server: bool,
     length: bool,
 }
 
-/// Append `headers` as header lines, in order.
-fn write_lines(out: &mut Vec<u8>, headers: &Headers) -> Pinned {
-    let mut pinned = Pinned { server: false, length: false };
-    for (name, value) in headers.iter() {
-        pinned.server |= name.eq_ignore_ascii_case("server");
-        pinned.length |= name.eq_ignore_ascii_case("content-length");
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(b": ");
-        out.extend_from_slice(value.as_bytes());
-        out.extend_from_slice(b"\r\n");
+impl Pinned {
+    fn of(headers: &Headers) -> Pinned {
+        let mut pinned = Pinned { server: false, length: false };
+        for (name, _) in headers.iter() {
+            pinned.server |= name.eq_ignore_ascii_case("server");
+            pinned.length |= name.eq_ignore_ascii_case("content-length");
+        }
+        pinned
     }
-    pinned
+}
+
+/// Append `n` in decimal, with no allocation of its own.
+fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Append the `Server` and `Content-Length` lines the header set did not
 /// pin, and the blank line that ends the head.
-fn write_tail(out: &mut Vec<u8>, pinned: Pinned, body_len: usize) {
+fn push_tail(out: &mut String, pinned: Pinned, body_len: usize) {
     if !pinned.server {
-        out.extend_from_slice(b"Server: SWEB/0.1 (NCSA-derived)\r\n");
+        out.push_str("Server: SWEB/0.1 (NCSA-derived)\r\n");
     }
     if !pinned.length {
-        out.extend_from_slice(format!("Content-Length: {body_len}\r\n").as_bytes());
+        out.push_str("Content-Length: ");
+        push_decimal(out, body_len as u64);
+        out.push_str("\r\n");
     }
-    out.extend_from_slice(b"\r\n");
+    out.push_str("\r\n");
+}
+
+/// The head and body `build` makes for `status`, made once per process
+/// and shared by every reply of that status after.
+fn built_once(
+    status: StatusCode,
+    build: impl FnOnce() -> Response,
+) -> (Head, Bytes) {
+    use std::sync::OnceLock;
+    static BUILT: [OnceLock<(Head, Bytes)>; StatusCode::COUNT] =
+        [const { OnceLock::new() }; StatusCode::COUNT];
+    let (head, body) = BUILT[status.index()].get_or_init(|| {
+        let resp = build();
+        (Head::of(&resp), resp.body)
+    });
+    (head.clone(), body.clone())
 }
 
 impl Response {
@@ -146,25 +178,39 @@ impl Response {
 
     /// SWEB's scheduling primitive: a `302 Found` sending the client to the
     /// same document on `peer_base` (e.g. `http://node3.cluster:8080`),
-    /// with the redirect-once marker appended to the target.
+    /// with the redirect-once marker appended to the target. The status
+    /// line, the tail and the body are one head shared by every 302; the
+    /// reply writes its `Location` and `Content-Type` into the gap.
     pub fn redirect_to_peer(peer_base: &str, target: &str) -> Response {
-        let marked = mark_redirected(target);
-        let mut headers = Headers::new();
-        headers.set("Location", format!("{}{}", peer_base.trim_end_matches('/'), marked));
-        headers.set("Content-Type", "text/html");
-        let body = "<HTML><HEAD><TITLE>302 Found</TITLE></HEAD>\
-             <BODY>Document relocated to a less loaded server.</BODY></HTML>".to_string();
-        Response { status: StatusCode::Found, headers, body: body.into(), shared_head: None }
+        let (head, body) = built_once(StatusCode::Found, || {
+            let body = "<HTML><HEAD><TITLE>302 Found</TITLE></HEAD>\
+                 <BODY>Document relocated to a less loaded server.</BODY></HTML>";
+            Response { body: Bytes::from_static(body.as_bytes()), ..Response::empty(StatusCode::Found) }
+        });
+        let base = peer_base.trim_end_matches('/');
+        let mut location = String::with_capacity(base.len() + target.len() + 24);
+        location.push_str(base);
+        location.push_str(target);
+        location.push(if target.contains('?') { '&' } else { '?' });
+        location.push_str(crate::url::REDIRECT_MARKER);
+        let mut resp = Response::with_head(head, body);
+        resp.headers.push("Location", &location);
+        resp.headers.push("Content-Type", "text/html");
+        resp
     }
 
-    /// An error response with a small HTML body.
+    /// An error response with a small HTML body: one head and body per
+    /// status, built once and shared.
     pub fn error(status: StatusCode) -> Response {
-        let mut headers = Headers::new();
-        headers.set("Content-Type", "text/html");
-        let body = format!(
-            "<HTML><HEAD><TITLE>{status}</TITLE></HEAD><BODY><H1>{status}</H1></BODY></HTML>"
-        );
-        Response { status, headers, body: body.into(), shared_head: None }
+        let (head, body) = built_once(status, || {
+            let mut headers = Headers::new();
+            headers.set("Content-Type", "text/html");
+            let body = format!(
+                "<HTML><HEAD><TITLE>{status}</TITLE></HEAD><BODY><H1>{status}</H1></BODY></HTML>"
+            );
+            Response { status, headers, body: body.into(), shared_head: None }
+        });
+        Response::with_head(head, body)
     }
 
     /// The load-shedding answer: `503` telling the client to come back in
@@ -186,26 +232,33 @@ impl Response {
     /// With a [`Response::shared_head`], that head with `headers` written
     /// into its gap.
     pub fn head_bytes(&self) -> Vec<u8> {
-        match self.head_pieces() {
-            (Some(head), lines) => [head.before_gap(), &lines, head.after_gap()].concat(),
-            (None, head) => head,
+        let lines = self.headers.as_wire();
+        match &self.shared_head {
+            Some(head) => [head.before_gap(), lines, head.after_gap()].concat(),
+            None => {
+                let mut out = String::with_capacity(lines.len() + 96);
+                out.push_str(self.status.line());
+                out.push_str(std::str::from_utf8(lines).expect("header lines are text"));
+                push_tail(&mut out, Pinned::of(&self.headers), self.body.len());
+                out.into_bytes()
+            }
         }
     }
 
-    /// The head in the pieces a vectored write gathers: the shared head,
-    /// if there is one, and the bytes serialized for this reply alone —
-    /// the lines that go in the shared head's gap, or without one the
-    /// whole head.
-    pub fn head_pieces(&self) -> (Option<Head>, Vec<u8>) {
-        let mut out = Vec::with_capacity(128);
-        if let Some(head) = &self.shared_head {
-            write_lines(&mut out, &self.headers);
-            return (Some(head.clone()), out);
+    /// The reply in the pieces a vectored write gathers: the shared head,
+    /// if there is one; the bytes serialized for this reply alone — its
+    /// header lines as they are, which go in the shared head's gap, or
+    /// without one the whole head, written around those lines in their
+    /// own buffer; and the body.
+    pub fn into_wire(self) -> (Option<Head>, Vec<u8>, Bytes) {
+        if self.shared_head.is_some() {
+            return (self.shared_head, self.headers.into_string().into_bytes(), self.body);
         }
-        out.extend_from_slice(format!("HTTP/1.0 {}\r\n", self.status).as_bytes());
-        let pinned = write_lines(&mut out, &self.headers);
-        write_tail(&mut out, pinned, self.body.len());
-        (None, out)
+        let pinned = Pinned::of(&self.headers);
+        let mut out = self.headers.into_string();
+        out.insert_str(0, self.status.line());
+        push_tail(&mut out, pinned, self.body.len());
+        (None, out.into_bytes(), self.body)
     }
 
     /// Zero-copy serialization: the head as owned bytes and the body as a
@@ -326,7 +379,7 @@ mod tests {
         assert_eq!(shared.head_bytes(), whole.head_bytes());
         assert_eq!(shared.to_bytes(false), whole.to_bytes(false));
         assert_eq!(shared.to_wire_parts(true), whole.to_wire_parts(true));
-        let (piece, lines) = shared.head_pieces();
+        let (piece, lines, _) = shared.into_wire();
         let piece = piece.unwrap();
         assert_eq!(piece.before_gap().as_ptr(), head.before_gap().as_ptr(), "shared, not copied");
         assert_eq!(lines, b"X-Per-Reply: abc\r\nConnection: Keep-Alive\r\n");

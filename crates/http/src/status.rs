@@ -28,6 +28,30 @@ pub enum StatusCode {
 }
 
 impl StatusCode {
+    /// How many codes there are.
+    pub(crate) const COUNT: usize = 10;
+
+    /// A dense index, `0..COUNT`.
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The status line, `HTTP/1.0 <code> <reason>\r\n`.
+    pub(crate) fn line(self) -> &'static str {
+        match self {
+            StatusCode::Ok => "HTTP/1.0 200 OK\r\n",
+            StatusCode::Found => "HTTP/1.0 302 Found\r\n",
+            StatusCode::NotModified => "HTTP/1.0 304 Not Modified\r\n",
+            StatusCode::BadRequest => "HTTP/1.0 400 Bad Request\r\n",
+            StatusCode::Forbidden => "HTTP/1.0 403 Forbidden\r\n",
+            StatusCode::NotFound => "HTTP/1.0 404 Not Found\r\n",
+            StatusCode::MethodNotAllowed => "HTTP/1.0 405 Method Not Allowed\r\n",
+            StatusCode::InternalServerError => "HTTP/1.0 500 Internal Server Error\r\n",
+            StatusCode::NotImplemented => "HTTP/1.0 501 Not Implemented\r\n",
+            StatusCode::ServiceUnavailable => "HTTP/1.0 503 Service Unavailable\r\n",
+        }
+    }
+
     /// Numeric code on the wire.
     pub fn code(self) -> u16 {
         match self {
@@ -80,6 +104,29 @@ impl std::fmt::Display for StatusCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn status_lines_spell_code_and_reason() {
+        for (i, s) in [
+            StatusCode::Ok,
+            StatusCode::Found,
+            StatusCode::NotModified,
+            StatusCode::BadRequest,
+            StatusCode::Forbidden,
+            StatusCode::NotFound,
+            StatusCode::MethodNotAllowed,
+            StatusCode::InternalServerError,
+            StatusCode::NotImplemented,
+            StatusCode::ServiceUnavailable,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert_eq!(s.line(), format!("HTTP/1.0 {s}\r\n"));
+            assert_eq!(s.index(), i);
+        }
+        assert_eq!(StatusCode::COUNT, 10);
+    }
 
     #[test]
     fn codes_and_reasons() {

@@ -1,6 +1,8 @@
 //! URL path handling: query splitting, normalization, traversal guard, and
 //! SWEB's redirect-once marker.
 
+use std::borrow::Cow;
+
 /// The query marker SWEB appends when issuing a 302 to a peer, so the
 /// receiving node knows the request must be served locally. The paper
 /// (§3.1): "Any HTTP request is not allowed to be redirected more than once
@@ -17,8 +19,13 @@ pub fn split_query(target: &str) -> (&str, Option<&str>) {
 
 /// Normalize a URL path: resolve `.` and `..` segments, collapse duplicate
 /// slashes, percent-decode, and reject anything escaping the document root.
-/// Returns `None` for traversal attempts or malformed escapes.
-pub fn sanitize_path(path: &str) -> Option<String> {
+/// Returns `None` for traversal attempts or malformed escapes. A path
+/// already in normal form (what a client almost always sends) is returned
+/// as it is, borrowed.
+pub fn sanitize_path(path: &str) -> Option<Cow<'_, str>> {
+    if is_normal(path) {
+        return Some(Cow::Borrowed(path));
+    }
     let decoded = percent_decode(path)?;
     if decoded.contains('\0') {
         return None;
@@ -36,7 +43,16 @@ pub fn sanitize_path(path: &str) -> Option<String> {
     let mut s = String::with_capacity(decoded.len() + 1);
     s.push('/');
     s.push_str(&out.join("/"));
-    Some(s)
+    Some(Cow::Owned(s))
+}
+
+/// Whether `path` is its own normal form: `/`, or `/`-separated segments
+/// none of which is empty, `.` or `..`, with no escape and no NUL.
+fn is_normal(path: &str) -> bool {
+    let Some(rest) = path.strip_prefix('/') else { return false };
+    rest.is_empty()
+        || (!path.contains(['%', '\0'])
+            && rest.split('/').all(|seg| !matches!(seg, "" | "." | "..")))
 }
 
 /// Percent-decode (`%41` → `A`). Returns `None` on malformed escapes.
@@ -118,6 +134,16 @@ mod tests {
         assert_eq!(sanitize_path("/a/x/../b").as_deref(), Some("/a/b"));
         assert_eq!(sanitize_path("/").as_deref(), Some("/"));
         assert_eq!(sanitize_path("").as_deref(), Some("/"));
+    }
+
+    #[test]
+    fn a_normal_path_is_borrowed() {
+        for path in ["/", "/a", "/maps/goleta.gif", "/a.b/c..d"] {
+            assert!(matches!(sanitize_path(path), Some(Cow::Borrowed(p)) if p == path), "{path}");
+        }
+        for path in ["", "//a", "/a/", "/a/./b", "/a/../b", "/%41"] {
+            assert!(matches!(sanitize_path(path), None | Some(Cow::Owned(_))), "{path}");
+        }
     }
 
     #[test]

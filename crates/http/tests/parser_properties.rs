@@ -60,7 +60,7 @@ proptest! {
         }
         let (req, used) = try_parse_request(bytes).unwrap().expect("whole request parses");
         prop_assert_eq!(used, bytes.len());
-        prop_assert_eq!(&req.target, &target);
+        prop_assert_eq!(req.target(), target.as_str());
     }
 
     /// Feeding a valid request in random chunks: accumulating into a carry
@@ -96,8 +96,8 @@ proptest! {
         }
         let (req, used) = parsed.expect("chunked parse completed");
         prop_assert_eq!(used, whole_used);
-        prop_assert_eq!(req.target, whole.target);
-        prop_assert_eq!(req.version, whole.version);
+        prop_assert_eq!(req.target(), whole.target());
+        prop_assert_eq!(req.version(), whole.version());
     }
 
     /// Any request we serialize ourselves parses back to the same target
@@ -110,9 +110,9 @@ proptest! {
         let (raw, target) = build_request(&path_segs, &header_vals);
         let (req, used) = parse_request(raw.as_bytes()).expect("self-built request must parse");
         prop_assert_eq!(used, raw.len());
-        prop_assert_eq!(&req.target, &target);
+        prop_assert_eq!(req.target(), target.as_str());
         for (i, v) in header_vals.iter().enumerate() {
-            prop_assert_eq!(req.headers.get(&format!("X-H{i}")), Some(v.trim()));
+            prop_assert_eq!(req.headers().get(&format!("X-H{i}")), Some(v.trim()));
         }
     }
 
@@ -129,7 +129,7 @@ proptest! {
             // decoded text itself contains '%', which we skip).
             if !p.contains('%') {
                 let again = sanitize_path(&p);
-                prop_assert_eq!(again.as_deref(), Some(p.as_str()));
+                prop_assert_eq!(again.as_deref(), Some(&*p));
             }
         }
     }

@@ -711,8 +711,8 @@ impl Wire {
     /// A reply the reactor produces itself (400, 503): no payload file,
     /// and the connection closes after it.
     fn closing(resp: Response) -> Wire {
-        let (head, body) = resp.to_wire_parts(false);
-        Wire { shared: None, head, body, file: None, keep_alive: false }
+        let (shared, head, body) = resp.into_wire();
+        Wire { shared, head, body, file: None, keep_alive: false }
     }
 }
 
@@ -738,10 +738,19 @@ struct Seal {
 impl Seal {
     /// `reply` is `None` when the fetch checkpoint had already passed
     /// and the work was skipped. A reply that arrives past the
-    /// checkpoint is replaced by the same definite 503. Either way the
-    /// reply is counted in its outcome here.
-    fn finish(self, app: &dyn App, counters: &Counters, reply: Option<Reply>) -> Wire {
-        let reply = reply.filter(|_| !self.deadline.overrun(Phase::Fetch));
+    /// checkpoint (`now`: the clock read as the reply came back) is
+    /// replaced by the same definite 503. Either way the reply is counted
+    /// in its outcome here. The reply's own lines are written into its
+    /// head where they are, and the head leaves in the pieces a vectored
+    /// write gathers ([`Response::into_wire`]).
+    fn finish(
+        self,
+        app: &dyn App,
+        counters: &Counters,
+        reply: Option<Reply>,
+        now: Instant,
+    ) -> Wire {
+        let reply = reply.filter(|_| !self.deadline.overrun_at(Phase::Fetch, now));
         let overrun = reply.is_none();
         let reply = reply.unwrap_or_else(|| {
             counters.deadline_overruns.inc();
@@ -760,10 +769,11 @@ impl Seal {
                 file_tx = Some(FileTx { file: fb.file, offset: 0, end: fb.len });
             }
         }
-        let (shared, head) = resp.head_pieces();
-        let body = if self.head_only { Bytes::new() } else { resp.body };
+        let status = resp.status;
+        let (shared, head, body) = resp.into_wire();
+        let body = if self.head_only { Bytes::new() } else { body };
         let shard = self.shard;
-        match resp.status {
+        match status {
             // Counted as an overrun above.
             _ if overrun => {}
             StatusCode::Found => counters.redirected.inc(),
@@ -800,6 +810,14 @@ struct Loop {
     pool: Arc<WorkerPool>,
     completions: Arc<Mutex<Vec<Completion>>>,
     start: Instant,
+    /// The clock as this turn read it, once, when the poll returned, and
+    /// as reactor ms: what every millisecond deadline of the turn is
+    /// computed from. Phase timings read the clock at their own
+    /// boundaries.
+    now: Instant,
+    now_ms: u64,
+    /// Where a socket read lands before the connection's carry takes it.
+    chunk: Box<[u8; 4096]>,
     /// Accept failure streak, for exponential listener backoff.
     accept_errors: u32,
     /// When set, the listener is deregistered until this reactor-ms time.
@@ -839,6 +857,7 @@ impl Loop {
         let poller = Poller::new()?;
         let wheel = TimerWheel::new(TIMER_SLOTS, cfg.timer_tick_ms);
         let service = app.service();
+        let start = Instant::now();
         Ok(Loop {
             shard,
             listener,
@@ -853,7 +872,10 @@ impl Loop {
             wheel,
             pool,
             completions: Arc::new(Mutex::new(Vec::new())),
-            start: Instant::now(),
+            start,
+            now: start,
+            now_ms: 0,
+            chunk: Box::new([0; 4096]),
             accept_errors: 0,
             listener_parked_until: None,
             in_flight: 0,
@@ -863,8 +885,15 @@ impl Loop {
         })
     }
 
+    /// Reactor ms as this turn read them ([`Loop::tick`]).
     fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
+        self.now_ms
+    }
+
+    /// Read the clock for this turn.
+    fn tick(&mut self) {
+        self.now = Instant::now();
+        self.now_ms = self.now.saturating_duration_since(self.start).as_millis() as u64;
     }
 
     fn run(mut self) -> io::Result<()> {
@@ -909,6 +938,7 @@ impl Loop {
     /// and the service's deadline.
     fn turn(&mut self, events: &mut Vec<Event>, expired: &mut Vec<TimerEntry>) -> io::Result<()> {
         self.poller.wait(events, self.poll_timeout())?;
+        self.tick();
 
         for &ev in events.iter() {
             match ev.token {
@@ -937,7 +967,7 @@ impl Loop {
             }
         }
 
-        if self.service_due.is_some_and(|due| due <= Instant::now()) {
+        if self.service_due.is_some_and(|due| due <= self.now) {
             self.run_service(false);
         }
 
@@ -945,7 +975,8 @@ impl Loop {
         Ok(())
     }
 
-    /// How long the next poll may sleep, in ms (`-1`: until an event).
+    /// How long the next poll may sleep, in ms (`-1`: until an event),
+    /// reckoned from the last turn's clock reading.
     /// While the wheel holds entries or a worker holds a request, until
     /// the next tick, so a finished job whose doorbell datagram was lost
     /// waits one tick at most. Otherwise only a parked listener and the
@@ -955,7 +986,7 @@ impl Loop {
         let now = self.now_ms();
         let ticking = self.in_flight > 0 || self.wheel.pending() > 0;
         let service_ms = self.service_due.map(|due| {
-            due.saturating_duration_since(Instant::now()).as_micros().div_ceil(1000) as u64
+            due.saturating_duration_since(self.now).as_micros().div_ceil(1000) as u64
         });
         [
             ticking.then(|| self.wheel.ms_to_next_tick(now)),
@@ -1034,7 +1065,7 @@ impl Loop {
         };
         let t0 = Instant::now();
         let idx = self.admit(stream, seat, peer);
-        self.cfg.counters.phases.record(Phase::Accept, t0.elapsed().as_micros() as u64);
+        self.cfg.counters.phases.record_at(self.shard, Phase::Accept, t0.elapsed().as_micros() as u64);
         // The request is almost always in the socket by the time accept
         // returns: read it now. The poller and the wheel hear of this
         // connection only if that read (or the answer's write) would
@@ -1125,10 +1156,9 @@ impl Loop {
     }
 
     fn on_readable(&mut self, idx: usize) {
-        let mut chunk = [0u8; 4096];
         loop {
             let Some(conn) = self.conns.get_mut(idx) else { return };
-            match conn.stream.read(&mut chunk) {
+            match conn.stream.read(&mut self.chunk[..]) {
                 Ok(0) => {
                     self.close(idx);
                     return;
@@ -1138,7 +1168,7 @@ impl Loop {
                     if first_byte {
                         conn.req_started = Some(Instant::now());
                     }
-                    conn.carry.extend_from_slice(&chunk[..n]);
+                    conn.carry.extend_from_slice(&self.chunk[..n]);
                     if !self.progress(idx) {
                         return; // state advanced away from reading
                     }
@@ -1214,8 +1244,7 @@ impl Loop {
                             }
                         };
                         if conn.carry.len() >= need {
-                            let body: Vec<u8> = conn.carry.drain(..need).collect();
-                            self.dispatch(idx, req, body);
+                            self.dispatch(idx, req, need);
                             return false;
                         }
                         conn.state = ConnState::ReadingBody { req: Box::new(req), need };
@@ -1232,13 +1261,12 @@ impl Loop {
                     if conn.carry.len() < need {
                         return true;
                     }
-                    let body: Vec<u8> = conn.carry.drain(..need).collect();
                     let ConnState::ReadingBody { req, .. } =
                         std::mem::replace(&mut conn.state, ConnState::Reading)
                     else {
                         unreachable!()
                     };
-                    self.dispatch(idx, *req, body);
+                    self.dispatch(idx, *req, need);
                     return false;
                 }
                 _ => return false,
@@ -1248,20 +1276,26 @@ impl Loop {
 
     // ----------------------------------------------------- request lifecycle
 
-    fn dispatch(&mut self, idx: usize, req: Request, body: Vec<u8>) {
+    /// Answer `req`, whose body is the first `need` bytes of the
+    /// connection's carry. The first look borrows the body where it lies;
+    /// only a request handed to a worker takes a copy of it.
+    fn dispatch(&mut self, idx: usize, req: Request, need: usize) {
         let Some(gen) = self.conns.gen_of(idx) else { return };
+        // The parse phase ends and the first look begins: one reading
+        // serves both, and the deadline checks made here.
         let dispatched = Instant::now();
         let loop_now_ms = self.now_ms();
         let Some(conn) = self.conns.get_mut(idx) else { return };
         // Pipelined requests whose bytes were already buffered (dispatch
         // straight out of write_done) have no first-byte mark: count 0.
         let started = conn.req_started.take();
-        let parse_us = started.map(|t| t.elapsed().as_micros() as u64).unwrap_or(0);
+        let parse_us =
+            started.map_or(0, |t| dispatched.saturating_duration_since(t).as_micros() as u64);
         let deadline =
             RequestDeadline::new(started.unwrap_or(dispatched), self.cfg.request_budget);
         conn.rounds += 1;
         let client_keep = req
-            .headers
+            .headers()
             .get("connection")
             .map(|v| v.eq_ignore_ascii_case("keep-alive"))
             .unwrap_or(false);
@@ -1269,7 +1303,7 @@ impl Loop {
         // Clamp this request's eviction to its budget: whatever else
         // happens, the connection is resolved by the budget's end.
         conn.budget_deadline_ms =
-            Some(loop_now_ms + deadline.remaining().as_millis() as u64);
+            Some(loop_now_ms + deadline.remaining_at(dispatched).as_millis() as u64);
         let seal = Seal {
             shard: self.shard,
             deadline,
@@ -1284,29 +1318,40 @@ impl Loop {
         if conn.clock.deadline_ms() < evict_ms {
             self.set_deadline(idx, evict_ms);
         }
-        let counters = &self.cfg.counters;
-        counters.phases.record(Phase::Parse, parse_us);
-        if deadline.overrun(Phase::Parse) {
+        let (shard, counters) = (self.shard, &self.cfg.counters);
+        counters.phases.record_at(shard, Phase::Parse, parse_us);
+        if deadline.overrun_at(Phase::Parse, dispatched) {
             // A trickled head already ate most of the budget: refuse the
             // work before paying for fulfillment.
             counters.deadline_overruns.inc();
             let resp = Response::unavailable(self.app.retry_after_secs());
-            self.start_write(idx, Wire::closing(resp));
+            self.start_write(idx, Wire::closing(resp), dispatched);
             return;
         }
         // First look, on this thread: a request that cannot block is
         // answered here and never meets the pool. The socket's interest
         // is left alone — it changes only if the write blocks.
         let Some(conn) = self.conns.get_mut(idx) else { return };
-        let continuation = match self.app.first_look(&conn.peer, &req, &body) {
+        let mut carry = std::mem::take(&mut conn.carry);
+        let look = self.app.first_look(&conn.peer, &req, &carry[..need]);
+        let body = match look {
+            Some(FirstLook::Done(_)) => Vec::new(),
+            _ => carry[..need].to_vec(),
+        };
+        carry.drain(..need);
+        conn.carry = carry;
+        let continuation = match look {
             Some(FirstLook::Done(reply)) => {
+                // The first look ends, and the write begins.
+                let done = Instant::now();
                 let counters = &self.cfg.counters;
-                let wire = seal.finish(&*self.app, counters, Some(reply));
-                counters.inline.inc_at(self.shard);
-                counters.inline_us.record(dispatched.elapsed().as_micros() as u64);
+                let wire = seal.finish(&*self.app, counters, Some(reply), done);
+                counters.inline.inc_at(shard);
+                let inline_us = done.saturating_duration_since(dispatched).as_micros() as u64;
+                counters.inline_us.record_at(shard, inline_us);
                 // A pipelined client re-enters dispatch from this write's
                 // write_done; `keepalive_limit` bounds that recursion.
-                self.start_write(idx, wire);
+                self.start_write(idx, wire, done);
                 return;
             }
             Some(FirstLook::Blocking(continuation)) => Some(continuation),
@@ -1328,36 +1373,41 @@ impl Loop {
             // Queue wait is the admission controller's signal: the time
             // between submission and this line is pure sojourn — the
             // request did nothing but stand in line.
-            app.on_queue_sojourn(enqueued.elapsed().as_micros() as u64);
+            let picked = Instant::now();
+            app.on_queue_sojourn(picked.saturating_duration_since(enqueued).as_micros() as u64);
             // Budget checks bracket fulfillment: skip the work entirely if
             // the fetch checkpoint already passed (queueing delay), and
             // `finish` replaces a too-late response with a definite 503.
-            let reply = (!seal.deadline.overrun(Phase::Fetch)).then(|| match continuation {
-                Some(continuation) => continuation(&peer, &req, &body),
-                None => app.respond(&peer, &req, &body),
+            let reply = (!seal.deadline.overrun_at(Phase::Fetch, picked)).then(|| {
+                match continuation {
+                    Some(continuation) => continuation(&peer, &req, &body),
+                    None => app.respond(&peer, &req, &body),
+                }
             });
-            let done = Completion { token: idx, gen, wire: seal.finish(&*app, &counters, reply) };
+            let wire = seal.finish(&*app, &counters, reply, Instant::now());
+            let done = Completion { token: idx, gen, wire };
             match completions.lock() {
                 Ok(mut q) => q.push(done),
                 Err(poisoned) => poisoned.into_inner().push(done),
             }
             let _ = wakeup.send(&[1]);
         });
-        match self.pool.try_submit_from(self.shard, job) {
+        match self.pool.try_submit_from(shard, job) {
             Ok(()) => self.in_flight += 1,
             Err(_job) => {
                 // Every worker busy and the queue full: shed at the
                 // request level rather than queue unboundedly.
-                self.cfg.counters.shed.inc_at(self.shard);
+                self.cfg.counters.shed.inc_at(shard);
                 let resp = Response::unavailable(self.app.retry_after_secs());
-                self.start_write(idx, Wire::closing(resp));
+                self.start_write(idx, Wire::closing(resp), enqueued);
             }
         }
     }
 
     fn bad_request(&mut self, idx: usize) {
         self.cfg.counters.bad_requests.inc();
-        self.start_write(idx, Wire::closing(Response::error(StatusCode::BadRequest)));
+        let resp = Response::error(StatusCode::BadRequest);
+        self.start_write(idx, Wire::closing(resp), Instant::now());
     }
 
     fn drain_wakeup(&mut self) {
@@ -1378,6 +1428,8 @@ impl Loop {
             std::mem::take(&mut *q)
         };
         self.in_flight = self.in_flight.saturating_sub(done.len());
+        // One reading starts the write phase of every reply in the batch.
+        let now = if done.is_empty() { self.now } else { Instant::now() };
         for c in done {
             if self.conns.get_mut_checked(c.token, c.gen).is_none() {
                 continue; // connection died while the worker ran
@@ -1386,11 +1438,14 @@ impl Loop {
             if !matches!(conn.state, ConnState::Dispatched) {
                 continue;
             }
-            self.start_write(c.token, c.wire);
+            self.start_write(c.token, c.wire, now);
         }
     }
 
-    fn start_write(&mut self, idx: usize, wire: Wire) {
+    /// Queue `wire` on the connection and write what the socket takes.
+    /// `now` is the clock already read where the reply was finished: the
+    /// write phase starts there.
+    fn start_write(&mut self, idx: usize, wire: Wire, now: Instant) {
         let Wire { shared, head, body, file, keep_alive } = wire;
         let unbudgeted_ms = self.now_ms() + self.cfg.request_budget.as_millis() as u64;
         let file_len = file.as_ref().map(|f| (f.end - f.offset) as usize).unwrap_or(0);
@@ -1407,7 +1462,7 @@ impl Loop {
             conn.out_planned = planned;
             conn.keep_alive = keep_alive;
             conn.state = ConnState::Writing;
-            conn.write_started = Some(Instant::now());
+            conn.write_started = Some(now);
             // The budget's end, fixed at dispatch: transmit progress never
             // moves it. A 400 has no budget.
             conn.budget_deadline_ms.unwrap_or(unbudgeted_ms)
@@ -1510,7 +1565,7 @@ impl Loop {
         let counters = &self.cfg.counters;
         counters.bytes_in_flight.sub_at(self.shard, written as i64);
         if ok {
-            counters.phases.record(Phase::Write, write_us);
+            counters.phases.record_at(self.shard, Phase::Write, write_us);
         }
         if !ok || !keep {
             if ok {
@@ -1640,7 +1695,7 @@ fn body_length(req: &Request) -> Result<usize, ()> {
     if req.method != Method::Post {
         return Ok(0);
     }
-    let len = req.headers.content_length().ok_or(())?;
+    let len = req.headers().content_length().ok_or(())?;
     if len > MAX_BODY_BYTES {
         return Err(());
     }

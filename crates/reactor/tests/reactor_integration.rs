@@ -36,7 +36,7 @@ impl App for EchoApp {
     fn first_look(&self, _peer: &str, req: &Request, _body: &[u8]) -> Option<FirstLook> {
         *self.loop_policy.lock().unwrap() = Some(sched_policy());
         let met = Arc::clone(&self.met);
-        (req.target == "/meet").then(|| {
+        (req.target() == "/meet").then(|| {
             FirstLook::Blocking(Box::new(move |_, _, _| {
                 met.fetch_add(1, Ordering::SeqCst);
                 let two = wait_until(Duration::from_secs(2), || met.load(Ordering::SeqCst) >= 2);
@@ -45,12 +45,12 @@ impl App for EchoApp {
         })
     }
     fn respond(&self, _peer: &str, req: &Request, body: &[u8]) -> Reply {
-        if req.target == "/big" {
+        if req.target() == "/big" {
             if let Some(b) = self.big.lock().unwrap().clone() {
                 return Response::ok(b, "application/octet-stream").into();
             }
         }
-        if req.target == "/file" {
+        if req.target() == "/file" {
             if let Some(p) = self.file_path.lock().unwrap().clone() {
                 let file = std::fs::File::open(&p).unwrap();
                 let len = file.metadata().unwrap().len();
@@ -60,7 +60,7 @@ impl App for EchoApp {
                 };
             }
         }
-        Response::ok(format!("target={} body={}", req.target, body.len()), "text/plain").into()
+        Response::ok(format!("target={} body={}", req.target(), body.len()), "text/plain").into()
     }
 }
 
@@ -272,7 +272,7 @@ impl App for GateApp {
     fn respond(&self, _peer: &str, req: &Request, _body: &[u8]) -> Reply {
         self.entered.fetch_add(1, Ordering::SeqCst);
         let _ = self.release.lock().unwrap().recv();
-        Response::ok(format!("target={}", req.target), "text/plain").into()
+        Response::ok(format!("target={}", req.target()), "text/plain").into()
     }
     fn first_look(&self, _peer: &str, _req: &Request, _body: &[u8]) -> Option<FirstLook> {
         // Counted on the loop thread just before the request is submitted.
@@ -376,7 +376,7 @@ impl KindApp {
 impl App for KindApp {
     fn first_look(&self, _peer: &str, req: &Request, _body: &[u8]) -> Option<FirstLook> {
         self.looked.fetch_add(1, Ordering::SeqCst);
-        let reply: Reply = match req.target.as_str() {
+        let reply: Reply = match req.target() {
             "/inline" => Response::ok("inline", "text/plain").into(),
             "/302" => Response::redirect_to_peer("http://127.0.0.1:9", "/302").into(),
             "/503" => Response::unavailable(3).into(),
@@ -386,7 +386,7 @@ impl App for KindApp {
         Some(FirstLook::Done(reply))
     }
     fn respond(&self, _peer: &str, req: &Request, _body: &[u8]) -> Reply {
-        match req.target.as_str() {
+        match req.target() {
             "/file" => {
                 let file = std::fs::File::open(&self.file).unwrap();
                 let len = file.metadata().unwrap().len();
@@ -949,10 +949,10 @@ fn here() -> String {
 }
 
 fn answer(big: &Bytes, req: &Request, body: &[u8]) -> Reply {
-    if req.target == "/big" {
+    if req.target() == "/big" {
         return Response::ok(big.clone(), "application/octet-stream").into();
     }
-    Response::ok(format!("target={} body={}", req.target, body.len()), "text/plain").into()
+    Response::ok(format!("target={} body={}", req.target(), body.len()), "text/plain").into()
 }
 
 impl App for LookApp {
@@ -1580,7 +1580,7 @@ struct TickerApp(Mutex<Option<Ticker>>);
 
 impl App for TickerApp {
     fn respond(&self, _peer: &str, req: &Request, _body: &[u8]) -> Reply {
-        Response::ok(req.target.clone(), "text/plain").into()
+        Response::ok(req.target().to_string(), "text/plain").into()
     }
     fn service(&self) -> Option<Box<dyn Service>> {
         let ticker = self.0.lock().unwrap().take()?;

@@ -188,7 +188,8 @@ impl LiveCluster {
             // Per-class metrics hang off the node's registry, so stats are
             // built first and dynamic state registered on them.
             let (stats, counters) = NodeStats::new(shards);
-            let dynamic = crate::dynamic::DynamicState::new(cfg.handlers.clone(), &stats.registry);
+            let dynamic =
+                crate::dynamic::DynamicState::new(cfg.handlers.clone(), &stats.registry, shards);
             let admission = Arc::new(AdmissionController::new());
             let file_cache = Arc::new(
                 crate::file_cache::FileCache::new(FILE_CACHE_BYTES).for_node(NodeId(i as u32)),
@@ -224,6 +225,7 @@ impl LiveCluster {
                 file_cache,
                 draining: AtomicBool::new(false),
                 start,
+                node_name: i.to_string().into(),
                 stats,
                 chaos: Arc::clone(&chaos),
                 admission,

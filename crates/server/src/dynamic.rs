@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use sweb_cluster::FileId;
 use sweb_http::{Head, Request, Response};
-use sweb_telemetry::{AtomicHistogram, Counter, Registry};
+use sweb_telemetry::{AtomicHistogram, Registry, ShardedCounter};
 
 use crate::node::NodeShared;
 use crate::striped::{Striped, SEGMENTS};
@@ -106,10 +106,32 @@ pub trait DynamicHandler: Send + Sync {
 /// `b=2&a=1` share a cache entry. Empty segments are dropped; the POST
 /// body (when present) is appended after the query under a separator that
 /// cannot appear in either.
+///
+/// The key is the one allocation: up to 16 pairs are sorted on the stack.
 pub fn canonicalize_args(query: &str, body: &[u8]) -> String {
-    let mut pairs: Vec<&str> = query.split('&').filter(|s| !s.is_empty()).collect();
-    pairs.sort_unstable();
-    let mut key = pairs.join("&");
+    let mut key = String::with_capacity(query.len() + 1 + body.len());
+    let mut pairs = query.split('&').filter(|s| !s.is_empty());
+    let mut few: [&str; 16] = [""; 16];
+    let mut n = 0;
+    for pair in pairs.by_ref().take(few.len()) {
+        few[n] = pair;
+        n += 1;
+    }
+    let mut join = |sorted: &mut [&str]| {
+        sorted.sort_unstable();
+        for (i, pair) in sorted.iter().enumerate() {
+            if i > 0 {
+                key.push('&');
+            }
+            key.push_str(pair);
+        }
+    };
+    let rest: Vec<&str> = pairs.collect();
+    if rest.is_empty() {
+        join(&mut few[..n]);
+    } else {
+        join(&mut [&few[..n], &rest[..]].concat());
+    }
     if !body.is_empty() {
         key.push('\n');
         key.push_str(&String::from_utf8_lossy(body));
@@ -443,6 +465,12 @@ impl DynamicCache {
     /// Cached response for `(class, args)`, if present and unexpired; a
     /// hit makes the entry its segment's most recent.
     pub fn get(&self, class: &str, args: &str) -> Option<Response> {
+        self.get_at(class, args, Instant::now())
+    }
+
+    /// [`DynamicCache::get`] with the clock already read: an entry is
+    /// fresh while it expires after `now`.
+    pub(crate) fn get_at(&self, class: &str, args: &str, now: Instant) -> Option<Response> {
         let key = Self::key(class, args);
         let seg = self.stripes.segment(key);
         let mut lru = seg.lock();
@@ -451,7 +479,7 @@ impl DynamicCache {
         // nothing from it.
         let fresh = match lru.touch(key) {
             Some(e) if e.class == class && *e.args == *args => {
-                (e.expires > Instant::now()).then(|| e.reply())
+                (e.expires > now).then(|| e.reply())
             }
             _ => {
                 seg.miss();
@@ -536,11 +564,14 @@ impl DynamicCache {
 /// Per-handler-class telemetry: registered on the node's metric registry
 /// (labeled `{handler="<class>"}`) so `/metrics` and `/sweb-status` read
 /// the same atomics.
+///
+/// Each number is split into per-shard cells: the shard that dispatched a
+/// request counts it, on its loop or on the worker it handed it to.
 pub struct ClassStats {
     /// Real handler invocations (cache hits excluded).
-    pub invocations: Arc<Counter>,
+    pub invocations: Arc<ShardedCounter>,
     /// Requests answered from the dynamic response cache.
-    pub cache_hits: Arc<Counter>,
+    pub cache_hits: Arc<ShardedCounter>,
     /// Measured handler wall time per invocation, microseconds.
     pub tcpu_us: Arc<AtomicHistogram>,
 }
@@ -559,8 +590,9 @@ impl DynamicState {
     /// every handler class in `registry` on `metrics`, and readers of the
     /// response cache's counters. The cache holds [`DEFAULT_MAX_ENTRIES`]
     /// replies for [`DEFAULT_TTL`] unless a handler's
-    /// [`DynamicHandler::ttl`] says otherwise.
-    pub fn new(registry: DynamicRegistry, metrics: &Registry) -> Self {
+    /// [`DynamicHandler::ttl`] says otherwise. The per-class numbers have
+    /// `shards` cells.
+    pub fn new(registry: DynamicRegistry, metrics: &Registry, shards: usize) -> Self {
         let stats = registry
             .classes()
             .into_iter()
@@ -569,20 +601,23 @@ impl DynamicState {
                 (
                     class,
                     ClassStats {
-                        invocations: metrics.counter(
+                        invocations: metrics.sharded_counter(
                             "sweb_dynamic_invocations_total",
                             &labels,
                             "Dynamic handler invocations (cache hits excluded)",
+                            shards,
                         ),
-                        cache_hits: metrics.counter(
+                        cache_hits: metrics.sharded_counter(
                             "sweb_dynamic_cache_hits_total",
                             &labels,
                             "Dynamic requests answered from the response cache",
+                            shards,
                         ),
-                        tcpu_us: metrics.histogram(
+                        tcpu_us: metrics.sharded_histogram(
                             "sweb_dynamic_tcpu_us",
                             &labels,
                             "Measured handler wall time per invocation (us)",
+                            shards,
                         ),
                     },
                 )
@@ -652,30 +687,23 @@ impl DynamicState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sweb_http::{Headers, Method};
+    use sweb_http::Method;
 
     fn req(target: &str) -> Request {
-        Request {
-            method: Method::Get,
-            target: target.into(),
-            version: "HTTP/1.0".into(),
-            headers: Headers::new(),
-        }
+        Request::new(Method::Get, target, "HTTP/1.0")
     }
 
     fn post(target: &str) -> Request {
-        Request {
-            method: Method::Post,
-            target: target.into(),
-            version: "HTTP/1.0".into(),
-            headers: Headers::new(),
-        }
+        Request::new(Method::Post, target, "HTTP/1.0")
     }
 
     #[test]
     fn canonicalize_sorts_and_appends_body() {
         assert_eq!(canonicalize_args("b=2&a=1", b""), "a=1&b=2");
         assert_eq!(canonicalize_args("a=1&b=2", b""), "a=1&b=2");
+        let many: Vec<String> = (0..20).rev().map(|i| format!("k{i:02}=v")).collect();
+        let sorted: Vec<String> = (0..20).map(|i| format!("k{i:02}=v")).collect();
+        assert_eq!(canonicalize_args(&many.join("&"), b""), sorted.join("&"));
         assert_eq!(canonicalize_args("", b"x=9"), "\nx=9");
         assert_ne!(canonicalize_args("a=1", b""), canonicalize_args("a=2", b""));
     }
@@ -983,7 +1011,7 @@ mod tests {
     #[test]
     fn state_registers_class_stats() {
         let metrics = Registry::new();
-        let state = DynamicState::new(DynamicRegistry::demo(), &metrics);
+        let state = DynamicState::new(DynamicRegistry::demo(), &metrics, 2);
         let burn = state.class_stats("burn").expect("burn stats");
         burn.invocations.inc();
         burn.tcpu_us.record(1234);

@@ -29,8 +29,8 @@
 //! behaves exactly like a global-mutex cache, global LRU order included.
 //!
 //! Each entry carries the body, the mtime, the path and the document's
-//! [`Head`]: a lookup is one probe, a hit's LRU touch one probe and a
-//! relink, and an insert hands back what it evicted. The head — status
+//! [`Head`]: a request's lookup is one lock, one probe and a relink, its
+//! hit one count on the stripe, and an insert hands back what it evicted. The head — status
 //! line, `Content-Type`, `Last-Modified`, `X-SWEB-Node`, `Server`,
 //! `Content-Length` — is serialized once, when the entry is built, by the
 //! same `document` builder every document reply comes from; a hit writes
@@ -168,25 +168,28 @@ impl FileCache {
         self.peek(key_of(path), path).is_some()
     }
 
-    /// The request path's one lookup: the resident document for `path` —
-    /// no stat, no LRU touch, no counter. The caller holds the file's
-    /// `stat`: a document whose mtime matches it may be served (then
-    /// [`FileCache::touch`] accounts the hit), one that does not is stale:
-    /// [`FileCache::miss`] accounts it, and the body read again replaces
-    /// it ([`FileCache::insert`]).
+    /// The resident document for `path`: no stat, no LRU touch, no
+    /// counter.
     pub(crate) fn peek(&self, key: FileId, path: &str) -> Option<Document> {
         let lru = self.stripes.segment(key).lock();
         lru.peek(key).filter(|e| e.path == path).map(|e| e.doc.clone())
     }
 
-    /// A document from [`FileCache::peek`] was served: count the hit and
-    /// touch the LRU, exactly what a hit in [`FileCache::read`] does.
-    pub(crate) fn touch(&self, key: FileId) {
-        let seg = self.stripes.segment(key);
-        // Evicted since the peek: the document in hand is still good, but
-        // there is no entry left to refresh.
-        seg.lock().touch(key);
-        seg.hit();
+    /// The request path's one lookup, under one stripe lock: the resident
+    /// document for `path`, made its stripe's most recent, and no counter.
+    /// The caller holds the file's `stat`: a document whose mtime matches
+    /// it may be served (then [`FileCache::hit`] accounts it), one that
+    /// does not is stale: [`FileCache::miss`] accounts it, and the body
+    /// read again replaces it ([`FileCache::insert`]).
+    pub(crate) fn lookup(&self, key: FileId, path: &str) -> Option<Document> {
+        let mut lru = self.stripes.segment(key).lock();
+        lru.touch(key).filter(|e| e.path == path).map(|e| e.doc.clone())
+    }
+
+    /// A document from [`FileCache::lookup`] was served: count the hit,
+    /// with no lock.
+    pub(crate) fn hit(&self, key: FileId) {
+        self.stripes.segment(key).hit();
     }
 
     /// A request's lookup found no fresh document for `key`: count the
@@ -322,7 +325,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_then_touch_accounts_like_a_read_hit() {
+    fn lookup_then_hit_accounts_like_a_read_hit() {
         let f = tmpfile("peek", b"peek at me");
         let cache = FileCache::new(1 << 20);
         let key = key_of("/peek");
@@ -330,11 +333,12 @@ mod tests {
         let (body, mtime) = cache.read("/peek", &f).unwrap();
         // The lookup itself moves no counter: the request may yet be
         // redirected, and only a served body is a hit.
-        let peeked = cache.peek(key, "/peek").unwrap();
-        assert_eq!((peeked.body, peeked.mtime), (body, mtime));
+        let found = cache.lookup(key, "/peek").unwrap();
+        assert_eq!((found.body, found.mtime), (body, mtime));
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        cache.touch(key);
+        cache.hit(key);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert!(cache.lookup(key, "/other").is_none());
         // Same key, another path: a collision is never a resident body.
         assert!(cache.peek(key, "/other").is_none());
         let _ = std::fs::remove_file(&f);

@@ -15,6 +15,8 @@
 //! worker that is handed a whole request ([`respond_parts`]) runs the
 //! same two stages back to back.
 
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::{Read, Seek};
 use std::os::fd::AsRawFd;
@@ -24,7 +26,7 @@ use std::time::{Duration, Instant, SystemTime};
 
 use bytes::Bytes;
 use sweb_cluster::{FileId, NodeId, Placement};
-use sweb_core::{AdmitClass, Decision, RequestClass, RequestInfo};
+use sweb_core::{AdmitClass, CostInputs, Decision, LoadTable, RequestClass, RequestInfo};
 use sweb_http::{Method, Request, Response, StatusCode};
 use sweb_reactor::sys::page_cached;
 use sweb_telemetry::Phase;
@@ -98,6 +100,9 @@ pub(crate) enum Look {
 /// first look computed so that nothing is computed — or decided — twice.
 pub(crate) struct Continuation {
     trace: String,
+    /// The shard that dispatched the request: what it writes goes in
+    /// that shard's cells.
+    shard: usize,
     work: Work,
 }
 
@@ -113,12 +118,14 @@ enum Work {
     /// samples that let the level come back down.
     Refuse(AdmitClass),
     /// Scheduled onto this node: fulfill locally.
-    Serve(Serve),
+    Serve(Serve<'static>),
 }
 
-/// A request the broker placed on this node, after steps 1–3.
-struct Serve {
-    path: String,
+/// A request the broker placed on this node, after steps 1–3. The path
+/// is borrowed from the request while the first look runs, and owned
+/// once the rest goes to a worker.
+struct Serve<'r> {
+    path: Cow<'r, str>,
     file: FileId,
     size: u64,
     decision: Decision,
@@ -144,8 +151,13 @@ enum Target {
 /// then whatever it left, back to back. This is the worker path; the
 /// reactor's loop threads call [`first_look`] themselves and send only a
 /// [`Continuation`] to the pool.
-pub(crate) fn respond_parts(shared: &NodeShared, req: &Request, body: &[u8]) -> Parts {
-    match first_look(shared, req, body) {
+pub(crate) fn respond_parts(
+    shared: &NodeShared,
+    shard: usize,
+    req: &Request,
+    body: &[u8],
+) -> Parts {
+    match first_look(shared, shard, req, body) {
         Look::Done(parts) => parts,
         Look::Blocking(rest) => rest.run(shared, req, body),
     }
@@ -163,16 +175,29 @@ pub(crate) fn respond_parts(shared: &NodeShared, req: &Request, body: &[u8]) -> 
 /// Every response carries an `X-SWEB-Trace` header: the id the request
 /// arrived with (carried through a 302 hop as a `sweb-trace` query
 /// parameter) or a freshly minted one, so one logical request is joinable
-/// across nodes in the access logs.
-pub(crate) fn first_look(shared: &NodeShared, req: &Request, body: &[u8]) -> Look {
-    let trace = sweb_http::trace_of(&req.target)
-        .map(str::to_owned)
-        .unwrap_or_else(|| shared.stats.new_trace_id(shared.id));
-    let mut look = look(shared, req, body, &trace);
+/// across nodes in the access logs. `shard` is the reactor shard that
+/// dispatched the request: the numbers the request writes go in its cells.
+pub(crate) fn first_look(shared: &NodeShared, shard: usize, req: &Request, body: &[u8]) -> Look {
+    let minted;
+    let trace = match sweb_http::trace_of(req.target()) {
+        Some(carried) => carried,
+        None => {
+            minted = shared.stats.new_trace_id(shared.id, shard);
+            minted.as_str()
+        }
+    };
+    let mut look = look(shared, shard, req, body, trace);
     if let Look::Done((resp, _)) = &mut look {
         resp.headers.set("X-SWEB-Trace", trace);
     }
     look
+}
+
+thread_local! {
+    /// The load table a node with no peer prices its requests on: its own
+    /// entry alone, refreshed before each decision. The thread's own, so
+    /// pricing takes no lock and writes no line another thread writes.
+    static SOLO_LOADS: RefCell<LoadTable> = RefCell::new(LoadTable::new(1));
 }
 
 /// A finished reply with no file to stream.
@@ -182,8 +207,8 @@ fn done(resp: Response) -> Look {
 
 /// The pipeline behind [`first_look`]; a finished reply leaves here
 /// without its trace header.
-fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
-    let rest = |work| Look::Blocking(Continuation { trace: trace.to_owned(), work });
+fn look(shared: &NodeShared, shard: usize, req: &Request, body: &[u8], trace: &str) -> Look {
+    let rest = |work| Look::Blocking(Continuation { trace: trace.to_owned(), shard, work });
     // Step 1: preprocess — method check, path completion, existence.
     if !req.method.is_supported() {
         return done(Response::error(StatusCode::NotImplemented));
@@ -210,7 +235,7 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
     // The request's one cache lookup: admission class, the scheduler's
     // residency term and the body served all come from it.
     let file = crate::file_cache::key_of(&path);
-    let resident = if is_dynamic { None } else { shared.file_cache.peek(file, &path) };
+    let resident = if is_dynamic { None } else { shared.file_cache.lookup(file, &path) };
     // Adaptive admission: classify the request by what it would cost us
     // and shed the expensive classes first as the controller's level
     // rises. Admin endpoints never reach this point — an operator must be
@@ -251,12 +276,12 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
             .map(|d| d.as_secs());
         if let (Some(mtime), Some(ims)) = (
             mtime,
-            req.headers.get("if-modified-since").and_then(sweb_http::parse_http_date),
+            req.headers().get("if-modified-since").and_then(sweb_http::parse_http_date),
         ) {
             if mtime <= ims {
                 let mut resp = Response::empty(StatusCode::NotModified);
                 resp.headers.set("Last-Modified", sweb_http::format_http_date(mtime));
-                resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
+                resp.headers.set("X-SWEB-Node", &*shared.node_name);
                 return done(resp);
             }
         }
@@ -298,16 +323,30 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
     };
     let decide_started = Instant::now();
     let own_load = crate::loadd::sample_load(shared);
-    let decision = {
+    let at = shared.sim_time(decide_started);
+    let decision = if nodes == 1 {
+        // No peer to choose: the request is priced where it landed, on
+        // this thread's own table, with no lock and no Δ bump for a
+        // choice that was never made.
+        SOLO_LOADS.with(|solo| {
+            let mut loads = solo.borrow_mut();
+            loads.update(shared.id, own_load, at);
+            let inputs = CostInputs { cluster: &shared.cluster, loads: &loads };
+            shared.broker.decide(&info, shared.id, &inputs)
+        })
+    } else {
         // One guard for both: refresh our own entry so local load is
         // never stale, then choose (which Δ-bumps the chosen entry).
         // Loop threads decide now, so this is the lock the shards and
         // loadd's receiver meet on.
         let mut loads = shared.loads.write();
-        loads.update(shared.id, own_load, shared.now());
+        loads.update(shared.id, own_load, at);
         shared.broker.choose(&info, shared.id, &shared.cluster, &mut loads)
     };
-    shared.stats.phases.record(Phase::Decide, decide_started.elapsed().as_micros() as u64);
+    // The decide phase ends and the fetch begins: one reading for both.
+    let decided = Instant::now();
+    let decide_us = decided.saturating_duration_since(decide_started).as_micros() as u64;
+    shared.stats.phases.record_at(shard, Phase::Decide, decide_us);
 
     // Step 3: redirection — the trace id rides the Location URL, because
     // clients do not forward response headers across a 302.
@@ -320,26 +359,25 @@ fn look(shared: &NodeShared, req: &Request, body: &[u8], trace: &str) -> Look {
     // disks sleep in `fulfill`, ahead of every read.
     let mut serve = Serve { path, file, size, decision, target, probed: false };
     if !shared.chaos.is_active() {
-        let fetch_started = Instant::now();
         let inline = serve
-            .try_memory(shared, req, body)
-            .or_else(|| serve.try_cheap(shared, req, body))
+            .try_memory(shared, shard, req, body, decided)
+            .or_else(|| serve.try_cheap(shared, shard, req, body))
             .map(|resp| (resp, None))
             .or_else(|| serve.try_open(shared));
         if let Some(parts) = inline {
-            serve.fetched(shared, fetch_started);
+            serve.fetched(shared, shard, decided);
             return Look::Done(parts);
         }
     }
-    rest(Work::Serve(serve))
+    rest(Work::Serve(serve.into_owned()))
 }
 
 /// The 302 that sends `req` to `target`.
 fn redirect(shared: &NodeShared, req: &Request, target: NodeId, trace: &str) -> Response {
     let base = &shared.peer_http[target.index()];
-    let marked = sweb_http::mark_trace(&req.target, trace);
+    let marked = sweb_http::mark_trace(req.target(), trace);
     let mut resp = Response::redirect_to_peer(base, &marked);
-    resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
+    resp.headers.set("X-SWEB-Node", &*shared.node_name);
     resp
 }
 
@@ -357,23 +395,36 @@ impl Continuation {
             Work::Refuse(class) => {
                 shared.stats.admission_sheds_of(class).inc();
                 let mut resp = Response::unavailable(shared.admission.retry_after_secs());
-                resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
+                resp.headers.set("X-SWEB-Node", &*shared.node_name);
                 (resp, None)
             }
-            Work::Serve(serve) => serve.run(shared, req, body),
+            Work::Serve(serve) => serve.run(shared, self.shard, req, body),
         };
-        resp.headers.set("X-SWEB-Trace", self.trace);
+        resp.headers.set("X-SWEB-Trace", &self.trace);
         (resp, file)
     }
 }
 
-impl Serve {
+impl Serve<'_> {
+    /// The same request, owning its path: what a worker is handed.
+    fn into_owned(self) -> Serve<'static> {
+        let Serve { path, file, size, decision, target, probed } = self;
+        Serve { path: Cow::Owned(path.into_owned()), file, size, decision, target, probed }
+    }
+
     /// Memory-only fulfillment: the resident document the request's
     /// lookup found (body and head as its entry holds them), or a
     /// dynamic-cache hit. A document of at most [`CACHE_MAX`] that is not
     /// resident counts its `FileCache` miss here, once, wherever it is
-    /// then read.
-    fn try_memory(&mut self, shared: &NodeShared, req: &Request, body: &[u8]) -> Option<Response> {
+    /// then read. `now` is the clock as the fetch began.
+    fn try_memory(
+        &mut self,
+        shared: &NodeShared,
+        shard: usize,
+        req: &Request,
+        body: &[u8],
+        now: Instant,
+    ) -> Option<Response> {
         self.probed = true;
         match &mut self.target {
             Target::Document { hit, .. } => {
@@ -383,7 +434,7 @@ impl Serve {
                     }
                     return None;
                 };
-                shared.file_cache.touch(self.file);
+                shared.file_cache.hit(self.file);
                 Some(doc.reply())
             }
             Target::Handler { handler, key } => {
@@ -394,12 +445,12 @@ impl Serve {
                     _ => handler.cache_key(req, body),
                 };
                 let class = handler.class();
-                let mut resp = shared.dynamic.cache.get(class, key.as_deref()?)?;
+                let mut resp = shared.dynamic.cache.get_at(class, key.as_deref()?, now)?;
                 if let Some(s) = shared.dynamic.class_stats(class) {
-                    s.cache_hits.inc();
+                    s.cache_hits.inc_at(shard);
                 }
                 resp.headers.set("X-SWEB-Dynamic-Cache", "hit");
-                resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
+                resp.headers.set("X-SWEB-Node", &*shared.node_name);
                 Some(resp)
             }
         }
@@ -409,12 +460,18 @@ impl Serve {
     /// request and its class has measured cheap. A class with no samples
     /// yet is not trusted: its first invocation takes the pool and is
     /// measured there. Called after [`Serve::try_memory`] missed.
-    fn try_cheap(&self, shared: &NodeShared, req: &Request, body: &[u8]) -> Option<Response> {
+    fn try_cheap(
+        &self,
+        shared: &NodeShared,
+        shard: usize,
+        req: &Request,
+        body: &[u8],
+    ) -> Option<Response> {
         let Target::Handler { handler, key } = &self.target else { return None };
         let tcpu = &shared.dynamic.class_stats(handler.class())?.tcpu_us;
         let cheap = tcpu.count() > 0 && tcpu.quantile(0.99) <= INLINE_BUDGET_US;
         (cheap && !handler.blocking(req, body))
-            .then(|| invoke(shared, handler.as_ref(), key.as_deref(), req, body))
+            .then(|| invoke(shared, shard, handler.as_ref(), key.as_deref(), req, body))
     }
 
     /// A document the cache missed, opened once, and served here when
@@ -452,23 +509,31 @@ impl Serve {
     /// the broker's prediction: the chosen candidate's per-term estimate
     /// is what this very fetch was scheduled on, so the pair feeds the
     /// prediction-error histograms.
-    fn fetched(&self, shared: &NodeShared, started: Instant) {
+    fn fetched(&self, shared: &NodeShared, shard: usize, started: Instant) {
         let fetch_us = started.elapsed().as_micros() as u64;
-        shared.stats.phases.record(Phase::Fetch, fetch_us);
+        shared.stats.phases.record_at(shard, Phase::Fetch, fetch_us);
         let cost = self.decision.cost;
-        shared.stats.feedback.record(cost.t_redirection, cost.t_data, cost.t_cpu, fetch_us);
+        let feedback = &shared.stats.feedback;
+        feedback.record_at(shard, cost.t_redirection, cost.t_data, cost.t_cpu, fetch_us);
     }
 
-    fn run(mut self, shared: &NodeShared, req: &Request, body: &[u8]) -> Parts {
+    fn run(mut self, shared: &NodeShared, shard: usize, req: &Request, body: &[u8]) -> Parts {
         // Step 4: fulfillment.
         let fetch_started = Instant::now();
-        let result = self.fulfill(shared, req, body);
-        self.fetched(shared, fetch_started);
+        let result = self.fulfill(shared, shard, req, body, fetch_started);
+        self.fetched(shared, shard, fetch_started);
         result
     }
 
     /// Local fulfillment: invoke the dynamic handler or read the document.
-    fn fulfill(&mut self, shared: &NodeShared, req: &Request, body: &[u8]) -> Parts {
+    fn fulfill(
+        &mut self,
+        shared: &NodeShared,
+        shard: usize,
+        req: &Request,
+        body: &[u8],
+        now: Instant,
+    ) -> Parts {
         // Fault injection: a browned-out node serves *everything* late —
         // dynamic and static alike — unlike SlowDisk, which models one slow
         // device. The stall sits in the fetch phase, where the reactor's
@@ -485,13 +550,13 @@ impl Serve {
             }
         }
         if !self.probed {
-            if let Some(resp) = self.try_memory(shared, req, body) {
+            if let Some(resp) = self.try_memory(shared, shard, req, body, now) {
                 return (resp, None);
             }
         }
         let (modified, mut opened) = match &mut self.target {
             Target::Handler { handler, key } => {
-                return (invoke(shared, handler.as_ref(), key.as_deref(), req, body), None);
+                return (invoke(shared, shard, handler.as_ref(), key.as_deref(), req, body), None);
             }
             Target::Document { modified, opened, .. } => (*modified, opened.take()),
         };
@@ -588,6 +653,7 @@ fn read_with_retry<T>(
 /// feed the oracle: a cache hit measures the cache, not the handler.
 fn invoke(
     shared: &NodeShared,
+    shard: usize,
     handler: &dyn DynamicHandler,
     key: Option<&str>,
     req: &Request,
@@ -598,11 +664,13 @@ fn invoke(
     let mut resp = handler.handle(shared, req, body);
     let elapsed = invoke_started.elapsed();
     if let Some(s) = shared.dynamic.class_stats(class) {
-        s.invocations.inc();
-        s.tcpu_us.record(elapsed.as_micros() as u64);
+        s.invocations.inc_at(shard);
+        s.tcpu_us.record_at(shard, elapsed.as_micros() as u64);
     }
     let ops_per_sec = shared.cluster.nodes[shared.id.index()].cpu_ops_per_sec;
-    let cpu_load = shared.loads.read().load(shared.id).cpu;
+    // The load the invocation ran at, sampled now rather than read from
+    // the load table: no lock, and no Δ bumps of choices in between.
+    let cpu_load = crate::loadd::sample_load(shared).cpu;
     shared.oracle.observe(class, measured_ops(elapsed, ops_per_sec, cpu_load));
     if resp.status == StatusCode::Ok {
         if let Some(k) = key {
@@ -613,7 +681,7 @@ fn invoke(
             resp.headers.set("X-SWEB-Dynamic-Cache", "miss");
         }
     }
-    resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
+    resp.headers.set("X-SWEB-Node", &*shared.node_name);
     resp
 }
 
@@ -653,7 +721,7 @@ mod tests {
     fn inline_reply(node: &NodeShared, path: &str) -> Option<Response> {
         let raw = format!("GET {path} HTTP/1.0\r\n\r\n");
         let (req, _) = sweb_http::parse_request(raw.as_bytes()).unwrap();
-        match first_look(node, &req, b"") {
+        match first_look(node, 0, &req, b"") {
             Look::Done((resp, None)) => Some(resp),
             Look::Done((_, Some(_))) => panic!("a small document is never streamed"),
             Look::Blocking(_) => None,
@@ -664,7 +732,7 @@ mod tests {
     fn pooled_reply(node: &NodeShared, path: &str) -> Response {
         let raw = format!("GET {path} HTTP/1.0\r\n\r\n");
         let (req, _) = sweb_http::parse_request(raw.as_bytes()).unwrap();
-        respond_parts(node, &req, b"").0
+        respond_parts(node, 0, &req, b"").0
     }
 
     #[test]

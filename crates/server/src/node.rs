@@ -15,7 +15,7 @@ use sweb_core::{
 use sweb_des::SimTime;
 use sweb_http::Request;
 use sweb_reactor::{Counters, ReactorConfig};
-use sweb_telemetry::{CostFeedback, Counter, PhaseTimes, Registry, ShardedGauge};
+use sweb_telemetry::{CostFeedback, Counter, PhaseTimes, Registry, ShardedGauge, MAX_SHARD_CELLS};
 
 use crate::file_cache::FileCache;
 use crate::handler;
@@ -58,18 +58,61 @@ pub struct NodeStats {
     pub feedback: CostFeedback,
     /// Trace-id epoch (wall-clock salt, so ids don't repeat across runs).
     trace_epoch: u32,
-    /// Trace-id sequence number.
-    trace_seq: AtomicU64,
+    /// Trace-id sequence numbers, one per shard, each on its own line.
+    trace_seq: Box<[TraceSeq]>,
+}
+
+/// One shard's trace-id sequence.
+#[repr(align(64))]
+#[derive(Default)]
+struct TraceSeq(AtomicU64);
+
+/// A trace id as [`NodeStats::new_trace_id`] mints it, held inline:
+/// `n<node>-<epoch>-<seq>` is at most 37 bytes.
+#[derive(Clone, Copy)]
+pub struct TraceId {
+    bytes: [u8; 40],
+    len: u8,
+}
+
+impl TraceId {
+    /// The id.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len as usize]).expect("ASCII id")
+    }
+
+    fn push(&mut self, b: u8) {
+        self.bytes[self.len as usize] = b;
+        self.len += 1;
+    }
+
+    /// Append `n` in `radix` (10 or 16), lowercase, with no leading zeros.
+    fn push_digits(&mut self, mut n: u64, radix: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b"0123456789abcdef"[(n % radix) as usize];
+            n /= radix;
+            if n == 0 {
+                break;
+            }
+        }
+        for &d in &digits[at..] {
+            self.push(d);
+        }
+    }
 }
 
 impl NodeStats {
     /// Build a node's telemetry surface on a fresh registry, and the
     /// reactor's counter block on the same registry: this is where the
     /// engine's cells get their series names. `shards` is the number of
-    /// per-shard cells behind the hot counters (accept / serve / shed /
-    /// in-flight): each reactor shard increments its own cacheline, and
-    /// scrapes sum the cells, so totals stay exact without cross-core
-    /// ping-pong.
+    /// per-shard cells behind every number a request writes (accept /
+    /// serve / shed / in-flight counters, the phase, inline and feedback
+    /// histograms, the trace sequence): each reactor shard writes its own
+    /// cacheline, and scrapes sum the cells, so totals stay exact without
+    /// cross-core ping-pong.
     pub fn new(shards: usize) -> (NodeStats, Counters) {
         let registry = Arc::new(Registry::new());
         let c = |name: &str, help: &str| registry.counter(name, &[], help);
@@ -123,12 +166,13 @@ impl NodeStats {
             // fetch time of those requests plus reply serialization, so it
             // is deliberately not a phase — the phase family partitions a
             // request's time and is summed as such.
-            inline_us: registry.histogram(
+            inline_us: registry.sharded_histogram(
                 "sweb_inline_us",
                 &[],
                 "Loop-thread time per inline answer, parsed request to first write (us)",
+                shards,
             ),
-            phases: Arc::new(PhaseTimes::register(&registry)),
+            phases: Arc::new(PhaseTimes::register_sharded(&registry, shards)),
             // Read by the status page's shard rows, not a series.
             live: Arc::new(ShardedGauge::new(shards)),
         };
@@ -169,9 +213,9 @@ impl NodeStats {
                 "Retries refused because a retry budget was empty",
             ),
             phases: Arc::clone(&counters.phases),
-            feedback: CostFeedback::register(&registry),
+            feedback: CostFeedback::register(&registry, shards),
             trace_epoch: epoch,
-            trace_seq: AtomicU64::new(0),
+            trace_seq: (0..shards.clamp(1, MAX_SHARD_CELLS)).map(|_| TraceSeq::default()).collect(),
             registry,
         };
         (stats, counters)
@@ -256,35 +300,26 @@ impl NodeStats {
         }]
     }
 
-    /// Mint a fresh trace id: `n<node>-<epoch>-<seq>` (node in decimal,
-    /// epoch and sequence in lowercase hex), URL- and CLF-safe. Written
-    /// digit by digit: this runs once per request.
-    pub fn new_trace_id(&self, node: NodeId) -> String {
-        let seq = self.trace_seq.fetch_add(1, Ordering::Relaxed);
-        let mut id = String::with_capacity(32);
-        id.push('n');
-        push_digits(&mut id, node.0.into(), 10);
-        id.push('-');
-        push_digits(&mut id, self.trace_epoch.into(), 16);
-        id.push('-');
-        push_digits(&mut id, seq, 16);
+    /// Mint a fresh trace id on `shard`: `n<node>-<epoch>-<seq>` (node in
+    /// decimal, epoch and sequence in lowercase hex), URL- and CLF-safe.
+    /// Each shard counts its own sequence, so no two loops write one line:
+    /// the `k`-th id of shard `s` of `n` is `seq = k·n + s`, unique across
+    /// the node. Written digit by digit, inline: this runs once per
+    /// request.
+    pub fn new_trace_id(&self, node: NodeId, shard: usize) -> TraceId {
+        let cells = self.trace_seq.len();
+        let shard = shard % cells;
+        let local = self.trace_seq[shard].0.fetch_add(1, Ordering::Relaxed);
+        let seq = local * cells as u64 + shard as u64;
+        let mut id = TraceId { bytes: [0; 40], len: 0 };
+        id.push(b'n');
+        id.push_digits(node.0.into(), 10);
+        id.push(b'-');
+        id.push_digits(self.trace_epoch.into(), 16);
+        id.push(b'-');
+        id.push_digits(seq, 16);
         id
     }
-}
-
-/// Append `n` in `radix` (10 or 16), lowercase, with no leading zeros.
-fn push_digits(out: &mut String, mut n: u64, radix: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b"0123456789abcdef"[(n % radix) as usize];
-        n /= radix;
-        if n == 0 {
-            break;
-        }
-    }
-    out.extend(digits[at..].iter().map(|&d| d as char));
 }
 
 /// A scrape-time reader of one number `of` keeps.
@@ -338,6 +373,9 @@ pub struct NodeShared {
     pub draining: AtomicBool,
     /// Server start, for load-table timestamps.
     pub start: Instant,
+    /// This node's id as its replies' `X-SWEB-Node` line carries it,
+    /// rendered once.
+    pub node_name: Box<str>,
     /// The node's telemetry surface (counters, gauges, histograms).
     pub stats: NodeStats,
     /// Fault injector shared by every node of the cluster (disabled by
@@ -354,7 +392,12 @@ impl NodeShared {
     /// Monotonic time since server start as a [`SimTime`] (the load table
     /// is engine-agnostic and wants microsecond timestamps).
     pub fn now(&self) -> SimTime {
-        SimTime::from_micros(self.start.elapsed().as_micros() as u64)
+        self.sim_time(Instant::now())
+    }
+
+    /// `at` as a [`SimTime`] since server start.
+    pub fn sim_time(&self, at: Instant) -> SimTime {
+        SimTime::from_micros(at.saturating_duration_since(self.start).as_micros() as u64)
     }
 
     /// `stat` of the document at `rel`, relative to the docroot: one
@@ -373,9 +416,11 @@ impl NodeShared {
 /// Adapter exposing a node to the reactor: `first_look` and `respond`
 /// run the §3.2 pipeline, and the admission controller hears each queue
 /// sojourn and prices every 503's `Retry-After`. One `ReactorApp` exists
-/// per shard.
+/// per shard, and it carries that shard's index: what its requests write
+/// goes in that shard's cells, on the loop or on a worker.
 struct ReactorApp {
     shared: Arc<NodeShared>,
+    shard: usize,
     /// Shard 0's loop takes the node's loadd daemon as it starts
     /// ([`sweb_reactor::App::service`]); `None` on the others.
     service: Mutex<Option<crate::loadd::Daemon>>,
@@ -395,7 +440,7 @@ fn reply(
         log.log(
             peer,
             handler::method_str(req.method),
-            &req.target,
+            req.target(),
             resp.status.code(),
             body_len,
             trace,
@@ -409,7 +454,8 @@ fn reply(
 
 impl sweb_reactor::App for ReactorApp {
     fn respond(&self, peer: &str, req: &Request, body: &[u8]) -> sweb_reactor::Reply {
-        reply(&self.shared, peer, req, handler::respond_parts(&self.shared, req, body))
+        let parts = handler::respond_parts(&self.shared, self.shard, req, body);
+        reply(&self.shared, peer, req, parts)
     }
     fn first_look(
         &self,
@@ -424,7 +470,7 @@ impl sweb_reactor::App for ReactorApp {
         if self.shared.chaos.is_active() {
             return None;
         }
-        Some(match handler::first_look(&self.shared, req, body) {
+        Some(match handler::first_look(&self.shared, self.shard, req, body) {
             // A large resident document arrives with its fd open: the
             // loop `sendfile`s it straight from the page cache.
             handler::Look::Done(parts) => {
@@ -490,9 +536,9 @@ impl NodeHandle {
 
         let reactor_shutdown = Arc::new(AtomicBool::new(false));
         let apps: Vec<Arc<dyn sweb_reactor::App>> = (0..shared.shards.max(1))
-            .map(|_| {
+            .map(|shard| {
                 let service = Mutex::new(service.take());
-                Arc::new(ReactorApp { shared: Arc::clone(&shared), service })
+                Arc::new(ReactorApp { shared: Arc::clone(&shared), shard, service })
                     as Arc<dyn sweb_reactor::App>
             })
             .collect();

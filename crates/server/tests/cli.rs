@@ -13,9 +13,12 @@ fn docroot(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// A port base unlikely to collide across test processes.
+/// A port base unlikely to collide across test processes: 10000–29999,
+/// so that with the offsets the tests add (at most 101) every port the
+/// suite binds stays below 32768, where Linux's ephemeral range starts,
+/// and no outgoing connection of another process already holds it.
 fn port_base() -> u16 {
-    20000 + (std::process::id() % 20000) as u16
+    10000 + (std::process::id() % 20000) as u16
 }
 
 struct Daemon(Child);
@@ -27,22 +30,29 @@ impl Drop for Daemon {
     }
 }
 
-fn wait_for_http(port: u16, deadline: Duration) -> bool {
+/// Wait until `daemon` listens on `port`; if it does not within
+/// `deadline`, stop it and fail with what it wrote on stderr.
+fn wait_for_http(daemon: &mut Daemon, port: u16, deadline: Duration) {
     let t0 = std::time::Instant::now();
     while t0.elapsed() < deadline {
         if std::net::TcpStream::connect(("127.0.0.1", port)).is_ok() {
-            return true;
+            return;
         }
         std::thread::sleep(Duration::from_millis(50));
     }
-    false
+    let _ = daemon.0.kill();
+    let mut err = String::new();
+    if let Some(mut stderr) = daemon.0.stderr.take() {
+        let _ = stderr.read_to_string(&mut err);
+    }
+    panic!("swebd never listened on {port} within {deadline:?}; its stderr:\n{err}");
 }
 
 #[test]
 fn swebd_serves_two_nodes_over_http() {
     let dir = docroot("e2e");
     let base = port_base();
-    let daemon = Daemon(
+    let mut daemon = Daemon(
         Command::new(env!("CARGO_BIN_EXE_swebd"))
             .args([
                 "--nodes",
@@ -57,12 +67,12 @@ fn swebd_serves_two_nodes_over_http() {
                 "200",
             ])
             .stdout(Stdio::null())
-            .stderr(Stdio::null())
+            .stderr(Stdio::piped())
             .spawn()
             .expect("spawn swebd"),
     );
-    assert!(wait_for_http(base, Duration::from_secs(10)), "swebd never came up");
-    assert!(wait_for_http(base + 1, Duration::from_secs(10)));
+    wait_for_http(&mut daemon, base, Duration::from_secs(10));
+    wait_for_http(&mut daemon, base + 1, Duration::from_secs(10));
 
     // Both nodes serve both documents, whole, whichever node ends up
     // answering (`client::get` follows the one 302 the broker may issue).
@@ -113,7 +123,7 @@ fn swebd_accepts_shipped_example_oracle() {
     let dir = docroot("goodconf");
     let base = port_base() + 100;
     let example = concat!(env!("CARGO_MANIFEST_DIR"), "/../../conf/oracle.conf.example");
-    let daemon = Daemon(
+    let mut daemon = Daemon(
         Command::new(env!("CARGO_BIN_EXE_swebd"))
             .args([
                 "--nodes",
@@ -125,12 +135,12 @@ fn swebd_accepts_shipped_example_oracle() {
                 "--oracle",
                 example,
             ])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
             .spawn()
             .expect("spawn swebd"),
     );
-    assert!(wait_for_http(base, Duration::from_secs(10)));
+    wait_for_http(&mut daemon, base, Duration::from_secs(10));
     let resp = sweb_server::client::get(&format!("http://127.0.0.1:{base}/index.html")).unwrap();
     assert_eq!(resp.status, 200);
     drop(daemon);

@@ -55,20 +55,16 @@ impl RequestDeadline {
         self.started + (self.budget * Self::cutoff_percent(phase)) / 100
     }
 
-    /// Whether `phase` has missed its checkpoint as of now.
-    pub fn overrun(&self, phase: Phase) -> bool {
-        self.overrun_at(phase, Instant::now())
-    }
-
-    /// Whether `phase` has missed its checkpoint as of `now` (split out
-    /// so tests need no sleeping).
+    /// Whether `phase` has missed its checkpoint as of `now`: the caller
+    /// passes the clock reading it already took at that phase boundary.
     pub fn overrun_at(&self, phase: Phase, now: Instant) -> bool {
         now > self.phase_deadline(phase)
     }
 
-    /// Time left before the overall deadline, zero if already past it.
-    pub fn remaining(&self) -> Duration {
-        self.expires_at().saturating_duration_since(Instant::now())
+    /// Time left at `now` before the overall deadline, zero if already
+    /// past it.
+    pub fn remaining_at(&self, now: Instant) -> Duration {
+        self.expires_at().saturating_duration_since(now)
     }
 }
 
@@ -109,7 +105,8 @@ mod tests {
     fn remaining_saturates_at_zero() {
         let past = Instant::now() - Duration::from_secs(10);
         let d = RequestDeadline::new(past, Duration::from_secs(1));
-        assert_eq!(d.remaining(), Duration::ZERO);
-        assert!(d.overrun(Phase::Write));
+        let now = Instant::now();
+        assert_eq!(d.remaining_at(now), Duration::ZERO);
+        assert!(d.overrun_at(Phase::Write, now));
     }
 }

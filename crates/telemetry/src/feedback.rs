@@ -12,7 +12,8 @@
 use std::sync::Arc;
 
 use crate::hist::AtomicHistogram;
-use crate::registry::{Counter, Registry};
+use crate::registry::Registry;
+use crate::sharded::ShardedCounter;
 
 /// Unsigned prediction error as a percentage of the prediction (capped
 /// at 10 000 % to keep one wild outlier chartable).
@@ -22,54 +23,61 @@ fn error_pct(predicted_us: u64, measured_us: u64) -> u64 {
     e.min(10_000.0) as u64
 }
 
-/// Lock-free feedback recorder for one node.
+/// Lock-free feedback recorder for one node, in per-shard cells.
 #[derive(Debug)]
 pub struct CostFeedback {
     predicted: Arc<AtomicHistogram>,
     measured: Arc<AtomicHistogram>,
     error_pct: Arc<AtomicHistogram>,
-    term_us: [Arc<Counter>; 3],
-    decisions: Arc<Counter>,
+    term_us: [Arc<ShardedCounter>; 3],
+    decisions: Arc<ShardedCounter>,
 }
 
 impl CostFeedback {
-    /// Register the feedback metrics on `registry`.
-    pub fn register(registry: &Registry) -> CostFeedback {
-        let predicted = registry.histogram(
+    /// Register the feedback metrics on `registry`, each with `cells`
+    /// per-shard cells.
+    pub fn register(registry: &Registry, cells: usize) -> CostFeedback {
+        let predicted = registry.sharded_histogram(
             "sweb_cost_predicted_us",
             &[],
             "Broker-predicted completion time of the chosen candidate, microseconds",
+            cells,
         );
-        let measured = registry.histogram(
+        let measured = registry.sharded_histogram(
             "sweb_cost_measured_us",
             &[],
             "Measured local fulfillment wall time, microseconds",
+            cells,
         );
-        let error_pct = registry.histogram(
+        let error_pct = registry.sharded_histogram(
             "sweb_cost_error_pct",
             &[],
             "Unsigned prediction error as percent of prediction",
+            cells,
         );
         let term_us = ["redirection", "data", "cpu"].map(|term| {
-            registry.counter(
+            registry.sharded_counter(
                 "sweb_cost_predicted_term_us_total",
                 &[("term", term)],
                 "Cumulative predicted microseconds attributed to each cost-model term",
+                cells,
             )
         });
-        let decisions = registry.counter(
+        let decisions = registry.sharded_counter(
             "sweb_cost_feedback_total",
             &[],
             "Decisions with both a prediction and a measurement recorded",
+            cells,
         );
         CostFeedback { predicted, measured, error_pct, term_us, decisions }
     }
 
-    /// Record one decision: the chosen candidate's predicted per-term
-    /// breakdown (seconds, as the cost model emits) against the measured
-    /// fulfillment wall time.
-    pub fn record(
+    /// Record one decision, in shard `shard`'s cells: the chosen
+    /// candidate's predicted per-term breakdown (seconds, as the cost
+    /// model emits) against the measured fulfillment wall time.
+    pub fn record_at(
         &self,
+        shard: usize,
         t_redirection_s: f64,
         t_data_s: f64,
         t_cpu_s: f64,
@@ -78,13 +86,13 @@ impl CostFeedback {
         let us = |s: f64| (s.max(0.0) * 1e6) as u64;
         let (red, data, cpu) = (us(t_redirection_s), us(t_data_s), us(t_cpu_s));
         let predicted_us = red + data + cpu;
-        self.term_us[0].add(red);
-        self.term_us[1].add(data);
-        self.term_us[2].add(cpu);
-        self.predicted.record(predicted_us);
-        self.measured.record(measured_us);
-        self.error_pct.record(error_pct(predicted_us, measured_us));
-        self.decisions.inc();
+        self.term_us[0].add_at(shard, red);
+        self.term_us[1].add_at(shard, data);
+        self.term_us[2].add_at(shard, cpu);
+        self.predicted.record_at(shard, predicted_us);
+        self.measured.record_at(shard, measured_us);
+        self.error_pct.record_at(shard, error_pct(predicted_us, measured_us));
+        self.decisions.inc_at(shard);
     }
 
     /// Decisions recorded so far.
@@ -100,9 +108,9 @@ mod tests {
     #[test]
     fn records_terms_and_error() {
         let reg = Registry::new();
-        let fb = CostFeedback::register(&reg);
+        let fb = CostFeedback::register(&reg, 2);
         // Predict 1 ms redirection + 2 ms data + 3 ms cpu; measure 9 ms.
-        fb.record(0.001, 0.002, 0.003, 9_000);
+        fb.record_at(1, 0.001, 0.002, 0.003, 9_000);
         assert_eq!(fb.decisions(), 1);
         let text = reg.render_prometheus();
         assert!(text.contains("sweb_cost_predicted_us_sum 6000"), "{text}");

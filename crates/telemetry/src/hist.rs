@@ -31,13 +31,25 @@ pub(crate) const BUCKET_BOUNDS: [u64; 12] = [
 
 /// A lock-free log-scale histogram: fixed bucket bounds, relaxed atomic
 /// counts, recordable from any thread through a shared reference.
+///
+/// The counts are split into per-shard cells, one cache-line-padded
+/// block of buckets and sum per shard, as [`crate::ShardedCounter`]
+/// splits a counter: a reactor shard records in its own cell
+/// ([`AtomicHistogram::record_at`]), so two loops never write one line,
+/// and readers sum the cells. A histogram from [`AtomicHistogram::new`]
+/// has one cell.
 #[derive(Debug)]
 pub struct AtomicHistogram {
-    /// One count per finite bound plus the `+Inf` overflow bucket.
+    cells: Box<[Cell]>,
+}
+
+/// One shard's counts: one per finite bound plus the `+Inf` overflow
+/// bucket, and the sum. The count is the buckets' total.
+#[repr(align(64))]
+#[derive(Debug, Default)]
+struct Cell {
     buckets: [AtomicU64; BUCKET_BOUNDS.len() + 1],
-    /// Total recorded observations.
-    count: AtomicU64,
-    /// Sum of recorded values (saturating; the unit of whatever is fed in).
+    /// Sum of recorded values (wrapping; the unit of whatever is fed in).
     sum: AtomicU64,
 }
 
@@ -48,34 +60,49 @@ impl Default for AtomicHistogram {
 }
 
 impl AtomicHistogram {
-    /// An empty histogram over the standard power-of-four bucket ladder.
+    /// An empty histogram over the standard power-of-four bucket ladder,
+    /// with one cell.
     pub fn new() -> AtomicHistogram {
-        AtomicHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
+        AtomicHistogram::with_cells(1)
     }
 
-    /// Record one observation.
+    /// An empty histogram with `cells` per-shard cells (clamped to `1..=`
+    /// [`crate::MAX_SHARD_CELLS`]).
+    pub fn with_cells(cells: usize) -> AtomicHistogram {
+        let n = cells.clamp(1, crate::MAX_SHARD_CELLS);
+        AtomicHistogram { cells: (0..n).map(|_| Cell::default()).collect() }
+    }
+
+    /// Record one observation in the calling thread's cell.
     pub fn record(&self, value: u64) {
+        let cell = if self.cells.len() == 1 { 0 } else { crate::sharded::hint() };
+        self.record_at(cell, value);
+    }
+
+    /// Record one observation in cell `shard % cells`.
+    pub fn record_at(&self, shard: usize, value: u64) {
         let idx = BUCKET_BOUNDS
             .iter()
             .position(|&b| value <= b)
             .unwrap_or(BUCKET_BOUNDS.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        let cell = &self.cells[shard % self.cells.len()];
+        cell.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        cell.sum.fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// Count in bucket `i`, summed over the cells.
+    fn bucket(&self, i: usize) -> u64 {
+        self.cells.iter().map(|c| c.buckets[i].load(Ordering::Relaxed)).sum()
     }
 
     /// Total observations recorded.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        (0..=BUCKET_BOUNDS.len()).map(|i| self.bucket(i)).sum()
     }
 
     /// Sum of recorded values.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.cells.iter().fold(0u64, |acc, c| acc.wrapping_add(c.sum.load(Ordering::Relaxed)))
     }
 
     /// Mean recorded value (0 when empty).
@@ -99,8 +126,8 @@ impl AtomicHistogram {
         }
         let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
+        for i in 0..=BUCKET_BOUNDS.len() {
+            seen += self.bucket(i);
             if seen >= rank {
                 return BUCKET_BOUNDS.get(i).copied().unwrap_or(u64::MAX);
             }
@@ -112,11 +139,7 @@ impl AtomicHistogram {
     /// is the `+Inf` overflow bucket (`None` bound). Counts are
     /// *non-cumulative*; the Prometheus renderer accumulates.
     pub fn snapshot(&self) -> Vec<(Option<u64>, u64)> {
-        let mut out = Vec::with_capacity(self.buckets.len());
-        for (i, b) in self.buckets.iter().enumerate() {
-            out.push((BUCKET_BOUNDS.get(i).copied(), b.load(Ordering::Relaxed)));
-        }
-        out
+        (0..=BUCKET_BOUNDS.len()).map(|i| (BUCKET_BOUNDS.get(i).copied(), self.bucket(i))).collect()
     }
 }
 
@@ -150,6 +173,19 @@ mod tests {
         assert_eq!(h.quantile(0.5), 16);
         assert_eq!(h.quantile(1.0), 262_144);
         assert_eq!(AtomicHistogram::new().quantile(0.5), 0);
+    }
+
+    #[test]
+    fn cells_sum_to_one_distribution() {
+        let h = AtomicHistogram::with_cells(2);
+        h.record_at(0, 3);
+        h.record_at(1, 3);
+        h.record_at(3, 100); // wraps to cell 1
+        assert_eq!(h.count(), 3);
+        assert_eq!(h.sum(), 106);
+        assert_eq!(h.snapshot()[1], (Some(4), 2));
+        assert_eq!(h.quantile(1.0), 256);
+        assert_eq!(std::mem::size_of::<Cell>() % 64, 0, "a cell owns its lines");
     }
 
     #[test]

@@ -62,21 +62,33 @@ pub struct PhaseTimes {
 }
 
 impl PhaseTimes {
-    /// Register the per-phase histograms on `registry`.
+    /// Register the per-phase histograms on `registry`, one cell each.
     pub fn register(registry: &Registry) -> PhaseTimes {
+        PhaseTimes::register_sharded(registry, 1)
+    }
+
+    /// Register the per-phase histograms on `registry` with `cells`
+    /// per-shard cells each ([`AtomicHistogram::with_cells`]).
+    pub fn register_sharded(registry: &Registry, cells: usize) -> PhaseTimes {
         let hists = Phase::ALL.map(|p| {
-            registry.histogram(
+            registry.sharded_histogram(
                 "sweb_request_phase_us",
                 &[("phase", p.name())],
                 "Per-request phase latency in microseconds",
+                cells,
             )
         });
         PhaseTimes { hists }
     }
 
-    /// Record `micros` spent in `phase`.
+    /// Record `micros` spent in `phase`, in the calling thread's cell.
     pub fn record(&self, phase: Phase, micros: u64) {
         self.hists[phase.index()].record(micros);
+    }
+
+    /// Record `micros` spent in `phase`, in shard `shard`'s cell.
+    pub fn record_at(&self, shard: usize, phase: Phase, micros: u64) {
+        self.hists[phase.index()].record_at(shard, micros);
     }
 
     /// The histogram behind one phase (for tests and summaries).

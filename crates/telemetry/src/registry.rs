@@ -142,7 +142,19 @@ impl Registry {
         labels: &[(&str, &str)],
         help: &str,
     ) -> Arc<AtomicHistogram> {
-        let h = Arc::new(AtomicHistogram::new());
+        self.sharded_histogram(name, labels, help, 1)
+    }
+
+    /// Register a histogram with `cells` per-shard cells, rendered as one
+    /// series of summed counts, like [`Registry::sharded_counter`].
+    pub fn sharded_histogram(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        help: &str,
+        cells: usize,
+    ) -> Arc<AtomicHistogram> {
+        let h = Arc::new(AtomicHistogram::with_cells(cells));
         self.push(name, labels, help, Handle::Histogram(Arc::clone(&h)));
         h
     }

@@ -31,7 +31,7 @@ thread_local! {
     static SHARD_HINT: usize = NEXT_THREAD_HINT.fetch_add(1, Ordering::Relaxed);
 }
 
-fn hint() -> usize {
+pub(crate) fn hint() -> usize {
     SHARD_HINT.with(|hint| *hint)
 }
 
